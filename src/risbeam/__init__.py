@@ -21,23 +21,20 @@ from .channel import (
     FieldResult,
     LinkState,
     PhaseMatrix,
-    continuous_phase_matrix,
+    cell_phasors,
     far_field_pl_db,
     field_at_rx_points,
     field_result,
-    field_superposition,
     link_state,
     power_dbm_from_xi,
     received_power_dbm,
 )
 from .geometry import (
-    LocalAngles,
     PathGeometry,
     Placement,
     Point3,
     RisPanel,
     cell_center,
-    local_angle_matrices,
     path_length_matrices,
     spherical_to_cartesian,
     wave_path_difference,
@@ -56,10 +53,8 @@ from .quantization import (
     residual_spread,
 )
 from .radiation import (
-    PatternExponent,
     RadioConfig,
     alpha_from_gain_dbi,
-    combined_pattern_matrix,
     cosine_pattern,
     gain_from_alpha,
 )
@@ -69,9 +64,7 @@ from .scenario import Scenario
 __all__ = [
     "FieldResult",
     "LinkState",
-    "LocalAngles",
     "PathGeometry",
-    "PatternExponent",
     "PhaseMatrix",
     "Placement",
     "Point3",
@@ -87,8 +80,7 @@ __all__ = [
     "alpha_from_gain_dbi",
     "angle_scan",
     "cell_center",
-    "combined_pattern_matrix",
-    "continuous_phase_matrix",
+    "cell_phasors",
     "cosine_pattern",
     "dtpq",
     "dtpq_thresholds",
@@ -98,13 +90,11 @@ __all__ = [
     "far_field_pl_db",
     "field_at_rx_points",
     "field_result",
-    "field_superposition",
     "fixed_threshold",
     "gain_from_alpha",
     "gradient_map",
     "grid_values",
     "link_state",
-    "local_angle_matrices",
     "path_length_matrices",
     "path_loss_samples",
     "pl_slope_fit",

@@ -23,7 +23,7 @@ from .channel import (
     power_dbm_from_xi,
 )
 from .geometry import TWO_PI, spherical_to_cartesian
-from .quantization import dtpq, eipq, fixed_threshold
+from .quantization import QuantizationResult, dtpq, eipq, exhaustive_search, fixed_threshold
 from .scenario import Scenario
 
 SWEEP_AXES = ("rx_distance", "tx_distance", "theta_r", "threshold")
@@ -118,38 +118,35 @@ def _ordered_map(fn: Callable, values: Sequence, max_workers: int | None) -> lis
         return list(pool.map(fn, values))
 
 
-def _gamma_rad(scenario: Scenario, gamma_deg: float | None) -> float:
-    if gamma_deg is None:
-        return scenario.panel.levels[-1]
-    return math.radians(gamma_deg) % TWO_PI
-
-
-def _methods_at_state(
+def design(
     state: LinkState,
-    methods: Sequence[str],
-    epsilon_deg: float,
-    gamma_deg: float | None,
-) -> tuple[dict[str, float], dict[str, float]]:
+    method: str,
+    epsilon_deg: float = DEFAULT_EPSILON_DEG,
+    gamma_deg: float | None = None,
+) -> QuantizationResult:
+    """Shifts designed by one method on the given link: the table of methods.
+
+    ``epsilon_deg`` is the eipq grid step and ``gamma_deg`` the fixed
+    threshold (None selects the panel's last level).  The continuous design
+    carries the continuous PhaseMatrix as its shifts and, like the
+    exhaustive oracle, no threshold.  The searches are looked up as module
+    globals at call time.
+    """
     scenario = state.scenario
-    powers: dict[str, float] = {}
-    thresholds: dict[str, float] = {}
-    for method in methods:
-        if method == "continuous":
-            powers[method] = power_dbm_from_xi(
-                scenario.panel, scenario.radio, state.xi_upper_bound
-            )
-            continue
-        if method == "dtpq":
-            result = dtpq(scenario, state)
-        elif method == "eipq":
-            result = eipq(scenario, math.radians(epsilon_deg), state)
-        elif method == "fixed":
-            result = fixed_threshold(scenario, _gamma_rad(scenario, gamma_deg), state)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        powers[method] = result.received_power_dbm
-        thresholds[method] = math.degrees(result.threshold)
-    return powers, thresholds
+    if method == "continuous":
+        xi = state.xi_upper_bound
+        power = power_dbm_from_xi(scenario.panel, scenario.radio, xi)
+        return QuantizationResult(None, state.phase_matrix, xi, power, 0)
+    if method == "dtpq":
+        return dtpq(scenario, state)
+    if method == "eipq":
+        return eipq(scenario, math.radians(epsilon_deg), state)
+    if method == "fixed":
+        gamma = scenario.panel.levels[-1] if gamma_deg is None else math.radians(gamma_deg)
+        return fixed_threshold(scenario, gamma % TWO_PI, state)
+    if method == "exhaustive":
+        return exhaustive_search(scenario, state)
+    raise ValueError(f"unknown method {method!r}")
 
 
 def run_sweep(
@@ -163,18 +160,19 @@ def run_sweep(
     """
     values = grid_values(spec.start, spec.stop, spec.step)
 
+    def row(state: LinkState, value: float, gamma_deg: float | None) -> SweepRow:
+        powers: dict[str, float] = {}
+        thresholds: dict[str, float] = {}
+        for method in spec.methods:
+            result = design(state, method, spec.epsilon_deg, gamma_deg)
+            powers[method] = result.received_power_dbm
+            if result.threshold is not None:
+                thresholds[method] = math.degrees(result.threshold)
+        return SweepRow(axis_value=float(value), power_dbm=powers, threshold_deg=thresholds)
+
     if spec.axis == "threshold":
         state = link_state(scenario)
-
-        def eval_threshold(value: float) -> SweepRow:
-            result = fixed_threshold(scenario, math.radians(value) % TWO_PI, state)
-            return SweepRow(
-                axis_value=float(value),
-                power_dbm={"fixed": result.received_power_dbm},
-                threshold_deg={"fixed": math.degrees(result.threshold)},
-            )
-
-        return _ordered_map(eval_threshold, values, max_workers)
+        return _ordered_map(lambda value: row(state, value, value), values, max_workers)
 
     def eval_point(value: float) -> SweepRow:
         if spec.axis == "rx_distance":
@@ -183,10 +181,7 @@ def run_sweep(
             sub = scenario.with_placement(d1=float(value))
         else:  # theta_r
             sub = scenario.with_placement(theta_r=math.radians(value))
-        powers, thresholds = _methods_at_state(
-            link_state(sub), spec.methods, spec.epsilon_deg, spec.gamma_deg
-        )
-        return SweepRow(axis_value=float(value), power_dbm=powers, threshold_deg=thresholds)
+        return row(link_state(sub), value, spec.gamma_deg)
 
     return _ordered_map(eval_point, values, max_workers)
 
@@ -206,24 +201,6 @@ def _rx_point_for_angle(scenario: Scenario, theta_deg: float) -> np.ndarray:
     if theta == 0.0:
         return np.array([0.0, 0.0, scenario.placement.d2])
     return spherical_to_cartesian(scenario.placement.d2, theta, phi).as_array()
-
-
-def _design_shift_values(
-    state: LinkState, method: str, epsilon_deg: float, gamma_deg: float | None
-) -> tuple[np.ndarray, float | None]:
-    """Shift matrix (radians) and threshold (deg) designed on the given link."""
-    scenario = state.scenario
-    if method == "continuous":
-        return state.phase, None
-    if method == "dtpq":
-        result = dtpq(scenario, state)
-    elif method == "eipq":
-        result = eipq(scenario, math.radians(epsilon_deg), state)
-    elif method == "fixed":
-        result = fixed_threshold(scenario, _gamma_rad(scenario, gamma_deg), state)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return result.shifts.values, math.degrees(result.threshold)
 
 
 def angle_scan(
@@ -252,8 +229,8 @@ def angle_scan(
     if theta < 0.0:
         theta = -theta
         phi = (phi + math.pi) % TWO_PI
-    design = scenario.with_placement(theta_r=theta, phi_r=phi)
-    state = link_state(design)
+    target = scenario.with_placement(theta_r=theta, phi_r=phi)
+    state = link_state(target)
 
     values = grid_values(start_deg, stop_deg, step_deg)
     points = np.stack([_rx_point_for_angle(scenario, v) for v in values])
@@ -261,11 +238,11 @@ def angle_scan(
     per_method: dict[str, np.ndarray] = {}
     thresholds: dict[str, float] = {}
     for method in methods:
-        shift, threshold_deg = _design_shift_values(state, method, epsilon_deg, gamma_deg)
-        xi = field_at_rx_points(design, shift, points)
+        result = design(state, method, epsilon_deg, gamma_deg)
+        xi = field_at_rx_points(target, result.shifts, points)
         per_method[method] = power_dbm_from_xi(scenario.panel, scenario.radio, xi)
-        if threshold_deg is not None:
-            thresholds[method] = threshold_deg
+        if result.threshold is not None:
+            thresholds[method] = math.degrees(result.threshold)
 
     rows = []
     for i, value in enumerate(values):
@@ -302,9 +279,8 @@ def gradient_map(
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
-    design = scenario.with_placement(theta_r=design_target[0], phi_r=design_target[1])
-    state = link_state(design)
-    shift, _ = _design_shift_values(state, method, epsilon_deg, gamma_deg)
+    target = scenario.with_placement(theta_r=design_target[0], phi_r=design_target[1])
+    shifts = design(link_state(target), method, epsilon_deg, gamma_deg).shifts
 
     theta = np.minimum(np.radians(theta_grid), _THETA_LIMIT)
     phi = np.radians(phi_grid) % TWO_PI
@@ -317,7 +293,7 @@ def gradient_map(
             d2 * np.cos(tt.ravel()),
         ]
     )
-    xi = field_at_rx_points(design, shift, points)
+    xi = field_at_rx_points(target, shifts, points)
     power = power_dbm_from_xi(scenario.panel, scenario.radio, xi)
     return power.reshape(theta_grid.size, phi_grid.size)
 
@@ -350,8 +326,8 @@ def path_loss_samples(
             sub = scenario.with_placement(theta_r=math.radians(value))
         else:
             sub = scenario.with_placement(theta_t=math.radians(value))
-        powers, _ = _methods_at_state(link_state(sub), [method], epsilon_deg, gamma_deg)
-        return scenario.radio.tx_power_dbm - powers[method]
+        result = design(link_state(sub), method, epsilon_deg, gamma_deg)
+        return scenario.radio.tx_power_dbm - result.received_power_dbm
 
     return np.array(_ordered_map(eval_sample, list(sample_grid), max_workers))
 

@@ -1,4 +1,4 @@
-"""Continuous phase design, field superposition, and received power.
+"""The forward model, field superposition, and received power.
 
 Each cell contributes a phasor
 
@@ -22,20 +22,13 @@ import numpy as np
 
 from .geometry import (
     TWO_PI,
-    LocalAngles,
-    PathGeometry,
     Placement,
     RisPanel,
-    cell_center_grids,
-    local_angle_matrices,
-    path_length_matrices,
+    cell_paths,
+    rx_position,
     tx_position,
 )
-from .radiation import (
-    RadioConfig,
-    combined_pattern_matrix,
-    cosine_pattern_from_cos,
-)
+from .radiation import RadioConfig, cosine_pattern
 from .scenario import Scenario
 
 
@@ -64,46 +57,41 @@ class FieldResult:
     path_loss_db: float
 
 
-def continuous_phase_matrix(geom: PathGeometry, wavelength: float) -> PhaseMatrix:
-    """Per-cell shifts that cancel each cell's path phase: mod(2*pi*L/lambda, 2*pi)."""
-    if not wavelength > 0.0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
-    return PhaseMatrix(np.mod(TWO_PI * geom.total / wavelength, TWO_PI))
-
-
 def _shift_values(shifts) -> np.ndarray:
     """Radian matrix from a PhaseMatrix, a ShiftMatrix, or a bare array."""
     values = getattr(shifts, "values", shifts)
     return np.asarray(values, dtype=float)
 
 
-def amplitude_matrix(geom: PathGeometry, combined: np.ndarray) -> np.ndarray:
-    """Per-cell phasor magnitudes sqrt(F_combine) / (r_t * r_r)."""
-    combined = np.asarray(combined, dtype=float)
-    if combined.shape != geom.r_t.shape:
-        raise ValueError(
-            f"pattern matrix shape {combined.shape} != geometry shape {geom.r_t.shape}"
-        )
-    return np.sqrt(combined) / (geom.r_t * geom.r_r)
+def _phasor_sum(amplitude: np.ndarray, phase: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """|sum of amplitude * exp(j*(shift - phase))| along the last (cell) axis."""
+    return np.abs(np.sum(amplitude * np.exp(1j * (shift - phase)), axis=-1))
 
 
-def field_superposition(
-    geom: PathGeometry, combined: np.ndarray, shifts, wavelength: float
-) -> float:
-    """Magnitude xi of the per-cell phasor sum under the given shifts.
+def cell_phasors(scenario: Scenario, rx_points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The forward model: per-cell phasor amplitude and path phase at Rx points.
 
-    ``shifts`` may be a PhaseMatrix, a ShiftMatrix, or a radian array of
-    matching shape.  Cells are accumulated in row-major order.
+    ``rx_points`` is a (P, 3) array of Rx positions; the Rx antenna's
+    boresight is aimed at the surface center from each point.  Returns two
+    (P, M*N) arrays over the row-major cells: sqrt(F_combine) / (r_t * r_r)
+    and mod(2*pi/lambda * (r_t + r_r), 2*pi).  F_combine is the product of
+    the Tx pattern, the cell's reception and emission patterns, and the Rx
+    pattern.
     """
-    if not wavelength > 0.0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
-    amplitude = amplitude_matrix(geom, combined)
-    shift = _shift_values(shifts)
-    if shift.shape != amplitude.shape:
-        raise ValueError(f"shift shape {shift.shape} != geometry shape {amplitude.shape}")
-    path_phase = np.mod(TWO_PI * geom.total / wavelength, TWO_PI)
-    total = np.sum(amplitude * np.exp(1j * (shift - path_phase)))
-    return float(np.abs(total))
+    panel, placement, radio = scenario.panel, scenario.placement, scenario.radio
+    tx = tx_position(placement).as_array()[None, :]
+    r_t, cos_t_cell, cos_tx = cell_paths(panel, tx, np.array([[placement.d1]]))
+    ranges = np.sqrt(np.sum(rx_points**2, axis=1, keepdims=True))
+    r_r, cos_r_cell, cos_rx = cell_paths(panel, rx_points, ranges)
+    combined = (
+        cosine_pattern(cos_tx, radio.alpha_tx)
+        * cosine_pattern(cos_t_cell, radio.cell_alpha)
+        * cosine_pattern(cos_r_cell, radio.cell_alpha)
+        * cosine_pattern(cos_rx, radio.alpha_rx)
+    )
+    amplitude = np.sqrt(combined) / (r_t * r_r)
+    phase = np.mod(TWO_PI / radio.wavelength * (r_t + r_r), TWO_PI)
+    return amplitude, phase
 
 
 @dataclass(frozen=True)
@@ -116,9 +104,6 @@ class LinkState:
     """
 
     scenario: Scenario
-    geometry: PathGeometry
-    angles: LocalAngles
-    combined: np.ndarray
     amplitude: np.ndarray
     phase: np.ndarray
 
@@ -138,29 +123,16 @@ class LinkState:
             raise ValueError(
                 f"shift shape {shift.shape} != panel shape {self.amplitude.shape}"
             )
-        total = np.sum(self.amplitude * np.exp(1j * (shift - self.phase)))
-        return float(np.abs(total))
-
-    def received_power_dbm(self, shifts) -> float:
-        return power_dbm_from_xi(self.scenario.panel, self.scenario.radio, self.xi(shifts))
+        return float(_phasor_sum(self.amplitude.ravel(), self.phase.ravel(), shift.ravel()))
 
 
 def link_state(scenario: Scenario) -> LinkState:
-    """Build the per-cell amplitude/phase state of a scenario."""
-    geom = path_length_matrices(scenario.panel, scenario.placement)
-    angles = local_angle_matrices(scenario.panel, scenario.placement)
-    radio = scenario.radio
-    combined = combined_pattern_matrix(angles, radio.alpha_tx, radio.cell_alpha, radio.alpha_rx)
-    amplitude = amplitude_matrix(geom, combined)
-    phase = np.mod(TWO_PI * geom.total / radio.wavelength, TWO_PI)
-    return LinkState(
-        scenario=scenario,
-        geometry=geom,
-        angles=angles,
-        combined=combined,
-        amplitude=amplitude,
-        phase=phase,
-    )
+    """Build the per-cell amplitude/phase state of a scenario: the forward
+    model at the placement's own Rx position."""
+    rx = rx_position(scenario.placement).as_array()[None, :]
+    amplitude, phase = cell_phasors(scenario, rx)
+    shape = (scenario.panel.rows, scenario.panel.cols)
+    return LinkState(scenario, amplitude.reshape(shape), phase.reshape(shape))
 
 
 def power_dbm_from_xi(panel: RisPanel, radio: RadioConfig, xi):
@@ -228,52 +200,23 @@ def field_at_rx_points(
 ) -> np.ndarray:
     """Field magnitudes at many Rx positions with the shifts held fixed.
 
-    ``rx_points`` is a (P, 3) array of Cartesian Rx positions.  The Tx-side
-    pattern factors are computed once; the Rx side (path lengths, the cell
-    departure angle, and the Rx antenna angle with its boresight re-aimed
-    at the surface center) is evaluated per point.  Used by angle scans
-    and spatial power maps, where the design is frozen while Rx moves.
+    ``rx_points`` is a (P, 3) array of Cartesian Rx positions, evaluated
+    through the forward model ``chunk`` points at a time.  Used by
+    angle scans and spatial power maps, where the design is frozen while
+    Rx moves.
     """
     points = np.asarray(rx_points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError(f"rx_points must have shape (P, 3), got {points.shape}")
     panel = scenario.panel
-    radio = scenario.radio
-    placement = scenario.placement
     shift = _shift_values(shifts)
     if shift.shape != (panel.rows, panel.cols):
         raise ValueError(
             f"shift shape {shift.shape} != panel shape {(panel.rows, panel.cols)}"
         )
-
-    x, y = cell_center_grids(panel)
-    x = x.ravel()
-    y = y.ravel()
-    tx = tx_position(placement)
-    r_t = np.sqrt((tx.x - x) ** 2 + (tx.y - y) ** 2 + tx.z**2)
-    cos_tx = (tx.x * (tx.x - x) + tx.y * (tx.y - y) + tx.z * tx.z) / (r_t * placement.d1)
-    tx_pattern = cosine_pattern_from_cos(
-        np.clip(cos_tx, -1.0, 1.0), radio.alpha_tx
-    ) * cosine_pattern_from_cos(tx.z / r_t, radio.cell_alpha)
-    shift_flat = shift.ravel()
-
-    k = TWO_PI / radio.wavelength
+    shift = shift.ravel()
     xi = np.empty(points.shape[0])
     for lo in range(0, points.shape[0], chunk):
-        p = points[lo : lo + chunk]
-        dx = p[:, 0:1] - x[None, :]
-        dy = p[:, 1:2] - y[None, :]
-        pz = p[:, 2:3]
-        r_r = np.sqrt(dx**2 + dy**2 + pz**2)
-        d2 = np.sqrt(np.sum(p**2, axis=1, keepdims=True))
-        cos_rx = (p[:, 0:1] * dx + p[:, 1:2] * dy + pz * pz) / (r_r * d2)
-        combined = (
-            tx_pattern[None, :]
-            * cosine_pattern_from_cos(pz / r_r, radio.cell_alpha)
-            * cosine_pattern_from_cos(np.clip(cos_rx, -1.0, 1.0), radio.alpha_rx)
-        )
-        amplitude = np.sqrt(combined) / (r_t[None, :] * r_r)
-        phase = np.mod(k * (r_t[None, :] + r_r), TWO_PI)
-        total = np.sum(amplitude * np.exp(1j * (shift_flat[None, :] - phase)), axis=1)
-        xi[lo : lo + chunk] = np.abs(total)
+        amplitude, phase = cell_phasors(scenario, points[lo : lo + chunk])
+        xi[lo : lo + chunk] = _phasor_sum(amplitude, phase, shift)
     return xi

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import sys
@@ -24,129 +23,16 @@ from .analysis import (
     SweepRow,
     SweepSpec,
     angle_scan,
+    design,
     gradient_map,
     grid_values,
     pl_slope_fit,
     run_sweep,
 )
 from .channel import link_state
-from .geometry import TWO_PI, Placement, RisPanel
-from .quantization import (
-    QuantizationResult,
-    ShiftMatrix,
-    dtpq,
-    eipq,
-    exhaustive_search,
-    fixed_threshold,
-)
-from .radiation import RadioConfig
-from .scenario import Scenario
-
-SPEED_OF_LIGHT = 299792458.0
-
-
-class ScenarioFileError(ValueError):
-    """Configuration problem in a scenario file or on the command line."""
-
-
-_PANEL_KEYS = {"rows", "cols", "cell_dx_m", "cell_dy_m", "bits", "levels_deg", "reflection"}
-_PLACEMENT_KEYS = {"d1_m", "d2_m", "theta_t_deg", "phi_t_deg", "theta_r_deg", "phi_r_deg"}
-_RADIO_KEYS = {"freq_ghz", "tx_power_dbm", "gain_tx_dbi", "gain_rx_dbi", "cell_alpha"}
-
-
-def _require_section(doc: dict, name: str, allowed: set[str]) -> dict:
-    if name not in doc:
-        raise ScenarioFileError(f"missing section '{name}'")
-    section = doc[name]
-    if not isinstance(section, dict):
-        raise ScenarioFileError(f"section '{name}' must be an object")
-    unknown = set(section) - allowed
-    if unknown:
-        raise ScenarioFileError(f"unknown key '{name}.{sorted(unknown)[0]}'")
-    return section
-
-
-def _number(section: dict, section_name: str, key: str, default=None) -> float:
-    if key not in section:
-        if default is not None:
-            return default
-        raise ScenarioFileError(f"missing key '{section_name}.{key}'")
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioFileError(f"key '{section_name}.{key}' must be a number")
-    return float(value)
-
-
-def parse_scenario(doc: dict) -> Scenario:
-    """Build a Scenario from a parsed JSON document, rejecting unknown keys."""
-    if not isinstance(doc, dict):
-        raise ScenarioFileError("scenario document must be an object")
-    unknown = set(doc) - {"panel", "placement", "radio"}
-    if unknown:
-        raise ScenarioFileError(f"unknown key '{sorted(unknown)[0]}'")
-
-    panel_doc = _require_section(doc, "panel", _PANEL_KEYS)
-    placement_doc = _require_section(doc, "placement", _PLACEMENT_KEYS)
-    radio_doc = _require_section(doc, "radio", _RADIO_KEYS)
-
-    levels = panel_doc.get("levels_deg")
-    if not isinstance(levels, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) for v in levels
-    ):
-        raise ScenarioFileError("key 'panel.levels_deg' must be a list of numbers")
-
-    try:
-        panel = RisPanel(
-            rows=int(_number(panel_doc, "panel", "rows")),
-            cols=int(_number(panel_doc, "panel", "cols")),
-            d_x=_number(panel_doc, "panel", "cell_dx_m"),
-            d_y=_number(panel_doc, "panel", "cell_dy_m"),
-            bits=int(_number(panel_doc, "panel", "bits")),
-            levels=tuple(math.radians(v) for v in levels),
-            reflection=_number(panel_doc, "panel", "reflection", default=1.0),
-        )
-    except ValueError as exc:
-        raise ScenarioFileError(f"invalid 'panel' section: {exc}") from exc
-
-    try:
-        placement = Placement(
-            d1=_number(placement_doc, "placement", "d1_m"),
-            d2=_number(placement_doc, "placement", "d2_m"),
-            theta_t=math.radians(_number(placement_doc, "placement", "theta_t_deg")),
-            phi_t=math.radians(_number(placement_doc, "placement", "phi_t_deg")) % TWO_PI,
-            theta_r=math.radians(_number(placement_doc, "placement", "theta_r_deg")),
-            phi_r=math.radians(_number(placement_doc, "placement", "phi_r_deg")) % TWO_PI,
-        )
-    except ValueError as exc:
-        raise ScenarioFileError(f"invalid 'placement' section: {exc}") from exc
-
-    freq_ghz = _number(radio_doc, "radio", "freq_ghz")
-    if freq_ghz <= 0.0:
-        raise ScenarioFileError("key 'radio.freq_ghz' must be positive")
-    try:
-        radio = RadioConfig(
-            wavelength=SPEED_OF_LIGHT / (freq_ghz * 1e9),
-            tx_power_dbm=_number(radio_doc, "radio", "tx_power_dbm"),
-            gain_tx_dbi=_number(radio_doc, "radio", "gain_tx_dbi"),
-            gain_rx_dbi=_number(radio_doc, "radio", "gain_rx_dbi"),
-            cell_alpha=_number(radio_doc, "radio", "cell_alpha", default=1.0),
-        )
-    except ValueError as exc:
-        raise ScenarioFileError(f"invalid 'radio' section: {exc}") from exc
-
-    return Scenario(panel=panel, placement=placement, radio=radio)
-
-
-def load_scenario(path: str) -> Scenario:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ScenarioFileError(f"scenario file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioFileError(f"scenario file {path} is not valid JSON: {exc}") from exc
-    return parse_scenario(doc)
-
+from .geometry import TWO_PI, RisPanel
+from .quantization import ShiftMatrix
+from .scenario import ScenarioFileError, load_scenario
 
 # ---------------------------------------------------------------------------
 # CSV schemas
@@ -169,23 +55,40 @@ def write_shifts_csv(path: str, shifts: ShiftMatrix) -> None:
 
 
 def read_shifts_csv(path: str, panel: RisPanel) -> ShiftMatrix:
-    """Reload a shifts CSV into a ShiftMatrix keyed by level indices."""
+    """Reload a shifts CSV into a ShiftMatrix keyed by level indices.
+
+    Every cell of the panel must appear exactly once.
+    """
     indices = np.zeros((panel.rows, panel.cols), dtype=np.intp)
+    seen = np.zeros((panel.rows, panel.cols), dtype=bool)
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for record in reader:
+        for record in csv.DictReader(fh):
             n = int(record["n"])
             m = int(record["m"])
+            if not (1 <= n <= panel.cols and 1 <= m <= panel.rows):
+                raise ScenarioFileError(
+                    f"{path}: cell n={n}, m={m} outside 1..{panel.cols} x 1..{panel.rows}"
+                )
+            if seen[m - 1, n - 1]:
+                raise ScenarioFileError(f"{path}: duplicate cell n={n}, m={m}")
+            seen[m - 1, n - 1] = True
             indices[m - 1, n - 1] = int(record["level_index"])
+    if not seen.all():
+        m, n = np.argwhere(~seen)[0] + 1
+        raise ScenarioFileError(f"{path}: missing cell n={n}, m={m}")
     return ShiftMatrix(level_indices=indices, levels=panel.levels)
 
 
 def write_sweep_csv(path: str, rows: Sequence[SweepRow], methods: Sequence[str]) -> None:
-    """Header axis_value,<method>_dbm[,<method>_threshold_deg]... in method order."""
+    """Header axis_value,<method>_dbm[,<method>_threshold_deg]... in method order.
+
+    A threshold column follows each method whose rows report a threshold.
+    """
+    thresholded = set(rows[0].threshold_deg) if rows else set()
     header = ["axis_value"]
     for method in methods:
         header.append(f"{method}_dbm")
-        if method != "continuous":
+        if method in thresholded:
             header.append(f"{method}_threshold_deg")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -194,7 +97,7 @@ def write_sweep_csv(path: str, rows: Sequence[SweepRow], methods: Sequence[str])
             record = [_fmt(row.axis_value)]
             for method in methods:
                 record.append(_fmt(row.power_dbm[method]))
-                if method != "continuous":
+                if method in thresholded:
                     record.append(_fmt(row.threshold_deg[method]))
             writer.writerow(record)
 
@@ -215,32 +118,37 @@ def write_map_csv(
 # Method tokens: "dtpq", "eipq:5", "fixed:235", "continuous", "exhaustive"
 
 
-def _parse_method_token(token: str) -> tuple[str, float | None]:
-    name, _, param = token.partition(":")
-    if name not in METHODS and name != "exhaustive":
-        raise ScenarioFileError(f"unknown method '{name}'")
-    if not param:
-        return name, None
-    try:
-        return name, float(param)
-    except ValueError as exc:
-        raise ScenarioFileError(f"bad parameter in method token '{token}'") from exc
+def _parse_methods(
+    tokens: Sequence[str], command: str
+) -> tuple[tuple[str, ...], float, float | None]:
+    """Method names of the tokens, plus the eipq step and fixed threshold (deg).
 
-
-def _parse_method_list(tokens: str) -> tuple[tuple[str, ...], float, float | None]:
-    methods = []
+    The last eipq/fixed parameter wins; fixed without one selects the
+    panel's last level (None).  'exhaustive' is only available to quantize,
+    which also refuses 'continuous'.
+    """
+    names = []
     epsilon_deg = DEFAULT_EPSILON_DEG
     gamma_deg: float | None = None
-    for token in tokens.split(","):
-        name, param = _parse_method_token(token.strip())
-        if name == "exhaustive":
+    for token in tokens:
+        name, _, param = token.strip().partition(":")
+        if name not in METHODS and name != "exhaustive":
+            raise ScenarioFileError(f"unknown method '{name}'")
+        if name == "exhaustive" and command != "quantize":
             raise ScenarioFileError("method 'exhaustive' is only available to quantize")
-        methods.append(name)
-        if name == "eipq" and param is not None:
-            epsilon_deg = param
-        if name == "fixed" and param is not None:
-            gamma_deg = param
-    return tuple(methods), epsilon_deg, gamma_deg
+        if name == "continuous" and command == "quantize":
+            raise ScenarioFileError("quantize requires a discrete method (not 'continuous')")
+        if param:
+            try:
+                value = float(param)
+            except ValueError as exc:
+                raise ScenarioFileError(f"bad parameter in method token '{token}'") from exc
+            if name == "eipq":
+                epsilon_deg = value
+            elif name == "fixed":
+                gamma_deg = value
+        names.append(name)
+    return tuple(names), epsilon_deg, gamma_deg
 
 
 def _max_workers() -> int | None:
@@ -272,23 +180,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_quantize(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    name, param = _parse_method_token(args.method)
-    state = link_state(scenario)
-    result: QuantizationResult
-    if name == "dtpq":
-        result = dtpq(scenario, state)
-    elif name == "eipq":
-        epsilon_deg = param if param is not None else DEFAULT_EPSILON_DEG
-        result = eipq(scenario, math.radians(epsilon_deg), state)
-    elif name == "fixed":
-        gamma = (
-            math.radians(param) % TWO_PI if param is not None else scenario.panel.levels[-1]
-        )
-        result = fixed_threshold(scenario, gamma, state)
-    elif name == "exhaustive":
-        result = exhaustive_search(scenario, state)
-    else:
-        raise ScenarioFileError("quantize requires a discrete method (not 'continuous')")
+    (name,), epsilon_deg, gamma_deg = _parse_methods([args.method], args.command)
+    result = design(link_state(scenario), name, epsilon_deg, gamma_deg)
 
     threshold = "n/a" if result.threshold is None else _fmt(math.degrees(result.threshold))
     print(f"threshold_deg={threshold}")
@@ -302,7 +195,7 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    methods, epsilon_deg, gamma_deg = _parse_method_list(args.methods)
+    methods, epsilon_deg, gamma_deg = _parse_methods(args.methods.split(","), args.command)
     spec = SweepSpec(
         axis=args.axis,
         start=args.start,
@@ -320,7 +213,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_angle_scan(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    methods, epsilon_deg, gamma_deg = _parse_method_list(args.methods)
+    methods, epsilon_deg, gamma_deg = _parse_methods(args.methods.split(","), args.command)
     rows = angle_scan(
         scenario,
         args.start,
@@ -338,11 +231,7 @@ def _cmd_angle_scan(args: argparse.Namespace) -> int:
 
 def _cmd_gradient_map(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    name, param = _parse_method_token(args.method)
-    if name == "exhaustive":
-        raise ScenarioFileError("gradient-map supports continuous/dtpq/eipq/fixed")
-    epsilon_deg = param if name == "eipq" and param is not None else DEFAULT_EPSILON_DEG
-    gamma_deg = param if name == "fixed" and param is not None else None
+    (name,), epsilon_deg, gamma_deg = _parse_methods([args.method], args.command)
     theta_grid = grid_values(args.theta_start, args.theta_stop, args.theta_step)
     phi_grid = grid_values(args.phi_start, args.phi_stop, args.phi_step)
     power = gradient_map(
@@ -361,17 +250,7 @@ def _cmd_gradient_map(args: argparse.Namespace) -> int:
 
 def _cmd_pl_fit(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    name, param = _parse_method_token(args.method)
-    if name == "exhaustive":
-        raise ScenarioFileError("pl-fit supports continuous/dtpq/eipq/fixed")
-    epsilon_deg = param if name == "eipq" and param is not None else DEFAULT_EPSILON_DEG
-    gamma_deg = param if name == "fixed" and param is not None else None
-    variable = {
-        "d1": "log10_d1",
-        "d2": "log10_d2",
-        "cos_theta_r": "log10_cos_theta_r",
-        "cos_theta_t": "log10_cos_theta_t",
-    }[args.variable]
+    (name,), epsilon_deg, gamma_deg = _parse_methods([args.method], args.command)
     if args.num < 3:
         raise ScenarioFileError(f"--num must be >= 3, got {args.num}")
     spacing = args.spacing
@@ -385,7 +264,7 @@ def _cmd_pl_fit(args: argparse.Namespace) -> int:
         grid = np.linspace(args.start, args.stop, args.num)
     fit = pl_slope_fit(
         scenario,
-        variable,
+        f"log10_{args.variable}",
         grid,
         name,
         epsilon_deg=epsilon_deg,

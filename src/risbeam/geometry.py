@@ -6,7 +6,8 @@ m = 1..M along the y axis, and the center of cell (n, m) is at
 
     ((N + 1 - 2n) * d_x / 2,  (M + 1 - 2m) * d_y / 2,  0).
 
-All per-cell quantities are stored as M x N arrays addressed [m-1, n-1].
+Per-cell quantities are stored as M x N arrays addressed [m-1, n-1], or as
+(P, M*N) arrays over the row-major cells when evaluated for P points.
 Angles are radians throughout; degrees appear only at configuration and
 CSV boundaries.
 """
@@ -164,52 +165,14 @@ class PathGeometry:
         return self.r_t + self.r_r
 
 
-@dataclass
-class LocalAngles:
-    """Per-cell angle matrices for the four pattern evaluations.
-
-    *_cell matrices hold angles at the cells, measured from the surface
-    normal; theta_tx/theta_rx hold angles at the antennas, measured from
-    each antenna's boresight (which points at the surface center).
-    Azimuths are measured from the local frame's x axis, in [0, 2*pi).
-    """
-
-    theta_t_cell: np.ndarray
-    phi_t_cell: np.ndarray
-    theta_r_cell: np.ndarray
-    phi_r_cell: np.ndarray
-    theta_tx: np.ndarray
-    phi_tx: np.ndarray
-    theta_rx: np.ndarray
-    phi_rx: np.ndarray
-
-    def __post_init__(self) -> None:
-        shape = np.shape(self.theta_t_cell)
-        for name in (
-            "theta_t_cell",
-            "phi_t_cell",
-            "theta_r_cell",
-            "phi_r_cell",
-            "theta_tx",
-            "phi_tx",
-            "theta_rx",
-            "phi_rx",
-        ):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != shape:
-                raise ValueError(f"{name} shape {arr.shape} != {shape}")
-            setattr(self, name, arr)
-
-
 def cell_center(n: int, m: int, panel: RisPanel) -> Point3:
     """Center of cell (n, m), n counted 1..N along x and m counted 1..M along y."""
     if not (1 <= n <= panel.cols):
         raise ValueError(f"cell index n={n} outside 1..{panel.cols}")
     if not (1 <= m <= panel.rows):
         raise ValueError(f"cell index m={m} outside 1..{panel.rows}")
-    x = (panel.cols + 1 - 2 * n) * panel.d_x / 2.0
-    y = (panel.rows + 1 - 2 * m) * panel.d_y / 2.0
-    return Point3(x, y, 0.0)
+    x, y = cell_center_grids(panel)
+    return Point3(float(x[m - 1, n - 1]), float(y[m - 1, n - 1]), 0.0)
 
 
 def cell_center_grids(panel: RisPanel) -> tuple[np.ndarray, np.ndarray]:
@@ -218,9 +181,7 @@ def cell_center_grids(panel: RisPanel) -> tuple[np.ndarray, np.ndarray]:
     m = np.arange(1, panel.rows + 1, dtype=float)
     x = (panel.cols + 1 - 2.0 * n) * panel.d_x / 2.0
     y = (panel.rows + 1 - 2.0 * m) * panel.d_y / 2.0
-    return np.broadcast_to(x, (panel.rows, panel.cols)).copy(), np.broadcast_to(
-        y[:, None], (panel.rows, panel.cols)
-    ).copy()
+    return np.meshgrid(x, y)
 
 
 def spherical_to_cartesian(d: float, theta: float, phi: float) -> Point3:
@@ -239,83 +200,32 @@ def rx_position(placement: Placement) -> Point3:
     return spherical_to_cartesian(placement.d2, placement.theta_r, placement.phi_r)
 
 
+def cell_paths(
+    panel: RisPanel, points: np.ndarray, ranges: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lengths and incidence cosines of the paths from antennas to every cell.
+
+    ``points`` is a (P, 3) array of antenna positions and ``ranges`` their
+    distances to the surface center, shape (P, 1).  Returns three (P, M*N)
+    arrays over the row-major cells: the path length r, the cosine of the
+    path's angle to the surface normal at the cell, and the cosine of its
+    angle to the antenna boresight, which points at the surface center.
+    """
+    x, y = cell_center_grids(panel)
+    dx = points[:, 0:1] - x.ravel()
+    dy = points[:, 1:2] - y.ravel()
+    pz = points[:, 2:3]
+    r = np.sqrt(dx**2 + dy**2 + pz**2)
+    cos_antenna = (points[:, 0:1] * dx + points[:, 1:2] * dy + pz * pz) / (r * ranges)
+    return r, pz / r, cos_antenna
+
+
 def path_length_matrices(panel: RisPanel, placement: Placement) -> PathGeometry:
     """Euclidean distances from the Tx and Rx points to every cell center."""
-    x, y = cell_center_grids(panel)
-    tx = tx_position(placement)
-    rx = rx_position(placement)
-    r_t = np.sqrt((tx.x - x) ** 2 + (tx.y - y) ** 2 + tx.z**2)
-    r_r = np.sqrt((rx.x - x) ** 2 + (rx.y - y) ** 2 + rx.z**2)
+    points = np.stack([tx_position(placement).as_array(), rx_position(placement).as_array()])
+    r, _, _ = cell_paths(panel, points, np.array([[placement.d1], [placement.d2]]))
+    r_t, r_r = r.reshape(2, panel.rows, panel.cols)
     return PathGeometry(r_t=r_t, r_r=r_r)
-
-
-def _antenna_frame(boresight: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal (x', y') axes completing the boresight into a local frame.
-
-    The x' axis is the global x axis projected off the boresight; when the
-    boresight is (anti)parallel to global x, global y is used instead.  The
-    choice only fixes where local azimuth zero points; the cosine-power
-    patterns are azimuth-independent.
-    """
-    e1 = np.array([1.0, 0.0, 0.0]) - boresight[0] * boresight
-    if np.linalg.norm(e1) < 1e-12:
-        e1 = np.array([0.0, 1.0, 0.0]) - boresight[1] * boresight
-    e1 = e1 / np.linalg.norm(e1)
-    e2 = np.cross(boresight, e1)
-    return e1, e2
-
-
-def _antenna_side_angles(
-    antenna: Point3, distance: float, x: np.ndarray, y: np.ndarray, r: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Elevation off boresight and local azimuth of each cell seen from an antenna.
-
-    Boresight points from the antenna to the surface center.
-    """
-    a = antenna.as_array()
-    boresight = -a / distance
-    ux = (x - antenna.x) / r
-    uy = (y - antenna.y) / r
-    uz = -antenna.z / r
-    cos_theta = ux * boresight[0] + uy * boresight[1] + uz * boresight[2]
-    theta = np.arccos(np.clip(cos_theta, -1.0, 1.0))
-    e1, e2 = _antenna_frame(boresight)
-    comp1 = ux * e1[0] + uy * e1[1] + uz * e1[2]
-    comp2 = ux * e2[0] + uy * e2[1] + uz * e2[2]
-    phi = np.arctan2(comp2, comp1) % TWO_PI
-    return theta, phi
-
-
-def local_angle_matrices(panel: RisPanel, placement: Placement) -> LocalAngles:
-    """Per-cell incidence/departure angles at the cells and at the antennas.
-
-    Cell-side elevations are measured from the surface normal (+z);
-    antenna-side elevations from the antenna boresight, which points at
-    the surface center.
-    """
-    x, y = cell_center_grids(panel)
-    tx = tx_position(placement)
-    rx = rx_position(placement)
-    geom = path_length_matrices(panel, placement)
-
-    theta_t_cell = np.arccos(np.clip(tx.z / geom.r_t, -1.0, 1.0))
-    phi_t_cell = np.arctan2(tx.y - y, tx.x - x) % TWO_PI
-    theta_r_cell = np.arccos(np.clip(rx.z / geom.r_r, -1.0, 1.0))
-    phi_r_cell = np.arctan2(rx.y - y, rx.x - x) % TWO_PI
-
-    theta_tx, phi_tx = _antenna_side_angles(tx, placement.d1, x, y, geom.r_t)
-    theta_rx, phi_rx = _antenna_side_angles(rx, placement.d2, x, y, geom.r_r)
-
-    return LocalAngles(
-        theta_t_cell=theta_t_cell,
-        phi_t_cell=phi_t_cell,
-        theta_r_cell=theta_r_cell,
-        phi_r_cell=phi_r_cell,
-        theta_tx=theta_tx,
-        phi_tx=phi_tx,
-        theta_rx=theta_rx,
-        phi_rx=phi_rx,
-    )
 
 
 def wave_path_difference(

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import copy
 
-from .cli import SPEED_OF_LIGHT, parse_scenario
-from .scenario import Scenario
+from .scenario import SPEED_OF_LIGHT, Scenario, parse_scenario
 
 
 def _document(freq_ghz: float, rows: int, cols: int, bits: int,

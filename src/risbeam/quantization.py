@@ -66,11 +66,12 @@ class QuantizationResult:
     """Outcome of a threshold search.
 
     ``threshold`` is None for the exhaustive oracle, where no single
-    threshold applies.
+    threshold applies, and for the continuous design, whose ``shifts`` are
+    the continuous PhaseMatrix (see analysis.design).
     """
 
     threshold: float | None
-    shifts: ShiftMatrix
+    shifts: ShiftMatrix | PhaseMatrix
     xi: float
     received_power_dbm: float
     candidates_evaluated: int
@@ -204,7 +205,8 @@ def _search(state: LinkState, thresholds: ThresholdSet, chunk: int = 256) -> Qua
 def dtpq(scenario: Scenario, state: LinkState | None = None) -> QuantizationResult:
     """Dynamic threshold search over the M*N continuous phase entries.
 
-    Optimal over all thresholds at linear cost in the cell count.
+    Optimal over all thresholds; each of the M*N candidates is evaluated
+    over all M*N cells, so the cost is O((M*N)^2).
     """
     if state is None:
         state = link_state(scenario)

@@ -2,8 +2,9 @@
 
 A normalized power pattern F(theta, phi) = cos(theta)**alpha for
 theta in [0, pi/2), and 0 for theta in [pi/2, pi], independent of
-azimuth.  The corresponding directive gain is G = 2 * (alpha + 1),
-so alpha can be recovered from a gain figure in dBi.
+azimuth.  Patterns are evaluated from cos(theta) directly.  The
+corresponding directive gain is G = 2 * (alpha + 1), so alpha can be
+recovered from a gain figure in dBi.
 """
 
 from __future__ import annotations
@@ -12,10 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .geometry import LocalAngles
-
-HALF_PI = math.pi / 2.0
 
 # Linear gain of the alpha = 0 pattern; no cosine-power pattern has less.
 MIN_GAIN_LINEAR = 2.0
@@ -44,29 +41,6 @@ def alpha_from_gain_dbi(gain_dbi: float) -> float:
             "cosine-power pattern family"
         )
     return max(alpha, 0.0)
-
-
-@dataclass(frozen=True)
-class PatternExponent:
-    """Exponent alpha of a cosine-power pattern."""
-
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if self.alpha < 0.0:
-            raise ValueError(f"pattern exponent must be >= 0, got {self.alpha}")
-
-    @classmethod
-    def from_gain_dbi(cls, gain_dbi: float) -> "PatternExponent":
-        return cls(alpha_from_gain_dbi(gain_dbi))
-
-    @property
-    def gain_linear(self) -> float:
-        return gain_from_alpha(self.alpha)
-
-    @property
-    def gain_dbi(self) -> float:
-        return 10.0 * math.log10(self.gain_linear)
 
 
 @dataclass(frozen=True)
@@ -110,51 +84,16 @@ class RadioConfig:
         return 10.0 ** (self.gain_rx_dbi / 10.0)
 
 
-def cosine_pattern(theta, alpha: float):
-    """Normalized cosine-power pattern value(s) at elevation theta.
+def cosine_pattern(cos_theta, alpha: float) -> np.ndarray:
+    """Normalized cosine-power pattern value(s), given cos(theta).
 
-    Accepts a scalar or an array of elevations in [0, pi].  Returns 1 at
-    theta = 0 and exactly 0 for theta >= pi/2.
+    Cosines are clipped to [-1, 1] against rounding.  Returns 1 at
+    cos(theta) = 1 and exactly 0 in the cutoff region cos(theta) <= 0.
     """
     if alpha < 0.0:
         raise ValueError(f"pattern exponent must be >= 0, got {alpha}")
-    arr = np.asarray(theta, dtype=float)
-    if np.any(arr < 0.0) or np.any(arr > math.pi):
-        raise ValueError("elevation must lie in [0, pi]")
-    out = np.zeros_like(arr)
-    visible = arr < HALF_PI
-    out[visible] = np.cos(arr[visible]) ** alpha
-    if np.isscalar(theta) or np.ndim(theta) == 0:
-        return float(out)
-    return out
-
-
-def cosine_pattern_from_cos(cos_theta: np.ndarray, alpha: float) -> np.ndarray:
-    """cosine_pattern parameterized by cos(theta) instead of theta.
-
-    Entries with cos(theta) <= 0 fall in the cutoff region and map to 0.
-    Saves the arccos/cos round trip on hot paths.
-    """
-    arr = np.asarray(cos_theta, dtype=float)
+    arr = np.clip(np.asarray(cos_theta, dtype=float), -1.0, 1.0)
     out = np.zeros_like(arr)
     visible = arr > 0.0
     out[visible] = arr[visible] ** alpha
     return out
-
-
-def combined_pattern_matrix(
-    angles: LocalAngles, alpha_tx: float, alpha_cell: float, alpha_rx: float
-) -> np.ndarray:
-    """Product of the four per-cell pattern factors.
-
-    Tx pattern at the Tx-side antenna angles, the cell's reception and
-    emission patterns at the cell-side angles, and the Rx pattern at the
-    Rx-side antenna angles.  Entries lie in [0, 1]; an entry is 0 exactly
-    when any factor's elevation reaches pi/2.
-    """
-    return (
-        cosine_pattern(angles.theta_tx, alpha_tx)
-        * cosine_pattern(angles.theta_t_cell, alpha_cell)
-        * cosine_pattern(angles.theta_r_cell, alpha_cell)
-        * cosine_pattern(angles.theta_rx, alpha_rx)
-    )

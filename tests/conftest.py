@@ -4,7 +4,14 @@ import math
 
 import numpy as np
 
-from risbeam import Placement, RadioConfig, RisPanel, Scenario
+from risbeam import (
+    Placement,
+    RadioConfig,
+    RisPanel,
+    Scenario,
+    link_state,
+    path_length_matrices,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -42,3 +49,9 @@ def random_scenario(rng: np.random.Generator, rows: int, cols: int, bits: int) -
         cell_alpha=1.0,
     )
     return Scenario(panel=panel, placement=placement, radio=radio)
+
+
+def combined_pattern(scenario: Scenario) -> np.ndarray:
+    """Per-cell F_combine recovered from the link amplitudes: (amplitude * r_t * r_r)**2."""
+    geom = path_length_matrices(scenario.panel, scenario.placement)
+    return (link_state(scenario).amplitude * geom.r_t * geom.r_r) ** 2

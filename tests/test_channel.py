@@ -8,17 +8,16 @@ import pytest
 from conftest import random_scenario
 
 from risbeam import (
-    PathGeometry,
     PhaseMatrix,
     Placement,
+    RadioConfig,
     RisPanel,
-    continuous_phase_matrix,
+    Scenario,
+    dtpq,
     far_field_pl_db,
     field_at_rx_points,
     field_result,
-    field_superposition,
     link_state,
-    path_length_matrices,
     power_dbm_from_xi,
     received_power_dbm,
     ris_2p6ghz,
@@ -28,22 +27,29 @@ from risbeam.geometry import rx_position
 TWO_PI = 2.0 * math.pi
 
 
+def on_normal_link(d1, d2, wavelength, cols=1):
+    """1 x cols panel with Tx and Rx on the surface normal."""
+    panel = RisPanel(rows=1, cols=cols, d_x=0.1, d_y=0.1, bits=1, levels=(0.0, math.pi))
+    placement = Placement(d1=d1, d2=d2, theta_t=0.0, phi_t=0.0, theta_r=0.0, phi_r=0.0)
+    radio = RadioConfig(wavelength=wavelength, tx_power_dbm=0.0, gain_tx_dbi=8.0,
+                        gain_rx_dbi=8.0)
+    return Scenario(panel=panel, placement=placement, radio=radio)
+
+
 class TestContinuousPhaseMatrix:
+    # the link state's phases are the continuous shifts mod(2*pi*L/lambda, 2*pi)
+
     def test_half_cycle(self):
-        geom = PathGeometry(r_t=np.array([[1.0]]), r_r=np.array([[1.5]]))
-        phases = continuous_phase_matrix(geom, 1.0)
-        assert phases.values[0, 0] == pytest.approx(math.pi, rel=1e-12)
+        phases = link_state(on_normal_link(1.0, 1.5, 1.0)).phase
+        assert phases[0, 0] == pytest.approx(math.pi, rel=1e-12)
 
     def test_whole_cycles_vanish(self):
-        geom = PathGeometry(r_t=np.array([[3.0]]), r_r=np.array([[4.0]]))
-        phases = continuous_phase_matrix(geom, 1.0)
-        assert phases.values[0, 0] == pytest.approx(0.0, abs=1e-9)
+        phases = link_state(on_normal_link(3.0, 4.0, 1.0)).phase
+        assert phases[0, 0] == pytest.approx(0.0, abs=1e-9)
 
     def test_range(self):
-        sc = ris_2p6ghz()
-        geom = path_length_matrices(sc.panel, sc.placement)
-        phases = continuous_phase_matrix(geom, sc.radio.wavelength)
-        assert np.all(phases.values >= 0.0) and np.all(phases.values < TWO_PI)
+        phases = link_state(ris_2p6ghz()).phase
+        assert np.all(phases >= 0.0) and np.all(phases < TWO_PI)
 
     def test_near_field_example_phase_offset(self):
         # brute-forced from the two wave-path sums of the corner and the
@@ -51,46 +57,39 @@ class TestContinuousPhaseMatrix:
         panel = RisPanel(rows=32, cols=16, d_x=0.5, d_y=0.5, bits=1, levels=(0.0, math.pi))
         placement = Placement(d1=10.0, d2=10.0, theta_t=math.pi / 4, phi_t=0.0,
                               theta_r=math.pi / 4, phi_r=math.pi)
-        phases = continuous_phase_matrix(path_length_matrices(panel, placement), 1.0)
-        offset = (phases.values[0, 0] - phases.values[15, 7]) % TWO_PI
+        radio = RadioConfig(wavelength=1.0, tx_power_dbm=0.0, gain_tx_dbi=8.0,
+                            gain_rx_dbi=8.0)
+        phases = link_state(Scenario(panel=panel, placement=placement, radio=radio)).phase
+        offset = (phases[0, 0] - phases[15, 7]) % TWO_PI
         assert offset == pytest.approx(0.4182519381750467, abs=1e-9)
         # consistent with a 6.07-wavelength path difference to the same
         # tolerance as the path-difference check itself (0.01 wavelengths)
         assert abs(offset - TWO_PI * 0.07) <= TWO_PI * 0.01
 
-    def test_rejects_bad_wavelength(self):
-        geom = PathGeometry(r_t=np.array([[1.0]]), r_r=np.array([[1.0]]))
-        with pytest.raises(ValueError):
-            continuous_phase_matrix(geom, 0.0)
-
 
 class TestFieldSuperposition:
     def test_single_cell_unit_amplitude(self):
-        geom = PathGeometry(r_t=np.array([[1.0]]), r_r=np.array([[1.0]]))
-        combined = np.array([[1.0]])
+        state = link_state(on_normal_link(1.0, 1.0, 0.37))
         for shift in (0.0, 1.0, 3.0):
-            xi = field_superposition(geom, combined, np.array([[shift]]), 0.37)
-            assert xi == pytest.approx(1.0, rel=1e-15)
+            assert state.xi(np.array([[shift]])) == pytest.approx(
+                state.amplitude[0, 0], rel=1e-15
+            )
 
     def test_continuous_shifts_attain_upper_bound(self):
-        sc = ris_2p6ghz()
-        state = link_state(sc)
-        phases = continuous_phase_matrix(state.geometry, sc.radio.wavelength)
-        xi = field_superposition(state.geometry, state.combined, phases, sc.radio.wavelength)
-        assert xi == float(np.sum(state.amplitude))
+        state = link_state(ris_2p6ghz())
+        assert state.xi(state.phase_matrix) == state.xi_upper_bound
 
     def test_destructive_pair_cancels(self):
-        geom = PathGeometry(r_t=np.array([[1.0, 1.0]]), r_r=np.array([[1.0, 1.0]]))
-        combined = np.ones((1, 2))
-        xi = field_superposition(geom, combined, np.array([[0.0, math.pi]]), 1.0)
-        assert xi < 1e-12
+        # two cells mirrored about the normal: equal amplitudes and phases
+        state = link_state(on_normal_link(1.0, 1.0, 1.0, cols=2))
+        assert state.amplitude[0, 0] == state.amplitude[0, 1]
+        shift = state.phase + np.array([[0.0, math.pi]])
+        assert state.xi(shift) < 1e-12 * state.xi_upper_bound
 
     def test_dimension_mismatch(self):
-        geom = PathGeometry(r_t=np.ones((2, 2)), r_r=np.ones((2, 2)))
+        state = link_state(on_normal_link(1.0, 1.0, 1.0, cols=2))
         with pytest.raises(ValueError, match="shape"):
-            field_superposition(geom, np.ones((2, 2)), np.zeros((2, 3)), 1.0)
-        with pytest.raises(ValueError, match="shape"):
-            field_superposition(geom, np.ones((2, 3)), np.zeros((2, 2)), 1.0)
+            state.xi(np.zeros((2, 2)))
 
     def test_shift_matrix_never_beats_continuous(self):
         rng = np.random.default_rng(101)
@@ -192,16 +191,18 @@ class TestFarFieldPathLoss:
 
 class TestFieldAtRxPoints:
     def test_matches_general_path_at_the_placement_point(self):
-        # the vectorized multi-Rx evaluator agrees with the per-scenario
-        # link state when handed the placement's own Rx position
+        # the multi-Rx evaluator and the link state run one forward model,
+        # so at the placement's own Rx position they agree exactly
         rng = np.random.default_rng(404)
-        for _ in range(10):
-            sc = random_scenario(rng, int(rng.integers(2, 6)), int(rng.integers(2, 6)), 1)
-            state = link_state(sc)
-            shift = rng.uniform(0.0, TWO_PI, size=state.phase.shape)
-            point = rx_position(sc.placement).as_array()[None, :]
-            fast = field_at_rx_points(sc, shift, point)[0]
-            assert fast == pytest.approx(state.xi(shift), rel=1e-9)
+        for bits in (1, 2):
+            for _ in range(10):
+                sc = random_scenario(rng, int(rng.integers(2, 6)), int(rng.integers(2, 6)),
+                                     bits)
+                state = link_state(sc)
+                point = rx_position(sc.placement).as_array()[None, :]
+                for shift in (rng.uniform(0.0, TWO_PI, size=state.phase.shape),
+                              dtpq(sc, state).shifts):
+                    assert field_at_rx_points(sc, shift, point)[0] == state.xi(shift)
 
     def test_rejects_bad_point_shape(self):
         sc = ris_2p6ghz()

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,15 +12,16 @@ import pytest
 
 from risbeam.cli import (
     load_scenario,
-    parse_scenario,
     read_shifts_csv,
     run,
     write_shifts_csv,
 )
 from risbeam.presets import document_with, ris_2p6ghz_document
 from risbeam.quantization import dtpq
+from risbeam.scenario import parse_scenario
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
 
 
 @pytest.fixture()
@@ -90,6 +94,31 @@ class TestValidateCommand:
         assert run(["validate", "--scenario", str(path)]) == 2
         assert "placement.altitude_m" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("gain_tx_dbi", math.nan),
+        ("tx_power_dbm", math.nan),
+        ("gain_rx_dbi", math.inf),
+    ], ids=["gain_tx_nan", "tx_power_nan", "gain_rx_inf"])
+    def test_non_finite_number_exit_code(self, tmp_path, capsys, key, value):
+        doc = document_with(ris_2p6ghz_document(), "radio", **{key: value})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run(["validate", "--scenario", str(path)]) == 2
+        assert f"radio.{key}" in capsys.readouterr().err
+
+    def test_module_entry_point_runs_warning_free(self):
+        # python -m risbeam.cli must not import risbeam.cli before running it
+        src = str(ROOT / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "risbeam.cli", "validate",
+             "--scenario", "scenarios/ris1_2p6ghz.json"],
+            cwd=ROOT, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+
 
 class TestQuantizeCommand:
     def test_dtpq_prints_and_writes(self, ris1_path, tmp_path, capsys):
@@ -121,6 +150,20 @@ class TestQuantizeCommand:
         write_shifts_csv(str(path), result.shifts)
         reloaded = read_shifts_csv(str(path), scenario.panel)
         assert np.array_equal(reloaded.level_indices, result.shifts.level_indices)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines[:1] + ["0,0,1,235.0000"] + lines[2:], "n=0, m=0 outside"),
+        (lambda lines: lines + [lines[5]], "duplicate cell n=5, m=1"),
+        (lambda lines: lines[:-1], "missing cell n=16, m=32"),
+    ], ids=["out-of-range", "duplicate", "missing"])
+    def test_shifts_csv_rejects_bad_cell_set(self, ris1_path, tmp_path, edit, message):
+        scenario = load_scenario(ris1_path)
+        path = tmp_path / "shifts.csv"
+        write_shifts_csv(str(path), dtpq(scenario).shifts)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n")
+        with pytest.raises(ValueError, match=message):
+            read_shifts_csv(str(path), scenario.panel)
 
     def test_exhaustive_guard_exit_code(self, ris1_path, capsys):
         assert run(["quantize", "--scenario", ris1_path, "--method", "exhaustive"]) == 2

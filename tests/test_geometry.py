@@ -4,18 +4,21 @@ import math
 
 import numpy as np
 import pytest
+from conftest import combined_pattern
 
 from risbeam import (
     Placement,
     Point3,
+    RadioConfig,
     RisPanel,
+    Scenario,
     cell_center,
-    local_angle_matrices,
     path_length_matrices,
     spherical_to_cartesian,
     wave_path_difference,
 )
 from risbeam.geometry import cell_center_grids
+from risbeam.radiation import MIN_GAIN_DBI
 
 LAMBDA = 1.0
 
@@ -186,40 +189,45 @@ class TestPathLengths:
         assert spreads[0] > spreads[1] > spreads[2]
 
 
+def link(panel, placement, gain_dbi=8.25):
+    radio = RadioConfig(wavelength=LAMBDA, tx_power_dbm=0.0, gain_tx_dbi=gain_dbi,
+                        gain_rx_dbi=gain_dbi, cell_alpha=1.0)
+    return Scenario(panel=panel, placement=placement, radio=radio)
+
+
 class TestLocalAngles:
+    # elevations enter the model only through the pattern product
+    # F_combine = F_tx * F_cell(theta_t_cell) * F_cell(theta_r_cell) * F_rx
+
     def test_normal_incidence(self):
+        # every elevation is 0 when Tx and Rx sit on the normal of a lone cell
         panel = RisPanel(rows=1, cols=1, d_x=0.1, d_y=0.1, bits=1, levels=(0.0, math.pi))
         placement = Placement(d1=10.0, d2=10.0, theta_t=0.0, phi_t=0.0, theta_r=0.0, phi_r=0.0)
-        angles = local_angle_matrices(panel, placement)
-        assert angles.theta_t_cell[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert combined_pattern(link(panel, placement))[0, 0] == pytest.approx(1.0, rel=1e-12)
 
     def test_boresight_cell_sees_antenna_on_axis(self):
-        # single cell at the surface center: the antenna boresight passes through it
+        # single cell at the surface center: the antenna boresights pass
+        # through it, so only the cell factors cos(theta_t), cos(theta_r) remain
         panel = RisPanel(rows=1, cols=1, d_x=0.1, d_y=0.1, bits=1, levels=(0.0, math.pi))
         placement = Placement(d1=3.0, d2=7.0, theta_t=0.7, phi_t=1.1, theta_r=0.4, phi_r=5.0)
-        angles = local_angle_matrices(panel, placement)
-        assert angles.theta_tx[0, 0] == pytest.approx(0.0, abs=1e-7)
-        assert angles.theta_rx[0, 0] == pytest.approx(0.0, abs=1e-7)
+        combined = combined_pattern(link(panel, placement))
+        assert combined[0, 0] == pytest.approx(math.cos(0.7) * math.cos(0.4), rel=1e-12)
 
     def test_angle_ranges(self):
-        panel = panel_16x32()
-        angles = local_angle_matrices(panel, near_field_placement())
-        for name in ("theta_t_cell", "theta_r_cell", "theta_tx", "theta_rx"):
-            arr = getattr(angles, name)
-            assert np.all(arr >= 0.0) and np.all(arr <= math.pi)
-        for name in ("phi_t_cell", "phi_r_cell", "phi_tx", "phi_rx"):
-            arr = getattr(angles, name)
-            assert np.all(arr >= 0.0) and np.all(arr < 2 * math.pi)
+        combined = combined_pattern(link(panel_16x32(), near_field_placement()))
+        assert np.all(combined >= 0.0) and np.all(combined <= 1.0 + 1e-12)
 
     def test_departure_spread_at_ten_meters(self):
-        # brute-forced over all 512 cells of the 2.6 GHz surface at d2 = 10 m
+        # brute-forced over all 512 cells of the 2.6 GHz surface at d2 = 10 m.
+        # With the Tx placed at the Rx and alpha = 0 antennas, F_combine is
+        # cos(theta_r_cell)**2 for cell_alpha = 1.
         lam = 299792458.0 / 2.6e9
         panel = RisPanel(rows=32, cols=16, d_x=lam / 2, d_y=lam / 2, bits=1,
                          levels=(math.radians(55), math.radians(235)))
-        placement = Placement(d1=10.0, d2=10.0, theta_t=math.pi / 4, phi_t=0.0,
+        placement = Placement(d1=10.0, d2=10.0, theta_t=math.pi / 4, phi_t=math.pi,
                               theta_r=math.pi / 4, phi_r=math.pi)
-        angles = local_angle_matrices(panel, placement)
-        spread = math.degrees(np.ptp(angles.theta_r_cell))
+        combined = combined_pattern(link(panel, placement, gain_dbi=MIN_GAIN_DBI))
+        spread = math.degrees(np.ptp(np.arccos(np.sqrt(combined))))
         assert spread == pytest.approx(3.706859450934083, abs=1e-9)
         assert spread <= 8.0
 

@@ -4,52 +4,54 @@ import math
 
 import numpy as np
 import pytest
+from conftest import combined_pattern
 from scipy.integrate import quad
 
 from risbeam import (
-    PatternExponent,
     Placement,
     RadioConfig,
     RisPanel,
+    Scenario,
     alpha_from_gain_dbi,
-    combined_pattern_matrix,
     cosine_pattern,
     gain_from_alpha,
-    local_angle_matrices,
+    ris_2p6ghz,
 )
+from risbeam.geometry import cell_center_grids, rx_position
 
 ALPHA_825_DBI = 2.3417195878430728
 
 
 class TestCosinePattern:
+    # the pattern is evaluated from cos(theta)
+
     def test_boresight_is_one(self):
-        assert cosine_pattern(0.0, 2.34) == 1.0
+        assert cosine_pattern(1.0, 2.34) == 1.0
+        # cosines a rounding step above 1 are clipped
+        assert cosine_pattern(1.0 + 4e-16, 2.34) == 1.0
 
     def test_sixty_degrees_alpha_one(self):
-        assert cosine_pattern(math.pi / 3, 1.0) == pytest.approx(0.5, rel=1e-12)
+        assert cosine_pattern(math.cos(math.pi / 3), 1.0) == pytest.approx(0.5, rel=1e-12)
 
     def test_cutoff_region(self):
-        assert cosine_pattern(1.6, 1.0) == 0.0
-        assert cosine_pattern(math.pi / 2, 5.0) == 0.0
+        assert cosine_pattern(math.cos(1.6), 1.0) == 0.0
+        assert cosine_pattern(0.0, 5.0) == 0.0
 
     def test_alpha_zero_is_flat_until_cutoff(self):
-        assert cosine_pattern(1.2, 0.0) == 1.0
+        assert cosine_pattern(math.cos(1.2), 0.0) == 1.0
+        assert cosine_pattern(0.0, 0.0) == 0.0
 
     def test_monotone_nonincreasing(self):
         theta = np.linspace(0.0, math.pi / 2 - 1e-9, 500)
         for alpha in (0.0, 1.0, ALPHA_825_DBI):
-            values = cosine_pattern(theta, alpha)
+            values = cosine_pattern(np.cos(theta), alpha)
             assert np.all(np.diff(values) <= 0.0)
             assert values[0] == 1.0
             assert np.all((values >= 0.0) & (values <= 1.0))
 
     def test_rejects_negative_alpha(self):
         with pytest.raises(ValueError, match="exponent"):
-            cosine_pattern(0.1, -0.5)
-
-    def test_rejects_out_of_range_elevation(self):
-        with pytest.raises(ValueError, match="elevation"):
-            cosine_pattern(-0.1, 1.0)
+            cosine_pattern(0.9, -0.5)
 
 
 class TestGainConversion:
@@ -59,6 +61,8 @@ class TestGainConversion:
 
     def test_alpha_zero_floor(self):
         assert gain_from_alpha(0.0) == 2.0
+        with pytest.raises(ValueError, match="exponent"):
+            gain_from_alpha(-0.1)
 
     def test_inverse_at_825_dbi(self):
         alpha = alpha_from_gain_dbi(8.25)
@@ -73,13 +77,6 @@ class TestGainConversion:
     def test_below_floor_raises(self):
         with pytest.raises(ValueError, match="floor"):
             alpha_from_gain_dbi(2.9)
-
-    def test_pattern_exponent_type(self):
-        exp = PatternExponent.from_gain_dbi(8.25)
-        assert exp.gain_dbi == pytest.approx(8.25, rel=1e-12)
-        assert exp.gain_linear >= 2.0
-        with pytest.raises(ValueError):
-            PatternExponent(-0.1)
 
     def test_gain_integral_consistency(self):
         # quadrature of the defining integral reproduces 2*(alpha+1) within 0.1%
@@ -106,12 +103,15 @@ class TestRadioConfig:
 
 
 class TestCombinedPattern:
+    # F_combine recovered from the link amplitudes
+
     def test_all_boresight_gives_one(self):
         panel = RisPanel(rows=1, cols=1, d_x=0.1, d_y=0.1, bits=1, levels=(0.0, math.pi))
         placement = Placement(d1=5.0, d2=5.0, theta_t=0.0, phi_t=0.0, theta_r=0.0, phi_r=0.0)
-        angles = local_angle_matrices(panel, placement)
-        combined = combined_pattern_matrix(angles, 0.0, 0.0, 0.0)
-        assert combined[0, 0] == 1.0
+        radio = RadioConfig(wavelength=0.1, tx_power_dbm=0.0, gain_tx_dbi=8.25,
+                            gain_rx_dbi=8.25, cell_alpha=0.0)
+        combined = combined_pattern(Scenario(panel=panel, placement=placement, radio=radio))
+        assert combined[0, 0] == pytest.approx(1.0, rel=1e-12)
 
     def test_cutoff_zeroes_entry(self):
         # Rx close to the surface and near its plane: cells beyond the Rx
@@ -119,9 +119,13 @@ class TestCombinedPattern:
         panel = RisPanel(rows=8, cols=8, d_x=0.2, d_y=0.2, bits=1, levels=(0.0, math.pi))
         placement = Placement(d1=5.0, d2=0.6, theta_t=0.1, phi_t=0.0,
                               theta_r=math.pi / 2 - 1e-9, phi_r=0.0)
-        angles = local_angle_matrices(panel, placement)
-        combined = combined_pattern_matrix(angles, 1.0, 1.0, 1.0)
-        cut = angles.theta_rx >= math.pi / 2
+        radio = RadioConfig(wavelength=0.1, tx_power_dbm=0.0, gain_tx_dbi=6.0206,
+                            gain_rx_dbi=6.0206, cell_alpha=1.0)
+        combined = combined_pattern(Scenario(panel=panel, placement=placement, radio=radio))
+        x, y = cell_center_grids(panel)
+        rx = rx_position(placement)
+        # boresight -rx; the cell direction c - rx is 90+ degrees off it
+        cut = rx.x * (rx.x - x) + rx.y * (rx.y - y) + rx.z * rx.z <= 0.0
         assert np.any(cut)
         assert np.all(combined[cut] == 0.0)
         assert np.all((combined >= 0.0) & (combined <= 1.0))
@@ -129,13 +133,7 @@ class TestCombinedPattern:
     def test_center_cell_of_reference_surface(self):
         # four factors brute-forced for the cell nearest the center at
         # d1 = d2 = 10 m, 45-degree mirror geometry, 8.25 dBi antennas
-        lam = 299792458.0 / 2.6e9
-        panel = RisPanel(rows=32, cols=16, d_x=lam / 2, d_y=lam / 2, bits=1,
-                         levels=(math.radians(55), math.radians(235)))
-        placement = Placement(d1=10.0, d2=10.0, theta_t=math.pi / 4, phi_t=0.0,
-                              theta_r=math.pi / 4, phi_r=math.pi)
-        angles = local_angle_matrices(panel, placement)
-        combined = combined_pattern_matrix(angles, ALPHA_825_DBI, 1.0, ALPHA_825_DBI)
-        center = combined[panel.rows // 2 - 1, panel.cols // 2 - 1]
+        sc = ris_2p6ghz()
+        center = combined_pattern(sc)[sc.panel.rows // 2 - 1, sc.panel.cols // 2 - 1]
         assert center == pytest.approx(0.49998125159397155, rel=1e-12)
         assert center == pytest.approx(0.5, abs=1e-4)
