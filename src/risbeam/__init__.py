@@ -42,11 +42,8 @@ from .geometry import (
 from .quantization import (
     QuantizationResult,
     ShiftMatrix,
-    ThresholdSet,
     dtpq,
-    dtpq_thresholds,
     eipq,
-    eipq_thresholds,
     exhaustive_search,
     fixed_threshold,
     quantize_matrix,
@@ -76,16 +73,13 @@ __all__ = [
     "SlopeFit",
     "SweepRow",
     "SweepSpec",
-    "ThresholdSet",
     "alpha_from_gain_dbi",
     "angle_scan",
     "cell_center",
     "cell_phasors",
     "cosine_pattern",
     "dtpq",
-    "dtpq_thresholds",
     "eipq",
-    "eipq_thresholds",
     "exhaustive_search",
     "far_field_pl_db",
     "field_at_rx_points",

@@ -13,8 +13,13 @@ differ only in their candidate threshold sets:
 * fixed      -- a single constant threshold (the traditional baseline).
 * exhaustive -- every level assignment; guarded brute-force oracle.
 
-Ties within 1e-12 relative xi resolve to the smallest threshold so that
-results are reproducible across platforms.
+dtpq and eipq score their candidates on one threshold profile: the
+phases mod Omega are sorted once, and xi at any threshold is then one
+binary search and one prefix-sum lookup, so a search of K candidates
+costs O((M*N + K) log M*N).  The winner's
+shifts and xi are recomputed exactly in row-major order.  Ties within
+1e-12 relative xi resolve to the smallest threshold so that results are
+reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -34,6 +39,9 @@ TIE_REL_TOL = 1e-12
 
 # Upper bound on bits * cells for the exhaustive oracle (~10^6 assignments).
 EXHAUSTIVE_GUARD_BITS = 20
+
+# Upper bound on the eipq grid size K (~10^6 thresholds).
+EIPQ_GUARD_CANDIDATES = 1 << 20
 
 
 @dataclass
@@ -77,63 +85,27 @@ class QuantizationResult:
     candidates_evaluated: int
 
 
-@dataclass
-class ThresholdSet:
-    """Candidate thresholds of one search strategy."""
+def _split(phases, bits: int):
+    """(k, u) = divmod(phases, Omega): interval index and offset within it.
 
-    values: np.ndarray
-    kind: str
-
-    _KINDS = ("dtpq-matrix", "eipq-grid", "fixed")
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        if self.kind not in self._KINDS:
-            raise ValueError(f"kind must be one of {self._KINDS}, got {self.kind!r}")
-        if self.values.ndim != 1 or self.values.size == 0:
-            raise ValueError("threshold set must be a non-empty 1-D array")
-
-
-def dtpq_thresholds(phases: PhaseMatrix) -> ThresholdSet:
-    """Candidate matrix of the dynamic search: every continuous phase entry.
-
-    Duplicates are kept; the candidate count stays at exactly M*N.
+    The one split that both the binning and the threshold profile use, so
+    the partition the profile scores at gamma is the one quantize_matrix
+    applies at gamma.  divmod is exact here: u = fmod(phase, Omega).
     """
-    return ThresholdSet(values=phases.values.ravel().copy(), kind="dtpq-matrix")
-
-
-def eipq_thresholds(bits: int, epsilon: float) -> ThresholdSet:
-    """Uniform candidate grid (k-1)*epsilon, k = 1..K, within [0, 2*pi/2**bits).
-
-    K = floor(2*pi / (2**bits * epsilon)).
-    """
-    interval = TWO_PI / 2**bits
-    if not 0.0 < epsilon < interval:
-        raise ValueError(
-            f"epsilon must lie in (0, {interval:.6f}) for {bits}-bit quantization, "
-            f"got {epsilon}"
-        )
-    count = int(math.floor(TWO_PI / (2**bits * epsilon)))
-    return ThresholdSet(values=epsilon * np.arange(count, dtype=float), kind="eipq-grid")
-
-
-def fixed_thresholds(gamma: float) -> ThresholdSet:
-    if not 0.0 <= gamma < TWO_PI:
-        raise ValueError(f"threshold must lie in [0, 2*pi), got {gamma}")
-    return ThresholdSet(values=np.array([gamma]), kind="fixed")
+    return np.divmod(phases, TWO_PI / 2**bits)
 
 
 def _bin_indices(phases: np.ndarray, gamma, bits: int) -> np.ndarray:
-    """Cyclic half-open bin index of each phase for threshold(s) gamma.
+    """Cyclic half-open bin index of each phase for threshold gamma.
 
-    Phases below gamma wrap upward by 2*pi before binning, so a phase equal
-    to gamma lands in bin 0.  The final modulo guards the corner where
-    np.mod rounds up to exactly 2*pi.
+    With (k, u) the split of a phase and (k_g, u_g) that of gamma, the bin
+    is k - k_g, one lower when u < u_g; a phase equal to gamma lands in
+    bin 0.  This equals floor(mod(phase - gamma, 2*pi) / Omega) mod 2**q
+    wherever that expression does not round across a bin edge.
     """
-    num_levels = 2**bits
-    omega = TWO_PI / num_levels
-    offset = np.mod(phases - gamma, TWO_PI)
-    return np.floor(offset / omega).astype(np.intp) % num_levels
+    k, u = _split(phases, bits)
+    k_g, u_g = _split(gamma, bits)
+    return (k - k_g - (u < u_g)).astype(np.intp) % 2**bits
 
 
 def quantize_matrix(phases: PhaseMatrix, gamma: float, panel: RisPanel) -> ShiftMatrix:
@@ -166,31 +138,28 @@ def residual_spread(phases: PhaseMatrix, shifts: ShiftMatrix) -> float:
     return float(TWO_PI - max(np.max(gaps), wrap_gap))
 
 
-def _search(state: LinkState, thresholds: ThresholdSet, chunk: int = 256) -> QuantizationResult:
-    """Evaluate xi for every candidate threshold and keep the best.
+def _profile_xi(state: LinkState, gammas: np.ndarray) -> np.ndarray:
+    """xi at each threshold in ``gammas``, from one sort of the phases.
 
-    The scan is vectorized in chunks; the winner's shift matrix and xi are
-    recomputed in the fixed row-major accumulation order so the reported
-    xi is self-consistent with the reported shifts.
+    Relative to gamma's split (k_g, u_g), a cell's term is
+    a * exp(-j*u) * exp(j*(level_0 - k_g*Omega)), times exp(-j*Omega) when
+    u < u_g.  With z = a * exp(-j*u) in ascending u and C its prefix sums,
+    xi(gamma) = |C_total - (1 - exp(-j*Omega)) * C[#{u < u_g}]|.
     """
+    bits = state.scenario.panel.bits
+    _, u = _split(state.phase.ravel(), bits)
+    order = np.argsort(u)
+    u_sorted = u[order]
+    z = state.amplitude.ravel()[order] * np.exp(-1j * u_sorted)
+    prefix = np.concatenate(([0.0], np.cumsum(z)))
+    _, u_g = _split(gammas, bits)
+    below = prefix[np.searchsorted(u_sorted, u_g, side="left")]
+    return np.abs(prefix[-1] - (1.0 - np.exp(-1j * TWO_PI / 2**bits)) * below)
+
+
+def _at_threshold(state: LinkState, gamma: float, candidates: int) -> QuantizationResult:
+    """Quantize at gamma; the shifts and xi are exact, in row-major order."""
     panel = state.scenario.panel
-    levels = np.asarray(panel.levels)
-    phases = state.phase.ravel()
-    amplitude = state.amplitude.ravel()
-
-    gammas = thresholds.values
-    xis = np.empty(gammas.size)
-    for lo in range(0, gammas.size, chunk):
-        g = gammas[lo : lo + chunk, None]
-        bins = _bin_indices(phases[None, :], g, panel.bits)
-        shift = levels[bins]
-        total = np.sum(amplitude[None, :] * np.exp(1j * (shift - phases[None, :])), axis=1)
-        xis[lo : lo + chunk] = np.abs(total)
-
-    best_xi = float(np.max(xis))
-    tied = xis >= best_xi * (1.0 - TIE_REL_TOL)
-    gamma = float(np.min(gammas[tied]))
-
     shifts = quantize_matrix(state.phase_matrix, gamma, panel)
     xi = state.xi(shifts)
     return QuantizationResult(
@@ -198,26 +167,54 @@ def _search(state: LinkState, thresholds: ThresholdSet, chunk: int = 256) -> Qua
         shifts=shifts,
         xi=xi,
         received_power_dbm=power_dbm_from_xi(panel, state.scenario.radio, xi),
-        candidates_evaluated=gammas.size,
+        candidates_evaluated=candidates,
     )
+
+
+def _search(state: LinkState, gammas: np.ndarray) -> QuantizationResult:
+    """Keep the best candidate threshold, scored on the threshold profile.
+
+    Near-ties within TIE_REL_TOL go to the smallest candidate.
+    """
+    xis = _profile_xi(state, gammas)
+    tied = xis >= float(np.max(xis)) * (1.0 - TIE_REL_TOL)
+    return _at_threshold(state, float(np.min(gammas[tied])), gammas.size)
 
 
 def dtpq(scenario: Scenario, state: LinkState | None = None) -> QuantizationResult:
     """Dynamic threshold search over the M*N continuous phase entries.
 
-    Optimal over all thresholds; each of the M*N candidates is evaluated
-    over all M*N cells, so the cost is O((M*N)^2).
+    Optimal over all thresholds.  All M*N candidates are scored on one
+    threshold profile, so the cost is O(M*N log M*N).
     """
     if state is None:
         state = link_state(scenario)
-    return _search(state, dtpq_thresholds(state.phase_matrix))
+    return _search(state, state.phase.ravel())
 
 
 def eipq(scenario: Scenario, epsilon: float, state: LinkState | None = None) -> QuantizationResult:
-    """Equal-interval threshold search with grid step epsilon (rad)."""
+    """Equal-interval threshold search with grid step epsilon (rad).
+
+    The K = floor(2*pi / (2**bits * epsilon)) candidates (k-1)*epsilon,
+    k = 1..K, are sampled from one threshold profile in
+    O((M*N + K) log M*N).  K may not exceed EIPQ_GUARD_CANDIDATES.
+    """
+    bits = scenario.panel.bits
+    interval = TWO_PI / 2**bits
+    if not 0.0 < epsilon < interval:
+        raise ValueError(
+            f"epsilon must lie in (0, {interval:.6f}) for {bits}-bit quantization, "
+            f"got {epsilon}"
+        )
+    count = int(math.floor(TWO_PI / (2**bits * epsilon)))
+    if count > EIPQ_GUARD_CANDIDATES:
+        raise ValueError(
+            f"eipq refused: epsilon = {epsilon:.6g} rad ({math.degrees(epsilon):.6g} deg) "
+            f"gives {count} candidates, exceeding the guard of {EIPQ_GUARD_CANDIDATES}"
+        )
     if state is None:
         state = link_state(scenario)
-    return _search(state, eipq_thresholds(state.scenario.panel.bits, epsilon))
+    return _search(state, epsilon * np.arange(count, dtype=float))
 
 
 def fixed_threshold(
@@ -226,7 +223,7 @@ def fixed_threshold(
     """Quantization at a single constant threshold (traditional baseline)."""
     if state is None:
         state = link_state(scenario)
-    return _search(state, fixed_thresholds(gamma))
+    return _at_threshold(state, float(gamma), 1)
 
 
 def exhaustive_search(

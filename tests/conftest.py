@@ -1,5 +1,6 @@
-"""Shared helpers: seeded random scenarios for property tests, and an
-independent reference of the README model for the acceptance checks."""
+"""Shared helpers: seeded random scenarios for property tests, a
+brute-force threshold scan, and an independent reference of the README
+model for the acceptance checks."""
 
 import math
 
@@ -12,7 +13,9 @@ from risbeam import (
     Scenario,
     link_state,
     path_length_matrices,
+    quantize_matrix,
 )
+from risbeam.quantization import TIE_REL_TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -50,6 +53,23 @@ def random_scenario(rng: np.random.Generator, rows: int, cols: int, bits: int) -
         cell_alpha=1.0,
     )
     return Scenario(panel=panel, placement=placement, radio=radio)
+
+
+def brute_force_search(state, gammas):
+    """The O(candidates x cells) scan the threshold searches must reproduce.
+
+    Quantizes at every candidate with ``quantize_matrix``, scores it with
+    ``LinkState.xi``, and keeps the smallest candidate whose xi is within
+    TIE_REL_TOL of the best.  Returns (threshold, level indices, xi).
+    """
+    panel = state.scenario.panel
+    gammas = np.asarray(gammas, dtype=float)
+    xis = np.array(
+        [state.xi(quantize_matrix(state.phase_matrix, float(g), panel)) for g in gammas]
+    )
+    gamma = float(np.min(gammas[xis >= np.max(xis) * (1.0 - TIE_REL_TOL)]))
+    shifts = quantize_matrix(state.phase_matrix, gamma, panel)
+    return gamma, shifts.level_indices, state.xi(shifts)
 
 
 def combined_pattern(scenario: Scenario) -> np.ndarray:

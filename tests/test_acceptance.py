@@ -63,7 +63,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import random_scenario, reference_powers
+from conftest import random_scenario, reference_powers, uniform_levels
 
 from risbeam import (
     Placement,
@@ -71,7 +71,7 @@ from risbeam import (
     SweepSpec,
     angle_scan,
     dtpq,
-    eipq_thresholds,
+    eipq,
     exhaustive_search,
     fixed_threshold,
     link_state,
@@ -354,8 +354,10 @@ def test_10_periodicity_and_level_offset():
 
 
 def test_11_grid_cardinality():
-    k1 = eipq_thresholds(1, math.radians(5.0)).values.size
-    k2 = eipq_thresholds(2, math.radians(45.0)).values.size
+    sc = ris_2p6ghz()
+    k1 = eipq(sc, math.radians(5.0)).candidates_evaluated
+    two_bit = sc.with_panel(bits=2, levels=uniform_levels(2, 0.0))
+    k2 = eipq(two_bit, math.radians(45.0)).candidates_evaluated
     checks = [
         (k1 == 36, f"1-bit 5deg grid has {k1} candidates (expect 36)"),
         (k2 == 2, f"2-bit 45deg grid has {k2} candidates (expect 2)"),

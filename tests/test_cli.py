@@ -169,6 +169,12 @@ class TestQuantizeCommand:
         assert run(["quantize", "--scenario", ris1_path, "--method", "exhaustive"]) == 2
         assert "guard" in capsys.readouterr().err
 
+    def test_eipq_guard_exit_code(self, ris1_path, capsys):
+        # about 1.8e11 grid thresholds: refused before the grid is built
+        assert run(["quantize", "--scenario", ris1_path, "--method", "eipq:1e-9"]) == 2
+        err = capsys.readouterr().err
+        assert "1e-09 deg" in err and "candidates" in err and "guard" in err
+
     def test_exhaustive_on_small_panel(self, tmp_path, capsys):
         doc = document_with(ris_2p6ghz_document(), "panel", rows=2, cols=2)
         path = tmp_path / "tiny.json"

@@ -1,20 +1,24 @@
-"""Quantizer binning, threshold searches, the exhaustive oracle, and the
-circular-spread bound on optimal residuals."""
+"""Quantizer binning, threshold searches, the threshold profile against a
+brute-force scan, the exhaustive oracle, and the circular-spread bound on
+optimal residuals."""
 
 import math
+import time
 
 import numpy as np
 import pytest
-from conftest import random_scenario, uniform_levels
+from conftest import brute_force_search, random_scenario, uniform_levels
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risbeam import (
+    LinkState,
     PhaseMatrix,
     Placement,
     RisPanel,
     ShiftMatrix,
     dtpq,
     eipq,
-    eipq_thresholds,
     exhaustive_search,
     fixed_threshold,
     link_state,
@@ -22,7 +26,12 @@ from risbeam import (
     residual_spread,
     ris_2p6ghz,
 )
-from risbeam.quantization import EXHAUSTIVE_GUARD_BITS, dtpq_thresholds
+from risbeam.quantization import (
+    EIPQ_GUARD_CANDIDATES,
+    EXHAUSTIVE_GUARD_BITS,
+    _bin_indices,
+    _profile_xi,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -126,7 +135,6 @@ class TestDtpq:
         sc = ris_2p6ghz()
         result = dtpq(sc)
         assert result.candidates_evaluated == sc.panel.num_cells
-        assert dtpq_thresholds(link_state(sc).phase_matrix).values.size == sc.panel.num_cells
 
     def test_result_is_self_consistent(self):
         sc = ris_2p6ghz()
@@ -172,10 +180,11 @@ class TestDtpq:
 
 class TestEipq:
     def test_candidate_count_one_bit(self):
-        assert eipq_thresholds(1, math.radians(5)).values.size == 36
+        assert eipq(ris_2p6ghz(), math.radians(5)).candidates_evaluated == 36
 
     def test_candidate_count_two_bit(self):
-        assert eipq_thresholds(2, math.radians(45)).values.size == 2
+        sc = ris_2p6ghz().with_panel(bits=2, levels=uniform_levels(2, 0.0))
+        assert eipq(sc, math.radians(45)).candidates_evaluated == 2
 
     def test_degenerate_grid_equals_fixed_zero(self):
         sc = ris_2p6ghz()
@@ -198,6 +207,12 @@ class TestEipq:
             sc = random_scenario(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)), 1)
             state = link_state(sc)
             assert eipq(sc, math.radians(5), state).xi <= dtpq(sc, state).xi * (1 + 1e-12)
+
+    def test_guard_refuses_huge_grids(self):
+        sc = ris_2p6ghz()
+        epsilon = sc.panel.omega / (EIPQ_GUARD_CANDIDATES + 1)
+        with pytest.raises(ValueError, match=f"{EIPQ_GUARD_CANDIDATES + 1} candidates"):
+            eipq(sc, epsilon)
 
     def test_grid_counts_match_result(self):
         sc = ris_2p6ghz()
@@ -314,6 +329,19 @@ class TestInvariances:
         assert eipq(sc, math.radians(5)).candidates_evaluated == 36
         assert fixed_threshold(sc, 0.0).candidates_evaluated == 1
 
+    def test_dtpq_scales_to_twenty_thousand_cells(self):
+        # an O((MN)^2) scan takes tens of seconds here; the profile, milliseconds
+        sc = ris_2p6ghz().with_panel(rows=200, cols=100)
+        state = link_state(sc)
+        start = time.perf_counter()
+        result = dtpq(sc, state)
+        elapsed = time.perf_counter() - start
+        assert result.candidates_evaluated == 20000
+        half = sc.panel.omega / 2.0
+        upper = state.xi_upper_bound
+        assert math.sin(half) / half * upper <= result.xi <= upper
+        assert elapsed < 2.0
+
 
 class TestShiftMatrixType:
     def test_rejects_bad_indices(self):
@@ -326,3 +354,109 @@ class TestShiftMatrixType:
         np.testing.assert_allclose(
             shifts.values, [[math.radians(55), math.radians(235), math.radians(55)]]
         )
+
+
+def eipq_grid(bits: int, epsilon: float) -> np.ndarray:
+    return epsilon * np.arange(int(math.floor(TWO_PI / (2**bits * epsilon))), dtype=float)
+
+
+@st.composite
+def adversarial_links(draw):
+    """A 1- to 3-bit link of up to 16 cells, with an eipq step.
+
+    Each phase is drawn at random, or is 0, a duplicate of an earlier
+    phase, an exact multiple of Omega away from one, or a point of the
+    eipq grid (plus a multiple of Omega).
+    """
+    bits = draw(st.integers(1, 3))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    omega = TWO_PI / 2**bits
+    epsilon = draw(st.sampled_from([math.radians(5.0), math.radians(1.0), omega / 3, omega / 7]))
+    grid = eipq_grid(bits, epsilon)
+    phases: list[float] = []
+    for _ in range(rows * cols):
+        kind = draw(st.sampled_from(("random", "zero", "duplicate", "omega-apart", "grid")))
+        if kind == "zero":
+            phase = 0.0
+        elif kind == "grid":
+            phase = float(draw(st.sampled_from(grid))) + draw(st.integers(0, 2**bits - 1)) * omega
+        elif kind in ("duplicate", "omega-apart") and phases:
+            phase = draw(st.sampled_from(phases))
+            if kind == "omega-apart":
+                phase += draw(st.integers(1, 2**bits - 1)) * omega
+        else:
+            phase = draw(st.floats(0.0, TWO_PI, exclude_max=True))
+        phases.append(phase % TWO_PI)
+    amplitude = draw(
+        st.lists(st.one_of(st.just(1.0), st.floats(0.01, 10.0)),
+                 min_size=rows * cols, max_size=rows * cols)
+    )
+    first_level = draw(st.one_of(st.just(0.0), st.floats(0.0, omega, exclude_max=True)))
+    sc = ris_2p6ghz().with_panel(
+        rows=rows, cols=cols, bits=bits, levels=uniform_levels(bits, first_level)
+    )
+    shape = (rows, cols)
+    state = LinkState(sc, np.reshape(amplitude, shape), np.reshape(phases, shape))
+    return state, epsilon, grid
+
+
+PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+class TestThresholdProfile:
+    """dtpq and eipq against the brute-force scan, bit for bit."""
+
+    @staticmethod
+    def assert_matches_scan(result, expected):
+        threshold, level_indices, xi = expected
+        assert result.threshold == threshold
+        assert np.array_equal(result.shifts.level_indices, level_indices)
+        assert result.xi == xi
+
+    @PROPERTY_SETTINGS
+    @given(adversarial_links())
+    def test_dtpq_matches_scan(self, link):
+        state, _, _ = link
+        expected = brute_force_search(state, state.phase.ravel())
+        self.assert_matches_scan(dtpq(state.scenario, state), expected)
+
+    @PROPERTY_SETTINGS
+    @given(adversarial_links())
+    def test_eipq_matches_scan(self, link):
+        state, epsilon, grid = link
+        result = eipq(state.scenario, epsilon, state)
+        assert result.candidates_evaluated == grid.size
+        self.assert_matches_scan(result, brute_force_search(state, grid))
+
+    def test_single_cell_panels(self):
+        for bits in (1, 2, 3):
+            sc = ris_2p6ghz().with_panel(rows=1, cols=1, bits=bits, levels=uniform_levels(bits, 0.0))
+            for phase in (0.0, 1.0, sc.panel.omega, TWO_PI - 1e-9):
+                state = LinkState(sc, np.array([[2.0]]), np.array([[phase]]))
+                self.assert_matches_scan(dtpq(sc, state), brute_force_search(state, [phase]))
+                result = eipq(sc, math.radians(1.0), state)
+                grid = eipq_grid(bits, math.radians(1.0))
+                assert result.candidates_evaluated == grid.size
+                self.assert_matches_scan(result, brute_force_search(state, grid))
+
+    def test_bin_indices_match_textbook_rule(self):
+        rng = np.random.default_rng(67)
+        for bits in (1, 2, 3):
+            omega = TWO_PI / 2**bits
+            phases = rng.uniform(0.0, TWO_PI, 200_000)
+            gammas = rng.uniform(0.0, TWO_PI, 200_000)
+            textbook = np.floor(np.mod(phases - gammas, TWO_PI) / omega).astype(np.intp) % 2**bits
+            assert np.array_equal(_bin_indices(phases, gammas, bits), textbook)
+
+    def test_profile_is_omega_periodic_and_exact(self):
+        rng = np.random.default_rng(71)
+        for i in range(30):
+            bits = 1 + (i % 3)
+            sc = random_scenario(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)), bits)
+            state = link_state(sc)
+            omega = sc.panel.omega
+            gammas = rng.uniform(0.0, TWO_PI - omega, 50)
+            profile = _profile_xi(state, gammas)
+            assert np.array_equal(_profile_xi(state, gammas + omega), profile)
+            exact = [state.xi(quantize_matrix(state.phase_matrix, g, sc.panel)) for g in gammas]
+            np.testing.assert_allclose(profile, exact, rtol=1e-12)
