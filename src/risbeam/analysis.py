@@ -9,7 +9,6 @@ this layer (they feed the CSV boundary directly); distances are meters.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -103,16 +102,14 @@ def grid_values(start: float, stop: float, step: float) -> np.ndarray:
     return start + step * np.arange(count)
 
 
-def _resolve_workers(max_workers: int | None, points: int) -> int:
-    if max_workers is None:
-        max_workers = min(os.cpu_count() or 1, 8)
-    return max(1, min(max_workers, points))
-
-
 def _ordered_map(fn: Callable, values: Sequence, max_workers: int | None) -> list:
-    """Apply fn to each value, preserving order; threads when beneficial."""
-    workers = _resolve_workers(max_workers, len(values))
-    if workers == 1 or len(values) <= 1:
+    """Apply fn to each value, preserving order; serial unless max_workers > 1.
+
+    A sweep point takes about a millisecond on the bundled panel, and a
+    thread pool lost to the serial loop there, so threads are opt-in.
+    """
+    workers = max(1, min(max_workers or 1, len(values)))
+    if workers == 1:
         return [fn(v) for v in values]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, values))

@@ -24,12 +24,16 @@ from .geometry import (
     TWO_PI,
     Placement,
     RisPanel,
+    cell_center_grids,
     cell_paths,
     rx_position,
     tx_position,
 )
 from .radiation import RadioConfig, cosine_pattern
 from .scenario import Scenario
+
+# Point-cells per field_at_rx_points chunk: 128 Rx points on a 512-cell panel.
+_CHUNK_POINT_CELLS = 1 << 16
 
 
 @dataclass
@@ -64,34 +68,53 @@ def _shift_values(shifts) -> np.ndarray:
 
 
 def _phasor_sum(amplitude: np.ndarray, phase: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """|sum of amplitude * exp(j*(shift - phase))| along the last (cell) axis."""
-    return np.abs(np.sum(amplitude * np.exp(1j * (shift - phase)), axis=-1))
+    """|sum of amplitude * exp(j*(shift - phase))| along the last (cell) axis.
+
+    Exact half-angle form with t = tan((shift - phase)/2): cos = (1 - t^2)/(1 + t^2)
+    and sin = 2t/(1 + t^2).  numpy vectorizes tan but runs sin, cos and
+    complex exp through scalar libm.  A zero residual gives t = 0 exactly.
+    """
+    t = np.tan(0.5 * (shift - phase))
+    t2 = t * t
+    weight = amplitude / (1.0 + t2)
+    return np.hypot(np.sum(weight * (1.0 - t2), axis=-1), np.sum(weight * (2.0 * t), axis=-1))
 
 
-def cell_phasors(scenario: Scenario, rx_points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _phasor_chunks(scenario: Scenario, rx_points: np.ndarray, size: int):
     """The forward model: per-cell phasor amplitude and path phase at Rx points.
 
     ``rx_points`` is a (P, 3) array of Rx positions; the Rx antenna's
-    boresight is aimed at the surface center from each point.  Returns two
-    (P, M*N) arrays over the row-major cells: sqrt(F_combine) / (r_t * r_r)
-    and mod(2*pi/lambda * (r_t + r_r), 2*pi).  F_combine is the product of
-    the Tx pattern, the cell's reception and emission patterns, and the Rx
-    pattern.
+    boresight is aimed at the surface center from each point.  Yields, for
+    ``size`` points at a time, two (size, M*N) arrays over the row-major
+    cells: sqrt(F_combine) / (r_t * r_r) and mod(2*pi/lambda * (r_t + r_r),
+    2*pi).  F_combine is the product of the Tx pattern, the cell's reception
+    and emission patterns, and the Rx pattern; the Tx leg is computed once.
     """
     panel, placement, radio = scenario.panel, scenario.placement, scenario.radio
+    cells = cell_center_grids(panel)
     tx = tx_position(placement).as_array()[None, :]
-    r_t, cos_t_cell, cos_tx = cell_paths(panel, tx, np.array([[placement.d1]]))
-    ranges = np.sqrt(np.sum(rx_points**2, axis=1, keepdims=True))
-    r_r, cos_r_cell, cos_rx = cell_paths(panel, rx_points, ranges)
-    combined = (
-        cosine_pattern(cos_tx, radio.alpha_tx)
-        * cosine_pattern(cos_t_cell, radio.cell_alpha)
-        * cosine_pattern(cos_r_cell, radio.cell_alpha)
-        * cosine_pattern(cos_rx, radio.alpha_rx)
+    r_t, cos_t_cell, cos_tx = cell_paths(cells, tx, np.array([[placement.d1]]))
+    tx_gain = cosine_pattern(cos_tx, radio.alpha_tx) * cosine_pattern(
+        cos_t_cell, radio.cell_alpha
     )
-    amplitude = np.sqrt(combined) / (r_t * r_r)
-    phase = np.mod(TWO_PI / radio.wavelength * (r_t + r_r), TWO_PI)
-    return amplitude, phase
+    for lo in range(0, max(rx_points.shape[0], 1), size):  # P = 0: one empty chunk
+        points = rx_points[lo : lo + size]
+        ranges = np.sqrt(np.sum(points**2, axis=1, keepdims=True))
+        r_r, cos_r_cell, cos_rx = cell_paths(cells, points, ranges)
+        combined = (
+            tx_gain
+            * cosine_pattern(cos_r_cell, radio.cell_alpha)
+            * cosine_pattern(cos_rx, radio.alpha_rx)
+        )
+        amplitude = np.sqrt(combined) / (r_t * r_r)
+        phase = np.mod(TWO_PI / radio.wavelength * (r_t + r_r), TWO_PI)
+        yield amplitude, phase
+
+
+def cell_phasors(scenario: Scenario, rx_points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The forward model at all ``rx_points`` at once: two (P, M*N) arrays,
+    the per-cell phasor amplitude and path phase (see ``_phasor_chunks``)."""
+    return next(_phasor_chunks(scenario, rx_points, max(rx_points.shape[0], 1)))
 
 
 @dataclass(frozen=True)
@@ -195,15 +218,13 @@ def far_field_pl_db(panel: RisPanel, placement: Placement, radio: RadioConfig) -
     return 10.0 * math.log10(pl)
 
 
-def field_at_rx_points(
-    scenario: Scenario, shifts, rx_points: np.ndarray, chunk: int = 2048
-) -> np.ndarray:
+def field_at_rx_points(scenario: Scenario, shifts, rx_points: np.ndarray) -> np.ndarray:
     """Field magnitudes at many Rx positions with the shifts held fixed.
 
     ``rx_points`` is a (P, 3) array of Cartesian Rx positions, evaluated
-    through the forward model ``chunk`` points at a time.  Used by
-    angle scans and spatial power maps, where the design is frozen while
-    Rx moves.
+    through the forward model in chunks of about 2^16 point-cells, so each
+    temporary stays near 0.5 MB.  Used by angle scans and spatial power
+    maps, where the design is frozen while Rx moves.
     """
     points = np.asarray(rx_points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3:
@@ -215,8 +236,6 @@ def field_at_rx_points(
             f"shift shape {shift.shape} != panel shape {(panel.rows, panel.cols)}"
         )
     shift = shift.ravel()
-    xi = np.empty(points.shape[0])
-    for lo in range(0, points.shape[0], chunk):
-        amplitude, phase = cell_phasors(scenario, points[lo : lo + chunk])
-        xi[lo : lo + chunk] = _phasor_sum(amplitude, phase, shift)
-    return xi
+    size = max(1, _CHUNK_POINT_CELLS // shift.size)
+    chunks = _phasor_chunks(scenario, points, size)
+    return np.concatenate([_phasor_sum(a, p, shift) for a, p in chunks])

@@ -105,13 +105,16 @@ def write_sweep_csv(path: str, rows: Sequence[SweepRow], methods: Sequence[str])
 def write_map_csv(
     path: str, theta_grid_deg: np.ndarray, phi_grid_deg: np.ndarray, power: np.ndarray
 ) -> None:
-    """Long-format map: theta_r_deg, phi_r_deg, power_dbm."""
+    """Long-format map: theta_r_deg, phi_r_deg, power_dbm.
+
+    One write per theta row; no formatted field needs csv quoting.
+    """
+    phis = [_fmt(phi) for phi in phi_grid_deg]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["theta_r_deg", "phi_r_deg", "power_dbm"])
-        for i, theta in enumerate(theta_grid_deg):
-            for j, phi in enumerate(phi_grid_deg):
-                writer.writerow([_fmt(theta), _fmt(phi), _fmt(power[i, j])])
+        fh.write("theta_r_deg,phi_r_deg,power_dbm\n")
+        for theta, row in zip(theta_grid_deg, np.asarray(power).tolist()):
+            prefix = _fmt(theta) + ","
+            fh.write("".join(f"{prefix}{phi},{_fmt(value)}\n" for phi, value in zip(phis, row)))
 
 
 # ---------------------------------------------------------------------------

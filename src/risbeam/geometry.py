@@ -201,17 +201,18 @@ def rx_position(placement: Placement) -> Point3:
 
 
 def cell_paths(
-    panel: RisPanel, points: np.ndarray, ranges: np.ndarray
+    cells: tuple[np.ndarray, np.ndarray], points: np.ndarray, ranges: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lengths and incidence cosines of the paths from antennas to every cell.
 
-    ``points`` is a (P, 3) array of antenna positions and ``ranges`` their
+    ``cells`` is the pair of cell-center grids from ``cell_center_grids``,
+    ``points`` a (P, 3) array of antenna positions and ``ranges`` their
     distances to the surface center, shape (P, 1).  Returns three (P, M*N)
     arrays over the row-major cells: the path length r, the cosine of the
     path's angle to the surface normal at the cell, and the cosine of its
     angle to the antenna boresight, which points at the surface center.
     """
-    x, y = cell_center_grids(panel)
+    x, y = cells
     dx = points[:, 0:1] - x.ravel()
     dy = points[:, 1:2] - y.ravel()
     pz = points[:, 2:3]
@@ -223,7 +224,8 @@ def cell_paths(
 def path_length_matrices(panel: RisPanel, placement: Placement) -> PathGeometry:
     """Euclidean distances from the Tx and Rx points to every cell center."""
     points = np.stack([tx_position(placement).as_array(), rx_position(placement).as_array()])
-    r, _, _ = cell_paths(panel, points, np.array([[placement.d1], [placement.d2]]))
+    ranges = np.array([[placement.d1], [placement.d2]])
+    r, _, _ = cell_paths(cell_center_grids(panel), points, ranges)
     r_t, r_r = r.reshape(2, panel.rows, panel.cols)
     return PathGeometry(r_t=r_t, r_r=r_r)
 

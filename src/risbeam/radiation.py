@@ -93,7 +93,4 @@ def cosine_pattern(cos_theta, alpha: float) -> np.ndarray:
     if alpha < 0.0:
         raise ValueError(f"pattern exponent must be >= 0, got {alpha}")
     arr = np.clip(np.asarray(cos_theta, dtype=float), -1.0, 1.0)
-    out = np.zeros_like(arr)
-    visible = arr > 0.0
-    out[visible] = arr[visible] ** alpha
-    return out
+    return np.power(arr, alpha, out=np.zeros_like(arr), where=arr > 0.0)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import risbeam.analysis as analysis
 from risbeam import (
     SweepSpec,
     angle_scan,
@@ -113,6 +114,16 @@ class TestRunSweep:
         for a, b in zip(serial, threaded):
             assert a.power_dbm == b.power_dbm
             assert a.threshold_deg == b.threshold_deg
+
+    def test_serial_by_default(self, monkeypatch):
+        # without max_workers a sweep runs in the calling thread
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(analysis, "ThreadPoolExecutor", no_pool)
+        spec = SweepSpec(axis="rx_distance", start=5.0, stop=6.0, step=0.25,
+                         methods=("dtpq",))
+        assert len(run_sweep(ris_2p6ghz(), spec)) == 5
 
 
 class TestAngleScan:

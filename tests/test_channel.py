@@ -22,6 +22,7 @@ from risbeam import (
     received_power_dbm,
     ris_2p6ghz,
 )
+from risbeam.channel import _phasor_sum
 from risbeam.geometry import rx_position
 
 TWO_PI = 2.0 * math.pi
@@ -204,6 +205,31 @@ class TestFieldAtRxPoints:
                               dtpq(sc, state).shifts):
                     assert field_at_rx_points(sc, shift, point)[0] == state.xi(shift)
 
+    def test_batch_independent(self):
+        # a point's value must not depend on which other points share its
+        # call, its chunk, or its position in the batch
+        rng = np.random.default_rng(77)
+        scenarios = [random_scenario(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)),
+                                     int(rng.integers(1, 3))) for _ in range(12)]
+        scenarios.append(ris_2p6ghz())
+        for sc in scenarios:
+            shift = rng.uniform(0.0, TWO_PI, size=(sc.panel.rows, sc.panel.cols))
+            theta = rng.uniform(0.0, math.radians(89.0), 300)
+            phi = rng.uniform(0.0, TWO_PI, 300)
+            r = rng.uniform(0.5, 50.0, 300)
+            points = np.column_stack([r * np.sin(theta) * np.cos(phi),
+                                      r * np.sin(theta) * np.sin(phi), r * np.cos(theta)])
+            together = field_at_rx_points(sc, shift, points)
+            one_by_one = np.concatenate([field_at_rx_points(sc, shift, p[None, :])
+                                         for p in points])
+            reversed_order = field_at_rx_points(sc, shift, points[::-1].copy())[::-1]
+            assert together.tobytes() == one_by_one.tobytes()
+            assert together.tobytes() == reversed_order.tobytes()
+
+    def test_no_points(self):
+        sc = ris_2p6ghz()
+        assert field_at_rx_points(sc, link_state(sc).phase, np.zeros((0, 3))).shape == (0,)
+
     def test_rejects_bad_point_shape(self):
         sc = ris_2p6ghz()
         with pytest.raises(ValueError, match="P, 3"):
@@ -213,6 +239,43 @@ class TestFieldAtRxPoints:
         sc = ris_2p6ghz()
         with pytest.raises(ValueError, match="panel shape"):
             field_at_rx_points(sc, np.zeros((2, 2)), np.zeros((1, 3)))
+
+
+class TestPhasorSum:
+    # the half-angle reducer against the complex-exponential sum it replaces
+
+    @staticmethod
+    def complex_sum(amplitude, phase, shift):
+        return np.abs(np.sum(amplitude * np.exp(1j * (shift - phase)), axis=-1))
+
+    def test_matches_complex_sum_on_random_inputs(self):
+        rng = np.random.default_rng(8)
+        for cells in (1, 2, 7, 512, 5000):
+            amplitude = rng.uniform(0.0, 1.0, (20, cells))
+            phase = rng.uniform(0.0, TWO_PI, (20, cells))
+            shift = rng.uniform(0.0, TWO_PI, cells)
+            error = np.abs(_phasor_sum(amplitude, phase, shift)
+                           - self.complex_sum(amplitude, phase, shift))
+            assert np.all(error <= 1e-13 * amplitude.sum(axis=-1))
+
+    def test_residual_edges(self):
+        # residuals 0, +/-pi (where tan(residual/2) is about 1.6e16) and just
+        # inside +/-2*pi, alone and mixed with random cells
+        below = math.nextafter(TWO_PI, 0.0)
+        pairs = [(0.0, 0.0), (1.0, 1.0), (math.pi, 0.0), (0.0, math.pi),
+                 (below, 0.0), (0.0, below), (math.nextafter(math.pi, 4.0), 0.0),
+                 (math.nextafter(math.pi, 0.0), 0.0)]
+        rng = np.random.default_rng(9)
+        for shift_value, phase_value in pairs:
+            for extra in (0, 5):
+                amplitude = np.concatenate([[0.7], rng.uniform(0.0, 1.0, extra)])
+                phase = np.concatenate([[phase_value], rng.uniform(0.0, TWO_PI, extra)])
+                shift = np.concatenate([[shift_value], rng.uniform(0.0, TWO_PI, extra)])
+                value = _phasor_sum(amplitude, phase, shift)
+                assert np.isfinite(value)
+                assert abs(value - self.complex_sum(amplitude, phase, shift)) <= (
+                    1e-13 * amplitude.sum())
+        assert _phasor_sum(np.array([0.7]), np.array([2.0]), np.array([2.0])) == 0.7
 
 
 class TestPhaseMatrixType:

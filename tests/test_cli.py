@@ -1,5 +1,6 @@
 """Command-line interface: scenario files in, CSV tables out, exit codes."""
 
+import csv
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from risbeam.cli import (
     load_scenario,
     read_shifts_csv,
     run,
+    write_map_csv,
     write_shifts_csv,
 )
 from risbeam.presets import document_with, ris_2p6ghz_document
@@ -246,6 +248,23 @@ class TestOtherCommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "theta_r_deg,phi_r_deg,power_dbm"
         assert len(lines) == 1 + 3 * 3
+
+    def test_map_writer_matches_csv_writer(self, tmp_path):
+        theta = np.array([-0.0, 12.5, 90.0])
+        phi = np.array([-10.25, 0.0, 359.99995, 1e4])
+        power = np.array([[-47.123456, -0.0, 12345.6789, -np.inf],
+                          [0.0, -1e-5, 1e4, -99999.99995],
+                          [3.14159265, -2.5e-5, 5e-5, 123456789.0]])
+        out = tmp_path / "map.csv"
+        write_map_csv(str(out), theta, phi, power)
+        reference = tmp_path / "reference.csv"
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["theta_r_deg", "phi_r_deg", "power_dbm"])
+            for i, t in enumerate(theta):
+                for j, p in enumerate(phi):
+                    writer.writerow([f"{t:.4f}", f"{p:.4f}", f"{power[i, j]:.4f}"])
+        assert out.read_bytes() == reference.read_bytes()
 
     def test_pl_fit(self, small_path, capsys):
         assert run(["pl-fit", "--scenario", small_path, "--variable", "d2",

@@ -49,6 +49,29 @@ class TestCosinePattern:
             assert values[0] == 1.0
             assert np.all((values >= 0.0) & (values <= 1.0))
 
+    def test_matches_boolean_index_form(self):
+        # bit for bit the gather/scatter form: zeros, then arr[visible] ** alpha
+        rng = np.random.default_rng(12)
+        cosines = np.concatenate([rng.uniform(-1.5, 1.5, 4097), [0.0, -0.0, 1.0, -1.0]])
+        for alpha in (0.0, 0.5, 1.0, 2.0, ALPHA_825_DBI, 3.5, 10.0):
+            clipped = np.clip(cosines, -1.0, 1.0)
+            expected = np.zeros_like(clipped)
+            visible = clipped > 0.0
+            expected[visible] = clipped[visible] ** alpha
+            assert cosine_pattern(cosines, alpha).tobytes() == expected.tobytes()
+
+    def test_alpha_zero_cutoff_is_exact(self):
+        cosines = np.array([1.5, 1.0, 0.3, 1e-300, 0.0, -0.0, -1e-300, -0.7, -1.5])
+        values = cosine_pattern(cosines, 0.0)
+        assert values.tolist() == [1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        assert not np.any(np.signbit(values))
+
+    def test_scalar_input(self):
+        value = cosine_pattern(0.5, 2.0)
+        assert np.ndim(value) == 0
+        assert value == 0.25
+        assert cosine_pattern(-0.5, 2.0) == 0.0
+
     def test_rejects_negative_alpha(self):
         with pytest.raises(ValueError, match="exponent"):
             cosine_pattern(0.9, -0.5)
