@@ -18,16 +18,13 @@ from .analysis import (
     run_sweep,
 )
 from .channel import (
-    FieldResult,
     LinkState,
     PhaseMatrix,
     cell_phasors,
     far_field_pl_db,
     field_at_rx_points,
-    field_result,
     link_state,
     power_dbm_from_xi,
-    received_power_dbm,
 )
 from .geometry import (
     PathGeometry,
@@ -59,7 +56,6 @@ from .presets import ris_2p6ghz, ris_4p9ghz
 from .scenario import Scenario
 
 __all__ = [
-    "FieldResult",
     "LinkState",
     "PathGeometry",
     "PhaseMatrix",
@@ -83,7 +79,6 @@ __all__ = [
     "exhaustive_search",
     "far_field_pl_db",
     "field_at_rx_points",
-    "field_result",
     "fixed_threshold",
     "gain_from_alpha",
     "gradient_map",
@@ -94,7 +89,6 @@ __all__ = [
     "pl_slope_fit",
     "power_dbm_from_xi",
     "quantize_matrix",
-    "received_power_dbm",
     "residual_spread",
     "ris_2p6ghz",
     "ris_4p9ghz",

@@ -30,6 +30,9 @@ METHODS = ("continuous", "dtpq", "eipq", "fixed")
 
 DEFAULT_EPSILON_DEG = 5.0
 
+# Upper bound on the points of one grid or map (32x the 181 x 181 map).
+GRID_GUARD_POINTS = 1 << 20
+
 # Largest representable elevation below pi/2; scan endpoints at +/-90 deg
 # are clamped here, where the pattern cutoff drives the power to the floor.
 _THETA_LIMIT = math.nextafter(math.pi / 2.0, 0.0)
@@ -92,14 +95,24 @@ class SlopeFit:
 FIT_VARIABLES = ("log10_d1", "log10_d2", "log10_cos_theta_r", "log10_cos_theta_t")
 
 
-def grid_values(start: float, stop: float, step: float) -> np.ndarray:
-    """Colon-range grid: start, start+step, ... up to stop within step/2."""
-    if step <= 0.0:
+def grid_values(start: float, stop: float, step: float, option: str = "--step") -> np.ndarray:
+    """Colon-range grid: start, start+step, ... up to stop within step/2.
+
+    Grids of more than GRID_GUARD_POINTS points are refused before any
+    array is allocated; the message names the step as ``option``.
+    """
+    if not step > 0.0:
         raise ValueError(f"step must be positive, got {step}")
     if stop < start:
         raise ValueError(f"stop {stop} must not precede start {start}")
-    count = int(math.floor((stop - start) / step + 0.5)) + 1
-    return start + step * np.arange(count)
+    steps = (stop - start) / step + 0.5
+    if not steps < GRID_GUARD_POINTS:  # also refuses an infinite or NaN span
+        count = math.floor(steps) + 1 if math.isfinite(steps) else steps
+        raise ValueError(
+            f"{option} {step:g} gives {count} grid points from {start:g} to {stop:g}, "
+            f"exceeding the guard of {GRID_GUARD_POINTS}"
+        )
+    return start + step * np.arange(math.floor(steps) + 1)
 
 
 def _ordered_map(fn: Callable, values: Sequence, max_workers: int | None) -> list:
@@ -271,6 +284,12 @@ def gradient_map(
     phi_grid = np.asarray(phi_grid_deg, dtype=float)
     if theta_grid.size == 0 or phi_grid.size == 0:
         raise ValueError("grids must be non-empty")
+    if theta_grid.size * phi_grid.size > GRID_GUARD_POINTS:
+        raise ValueError(
+            f"--theta-step/--phi-step give a {theta_grid.size} x {phi_grid.size} map of "
+            f"{theta_grid.size * phi_grid.size} points, exceeding the guard of "
+            f"{GRID_GUARD_POINTS}"
+        )
     if np.any(theta_grid < 0.0) or np.any(theta_grid > 90.0):
         raise ValueError("theta grid must lie within [0, 90] degrees")
     if method not in METHODS:

@@ -235,8 +235,8 @@ def _cmd_angle_scan(args: argparse.Namespace) -> int:
 def _cmd_gradient_map(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     (name,), epsilon_deg, gamma_deg = _parse_methods([args.method], args.command)
-    theta_grid = grid_values(args.theta_start, args.theta_stop, args.theta_step)
-    phi_grid = grid_values(args.phi_start, args.phi_stop, args.phi_step)
+    theta_grid = grid_values(args.theta_start, args.theta_stop, args.theta_step, "--theta-step")
+    phi_grid = grid_values(args.phi_start, args.phi_stop, args.phi_step, "--phi-step")
     power = gradient_map(
         scenario,
         (math.radians(args.target_theta), math.radians(args.target_phi) % TWO_PI),

@@ -171,17 +171,17 @@ def cell_center(n: int, m: int, panel: RisPanel) -> Point3:
         raise ValueError(f"cell index n={n} outside 1..{panel.cols}")
     if not (1 <= m <= panel.rows):
         raise ValueError(f"cell index m={m} outside 1..{panel.rows}")
-    x, y = cell_center_grids(panel)
-    return Point3(float(x[m - 1, n - 1]), float(y[m - 1, n - 1]), 0.0)
+    x, y = cell_center_axes(panel)
+    return Point3(float(x[n - 1]), float(y[m - 1]), 0.0)
 
 
-def cell_center_grids(panel: RisPanel) -> tuple[np.ndarray, np.ndarray]:
-    """X and Y coordinate matrices (M x N) of all cell centers."""
+def cell_center_axes(panel: RisPanel) -> tuple[np.ndarray, np.ndarray]:
+    """X coordinates of the N cell columns and Y coordinates of the M cell rows."""
     n = np.arange(1, panel.cols + 1, dtype=float)
     m = np.arange(1, panel.rows + 1, dtype=float)
     x = (panel.cols + 1 - 2.0 * n) * panel.d_x / 2.0
     y = (panel.rows + 1 - 2.0 * m) * panel.d_y / 2.0
-    return np.meshgrid(x, y)
+    return x, y
 
 
 def spherical_to_cartesian(d: float, theta: float, phi: float) -> Point3:
@@ -201,31 +201,50 @@ def rx_position(placement: Placement) -> Point3:
 
 
 def cell_paths(
-    cells: tuple[np.ndarray, np.ndarray], points: np.ndarray, ranges: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    axes: tuple[np.ndarray, np.ndarray],
+    points: np.ndarray,
+    ranges: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Lengths and incidence cosines of the paths from antennas to every cell.
 
-    ``cells`` is the pair of cell-center grids from ``cell_center_grids``,
+    ``axes`` is the pair of cell-center axes from ``cell_center_axes``,
     ``points`` a (P, 3) array of antenna positions and ``ranges`` their
-    distances to the surface center, shape (P, 1).  Returns three (P, M*N)
-    arrays over the row-major cells: the path length r, the cosine of the
-    path's angle to the surface normal at the cell, and the cosine of its
-    angle to the antenna boresight, which points at the surface center.
+    distances to the surface center, shape (P, 1).  Returns ``out``, or a
+    new (3, P, M*N) array, holding over the row-major cells: the path
+    length r, the cosine of the path's angle to the surface normal at the
+    cell, and the cosine of its angle to the antenna boresight, which
+    points at the surface center.
+
+    A cell's x offset depends only on its column and its y offset only on
+    its row, so the squares and boresight products are formed on the
+    (P, N) and (P, M) axes and broadcast to (P, M, N).
     """
-    x, y = cells
-    dx = points[:, 0:1] - x.ravel()
-    dy = points[:, 1:2] - y.ravel()
-    pz = points[:, 2:3]
-    r = np.sqrt(dx**2 + dy**2 + pz**2)
-    cos_antenna = (points[:, 0:1] * dx + points[:, 1:2] * dy + pz * pz) / (r * ranges)
-    return r, pz / r, cos_antenna
+    x, y = axes
+    count = points.shape[0]
+    if out is None:
+        out = np.empty((3, count, y.size * x.size))
+    r, cos_cell, cos_antenna = (a.reshape(count, y.size, x.size) for a in out)
+    px, py, pz = (points[:, k : k + 1] for k in range(3))
+    dx = px - x
+    dy = py - y
+    pz_sq = (pz * pz)[:, :, None]
+    np.add((dx * dx)[:, None, :], (dy * dy)[:, :, None], out=r)
+    r += pz_sq
+    np.sqrt(r, out=r)
+    np.add((px * dx)[:, None, :], (py * dy)[:, :, None], out=cos_antenna)
+    cos_antenna += pz_sq
+    np.multiply(r, ranges[:, :, None], out=cos_cell)
+    cos_antenna /= cos_cell
+    np.divide(pz[:, :, None], r, out=cos_cell)
+    return out
 
 
 def path_length_matrices(panel: RisPanel, placement: Placement) -> PathGeometry:
     """Euclidean distances from the Tx and Rx points to every cell center."""
     points = np.stack([tx_position(placement).as_array(), rx_position(placement).as_array()])
     ranges = np.array([[placement.d1], [placement.d2]])
-    r, _, _ = cell_paths(cell_center_grids(panel), points, ranges)
+    r = cell_paths(cell_center_axes(panel), points, ranges)[0]
     r_t, r_r = r.reshape(2, panel.rows, panel.cols)
     return PathGeometry(r_t=r_t, r_r=r_r)
 

@@ -84,13 +84,20 @@ class RadioConfig:
         return 10.0 ** (self.gain_rx_dbi / 10.0)
 
 
-def cosine_pattern(cos_theta, alpha: float) -> np.ndarray:
+def cosine_pattern(cos_theta, alpha: float, out: np.ndarray | None = None) -> np.ndarray:
     """Normalized cosine-power pattern value(s), given cos(theta).
 
     Cosines are clipped to [-1, 1] against rounding.  Returns 1 at
     cos(theta) = 1 and exactly 0 in the cutoff region cos(theta) <= 0.
+    With ``out``, the values are written there and ``cos_theta``, a float
+    array of the same shape, is clipped in place.
     """
     if alpha < 0.0:
         raise ValueError(f"pattern exponent must be >= 0, got {alpha}")
-    arr = np.clip(np.asarray(cos_theta, dtype=float), -1.0, 1.0)
-    return np.power(arr, alpha, out=np.zeros_like(arr), where=arr > 0.0)
+    if out is None:
+        arr = np.clip(np.asarray(cos_theta, dtype=float), -1.0, 1.0)
+        out = np.zeros_like(arr)
+    else:
+        arr = np.clip(cos_theta, -1.0, 1.0, out=cos_theta)
+        out.fill(0.0)
+    return np.power(arr, alpha, out=out, where=arr > 0.0)

@@ -14,7 +14,7 @@ from risbeam import (
     link_state,
     path_loss_samples,
     pl_slope_fit,
-    received_power_dbm,
+    power_dbm_from_xi,
     ris_2p6ghz,
     ris_4p9ghz,
     run_sweep,
@@ -37,6 +37,19 @@ class TestGridValues:
             grid_values(0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             grid_values(1.0, 0.0, 0.1)
+
+    def test_guard_refuses_huge_grids(self):
+        # refused before the grid is built; a grid at the guard is accepted
+        guard = analysis.GRID_GUARD_POINTS
+        assert grid_values(0.0, guard - 1.0, 1.0).size == guard
+        with pytest.raises(ValueError, match=f"--step 1 gives {guard + 1} grid points"):
+            grid_values(0.0, float(guard), 1.0)
+        with pytest.raises(ValueError, match="--theta-step 1e-12 gives 90000000000001 grid"):
+            grid_values(0.0, 90.0, 1e-12, "--theta-step")
+        with pytest.raises(ValueError, match="inf grid points"):
+            grid_values(5.0, 10.0, 5e-324)
+        with pytest.raises(ValueError, match="positive"):
+            grid_values(5.0, 10.0, math.nan)
 
 
 class TestSweepSpec:
@@ -70,8 +83,8 @@ class TestRunSweep:
         rows = run_sweep(sc, spec)
         assert len(rows) == 1
         assert rows[0].axis_value == 8.0
-        direct = received_power_dbm(sc.with_placement(d2=8.0),
-                                    link_state(sc.with_placement(d2=8.0)).phase_matrix)
+        state = link_state(sc.with_placement(d2=8.0))
+        direct = power_dbm_from_xi(sc.panel, sc.radio, state.xi(state.phase_matrix))
         assert rows[0].power_dbm["continuous"] == pytest.approx(direct, rel=1e-12)
 
     def test_method_dominance_per_row(self):
@@ -144,7 +157,8 @@ class TestAngleScan:
     def test_design_point_matches_static_evaluation(self):
         sc = ris_2p6ghz()
         rows = angle_scan(sc, 45.0, 45.0, 1.0, math.radians(45.0), ("continuous",))
-        static = received_power_dbm(sc, link_state(sc).phase_matrix)
+        state = link_state(sc)
+        static = power_dbm_from_xi(sc.panel, sc.radio, state.xi(state.phase_matrix))
         assert rows[0].power_dbm["continuous"] == pytest.approx(static, abs=1e-9)
 
     def test_negative_angles_and_endpoints(self):
@@ -203,6 +217,19 @@ class TestGradientMap:
         power_a = gradient_map(sc, (math.radians(45.0), math.pi), theta, [120.0], "continuous")
         power_b = gradient_map(sc, (math.radians(45.0), math.pi), theta, [240.0], "continuous")
         np.testing.assert_allclose(power_a, power_b, rtol=1e-9)
+
+    def test_guard_refuses_huge_maps(self, monkeypatch):
+        # both axes pass their own guard; the product is refused before the
+        # design is made or any point is allocated
+        def no_design(*args, **kwargs):
+            raise AssertionError("the map was designed")
+
+        monkeypatch.setattr(analysis, "link_state", no_design)
+        theta = np.zeros(1025)
+        phi = np.zeros(1024)
+        with pytest.raises(ValueError, match="--theta-step/--phi-step give a 1025 x 1024 map "
+                                             "of 1049600 points"):
+            gradient_map(ris_2p6ghz(), (math.radians(45.0), math.pi), theta, phi, "dtpq")
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError, match="non-empty"):

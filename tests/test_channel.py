@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import random_scenario
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from risbeam import (
     PhaseMatrix,
@@ -16,13 +18,13 @@ from risbeam import (
     dtpq,
     far_field_pl_db,
     field_at_rx_points,
-    field_result,
     link_state,
     power_dbm_from_xi,
-    received_power_dbm,
     ris_2p6ghz,
 )
-from risbeam.channel import _phasor_sum
+from risbeam import channel
+from risbeam.analysis import design
+from risbeam.channel import _mod_two_pi, _phasor_sum
 from risbeam.geometry import rx_position
 
 TWO_PI = 2.0 * math.pi
@@ -120,23 +122,23 @@ class TestReceivedPower:
     def test_tx_power_shifts_linearly(self):
         sc = ris_2p6ghz()
         state = link_state(sc)
-        boosted = replace(sc, radio=replace(sc.radio, tx_power_dbm=10.0))
-        p0 = received_power_dbm(sc, state.phase_matrix)
-        p10 = received_power_dbm(boosted, state.phase_matrix)
+        xi = state.xi(state.phase_matrix)
+        boosted = replace(sc.radio, tx_power_dbm=10.0)
+        p0 = power_dbm_from_xi(sc.panel, sc.radio, xi)
+        p10 = power_dbm_from_xi(sc.panel, boosted, xi)
         assert p10 - p0 == pytest.approx(10.0, rel=1e-12)
 
     def test_zero_field_gives_minus_inf(self):
         sc = ris_2p6ghz()
         assert power_dbm_from_xi(sc.panel, sc.radio, 0.0) == -math.inf
 
-    def test_field_result_consistency(self):
+    def test_continuous_power_from_link_state_xi(self):
+        # the power of the continuous shifts' xi is what the continuous
+        # design reports
         sc = ris_2p6ghz()
         state = link_state(sc)
-        result = field_result(sc, state.phase_matrix)
-        assert result.xi == pytest.approx(state.xi_upper_bound, rel=1e-15)
-        assert result.path_loss_db == pytest.approx(
-            sc.radio.tx_power_dbm - result.received_power_dbm, rel=1e-12
-        )
+        power = power_dbm_from_xi(sc.panel, sc.radio, state.xi(state.phase_matrix))
+        assert power == design(state, "continuous").received_power_dbm
 
 
 class TestFarFieldPathLoss:
@@ -205,26 +207,38 @@ class TestFieldAtRxPoints:
                               dtpq(sc, state).shifts):
                     assert field_at_rx_points(sc, shift, point)[0] == state.xi(shift)
 
-    def test_batch_independent(self):
+    def test_batch_independent(self, monkeypatch):
         # a point's value must not depend on which other points share its
-        # call, its chunk, or its position in the batch
+        # call, its chunk, its position in the batch, or what the previous
+        # chunk left in the reused workspace.  The bundled panel takes 64
+        # points per chunk, so 300 points end in a partial chunk; the
+        # 34000-cell panel takes one point per chunk.  Ranges reach down to a
+        # tenth of the aperture, so the chunks also hold cells in the Rx
+        # pattern's cutoff.
         rng = np.random.default_rng(77)
         scenarios = [random_scenario(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)),
                                      int(rng.integers(1, 3))) for _ in range(12)]
         scenarios.append(ris_2p6ghz())
+        scenarios.append(ris_2p6ghz().with_panel(rows=200, cols=170))
         for sc in scenarios:
+            count = 300 if sc.panel.num_cells <= 1 << 15 else 7
             shift = rng.uniform(0.0, TWO_PI, size=(sc.panel.rows, sc.panel.cols))
-            theta = rng.uniform(0.0, math.radians(89.0), 300)
-            phi = rng.uniform(0.0, TWO_PI, 300)
-            r = rng.uniform(0.5, 50.0, 300)
+            theta = rng.uniform(0.0, math.radians(89.0), count)
+            phi = rng.uniform(0.0, TWO_PI, count)
+            r = sc.panel.aperture_radius * 10.0 ** rng.uniform(-1.0, 2.0, count)
             points = np.column_stack([r * np.sin(theta) * np.cos(phi),
                                       r * np.sin(theta) * np.sin(phi), r * np.cos(theta)])
             together = field_at_rx_points(sc, shift, points)
             one_by_one = np.concatenate([field_at_rx_points(sc, shift, p[None, :])
                                          for p in points])
             reversed_order = field_at_rx_points(sc, shift, points[::-1].copy())[::-1]
-            assert together.tobytes() == one_by_one.tobytes()
-            assert together.tobytes() == reversed_order.tobytes()
+            monkeypatch.setattr(channel, "_CHUNK_POINT_CELLS", 1)
+            point_per_chunk = field_at_rx_points(sc, shift, points)
+            monkeypatch.setattr(channel, "_CHUNK_POINT_CELLS", 1 << 62)
+            single_chunk = field_at_rx_points(sc, shift, points)
+            monkeypatch.undo()
+            for other in (one_by_one, reversed_order, point_per_chunk, single_chunk):
+                assert together.tobytes() == other.tobytes()
 
     def test_no_points(self):
         sc = ris_2p6ghz()
@@ -276,6 +290,39 @@ class TestPhasorSum:
                 assert abs(value - self.complex_sum(amplitude, phase, shift)) <= (
                     1e-13 * amplitude.sum())
         assert _phasor_sum(np.array([0.7]), np.array([2.0]), np.array([2.0])) == 0.7
+
+
+# From 2^26 * TWO_PI on the reduction falls back to np.mod; the multiples
+# reach past that.
+_MOD_LIMIT = 2.0**26 * TWO_PI
+_SMALLEST_NORMAL = 2.2250738585072014e-308
+
+
+def _near_multiple(k_step):
+    k, step = k_step
+    x = k * TWO_PI
+    return x if step == 0 else math.nextafter(x, math.copysign(math.inf, step))
+
+
+_REDUCTION_INPUTS = st.one_of(
+    st.floats(0.0, 1e6),
+    st.tuples(st.integers(0, 1 << 28), st.sampled_from((-1, 0, 1))).map(_near_multiple),
+    st.sampled_from((0.0, 5e-324, math.nextafter(_SMALLEST_NORMAL, 0.0), _SMALLEST_NORMAL)),
+    st.floats(0.0, _SMALLEST_NORMAL, exclude_max=True),
+    st.floats(_MOD_LIMIT, 1e300),
+    st.sampled_from((math.nextafter(_MOD_LIMIT, 0.0), _MOD_LIMIT)),
+).filter(lambda x: x >= 0.0)
+
+
+class TestModTwoPi:
+    # the Cody-Waite reduction against the np.mod it replaces, byte for byte
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.lists(_REDUCTION_INPUTS, min_size=1, max_size=64))
+    def test_equals_np_mod(self, values):
+        x = np.array(values)
+        reduced = _mod_two_pi(x, out=np.empty_like(x), q=np.empty_like(x))
+        assert reduced.tobytes() == np.mod(x, TWO_PI).tobytes()
 
 
 class TestPhaseMatrixType:

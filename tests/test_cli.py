@@ -222,6 +222,14 @@ class TestSweepCommand:
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 72
 
+    def test_grid_guard_exit_code(self, small_path, capsys):
+        # 5e12 grid points: refused before the grid is allocated
+        assert run(["sweep", "--scenario", small_path, "--axis", "rx_distance",
+                    "--start", "5", "--stop", "10", "--step", "1e-12",
+                    "--methods", "dtpq"]) == 2
+        err = capsys.readouterr().err
+        assert "--step 1e-12 gives 5000000000001 grid points" in err and "guard" in err
+
     def test_threshold_axis_rejects_other_methods(self, small_path, capsys):
         assert run(["sweep", "--scenario", small_path, "--axis", "threshold",
                     "--start", "0", "--stop", "355", "--step", "5",
@@ -248,6 +256,42 @@ class TestOtherCommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "theta_r_deg,phi_r_deg,power_dbm"
         assert len(lines) == 1 + 3 * 3
+
+    def test_map_guard_exit_code(self, small_path, capsys):
+        assert run(["gradient-map", "--scenario", small_path,
+                    "--target-theta", "45", "--target-phi", "180",
+                    "--theta-step", "0.01", "--phi-step", "0.01", "--method", "dtpq"]) == 2
+        err = capsys.readouterr().err
+        assert "--theta-step/--phi-step give a 9001 x 36001 map" in err and "guard" in err
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="minor faults are counted on Linux")
+    def test_map_page_faults_stay_within_the_workspace(self, tmp_path):
+        # the field workspace is allocated once per call, so a 61 x 61 map
+        # (59 chunks on the 512-cell panel) faults in a few workspaces'
+        # worth of pages more than `validate`; allocating chunk temporaries
+        # per chunk cost about 11700 pages more
+        import resource
+
+        from risbeam.channel import _CHUNK_POINT_CELLS
+
+        src = str(ROOT / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+        def minor_faults(*args):
+            before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+            proc = subprocess.run([sys.executable, "-m", "risbeam.cli", *args], cwd=ROOT,
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+
+        scenario = "scenarios/ris1_2p6ghz.json"
+        startup = minor_faults("validate", "--scenario", scenario)
+        mapped = minor_faults("gradient-map", "--scenario", scenario, "--target-theta", "45",
+                              "--target-phi", "180", "--theta-step", "1.5", "--phi-step", "6",
+                              "--method", "dtpq", "--out", str(tmp_path / "map.csv"))
+        workspace_pages = 5 * _CHUNK_POINT_CELLS * 8 // resource.getpagesize()
+        assert mapped - startup < 4 * workspace_pages
 
     def test_map_writer_matches_csv_writer(self, tmp_path):
         theta = np.array([-0.0, 12.5, 90.0])

@@ -17,7 +17,7 @@ from risbeam import (
     spherical_to_cartesian,
     wave_path_difference,
 )
-from risbeam.geometry import cell_center_grids
+from risbeam.geometry import cell_center_axes
 from risbeam.radiation import MIN_GAIN_DBI
 
 LAMBDA = 1.0
@@ -110,7 +110,7 @@ class TestCellCenter:
             cell_center(1, 33, panel)
 
     def test_grid_symmetry_even_counts(self):
-        x, y = cell_center_grids(panel_16x32())
+        x, y = np.meshgrid(*cell_center_axes(panel_16x32()))
         assert x.sum() == 0.0
         assert y.sum() == 0.0
 

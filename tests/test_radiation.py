@@ -17,7 +17,7 @@ from risbeam import (
     gain_from_alpha,
     ris_2p6ghz,
 )
-from risbeam.geometry import cell_center_grids, rx_position
+from risbeam.geometry import cell_center_axes, rx_position
 
 ALPHA_825_DBI = 2.3417195878430728
 
@@ -145,7 +145,7 @@ class TestCombinedPattern:
         radio = RadioConfig(wavelength=0.1, tx_power_dbm=0.0, gain_tx_dbi=6.0206,
                             gain_rx_dbi=6.0206, cell_alpha=1.0)
         combined = combined_pattern(Scenario(panel=panel, placement=placement, radio=radio))
-        x, y = cell_center_grids(panel)
+        x, y = np.meshgrid(*cell_center_axes(panel))
         rx = rx_position(placement)
         # boresight -rx; the cell direction c - rx is 90+ degrees off it
         cut = rx.x * (rx.x - x) + rx.y * (rx.y - y) + rx.z * rx.z <= 0.0
