@@ -9,9 +9,8 @@ this layer (they feed the CSV boundary directly); distances are meters.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from .channel import (
     link_state,
     power_dbm_from_xi,
 )
-from .geometry import TWO_PI, spherical_to_cartesian
+from .geometry import TWO_PI
 from .quantization import QuantizationResult, dtpq, eipq, exhaustive_search, fixed_threshold
 from .scenario import Scenario
 
@@ -94,6 +93,24 @@ class SlopeFit:
 
 FIT_VARIABLES = ("log10_d1", "log10_d2", "log10_cos_theta_r", "log10_cos_theta_t")
 
+# The Placement field each redesign axis and fit variable moves, and how a
+# grid value becomes that field: meters pass through, degrees become radians.
+_PLACEMENT_FIELDS = {
+    "rx_distance": ("d2", float),
+    "tx_distance": ("d1", float),
+    "theta_r": ("theta_r", math.radians),
+    "log10_d1": ("d1", float),
+    "log10_d2": ("d2", float),
+    "log10_cos_theta_r": ("theta_r", math.radians),
+    "log10_cos_theta_t": ("theta_t", math.radians),
+}
+
+
+def _placed(scenario: Scenario, axis: str, value: float) -> Scenario:
+    """The scenario with the placement field that ``axis`` moves set to ``value``."""
+    field, convert = _PLACEMENT_FIELDS[axis]
+    return scenario.with_placement(**{field: convert(value)})
+
 
 def grid_values(start: float, stop: float, step: float, option: str = "--step") -> np.ndarray:
     """Colon-range grid: start, start+step, ... up to stop within step/2.
@@ -113,19 +130,6 @@ def grid_values(start: float, stop: float, step: float, option: str = "--step") 
             f"exceeding the guard of {GRID_GUARD_POINTS}"
         )
     return start + step * np.arange(math.floor(steps) + 1)
-
-
-def _ordered_map(fn: Callable, values: Sequence, max_workers: int | None) -> list:
-    """Apply fn to each value, preserving order; serial unless max_workers > 1.
-
-    A sweep point takes about a millisecond on the bundled panel, and a
-    thread pool lost to the serial loop there, so threads are opt-in.
-    """
-    workers = max(1, min(max_workers or 1, len(values)))
-    if workers == 1:
-        return [fn(v) for v in values]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, values))
 
 
 def design(
@@ -159,9 +163,7 @@ def design(
     raise ValueError(f"unknown method {method!r}")
 
 
-def run_sweep(
-    scenario: Scenario, spec: SweepSpec, max_workers: int | None = None
-) -> list[SweepRow]:
+def run_sweep(scenario: Scenario, spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the methods across the axis grid, one row per grid point.
 
     Distance and angle axes rebuild the link (and redesign every method)
@@ -182,35 +184,31 @@ def run_sweep(
 
     if spec.axis == "threshold":
         state = link_state(scenario)
-        return _ordered_map(lambda value: row(state, value, value), values, max_workers)
-
-    def eval_point(value: float) -> SweepRow:
-        if spec.axis == "rx_distance":
-            sub = scenario.with_placement(d2=float(value))
-        elif spec.axis == "tx_distance":
-            sub = scenario.with_placement(d1=float(value))
-        else:  # theta_r
-            sub = scenario.with_placement(theta_r=math.radians(value))
-        return row(link_state(sub), value, spec.gamma_deg)
-
-    return _ordered_map(eval_point, values, max_workers)
+        return [row(state, value, value) for value in values]
+    return [
+        row(link_state(_placed(scenario, spec.axis, value)), value, spec.gamma_deg)
+        for value in values
+    ]
 
 
-def _rx_point_for_angle(scenario: Scenario, theta_deg: float) -> np.ndarray:
-    """Rx position for a signed departure elevation along the scan arc.
+def _signed_direction(theta: float | np.ndarray, phi: float) -> tuple[np.ndarray, np.ndarray]:
+    """(elevation, azimuth) of signed elevations ``theta`` (rad) along azimuth ``phi``.
 
-    Negative elevations land on the opposite azimuth; |theta| = 90 deg is
-    clamped just below pi/2 (the pattern cutoff zeroes the power there).
+    A negative elevation lands at |theta| on the opposite azimuth.
     """
-    theta = math.radians(theta_deg)
-    phi = scenario.placement.phi_r
-    if theta < 0.0:
-        theta = -theta
-        phi = (phi + math.pi) % TWO_PI
-    theta = min(theta, _THETA_LIMIT)
-    if theta == 0.0:
-        return np.array([0.0, 0.0, scenario.placement.d2])
-    return spherical_to_cartesian(scenario.placement.d2, theta, phi).as_array()
+    theta = np.asarray(theta, dtype=float)
+    return np.abs(theta), np.where(theta < 0.0, (phi + math.pi) % TWO_PI, phi)
+
+
+def _rx_points(d2: float, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """(P, 3) Rx positions at range d2, elevations theta and azimuths phi (rad).
+
+    Elevations are clamped just below pi/2, where the pattern cutoff
+    zeroes the power.
+    """
+    theta = np.minimum(theta, _THETA_LIMIT)
+    rho = d2 * np.sin(theta)
+    return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), d2 * np.cos(theta)])
 
 
 def angle_scan(
@@ -234,16 +232,13 @@ def angle_scan(
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
 
-    theta = design_target
-    phi = scenario.placement.phi_r
-    if theta < 0.0:
-        theta = -theta
-        phi = (phi + math.pi) % TWO_PI
-    target = scenario.with_placement(theta_r=theta, phi_r=phi)
+    phi_r = scenario.placement.phi_r
+    theta, phi = _signed_direction(design_target, phi_r)
+    target = scenario.with_placement(theta_r=float(theta), phi_r=float(phi))
     state = link_state(target)
 
     values = grid_values(start_deg, stop_deg, step_deg)
-    points = np.stack([_rx_point_for_angle(scenario, v) for v in values])
+    points = _rx_points(scenario.placement.d2, *_signed_direction(np.radians(values), phi_r))
 
     per_method: dict[str, np.ndarray] = {}
     thresholds: dict[str, float] = {}
@@ -298,17 +293,8 @@ def gradient_map(
     target = scenario.with_placement(theta_r=design_target[0], phi_r=design_target[1])
     shifts = design(link_state(target), method, epsilon_deg, gamma_deg).shifts
 
-    theta = np.minimum(np.radians(theta_grid), _THETA_LIMIT)
-    phi = np.radians(phi_grid) % TWO_PI
-    tt, pp = np.meshgrid(theta, phi, indexing="ij")
-    d2 = scenario.placement.d2
-    points = np.column_stack(
-        [
-            d2 * np.sin(tt.ravel()) * np.cos(pp.ravel()),
-            d2 * np.sin(tt.ravel()) * np.sin(pp.ravel()),
-            d2 * np.cos(tt.ravel()),
-        ]
-    )
+    tt, pp = np.meshgrid(np.radians(theta_grid), np.radians(phi_grid) % TWO_PI, indexing="ij")
+    points = _rx_points(scenario.placement.d2, tt.ravel(), pp.ravel())
     xi = field_at_rx_points(target, shifts, points)
     power = power_dbm_from_xi(scenario.panel, scenario.radio, xi)
     return power.reshape(theta_grid.size, phi_grid.size)
@@ -321,7 +307,6 @@ def path_loss_samples(
     method: str,
     epsilon_deg: float = DEFAULT_EPSILON_DEG,
     gamma_deg: float | None = None,
-    max_workers: int | None = None,
 ) -> np.ndarray:
     """Path loss (dB) per sample, with shifts redesigned at every sample.
 
@@ -333,19 +318,11 @@ def path_loss_samples(
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
-    def eval_sample(value: float) -> float:
-        if variable == "log10_d1":
-            sub = scenario.with_placement(d1=float(value))
-        elif variable == "log10_d2":
-            sub = scenario.with_placement(d2=float(value))
-        elif variable == "log10_cos_theta_r":
-            sub = scenario.with_placement(theta_r=math.radians(value))
-        else:
-            sub = scenario.with_placement(theta_t=math.radians(value))
-        result = design(link_state(sub), method, epsilon_deg, gamma_deg)
-        return scenario.radio.tx_power_dbm - result.received_power_dbm
+    def designed_power(value: float) -> float:
+        state = link_state(_placed(scenario, variable, value))
+        return design(state, method, epsilon_deg, gamma_deg).received_power_dbm
 
-    return np.array(_ordered_map(eval_sample, list(sample_grid), max_workers))
+    return np.array([scenario.radio.tx_power_dbm - designed_power(v) for v in sample_grid])
 
 
 def pl_slope_fit(
@@ -355,7 +332,6 @@ def pl_slope_fit(
     method: str,
     epsilon_deg: float = DEFAULT_EPSILON_DEG,
     gamma_deg: float | None = None,
-    max_workers: int | None = None,
 ) -> SlopeFit:
     """Ordinary least squares of PL (dB) against 10*log10(variable).
 
@@ -375,9 +351,7 @@ def pl_slope_fit(
     x = 10.0 * np.log10(var)
     if np.ptp(x) == 0.0:
         raise ValueError("singular design matrix: variable is constant over the grid")
-    y = path_loss_samples(
-        scenario, variable, grid, method, epsilon_deg, gamma_deg, max_workers
-    )
+    y = path_loss_samples(scenario, variable, grid, method, epsilon_deg, gamma_deg)
 
     slope, intercept = np.polyfit(x, y, 1)
     residuals = y - (slope * x + intercept)

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
 from typing import Sequence
 
@@ -154,19 +153,6 @@ def _parse_methods(
     return tuple(names), epsilon_deg, gamma_deg
 
 
-def _max_workers() -> int | None:
-    raw = os.environ.get("RIS_THREADS")
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ScenarioFileError(f"RIS_THREADS must be an integer, got '{raw}'") from exc
-    if value < 1:
-        raise ScenarioFileError(f"RIS_THREADS must be >= 1, got {value}")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -208,7 +194,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         epsilon_deg=epsilon_deg,
         gamma_deg=gamma_deg,
     )
-    rows = run_sweep(scenario, spec, max_workers=_max_workers())
+    rows = run_sweep(scenario, spec)
     write_sweep_csv(args.out, rows, methods)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
@@ -259,21 +245,16 @@ def _cmd_pl_fit(args: argparse.Namespace) -> int:
     spacing = args.spacing
     if spacing == "auto":
         spacing = "log" if args.variable in ("d1", "d2") else "linear"
+    for option, value in (("--start", args.start), ("--stop", args.stop)):
+        if not math.isfinite(value):
+            raise ScenarioFileError(f"{option} must be finite, got {value}")
+        if spacing == "log" and not value > 0.0:
+            raise ScenarioFileError(f"log spacing requires a positive {option}, got {value:g}")
     if spacing == "log":
-        if args.start <= 0.0:
-            raise ScenarioFileError("log spacing requires a positive --start")
         grid = np.logspace(math.log10(args.start), math.log10(args.stop), args.num)
     else:
         grid = np.linspace(args.start, args.stop, args.num)
-    fit = pl_slope_fit(
-        scenario,
-        f"log10_{args.variable}",
-        grid,
-        name,
-        epsilon_deg=epsilon_deg,
-        gamma_deg=gamma_deg,
-        max_workers=_max_workers(),
-    )
+    fit = pl_slope_fit(scenario, f"log10_{args.variable}", grid, name, epsilon_deg, gamma_deg)
     print(f"variable={fit.variable}")
     print(f"slope={fit.slope:.4f}")
     print(f"intercept_db={fit.intercept:.4f}")

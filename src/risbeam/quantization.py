@@ -40,6 +40,9 @@ TIE_REL_TOL = 1e-12
 # Upper bound on bits * cells for the exhaustive oracle (~10^6 assignments).
 EXHAUSTIVE_GUARD_BITS = 20
 
+# Level assignments the exhaustive oracle scores per vectorized block.
+_EXHAUSTIVE_CHUNK = 1 << 14
+
 # Upper bound on the eipq grid size K (~10^6 thresholds).
 EIPQ_GUARD_CANDIDATES = 1 << 20
 
@@ -226,9 +229,7 @@ def fixed_threshold(
     return _at_threshold(state, float(gamma), 1)
 
 
-def exhaustive_search(
-    scenario: Scenario, state: LinkState | None = None, chunk: int = 1 << 14
-) -> QuantizationResult:
+def exhaustive_search(scenario: Scenario, state: LinkState | None = None) -> QuantizationResult:
     """Brute-force oracle over all 2**(bits*M*N) level assignments.
 
     Refuses panels with bits * M * N > EXHAUSTIVE_GUARD_BITS.  Ties in xi
@@ -259,8 +260,8 @@ def exhaustive_search(
     best_xi = -1.0
     best_index = 0
     cell_range = np.arange(cells)
-    for lo in range(0, total, chunk):
-        idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
+    for lo in range(0, total, _EXHAUSTIVE_CHUNK):
+        idx = np.arange(lo, min(lo + _EXHAUSTIVE_CHUNK, total), dtype=np.int64)
         digits = (idx[:, None] // weights[None, :]) % num_levels
         sums = np.abs(np.sum(term[cell_range[None, :], digits], axis=1))
         # earliest near-tied maximizer, so exact ties (equal up to float

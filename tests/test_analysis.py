@@ -1,6 +1,10 @@
 """Sweeps, angle scans, power maps, and path-loss slope fits."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ import risbeam.analysis as analysis
 from risbeam import (
     SweepSpec,
     angle_scan,
+    field_at_rx_points,
     gradient_map,
     grid_values,
     link_state,
@@ -18,7 +23,11 @@ from risbeam import (
     ris_2p6ghz,
     ris_4p9ghz,
     run_sweep,
+    spherical_to_cartesian,
 )
+from risbeam.analysis import design
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 class TestGridValues:
@@ -118,25 +127,39 @@ class TestRunSweep:
         for gamma in np.arange(0.0, 180.0, 10.0):
             assert by_value[gamma + period] == pytest.approx(by_value[gamma], abs=1e-9)
 
-    def test_workers_do_not_change_results(self):
-        sc = ris_2p6ghz()
-        spec = SweepSpec(axis="rx_distance", start=5.0, stop=6.0, step=0.25,
-                         methods=("dtpq", "fixed"), gamma_deg=235.0)
-        serial = run_sweep(sc, spec, max_workers=1)
-        threaded = run_sweep(sc, spec, max_workers=4)
-        for a, b in zip(serial, threaded):
-            assert a.power_dbm == b.power_dbm
-            assert a.threshold_deg == b.threshold_deg
+    @pytest.mark.parametrize("axis, field, grid, to_field", [
+        ("rx_distance", "d2", (5.0, 7.5, 10.0), float),
+        ("tx_distance", "d1", (5.0, 7.5, 10.0), float),
+        ("theta_r", "theta_r", (10.0, 35.0, 60.0), math.radians),
+    ])
+    def test_rows_redesign_at_the_moved_placement(self, axis, field, grid, to_field):
+        # each row is the method table applied to the link with the one
+        # placement field the axis names moved to the grid value
+        sc = ris_4p9ghz()
+        methods = ("continuous", "dtpq", "eipq", "fixed")
+        spec = SweepSpec(axis=axis, start=grid[0], stop=grid[-1], step=grid[1] - grid[0],
+                         methods=methods, epsilon_deg=3.0, gamma_deg=100.0)
+        rows = run_sweep(sc, spec)
+        assert [row.axis_value for row in rows] == list(grid)
+        for row, value in zip(rows, grid):
+            state = link_state(sc.with_placement(**{field: to_field(value)}))
+            for method in methods:
+                expected = design(state, method, 3.0, 100.0)
+                assert row.power_dbm[method] == expected.received_power_dbm
+                if expected.threshold is not None:
+                    assert row.threshold_deg[method] == math.degrees(expected.threshold)
 
-    def test_serial_by_default(self, monkeypatch):
-        # without max_workers a sweep runs in the calling thread
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was started")
-
-        monkeypatch.setattr(analysis, "ThreadPoolExecutor", no_pool)
-        spec = SweepSpec(axis="rx_distance", start=5.0, stop=6.0, step=0.25,
-                         methods=("dtpq",))
-        assert len(run_sweep(ris_2p6ghz(), spec)) == 5
+    def test_cli_import_leaves_out_thread_pools(self):
+        # sweeps and fits run serially, so the CLI never imports a pool
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, risbeam.cli; print('concurrent.futures' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestAngleScan:
@@ -179,6 +202,32 @@ class TestAngleScan:
     def test_rejects_out_of_range_target(self):
         with pytest.raises(ValueError, match="target"):
             angle_scan(ris_2p6ghz(), 0.0, 10.0, 1.0, math.pi / 2, ("dtpq",))
+
+    def test_signed_scan_matches_pointwise_field(self):
+        # a negative elevation, the design target included, lands at
+        # |theta| on the opposite azimuth; 90 deg is clamped below pi/2
+        sc = ris_4p9ghz()
+        methods = ("continuous", "dtpq", "fixed")
+        rows = angle_scan(sc, -90.0, 90.0, 7.5, math.radians(-30.0), methods)
+        pl = sc.placement
+
+        def direction(theta):
+            if theta < 0.0:
+                return -theta, (pl.phi_r + math.pi) % (2.0 * math.pi)
+            return theta, pl.phi_r
+
+        theta_limit = math.nextafter(math.pi / 2.0, 0.0)
+        points = []
+        for row in rows:
+            theta, phi = direction(math.radians(row.axis_value))
+            points.append(spherical_to_cartesian(pl.d2, min(theta, theta_limit), phi).as_array())
+        theta, phi = direction(math.radians(-30.0))
+        target = sc.with_placement(theta_r=theta, phi_r=phi)
+        state = link_state(target)
+        for method in methods:
+            xi = field_at_rx_points(target, design(state, method).shifts, np.array(points))
+            expected = power_dbm_from_xi(sc.panel, sc.radio, xi)
+            assert [row.power_dbm[method] for row in rows] == expected.tolist()
 
 
 class TestGradientMap:
@@ -265,6 +314,23 @@ class TestSlopeFit:
     def test_rejects_unknown_variable(self):
         with pytest.raises(ValueError, match="variable"):
             pl_slope_fit(ris_2p6ghz(), "log10_d3", [1.0, 2.0, 3.0], "continuous")
+
+    @pytest.mark.parametrize("variable, field, grid, to_field", [
+        ("log10_d1", "d1", (20.0, 40.0, 80.0), float),
+        ("log10_d2", "d2", (20.0, 40.0, 80.0), float),
+        ("log10_cos_theta_r", "theta_r", (10.0, 35.0, 60.0), math.radians),
+        ("log10_cos_theta_t", "theta_t", (10.0, 35.0, 60.0), math.radians),
+    ])
+    def test_samples_redesign_at_the_moved_placement(self, variable, field, grid, to_field):
+        sc = ris_2p6ghz()
+        samples = path_loss_samples(sc, variable, grid, "eipq", epsilon_deg=3.0)
+        expected = [
+            sc.radio.tx_power_dbm - design(
+                link_state(sc.with_placement(**{field: to_field(value)})), "eipq", 3.0
+            ).received_power_dbm
+            for value in grid
+        ]
+        assert samples.tolist() == expected
 
     def test_samples_match_fit_inputs(self):
         sc = ris_2p6ghz()

@@ -328,16 +328,21 @@ class TestOtherCommands:
         # far-field cosine law has slope -1; at short range it stays near that
         assert slope == pytest.approx(-1.0, abs=0.3)
 
-    def test_env_threads_validation(self, small_path, capsys, monkeypatch):
-        monkeypatch.setenv("RIS_THREADS", "zero")
-        assert run(["sweep", "--scenario", small_path, "--axis", "rx_distance",
-                    "--start", "5", "--stop", "5", "--step", "1",
-                    "--methods", "dtpq"]) == 2
-        assert "RIS_THREADS" in capsys.readouterr().err
-
-    def test_env_threads_accepted(self, small_path, tmp_path, monkeypatch):
-        monkeypatch.setenv("RIS_THREADS", "2")
-        out = tmp_path / "sweep.csv"
-        assert run(["sweep", "--scenario", small_path, "--axis", "rx_distance",
-                    "--start", "5", "--stop", "6", "--step", "0.5",
-                    "--methods", "dtpq", "--out", str(out)]) == 0
+    @pytest.mark.parametrize("variable, start, stop, option", [
+        ("d2", "50", "0", "--stop"),
+        ("d2", "50", "-5", "--stop"),
+        ("d2", "50", "inf", "--stop"),
+        ("d2", "nan", "500", "--start"),
+        ("d2", "0", "500", "--start"),
+        ("cos_theta_r", "20", "inf", "--stop"),
+        ("cos_theta_r", "-inf", "70", "--start"),
+    ], ids=["d2-stop-zero", "d2-stop-negative", "d2-stop-inf", "d2-start-nan",
+            "d2-start-zero", "angle-stop-inf", "angle-start-minus-inf"])
+    def test_pl_fit_refuses_bad_bounds(self, small_path, capsys, variable, start, stop, option):
+        # the --option=value form keeps argparse from reading "-inf" as a flag
+        assert run(["pl-fit", "--scenario", small_path, "--variable", variable,
+                    f"--start={start}", f"--stop={stop}", "--method", "continuous"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        error, = captured.err.splitlines()
+        assert error.startswith("error: ") and option in error

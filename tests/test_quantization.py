@@ -460,3 +460,25 @@ class TestThresholdProfile:
             assert np.array_equal(_profile_xi(state, gammas + omega), profile)
             exact = [state.xi(quantize_matrix(state.phase_matrix, g, sc.panel)) for g in gammas]
             np.testing.assert_allclose(profile, exact, rtol=1e-12)
+
+
+class TestLossFloor:
+    """dtpq keeps at least sinc(Omega/2) of the continuous design's xi.
+
+    At any threshold every residual phase lies in one arc of width Omega;
+    over a uniform threshold each residual is uniform on that arc, so the
+    mean xi is at least sinc(Omega/2) times the continuous bound, and dtpq
+    is optimal over all thresholds.
+    """
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 12), st.integers(1, 3))
+    def test_dtpq_between_sinc_floor_and_continuous_bound(self, seed, rows, cols, bits):
+        sc = random_scenario(np.random.default_rng(seed), rows, cols, bits)
+        state = link_state(sc)
+        xi, upper = dtpq(sc, state).xi, state.xi_upper_bound
+        half = sc.panel.omega / 2.0
+        # products, not ratios, so that a panel wholly in the pattern
+        # cutoff (upper == xi == 0) passes
+        assert math.sin(half) * upper * (1.0 - 1e-12) <= half * xi
+        assert xi <= upper * (1.0 + 1e-12)
