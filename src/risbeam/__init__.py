@@ -27,13 +27,8 @@ from .channel import (
     power_dbm_from_xi,
 )
 from .geometry import (
-    PathGeometry,
     Placement,
-    Point3,
     RisPanel,
-    cell_center,
-    path_length_matrices,
-    spherical_to_cartesian,
     wave_path_difference,
 )
 from .quantization import (
@@ -57,10 +52,8 @@ from .scenario import Scenario
 
 __all__ = [
     "LinkState",
-    "PathGeometry",
     "PhaseMatrix",
     "Placement",
-    "Point3",
     "QuantizationResult",
     "RadioConfig",
     "RisPanel",
@@ -71,7 +64,6 @@ __all__ = [
     "SweepSpec",
     "alpha_from_gain_dbi",
     "angle_scan",
-    "cell_center",
     "cell_phasors",
     "cosine_pattern",
     "dtpq",
@@ -84,7 +76,6 @@ __all__ = [
     "gradient_map",
     "grid_values",
     "link_state",
-    "path_length_matrices",
     "path_loss_samples",
     "pl_slope_fit",
     "power_dbm_from_xi",
@@ -93,7 +84,6 @@ __all__ = [
     "ris_2p6ghz",
     "ris_4p9ghz",
     "run_sweep",
-    "spherical_to_cartesian",
     "wave_path_difference",
 ]
 

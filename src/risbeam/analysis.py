@@ -20,7 +20,7 @@ from .channel import (
     link_state,
     power_dbm_from_xi,
 )
-from .geometry import TWO_PI
+from .geometry import TWO_PI, antenna_points
 from .quantization import QuantizationResult, dtpq, eipq, exhaustive_search, fixed_threshold
 from .scenario import Scenario
 
@@ -31,10 +31,6 @@ DEFAULT_EPSILON_DEG = 5.0
 
 # Upper bound on the points of one grid or map (32x the 181 x 181 map).
 GRID_GUARD_POINTS = 1 << 20
-
-# Largest representable elevation below pi/2; scan endpoints at +/-90 deg
-# are clamped here, where the pattern cutoff drives the power to the floor.
-_THETA_LIMIT = math.nextafter(math.pi / 2.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -200,17 +196,6 @@ def _signed_direction(theta: float | np.ndarray, phi: float) -> tuple[np.ndarray
     return np.abs(theta), np.where(theta < 0.0, (phi + math.pi) % TWO_PI, phi)
 
 
-def _rx_points(d2: float, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """(P, 3) Rx positions at range d2, elevations theta and azimuths phi (rad).
-
-    Elevations are clamped just below pi/2, where the pattern cutoff
-    zeroes the power.
-    """
-    theta = np.minimum(theta, _THETA_LIMIT)
-    rho = d2 * np.sin(theta)
-    return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), d2 * np.cos(theta)])
-
-
 def angle_scan(
     scenario: Scenario,
     start_deg: float,
@@ -238,7 +223,7 @@ def angle_scan(
     state = link_state(target)
 
     values = grid_values(start_deg, stop_deg, step_deg)
-    points = _rx_points(scenario.placement.d2, *_signed_direction(np.radians(values), phi_r))
+    points = antenna_points(scenario.placement.d2, *_signed_direction(np.radians(values), phi_r))
 
     per_method: dict[str, np.ndarray] = {}
     thresholds: dict[str, float] = {}
@@ -294,7 +279,7 @@ def gradient_map(
     shifts = design(link_state(target), method, epsilon_deg, gamma_deg).shifts
 
     tt, pp = np.meshgrid(np.radians(theta_grid), np.radians(phi_grid) % TWO_PI, indexing="ij")
-    points = _rx_points(scenario.placement.d2, tt.ravel(), pp.ravel())
+    points = antenna_points(scenario.placement.d2, tt.ravel(), pp.ravel())
     xi = field_at_rx_points(target, shifts, points)
     power = power_dbm_from_xi(scenario.panel, scenario.radio, xi)
     return power.reshape(theta_grid.size, phi_grid.size)

@@ -20,15 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    TWO_PI,
-    Placement,
-    RisPanel,
-    cell_center_axes,
-    cell_paths,
-    rx_position,
-    tx_position,
-)
+from .geometry import TWO_PI, Placement, RisPanel, antenna_points, cell_center_axes, cell_paths
 from .radiation import RadioConfig, cosine_pattern
 from .scenario import Scenario
 
@@ -135,7 +127,7 @@ def _phasor_chunks(scenario: Scenario, rx_points: np.ndarray, workspace: np.ndar
     """
     panel, placement, radio = scenario.panel, scenario.placement, scenario.radio
     axes = cell_center_axes(panel)
-    tx = tx_position(placement).as_array()[None, :]
+    tx = antenna_points(placement.d1, placement.theta_t, placement.phi_t)
     r_t, cos_t_cell, cos_tx = cell_paths(axes, tx, np.array([[placement.d1]]))[:, 0]
     tx_gain = cosine_pattern(cos_tx, radio.alpha_tx) * cosine_pattern(
         cos_t_cell, radio.cell_alpha
@@ -202,7 +194,8 @@ class LinkState:
 def link_state(scenario: Scenario) -> LinkState:
     """Build the per-cell amplitude/phase state of a scenario: the forward
     model at the placement's own Rx position."""
-    rx = rx_position(scenario.placement).as_array()[None, :]
+    placement = scenario.placement
+    rx = antenna_points(placement.d2, placement.theta_r, placement.phi_r)
     amplitude, phase = cell_phasors(scenario, rx)
     shape = (scenario.panel.rows, scenario.panel.cols)
     return LinkState(scenario, amplitude.reshape(shape), phase.reshape(shape))

@@ -17,6 +17,7 @@ import numpy as np
 
 from .analysis import (
     DEFAULT_EPSILON_DEG,
+    GRID_GUARD_POINTS,
     METHODS,
     SWEEP_AXES,
     SweepRow,
@@ -154,6 +155,20 @@ def _parse_methods(
 
 
 # ---------------------------------------------------------------------------
+# Option checks: angles stay in degrees, so the diagnostic names the option
+
+
+def _check_option(option: str, value: float, degrees: str | None = None) -> None:
+    """Refuse a non-finite value, or an angle outside the ``degrees`` interval."""
+    if not math.isfinite(value):
+        raise ScenarioFileError(f"{option} must be finite, got {value}")
+    inside = {"(-90, 90)": -90.0 < value < 90.0, "[0, 90)": 0.0 <= value < 90.0,
+              "[0, 90]": 0.0 <= value <= 90.0}
+    if degrees is not None and not inside[degrees]:
+        raise ScenarioFileError(f"{option} must lie in {degrees} degrees, got {value:g}")
+
+
+# ---------------------------------------------------------------------------
 # Subcommands
 
 
@@ -203,6 +218,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_angle_scan(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     methods, epsilon_deg, gamma_deg = _parse_methods(args.methods.split(","), args.command)
+    _check_option("--target", args.target, "(-90, 90)")
     rows = angle_scan(
         scenario,
         args.start,
@@ -221,6 +237,10 @@ def _cmd_angle_scan(args: argparse.Namespace) -> int:
 def _cmd_gradient_map(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     (name,), epsilon_deg, gamma_deg = _parse_methods([args.method], args.command)
+    _check_option("--target-theta", args.target_theta, "[0, 90)")
+    _check_option("--target-phi", args.target_phi)
+    _check_option("--theta-start", args.theta_start, "[0, 90]")
+    _check_option("--theta-stop", args.theta_stop, "[0, 90]")
     theta_grid = grid_values(args.theta_start, args.theta_stop, args.theta_step, "--theta-step")
     phi_grid = grid_values(args.phi_start, args.phi_stop, args.phi_step, "--phi-step")
     power = gradient_map(
@@ -242,12 +262,14 @@ def _cmd_pl_fit(args: argparse.Namespace) -> int:
     (name,), epsilon_deg, gamma_deg = _parse_methods([args.method], args.command)
     if args.num < 3:
         raise ScenarioFileError(f"--num must be >= 3, got {args.num}")
+    if args.num > GRID_GUARD_POINTS:
+        raise ScenarioFileError(f"--num {args.num} exceeds the guard of {GRID_GUARD_POINTS}")
+    distance = args.variable in ("d1", "d2")
     spacing = args.spacing
     if spacing == "auto":
-        spacing = "log" if args.variable in ("d1", "d2") else "linear"
+        spacing = "log" if distance else "linear"
     for option, value in (("--start", args.start), ("--stop", args.stop)):
-        if not math.isfinite(value):
-            raise ScenarioFileError(f"{option} must be finite, got {value}")
+        _check_option(option, value, None if distance else "[0, 90)")
         if spacing == "log" and not value > 0.0:
             raise ScenarioFileError(f"log spacing requires a positive {option}, got {value:g}")
     if spacing == "log":

@@ -18,10 +18,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 TWO_PI = 2.0 * math.pi
 
 _LEVEL_SPACING_TOL = 1e-9
+
+# Largest representable elevation below pi/2; antenna_points clamps here.
+THETA_LIMIT = math.nextafter(math.pi / 2.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -123,58 +127,6 @@ class Placement:
                 raise ValueError(f"{name} must lie in [0, 2*pi), got {phi}")
 
 
-@dataclass(frozen=True)
-class Point3:
-    """Cartesian point (m)."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self) -> None:
-        for name in ("x", "y", "z"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"coordinate {name} must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-
-
-@dataclass
-class PathGeometry:
-    """Per-cell path lengths: Tx->cell distances and cell->Rx distances."""
-
-    r_t: np.ndarray
-    r_r: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.r_t = np.asarray(self.r_t, dtype=float)
-        self.r_r = np.asarray(self.r_r, dtype=float)
-        if self.r_t.shape != self.r_r.shape:
-            raise ValueError(f"r_t shape {self.r_t.shape} != r_r shape {self.r_r.shape}")
-        if not (np.all(self.r_t > 0.0) and np.all(self.r_r > 0.0)):
-            raise ValueError("path lengths must be strictly positive")
-
-    @property
-    def total(self) -> np.ndarray:
-        """Per-cell wave-path length r_t + r_r."""
-        return self.r_t + self.r_r
-
-
-def cell_center(n: int, m: int, panel: RisPanel) -> Point3:
-    """Center of cell (n, m), n counted 1..N along x and m counted 1..M along y."""
-    if not (1 <= n <= panel.cols):
-        raise ValueError(f"cell index n={n} outside 1..{panel.cols}")
-    if not (1 <= m <= panel.rows):
-        raise ValueError(f"cell index m={m} outside 1..{panel.rows}")
-    x, y = cell_center_axes(panel)
-    return Point3(float(x[n - 1]), float(y[m - 1]), 0.0)
-
-
 def cell_center_axes(panel: RisPanel) -> tuple[np.ndarray, np.ndarray]:
     """X coordinates of the N cell columns and Y coordinates of the M cell rows."""
     n = np.arange(1, panel.cols + 1, dtype=float)
@@ -184,20 +136,16 @@ def cell_center_axes(panel: RisPanel) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def spherical_to_cartesian(d: float, theta: float, phi: float) -> Point3:
-    """Point at range d, elevation theta from +z, azimuth phi from +x."""
-    if not d > 0.0:
-        raise ValueError(f"range must be positive, got {d}")
-    sin_t = math.sin(theta)
-    return Point3(d * sin_t * math.cos(phi), d * sin_t * math.sin(phi), d * math.cos(theta))
+def antenna_points(d: ArrayLike, theta: ArrayLike, phi: ArrayLike) -> np.ndarray:
+    """(P, 3) antenna positions at ranges d, elevations theta and azimuths phi (rad).
 
-
-def tx_position(placement: Placement) -> Point3:
-    return spherical_to_cartesian(placement.d1, placement.theta_t, placement.phi_t)
-
-
-def rx_position(placement: Placement) -> Point3:
-    return spherical_to_cartesian(placement.d2, placement.theta_r, placement.phi_r)
+    Elevations are measured from the surface normal (+z) and azimuths from
+    +x.  They are clamped at THETA_LIMIT, just below pi/2, where the
+    pattern cutoff zeroes the power; a valid Placement is never clamped.
+    """
+    theta = np.minimum(theta, THETA_LIMIT)
+    rho = d * np.sin(theta)
+    return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), d * np.cos(theta)])
 
 
 def cell_paths(
@@ -240,15 +188,6 @@ def cell_paths(
     return out
 
 
-def path_length_matrices(panel: RisPanel, placement: Placement) -> PathGeometry:
-    """Euclidean distances from the Tx and Rx points to every cell center."""
-    points = np.stack([tx_position(placement).as_array(), rx_position(placement).as_array()])
-    ranges = np.array([[placement.d1], [placement.d2]])
-    r = cell_paths(cell_center_axes(panel), points, ranges)[0]
-    r_t, r_r = r.reshape(2, panel.rows, panel.cols)
-    return PathGeometry(r_t=r_t, r_r=r_r)
-
-
 def wave_path_difference(
     panel: RisPanel,
     placement: Placement,
@@ -259,8 +198,11 @@ def wave_path_difference(
 
     Cells are addressed as (n, m) index pairs, 1-based.
     """
-    geom = path_length_matrices(panel, placement)
-    totals = geom.total
+    d = np.array([placement.d1, placement.d2])
+    theta = np.array([placement.theta_t, placement.theta_r])
+    phi = np.array([placement.phi_t, placement.phi_r])
+    r_t, r_r = cell_paths(cell_center_axes(panel), antenna_points(d, theta, phi), d[:, None])[0]
+    totals = (r_t + r_r).reshape(panel.rows, panel.cols)
 
     def lookup(cell: tuple[int, int]) -> float:
         n, m = cell

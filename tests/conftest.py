@@ -12,9 +12,9 @@ from risbeam import (
     RisPanel,
     Scenario,
     link_state,
-    path_length_matrices,
     quantize_matrix,
 )
+from risbeam.geometry import antenna_points, cell_center_axes, cell_paths
 from risbeam.quantization import TIE_REL_TOL
 
 TWO_PI = 2.0 * math.pi
@@ -74,8 +74,17 @@ def brute_force_search(state, gammas):
 
 def combined_pattern(scenario: Scenario) -> np.ndarray:
     """Per-cell F_combine recovered from the link amplitudes: (amplitude * r_t * r_r)**2."""
-    geom = path_length_matrices(scenario.panel, scenario.placement)
-    return (link_state(scenario).amplitude * geom.r_t * geom.r_r) ** 2
+    r_t, r_r = path_lengths(scenario.panel, scenario.placement)
+    return (link_state(scenario).amplitude * r_t * r_r) ** 2
+
+
+def path_lengths(panel, placement):
+    """M x N distances from the Tx and from the Rx to every cell center."""
+    d = np.array([placement.d1, placement.d2])
+    theta = np.array([placement.theta_t, placement.theta_r])
+    phi = np.array([placement.phi_t, placement.phi_r])
+    r_t, r_r = cell_paths(cell_center_axes(panel), antenna_points(d, theta, phi), d[:, None])[0]
+    return r_t.reshape(panel.rows, panel.cols), r_r.reshape(panel.rows, panel.cols)
 
 
 def reference_powers(scenario: Scenario, d2_values, thresholds=None):

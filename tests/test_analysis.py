@@ -23,7 +23,6 @@ from risbeam import (
     ris_2p6ghz,
     ris_4p9ghz,
     run_sweep,
-    spherical_to_cartesian,
 )
 from risbeam.analysis import design
 
@@ -220,7 +219,9 @@ class TestAngleScan:
         points = []
         for row in rows:
             theta, phi = direction(math.radians(row.axis_value))
-            points.append(spherical_to_cartesian(pl.d2, min(theta, theta_limit), phi).as_array())
+            theta = min(theta, theta_limit)
+            rho = pl.d2 * math.sin(theta)
+            points.append([rho * math.cos(phi), rho * math.sin(phi), pl.d2 * math.cos(theta)])
         theta, phi = direction(math.radians(-30.0))
         target = sc.with_placement(theta_r=theta, phi_r=phi)
         state = link_state(target)

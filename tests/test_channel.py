@@ -25,7 +25,7 @@ from risbeam import (
 from risbeam import channel
 from risbeam.analysis import design
 from risbeam.channel import _mod_two_pi, _phasor_sum
-from risbeam.geometry import rx_position
+from risbeam.geometry import antenna_points
 
 TWO_PI = 2.0 * math.pi
 
@@ -177,6 +177,30 @@ class TestFarFieldPathLoss:
         closed = sc.radio.tx_power_dbm - far_field_pl_db(sc.panel, far, sc.radio)
         assert power == pytest.approx(closed, abs=0.05)
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 12))
+    def test_cell_sum_converges_to_closed_form(self, seed, rows, cols):
+        """The continuous-design power approaches P_t - PL_far as O((D/d)^2).
+
+        With d = d1 = d2 = s * D, D the aperture radius, each cell's
+        1/(r_t * r_r) and cell-pattern factors differ from their values at
+        the panel center by a term linear in the cell's offset, plus
+        O((D/d)^2); the antenna patterns differ by O((D/d)^2) alone.  The
+        cell centers are symmetric about the panel center, so the linear
+        terms cancel in the sum, and the gap in dB falls 100x per decade
+        of s.  The test asks for 10x, above a 1e-9 dB rounding floor.
+        """
+        sc = random_scenario(np.random.default_rng(seed), rows, cols, 1)
+        gaps = []
+        for s in (1e2, 1e3, 1e4):
+            d = s * sc.panel.aperture_radius
+            far = replace(sc, placement=replace(sc.placement, d1=d, d2=d))
+            power = power_dbm_from_xi(sc.panel, sc.radio, link_state(far).xi_upper_bound)
+            closed = sc.radio.tx_power_dbm - far_field_pl_db(sc.panel, far.placement, sc.radio)
+            gaps.append(abs(power - closed))
+        assert gaps[1] <= gaps[0] / 10.0 + 1e-9
+        assert gaps[2] <= gaps[1] / 10.0 + 1e-9
+
     def test_reciprocity(self):
         # holds under symmetric antenna gains
         rng = np.random.default_rng(77)
@@ -202,7 +226,8 @@ class TestFieldAtRxPoints:
                 sc = random_scenario(rng, int(rng.integers(2, 6)), int(rng.integers(2, 6)),
                                      bits)
                 state = link_state(sc)
-                point = rx_position(sc.placement).as_array()[None, :]
+                pl = sc.placement
+                point = antenna_points(pl.d2, pl.theta_r, pl.phi_r)
                 for shift in (rng.uniform(0.0, TWO_PI, size=state.phase.shape),
                               dtpq(sc, state).shifts):
                     assert field_at_rx_points(sc, shift, point)[0] == state.xi(shift)

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import risbeam.cli as cli
 from risbeam.cli import (
     load_scenario,
     read_shifts_csv,
@@ -346,3 +347,39 @@ class TestOtherCommands:
         assert captured.out == ""
         error, = captured.err.splitlines()
         assert error.startswith("error: ") and option in error
+
+    def test_pl_fit_refuses_more_samples_than_the_guard(self, small_path, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("pl_slope_fit ran past the --num guard")
+
+        monkeypatch.setattr(cli, "pl_slope_fit", unreachable)
+        assert run(["pl-fit", "--scenario", small_path, "--variable", "d2",
+                    "--start", "50", "--stop", "500", "--num", "100000000"]) == 2
+        err = capsys.readouterr().err
+        assert "--num 100000000" in err and "guard of 1048576" in err
+
+    @pytest.mark.parametrize("args, message", [
+        (["angle-scan", "--target=90", "--start=0", "--stop=10", "--step=1",
+          "--methods=dtpq"], "--target must lie in (-90, 90) degrees, got 90"),
+        (["angle-scan", "--target=nan", "--start=0", "--stop=10", "--step=1",
+          "--methods=dtpq"], "--target must be finite, got nan"),
+        (["gradient-map", "--target-theta=95", "--target-phi=0"],
+         "--target-theta must lie in [0, 90) degrees, got 95"),
+        (["gradient-map", "--target-theta=45", "--target-phi=inf"],
+         "--target-phi must be finite, got inf"),
+        (["gradient-map", "--target-theta=45", "--target-phi=0", "--theta-start=-5"],
+         "--theta-start must lie in [0, 90] degrees, got -5"),
+        (["gradient-map", "--target-theta=45", "--target-phi=0", "--theta-stop=120"],
+         "--theta-stop must lie in [0, 90] degrees, got 120"),
+        (["pl-fit", "--variable=cos_theta_r", "--start=20", "--stop=90"],
+         "--stop must lie in [0, 90) degrees, got 90"),
+        (["pl-fit", "--variable=cos_theta_t", "--start=-10", "--stop=60"],
+         "--start must lie in [0, 90) degrees, got -10"),
+    ], ids=["scan-target-90", "scan-target-nan", "map-theta-95", "map-phi-inf",
+            "map-theta-start-negative", "map-theta-stop-120", "fit-stop-90",
+            "fit-start-negative"])
+    def test_angle_options_named_in_degrees(self, small_path, capsys, args, message):
+        assert run([args[0], "--scenario", small_path, *args[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"

@@ -4,20 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from conftest import combined_pattern
+from conftest import combined_pattern, path_lengths
 
+import risbeam
 from risbeam import (
     Placement,
-    Point3,
     RadioConfig,
     RisPanel,
     Scenario,
-    cell_center,
-    path_length_matrices,
-    spherical_to_cartesian,
     wave_path_difference,
 )
-from risbeam.geometry import cell_center_axes
+from risbeam.geometry import THETA_LIMIT, antenna_points, cell_center_axes
 from risbeam.radiation import MIN_GAIN_DBI
 
 LAMBDA = 1.0
@@ -78,36 +75,29 @@ class TestPlacement:
         with pytest.raises(ValueError, match="d1"):
             Placement(d1=0.0, d2=1.0, theta_t=0.0, phi_t=0.0, theta_r=0.0, phi_r=0.0)
 
-    def test_point3_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            Point3(math.nan, 0.0, 0.0)
+
+def cell_xy(n, m, panel):
+    """(x, y) of cell (n, m), read off the cell-center axes."""
+    x, y = cell_center_axes(panel)
+    return float(x[n - 1]), float(y[m - 1])
 
 
 class TestCellCenter:
     def test_corner_cell_of_16x32(self):
-        p = cell_center(1, 1, panel_16x32())
-        assert p.x == pytest.approx(3.75 * LAMBDA)
-        assert p.y == pytest.approx(7.75 * LAMBDA)
-        assert p.z == 0.0
+        x, y = cell_xy(1, 1, panel_16x32())
+        assert x == pytest.approx(3.75 * LAMBDA)
+        assert y == pytest.approx(7.75 * LAMBDA)
 
     def test_center_adjacent_cell(self):
         panel = panel_16x32()
-        p = cell_center(panel.cols // 2, panel.rows // 2, panel)
-        assert p.x == pytest.approx(panel.d_x / 2)
-        assert p.y == pytest.approx(panel.d_y / 2)
+        x, y = cell_xy(panel.cols // 2, panel.rows // 2, panel)
+        assert x == pytest.approx(panel.d_x / 2)
+        assert y == pytest.approx(panel.d_y / 2)
 
     def test_two_by_two_centers(self):
         panel = RisPanel(rows=2, cols=2, d_x=1.0, d_y=1.0, bits=1, levels=(0.0, math.pi))
-        centers = {(cell_center(n, m, panel).x, cell_center(n, m, panel).y)
-                   for n in (1, 2) for m in (1, 2)}
+        centers = {cell_xy(n, m, panel) for n in (1, 2) for m in (1, 2)}
         assert centers == {(0.5, 0.5), (0.5, -0.5), (-0.5, 0.5), (-0.5, -0.5)}
-
-    def test_index_out_of_range(self):
-        panel = panel_16x32()
-        with pytest.raises(ValueError, match="outside"):
-            cell_center(0, 1, panel)
-        with pytest.raises(ValueError, match="outside"):
-            cell_center(1, 33, panel)
 
     def test_grid_symmetry_even_counts(self):
         x, y = np.meshgrid(*cell_center_axes(panel_16x32()))
@@ -116,67 +106,69 @@ class TestCellCenter:
 
 
 class TestSphericalToCartesian:
+    # antenna_points: range d, elevation theta from +z, azimuth phi from +x
+
     def test_boresight(self):
-        p = spherical_to_cartesian(1.0, 0.0, 0.0)
-        assert (p.x, p.y, p.z) == (0.0, 0.0, 1.0)
+        assert antenna_points(1.0, 0.0, 0.0).tolist() == [[0.0, 0.0, 1.0]]
 
     def test_forty_five_degrees(self):
-        p = spherical_to_cartesian(10.0, math.pi / 4, 0.0)
-        assert p.x == pytest.approx(7.0711, abs=1e-4)
-        assert p.y == pytest.approx(0.0, abs=1e-12)
-        assert p.z == pytest.approx(7.0711, abs=1e-4)
+        x, y, z = antenna_points(10.0, math.pi / 4, 0.0)[0]
+        assert x == pytest.approx(7.0711, abs=1e-4)
+        assert y == pytest.approx(0.0, abs=1e-12)
+        assert z == pytest.approx(7.0711, abs=1e-4)
 
     def test_opposite_azimuth(self):
-        p = spherical_to_cartesian(10.0, math.pi / 4, math.pi)
-        assert p.x == pytest.approx(-7.0711, abs=1e-4)
-        assert p.z == pytest.approx(7.0711, abs=1e-4)
+        x, _, z = antenna_points(10.0, math.pi / 4, math.pi)[0]
+        assert x == pytest.approx(-7.0711, abs=1e-4)
+        assert z == pytest.approx(7.0711, abs=1e-4)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(7)
-        for _ in range(50):
-            d = rng.uniform(0.1, 100.0)
-            p = spherical_to_cartesian(d, rng.uniform(0, math.pi / 2), rng.uniform(0, 2 * math.pi))
-            assert p.norm == pytest.approx(d, rel=1e-12)
+        d = rng.uniform(0.1, 100.0, size=50)
+        points = antenna_points(d, rng.uniform(0, math.pi / 2, size=50),
+                                rng.uniform(0, 2 * math.pi, size=50))
+        assert points.shape == (50, 3)
+        np.testing.assert_allclose(np.linalg.norm(points, axis=1), d, rtol=1e-12)
 
-    def test_rejects_nonpositive_range(self):
-        with pytest.raises(ValueError):
-            spherical_to_cartesian(0.0, 0.0, 0.0)
+    def test_grazing_elevation_clamped_above_the_plane(self):
+        z = antenna_points(1.0, math.pi / 2, 0.0)[0, 2]
+        assert z == math.cos(THETA_LIMIT) > 0.0
 
 
 class TestPathLengths:
     def test_single_cell_at_origin(self):
         panel = RisPanel(rows=1, cols=1, d_x=0.1, d_y=0.1, bits=1, levels=(0.0, math.pi))
         placement = Placement(d1=10.0, d2=5.0, theta_t=0.3, phi_t=1.0, theta_r=0.2, phi_r=2.0)
-        geom = path_length_matrices(panel, placement)
-        assert geom.r_t[0, 0] == pytest.approx(10.0, rel=1e-15)
-        assert geom.r_r[0, 0] == pytest.approx(5.0, rel=1e-15)
+        r_t, r_r = path_lengths(panel, placement)
+        assert r_t[0, 0] == pytest.approx(10.0, rel=1e-15)
+        assert r_r[0, 0] == pytest.approx(5.0, rel=1e-15)
 
     def test_corner_matches_closed_form(self):
         # hand-expanded distance formula for the (1, 1) corner cell
         panel = panel_16x32()
         placement = near_field_placement()
-        geom = path_length_matrices(panel, placement)
+        r_t, _ = path_lengths(panel, placement)
         d1, tt, pt = placement.d1, placement.theta_t, placement.phi_t
         expected = math.sqrt(
             (d1 * math.sin(tt) * math.cos(pt) - panel.d_x * (panel.cols - 1) / 2) ** 2
             + (d1 * math.sin(tt) * math.sin(pt) - panel.d_y * (panel.rows - 1) / 2) ** 2
             + (d1 * math.cos(tt)) ** 2
         )
-        assert geom.r_t[0, 0] == pytest.approx(expected, rel=1e-12)
+        assert r_t[0, 0] == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(11.00418063333245, rel=1e-12)
 
     def test_far_limit_bound(self):
         panel = panel_16x32()
         placement = Placement(d1=1e6, d2=1e6, theta_t=0.2, phi_t=0.0, theta_r=0.3, phi_r=3.0)
-        geom = path_length_matrices(panel, placement)
-        assert np.max(np.abs(geom.r_t - placement.d1)) <= panel.aperture_radius
-        assert np.max(np.abs(geom.r_r - placement.d2)) <= panel.aperture_radius
+        r_t, r_r = path_lengths(panel, placement)
+        assert np.max(np.abs(r_t - placement.d1)) <= panel.aperture_radius
+        assert np.max(np.abs(r_r - placement.d2)) <= panel.aperture_radius
 
     def test_total_path_within_aperture_band(self):
         panel = panel_16x32()
         placement = near_field_placement(scale=1e4 * panel.aperture_radius)
-        geom = path_length_matrices(panel, placement)
-        deviation = np.abs(geom.total - (placement.d1 + placement.d2))
+        r_t, r_r = path_lengths(panel, placement)
+        deviation = np.abs(r_t + r_r - (placement.d1 + placement.d2))
         assert np.max(deviation) <= 2 * panel.aperture_radius
 
     def test_phase_spread_shrinks_with_distance(self):
@@ -184,8 +176,8 @@ class TestPathLengths:
         spreads = []
         for scale in (1e4, 1e5, 1e6):
             placement = near_field_placement(scale=scale * panel.aperture_radius)
-            geom = path_length_matrices(panel, placement)
-            spreads.append(2 * math.pi * np.ptp(geom.total) / LAMBDA)
+            r_t, r_r = path_lengths(panel, placement)
+            spreads.append(2 * math.pi * np.ptp(r_t + r_r) / LAMBDA)
         assert spreads[0] > spreads[1] > spreads[2]
 
 
@@ -264,3 +256,8 @@ class TestWavePathDifference:
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
             wave_path_difference(panel_16x32(), near_field_placement(), (1, 1), (17, 1))
+
+
+def test_every_export_resolves():
+    # a name deleted from a module must not linger in risbeam.__all__
+    assert [name for name in risbeam.__all__ if not hasattr(risbeam, name)] == []

@@ -17,7 +17,7 @@ from risbeam import (
     gain_from_alpha,
     ris_2p6ghz,
 )
-from risbeam.geometry import cell_center_axes, rx_position
+from risbeam.geometry import antenna_points, cell_center_axes
 
 ALPHA_825_DBI = 2.3417195878430728
 
@@ -146,9 +146,9 @@ class TestCombinedPattern:
                             gain_rx_dbi=6.0206, cell_alpha=1.0)
         combined = combined_pattern(Scenario(panel=panel, placement=placement, radio=radio))
         x, y = np.meshgrid(*cell_center_axes(panel))
-        rx = rx_position(placement)
+        rx, ry, rz = antenna_points(placement.d2, placement.theta_r, placement.phi_r)[0]
         # boresight -rx; the cell direction c - rx is 90+ degrees off it
-        cut = rx.x * (rx.x - x) + rx.y * (rx.y - y) + rx.z * rx.z <= 0.0
+        cut = rx * (rx - x) + ry * (ry - y) + rz * rz <= 0.0
         assert np.any(cut)
         assert np.all(combined[cut] == 0.0)
         assert np.all((combined >= 0.0) & (combined <= 1.0))
