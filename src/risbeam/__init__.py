@@ -19,8 +19,6 @@ from .analysis import (
 )
 from .channel import (
     LinkState,
-    PhaseMatrix,
-    cell_phasors,
     far_field_pl_db,
     field_at_rx_points,
     link_state,
@@ -52,7 +50,6 @@ from .scenario import Scenario
 
 __all__ = [
     "LinkState",
-    "PhaseMatrix",
     "Placement",
     "QuantizationResult",
     "RadioConfig",
@@ -64,7 +61,6 @@ __all__ = [
     "SweepSpec",
     "alpha_from_gain_dbi",
     "angle_scan",
-    "cell_phasors",
     "cosine_pattern",
     "dtpq",
     "eipq",

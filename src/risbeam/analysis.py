@@ -138,7 +138,7 @@ def design(
 
     ``epsilon_deg`` is the eipq grid step and ``gamma_deg`` the fixed
     threshold (None selects the panel's last level).  The continuous design
-    carries the continuous PhaseMatrix as its shifts and, like the
+    carries the link's phases ``state.phase`` as its shifts and, like the
     exhaustive oracle, no threshold.  The searches are looked up as module
     globals at call time.
     """
@@ -146,7 +146,7 @@ def design(
     if method == "continuous":
         xi = state.xi_upper_bound
         power = power_dbm_from_xi(scenario.panel, scenario.radio, xi)
-        return QuantizationResult(None, state.phase_matrix, xi, power, 0)
+        return QuantizationResult(None, state.phase, xi, power, 0)
     if method == "dtpq":
         return dtpq(scenario, state)
     if method == "eipq":

@@ -37,24 +37,8 @@ _MOD_C2 = TWO_PI - _MOD_C1
 _MOD_X_LIMIT = 2.0**26 * TWO_PI
 
 
-@dataclass
-class PhaseMatrix:
-    """Continuous per-cell phase shifts, each entry in [0, 2*pi)."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=float)
-        if np.any(self.values < 0.0) or np.any(self.values >= TWO_PI):
-            raise ValueError("phase entries must lie in [0, 2*pi)")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.values.shape
-
-
 def _shift_values(shifts) -> np.ndarray:
-    """Radian matrix from a PhaseMatrix, a ShiftMatrix, or a bare array."""
+    """Radian matrix from a ShiftMatrix or a bare array."""
     values = getattr(shifts, "values", shifts)
     return np.asarray(values, dtype=float)
 
@@ -151,14 +135,6 @@ def _phasor_chunks(scenario: Scenario, rx_points: np.ndarray, workspace: np.ndar
         yield slice(lo, lo + points.shape[0]), amplitude, phase
 
 
-def cell_phasors(scenario: Scenario, rx_points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The forward model at all ``rx_points`` at once: two (P, M*N) arrays,
-    the per-cell phasor amplitude and path phase (see ``_phasor_chunks``)."""
-    workspace = np.empty((4, max(rx_points.shape[0], 1), scenario.panel.num_cells))
-    _, amplitude, phase = next(_phasor_chunks(scenario, rx_points, workspace))
-    return amplitude.copy(), phase.copy()
-
-
 @dataclass(frozen=True)
 class LinkState:
     """Precomputed per-cell quantities of one scenario.
@@ -171,10 +147,6 @@ class LinkState:
     scenario: Scenario
     amplitude: np.ndarray
     phase: np.ndarray
-
-    @property
-    def phase_matrix(self) -> PhaseMatrix:
-        return PhaseMatrix(self.phase)
 
     @property
     def xi_upper_bound(self) -> float:
@@ -194,10 +166,11 @@ class LinkState:
 def link_state(scenario: Scenario) -> LinkState:
     """Build the per-cell amplitude/phase state of a scenario: the forward
     model at the placement's own Rx position."""
-    placement = scenario.placement
+    placement, panel = scenario.placement, scenario.panel
     rx = antenna_points(placement.d2, placement.theta_r, placement.phi_r)
-    amplitude, phase = cell_phasors(scenario, rx)
-    shape = (scenario.panel.rows, scenario.panel.cols)
+    workspace = np.empty((4, 1, panel.num_cells))
+    _, amplitude, phase = next(_phasor_chunks(scenario, rx, workspace))
+    shape = (panel.rows, panel.cols)
     return LinkState(scenario, amplitude.reshape(shape), phase.reshape(shape))
 
 

@@ -30,7 +30,7 @@ from .analysis import (
     run_sweep,
 )
 from .channel import link_state
-from .geometry import TWO_PI, RisPanel
+from .geometry import TWO_PI
 from .quantization import ShiftMatrix
 from .scenario import ScenarioFileError, load_scenario
 
@@ -52,31 +52,6 @@ def write_shifts_csv(path: str, shifts: ShiftMatrix) -> None:
             for n in range(1, cols_n + 1):
                 index = int(shifts.level_indices[m - 1, n - 1])
                 writer.writerow([n, m, index, _fmt(math.degrees(shifts.levels[index]))])
-
-
-def read_shifts_csv(path: str, panel: RisPanel) -> ShiftMatrix:
-    """Reload a shifts CSV into a ShiftMatrix keyed by level indices.
-
-    Every cell of the panel must appear exactly once.
-    """
-    indices = np.zeros((panel.rows, panel.cols), dtype=np.intp)
-    seen = np.zeros((panel.rows, panel.cols), dtype=bool)
-    with open(path, newline="") as fh:
-        for record in csv.DictReader(fh):
-            n = int(record["n"])
-            m = int(record["m"])
-            if not (1 <= n <= panel.cols and 1 <= m <= panel.rows):
-                raise ScenarioFileError(
-                    f"{path}: cell n={n}, m={m} outside 1..{panel.cols} x 1..{panel.rows}"
-                )
-            if seen[m - 1, n - 1]:
-                raise ScenarioFileError(f"{path}: duplicate cell n={n}, m={m}")
-            seen[m - 1, n - 1] = True
-            indices[m - 1, n - 1] = int(record["level_index"])
-    if not seen.all():
-        m, n = np.argwhere(~seen)[0] + 1
-        raise ScenarioFileError(f"{path}: missing cell n={n}, m={m}")
-    return ShiftMatrix(level_indices=indices, levels=panel.levels)
 
 
 def write_sweep_csv(path: str, rows: Sequence[SweepRow], methods: Sequence[str]) -> None:
@@ -162,8 +137,8 @@ def _check_option(option: str, value: float, degrees: str | None = None) -> None
     """Refuse a non-finite value, or an angle outside the ``degrees`` interval."""
     if not math.isfinite(value):
         raise ScenarioFileError(f"{option} must be finite, got {value}")
-    inside = {"(-90, 90)": -90.0 < value < 90.0, "[0, 90)": 0.0 <= value < 90.0,
-              "[0, 90]": 0.0 <= value <= 90.0}
+    inside = {"(-90, 90)": -90.0 < value < 90.0, "[-90, 90]": -90.0 <= value <= 90.0,
+              "[0, 90)": 0.0 <= value < 90.0, "[0, 90]": 0.0 <= value <= 90.0}
     if degrees is not None and not inside[degrees]:
         raise ScenarioFileError(f"{option} must lie in {degrees} degrees, got {value:g}")
 
@@ -219,6 +194,8 @@ def _cmd_angle_scan(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
     methods, epsilon_deg, gamma_deg = _parse_methods(args.methods.split(","), args.command)
     _check_option("--target", args.target, "(-90, 90)")
+    _check_option("--start", args.start, "[-90, 90]")
+    _check_option("--stop", args.stop, "[-90, 90]")
     rows = angle_scan(
         scenario,
         args.start,
@@ -242,6 +219,11 @@ def _cmd_gradient_map(args: argparse.Namespace) -> int:
     _check_option("--theta-start", args.theta_start, "[0, 90]")
     _check_option("--theta-stop", args.theta_stop, "[0, 90]")
     theta_grid = grid_values(args.theta_start, args.theta_stop, args.theta_step, "--theta-step")
+    if theta_grid[-1] > 90.0:  # the colon range may overshoot --theta-stop by step/2
+        raise ScenarioFileError(
+            f"--theta-step {args.theta_step:g} puts the last theta point at "
+            f"{theta_grid[-1]:g}, past 90 degrees"
+        )
     phi_grid = grid_values(args.phi_start, args.phi_stop, args.phi_step, "--phi-step")
     power = gradient_map(
         scenario,
@@ -264,15 +246,12 @@ def _cmd_pl_fit(args: argparse.Namespace) -> int:
         raise ScenarioFileError(f"--num must be >= 3, got {args.num}")
     if args.num > GRID_GUARD_POINTS:
         raise ScenarioFileError(f"--num {args.num} exceeds the guard of {GRID_GUARD_POINTS}")
-    distance = args.variable in ("d1", "d2")
-    spacing = args.spacing
-    if spacing == "auto":
-        spacing = "log" if distance else "linear"
+    distance = args.variable in ("d1", "d2")  # log-spaced; angles are linear
     for option, value in (("--start", args.start), ("--stop", args.stop)):
         _check_option(option, value, None if distance else "[0, 90)")
-        if spacing == "log" and not value > 0.0:
+        if distance and not value > 0.0:
             raise ScenarioFileError(f"log spacing requires a positive {option}, got {value:g}")
-    if spacing == "log":
+    if distance:
         grid = np.logspace(math.log10(args.start), math.log10(args.stop), args.num)
     else:
         grid = np.linspace(args.start, args.stop, args.num)
@@ -352,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
     p.add_argument("--num", type=int, default=13)
-    p.add_argument("--spacing", choices=("auto", "linear", "log"), default="auto")
     p.add_argument("--method", default="dtpq")
     p.set_defaults(func=_cmd_pl_fit)
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LinkState, PhaseMatrix, link_state, power_dbm_from_xi
+from .channel import LinkState, link_state, power_dbm_from_xi
 from .geometry import TWO_PI, RisPanel
 from .scenario import Scenario
 
@@ -78,11 +78,11 @@ class QuantizationResult:
 
     ``threshold`` is None for the exhaustive oracle, where no single
     threshold applies, and for the continuous design, whose ``shifts`` are
-    the continuous PhaseMatrix (see analysis.design).
+    the continuous phase array (see analysis.design).
     """
 
     threshold: float | None
-    shifts: ShiftMatrix | PhaseMatrix
+    shifts: ShiftMatrix | np.ndarray
     xi: float
     received_power_dbm: float
     candidates_evaluated: int
@@ -111,29 +111,29 @@ def _bin_indices(phases: np.ndarray, gamma, bits: int) -> np.ndarray:
     return (k - k_g - (u < u_g)).astype(np.intp) % 2**bits
 
 
-def quantize_matrix(phases: PhaseMatrix, gamma: float, panel: RisPanel) -> ShiftMatrix:
-    """Quantize a continuous phase matrix at threshold gamma.
+def quantize_matrix(phases: np.ndarray, gamma: float, panel: RisPanel) -> ShiftMatrix:
+    """Quantize a continuous phase array at threshold gamma.
 
     Every phase maps to exactly one level: the one whose cyclic bin
-    [gamma + (p-1)*Omega, gamma + p*Omega) contains it.
+    [gamma + (p-1)*Omega, gamma + p*Omega) contains it.  Binning is cyclic,
+    so any finite phase lands where its reduction mod 2*pi does.
     """
     if not 0.0 <= gamma < TWO_PI:
         raise ValueError(f"threshold must lie in [0, 2*pi), got {gamma}")
-    indices = _bin_indices(phases.values, gamma, panel.bits)
+    indices = _bin_indices(np.asarray(phases, dtype=float), gamma, panel.bits)
     return ShiftMatrix(level_indices=indices, levels=panel.levels)
 
 
-def residual_spread(phases: PhaseMatrix, shifts: ShiftMatrix) -> float:
+def residual_spread(phases: np.ndarray, shifts: ShiftMatrix) -> float:
     """Width of the smallest circular arc containing all residual phases.
 
     Residuals are mod(phase - shift, 2*pi).  Returns 0 when all residuals
     coincide; the result always lies in [0, 2*pi).
     """
-    if phases.values.shape != shifts.shape:
-        raise ValueError(
-            f"phase shape {phases.values.shape} != shift shape {shifts.shape}"
-        )
-    residuals = np.sort(np.mod(phases.values - shifts.values, TWO_PI).ravel())
+    phases = np.asarray(phases, dtype=float)
+    if phases.shape != shifts.shape:
+        raise ValueError(f"phase shape {phases.shape} != shift shape {shifts.shape}")
+    residuals = np.sort(np.mod(phases - shifts.values, TWO_PI).ravel())
     if residuals.size == 1:
         return 0.0
     gaps = np.diff(residuals)
@@ -163,7 +163,7 @@ def _profile_xi(state: LinkState, gammas: np.ndarray) -> np.ndarray:
 def _at_threshold(state: LinkState, gamma: float, candidates: int) -> QuantizationResult:
     """Quantize at gamma; the shifts and xi are exact, in row-major order."""
     panel = state.scenario.panel
-    shifts = quantize_matrix(state.phase_matrix, gamma, panel)
+    shifts = quantize_matrix(state.phase, gamma, panel)
     xi = state.xi(shifts)
     return QuantizationResult(
         threshold=gamma,

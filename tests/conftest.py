@@ -65,10 +65,10 @@ def brute_force_search(state, gammas):
     panel = state.scenario.panel
     gammas = np.asarray(gammas, dtype=float)
     xis = np.array(
-        [state.xi(quantize_matrix(state.phase_matrix, float(g), panel)) for g in gammas]
+        [state.xi(quantize_matrix(state.phase, float(g), panel)) for g in gammas]
     )
     gamma = float(np.min(gammas[xis >= np.max(xis) * (1.0 - TIE_REL_TOL)]))
-    shifts = quantize_matrix(state.phase_matrix, gamma, panel)
+    shifts = quantize_matrix(state.phase, gamma, panel)
     return gamma, shifts.level_indices, state.xi(shifts)
 
 

@@ -314,7 +314,7 @@ def test_09_residual_spread_bound():
         bits = 1 + (i % 3)
         sc = random_scenario(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)), bits)
         state = link_state(sc)
-        spread = residual_spread(state.phase_matrix, dtpq(sc, state).shifts)
+        spread = residual_spread(state.phase, dtpq(sc, state).shifts)
         worst = max(worst, spread - sc.panel.omega)
     checks = [
         (worst <= 1e-9,

@@ -92,7 +92,7 @@ class TestRunSweep:
         assert len(rows) == 1
         assert rows[0].axis_value == 8.0
         state = link_state(sc.with_placement(d2=8.0))
-        direct = power_dbm_from_xi(sc.panel, sc.radio, state.xi(state.phase_matrix))
+        direct = power_dbm_from_xi(sc.panel, sc.radio, state.xi(state.phase))
         assert rows[0].power_dbm["continuous"] == pytest.approx(direct, rel=1e-12)
 
     def test_method_dominance_per_row(self):
@@ -180,7 +180,7 @@ class TestAngleScan:
         sc = ris_2p6ghz()
         rows = angle_scan(sc, 45.0, 45.0, 1.0, math.radians(45.0), ("continuous",))
         state = link_state(sc)
-        static = power_dbm_from_xi(sc.panel, sc.radio, state.xi(state.phase_matrix))
+        static = power_dbm_from_xi(sc.panel, sc.radio, state.xi(state.phase))
         assert rows[0].power_dbm["continuous"] == pytest.approx(static, abs=1e-9)
 
     def test_negative_angles_and_endpoints(self):

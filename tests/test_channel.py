@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from risbeam import (
-    PhaseMatrix,
     Placement,
     RadioConfig,
     RisPanel,
@@ -80,7 +79,7 @@ class TestFieldSuperposition:
 
     def test_continuous_shifts_attain_upper_bound(self):
         state = link_state(ris_2p6ghz())
-        assert state.xi(state.phase_matrix) == state.xi_upper_bound
+        assert state.xi(state.phase) == state.xi_upper_bound
 
     def test_destructive_pair_cancels(self):
         # two cells mirrored about the normal: equal amplitudes and phases
@@ -122,7 +121,7 @@ class TestReceivedPower:
     def test_tx_power_shifts_linearly(self):
         sc = ris_2p6ghz()
         state = link_state(sc)
-        xi = state.xi(state.phase_matrix)
+        xi = state.xi(state.phase)
         boosted = replace(sc.radio, tx_power_dbm=10.0)
         p0 = power_dbm_from_xi(sc.panel, sc.radio, xi)
         p10 = power_dbm_from_xi(sc.panel, boosted, xi)
@@ -137,7 +136,7 @@ class TestReceivedPower:
         # design reports
         sc = ris_2p6ghz()
         state = link_state(sc)
-        power = power_dbm_from_xi(sc.panel, sc.radio, state.xi(state.phase_matrix))
+        power = power_dbm_from_xi(sc.panel, sc.radio, state.xi(state.phase))
         assert power == design(state, "continuous").received_power_dbm
 
 
@@ -348,11 +347,3 @@ class TestModTwoPi:
         x = np.array(values)
         reduced = _mod_two_pi(x, out=np.empty_like(x), q=np.empty_like(x))
         assert reduced.tobytes() == np.mod(x, TWO_PI).tobytes()
-
-
-class TestPhaseMatrixType:
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="2\\*pi"):
-            PhaseMatrix(np.array([[0.0, TWO_PI]]))
-        with pytest.raises(ValueError, match="2\\*pi"):
-            PhaseMatrix(np.array([[-0.1]]))

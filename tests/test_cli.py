@@ -4,6 +4,8 @@ import csv
 import json
 import math
 import os
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,6 @@ import pytest
 import risbeam.cli as cli
 from risbeam.cli import (
     load_scenario,
-    read_shifts_csv,
     run,
     write_map_csv,
     write_shifts_csv,
@@ -151,22 +152,13 @@ class TestQuantizeCommand:
         result = dtpq(scenario)
         path = tmp_path / "shifts.csv"
         write_shifts_csv(str(path), result.shifts)
-        reloaded = read_shifts_csv(str(path), scenario.panel)
-        assert np.array_equal(reloaded.level_indices, result.shifts.level_indices)
-
-    @pytest.mark.parametrize("edit, message", [
-        (lambda lines: lines[:1] + ["0,0,1,235.0000"] + lines[2:], "n=0, m=0 outside"),
-        (lambda lines: lines + [lines[5]], "duplicate cell n=5, m=1"),
-        (lambda lines: lines[:-1], "missing cell n=16, m=32"),
-    ], ids=["out-of-range", "duplicate", "missing"])
-    def test_shifts_csv_rejects_bad_cell_set(self, ris1_path, tmp_path, edit, message):
-        scenario = load_scenario(ris1_path)
-        path = tmp_path / "shifts.csv"
-        write_shifts_csv(str(path), dtpq(scenario).shifts)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(edit(lines)) + "\n")
-        with pytest.raises(ValueError, match=message):
-            read_shifts_csv(str(path), scenario.panel)
+        with open(path, newline="") as fh:
+            records = list(csv.DictReader(fh))
+        reloaded = np.zeros(result.shifts.shape, dtype=np.intp)
+        for record in records:
+            reloaded[int(record["m"]) - 1, int(record["n"]) - 1] = int(record["level_index"])
+        assert len(records) == scenario.panel.num_cells
+        assert np.array_equal(reloaded, result.shifts.level_indices)
 
     def test_exhaustive_guard_exit_code(self, ris1_path, capsys):
         assert run(["quantize", "--scenario", ris1_path, "--method", "exhaustive"]) == 2
@@ -363,6 +355,10 @@ class TestOtherCommands:
           "--methods=dtpq"], "--target must lie in (-90, 90) degrees, got 90"),
         (["angle-scan", "--target=nan", "--start=0", "--stop=10", "--step=1",
           "--methods=dtpq"], "--target must be finite, got nan"),
+        (["angle-scan", "--target=45", "--start=80", "--stop=180", "--step=20",
+          "--methods=dtpq"], "--stop must lie in [-90, 90] degrees, got 180"),
+        (["angle-scan", "--target=45", "--start=-90.5", "--stop=0", "--step=1",
+          "--methods=dtpq"], "--start must lie in [-90, 90] degrees, got -90.5"),
         (["gradient-map", "--target-theta=95", "--target-phi=0"],
          "--target-theta must lie in [0, 90) degrees, got 95"),
         (["gradient-map", "--target-theta=45", "--target-phi=inf"],
@@ -371,15 +367,38 @@ class TestOtherCommands:
          "--theta-start must lie in [0, 90] degrees, got -5"),
         (["gradient-map", "--target-theta=45", "--target-phi=0", "--theta-stop=120"],
          "--theta-stop must lie in [0, 90] degrees, got 120"),
+        (["gradient-map", "--target-theta=45", "--target-phi=0", "--theta-step=7"],
+         "--theta-step 7 puts the last theta point at 91, past 90 degrees"),
         (["pl-fit", "--variable=cos_theta_r", "--start=20", "--stop=90"],
          "--stop must lie in [0, 90) degrees, got 90"),
         (["pl-fit", "--variable=cos_theta_t", "--start=-10", "--stop=60"],
          "--start must lie in [0, 90) degrees, got -10"),
-    ], ids=["scan-target-90", "scan-target-nan", "map-theta-95", "map-phi-inf",
-            "map-theta-start-negative", "map-theta-stop-120", "fit-stop-90",
-            "fit-start-negative"])
+    ], ids=["scan-target-90", "scan-target-nan", "scan-stop-180", "scan-start-below-90",
+            "map-theta-95", "map-phi-inf", "map-theta-start-negative", "map-theta-stop-120",
+            "map-theta-step-overshoot", "fit-stop-90", "fit-start-negative"])
     def test_angle_options_named_in_degrees(self, small_path, capsys, args, message):
         assert run([args[0], "--scenario", small_path, *args[1:]]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+
+def readme_commands():
+    """The ``risbeam ...`` lines of the README's command-line block, as argv lists."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("risbeam ")]
+
+
+def test_readme_shows_every_subcommand():
+    assert {argv[0] for argv in readme_commands()} == {
+        "validate", "quantize", "sweep", "angle-scan", "gradient-map", "pl-fit"}
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+def test_readme_command_runs(argv, tmp_path, monkeypatch, capsys):
+    # every option the README shows must still parse and run on the bundled scenarios
+    shutil.copytree(SCENARIO_DIR, tmp_path / "scenarios")
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 0, capsys.readouterr().err

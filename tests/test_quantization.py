@@ -8,12 +8,11 @@ import time
 import numpy as np
 import pytest
 from conftest import brute_force_search, random_scenario, uniform_levels
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from risbeam import (
     LinkState,
-    PhaseMatrix,
     Placement,
     RisPanel,
     ShiftMatrix,
@@ -43,14 +42,14 @@ def one_bit_panel(levels=(0.0, math.pi)):
 class TestQuantizeMatrix:
     def test_one_bit_zero_threshold(self):
         panel = one_bit_panel()
-        phases = PhaseMatrix(np.array([[0.1, 3.2]]))
+        phases = np.array([[0.1, 3.2]])
         shifts = quantize_matrix(phases, 0.0, panel)
         assert shifts.values[0, 0] == 0.0
         assert shifts.values[0, 1] == math.pi
 
     def test_one_bit_wrapping_threshold(self):
         panel = one_bit_panel()
-        phases = PhaseMatrix(np.array([[0.1, 0.1]]))
+        phases = np.array([[0.1, 0.1]])
         shifts = quantize_matrix(phases, 3 * math.pi / 2, panel)
         # 0.1 rad sits in [3*pi/2, 3*pi/2 + pi) after wrapping upward
         assert shifts.values[0, 0] == 0.0
@@ -58,14 +57,14 @@ class TestQuantizeMatrix:
     def test_two_bit_binning(self):
         panel = RisPanel(rows=1, cols=1, d_x=0.1, d_y=0.1, bits=2,
                          levels=tuple(math.radians(v) for v in (0, 90, 180, 270)))
-        phases = PhaseMatrix(np.array([[math.radians(135)]]))
+        phases = np.array([[math.radians(135)]])
         shifts = quantize_matrix(phases, math.radians(45), panel)
         assert shifts.values[0, 0] == pytest.approx(math.radians(90), rel=1e-12)
 
     def test_phase_equal_to_threshold_maps_to_first_bin(self):
         panel = one_bit_panel(levels=(math.radians(55), math.radians(235)))
         gamma = 1.234
-        phases = PhaseMatrix(np.array([[gamma, gamma]]))
+        phases = np.array([[gamma, gamma]])
         shifts = quantize_matrix(phases, gamma, panel)
         assert np.all(shifts.level_indices == 0)
 
@@ -73,7 +72,7 @@ class TestQuantizeMatrix:
         rng = np.random.default_rng(3)
         panel = RisPanel(rows=5, cols=7, d_x=0.1, d_y=0.1, bits=3,
                          levels=uniform_levels(3, 0.3))
-        phases = PhaseMatrix(rng.uniform(0.0, TWO_PI, size=(5, 7)))
+        phases = rng.uniform(0.0, TWO_PI, size=(5, 7))
         for gamma in rng.uniform(0.0, TWO_PI, size=10):
             shifts = quantize_matrix(phases, gamma, panel)
             assert shifts.level_indices.min() >= 0
@@ -81,40 +80,60 @@ class TestQuantizeMatrix:
 
     def test_rejects_out_of_range_threshold(self):
         with pytest.raises(ValueError, match="threshold"):
-            quantize_matrix(PhaseMatrix(np.zeros((1, 2))), TWO_PI, one_bit_panel())
+            quantize_matrix(np.zeros((1, 2)), TWO_PI, one_bit_panel())
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        st.integers(1, 3),
+        st.floats(0.0, TWO_PI, exclude_max=True),
+        st.lists(st.floats(-2 * TWO_PI, 2 * TWO_PI, exclude_max=True), min_size=1, max_size=64),
+    )
+    def test_any_finite_phase_bins_as_its_reduction(self, bits, gamma, values):
+        # binning is cyclic, so phases outside [0, 2*pi) need no range check;
+        # cells within 1e-9 rad of a bin edge gamma + p*Omega are left out,
+        # where the reduction itself may round across the edge
+        omega = TWO_PI / 2**bits
+        offset = np.mod(np.array(values) - gamma, omega)
+        phases = np.array(values)[np.minimum(offset, omega - offset) > 1e-9]
+        assume(phases.size > 0)
+        panel = RisPanel(rows=1, cols=phases.size, d_x=0.1, d_y=0.1, bits=bits,
+                         levels=uniform_levels(bits, 0.3))
+        shifts = quantize_matrix(phases.reshape(1, -1), gamma, panel)
+        reduced = quantize_matrix(np.mod(phases, TWO_PI).reshape(1, -1), gamma, panel)
+        assert np.array_equal(shifts.level_indices, reduced.level_indices)
 
 
 class TestResidualSpread:
     def test_zero_when_shifts_equal_phases(self):
         panel = one_bit_panel()
-        phases = PhaseMatrix(np.array([[0.0, math.pi]]))
+        phases = np.array([[0.0, math.pi]])
         shifts = quantize_matrix(phases, 0.0, panel)
-        assert np.all(shifts.values == phases.values)
+        assert np.all(shifts.values == phases)
         assert residual_spread(phases, shifts) == 0.0
 
     def test_two_point_arc(self):
         panel = one_bit_panel()
         omega = panel.omega
-        phases = PhaseMatrix(np.array([[0.0, omega / 2]]))
+        phases = np.array([[0.0, omega / 2]])
         shifts = ShiftMatrix(level_indices=np.array([[0, 0]]), levels=panel.levels)
         assert residual_spread(phases, shifts) == pytest.approx(omega / 2, rel=1e-12)
 
     def test_single_cell(self):
         panel = RisPanel(rows=1, cols=1, d_x=0.1, d_y=0.1, bits=1, levels=(0.0, math.pi))
-        phases = PhaseMatrix(np.array([[2.5]]))
+        phases = np.array([[2.5]])
         shifts = quantize_matrix(phases, 0.0, panel)
         assert residual_spread(phases, shifts) == 0.0
 
     def test_wraparound_cluster(self):
         # residuals straddling 0 form a small arc, not a nearly-full circle
         panel = one_bit_panel()
-        phases = PhaseMatrix(np.array([[TWO_PI - 0.1, 0.1]]))
+        phases = np.array([[TWO_PI - 0.1, 0.1]])
         shifts = ShiftMatrix(level_indices=np.array([[0, 0]]), levels=panel.levels)
         assert residual_spread(phases, shifts) == pytest.approx(0.2, rel=1e-9)
 
     def test_dimension_mismatch(self):
         panel = one_bit_panel()
-        phases = PhaseMatrix(np.zeros((1, 3)))
+        phases = np.zeros((1, 3))
         shifts = ShiftMatrix(level_indices=np.zeros((1, 2), dtype=int), levels=panel.levels)
         with pytest.raises(ValueError, match="shape"):
             residual_spread(phases, shifts)
@@ -126,7 +145,7 @@ class TestResidualSpread:
             sc = random_scenario(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)), bits)
             state = link_state(sc)
             result = dtpq(sc, state)
-            spread = residual_spread(state.phase_matrix, result.shifts)
+            spread = residual_spread(state.phase, result.shifts)
             assert spread <= sc.panel.omega + 1e-9
 
 
@@ -149,7 +168,7 @@ class TestDtpq:
         state = link_state(sc)
         best = dtpq(sc, state)
         for gamma in rng.uniform(0.0, TWO_PI, size=200):
-            shifts = quantize_matrix(state.phase_matrix, gamma, sc.panel)
+            shifts = quantize_matrix(state.phase, gamma, sc.panel)
             assert state.xi(shifts) <= best.xi * (1 + 1e-12)
 
     def test_far_field_threshold_insensitivity(self):
@@ -458,7 +477,7 @@ class TestThresholdProfile:
             gammas = rng.uniform(0.0, TWO_PI - omega, 50)
             profile = _profile_xi(state, gammas)
             assert np.array_equal(_profile_xi(state, gammas + omega), profile)
-            exact = [state.xi(quantize_matrix(state.phase_matrix, g, sc.panel)) for g in gammas]
+            exact = [state.xi(quantize_matrix(state.phase, g, sc.panel)) for g in gammas]
             np.testing.assert_allclose(profile, exact, rtol=1e-12)
 
 
