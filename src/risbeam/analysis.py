@@ -25,6 +25,9 @@ from .quantization import QuantizationResult, dtpq, eipq, exhaustive_search, fix
 from .scenario import Scenario
 
 SWEEP_AXES = ("rx_distance", "tx_distance", "theta_r", "threshold")
+# A method token is a name, then ":<degrees>" on the two methods with a
+# parameter: the eipq grid step and the fixed threshold.  Sweeps, scans,
+# maps and fits take METHODS; the exhaustive oracle is open to design().
 METHODS = ("continuous", "dtpq", "eipq", "fixed")
 
 DEFAULT_EPSILON_DEG = 5.0
@@ -35,11 +38,11 @@ GRID_GUARD_POINTS = 1 << 20
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep axis plus the methods to evaluate on it.
+    """One sweep axis plus the method tokens to evaluate on it.
 
     start/stop/step are meters for distance axes and degrees for angle
-    and threshold axes.  ``epsilon_deg`` parameterizes the eipq method,
-    ``gamma_deg`` the fixed method (None selects the panel's last level).
+    and threshold axes.  The threshold axis takes the fixed method alone
+    and supplies its threshold from the grid.
     """
 
     axis: str
@@ -47,24 +50,12 @@ class SweepSpec:
     stop: float
     step: float
     methods: tuple[str, ...]
-    epsilon_deg: float = DEFAULT_EPSILON_DEG
-    gamma_deg: float | None = None
 
     def __post_init__(self) -> None:
         if self.axis not in SWEEP_AXES:
             raise ValueError(f"axis must be one of {SWEEP_AXES}, got {self.axis!r}")
-        if not self.methods:
-            raise ValueError("methods must be non-empty")
-        for m in self.methods:
-            if m not in METHODS:
-                raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
-        if len(set(self.methods)) != len(self.methods):
-            raise ValueError(f"duplicate methods in {self.methods}")
-        if self.step <= 0.0:
-            raise ValueError(f"step must be positive, got {self.step}")
-        if self.stop < self.start:
-            raise ValueError(f"stop {self.stop} must not precede start {self.start}")
-        if self.axis == "threshold" and self.methods != ("fixed",):
+        names = list(check_methods(self.methods))
+        if self.axis == "threshold" and names != ["fixed"]:
             raise ValueError("a threshold sweep exercises exactly the fixed method")
 
 
@@ -112,12 +103,14 @@ def grid_values(start: float, stop: float, step: float, option: str = "--step") 
     """Colon-range grid: start, start+step, ... up to stop within step/2.
 
     Grids of more than GRID_GUARD_POINTS points are refused before any
-    array is allocated; the message names the step as ``option``.
+    array is allocated.  Messages name the step as ``option`` and the
+    bounds by its prefix: "--theta-step" goes with "--theta-start".
     """
+    prefix = option.removesuffix("step")
     if not step > 0.0:
-        raise ValueError(f"step must be positive, got {step}")
+        raise ValueError(f"{option} must be positive, got {step:g}")
     if stop < start:
-        raise ValueError(f"stop {stop} must not precede start {start}")
+        raise ValueError(f"{prefix}stop {stop:g} must not precede {prefix}start {start:g}")
     steps = (stop - start) / step + 0.5
     if not steps < GRID_GUARD_POINTS:  # also refuses an infinite or NaN span
         count = math.floor(steps) + 1 if math.isfinite(steps) else steps
@@ -128,35 +121,62 @@ def grid_values(start: float, stop: float, step: float, option: str = "--step") 
     return start + step * np.arange(math.floor(steps) + 1)
 
 
-def design(
-    state: LinkState,
-    method: str,
-    epsilon_deg: float = DEFAULT_EPSILON_DEG,
-    gamma_deg: float | None = None,
-) -> QuantizationResult:
-    """Shifts designed by one method on the given link: the table of methods.
+def _split_method(token: str, allowed: Sequence[str]) -> tuple[str, float | None]:
+    """The name of a method token and its parameter in degrees (None when bare)."""
+    name, colon, param = token.strip().partition(":")
+    if name not in allowed:
+        raise ValueError(f"unknown method {name!r}; expected one of {', '.join(allowed)}")
+    if not colon:
+        return name, None
+    if name not in ("eipq", "fixed"):
+        raise ValueError(f"method {name!r} takes no parameter, got {token!r}")
+    try:
+        return name, float(param)
+    except ValueError:
+        raise ValueError(f"bad parameter in method token {token!r}") from None
 
-    ``epsilon_deg`` is the eipq grid step and ``gamma_deg`` the fixed
-    threshold (None selects the panel's last level).  The continuous design
-    carries the link's phases ``state.phase`` as its shifts and, like the
-    exhaustive oracle, no threshold.  The searches are looked up as module
-    globals at call time.
+
+def check_methods(tokens: Sequence[str], allowed: Sequence[str] = METHODS) -> dict[str, str]:
+    """Each method token keyed by its name, in order.
+
+    Refuses an empty list, a name outside ``allowed``, a parameter that is
+    not a number or sits on a method that takes none, and a repeated name.
     """
+    if not tokens:
+        raise ValueError("methods must be non-empty")
+    table: dict[str, str] = {}
+    for token in tokens:
+        name = _split_method(token, allowed)[0]
+        if name in table:
+            raise ValueError(f"duplicate method {name!r} in {','.join(tokens)}")
+        table[name] = token
+    return table
+
+
+def design(state: LinkState, method: str) -> QuantizationResult:
+    """Shifts designed by one method token on the given link: the table of methods.
+
+    The tokens are continuous, dtpq, exhaustive, eipq[:step_deg] (bare:
+    DEFAULT_EPSILON_DEG) and fixed[:threshold_deg] (bare: the panel's last
+    level).  The continuous design carries the link's phases
+    ``state.phase`` as its shifts and, like the exhaustive oracle, no
+    threshold.  The searches are looked up as module globals at call time.
+    """
+    name, degrees = _split_method(method, METHODS + ("exhaustive",))
     scenario = state.scenario
-    if method == "continuous":
+    if name == "continuous":
         xi = state.xi_upper_bound
         power = power_dbm_from_xi(scenario.panel, scenario.radio, xi)
         return QuantizationResult(None, state.phase, xi, power, 0)
-    if method == "dtpq":
+    if name == "dtpq":
         return dtpq(scenario, state)
-    if method == "eipq":
-        return eipq(scenario, math.radians(epsilon_deg), state)
-    if method == "fixed":
-        gamma = scenario.panel.levels[-1] if gamma_deg is None else math.radians(gamma_deg)
+    if name == "eipq":
+        epsilon = math.radians(DEFAULT_EPSILON_DEG if degrees is None else degrees)
+        return eipq(scenario, epsilon, state)
+    if name == "fixed":
+        gamma = scenario.panel.levels[-1] if degrees is None else math.radians(degrees)
         return fixed_threshold(scenario, gamma % TWO_PI, state)
-    if method == "exhaustive":
-        return exhaustive_search(scenario, state)
-    raise ValueError(f"unknown method {method!r}")
+    return exhaustive_search(scenario, state)
 
 
 def run_sweep(scenario: Scenario, spec: SweepSpec) -> list[SweepRow]:
@@ -164,26 +184,26 @@ def run_sweep(scenario: Scenario, spec: SweepSpec) -> list[SweepRow]:
 
     Distance and angle axes rebuild the link (and redesign every method)
     at each point; the threshold axis reuses one link and quantizes at
-    each grid threshold with the fixed method.
+    each grid threshold with the fixed method.  Rows key methods by name.
     """
     values = grid_values(spec.start, spec.stop, spec.step)
 
-    def row(state: LinkState, value: float, gamma_deg: float | None) -> SweepRow:
+    def row(state: LinkState, value: float, methods: dict[str, str]) -> SweepRow:
         powers: dict[str, float] = {}
         thresholds: dict[str, float] = {}
-        for method in spec.methods:
-            result = design(state, method, spec.epsilon_deg, gamma_deg)
-            powers[method] = result.received_power_dbm
+        for name, token in methods.items():
+            result = design(state, token)
+            powers[name] = result.received_power_dbm
             if result.threshold is not None:
-                thresholds[method] = math.degrees(result.threshold)
+                thresholds[name] = math.degrees(result.threshold)
         return SweepRow(axis_value=float(value), power_dbm=powers, threshold_deg=thresholds)
 
     if spec.axis == "threshold":
         state = link_state(scenario)
-        return [row(state, value, value) for value in values]
+        return [row(state, value, {"fixed": f"fixed:{float(value)!r}"}) for value in values]
+    methods = check_methods(spec.methods)
     return [
-        row(link_state(_placed(scenario, spec.axis, value)), value, spec.gamma_deg)
-        for value in values
+        row(link_state(_placed(scenario, spec.axis, value)), value, methods) for value in values
     ]
 
 
@@ -203,8 +223,6 @@ def angle_scan(
     step_deg: float,
     design_target: float,
     methods: Sequence[str],
-    epsilon_deg: float = DEFAULT_EPSILON_DEG,
-    gamma_deg: float | None = None,
 ) -> list[SweepRow]:
     """Design shifts once at the target departure elevation, then move Rx.
 
@@ -213,9 +231,7 @@ def angle_scan(
     """
     if not -math.pi / 2 < design_target < math.pi / 2:
         raise ValueError(f"design target must lie in (-pi/2, pi/2), got {design_target}")
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
+    table = check_methods(methods)
 
     phi_r = scenario.placement.phi_r
     theta, phi = _signed_direction(design_target, phi_r)
@@ -227,19 +243,19 @@ def angle_scan(
 
     per_method: dict[str, np.ndarray] = {}
     thresholds: dict[str, float] = {}
-    for method in methods:
-        result = design(state, method, epsilon_deg, gamma_deg)
+    for name, token in table.items():
+        result = design(state, token)
         xi = field_at_rx_points(target, result.shifts, points)
-        per_method[method] = power_dbm_from_xi(scenario.panel, scenario.radio, xi)
+        per_method[name] = power_dbm_from_xi(scenario.panel, scenario.radio, xi)
         if result.threshold is not None:
-            thresholds[method] = math.degrees(result.threshold)
+            thresholds[name] = math.degrees(result.threshold)
 
     rows = []
     for i, value in enumerate(values):
         rows.append(
             SweepRow(
                 axis_value=float(value),
-                power_dbm={m: float(per_method[m][i]) for m in methods},
+                power_dbm={m: float(per_method[m][i]) for m in table},
                 threshold_deg=dict(thresholds),
             )
         )
@@ -252,8 +268,6 @@ def gradient_map(
     theta_grid_deg: Sequence[float],
     phi_grid_deg: Sequence[float],
     method: str,
-    epsilon_deg: float = DEFAULT_EPSILON_DEG,
-    gamma_deg: float | None = None,
 ) -> np.ndarray:
     """Received power (dBm) over a (theta_r, phi_r) grid with frozen shifts.
 
@@ -272,11 +286,10 @@ def gradient_map(
         )
     if np.any(theta_grid < 0.0) or np.any(theta_grid > 90.0):
         raise ValueError("theta grid must lie within [0, 90] degrees")
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    check_methods([method])
 
     target = scenario.with_placement(theta_r=design_target[0], phi_r=design_target[1])
-    shifts = design(link_state(target), method, epsilon_deg, gamma_deg).shifts
+    shifts = design(link_state(target), method).shifts
 
     tt, pp = np.meshgrid(np.radians(theta_grid), np.radians(phi_grid) % TWO_PI, indexing="ij")
     points = antenna_points(scenario.placement.d2, tt.ravel(), pp.ravel())
@@ -290,8 +303,6 @@ def path_loss_samples(
     variable: str,
     sample_grid: Sequence[float],
     method: str,
-    epsilon_deg: float = DEFAULT_EPSILON_DEG,
-    gamma_deg: float | None = None,
 ) -> np.ndarray:
     """Path loss (dB) per sample, with shifts redesigned at every sample.
 
@@ -300,12 +311,11 @@ def path_loss_samples(
     """
     if variable not in FIT_VARIABLES:
         raise ValueError(f"variable must be one of {FIT_VARIABLES}, got {variable!r}")
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    check_methods([method])
 
     def designed_power(value: float) -> float:
         state = link_state(_placed(scenario, variable, value))
-        return design(state, method, epsilon_deg, gamma_deg).received_power_dbm
+        return design(state, method).received_power_dbm
 
     return np.array([scenario.radio.tx_power_dbm - designed_power(v) for v in sample_grid])
 
@@ -315,8 +325,6 @@ def pl_slope_fit(
     variable: str,
     sample_grid: Sequence[float],
     method: str,
-    epsilon_deg: float = DEFAULT_EPSILON_DEG,
-    gamma_deg: float | None = None,
 ) -> SlopeFit:
     """Ordinary least squares of PL (dB) against 10*log10(variable).
 
@@ -336,7 +344,7 @@ def pl_slope_fit(
     x = 10.0 * np.log10(var)
     if np.ptp(x) == 0.0:
         raise ValueError("singular design matrix: variable is constant over the grid")
-    y = path_loss_samples(scenario, variable, grid, method, epsilon_deg, gamma_deg)
+    y = path_loss_samples(scenario, variable, grid, method)
 
     slope, intercept = np.polyfit(x, y, 1)
     residuals = y - (slope * x + intercept)

@@ -16,13 +16,12 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import (
-    DEFAULT_EPSILON_DEG,
     GRID_GUARD_POINTS,
-    METHODS,
     SWEEP_AXES,
     SweepRow,
     SweepSpec,
     angle_scan,
+    check_methods,
     design,
     gradient_map,
     grid_values,
@@ -54,11 +53,13 @@ def write_shifts_csv(path: str, shifts: ShiftMatrix) -> None:
                 writer.writerow([n, m, index, _fmt(math.degrees(shifts.levels[index]))])
 
 
-def write_sweep_csv(path: str, rows: Sequence[SweepRow], methods: Sequence[str]) -> None:
+def write_sweep_csv(path: str, rows: Sequence[SweepRow]) -> None:
     """Header axis_value,<method>_dbm[,<method>_threshold_deg]... in method order.
 
-    A threshold column follows each method whose rows report a threshold.
+    The methods are the first row's, whose power keys keep method order; a
+    threshold column follows each method whose rows report a threshold.
     """
+    methods = list(rows[0].power_dbm) if rows else []
     thresholded = set(rows[0].threshold_deg) if rows else set()
     header = ["axis_value"]
     for method in methods:
@@ -93,43 +94,6 @@ def write_map_csv(
 
 
 # ---------------------------------------------------------------------------
-# Method tokens: "dtpq", "eipq:5", "fixed:235", "continuous", "exhaustive"
-
-
-def _parse_methods(
-    tokens: Sequence[str], command: str
-) -> tuple[tuple[str, ...], float, float | None]:
-    """Method names of the tokens, plus the eipq step and fixed threshold (deg).
-
-    The last eipq/fixed parameter wins; fixed without one selects the
-    panel's last level (None).  'exhaustive' is only available to quantize,
-    which also refuses 'continuous'.
-    """
-    names = []
-    epsilon_deg = DEFAULT_EPSILON_DEG
-    gamma_deg: float | None = None
-    for token in tokens:
-        name, _, param = token.strip().partition(":")
-        if name not in METHODS and name != "exhaustive":
-            raise ScenarioFileError(f"unknown method '{name}'")
-        if name == "exhaustive" and command != "quantize":
-            raise ScenarioFileError("method 'exhaustive' is only available to quantize")
-        if name == "continuous" and command == "quantize":
-            raise ScenarioFileError("quantize requires a discrete method (not 'continuous')")
-        if param:
-            try:
-                value = float(param)
-            except ValueError as exc:
-                raise ScenarioFileError(f"bad parameter in method token '{token}'") from exc
-            if name == "eipq":
-                epsilon_deg = value
-            elif name == "fixed":
-                gamma_deg = value
-        names.append(name)
-    return tuple(names), epsilon_deg, gamma_deg
-
-
-# ---------------------------------------------------------------------------
 # Option checks: angles stay in degrees, so the diagnostic names the option
 
 
@@ -159,8 +123,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_quantize(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    (name,), epsilon_deg, gamma_deg = _parse_methods([args.method], args.command)
-    result = design(link_state(scenario), name, epsilon_deg, gamma_deg)
+    check_methods([args.method], ("dtpq", "eipq", "fixed", "exhaustive"))
+    result = design(link_state(scenario), args.method)
 
     threshold = "n/a" if result.threshold is None else _fmt(math.degrees(result.threshold))
     print(f"threshold_deg={threshold}")
@@ -174,25 +138,15 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    methods, epsilon_deg, gamma_deg = _parse_methods(args.methods.split(","), args.command)
-    spec = SweepSpec(
-        axis=args.axis,
-        start=args.start,
-        stop=args.stop,
-        step=args.step,
-        methods=methods,
-        epsilon_deg=epsilon_deg,
-        gamma_deg=gamma_deg,
-    )
+    spec = SweepSpec(args.axis, args.start, args.stop, args.step, tuple(args.methods.split(",")))
     rows = run_sweep(scenario, spec)
-    write_sweep_csv(args.out, rows, methods)
+    write_sweep_csv(args.out, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
 
 def _cmd_angle_scan(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    methods, epsilon_deg, gamma_deg = _parse_methods(args.methods.split(","), args.command)
     _check_option("--target", args.target, "(-90, 90)")
     _check_option("--start", args.start, "[-90, 90]")
     _check_option("--stop", args.stop, "[-90, 90]")
@@ -202,18 +156,15 @@ def _cmd_angle_scan(args: argparse.Namespace) -> int:
         args.stop,
         args.step,
         math.radians(args.target),
-        methods,
-        epsilon_deg=epsilon_deg,
-        gamma_deg=gamma_deg,
+        args.methods.split(","),
     )
-    write_sweep_csv(args.out, rows, methods)
+    write_sweep_csv(args.out, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
 
 def _cmd_gradient_map(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    (name,), epsilon_deg, gamma_deg = _parse_methods([args.method], args.command)
     _check_option("--target-theta", args.target_theta, "[0, 90)")
     _check_option("--target-phi", args.target_phi)
     _check_option("--theta-start", args.theta_start, "[0, 90]")
@@ -230,9 +181,7 @@ def _cmd_gradient_map(args: argparse.Namespace) -> int:
         (math.radians(args.target_theta), math.radians(args.target_phi) % TWO_PI),
         theta_grid,
         phi_grid,
-        name,
-        epsilon_deg=epsilon_deg,
-        gamma_deg=gamma_deg,
+        args.method,
     )
     write_map_csv(args.out, theta_grid, phi_grid, power)
     print(f"wrote {args.out} ({power.size} points)")
@@ -241,7 +190,6 @@ def _cmd_gradient_map(args: argparse.Namespace) -> int:
 
 def _cmd_pl_fit(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    (name,), epsilon_deg, gamma_deg = _parse_methods([args.method], args.command)
     if args.num < 3:
         raise ScenarioFileError(f"--num must be >= 3, got {args.num}")
     if args.num > GRID_GUARD_POINTS:
@@ -255,7 +203,7 @@ def _cmd_pl_fit(args: argparse.Namespace) -> int:
         grid = np.logspace(math.log10(args.start), math.log10(args.stop), args.num)
     else:
         grid = np.linspace(args.start, args.stop, args.num)
-    fit = pl_slope_fit(scenario, f"log10_{args.variable}", grid, name, epsilon_deg, gamma_deg)
+    fit = pl_slope_fit(scenario, f"log10_{args.variable}", grid, args.method)
     print(f"variable={fit.variable}")
     print(f"slope={fit.slope:.4f}")
     print(f"intercept_db={fit.intercept:.4f}")
@@ -282,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method",
         required=True,
-        help="dtpq | eipq[:epsilon_deg] | fixed[:gamma_deg] | exhaustive",
+        help="dtpq | eipq[:step_deg] | fixed[:threshold_deg] | exhaustive",
     )
     p.add_argument("--out", default="shifts.csv", help="shifts CSV path")
     p.set_defaults(func=_cmd_quantize)
@@ -296,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--methods",
         required=True,
-        help="comma list: continuous,dtpq,eipq[:epsilon_deg],fixed[:gamma_deg]",
+        help="comma list: continuous,dtpq,eipq[:step_deg],fixed[:threshold_deg]",
     )
     p.add_argument("--out", default="sweep.csv")
     p.set_defaults(func=_cmd_sweep)

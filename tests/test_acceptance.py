@@ -119,8 +119,7 @@ def report(num: int, name: str, checks: list[tuple[bool, str]]) -> None:
 def one_bit_distance_sweep():
     scenario = ris_2p6ghz()
     spec = SweepSpec(axis="rx_distance", start=5.0, stop=10.0, step=0.1,
-                     methods=("continuous", "dtpq", "eipq", "fixed"),
-                     epsilon_deg=5.0, gamma_deg=235.0)
+                     methods=("continuous", "dtpq", "eipq:5", "fixed:235"))
     t0 = time.perf_counter()
     rows = run_sweep(scenario, spec)
     return rows, time.perf_counter() - t0
@@ -130,7 +129,7 @@ def one_bit_distance_sweep():
 def two_bit_distance_sweep():
     scenario = ris_4p9ghz()
     spec = SweepSpec(axis="rx_distance", start=50.0, stop=55.0, step=0.1,
-                     methods=("continuous", "dtpq", "fixed"), gamma_deg=270.0)
+                     methods=("continuous", "dtpq", "fixed:270"))
     t0 = time.perf_counter()
     rows = run_sweep(scenario, spec)
     return rows, time.perf_counter() - t0
@@ -192,7 +191,7 @@ def test_03_angle_scan_gap():
     scenario = ris_2p6ghz(d2_m=10.0)
     t0 = time.perf_counter()
     rows = angle_scan(scenario, -90.0, 90.0, 1.0, math.radians(45.0),
-                      ("continuous", "dtpq", "fixed"), gamma_deg=235.0)
+                      ("continuous", "dtpq", "fixed:235"))
     elapsed = time.perf_counter() - t0
     ref = {k: float(v[0]) for k, v in reference_bounds(scenario, [10.0], 235.0).items()}
     at45 = next(r for r in rows if r.axis_value == 45.0)

@@ -13,7 +13,9 @@ import risbeam.analysis as analysis
 from risbeam import (
     SweepSpec,
     angle_scan,
+    eipq,
     field_at_rx_points,
+    fixed_threshold,
     gradient_map,
     grid_values,
     link_state,
@@ -83,6 +85,40 @@ class TestSweepSpec:
             SweepSpec(axis="rx_distance", start=5, stop=10, step=1, methods=())
 
 
+class TestDesign:
+    def test_token_parameters_reach_the_searches(self):
+        # a token's parameter is the search's argument in degrees; bare eipq
+        # takes the default step and bare fixed the panel's last level
+        sc = ris_4p9ghz()
+        state = link_state(sc)
+        cases = [
+            ("eipq:3", eipq(sc, math.radians(3.0), state)),
+            ("eipq", eipq(sc, math.radians(analysis.DEFAULT_EPSILON_DEG), state)),
+            ("fixed:100", fixed_threshold(sc, math.radians(100.0) % (2.0 * math.pi), state)),
+            ("fixed", fixed_threshold(sc, sc.panel.levels[-1], state)),
+        ]
+        for token, expected in cases:
+            result = design(state, token)
+            assert result.threshold == expected.threshold
+            assert result.xi == expected.xi
+            assert result.received_power_dbm == expected.received_power_dbm
+            assert result.candidates_evaluated == expected.candidates_evaluated
+            assert result.shifts.levels == expected.shifts.levels
+            np.testing.assert_array_equal(result.shifts.level_indices,
+                                          expected.shifts.level_indices)
+        assert design(state, "fixed").threshold == sc.panel.levels[-1]
+
+    @pytest.mark.parametrize("token, message", [
+        ("best", "unknown method 'best'"),
+        ("dtpq:7", "method 'dtpq' takes no parameter, got 'dtpq:7'"),
+        ("eipq:x", "bad parameter in method token 'eipq:x'"),
+        ("fixed:", "bad parameter in method token 'fixed:'"),
+    ])
+    def test_refuses_bad_tokens(self, token, message):
+        with pytest.raises(ValueError, match=message):
+            design(link_state(ris_2p6ghz()), token)
+
+
 class TestRunSweep:
     def test_single_point_sweep(self):
         sc = ris_2p6ghz()
@@ -98,8 +134,7 @@ class TestRunSweep:
     def test_method_dominance_per_row(self):
         sc = ris_2p6ghz()
         spec = SweepSpec(axis="rx_distance", start=5.0, stop=7.0, step=0.5,
-                         methods=("continuous", "dtpq", "eipq", "fixed"),
-                         epsilon_deg=5.0, gamma_deg=235.0)
+                         methods=("continuous", "dtpq", "eipq:5", "fixed:235"))
         for row in run_sweep(sc, spec):
             p = row.power_dbm
             assert p["continuous"] >= p["dtpq"] - 1e-9
@@ -135,15 +170,16 @@ class TestRunSweep:
         # each row is the method table applied to the link with the one
         # placement field the axis names moved to the grid value
         sc = ris_4p9ghz()
-        methods = ("continuous", "dtpq", "eipq", "fixed")
+        tokens = {"continuous": "continuous", "dtpq": "dtpq", "eipq": "eipq:3",
+                  "fixed": "fixed:100"}
         spec = SweepSpec(axis=axis, start=grid[0], stop=grid[-1], step=grid[1] - grid[0],
-                         methods=methods, epsilon_deg=3.0, gamma_deg=100.0)
+                         methods=tuple(tokens.values()))
         rows = run_sweep(sc, spec)
         assert [row.axis_value for row in rows] == list(grid)
         for row, value in zip(rows, grid):
             state = link_state(sc.with_placement(**{field: to_field(value)}))
-            for method in methods:
-                expected = design(state, method, 3.0, 100.0)
+            for method, token in tokens.items():
+                expected = design(state, token)
                 assert row.power_dbm[method] == expected.received_power_dbm
                 if expected.threshold is not None:
                     assert row.threshold_deg[method] == math.degrees(expected.threshold)
@@ -170,8 +206,7 @@ class TestAngleScan:
 
     def test_design_once_thresholds_constant(self):
         sc = ris_2p6ghz()
-        rows = angle_scan(sc, 40.0, 50.0, 2.0, math.radians(45.0), ("dtpq", "fixed"),
-                          gamma_deg=235.0)
+        rows = angle_scan(sc, 40.0, 50.0, 2.0, math.radians(45.0), ("dtpq", "fixed:235"))
         thresholds = {r.threshold_deg["dtpq"] for r in rows}
         assert len(thresholds) == 1
         assert all(r.threshold_deg["fixed"] == pytest.approx(235.0) for r in rows)
@@ -256,7 +291,7 @@ class TestGradientMap:
         phi = np.arange(170.0, 190.5, 0.5)
         target = (math.radians(45.0), math.pi)
         p_dtpq = gradient_map(sc, target, theta, phi, "dtpq")
-        p_fixed = gradient_map(sc, target, theta, phi, "fixed", gamma_deg=235.0)
+        p_fixed = gradient_map(sc, target, theta, phi, "fixed:235")
         assert p_fixed.max() < p_dtpq.max()
 
     def test_continuous_map_mirror_symmetry(self):
@@ -324,10 +359,10 @@ class TestSlopeFit:
     ])
     def test_samples_redesign_at_the_moved_placement(self, variable, field, grid, to_field):
         sc = ris_2p6ghz()
-        samples = path_loss_samples(sc, variable, grid, "eipq", epsilon_deg=3.0)
+        samples = path_loss_samples(sc, variable, grid, "eipq:3")
         expected = [
             sc.radio.tx_power_dbm - design(
-                link_state(sc.with_placement(**{field: to_field(value)})), "eipq", 3.0
+                link_state(sc.with_placement(**{field: to_field(value)})), "eipq:3"
             ).received_power_dbm
             for value in grid
         ]

@@ -373,14 +373,55 @@ class TestOtherCommands:
          "--stop must lie in [0, 90) degrees, got 90"),
         (["pl-fit", "--variable=cos_theta_t", "--start=-10", "--stop=60"],
          "--start must lie in [0, 90) degrees, got -10"),
+        (["gradient-map", "--target-theta=45", "--target-phi=0", "--phi-step=-1"],
+         "--phi-step must be positive, got -1"),
+        (["angle-scan", "--target=45", "--start=0", "--stop=10", "--step=0", "--methods=dtpq"],
+         "--step must be positive, got 0"),
+        (["sweep", "--axis=rx_distance", "--start=10", "--stop=5", "--step=1",
+          "--methods=dtpq"], "--stop 5 must not precede --start 10"),
     ], ids=["scan-target-90", "scan-target-nan", "scan-stop-180", "scan-start-below-90",
             "map-theta-95", "map-phi-inf", "map-theta-start-negative", "map-theta-stop-120",
-            "map-theta-step-overshoot", "fit-stop-90", "fit-start-negative"])
+            "map-theta-step-overshoot", "fit-stop-90", "fit-start-negative",
+            "map-phi-step-negative", "scan-step-zero", "sweep-stop-before-start"])
     def test_angle_options_named_in_degrees(self, small_path, capsys, args, message):
         assert run([args[0], "--scenario", small_path, *args[1:]]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("args, message", [
+        (["quantize", "--method=dtpq:7"], "method 'dtpq' takes no parameter, got 'dtpq:7'"),
+        (["quantize", "--method=continuous"],
+         "unknown method 'continuous'; expected one of dtpq, eipq, fixed, exhaustive"),
+        (["sweep", "--axis=rx_distance", "--start=5", "--stop=6", "--step=1",
+          "--methods=continuous:1"],
+         "method 'continuous' takes no parameter, got 'continuous:1'"),
+        (["sweep", "--axis=rx_distance", "--start=5", "--stop=6", "--step=1",
+          "--methods=dtpq,exhaustive"],
+         "unknown method 'exhaustive'; expected one of continuous, dtpq, eipq, fixed"),
+        (["angle-scan", "--target=45", "--start=0", "--stop=10", "--step=1",
+          "--methods=dtpq,dtpq"], "duplicate method 'dtpq' in dtpq,dtpq"),
+        (["angle-scan", "--target=45", "--start=0", "--stop=10", "--step=1",
+          "--methods=eipq:3,eipq:20"], "duplicate method 'eipq' in eipq:3,eipq:20"),
+        (["angle-scan", "--target=45", "--start=0", "--stop=10", "--step=1",
+          "--methods=exhaustive"],
+         "unknown method 'exhaustive'; expected one of continuous, dtpq, eipq, fixed"),
+        (["gradient-map", "--target-theta=45", "--target-phi=0", "--method=exhaustive"],
+         "unknown method 'exhaustive'; expected one of continuous, dtpq, eipq, fixed"),
+        (["pl-fit", "--variable=d2", "--start=50", "--stop=500", "--method=exhaustive"],
+         "unknown method 'exhaustive'; expected one of continuous, dtpq, eipq, fixed"),
+    ], ids=["quantize-dtpq-parameter", "quantize-continuous", "sweep-continuous-parameter",
+            "sweep-exhaustive", "scan-duplicate", "scan-duplicate-eipq", "scan-exhaustive",
+            "map-exhaustive", "fit-exhaustive"])
+    def test_method_tokens_refused(self, small_path, tmp_path, monkeypatch, capsys, args,
+                                   message):
+        # one method table checks every command's tokens before anything is written
+        monkeypatch.chdir(tmp_path)
+        assert run([args[0], "--scenario", small_path, *args[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["small.json"]
 
 
 def readme_commands():
@@ -402,3 +443,11 @@ def test_readme_command_runs(argv, tmp_path, monkeypatch, capsys):
     shutil.copytree(SCENARIO_DIR, tmp_path / "scenarios")
     monkeypatch.chdir(tmp_path)
     assert run(argv) == 0, capsys.readouterr().err
+
+
+def test_readme_library_block_runs(capsys):
+    # the README's library example must keep up with the library's signatures
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out
