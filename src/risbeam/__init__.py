@@ -24,20 +24,14 @@ from .channel import (
     link_state,
     power_dbm_from_xi,
 )
-from .geometry import (
-    Placement,
-    RisPanel,
-    wave_path_difference,
-)
+from .geometry import Placement, RisPanel
 from .quantization import (
     QuantizationResult,
-    ShiftMatrix,
     dtpq,
     eipq,
     exhaustive_search,
     fixed_threshold,
     quantize_matrix,
-    residual_spread,
 )
 from .radiation import (
     RadioConfig,
@@ -55,7 +49,6 @@ __all__ = [
     "RadioConfig",
     "RisPanel",
     "Scenario",
-    "ShiftMatrix",
     "SlopeFit",
     "SweepRow",
     "SweepSpec",
@@ -76,11 +69,9 @@ __all__ = [
     "pl_slope_fit",
     "power_dbm_from_xi",
     "quantize_matrix",
-    "residual_spread",
     "ris_2p6ghz",
     "ris_4p9ghz",
     "run_sweep",
-    "wave_path_difference",
 ]
 
 __version__ = "0.1.0"

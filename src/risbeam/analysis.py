@@ -41,8 +41,8 @@ class SweepSpec:
     """One sweep axis plus the method tokens to evaluate on it.
 
     start/stop/step are meters for distance axes and degrees for angle
-    and threshold axes.  The threshold axis takes the fixed method alone
-    and supplies its threshold from the grid.
+    and threshold axes.  The threshold axis takes the bare fixed method
+    alone and supplies its threshold from the grid.
     """
 
     axis: str
@@ -54,9 +54,13 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.axis not in SWEEP_AXES:
             raise ValueError(f"axis must be one of {SWEEP_AXES}, got {self.axis!r}")
-        names = list(check_methods(self.methods))
-        if self.axis == "threshold" and names != ["fixed"]:
+        table = check_methods(self.methods)
+        if self.axis == "threshold" and list(table) != ["fixed"]:
             raise ValueError("a threshold sweep exercises exactly the fixed method")
+        if self.axis == "threshold" and ":" in table["fixed"]:
+            raise ValueError(
+                f"a threshold sweep takes its threshold from the grid, got {table['fixed']!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -131,16 +135,20 @@ def _split_method(token: str, allowed: Sequence[str]) -> tuple[str, float | None
     if name not in ("eipq", "fixed"):
         raise ValueError(f"method {name!r} takes no parameter, got {token!r}")
     try:
-        return name, float(param)
+        value = float(param)
     except ValueError:
         raise ValueError(f"bad parameter in method token {token!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"parameter in method token {token!r} must be finite")
+    return name, value
 
 
 def check_methods(tokens: Sequence[str], allowed: Sequence[str] = METHODS) -> dict[str, str]:
     """Each method token keyed by its name, in order.
 
     Refuses an empty list, a name outside ``allowed``, a parameter that is
-    not a number or sits on a method that takes none, and a repeated name.
+    not a finite number or sits on a method that takes none, and a repeated
+    name.
     """
     if not tokens:
         raise ValueError("methods must be non-empty")
@@ -159,15 +167,16 @@ def design(state: LinkState, method: str) -> QuantizationResult:
     The tokens are continuous, dtpq, exhaustive, eipq[:step_deg] (bare:
     DEFAULT_EPSILON_DEG) and fixed[:threshold_deg] (bare: the panel's last
     level).  The continuous design carries the link's phases
-    ``state.phase`` as its shifts and, like the exhaustive oracle, no
-    threshold.  The searches are looked up as module globals at call time.
+    ``state.phase`` as its shifts, no level indices and, like the
+    exhaustive oracle, no threshold.  The searches are looked up as module
+    globals at call time.
     """
     name, degrees = _split_method(method, METHODS + ("exhaustive",))
     scenario = state.scenario
     if name == "continuous":
         xi = state.xi_upper_bound
         power = power_dbm_from_xi(scenario.panel, scenario.radio, xi)
-        return QuantizationResult(None, state.phase, xi, power, 0)
+        return QuantizationResult(None, state.phase, None, xi, power, 0)
     if name == "dtpq":
         return dtpq(scenario, state)
     if name == "eipq":

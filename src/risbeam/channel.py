@@ -37,12 +37,6 @@ _MOD_C2 = TWO_PI - _MOD_C1
 _MOD_X_LIMIT = 2.0**26 * TWO_PI
 
 
-def _shift_values(shifts) -> np.ndarray:
-    """Radian matrix from a ShiftMatrix or a bare array."""
-    values = getattr(shifts, "values", shifts)
-    return np.asarray(values, dtype=float)
-
-
 def _mod_two_pi(x: np.ndarray, out: np.ndarray, q: np.ndarray) -> np.ndarray:
     """np.mod(x, TWO_PI) bit for bit, for finite x >= 0, written into ``out``.
 
@@ -153,14 +147,13 @@ class LinkState:
         """xi attained by the continuous shifts (sum of magnitudes)."""
         return float(np.sum(self.amplitude))
 
-    def xi(self, shifts) -> float:
-        """Field magnitude under the given shifts, row-major accumulation."""
-        shift = _shift_values(shifts)
-        if shift.shape != self.amplitude.shape:
+    def xi(self, shifts: np.ndarray) -> float:
+        """Field magnitude under the given shifts (rad), row-major accumulation."""
+        if shifts.shape != self.amplitude.shape:
             raise ValueError(
-                f"shift shape {shift.shape} != panel shape {self.amplitude.shape}"
+                f"shift shape {shifts.shape} != panel shape {self.amplitude.shape}"
             )
-        return float(_phasor_sum(self.amplitude.ravel(), self.phase.ravel(), shift.ravel()))
+        return float(_phasor_sum(self.amplitude.ravel(), self.phase.ravel(), shifts.ravel()))
 
 
 def link_state(scenario: Scenario) -> LinkState:
@@ -217,8 +210,10 @@ def far_field_pl_db(panel: RisPanel, placement: Placement, radio: RadioConfig) -
     return 10.0 * math.log10(pl)
 
 
-def field_at_rx_points(scenario: Scenario, shifts, rx_points: np.ndarray) -> np.ndarray:
-    """Field magnitudes at many Rx positions with the shifts held fixed.
+def field_at_rx_points(
+    scenario: Scenario, shifts: np.ndarray, rx_points: np.ndarray
+) -> np.ndarray:
+    """Field magnitudes at many Rx positions with the shifts (rad) held fixed.
 
     ``rx_points`` is a (P, 3) array of Cartesian Rx positions, evaluated
     through the forward model in chunks of about 2^15 point-cells.  One
@@ -231,12 +226,11 @@ def field_at_rx_points(scenario: Scenario, shifts, rx_points: np.ndarray) -> np.
     if points.ndim != 2 or points.shape[1] != 3:
         raise ValueError(f"rx_points must have shape (P, 3), got {points.shape}")
     panel = scenario.panel
-    shift = _shift_values(shifts)
-    if shift.shape != (panel.rows, panel.cols):
+    if shifts.shape != (panel.rows, panel.cols):
         raise ValueError(
-            f"shift shape {shift.shape} != panel shape {(panel.rows, panel.cols)}"
+            f"shift shape {shifts.shape} != panel shape {(panel.rows, panel.cols)}"
         )
-    shift = shift.ravel()
+    shift = shifts.ravel()
     size = max(1, min(points.shape[0], _CHUNK_POINT_CELLS // shift.size))
     workspace = np.empty((5, size, shift.size))
     xi = np.empty(points.shape[0])

@@ -30,7 +30,7 @@ from .analysis import (
 )
 from .channel import link_state
 from .geometry import TWO_PI
-from .quantization import ShiftMatrix
+from .quantization import QuantizationResult
 from .scenario import ScenarioFileError, load_scenario
 
 # ---------------------------------------------------------------------------
@@ -41,16 +41,14 @@ def _fmt(value: float) -> str:
     return f"{value:.4f}"
 
 
-def write_shifts_csv(path: str, shifts: ShiftMatrix) -> None:
-    """One row per cell, row-major: n, m, level_index, level_deg."""
-    rows_m, cols_n = shifts.shape
+def write_shifts_csv(path: str, result: QuantizationResult) -> None:
+    """One row per cell of a discrete design, row-major: n, m, level_index, level_deg."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["n", "m", "level_index", "level_deg"])
-        for m in range(1, rows_m + 1):
-            for n in range(1, cols_n + 1):
-                index = int(shifts.level_indices[m - 1, n - 1])
-                writer.writerow([n, m, index, _fmt(math.degrees(shifts.levels[index]))])
+        for (m, n), index in np.ndenumerate(result.level_indices):
+            shift = math.degrees(result.shifts[m, n])
+            writer.writerow([n + 1, m + 1, int(index), _fmt(shift)])
 
 
 def write_sweep_csv(path: str, rows: Sequence[SweepRow]) -> None:
@@ -131,7 +129,7 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
     print(f"xi={result.xi:.6e}")
     print(f"received_power_dbm={_fmt(result.received_power_dbm)}")
     print(f"candidates_evaluated={result.candidates_evaluated}")
-    write_shifts_csv(args.out, result.shifts)
+    write_shifts_csv(args.out, result)
     print(f"wrote {args.out}")
     return 0
 

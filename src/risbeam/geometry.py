@@ -89,11 +89,6 @@ class RisPanel:
     def num_cells(self) -> int:
         return self.rows * self.cols
 
-    @property
-    def aperture_radius(self) -> float:
-        """Circumscribed radius of the panel (half the outline diagonal)."""
-        return 0.5 * math.hypot(self.cols * self.d_x, self.rows * self.d_y)
-
 
 @dataclass(frozen=True)
 class Placement:
@@ -186,30 +181,3 @@ def cell_paths(
     cos_antenna /= cos_cell
     np.divide(pz[:, :, None], r, out=cos_cell)
     return out
-
-
-def wave_path_difference(
-    panel: RisPanel,
-    placement: Placement,
-    cell_a: tuple[int, int],
-    cell_b: tuple[int, int],
-) -> float:
-    """Absolute difference of the Tx-cell-Rx wave-path lengths of two cells.
-
-    Cells are addressed as (n, m) index pairs, 1-based.
-    """
-    d = np.array([placement.d1, placement.d2])
-    theta = np.array([placement.theta_t, placement.theta_r])
-    phi = np.array([placement.phi_t, placement.phi_r])
-    r_t, r_r = cell_paths(cell_center_axes(panel), antenna_points(d, theta, phi), d[:, None])[0]
-    totals = (r_t + r_r).reshape(panel.rows, panel.cols)
-
-    def lookup(cell: tuple[int, int]) -> float:
-        n, m = cell
-        if not (1 <= n <= panel.cols and 1 <= m <= panel.rows):
-            raise ValueError(
-                f"cell index {cell} outside 1..{panel.cols} x 1..{panel.rows}"
-            )
-        return float(totals[m - 1, n - 1])
-
-    return abs(lookup(cell_a) - lookup(cell_b))

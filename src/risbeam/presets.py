@@ -7,8 +7,6 @@ a wavelength on a side.
 
 from __future__ import annotations
 
-import copy
-
 from .scenario import SPEED_OF_LIGHT, Scenario, parse_scenario
 
 
@@ -61,10 +59,3 @@ def ris_2p6ghz(d2_m: float = 10.0) -> Scenario:
 
 def ris_4p9ghz(d2_m: float = 50.0) -> Scenario:
     return parse_scenario(ris_4p9ghz_document(d2_m))
-
-
-def document_with(doc: dict, section: str, **changes) -> dict:
-    """Copy of a scenario document with some keys in one section replaced."""
-    out = copy.deepcopy(doc)
-    out[section].update(changes)
-    return out

@@ -47,42 +47,20 @@ _EXHAUSTIVE_CHUNK = 1 << 14
 EIPQ_GUARD_CANDIDATES = 1 << 20
 
 
-@dataclass
-class ShiftMatrix:
-    """Discrete per-cell shifts, stored as indices into the panel's level set."""
-
-    level_indices: np.ndarray
-    levels: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        self.level_indices = np.asarray(self.level_indices, dtype=np.intp)
-        self.levels = tuple(float(v) for v in self.levels)
-        if np.any(self.level_indices < 0) or np.any(self.level_indices >= len(self.levels)):
-            raise ValueError(
-                f"level indices must lie in 0..{len(self.levels) - 1}"
-            )
-
-    @property
-    def values(self) -> np.ndarray:
-        """Shift matrix in radians."""
-        return np.take(np.asarray(self.levels), self.level_indices)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.level_indices.shape
-
-
 @dataclass(frozen=True)
 class QuantizationResult:
     """Outcome of a threshold search.
 
-    ``threshold`` is None for the exhaustive oracle, where no single
-    threshold applies, and for the continuous design, whose ``shifts`` are
-    the continuous phase array (see analysis.design).
+    ``shifts`` holds the per-cell shifts in radians and ``level_indices``
+    the same shifts as indices into the panel's levels.  ``threshold`` is
+    None for the exhaustive oracle, where no single threshold applies, and
+    for the continuous design, whose ``shifts`` are the continuous phase
+    array and whose ``level_indices`` are None (see analysis.design).
     """
 
     threshold: float | None
-    shifts: ShiftMatrix | np.ndarray
+    shifts: np.ndarray
+    level_indices: np.ndarray | None
     xi: float
     received_power_dbm: float
     candidates_evaluated: int
@@ -111,8 +89,8 @@ def _bin_indices(phases: np.ndarray, gamma, bits: int) -> np.ndarray:
     return (k - k_g - (u < u_g)).astype(np.intp) % 2**bits
 
 
-def quantize_matrix(phases: np.ndarray, gamma: float, panel: RisPanel) -> ShiftMatrix:
-    """Quantize a continuous phase array at threshold gamma.
+def quantize_matrix(phases: np.ndarray, gamma: float, panel: RisPanel) -> np.ndarray:
+    """Level indices of a continuous phase array quantized at threshold gamma.
 
     Every phase maps to exactly one level: the one whose cyclic bin
     [gamma + (p-1)*Omega, gamma + p*Omega) contains it.  Binning is cyclic,
@@ -120,25 +98,7 @@ def quantize_matrix(phases: np.ndarray, gamma: float, panel: RisPanel) -> ShiftM
     """
     if not 0.0 <= gamma < TWO_PI:
         raise ValueError(f"threshold must lie in [0, 2*pi), got {gamma}")
-    indices = _bin_indices(np.asarray(phases, dtype=float), gamma, panel.bits)
-    return ShiftMatrix(level_indices=indices, levels=panel.levels)
-
-
-def residual_spread(phases: np.ndarray, shifts: ShiftMatrix) -> float:
-    """Width of the smallest circular arc containing all residual phases.
-
-    Residuals are mod(phase - shift, 2*pi).  Returns 0 when all residuals
-    coincide; the result always lies in [0, 2*pi).
-    """
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape != shifts.shape:
-        raise ValueError(f"phase shape {phases.shape} != shift shape {shifts.shape}")
-    residuals = np.sort(np.mod(phases - shifts.values, TWO_PI).ravel())
-    if residuals.size == 1:
-        return 0.0
-    gaps = np.diff(residuals)
-    wrap_gap = residuals[0] + TWO_PI - residuals[-1]
-    return float(TWO_PI - max(np.max(gaps), wrap_gap))
+    return _bin_indices(np.asarray(phases, dtype=float), gamma, panel.bits)
 
 
 def _profile_xi(state: LinkState, gammas: np.ndarray) -> np.ndarray:
@@ -160,18 +120,21 @@ def _profile_xi(state: LinkState, gammas: np.ndarray) -> np.ndarray:
     return np.abs(prefix[-1] - (1.0 - np.exp(-1j * TWO_PI / 2**bits)) * below)
 
 
-def _at_threshold(state: LinkState, gamma: float, candidates: int) -> QuantizationResult:
-    """Quantize at gamma; the shifts and xi are exact, in row-major order."""
+def _result(
+    state: LinkState, threshold: float | None, indices: np.ndarray, candidates: int
+) -> QuantizationResult:
+    """The design with these level indices; its shifts and xi are exact, in row-major order."""
     panel = state.scenario.panel
-    shifts = quantize_matrix(state.phase, gamma, panel)
+    shifts = np.take(panel.levels, indices)
     xi = state.xi(shifts)
-    return QuantizationResult(
-        threshold=gamma,
-        shifts=shifts,
-        xi=xi,
-        received_power_dbm=power_dbm_from_xi(panel, state.scenario.radio, xi),
-        candidates_evaluated=candidates,
-    )
+    power = power_dbm_from_xi(panel, state.scenario.radio, xi)
+    return QuantizationResult(threshold, shifts, indices, xi, power, candidates)
+
+
+def _at_threshold(state: LinkState, gamma: float, candidates: int) -> QuantizationResult:
+    """Quantize at gamma."""
+    panel = state.scenario.panel
+    return _result(state, gamma, quantize_matrix(state.phase, gamma, panel), candidates)
 
 
 def _search(state: LinkState, gammas: np.ndarray) -> QuantizationResult:
@@ -206,8 +169,8 @@ def eipq(scenario: Scenario, epsilon: float, state: LinkState | None = None) -> 
     interval = TWO_PI / 2**bits
     if not 0.0 < epsilon < interval:
         raise ValueError(
-            f"epsilon must lie in (0, {interval:.6f}) for {bits}-bit quantization, "
-            f"got {epsilon}"
+            f"epsilon must lie in (0, {interval:.6f}) rad = (0, {math.degrees(interval):g}) deg "
+            f"for {bits}-bit quantization, got {epsilon:.6g} rad ({math.degrees(epsilon):.6g} deg)"
         )
     count = int(math.floor(TWO_PI / (2**bits * epsilon)))
     if count > EIPQ_GUARD_CANDIDATES:
@@ -272,14 +235,4 @@ def exhaustive_search(scenario: Scenario, state: LinkState | None = None) -> Qua
             best_index = int(idx[local])
 
     digits = (best_index // weights) % num_levels
-    shifts = ShiftMatrix(
-        level_indices=digits.reshape(panel.rows, panel.cols), levels=panel.levels
-    )
-    xi = state.xi(shifts)
-    return QuantizationResult(
-        threshold=None,
-        shifts=shifts,
-        xi=xi,
-        received_power_dbm=power_dbm_from_xi(panel, state.scenario.radio, xi),
-        candidates_evaluated=total,
-    )
+    return _result(state, None, digits.reshape(panel.rows, panel.cols).astype(np.intp), total)

@@ -1,7 +1,8 @@
 """Shared helpers: seeded random scenarios for property tests, a
-brute-force threshold scan, and an independent reference of the README
-model for the acceptance checks."""
+brute-force threshold scan, geometric and optimality oracles, and an
+independent reference of the README model for the acceptance checks."""
 
+import copy
 import math
 
 import numpy as np
@@ -65,11 +66,29 @@ def brute_force_search(state, gammas):
     panel = state.scenario.panel
     gammas = np.asarray(gammas, dtype=float)
     xis = np.array(
-        [state.xi(quantize_matrix(state.phase, float(g), panel)) for g in gammas]
+        [state.xi(np.take(panel.levels, quantize_matrix(state.phase, float(g), panel)))
+         for g in gammas]
     )
     gamma = float(np.min(gammas[xis >= np.max(xis) * (1.0 - TIE_REL_TOL)]))
-    shifts = quantize_matrix(state.phase, gamma, panel)
-    return gamma, shifts.level_indices, state.xi(shifts)
+    indices = quantize_matrix(state.phase, gamma, panel)
+    return gamma, indices, state.xi(np.take(panel.levels, indices))
+
+
+def residual_spread(phases: np.ndarray, shifts: np.ndarray) -> float:
+    """Width of the smallest circular arc containing all residual phases.
+
+    Residuals are mod(phase - shift, 2*pi).  Returns 0 when all residuals
+    coincide; the result always lies in [0, 2*pi).
+    """
+    phases = np.asarray(phases, dtype=float)
+    if phases.shape != shifts.shape:
+        raise ValueError(f"phase shape {phases.shape} != shift shape {shifts.shape}")
+    residuals = np.sort(np.mod(phases - shifts, TWO_PI).ravel())
+    if residuals.size == 1:
+        return 0.0
+    gaps = np.diff(residuals)
+    wrap_gap = residuals[0] + TWO_PI - residuals[-1]
+    return float(TWO_PI - max(np.max(gaps), wrap_gap))
 
 
 def combined_pattern(scenario: Scenario) -> np.ndarray:
@@ -85,6 +104,37 @@ def path_lengths(panel, placement):
     phi = np.array([placement.phi_t, placement.phi_r])
     r_t, r_r = cell_paths(cell_center_axes(panel), antenna_points(d, theta, phi), d[:, None])[0]
     return r_t.reshape(panel.rows, panel.cols), r_r.reshape(panel.rows, panel.cols)
+
+
+def aperture_radius(panel: RisPanel) -> float:
+    """Circumscribed radius of the panel (half the outline diagonal)."""
+    return 0.5 * math.hypot(panel.cols * panel.d_x, panel.rows * panel.d_y)
+
+
+def wave_path_difference(panel, placement, cell_a, cell_b) -> float:
+    """Absolute difference of the Tx-cell-Rx wave-path lengths of two cells.
+
+    Cells are addressed as (n, m) index pairs, 1-based.
+    """
+    r_t, r_r = path_lengths(panel, placement)
+    totals = r_t + r_r
+
+    def lookup(cell: tuple[int, int]) -> float:
+        n, m = cell
+        if not (1 <= n <= panel.cols and 1 <= m <= panel.rows):
+            raise ValueError(
+                f"cell index {cell} outside 1..{panel.cols} x 1..{panel.rows}"
+            )
+        return float(totals[m - 1, n - 1])
+
+    return abs(lookup(cell_a) - lookup(cell_b))
+
+
+def document_with(doc: dict, section: str, **changes) -> dict:
+    """Copy of a scenario document with some keys in one section replaced."""
+    out = copy.deepcopy(doc)
+    out[section].update(changes)
+    return out
 
 
 def reference_powers(scenario: Scenario, d2_values, thresholds=None):

@@ -63,7 +63,13 @@ import time
 
 import numpy as np
 import pytest
-from conftest import random_scenario, reference_powers, uniform_levels
+from conftest import (
+    random_scenario,
+    reference_powers,
+    residual_spread,
+    uniform_levels,
+    wave_path_difference,
+)
 
 from risbeam import (
     Placement,
@@ -78,11 +84,9 @@ from risbeam import (
     path_loss_samples,
     pl_slope_fit,
     power_dbm_from_xi,
-    residual_spread,
     ris_2p6ghz,
     ris_4p9ghz,
     run_sweep,
-    wave_path_difference,
 )
 
 TWO_PI = 2.0 * math.pi

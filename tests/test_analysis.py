@@ -103,10 +103,29 @@ class TestDesign:
             assert result.xi == expected.xi
             assert result.received_power_dbm == expected.received_power_dbm
             assert result.candidates_evaluated == expected.candidates_evaluated
-            assert result.shifts.levels == expected.shifts.levels
-            np.testing.assert_array_equal(result.shifts.level_indices,
-                                          expected.shifts.level_indices)
+            np.testing.assert_array_equal(result.shifts, expected.shifts)
+            np.testing.assert_array_equal(result.level_indices, expected.level_indices)
         assert design(state, "fixed").threshold == sc.panel.levels[-1]
+
+    @pytest.mark.parametrize("token", ["dtpq", "eipq:3", "fixed:100", "fixed", "exhaustive"])
+    def test_shifts_are_the_levels_at_the_level_indices(self, token):
+        # a discrete design's radian shifts are its panel levels looked up
+        # at its level indices, bit for bit; exhaustive runs on 12 bits
+        sc = ris_4p9ghz()
+        if token == "exhaustive":
+            sc = sc.with_panel(rows=2, cols=3)
+        result = design(link_state(sc), token)
+        assert result.level_indices.dtype == np.intp
+        assert result.level_indices.shape == (sc.panel.rows, sc.panel.cols)
+        expected = np.take(sc.panel.levels, result.level_indices)
+        assert result.shifts.shape == expected.shape
+        assert result.shifts.tobytes() == expected.tobytes()
+
+    def test_continuous_shifts_are_the_link_phases(self):
+        state = link_state(ris_4p9ghz())
+        result = design(state, "continuous")
+        assert result.level_indices is None
+        assert result.shifts is state.phase
 
     @pytest.mark.parametrize("token, message", [
         ("best", "unknown method 'best'"),

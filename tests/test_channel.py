@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import random_scenario
+from conftest import aperture_radius, random_scenario
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -168,7 +168,7 @@ class TestFarFieldPathLoss:
         # at distances 1e4 x aperture the cell-sum model converges to the
         # closed form within 0.05 dB
         sc = ris_2p6ghz()
-        d = 1e4 * sc.panel.aperture_radius
+        d = 1e4 * aperture_radius(sc.panel)
         far = replace(sc.placement, d1=d, d2=d)
         sc_far = replace(sc, placement=far)
         state = link_state(sc_far)
@@ -192,7 +192,7 @@ class TestFarFieldPathLoss:
         sc = random_scenario(np.random.default_rng(seed), rows, cols, 1)
         gaps = []
         for s in (1e2, 1e3, 1e4):
-            d = s * sc.panel.aperture_radius
+            d = s * aperture_radius(sc.panel)
             far = replace(sc, placement=replace(sc.placement, d1=d, d2=d))
             power = power_dbm_from_xi(sc.panel, sc.radio, link_state(far).xi_upper_bound)
             closed = sc.radio.tx_power_dbm - far_field_pl_db(sc.panel, far.placement, sc.radio)
@@ -249,7 +249,7 @@ class TestFieldAtRxPoints:
             shift = rng.uniform(0.0, TWO_PI, size=(sc.panel.rows, sc.panel.cols))
             theta = rng.uniform(0.0, math.radians(89.0), count)
             phi = rng.uniform(0.0, TWO_PI, count)
-            r = sc.panel.aperture_radius * 10.0 ** rng.uniform(-1.0, 2.0, count)
+            r = aperture_radius(sc.panel) * 10.0 ** rng.uniform(-1.0, 2.0, count)
             points = np.column_stack([r * np.sin(theta) * np.cos(phi),
                                       r * np.sin(theta) * np.sin(phi), r * np.cos(theta)])
             together = field_at_rx_points(sc, shift, points)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import document_with
 
 import risbeam.cli as cli
 from risbeam.cli import (
@@ -20,7 +21,7 @@ from risbeam.cli import (
     write_map_csv,
     write_shifts_csv,
 )
-from risbeam.presets import document_with, ris_2p6ghz_document
+from risbeam.presets import ris_2p6ghz_document, ris_4p9ghz_document
 from risbeam.quantization import dtpq
 from risbeam.scenario import parse_scenario
 
@@ -49,6 +50,12 @@ class TestScenarioParsing:
         for name in ("ris1_2p6ghz.json", "ris2_4p9ghz.json"):
             scenario = load_scenario(str(SCENARIO_DIR / name))
             assert scenario.panel.num_cells in (512, 1250)
+
+    def test_bundled_files_equal_the_presets(self):
+        # scenarios/ and risbeam.presets are two copies of the same two links
+        for name, document in (("ris1_2p6ghz.json", ris_2p6ghz_document()),
+                               ("ris2_4p9ghz.json", ris_4p9ghz_document())):
+            assert json.loads((SCENARIO_DIR / name).read_text()) == document
 
     def test_wavelength_derived_from_frequency(self):
         scenario = parse_scenario(ris_2p6ghz_document())
@@ -151,14 +158,16 @@ class TestQuantizeCommand:
         scenario = load_scenario(ris1_path)
         result = dtpq(scenario)
         path = tmp_path / "shifts.csv"
-        write_shifts_csv(str(path), result.shifts)
+        write_shifts_csv(str(path), result)
         with open(path, newline="") as fh:
             records = list(csv.DictReader(fh))
-        reloaded = np.zeros(result.shifts.shape, dtype=np.intp)
+        reloaded = np.zeros(result.level_indices.shape, dtype=np.intp)
         for record in records:
-            reloaded[int(record["m"]) - 1, int(record["n"]) - 1] = int(record["level_index"])
+            index = int(record["level_index"])
+            reloaded[int(record["m"]) - 1, int(record["n"]) - 1] = index
+            assert record["level_deg"] == f"{math.degrees(scenario.panel.levels[index]):.4f}"
         assert len(records) == scenario.panel.num_cells
-        assert np.array_equal(reloaded, result.shifts.level_indices)
+        assert np.array_equal(reloaded, result.level_indices)
 
     def test_exhaustive_guard_exit_code(self, ris1_path, capsys):
         assert run(["quantize", "--scenario", ris1_path, "--method", "exhaustive"]) == 2
@@ -224,10 +233,12 @@ class TestSweepCommand:
         assert "--step 1e-12 gives 5000000000001 grid points" in err and "guard" in err
 
     def test_threshold_axis_rejects_other_methods(self, small_path, capsys):
-        assert run(["sweep", "--scenario", small_path, "--axis", "threshold",
-                    "--start", "0", "--stop", "355", "--step", "5",
-                    "--methods", "dtpq"]) == 2
-        assert "fixed" in capsys.readouterr().err
+        # the grid supplies the threshold, so a parameter on fixed is refused too
+        for methods, named in (("dtpq", "fixed"), ("fixed:12", "'fixed:12'")):
+            assert run(["sweep", "--scenario", small_path, "--axis", "threshold",
+                        "--start", "0", "--stop", "355", "--step", "5",
+                        "--methods", methods]) == 2
+            assert named in capsys.readouterr().err
 
 
 class TestOtherCommands:
@@ -410,12 +421,29 @@ class TestOtherCommands:
          "unknown method 'exhaustive'; expected one of continuous, dtpq, eipq, fixed"),
         (["pl-fit", "--variable=d2", "--start=50", "--stop=500", "--method=exhaustive"],
          "unknown method 'exhaustive'; expected one of continuous, dtpq, eipq, fixed"),
+        (["quantize", "--method=eipq:nan"], "parameter in method token 'eipq:nan' must be finite"),
+        (["quantize", "--method=eipq:inf"], "parameter in method token 'eipq:inf' must be finite"),
+        (["quantize", "--method=fixed:inf"],
+         "parameter in method token 'fixed:inf' must be finite"),
+        (["quantize", "--method=fixed:-inf"],
+         "parameter in method token 'fixed:-inf' must be finite"),
+        (["quantize", "--method=fixed:nan"],
+         "parameter in method token 'fixed:nan' must be finite"),
+        (["quantize", "--method=eipq:-5"],
+         "epsilon must lie in (0, 3.141593) rad = (0, 180) deg for 1-bit quantization, "
+         "got -0.0872665 rad (-5 deg)"),
+        (["quantize", "--method=eipq:180"],
+         "epsilon must lie in (0, 3.141593) rad = (0, 180) deg for 1-bit quantization, "
+         "got 3.14159 rad (180 deg)"),
     ], ids=["quantize-dtpq-parameter", "quantize-continuous", "sweep-continuous-parameter",
             "sweep-exhaustive", "scan-duplicate", "scan-duplicate-eipq", "scan-exhaustive",
-            "map-exhaustive", "fit-exhaustive"])
+            "map-exhaustive", "fit-exhaustive", "quantize-eipq-nan", "quantize-eipq-inf",
+            "quantize-fixed-inf", "quantize-fixed-minus-inf", "quantize-fixed-nan",
+            "quantize-eipq-negative", "quantize-eipq-one-interval"])
     def test_method_tokens_refused(self, small_path, tmp_path, monkeypatch, capsys, args,
                                    message):
-        # one method table checks every command's tokens before anything is written
+        # one method table checks every command's tokens before anything is
+        # written; a parameter is refused non-finite, or out of range in degrees
         monkeypatch.chdir(tmp_path)
         assert run([args[0], "--scenario", small_path, *args[1:]]) == 2
         captured = capsys.readouterr()

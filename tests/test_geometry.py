@@ -4,16 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from conftest import combined_pattern, path_lengths
+from conftest import aperture_radius, combined_pattern, path_lengths, wave_path_difference
 
 import risbeam
-from risbeam import (
-    Placement,
-    RadioConfig,
-    RisPanel,
-    Scenario,
-    wave_path_difference,
-)
+from risbeam import Placement, RadioConfig, RisPanel, Scenario
 from risbeam.geometry import THETA_LIMIT, antenna_points, cell_center_axes
 from risbeam.radiation import MIN_GAIN_DBI
 
@@ -161,21 +155,21 @@ class TestPathLengths:
         panel = panel_16x32()
         placement = Placement(d1=1e6, d2=1e6, theta_t=0.2, phi_t=0.0, theta_r=0.3, phi_r=3.0)
         r_t, r_r = path_lengths(panel, placement)
-        assert np.max(np.abs(r_t - placement.d1)) <= panel.aperture_radius
-        assert np.max(np.abs(r_r - placement.d2)) <= panel.aperture_radius
+        assert np.max(np.abs(r_t - placement.d1)) <= aperture_radius(panel)
+        assert np.max(np.abs(r_r - placement.d2)) <= aperture_radius(panel)
 
     def test_total_path_within_aperture_band(self):
         panel = panel_16x32()
-        placement = near_field_placement(scale=1e4 * panel.aperture_radius)
+        placement = near_field_placement(scale=1e4 * aperture_radius(panel))
         r_t, r_r = path_lengths(panel, placement)
         deviation = np.abs(r_t + r_r - (placement.d1 + placement.d2))
-        assert np.max(deviation) <= 2 * panel.aperture_radius
+        assert np.max(deviation) <= 2 * aperture_radius(panel)
 
     def test_phase_spread_shrinks_with_distance(self):
         panel = panel_16x32()
         spreads = []
         for scale in (1e4, 1e5, 1e6):
-            placement = near_field_placement(scale=scale * panel.aperture_radius)
+            placement = near_field_placement(scale=scale * aperture_radius(panel))
             r_t, r_r = path_lengths(panel, placement)
             spreads.append(2 * math.pi * np.ptp(r_t + r_r) / LAMBDA)
         assert spreads[0] > spreads[1] > spreads[2]

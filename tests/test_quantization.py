@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import brute_force_search, random_scenario, uniform_levels
+from conftest import brute_force_search, random_scenario, residual_spread, uniform_levels
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -15,14 +15,12 @@ from risbeam import (
     LinkState,
     Placement,
     RisPanel,
-    ShiftMatrix,
     dtpq,
     eipq,
     exhaustive_search,
     fixed_threshold,
     link_state,
     quantize_matrix,
-    residual_spread,
     ris_2p6ghz,
 )
 from risbeam.quantization import (
@@ -43,30 +41,30 @@ class TestQuantizeMatrix:
     def test_one_bit_zero_threshold(self):
         panel = one_bit_panel()
         phases = np.array([[0.1, 3.2]])
-        shifts = quantize_matrix(phases, 0.0, panel)
-        assert shifts.values[0, 0] == 0.0
-        assert shifts.values[0, 1] == math.pi
+        shifts = np.take(panel.levels, quantize_matrix(phases, 0.0, panel))
+        assert shifts[0, 0] == 0.0
+        assert shifts[0, 1] == math.pi
 
     def test_one_bit_wrapping_threshold(self):
         panel = one_bit_panel()
         phases = np.array([[0.1, 0.1]])
-        shifts = quantize_matrix(phases, 3 * math.pi / 2, panel)
+        shifts = np.take(panel.levels, quantize_matrix(phases, 3 * math.pi / 2, panel))
         # 0.1 rad sits in [3*pi/2, 3*pi/2 + pi) after wrapping upward
-        assert shifts.values[0, 0] == 0.0
+        assert shifts[0, 0] == 0.0
 
     def test_two_bit_binning(self):
         panel = RisPanel(rows=1, cols=1, d_x=0.1, d_y=0.1, bits=2,
                          levels=tuple(math.radians(v) for v in (0, 90, 180, 270)))
         phases = np.array([[math.radians(135)]])
-        shifts = quantize_matrix(phases, math.radians(45), panel)
-        assert shifts.values[0, 0] == pytest.approx(math.radians(90), rel=1e-12)
+        shifts = np.take(panel.levels, quantize_matrix(phases, math.radians(45), panel))
+        assert shifts[0, 0] == pytest.approx(math.radians(90), rel=1e-12)
 
     def test_phase_equal_to_threshold_maps_to_first_bin(self):
         panel = one_bit_panel(levels=(math.radians(55), math.radians(235)))
         gamma = 1.234
         phases = np.array([[gamma, gamma]])
-        shifts = quantize_matrix(phases, gamma, panel)
-        assert np.all(shifts.level_indices == 0)
+        level_indices = quantize_matrix(phases, gamma, panel)
+        assert np.all(level_indices == 0)
 
     def test_total_function(self):
         rng = np.random.default_rng(3)
@@ -74,9 +72,9 @@ class TestQuantizeMatrix:
                          levels=uniform_levels(3, 0.3))
         phases = rng.uniform(0.0, TWO_PI, size=(5, 7))
         for gamma in rng.uniform(0.0, TWO_PI, size=10):
-            shifts = quantize_matrix(phases, gamma, panel)
-            assert shifts.level_indices.min() >= 0
-            assert shifts.level_indices.max() < panel.num_levels
+            level_indices = quantize_matrix(phases, gamma, panel)
+            assert level_indices.min() >= 0
+            assert level_indices.max() < panel.num_levels
 
     def test_rejects_out_of_range_threshold(self):
         with pytest.raises(ValueError, match="threshold"):
@@ -98,43 +96,43 @@ class TestQuantizeMatrix:
         assume(phases.size > 0)
         panel = RisPanel(rows=1, cols=phases.size, d_x=0.1, d_y=0.1, bits=bits,
                          levels=uniform_levels(bits, 0.3))
-        shifts = quantize_matrix(phases.reshape(1, -1), gamma, panel)
+        level_indices = quantize_matrix(phases.reshape(1, -1), gamma, panel)
         reduced = quantize_matrix(np.mod(phases, TWO_PI).reshape(1, -1), gamma, panel)
-        assert np.array_equal(shifts.level_indices, reduced.level_indices)
+        assert np.array_equal(level_indices, reduced)
 
 
 class TestResidualSpread:
     def test_zero_when_shifts_equal_phases(self):
         panel = one_bit_panel()
         phases = np.array([[0.0, math.pi]])
-        shifts = quantize_matrix(phases, 0.0, panel)
-        assert np.all(shifts.values == phases)
+        shifts = np.take(panel.levels, quantize_matrix(phases, 0.0, panel))
+        assert np.all(shifts == phases)
         assert residual_spread(phases, shifts) == 0.0
 
     def test_two_point_arc(self):
         panel = one_bit_panel()
         omega = panel.omega
         phases = np.array([[0.0, omega / 2]])
-        shifts = ShiftMatrix(level_indices=np.array([[0, 0]]), levels=panel.levels)
+        shifts = np.take(panel.levels, [[0, 0]])
         assert residual_spread(phases, shifts) == pytest.approx(omega / 2, rel=1e-12)
 
     def test_single_cell(self):
         panel = RisPanel(rows=1, cols=1, d_x=0.1, d_y=0.1, bits=1, levels=(0.0, math.pi))
         phases = np.array([[2.5]])
-        shifts = quantize_matrix(phases, 0.0, panel)
+        shifts = np.take(panel.levels, quantize_matrix(phases, 0.0, panel))
         assert residual_spread(phases, shifts) == 0.0
 
     def test_wraparound_cluster(self):
         # residuals straddling 0 form a small arc, not a nearly-full circle
         panel = one_bit_panel()
         phases = np.array([[TWO_PI - 0.1, 0.1]])
-        shifts = ShiftMatrix(level_indices=np.array([[0, 0]]), levels=panel.levels)
+        shifts = np.take(panel.levels, [[0, 0]])
         assert residual_spread(phases, shifts) == pytest.approx(0.2, rel=1e-9)
 
     def test_dimension_mismatch(self):
         panel = one_bit_panel()
         phases = np.zeros((1, 3))
-        shifts = ShiftMatrix(level_indices=np.zeros((1, 2), dtype=int), levels=panel.levels)
+        shifts = np.take(panel.levels, np.zeros((1, 2), dtype=int))
         with pytest.raises(ValueError, match="shape"):
             residual_spread(phases, shifts)
 
@@ -168,7 +166,7 @@ class TestDtpq:
         state = link_state(sc)
         best = dtpq(sc, state)
         for gamma in rng.uniform(0.0, TWO_PI, size=200):
-            shifts = quantize_matrix(state.phase, gamma, sc.panel)
+            shifts = np.take(sc.panel.levels, quantize_matrix(state.phase, gamma, sc.panel))
             assert state.xi(shifts) <= best.xi * (1 + 1e-12)
 
     def test_far_field_threshold_insensitivity(self):
@@ -278,7 +276,7 @@ class TestExhaustiveSearch:
         result = exhaustive_search(sc)
         assert result.threshold is None
         assert result.candidates_evaluated == 2
-        assert result.shifts.level_indices[0, 0] == 0
+        assert result.level_indices[0, 0] == 0
 
     def test_two_bit_four_cells_matches_dtpq(self):
         rng = np.random.default_rng(47)
@@ -320,7 +318,7 @@ class TestInvariances:
             )
             moved = dtpq(shifted, link_state(shifted))
             assert moved.xi == pytest.approx(base.xi, rel=1e-9)
-            assert np.array_equal(moved.shifts.level_indices, base.shifts.level_indices)
+            assert np.array_equal(moved.level_indices, base.level_indices)
 
     def test_threshold_sweep_outcome_count(self):
         # sweeping the threshold across a full turn yields exactly as many
@@ -360,19 +358,6 @@ class TestInvariances:
         upper = state.xi_upper_bound
         assert math.sin(half) / half * upper <= result.xi <= upper
         assert elapsed < 2.0
-
-
-class TestShiftMatrixType:
-    def test_rejects_bad_indices(self):
-        with pytest.raises(ValueError, match="indices"):
-            ShiftMatrix(level_indices=np.array([[2]]), levels=(0.0, math.pi))
-
-    def test_values_are_levels(self):
-        shifts = ShiftMatrix(level_indices=np.array([[0, 1, 0]]),
-                             levels=(math.radians(55), math.radians(235)))
-        np.testing.assert_allclose(
-            shifts.values, [[math.radians(55), math.radians(235), math.radians(55)]]
-        )
 
 
 def eipq_grid(bits: int, epsilon: float) -> np.ndarray:
@@ -429,7 +414,7 @@ class TestThresholdProfile:
     def assert_matches_scan(result, expected):
         threshold, level_indices, xi = expected
         assert result.threshold == threshold
-        assert np.array_equal(result.shifts.level_indices, level_indices)
+        assert np.array_equal(result.level_indices, level_indices)
         assert result.xi == xi
 
     @PROPERTY_SETTINGS
@@ -477,7 +462,8 @@ class TestThresholdProfile:
             gammas = rng.uniform(0.0, TWO_PI - omega, 50)
             profile = _profile_xi(state, gammas)
             assert np.array_equal(_profile_xi(state, gammas + omega), profile)
-            exact = [state.xi(quantize_matrix(state.phase, g, sc.panel)) for g in gammas]
+            exact = [state.xi(np.take(sc.panel.levels, quantize_matrix(state.phase, g, sc.panel)))
+                     for g in gammas]
             np.testing.assert_allclose(profile, exact, rtol=1e-12)
 
 
