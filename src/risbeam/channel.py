@@ -16,6 +16,7 @@ matrix attains the triangle-inequality upper bound on xi.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,26 +84,17 @@ def _phasor_sum(
     np.divide(amplitude, weight, out=weight)
     np.subtract(1.0, t2, out=t2)
     t2 *= weight
-    t *= 2.0
     t *= weight
-    return np.hypot(np.sum(t2, axis=-1), np.sum(t, axis=-1), out=out)
+    # 2 * sum(t) rather than sum(2 * t): scaling by 2 commutes with rounding
+    imag = np.sum(t, axis=-1)
+    imag *= 2.0
+    return np.hypot(np.sum(t2, axis=-1), imag, out=out)
 
 
-def _phasor_chunks(scenario: Scenario, rx_points: np.ndarray, workspace: np.ndarray):
-    """The forward model: per-cell phasor amplitude and path phase at Rx points.
-
-    ``rx_points`` is a (P, 3) array of Rx positions; the Rx antenna's
-    boresight is aimed at the surface center from each point.
-    ``workspace`` is a (k >= 4, size, M*N) array; the model evaluates
-    ``size`` points at a time in views of it and yields, per chunk, the row
-    slice of the points and two (chunk, M*N) arrays over the row-major
-    cells: sqrt(F_combine) / (r_t * r_r) and mod(2*pi/lambda * (r_t + r_r),
-    2*pi).  F_combine is the product of the Tx pattern, the cell's
-    reception and emission patterns, and the Rx pattern; the Tx leg is
-    computed once.  The next chunk overwrites the yielded arrays;
-    ``workspace[0]``, ``workspace[1]`` and any buffers past the fourth are
-    free for the consumer in between.
-    """
+def _tx_leg(scenario: Scenario):
+    """The Rx-independent half of the forward model: the cell-center axes,
+    the Tx-to-cell path lengths r_t over the row-major cells, and the Tx
+    pattern times each cell's reception pattern."""
     panel, placement, radio = scenario.panel, scenario.placement, scenario.radio
     axes = cell_center_axes(panel)
     tx = antenna_points(placement.d1, placement.theta_t, placement.phi_t)
@@ -110,6 +102,27 @@ def _phasor_chunks(scenario: Scenario, rx_points: np.ndarray, workspace: np.ndar
     tx_gain = cosine_pattern(cos_tx, radio.alpha_tx) * cosine_pattern(
         cos_t_cell, radio.cell_alpha
     )
+    return axes, r_t, tx_gain
+
+
+def _phasor_chunks(scenario: Scenario, tx_leg, rx_points: np.ndarray, workspace: np.ndarray):
+    """The forward model: per-cell phasor amplitude and path phase at Rx points.
+
+    ``tx_leg`` is ``_tx_leg(scenario)``, which the model only reads, so
+    one Tx leg serves any number of concurrent calls.  ``rx_points`` is a
+    (P, 3) array of Rx positions; the Rx antenna's boresight is aimed at
+    the surface center from each point.  ``workspace`` is a (k >= 4, size,
+    M*N) array; the model evaluates ``size`` points at a time in views of
+    it and yields, per chunk, the row slice of the points and two (chunk,
+    M*N) arrays over the row-major cells: sqrt(F_combine) / (r_t * r_r)
+    and mod(2*pi/lambda * (r_t + r_r), 2*pi).  F_combine is the product of
+    the Tx pattern, the cell's reception and emission patterns, and the Rx
+    pattern.  The next chunk overwrites the yielded arrays;
+    ``workspace[0]``, ``workspace[1]`` and any buffers past the fourth are
+    free for the consumer in between.
+    """
+    radio = scenario.radio
+    axes, r_t, tx_gain = tx_leg
     wavenumber = TWO_PI / radio.wavelength
     size = workspace.shape[1]
     for lo in range(0, max(rx_points.shape[0], 1), size):  # P = 0: one empty chunk
@@ -162,7 +175,7 @@ def link_state(scenario: Scenario) -> LinkState:
     placement, panel = scenario.placement, scenario.panel
     rx = antenna_points(placement.d2, placement.theta_r, placement.phi_r)
     workspace = np.empty((4, 1, panel.num_cells))
-    _, amplitude, phase = next(_phasor_chunks(scenario, rx, workspace))
+    _, amplitude, phase = next(_phasor_chunks(scenario, _tx_leg(scenario), rx, workspace))
     shape = (panel.rows, panel.cols)
     return LinkState(scenario, amplitude.reshape(shape), phase.reshape(shape))
 
@@ -210,16 +223,41 @@ def far_field_pl_db(panel: RisPanel, placement: Placement, radio: RadioConfig) -
     return 10.0 * math.log10(pl)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _field_block(scenario, tx_leg, shift, points, size, out) -> None:
+    """Field magnitudes at ``points`` into ``out``, ``size`` points per chunk,
+    in views of one workspace of five chunk-sized buffers."""
+    workspace = np.empty((5, size, shift.size))
+    for rows, amplitude, phase in _phasor_chunks(scenario, tx_leg, points, workspace):
+        count = amplitude.shape[0]
+        scratch = (workspace[0, :count], workspace[1, :count], workspace[4, :count])
+        _phasor_sum(amplitude, phase, shift, out=out[rows], scratch=scratch)
+
+
 def field_at_rx_points(
     scenario: Scenario, shifts: np.ndarray, rx_points: np.ndarray
 ) -> np.ndarray:
     """Field magnitudes at many Rx positions with the shifts (rad) held fixed.
 
     ``rx_points`` is a (P, 3) array of Cartesian Rx positions, evaluated
-    through the forward model in chunks of about 2^15 point-cells.  One
-    workspace of five chunk-sized buffers is allocated per call and every
-    chunk, the last and partial one included, is evaluated in views of it.
-    Used by angle scans and spatial power maps, where the design is frozen
+    through the forward model in chunks of about 2^15 point-cells, with the
+    Tx leg computed once per call.  When each of two or more usable CPUs
+    would get at least two full chunks, the points are split into one
+    contiguous block per CPU (fewer when the chunks run short); the
+    caller's thread evaluates the first block and a thread pool the rest,
+    in parallel since numpy's kernels release the GIL.  Each block
+    evaluates every chunk, the last and partial one included, in views of
+    its own workspace of five chunk-sized buffers.  A point's value depends
+    on neither its chunk nor its block, so the bytes are the same for any
+    CPU count; an exception in a block is re-raised here.  Used by angle
+    scans and spatial power maps, where the design is frozen
     while Rx moves.
     """
     points = np.asarray(rx_points, dtype=float)
@@ -231,11 +269,27 @@ def field_at_rx_points(
             f"shift shape {shifts.shape} != panel shape {(panel.rows, panel.cols)}"
         )
     shift = shifts.ravel()
-    size = max(1, min(points.shape[0], _CHUNK_POINT_CELLS // shift.size))
-    workspace = np.empty((5, size, shift.size))
-    xi = np.empty(points.shape[0])
-    for rows, amplitude, phase in _phasor_chunks(scenario, points, workspace):
-        count = amplitude.shape[0]
-        scratch = (workspace[0, :count], workspace[1, :count], workspace[4, :count])
-        _phasor_sum(amplitude, phase, shift, out=xi[rows], scratch=scratch)
+    count = points.shape[0]
+    size = max(1, min(count, _CHUNK_POINT_CELLS // shift.size))
+    tx_leg = _tx_leg(scenario)
+    xi = np.empty(count)
+    workers = min(_usable_cpus(), count // (2 * size))
+    if workers < 2:
+        _field_block(scenario, tx_leg, shift, points, size, xi)
+        return xi
+    import contextvars
+    from concurrent.futures import ThreadPoolExecutor
+
+    bounds = [count * k // workers for k in range(workers + 1)]
+    blocks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    with ThreadPoolExecutor(workers - 1) as pool:
+        # the pool's blocks run in copies of the caller's context, so np.errstate holds
+        futures = [
+            pool.submit(contextvars.copy_context().run, _field_block, scenario, tx_leg, shift,
+                        points[rows], size, xi[rows])
+            for rows in blocks[1:]
+        ]
+        _field_block(scenario, tx_leg, shift, points[blocks[0]], size, xi[blocks[0]])
+        for future in futures:
+            future.result()
     return xi

@@ -87,17 +87,23 @@ class RadioConfig:
 def cosine_pattern(cos_theta, alpha: float, out: np.ndarray | None = None) -> np.ndarray:
     """Normalized cosine-power pattern value(s), given cos(theta).
 
-    Cosines are clipped to [-1, 1] against rounding.  Returns 1 at
-    cos(theta) = 1 and exactly 0 in the cutoff region cos(theta) <= 0.
-    With ``out``, the values are written there and ``cos_theta``, a float
-    array of the same shape, is clipped in place.
+    Cosines above 1 (rounding) count as 1.  Returns 1 at cos(theta) = 1,
+    and exactly +0 in the cutoff region cos(theta) <= 0 and for NaN.
+    With ``out``, a float array of ``cos_theta``'s shape, the values are
+    written there; ``cos_theta`` itself is never modified.
     """
     if alpha < 0.0:
         raise ValueError(f"pattern exponent must be >= 0, got {alpha}")
     if out is None:
-        arr = np.clip(np.asarray(cos_theta, dtype=float), -1.0, 1.0)
-        out = np.zeros_like(arr)
-    else:
-        arr = np.clip(cos_theta, -1.0, 1.0, out=cos_theta)
-        out.fill(0.0)
-    return np.power(arr, alpha, out=out, where=arr > 0.0)
+        cos_theta = np.asarray(cos_theta, dtype=float)
+        out = np.empty_like(cos_theta)
+    if alpha == 0.0:
+        # pow(x, 0) is 1 wherever x > 0, and the cutoff must stay 0
+        return np.greater(cos_theta, 0.0, out=out)
+    # fmax maps NaN to 0, unlike clip; + 0.0 turns its -0 into +0
+    np.fmax(cos_theta, 0.0, out=out)
+    np.fmin(out, 1.0, out=out)
+    out += 0.0
+    if alpha != 1.0:  # pow(x, 1) = x
+        np.power(out, alpha, out=out)
+    return out

@@ -204,7 +204,8 @@ class TestRunSweep:
                     assert row.threshold_deg[method] == math.degrees(expected.threshold)
 
     def test_cli_import_leaves_out_thread_pools(self):
-        # sweeps and fits run serially, so the CLI never imports a pool
+        # sweeps and fits run serially and the field kernel imports its pool
+        # only when it splits a large call, so importing the CLI loads none
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run(

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,14 +232,24 @@ class TestFieldAtRxPoints:
                               dtpq(sc, state).shifts):
                     assert field_at_rx_points(sc, shift, point)[0] == state.xi(shift)
 
+    @staticmethod
+    def random_points(rng, panel, count):
+        # ranges reach down to a tenth of the aperture, so the chunks also
+        # hold cells in the Rx pattern's cutoff
+        theta = rng.uniform(0.0, math.radians(89.0), count)
+        phi = rng.uniform(0.0, TWO_PI, count)
+        r = aperture_radius(panel) * 10.0 ** rng.uniform(-1.0, 2.0, count)
+        return np.column_stack([r * np.sin(theta) * np.cos(phi),
+                                r * np.sin(theta) * np.sin(phi), r * np.cos(theta)])
+
     def test_batch_independent(self, monkeypatch):
         # a point's value must not depend on which other points share its
-        # call, its chunk, its position in the batch, or what the previous
-        # chunk left in the reused workspace.  The bundled panel takes 64
-        # points per chunk, so 300 points end in a partial chunk; the
-        # 34000-cell panel takes one point per chunk.  Ranges reach down to a
-        # tenth of the aperture, so the chunks also hold cells in the Rx
-        # pattern's cutoff.
+        # call, its chunk, its block, the number of blocks, its position in
+        # the batch, or what the previous chunk left in the reused
+        # workspace.  The bundled panel takes 64 points per chunk, so 300
+        # points end in a partial chunk; the 34000-cell panel takes one
+        # point per chunk.  One point per chunk splits every call here over
+        # all the CPUs the helper reports.
         rng = np.random.default_rng(77)
         scenarios = [random_scenario(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)),
                                      int(rng.integers(1, 3))) for _ in range(12)]
@@ -247,22 +258,137 @@ class TestFieldAtRxPoints:
         for sc in scenarios:
             count = 300 if sc.panel.num_cells <= 1 << 15 else 7
             shift = rng.uniform(0.0, TWO_PI, size=(sc.panel.rows, sc.panel.cols))
-            theta = rng.uniform(0.0, math.radians(89.0), count)
-            phi = rng.uniform(0.0, TWO_PI, count)
-            r = aperture_radius(sc.panel) * 10.0 ** rng.uniform(-1.0, 2.0, count)
-            points = np.column_stack([r * np.sin(theta) * np.cos(phi),
-                                      r * np.sin(theta) * np.sin(phi), r * np.cos(theta)])
-            together = field_at_rx_points(sc, shift, points)
+            points = self.random_points(rng, sc.panel, count)
             one_by_one = np.concatenate([field_at_rx_points(sc, shift, p[None, :])
                                          for p in points])
-            reversed_order = field_at_rx_points(sc, shift, points[::-1].copy())[::-1]
-            monkeypatch.setattr(channel, "_CHUNK_POINT_CELLS", 1)
-            point_per_chunk = field_at_rx_points(sc, shift, points)
-            monkeypatch.setattr(channel, "_CHUNK_POINT_CELLS", 1 << 62)
-            single_chunk = field_at_rx_points(sc, shift, points)
-            monkeypatch.undo()
-            for other in (one_by_one, reversed_order, point_per_chunk, single_chunk):
-                assert together.tobytes() == other.tobytes()
+            for workers in (1, 2, 3):
+                monkeypatch.setattr(channel, "_usable_cpus", lambda workers=workers: workers)
+                together = field_at_rx_points(sc, shift, points)
+                reversed_order = field_at_rx_points(sc, shift, points[::-1].copy())[::-1]
+                monkeypatch.setattr(channel, "_CHUNK_POINT_CELLS", 1)
+                point_per_chunk = field_at_rx_points(sc, shift, points)
+                monkeypatch.setattr(channel, "_CHUNK_POINT_CELLS", 1 << 62)
+                single_chunk = field_at_rx_points(sc, shift, points)
+                monkeypatch.undo()
+                for other in (together, reversed_order, point_per_chunk, single_chunk):
+                    assert one_by_one.tobytes() == other.tobytes()
+
+    def test_blocks_split_over_the_usable_cpus(self, monkeypatch):
+        # one contiguous block per CPU, and only as many blocks as give each
+        # at least two full chunks (64 points each on the bundled panel)
+        sc = ris_2p6ghz()
+        shift = link_state(sc).phase
+        points = self.random_points(np.random.default_rng(5), sc.panel, 1000)
+        blocks = []
+        real_block = channel._field_block
+
+        def record(scenario, tx_leg, shift, points, size, out):
+            blocks.append((len(points), size))
+            real_block(scenario, tx_leg, shift, points, size, out)
+
+        monkeypatch.setattr(channel, "_field_block", record)
+        for cpus, count, expected in ((1, 1000, [1000]), (3, 1000, [333, 333, 334]),
+                                      (8, 300, [150, 150]), (8, 255, [255])):
+            monkeypatch.setattr(channel, "_usable_cpus", lambda cpus=cpus: cpus)
+            blocks.clear()
+            field_at_rx_points(sc, shift, points[:count])
+            assert sorted(blocks) == [(n, 64) for n in expected]
+
+    def test_more_workers_than_cores_under_frequent_switches(self, monkeypatch):
+        # eight blocks of 8-point chunks write disjoint slices of one output
+        # while the interpreter switches threads every microsecond
+        import sys
+
+        sc = ris_2p6ghz()
+        shift = np.random.default_rng(9).uniform(0.0, TWO_PI, (sc.panel.rows, sc.panel.cols))
+        points = self.random_points(np.random.default_rng(10), sc.panel, 1000)
+        monkeypatch.setattr(channel, "_CHUNK_POINT_CELLS", 8 * sc.panel.num_cells)
+        monkeypatch.setattr(channel, "_usable_cpus", lambda: 1)
+        serial = field_at_rx_points(sc, shift, points)
+        monkeypatch.setattr(channel, "_usable_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert field_at_rx_points(sc, shift, points).tobytes() == serial.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("count, cells", [(1, 512), (64, 512), (181, 512), (3, 34000)])
+    def test_few_chunks_start_no_thread(self, monkeypatch, count, cells):
+        # a call with fewer than two full chunks per block stays on the
+        # caller's thread however many CPUs there are: one point, one
+        # 64-point chunk, the CLI's 181-point angle scan (3 chunks), and
+        # three one-point chunks on a 34000-cell panel
+        import concurrent.futures
+        import threading
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading, "Thread", refuse)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        monkeypatch.setattr(channel, "_usable_cpus", lambda: 64)
+        sc = ris_2p6ghz() if cells == 512 else ris_2p6ghz().with_panel(rows=200, cols=170)
+        points = self.random_points(np.random.default_rng(6), sc.panel, count)
+        shift = np.zeros((sc.panel.rows, sc.panel.cols))
+        assert field_at_rx_points(sc, shift, points).shape == (count,)
+
+    @staticmethod
+    def fail_in_second_half(monkeypatch):
+        # _phasor_sum raises for any chunk whose first point lies in the
+        # second half of the call's points, that is in the second of two
+        # blocks; sums outside field_at_rx_points (out=None) pass
+        real_sum = channel._phasor_sum
+
+        def failing_sum(amplitude, phase, shift, out=None, scratch=None):
+            if out is not None and (out.__array_interface__["data"][0]
+                                    - out.base.__array_interface__["data"][0]
+                                    >= out.base.size // 2 * out.itemsize):
+                raise FloatingPointError("overflow in the second block")
+            return real_sum(amplitude, phase, shift, out=out, scratch=scratch)
+
+        monkeypatch.setattr(channel, "_phasor_sum", failing_sum)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_block_failure_reaches_the_caller(self, monkeypatch, workers):
+        sc = ris_2p6ghz()
+        points = self.random_points(np.random.default_rng(7), sc.panel, 1000)
+        monkeypatch.setattr(channel, "_usable_cpus", lambda: workers)
+        self.fail_in_second_half(monkeypatch)
+        with pytest.raises(FloatingPointError, match="^overflow in the second block$"):
+            field_at_rx_points(sc, link_state(sc).phase, points)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_block_failure_exits_one(self, monkeypatch, tmp_path, capsys, workers):
+        from risbeam.cli import run
+
+        monkeypatch.setattr(channel, "_usable_cpus", lambda: workers)
+        self.fail_in_second_half(monkeypatch)
+        out = tmp_path / "map.csv"
+        scenario = Path(__file__).resolve().parent.parent / "scenarios" / "ris1_2p6ghz.json"
+        code = run(["gradient-map", "--scenario", str(scenario),
+                    "--target-theta", "45", "--target-phi", "180", "--theta-step", "1.5",
+                    "--phi-step", "6", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "internal error: overflow in the second block\n"
+
+    def test_blocks_run_under_the_callers_error_state(self, monkeypatch):
+        # np.errstate set around the call holds in every block's thread
+        sc = ris_2p6ghz()
+        points = self.random_points(np.random.default_rng(8), sc.panel, 1000)
+        monkeypatch.setattr(channel, "_usable_cpus", lambda: 2)
+        seen = []
+        real_sum = channel._phasor_sum
+
+        def record(*args, **kwargs):
+            seen.append(np.geterr()["over"])
+            return real_sum(*args, **kwargs)
+
+        monkeypatch.setattr(channel, "_phasor_sum", record)
+        with np.errstate(over="raise"):
+            field_at_rx_points(sc, link_state(sc).phase, points)
+        assert seen and set(seen) == {"raise"}
 
     def test_no_points(self):
         sc = ris_2p6ghz()
@@ -314,6 +440,29 @@ class TestPhasorSum:
                 assert abs(value - self.complex_sum(amplitude, phase, shift)) <= (
                     1e-13 * amplitude.sum())
         assert _phasor_sum(np.array([0.7]), np.array([2.0]), np.array([2.0])) == 0.7
+
+    def test_bytes_equal_the_form_doubling_each_tangent(self):
+        # 2 * sum(t * w) is the bytes of sum((2 * t) * w): doubling is exact
+        # and commutes with every rounding of the products and the pairwise sum
+        def doubled_tangents(amplitude, phase, shift):
+            t = np.tan((shift - phase) * 0.5)
+            t2 = t * t
+            weight = amplitude / (t2 + 1.0)
+            return np.hypot(np.sum((1.0 - t2) * weight, axis=-1),
+                            np.sum((t * 2.0) * weight, axis=-1))
+
+        rng = np.random.default_rng(10)
+        for cells in (1, 2, 7, 512, 5000):
+            amplitude = rng.uniform(0.0, 1.0, (20, cells))
+            phase = rng.uniform(0.0, TWO_PI, (20, cells))
+            shift = rng.uniform(0.0, TWO_PI, cells)
+            phase[rng.random((20, cells)) < 0.3] = 0.0
+            phase[:3] = shift  # rows of zero residuals only
+            phase[3, : cells // 2] = shift[: cells // 2]
+            for a, p in ((amplitude, phase), (amplitude[4], phase[4]),
+                         (amplitude[0], phase[0])):
+                assert (_phasor_sum(a, p, shift).tobytes()
+                        == doubled_tangents(a, p, shift).tobytes())
 
 
 # From 2^26 * TWO_PI on the reduction falls back to np.mod; the multiples

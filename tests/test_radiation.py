@@ -60,6 +60,31 @@ class TestCosinePattern:
             expected[visible] = clipped[visible] ** alpha
             assert cosine_pattern(cosines, alpha).tobytes() == expected.tobytes()
 
+    def test_non_finite_and_tiny_cosines(self):
+        # NaN maps to 0 as in the boolean-index form, +inf counts as 1,
+        # -inf and -1e-300 are cut off, and no value carries a sign bit
+        cosines = np.array([np.nan, np.inf, -np.inf, 1e-300, -1e-300, -0.0, 0.0])
+        for alpha in (0.0, 0.5, 1.0, 2.0, ALPHA_825_DBI, 3.0):
+            clipped = np.clip(cosines, -1.0, 1.0)
+            expected = np.zeros_like(clipped)
+            visible = clipped > 0.0
+            expected[visible] = clipped[visible] ** alpha
+            values = cosine_pattern(cosines, alpha)
+            assert values.tobytes() == expected.tobytes()
+            assert values[0] == 0.0 and values[1] == 1.0 and values[2] == 0.0
+            assert values[3] == (1.0 if alpha == 0.0 else 1e-300**alpha)
+            assert not np.any(np.signbit(values))
+
+    def test_out_leaves_the_cosines_unchanged(self):
+        rng = np.random.default_rng(13)
+        cosines = np.concatenate([rng.uniform(-1.5, 1.5, 999), [np.nan, -0.0, 1.0]])
+        for alpha in (0.0, 1.0, ALPHA_825_DBI):
+            given = cosines.copy()
+            out = np.full_like(given, 7.0)
+            assert cosine_pattern(given, alpha, out=out) is out
+            assert given.tobytes() == cosines.tobytes()
+            assert out.tobytes() == cosine_pattern(cosines, alpha).tobytes()
+
     def test_alpha_zero_cutoff_is_exact(self):
         cosines = np.array([1.5, 1.0, 0.3, 1e-300, 0.0, -0.0, -1e-300, -0.7, -1.5])
         values = cosine_pattern(cosines, 0.0)
