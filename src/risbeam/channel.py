@@ -29,6 +29,10 @@ from .scenario import Scenario
 # The five workspace buffers of a chunk then take 1.25 MB and stay in L2.
 _CHUNK_POINT_CELLS = 1 << 15
 
+# Most threads one field_at_rx_points call runs on: the count whose speed-up
+# and page faults were measured (2 cores).  Each thread has its own workspace.
+_MAX_WORKERS = 2
+
 # Two-constant (Cody-Waite) split of TWO_PI: C1 keeps its top 26 significant
 # bits and C2 = TWO_PI - C1 the remaining 27 or fewer, so for an integer
 # q <= 2^26 both q*C1 and q*C2 are exact.  Below _MOD_X_LIMIT the quotient
@@ -223,22 +227,26 @@ def far_field_pl_db(panel: RisPanel, placement: Placement, radio: RadioConfig) -
     return 10.0 * math.log10(pl)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, else the machine's count."""
+def _workers() -> int:
+    """Threads for a large field call: the usable CPUs (the affinity mask,
+    else the machine's count), at most _MAX_WORKERS."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    return min(_MAX_WORKERS, cpus)
 
 
-def _field_block(scenario, tx_leg, shift, points, size, out) -> None:
+def _field_block(scenario, tx_leg, shift, points, size, out, errors) -> None:
     """Field magnitudes at ``points`` into ``out``, ``size`` points per chunk,
-    in views of one workspace of five chunk-sized buffers."""
+    in views of one workspace of five chunk-sized buffers, under the
+    floating-point error handling ``errors`` (an ``np.geterr()`` dict)."""
     workspace = np.empty((5, size, shift.size))
-    for rows, amplitude, phase in _phasor_chunks(scenario, tx_leg, points, workspace):
-        count = amplitude.shape[0]
-        scratch = (workspace[0, :count], workspace[1, :count], workspace[4, :count])
-        _phasor_sum(amplitude, phase, shift, out=out[rows], scratch=scratch)
+    with np.errstate(**errors):
+        for rows, amplitude, phase in _phasor_chunks(scenario, tx_leg, points, workspace):
+            count = amplitude.shape[0]
+            scratch = (workspace[0, :count], workspace[1, :count], workspace[4, :count])
+            _phasor_sum(amplitude, phase, shift, out=out[rows], scratch=scratch)
 
 
 def field_at_rx_points(
@@ -248,17 +256,17 @@ def field_at_rx_points(
 
     ``rx_points`` is a (P, 3) array of Cartesian Rx positions, evaluated
     through the forward model in chunks of about 2^15 point-cells, with the
-    Tx leg computed once per call.  When each of two or more usable CPUs
-    would get at least two full chunks, the points are split into one
-    contiguous block per CPU (fewer when the chunks run short); the
-    caller's thread evaluates the first block and a thread pool the rest,
-    in parallel since numpy's kernels release the GIL.  Each block
-    evaluates every chunk, the last and partial one included, in views of
-    its own workspace of five chunk-sized buffers.  A point's value depends
-    on neither its chunk nor its block, so the bytes are the same for any
-    CPU count; an exception in a block is re-raised here.  Used by angle
-    scans and spatial power maps, where the design is frozen
-    while Rx moves.
+    Tx leg computed once per call.  When each of the usable CPUs, at most
+    two, would get at least two full chunks, the points are split into one
+    contiguous block per CPU; the caller's thread evaluates the first block
+    and a thread pool the rest, in parallel since numpy's kernels release
+    the GIL, all under the caller's ``np.geterr()``.  Each block evaluates
+    every chunk, the last and partial one included, in views of its own
+    workspace of five chunk-sized buffers.  A point's value depends on
+    neither its chunk nor its block, so the bytes are the same on any
+    number of threads; an exception in a block is re-raised here.  Used by
+    angle scans and spatial power maps, where the design is frozen while Rx
+    moves.
     """
     points = np.asarray(rx_points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3:
@@ -273,23 +281,22 @@ def field_at_rx_points(
     size = max(1, min(count, _CHUNK_POINT_CELLS // shift.size))
     tx_leg = _tx_leg(scenario)
     xi = np.empty(count)
-    workers = min(_usable_cpus(), count // (2 * size))
+    errors = np.geterr()
+    workers = min(_workers(), count // (2 * size))
     if workers < 2:
-        _field_block(scenario, tx_leg, shift, points, size, xi)
+        _field_block(scenario, tx_leg, shift, points, size, xi, errors)
         return xi
-    import contextvars
     from concurrent.futures import ThreadPoolExecutor
 
     bounds = [count * k // workers for k in range(workers + 1)]
     blocks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     with ThreadPoolExecutor(workers - 1) as pool:
-        # the pool's blocks run in copies of the caller's context, so np.errstate holds
         futures = [
-            pool.submit(contextvars.copy_context().run, _field_block, scenario, tx_leg, shift,
-                        points[rows], size, xi[rows])
+            pool.submit(_field_block, scenario, tx_leg, shift, points[rows], size, xi[rows],
+                        errors)
             for rows in blocks[1:]
         ]
-        _field_block(scenario, tx_leg, shift, points[blocks[0]], size, xi[blocks[0]])
+        _field_block(scenario, tx_leg, shift, points[blocks[0]], size, xi[blocks[0]], errors)
         for future in futures:
             future.result()
     return xi

@@ -249,75 +249,73 @@ class TestFieldAtRxPoints:
         # workspace.  The bundled panel takes 64 points per chunk, so 300
         # points end in a partial chunk; the 34000-cell panel takes one
         # point per chunk.  One point per chunk splits every call here over
-        # all the CPUs the helper reports.
+        # all the workers the helper reports, eight of them writing disjoint
+        # slices of one output while the interpreter switches threads every
+        # microsecond.
+        import sys
+
         rng = np.random.default_rng(77)
         scenarios = [random_scenario(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)),
                                      int(rng.integers(1, 3))) for _ in range(12)]
         scenarios.append(ris_2p6ghz())
         scenarios.append(ris_2p6ghz().with_panel(rows=200, cols=170))
-        for sc in scenarios:
-            count = 300 if sc.panel.num_cells <= 1 << 15 else 7
-            shift = rng.uniform(0.0, TWO_PI, size=(sc.panel.rows, sc.panel.cols))
-            points = self.random_points(rng, sc.panel, count)
-            one_by_one = np.concatenate([field_at_rx_points(sc, shift, p[None, :])
-                                         for p in points])
-            for workers in (1, 2, 3):
-                monkeypatch.setattr(channel, "_usable_cpus", lambda workers=workers: workers)
-                together = field_at_rx_points(sc, shift, points)
-                reversed_order = field_at_rx_points(sc, shift, points[::-1].copy())[::-1]
-                monkeypatch.setattr(channel, "_CHUNK_POINT_CELLS", 1)
-                point_per_chunk = field_at_rx_points(sc, shift, points)
-                monkeypatch.setattr(channel, "_CHUNK_POINT_CELLS", 1 << 62)
-                single_chunk = field_at_rx_points(sc, shift, points)
-                monkeypatch.undo()
-                for other in (together, reversed_order, point_per_chunk, single_chunk):
-                    assert one_by_one.tobytes() == other.tobytes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for sc in scenarios:
+                count = 300 if sc.panel.num_cells <= 1 << 15 else 7
+                shift = rng.uniform(0.0, TWO_PI, size=(sc.panel.rows, sc.panel.cols))
+                points = self.random_points(rng, sc.panel, count)
+                one_by_one = np.concatenate([field_at_rx_points(sc, shift, p[None, :])
+                                             for p in points])
+                for workers in (1, 2, 3, 8):
+                    monkeypatch.setattr(channel, "_workers", lambda workers=workers: workers)
+                    together = field_at_rx_points(sc, shift, points)
+                    reversed_order = field_at_rx_points(sc, shift, points[::-1].copy())[::-1]
+                    monkeypatch.setattr(channel, "_CHUNK_POINT_CELLS", 1)
+                    point_per_chunk = field_at_rx_points(sc, shift, points)
+                    monkeypatch.setattr(channel, "_CHUNK_POINT_CELLS", 1 << 62)
+                    single_chunk = field_at_rx_points(sc, shift, points)
+                    monkeypatch.undo()
+                    for other in (together, reversed_order, point_per_chunk, single_chunk):
+                        assert one_by_one.tobytes() == other.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
 
-    def test_blocks_split_over_the_usable_cpus(self, monkeypatch):
-        # one contiguous block per CPU, and only as many blocks as give each
-        # at least two full chunks (64 points each on the bundled panel)
+    def test_blocks_split_over_the_workers(self, monkeypatch):
+        # one contiguous block per worker, and only as many blocks as give
+        # each at least two full chunks (64 points each on the bundled panel)
         sc = ris_2p6ghz()
         shift = link_state(sc).phase
         points = self.random_points(np.random.default_rng(5), sc.panel, 1000)
         blocks = []
         real_block = channel._field_block
 
-        def record(scenario, tx_leg, shift, points, size, out):
-            blocks.append((len(points), size))
-            real_block(scenario, tx_leg, shift, points, size, out)
+        def record(scenario, tx_leg, shift, points, *rest):
+            blocks.append((len(points), rest[0]))
+            real_block(scenario, tx_leg, shift, points, *rest)
 
         monkeypatch.setattr(channel, "_field_block", record)
-        for cpus, count, expected in ((1, 1000, [1000]), (3, 1000, [333, 333, 334]),
-                                      (8, 300, [150, 150]), (8, 255, [255])):
-            monkeypatch.setattr(channel, "_usable_cpus", lambda cpus=cpus: cpus)
+        for workers, count, expected in ((1, 1000, [1000]), (3, 1000, [333, 333, 334]),
+                                         (8, 300, [150, 150]), (8, 255, [255])):
+            monkeypatch.setattr(channel, "_workers", lambda workers=workers: workers)
             blocks.clear()
             field_at_rx_points(sc, shift, points[:count])
             assert sorted(blocks) == [(n, 64) for n in expected]
 
-    def test_more_workers_than_cores_under_frequent_switches(self, monkeypatch):
-        # eight blocks of 8-point chunks write disjoint slices of one output
-        # while the interpreter switches threads every microsecond
-        import sys
+    @pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (16, 2)])
+    def test_at_most_two_workers(self, monkeypatch, cpus, workers):
+        # two is the measured count, and each worker adds a workspace
+        import os
 
-        sc = ris_2p6ghz()
-        shift = np.random.default_rng(9).uniform(0.0, TWO_PI, (sc.panel.rows, sc.panel.cols))
-        points = self.random_points(np.random.default_rng(10), sc.panel, 1000)
-        monkeypatch.setattr(channel, "_CHUNK_POINT_CELLS", 8 * sc.panel.num_cells)
-        monkeypatch.setattr(channel, "_usable_cpus", lambda: 1)
-        serial = field_at_rx_points(sc, shift, points)
-        monkeypatch.setattr(channel, "_usable_cpus", lambda: 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(5):
-                assert field_at_rx_points(sc, shift, points).tobytes() == serial.tobytes()
-        finally:
-            sys.setswitchinterval(interval)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        assert channel._workers() == workers
 
     @pytest.mark.parametrize("count, cells", [(1, 512), (64, 512), (181, 512), (3, 34000)])
     def test_few_chunks_start_no_thread(self, monkeypatch, count, cells):
         # a call with fewer than two full chunks per block stays on the
-        # caller's thread however many CPUs there are: one point, one
+        # caller's thread however many workers there are: one point, one
         # 64-point chunk, the CLI's 181-point angle scan (3 chunks), and
         # three one-point chunks on a 34000-cell panel
         import concurrent.futures
@@ -328,7 +326,7 @@ class TestFieldAtRxPoints:
 
         monkeypatch.setattr(threading, "Thread", refuse)
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
-        monkeypatch.setattr(channel, "_usable_cpus", lambda: 64)
+        monkeypatch.setattr(channel, "_workers", lambda: 64)
         sc = ris_2p6ghz() if cells == 512 else ris_2p6ghz().with_panel(rows=200, cols=170)
         points = self.random_points(np.random.default_rng(6), sc.panel, count)
         shift = np.zeros((sc.panel.rows, sc.panel.cols))
@@ -354,7 +352,7 @@ class TestFieldAtRxPoints:
     def test_block_failure_reaches_the_caller(self, monkeypatch, workers):
         sc = ris_2p6ghz()
         points = self.random_points(np.random.default_rng(7), sc.panel, 1000)
-        monkeypatch.setattr(channel, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(channel, "_workers", lambda: workers)
         self.fail_in_second_half(monkeypatch)
         with pytest.raises(FloatingPointError, match="^overflow in the second block$"):
             field_at_rx_points(sc, link_state(sc).phase, points)
@@ -363,7 +361,7 @@ class TestFieldAtRxPoints:
     def test_block_failure_exits_one(self, monkeypatch, tmp_path, capsys, workers):
         from risbeam.cli import run
 
-        monkeypatch.setattr(channel, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(channel, "_workers", lambda: workers)
         self.fail_in_second_half(monkeypatch)
         out = tmp_path / "map.csv"
         scenario = Path(__file__).resolve().parent.parent / "scenarios" / "ris1_2p6ghz.json"
@@ -377,7 +375,7 @@ class TestFieldAtRxPoints:
         # np.errstate set around the call holds in every block's thread
         sc = ris_2p6ghz()
         points = self.random_points(np.random.default_rng(8), sc.panel, 1000)
-        monkeypatch.setattr(channel, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(channel, "_workers", lambda: 2)
         seen = []
         real_sum = channel._phasor_sum
 

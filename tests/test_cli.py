@@ -271,7 +271,7 @@ class TestOtherCommands:
     @pytest.mark.skipif(sys.platform != "linux", reason="minor faults are counted on Linux")
     def test_map_page_faults_stay_within_the_workspace(self, tmp_path):
         # the field workspace is allocated once per worker, so a 61 x 61 map
-        # (59 chunks on the 512-cell panel, split over the usable CPUs)
+        # (59 chunks on the 512-cell panel, split over at most two workers)
         # faults in a few workspaces' worth of pages more than `validate`;
         # allocating chunk temporaries per chunk cost about 11700 pages more
         import resource
