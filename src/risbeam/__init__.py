@@ -1,9 +1,10 @@
 """Simulator for reflecting-surface assisted SISO links with discrete phase shifts.
 
-Computes ideal continuous phase shifts, quantizes them to q-bit levels via
-dynamic-threshold (dtpq) and equal-interval (eipq) searches, and provides
-the sweeps and slope fits that characterize received power and path-loss
-scaling.
+Computes a link's per-cell amplitudes and ideal continuous phase shifts
+(``link_state``), quantizes them to q-bit levels via dynamic-threshold
+(``dtpq(state)``) and equal-interval (``eipq(state, epsilon)``) searches,
+and provides the sweeps and slope fits that characterize received power
+and path-loss scaling.
 """
 
 from .analysis import (

@@ -113,6 +113,8 @@ def grid_values(start: float, stop: float, step: float, option: str = "--step") 
     prefix = option.removesuffix("step")
     if not step > 0.0:
         raise ValueError(f"{option} must be positive, got {step:g}")
+    if not math.isfinite(step):
+        raise ValueError(f"{option} must be finite, got {step:g}")
     if stop < start:
         raise ValueError(f"{prefix}stop {stop:g} must not precede {prefix}start {start:g}")
     steps = (stop - start) / step + 0.5
@@ -178,14 +180,14 @@ def design(state: LinkState, method: str) -> QuantizationResult:
         power = power_dbm_from_xi(scenario.panel, scenario.radio, xi)
         return QuantizationResult(None, state.phase, None, xi, power, 0)
     if name == "dtpq":
-        return dtpq(scenario, state)
+        return dtpq(state)
     if name == "eipq":
         epsilon = math.radians(DEFAULT_EPSILON_DEG if degrees is None else degrees)
-        return eipq(scenario, epsilon, state)
+        return eipq(state, epsilon)
     if name == "fixed":
         gamma = scenario.panel.levels[-1] if degrees is None else math.radians(degrees)
-        return fixed_threshold(scenario, gamma % TWO_PI, state)
-    return exhaustive_search(scenario, state)
+        return fixed_threshold(state, gamma % TWO_PI)
+    return exhaustive_search(state)
 
 
 def run_sweep(scenario: Scenario, spec: SweepSpec) -> list[SweepRow]:

@@ -2,7 +2,9 @@
 
 A q-bit quantizer with threshold gamma maps a continuous phase to level
 rho_p when the phase falls in the half-open cyclic bin
-[gamma + (p-1)*Omega, gamma + p*Omega), Omega = 2*pi/2**q.  The searches
+[gamma + (p-1)*Omega, gamma + p*Omega), Omega = 2*pi/2**q.  Each search
+takes the LinkState it searches (channel.link_state), plus its own
+parameter, and reads the panel from ``state.scenario``.  The searches
 differ only in their candidate threshold sets:
 
 * dtpq       -- the M*N entries of the continuous phase matrix; optimal
@@ -29,9 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LinkState, link_state, power_dbm_from_xi
+from .channel import LinkState, power_dbm_from_xi
 from .geometry import TWO_PI, RisPanel
-from .scenario import Scenario
 
 # Candidates whose xi is within this relative slack of the best are treated
 # as ties and resolved to the smallest threshold.
@@ -147,59 +148,50 @@ def _search(state: LinkState, gammas: np.ndarray) -> QuantizationResult:
     return _at_threshold(state, float(np.min(gammas[tied])), gammas.size)
 
 
-def dtpq(scenario: Scenario, state: LinkState | None = None) -> QuantizationResult:
+def dtpq(state: LinkState) -> QuantizationResult:
     """Dynamic threshold search over the M*N continuous phase entries.
 
     Optimal over all thresholds.  All M*N candidates are scored on one
     threshold profile, so the cost is O(M*N log M*N).
     """
-    if state is None:
-        state = link_state(scenario)
     return _search(state, state.phase.ravel())
 
 
-def eipq(scenario: Scenario, epsilon: float, state: LinkState | None = None) -> QuantizationResult:
+def eipq(state: LinkState, epsilon: float) -> QuantizationResult:
     """Equal-interval threshold search with grid step epsilon (rad).
 
     The K = floor(2*pi / (2**bits * epsilon)) candidates (k-1)*epsilon,
     k = 1..K, are sampled from one threshold profile in
     O((M*N + K) log M*N).  K may not exceed EIPQ_GUARD_CANDIDATES.
     """
-    bits = scenario.panel.bits
+    bits = state.scenario.panel.bits
     interval = TWO_PI / 2**bits
     if not 0.0 < epsilon < interval:
         raise ValueError(
             f"epsilon must lie in (0, {interval:.6f}) rad = (0, {math.degrees(interval):g}) deg "
             f"for {bits}-bit quantization, got {epsilon:.6g} rad ({math.degrees(epsilon):.6g} deg)"
         )
-    count = int(math.floor(TWO_PI / (2**bits * epsilon)))
-    if count > EIPQ_GUARD_CANDIDATES:
+    quotient = TWO_PI / (2**bits * epsilon)  # inf for a subnormal epsilon: compare, then floor
+    if quotient >= EIPQ_GUARD_CANDIDATES + 1:
+        count = math.floor(quotient) if math.isfinite(quotient) else quotient
         raise ValueError(
             f"eipq refused: epsilon = {epsilon:.6g} rad ({math.degrees(epsilon):.6g} deg) "
             f"gives {count} candidates, exceeding the guard of {EIPQ_GUARD_CANDIDATES}"
         )
-    if state is None:
-        state = link_state(scenario)
-    return _search(state, epsilon * np.arange(count, dtype=float))
+    return _search(state, epsilon * np.arange(math.floor(quotient), dtype=float))
 
 
-def fixed_threshold(
-    scenario: Scenario, gamma: float, state: LinkState | None = None
-) -> QuantizationResult:
+def fixed_threshold(state: LinkState, gamma: float) -> QuantizationResult:
     """Quantization at a single constant threshold (traditional baseline)."""
-    if state is None:
-        state = link_state(scenario)
     return _at_threshold(state, float(gamma), 1)
 
 
-def exhaustive_search(scenario: Scenario, state: LinkState | None = None) -> QuantizationResult:
+def exhaustive_search(state: LinkState) -> QuantizationResult:
     """Brute-force oracle over all 2**(bits*M*N) level assignments.
 
     Refuses panels with bits * M * N > EXHAUSTIVE_GUARD_BITS.  Ties in xi
     resolve to the lexicographically smallest row-major index assignment.
     """
-    if state is None:
-        state = link_state(scenario)
     panel = state.scenario.panel
     total_bits = panel.bits * panel.num_cells
     if total_bits > EXHAUSTIVE_GUARD_BITS:

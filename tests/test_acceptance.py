@@ -143,8 +143,8 @@ def test_01_golden_received_powers_at_ten_meters():
     scenario = ris_2p6ghz(d2_m=10.0)
     t0 = time.perf_counter()
     state = link_state(scenario)
-    best = dtpq(scenario, state)
-    fixed = fixed_threshold(scenario, math.radians(235.0), state)
+    best = dtpq(state)
+    fixed = fixed_threshold(state, math.radians(235.0))
     elapsed = time.perf_counter() - t0
     continuous = power_dbm_from_xi(scenario.panel, scenario.radio, state.xi_upper_bound)
     ref = {k: float(v[0]) for k, v in reference_bounds(scenario, [10.0], 235.0).items()}
@@ -299,8 +299,8 @@ def test_08_oracle_equivalence():
         rows, cols = shapes[i % 3]
         sc = random_scenario(rng, rows, cols, bits=1 + (i % 2))
         state = link_state(sc)
-        xi_fast = dtpq(sc, state).xi
-        xi_oracle = exhaustive_search(sc, state).xi
+        xi_fast = dtpq(state).xi
+        xi_oracle = exhaustive_search(state).xi
         worst = max(worst, abs(xi_fast - xi_oracle) / xi_oracle)
     elapsed = time.perf_counter() - t0
     checks = [
@@ -317,7 +317,7 @@ def test_09_residual_spread_bound():
         bits = 1 + (i % 3)
         sc = random_scenario(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)), bits)
         state = link_state(sc)
-        spread = residual_spread(state.phase, dtpq(sc, state).shifts)
+        spread = residual_spread(state.phase, dtpq(state).shifts)
         worst = max(worst, spread - sc.panel.omega)
     checks = [
         (worst <= 1e-9,
@@ -335,8 +335,8 @@ def test_10_periodicity_and_level_offset():
         state = link_state(sc)
         omega = sc.panel.omega
         gamma = rng.uniform(0.0, TWO_PI - omega)
-        a = fixed_threshold(sc, gamma, state).xi
-        b = fixed_threshold(sc, gamma + omega, state).xi
+        a = fixed_threshold(state, gamma).xi
+        b = fixed_threshold(state, gamma + omega).xi
         worst_period = max(worst_period, abs(a - b) / a)
 
     delta = math.radians(55.0)
@@ -344,9 +344,9 @@ def test_10_periodicity_and_level_offset():
     for i in range(20):
         sc = random_scenario(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)),
                              bits=1 + (i % 2))
-        base = dtpq(sc, link_state(sc)).xi
+        base = dtpq(link_state(sc)).xi
         moved_sc = sc.with_panel(levels=tuple((v + delta) % TWO_PI for v in sc.panel.levels))
-        moved = dtpq(moved_sc, link_state(moved_sc)).xi
+        moved = dtpq(link_state(moved_sc)).xi
         worst_offset = max(worst_offset, abs(base - moved) / base)
 
     checks = [
@@ -358,9 +358,9 @@ def test_10_periodicity_and_level_offset():
 
 def test_11_grid_cardinality():
     sc = ris_2p6ghz()
-    k1 = eipq(sc, math.radians(5.0)).candidates_evaluated
+    k1 = eipq(link_state(sc), math.radians(5.0)).candidates_evaluated
     two_bit = sc.with_panel(bits=2, levels=uniform_levels(2, 0.0))
-    k2 = eipq(two_bit, math.radians(45.0)).candidates_evaluated
+    k2 = eipq(link_state(two_bit), math.radians(45.0)).candidates_evaluated
     checks = [
         (k1 == 36, f"1-bit 5deg grid has {k1} candidates (expect 36)"),
         (k2 == 2, f"2-bit 45deg grid has {k2} candidates (expect 2)"),

@@ -60,6 +60,8 @@ class TestGridValues:
             grid_values(5.0, 10.0, 5e-324)
         with pytest.raises(ValueError, match="positive"):
             grid_values(5.0, 10.0, math.nan)
+        with pytest.raises(ValueError, match="--phi-step must be finite, got inf"):
+            grid_values(0.0, 360.0, math.inf, "--phi-step")
 
 
 class TestSweepSpec:
@@ -92,10 +94,10 @@ class TestDesign:
         sc = ris_4p9ghz()
         state = link_state(sc)
         cases = [
-            ("eipq:3", eipq(sc, math.radians(3.0), state)),
-            ("eipq", eipq(sc, math.radians(analysis.DEFAULT_EPSILON_DEG), state)),
-            ("fixed:100", fixed_threshold(sc, math.radians(100.0) % (2.0 * math.pi), state)),
-            ("fixed", fixed_threshold(sc, sc.panel.levels[-1], state)),
+            ("eipq:3", eipq(state, math.radians(3.0))),
+            ("eipq", eipq(state, math.radians(analysis.DEFAULT_EPSILON_DEG))),
+            ("fixed:100", fixed_threshold(state, math.radians(100.0) % (2.0 * math.pi))),
+            ("fixed", fixed_threshold(state, sc.panel.levels[-1])),
         ]
         for token, expected in cases:
             result = design(state, token)
@@ -292,7 +294,7 @@ class TestGradientMap:
         power = gradient_map(sc, (math.radians(45.0), math.pi), [45.0], [180.0], "dtpq")
         assert power.shape == (1, 1)
         from risbeam import dtpq
-        direct = dtpq(sc).received_power_dbm
+        direct = dtpq(link_state(sc)).received_power_dbm
         assert power[0, 0] == pytest.approx(direct, abs=1e-9)
 
     def test_dtpq_map_peaks_at_design_target(self):

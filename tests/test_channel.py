@@ -229,7 +229,7 @@ class TestFieldAtRxPoints:
                 pl = sc.placement
                 point = antenna_points(pl.d2, pl.theta_r, pl.phi_r)
                 for shift in (rng.uniform(0.0, TWO_PI, size=state.phase.shape),
-                              dtpq(sc, state).shifts):
+                              dtpq(state).shifts):
                     assert field_at_rx_points(sc, shift, point)[0] == state.xi(shift)
 
     @staticmethod

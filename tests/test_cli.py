@@ -22,6 +22,7 @@ from risbeam.cli import (
     write_shifts_csv,
 )
 from risbeam.presets import ris_2p6ghz_document, ris_4p9ghz_document
+from risbeam.channel import link_state
 from risbeam.quantization import dtpq
 from risbeam.scenario import parse_scenario
 
@@ -148,7 +149,7 @@ class TestQuantizeCommand:
         run(["quantize", "--scenario", ris1_path, "--method", "dtpq", "--out", str(out)])
         captured = capsys.readouterr().out
         scenario = load_scenario(ris1_path)
-        result = dtpq(scenario)
+        result = dtpq(link_state(scenario))
         printed_power = float(captured.split("received_power_dbm=")[1].split()[0])
         assert printed_power == pytest.approx(result.received_power_dbm, abs=5e-5)
         printed_thr = float(captured.split("threshold_deg=")[1].split()[0])
@@ -156,7 +157,7 @@ class TestQuantizeCommand:
 
     def test_shifts_round_trip(self, ris1_path, tmp_path):
         scenario = load_scenario(ris1_path)
-        result = dtpq(scenario)
+        result = dtpq(link_state(scenario))
         path = tmp_path / "shifts.csv"
         write_shifts_csv(str(path), result)
         with open(path, newline="") as fh:
@@ -178,6 +179,10 @@ class TestQuantizeCommand:
         assert run(["quantize", "--scenario", ris1_path, "--method", "eipq:1e-9"]) == 2
         err = capsys.readouterr().err
         assert "1e-09 deg" in err and "candidates" in err and "guard" in err
+        # a subnormal step overflows the candidate count to inf: still the guard
+        assert run(["quantize", "--scenario", ris1_path, "--method", "eipq:1e-320"]) == 2
+        err = capsys.readouterr().err
+        assert "inf candidates" in err and "guard" in err
 
     def test_exhaustive_on_small_panel(self, tmp_path, capsys):
         doc = document_with(ris_2p6ghz_document(), "panel", rows=2, cols=2)
@@ -390,10 +395,19 @@ class TestOtherCommands:
          "--step must be positive, got 0"),
         (["sweep", "--axis=rx_distance", "--start=10", "--stop=5", "--step=1",
           "--methods=dtpq"], "--stop 5 must not precede --start 10"),
+        (["sweep", "--axis=rx_distance", "--start=5", "--stop=10", "--step=inf",
+          "--methods=dtpq"], "--step must be finite, got inf"),
+        (["angle-scan", "--target=45", "--start=0", "--stop=10", "--step=inf",
+          "--methods=dtpq"], "--step must be finite, got inf"),
+        (["gradient-map", "--target-theta=45", "--target-phi=0", "--theta-step=inf"],
+         "--theta-step must be finite, got inf"),
+        (["gradient-map", "--target-theta=45", "--target-phi=0", "--phi-step=inf"],
+         "--phi-step must be finite, got inf"),
     ], ids=["scan-target-90", "scan-target-nan", "scan-stop-180", "scan-start-below-90",
             "map-theta-95", "map-phi-inf", "map-theta-start-negative", "map-theta-stop-120",
             "map-theta-step-overshoot", "fit-stop-90", "fit-start-negative",
-            "map-phi-step-negative", "scan-step-zero", "sweep-stop-before-start"])
+            "map-phi-step-negative", "scan-step-zero", "sweep-stop-before-start",
+            "sweep-step-inf", "scan-step-inf", "map-theta-step-inf", "map-phi-step-inf"])
     def test_angle_options_named_in_degrees(self, small_path, capsys, args, message):
         assert run([args[0], "--scenario", small_path, *args[1:]]) == 2
         captured = capsys.readouterr()

@@ -26,6 +26,7 @@ from risbeam import (
 from risbeam.quantization import (
     EIPQ_GUARD_CANDIDATES,
     EXHAUSTIVE_GUARD_BITS,
+    TIE_REL_TOL,
     _bin_indices,
     _profile_xi,
 )
@@ -142,7 +143,7 @@ class TestResidualSpread:
             bits = 1 + (i % 3)
             sc = random_scenario(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)), bits)
             state = link_state(sc)
-            result = dtpq(sc, state)
+            result = dtpq(state)
             spread = residual_spread(state.phase, result.shifts)
             assert spread <= sc.panel.omega + 1e-9
 
@@ -150,13 +151,13 @@ class TestResidualSpread:
 class TestDtpq:
     def test_candidate_count_is_cell_count(self):
         sc = ris_2p6ghz()
-        result = dtpq(sc)
+        result = dtpq(link_state(sc))
         assert result.candidates_evaluated == sc.panel.num_cells
 
     def test_result_is_self_consistent(self):
         sc = ris_2p6ghz()
         state = link_state(sc)
-        result = dtpq(sc, state)
+        result = dtpq(state)
         assert result.xi == state.xi(result.shifts)
         assert 0.0 <= result.threshold < TWO_PI
 
@@ -164,7 +165,7 @@ class TestDtpq:
         rng = np.random.default_rng(23)
         sc = random_scenario(rng, 4, 4, 1)
         state = link_state(sc)
-        best = dtpq(sc, state)
+        best = dtpq(state)
         for gamma in rng.uniform(0.0, TWO_PI, size=200):
             shifts = np.take(sc.panel.levels, quantize_matrix(state.phase, gamma, sc.panel))
             assert state.xi(shifts) <= best.xi * (1 + 1e-12)
@@ -180,9 +181,9 @@ class TestDtpq:
         sc = ris_2p6ghz()
         sc = type(sc)(panel=panel, placement=placement, radio=sc.radio)
         state = link_state(sc)
-        best = dtpq(sc, state)
+        best = dtpq(state)
         for gamma_deg in range(0, 360):
-            fixed = fixed_threshold(sc, math.radians(gamma_deg), state)
+            fixed = fixed_threshold(state, math.radians(gamma_deg))
             assert abs(fixed.xi - best.xi) <= 1e-6 * best.xi
 
     def test_matches_exhaustive_on_small_panels(self):
@@ -190,57 +191,60 @@ class TestDtpq:
         for _ in range(50):
             sc = random_scenario(rng, 2, 2, 1)
             state = link_state(sc)
-            assert dtpq(sc, state).xi == pytest.approx(
-                exhaustive_search(sc, state).xi, rel=1e-12
+            assert dtpq(state).xi == pytest.approx(
+                exhaustive_search(state).xi, rel=1e-12
             )
 
 
 class TestEipq:
     def test_candidate_count_one_bit(self):
-        assert eipq(ris_2p6ghz(), math.radians(5)).candidates_evaluated == 36
+        assert eipq(link_state(ris_2p6ghz()), math.radians(5)).candidates_evaluated == 36
 
     def test_candidate_count_two_bit(self):
         sc = ris_2p6ghz().with_panel(bits=2, levels=uniform_levels(2, 0.0))
-        assert eipq(sc, math.radians(45)).candidates_evaluated == 2
+        assert eipq(link_state(sc), math.radians(45)).candidates_evaluated == 2
 
     def test_degenerate_grid_equals_fixed_zero(self):
         sc = ris_2p6ghz()
         state = link_state(sc)
         epsilon = math.nextafter(sc.panel.omega, 0.0)
-        result = eipq(sc, epsilon, state)
+        result = eipq(state, epsilon)
         assert result.candidates_evaluated == 1
-        assert result.xi == fixed_threshold(sc, 0.0, state).xi
+        assert result.xi == fixed_threshold(state, 0.0).xi
 
     def test_epsilon_out_of_range(self):
         sc = ris_2p6ghz()
         with pytest.raises(ValueError, match="epsilon"):
-            eipq(sc, sc.panel.omega)
+            eipq(link_state(sc), sc.panel.omega)
         with pytest.raises(ValueError, match="epsilon"):
-            eipq(sc, 0.0)
+            eipq(link_state(sc), 0.0)
 
     def test_never_beats_dtpq(self):
         rng = np.random.default_rng(31)
         for _ in range(10):
             sc = random_scenario(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)), 1)
             state = link_state(sc)
-            assert eipq(sc, math.radians(5), state).xi <= dtpq(sc, state).xi * (1 + 1e-12)
+            assert eipq(state, math.radians(5)).xi <= dtpq(state).xi * (1 + 1e-12)
 
     def test_guard_refuses_huge_grids(self):
         sc = ris_2p6ghz()
         epsilon = sc.panel.omega / (EIPQ_GUARD_CANDIDATES + 1)
         with pytest.raises(ValueError, match=f"{EIPQ_GUARD_CANDIDATES + 1} candidates"):
-            eipq(sc, epsilon)
+            eipq(link_state(sc), epsilon)
+        # a subnormal step overflows the count to inf before any conversion
+        with pytest.raises(ValueError, match="gives inf candidates, exceeding the guard"):
+            eipq(link_state(sc), 1e-320)
 
     def test_grid_counts_match_result(self):
         sc = ris_2p6ghz()
-        result = eipq(sc, math.radians(5))
+        result = eipq(link_state(sc), math.radians(5))
         assert result.candidates_evaluated == 36
 
 
 class TestFixedThreshold:
     def test_single_candidate(self):
         sc = ris_2p6ghz()
-        result = fixed_threshold(sc, math.radians(235))
+        result = fixed_threshold(link_state(sc), math.radians(235))
         assert result.candidates_evaluated == 1
         assert result.threshold == pytest.approx(math.radians(235), rel=1e-12)
 
@@ -252,8 +256,8 @@ class TestFixedThreshold:
             state = link_state(sc)
             omega = sc.panel.omega
             gamma = rng.uniform(0.0, TWO_PI - omega)
-            a = fixed_threshold(sc, gamma, state).xi
-            b = fixed_threshold(sc, gamma + omega, state).xi
+            a = fixed_threshold(state, gamma).xi
+            b = fixed_threshold(state, gamma + omega).xi
             assert b == pytest.approx(a, rel=1e-9)
 
     def test_never_beats_dtpq(self):
@@ -262,18 +266,18 @@ class TestFixedThreshold:
             sc = random_scenario(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)), 2)
             state = link_state(sc)
             gamma = rng.uniform(0.0, TWO_PI)
-            assert fixed_threshold(sc, gamma, state).xi <= dtpq(sc, state).xi * (1 + 1e-12)
+            assert fixed_threshold(state, gamma).xi <= dtpq(state).xi * (1 + 1e-12)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="threshold"):
-            fixed_threshold(ris_2p6ghz(), -0.1)
+            fixed_threshold(link_state(ris_2p6ghz()), -0.1)
 
 
 class TestExhaustiveSearch:
     def test_single_cell_tie_breaks_to_first_level(self):
         rng = np.random.default_rng(43)
         sc = random_scenario(rng, 1, 1, 1)
-        result = exhaustive_search(sc)
+        result = exhaustive_search(link_state(sc))
         assert result.threshold is None
         assert result.candidates_evaluated == 2
         assert result.level_indices[0, 0] == 0
@@ -283,24 +287,24 @@ class TestExhaustiveSearch:
         for _ in range(10):
             sc = random_scenario(rng, 2, 2, 2)   # 65536 assignments
             state = link_state(sc)
-            assert exhaustive_search(sc, state).xi == pytest.approx(
-                dtpq(sc, state).xi, rel=1e-12
+            assert exhaustive_search(state).xi == pytest.approx(
+                dtpq(state).xi, rel=1e-12
             )
 
     def test_guard_refuses_large_panels(self):
         sc = ris_2p6ghz()   # 512 cells, far beyond the guard
         with pytest.raises(ValueError, match=str(EXHAUSTIVE_GUARD_BITS)):
-            exhaustive_search(sc)
+            exhaustive_search(link_state(sc))
 
     def test_optimality_chain(self):
         rng = np.random.default_rng(53)
         for _ in range(10):
             sc = random_scenario(rng, 3, 2, 1)
             state = link_state(sc)
-            exh = exhaustive_search(sc, state).xi
-            dt = dtpq(sc, state).xi
-            ei = eipq(sc, math.radians(10), state).xi
-            fx = fixed_threshold(sc, 0.0, state).xi
+            exh = exhaustive_search(state).xi
+            dt = dtpq(state).xi
+            ei = eipq(state, math.radians(10)).xi
+            fx = fixed_threshold(state, 0.0).xi
             assert exh == pytest.approx(dt, rel=1e-12)
             assert dt >= ei * (1 - 1e-12)
             assert ei >= fx * (1 - 1e-12)
@@ -312,11 +316,11 @@ class TestInvariances:
         delta = math.radians(55)
         for _ in range(10):
             sc = random_scenario(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)), 2)
-            base = dtpq(sc, link_state(sc))
+            base = dtpq(link_state(sc))
             shifted = sc.with_panel(
                 levels=tuple((v + delta) % TWO_PI for v in sc.panel.levels)
             )
-            moved = dtpq(shifted, link_state(shifted))
+            moved = dtpq(link_state(shifted))
             assert moved.xi == pytest.approx(base.xi, rel=1e-9)
             assert np.array_equal(moved.level_indices, base.level_indices)
 
@@ -342,16 +346,16 @@ class TestInvariances:
 
     def test_complexity_smoke(self):
         sc = ris_2p6ghz()
-        assert dtpq(sc).candidates_evaluated == 512
-        assert eipq(sc, math.radians(5)).candidates_evaluated == 36
-        assert fixed_threshold(sc, 0.0).candidates_evaluated == 1
+        assert dtpq(link_state(sc)).candidates_evaluated == 512
+        assert eipq(link_state(sc), math.radians(5)).candidates_evaluated == 36
+        assert fixed_threshold(link_state(sc), 0.0).candidates_evaluated == 1
 
     def test_dtpq_scales_to_twenty_thousand_cells(self):
         # an O((MN)^2) scan takes tens of seconds here; the profile, milliseconds
         sc = ris_2p6ghz().with_panel(rows=200, cols=100)
         state = link_state(sc)
         start = time.perf_counter()
-        result = dtpq(sc, state)
+        result = dtpq(state)
         elapsed = time.perf_counter() - start
         assert result.candidates_evaluated == 20000
         half = sc.panel.omega / 2.0
@@ -422,13 +426,13 @@ class TestThresholdProfile:
     def test_dtpq_matches_scan(self, link):
         state, _, _ = link
         expected = brute_force_search(state, state.phase.ravel())
-        self.assert_matches_scan(dtpq(state.scenario, state), expected)
+        self.assert_matches_scan(dtpq(state), expected)
 
     @PROPERTY_SETTINGS
     @given(adversarial_links())
     def test_eipq_matches_scan(self, link):
         state, epsilon, grid = link
-        result = eipq(state.scenario, epsilon, state)
+        result = eipq(state, epsilon)
         assert result.candidates_evaluated == grid.size
         self.assert_matches_scan(result, brute_force_search(state, grid))
 
@@ -437,8 +441,8 @@ class TestThresholdProfile:
             sc = ris_2p6ghz().with_panel(rows=1, cols=1, bits=bits, levels=uniform_levels(bits, 0.0))
             for phase in (0.0, 1.0, sc.panel.omega, TWO_PI - 1e-9):
                 state = LinkState(sc, np.array([[2.0]]), np.array([[phase]]))
-                self.assert_matches_scan(dtpq(sc, state), brute_force_search(state, [phase]))
-                result = eipq(sc, math.radians(1.0), state)
+                self.assert_matches_scan(dtpq(state), brute_force_search(state, [phase]))
+                result = eipq(state, math.radians(1.0))
                 grid = eipq_grid(bits, math.radians(1.0))
                 assert result.candidates_evaluated == grid.size
                 self.assert_matches_scan(result, brute_force_search(state, grid))
@@ -481,9 +485,99 @@ class TestLossFloor:
     def test_dtpq_between_sinc_floor_and_continuous_bound(self, seed, rows, cols, bits):
         sc = random_scenario(np.random.default_rng(seed), rows, cols, bits)
         state = link_state(sc)
-        xi, upper = dtpq(sc, state).xi, state.xi_upper_bound
+        xi, upper = dtpq(state).xi, state.xi_upper_bound
         half = sc.panel.omega / 2.0
         # products, not ratios, so that a panel wholly in the pattern
         # cutoff (upper == xi == 0) passes
         assert math.sin(half) * upper * (1.0 - 1e-12) <= half * xi
         assert xi <= upper * (1.0 + 1e-12)
+
+
+def hand_built_link(rows, cols, bits, amplitude, phase, first_level=0.0):
+    """A LinkState of the given per-cell arrays on a rows x cols panel, no geometry."""
+    sc = ris_2p6ghz().with_panel(
+        rows=rows, cols=cols, bits=bits, levels=uniform_levels(bits, first_level)
+    )
+    shape = (rows, cols)
+    return LinkState(sc, np.reshape(amplitude, shape), np.reshape(phase, shape))
+
+
+class TestArcBound:
+    """Phases within an arc of width s < Omega keep cos(s/2) of the bound.
+
+    The arc's first phase (in circular order from the arc's start) is a
+    dtpq candidate, and its bin [phase, phase + Omega) holds the whole arc,
+    so at that threshold every cell takes one level rho.  Every residual
+    rho - phase then lies within an arc of width s around one direction,
+    and projecting the phasor sum on that direction gives
+    xi >= cos(s/2) * sum(a).  dtpq is optimal over all thresholds, so its
+    xi is at least that.  This is the paper's DoF collapse: a link whose
+    phases crowd into a narrow arc loses far less than the sinc floor.
+    """
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 12), st.integers(1, 3),
+           st.floats(0.0, 0.999))
+    def test_dtpq_keeps_cos_half_arc(self, seed, rows, cols, bits, width):
+        rng = np.random.default_rng(seed)
+        s = width * TWO_PI / 2**bits
+        centre = rng.uniform(0.0, TWO_PI)   # arcs across 0 wrap
+        phase = (centre + rng.uniform(-s / 2, s / 2, rows * cols)) % TWO_PI
+        amplitude = rng.uniform(0.01, 10.0, rows * cols)
+        state = hand_built_link(rows, cols, bits, amplitude, phase,
+                                rng.uniform(0.0, TWO_PI / 2**bits))
+        bound = math.cos(s / 2) * state.xi_upper_bound
+        assert dtpq(state).xi >= bound * (1.0 - 1e-12)
+
+
+class TestDofInvariance:
+    """M identical rows: dtpq returns the 1 x N row's threshold and M times its xi.
+
+    Threshold.  The M x N link's candidates are the row's phases, each M
+    times, and its threshold profile is M times the row's, up to rounding
+    of the prefix sums: each profile value is off by at most about
+    (3n + 4) * 2**-53 * sum(a) over n cells, and xi >= (2/pi) * sum(a)
+    at the best threshold, so a candidate's relative gap from the best
+    moves by at most DRIFT = (10 * M * N + 14) * eps between the two
+    searches.  A candidate's tie status (gap <= TIE_REL_TOL) can then
+    change only if its gap lies within DRIFT of TIE_REL_TOL.  Exact and
+    rounding-level ties (equal phases, phases Omega apart) lie far inside
+    the band and stay tied in both, and the winner is the smallest tied
+    phase, one value in both candidate sets.  Draws with a gap within
+    DRIFT of the boundary are left out.
+
+    xi.  Both designs bin the row's phases alike, so the M x N cell terms
+    are the row's terms repeated, bit for bit; only the order of the sums
+    differs.  A sum of n terms is off by at most (n - 1) * 2**-53 times
+    the sum of their magnitudes (a cell's real and imaginary terms are at
+    most a and a/2), and hypot and the product M * xi_row round once
+    each, so |xi - M * xi_row| <= 3 * M * N * eps * M * sum(a_row).
+    """
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 12), st.integers(1, 3))
+    def test_repeated_rows_scale_xi_and_keep_threshold(self, seed, rows, cols, bits):
+        rng = np.random.default_rng(seed)
+        omega = TWO_PI / 2**bits
+        phase = rng.uniform(0.0, TWO_PI, cols)
+        # some phases repeat, or sit a multiple of Omega from another: exact ties
+        for i in range(1, cols):
+            if rng.random() < 0.3:
+                phase[i] = (phase[rng.integers(i)] + rng.integers(2**bits) * omega) % TWO_PI
+        amplitude = rng.uniform(0.01, 10.0, cols)
+        first_level = rng.uniform(0.0, omega)
+        row = hand_built_link(1, cols, bits, amplitude, phase, first_level)
+        link = hand_built_link(rows, cols, bits, np.tile(amplitude, rows), np.tile(phase, rows),
+                               first_level)
+
+        eps = np.finfo(float).eps
+        profile = _profile_xi(row, phase)
+        gap = 1.0 - profile / profile.max()
+        assume(not np.any(np.abs(gap - TIE_REL_TOL) <= (10 * rows * cols + 14) * eps))
+
+        expected, result = dtpq(row), dtpq(link)
+        assert result.threshold == expected.threshold
+        assert np.array_equal(result.level_indices, np.tile(expected.level_indices, (rows, 1)))
+        assert result.candidates_evaluated == rows * cols
+        tolerance = 3 * rows * cols * eps * link.xi_upper_bound
+        assert abs(result.xi - rows * expected.xi) <= tolerance
