@@ -10,7 +10,6 @@ and path-loss scaling.
 from .analysis import (
     SlopeFit,
     SweepRow,
-    SweepSpec,
     angle_scan,
     gradient_map,
     grid_values,
@@ -52,7 +51,6 @@ __all__ = [
     "Scenario",
     "SlopeFit",
     "SweepRow",
-    "SweepSpec",
     "alpha_from_gain_dbi",
     "angle_scan",
     "cosine_pattern",

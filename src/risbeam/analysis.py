@@ -1,9 +1,9 @@
 """Parameter sweeps, angle scans, spatial power maps, and slope fits.
 
-Grid semantics follow colon ranges: closed at the start, stepping until
-the stop value with a tolerance of half a step, so "5:0.1:10" yields 51
-points.  Angle-axis values, thresholds, and grid steps are degrees at
-this layer (they feed the CSV boundary directly); distances are meters.
+Every analysis takes its grid as values.  Colon ranges ("5:0.1:10", 51
+points) are built by ``grid_values``, which the command line calls with
+its option names.  Angle-axis values and thresholds are degrees at this
+layer (they feed the CSV boundary directly); distances are meters.
 """
 
 from __future__ import annotations
@@ -34,33 +34,6 @@ DEFAULT_EPSILON_DEG = 5.0
 
 # Upper bound on the points of one grid or map (32x the 181 x 181 map).
 GRID_GUARD_POINTS = 1 << 20
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One sweep axis plus the method tokens to evaluate on it.
-
-    start/stop/step are meters for distance axes and degrees for angle
-    and threshold axes.  The threshold axis takes the bare fixed method
-    alone and supplies its threshold from the grid.
-    """
-
-    axis: str
-    start: float
-    stop: float
-    step: float
-    methods: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if self.axis not in SWEEP_AXES:
-            raise ValueError(f"axis must be one of {SWEEP_AXES}, got {self.axis!r}")
-        table = check_methods(self.methods)
-        if self.axis == "threshold" and list(table) != ["fixed"]:
-            raise ValueError("a threshold sweep exercises exactly the fixed method")
-        if self.axis == "threshold" and ":" in table["fixed"]:
-            raise ValueError(
-                f"a threshold sweep takes its threshold from the grid, got {table['fixed']!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -111,6 +84,9 @@ def grid_values(start: float, stop: float, step: float, option: str = "--step") 
     bounds by its prefix: "--theta-step" goes with "--theta-start".
     """
     prefix = option.removesuffix("step")
+    for bound, value in (("start", start), ("stop", stop)):
+        if not math.isfinite(value):
+            raise ValueError(f"{prefix}{bound} must be finite, got {value:g}")
     if not step > 0.0:
         raise ValueError(f"{option} must be positive, got {step:g}")
     if not math.isfinite(step):
@@ -118,7 +94,7 @@ def grid_values(start: float, stop: float, step: float, option: str = "--step") 
     if stop < start:
         raise ValueError(f"{prefix}stop {stop:g} must not precede {prefix}start {start:g}")
     steps = (stop - start) / step + 0.5
-    if not steps < GRID_GUARD_POINTS:  # also refuses an infinite or NaN span
+    if not steps < GRID_GUARD_POINTS:  # also refuses a span of inf steps
         count = math.floor(steps) + 1 if math.isfinite(steps) else steps
         raise ValueError(
             f"{option} {step:g} gives {count} grid points from {start:g} to {stop:g}, "
@@ -171,7 +147,8 @@ def design(state: LinkState, method: str) -> QuantizationResult:
     level).  The continuous design carries the link's phases
     ``state.phase`` as its shifts, no level indices and, like the
     exhaustive oracle, no threshold.  The searches are looked up as module
-    globals at call time.
+    globals at call time.  A refusal from eipq or fixed_threshold names
+    the token in front.
     """
     name, degrees = _split_method(method, METHODS + ("exhaustive",))
     scenario = state.scenario
@@ -181,41 +158,71 @@ def design(state: LinkState, method: str) -> QuantizationResult:
         return QuantizationResult(None, state.phase, None, xi, power, 0)
     if name == "dtpq":
         return dtpq(state)
-    if name == "eipq":
-        epsilon = math.radians(DEFAULT_EPSILON_DEG if degrees is None else degrees)
-        return eipq(state, epsilon)
-    if name == "fixed":
+    if name == "exhaustive":
+        return exhaustive_search(state)
+    try:
+        if name == "eipq":
+            return eipq(state, math.radians(DEFAULT_EPSILON_DEG if degrees is None else degrees))
         gamma = scenario.panel.levels[-1] if degrees is None else math.radians(degrees)
         return fixed_threshold(state, gamma % TWO_PI)
-    return exhaustive_search(state)
+    except ValueError as exc:
+        raise ValueError(f"method token {method!r}: {exc}") from None
 
 
-def run_sweep(scenario: Scenario, spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate the methods across the axis grid, one row per grid point.
+def _row(state: LinkState, value: float, methods: dict[str, str]) -> SweepRow:
+    """The methods designed on one link: their powers and thresholds at a grid value."""
+    powers: dict[str, float] = {}
+    thresholds: dict[str, float] = {}
+    for name, token in methods.items():
+        result = design(state, token)
+        powers[name] = result.received_power_dbm
+        if result.threshold is not None:
+            thresholds[name] = math.degrees(result.threshold)
+    return SweepRow(axis_value=float(value), power_dbm=powers, threshold_deg=thresholds)
 
-    Distance and angle axes rebuild the link (and redesign every method)
-    at each point; the threshold axis reuses one link and quantizes at
-    each grid threshold with the fixed method.  Rows key methods by name.
+
+def run_sweep(
+    scenario: Scenario, axis: str, values: Sequence[float], methods: Sequence[str]
+) -> list[SweepRow]:
+    """One row per axis value (meters, or degrees on theta_r and threshold).
+
+    Distance and angle axes rebuild the link and redesign every method at
+    each value; the threshold axis takes bare fixed alone, reuses one link
+    and quantizes at each value.  Rows key methods by name.
     """
-    values = grid_values(spec.start, spec.stop, spec.step)
+    if axis not in SWEEP_AXES:
+        raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+    table = check_methods(methods)
+    if axis != "threshold":
+        return [_row(link_state(_placed(scenario, axis, v)), v, table) for v in values]
+    if list(table) != ["fixed"]:
+        raise ValueError("a threshold sweep exercises exactly the fixed method")
+    if ":" in table["fixed"]:
+        raise ValueError(
+            f"a threshold sweep takes its threshold from the grid, got {table['fixed']!r}"
+        )
+    state = link_state(scenario)
+    return [_row(state, v, {"fixed": f"fixed:{float(v)!r}"}) for v in values]
 
-    def row(state: LinkState, value: float, methods: dict[str, str]) -> SweepRow:
-        powers: dict[str, float] = {}
-        thresholds: dict[str, float] = {}
-        for name, token in methods.items():
-            result = design(state, token)
-            powers[name] = result.received_power_dbm
-            if result.threshold is not None:
-                thresholds[name] = math.degrees(result.threshold)
-        return SweepRow(axis_value=float(value), power_dbm=powers, threshold_deg=thresholds)
 
-    if spec.axis == "threshold":
-        state = link_state(scenario)
-        return [row(state, value, {"fixed": f"fixed:{float(value)!r}"}) for value in values]
-    methods = check_methods(spec.methods)
-    return [
-        row(link_state(_placed(scenario, spec.axis, value)), value, methods) for value in values
-    ]
+def _frozen_powers(
+    target: Scenario, points: np.ndarray, methods: dict[str, str]
+) -> tuple[dict[str, np.ndarray], dict[str, float]]:
+    """Design each method once on the target's link, then hold it while Rx moves.
+
+    Returns each method's power (dBm) at the (P, 3) Rx ``points`` and the
+    thresholds (deg) of the methods that have one.
+    """
+    state = link_state(target)
+    powers: dict[str, np.ndarray] = {}
+    thresholds: dict[str, float] = {}
+    for name, token in methods.items():
+        result = design(state, token)
+        xi = field_at_rx_points(target, result.shifts, points)
+        powers[name] = power_dbm_from_xi(target.panel, target.radio, xi)
+        if result.threshold is not None:
+            thresholds[name] = math.degrees(result.threshold)
+    return powers, thresholds
 
 
 def _signed_direction(theta: float | np.ndarray, phi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -229,16 +236,15 @@ def _signed_direction(theta: float | np.ndarray, phi: float) -> tuple[np.ndarray
 
 def angle_scan(
     scenario: Scenario,
-    start_deg: float,
-    stop_deg: float,
-    step_deg: float,
+    values_deg: Sequence[float],
     design_target: float,
     methods: Sequence[str],
 ) -> list[SweepRow]:
     """Design shifts once at the target departure elevation, then move Rx.
 
-    ``design_target`` is radians in (-pi/2, pi/2); the scan grid is signed
-    degrees.  Powers peak at the target for the beamforming methods.
+    ``design_target`` is radians in (-pi/2, pi/2); ``values_deg`` are the
+    signed scan elevations in degrees.  Powers peak at the target for the
+    beamforming methods.
     """
     if not -math.pi / 2 < design_target < math.pi / 2:
         raise ValueError(f"design target must lie in (-pi/2, pi/2), got {design_target}")
@@ -247,30 +253,13 @@ def angle_scan(
     phi_r = scenario.placement.phi_r
     theta, phi = _signed_direction(design_target, phi_r)
     target = scenario.with_placement(theta_r=float(theta), phi_r=float(phi))
-    state = link_state(target)
-
-    values = grid_values(start_deg, stop_deg, step_deg)
+    values = np.asarray(values_deg, dtype=float)
     points = antenna_points(scenario.placement.d2, *_signed_direction(np.radians(values), phi_r))
-
-    per_method: dict[str, np.ndarray] = {}
-    thresholds: dict[str, float] = {}
-    for name, token in table.items():
-        result = design(state, token)
-        xi = field_at_rx_points(target, result.shifts, points)
-        per_method[name] = power_dbm_from_xi(scenario.panel, scenario.radio, xi)
-        if result.threshold is not None:
-            thresholds[name] = math.degrees(result.threshold)
-
-    rows = []
-    for i, value in enumerate(values):
-        rows.append(
-            SweepRow(
-                axis_value=float(value),
-                power_dbm={m: float(per_method[m][i]) for m in table},
-                threshold_deg=dict(thresholds),
-            )
-        )
-    return rows
+    powers, thresholds = _frozen_powers(target, points, table)
+    return [
+        SweepRow(float(value), {m: float(powers[m][i]) for m in table}, dict(thresholds))
+        for i, value in enumerate(values)
+    ]
 
 
 def gradient_map(
@@ -297,15 +286,12 @@ def gradient_map(
         )
     if np.any(theta_grid < 0.0) or np.any(theta_grid > 90.0):
         raise ValueError("theta grid must lie within [0, 90] degrees")
-    check_methods([method])
+    table = check_methods([method])
 
     target = scenario.with_placement(theta_r=design_target[0], phi_r=design_target[1])
-    shifts = design(link_state(target), method).shifts
-
     tt, pp = np.meshgrid(np.radians(theta_grid), np.radians(phi_grid) % TWO_PI, indexing="ij")
     points = antenna_points(scenario.placement.d2, tt.ravel(), pp.ravel())
-    xi = field_at_rx_points(target, shifts, points)
-    power = power_dbm_from_xi(scenario.panel, scenario.radio, xi)
+    (power,) = _frozen_powers(target, points, table)[0].values()
     return power.reshape(theta_grid.size, phi_grid.size)
 
 
@@ -322,13 +308,13 @@ def path_loss_samples(
     """
     if variable not in FIT_VARIABLES:
         raise ValueError(f"variable must be one of {FIT_VARIABLES}, got {variable!r}")
-    check_methods([method])
-
-    def designed_power(value: float) -> float:
-        state = link_state(_placed(scenario, variable, value))
-        return design(state, method).received_power_dbm
-
-    return np.array([scenario.radio.tx_power_dbm - designed_power(v) for v in sample_grid])
+    table = check_methods([method])
+    (name,) = table
+    return np.array([
+        scenario.radio.tx_power_dbm
+        - _row(link_state(_placed(scenario, variable, v)), v, table).power_dbm[name]
+        for v in sample_grid
+    ])
 
 
 def pl_slope_fit(

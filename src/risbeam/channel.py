@@ -185,7 +185,10 @@ def link_state(scenario: Scenario) -> LinkState:
 
 
 def power_dbm_from_xi(panel: RisPanel, radio: RadioConfig, xi):
-    """Received power (dBm) for a field magnitude; -inf when xi is 0."""
+    """Received power (dBm) for a field magnitude; -inf when xi is 0.
+
+    Summed in dB, so that no xi**2 underflows: xi = 1e-178 keeps a finite power.
+    """
     scale = (
         radio.gain_tx_linear
         * radio.gain_rx_linear
@@ -195,7 +198,7 @@ def power_dbm_from_xi(panel: RisPanel, radio: RadioConfig, xi):
     )
     xi_arr = np.asarray(xi, dtype=float)
     with np.errstate(divide="ignore"):
-        power = radio.tx_power_dbm + 10.0 * np.log10(scale * xi_arr**2)
+        power = radio.tx_power_dbm + 10.0 * np.log10(scale) + 20.0 * np.log10(xi_arr)
     if np.ndim(xi) == 0:
         return float(power)
     return power

@@ -19,7 +19,6 @@ from .analysis import (
     GRID_GUARD_POINTS,
     SWEEP_AXES,
     SweepRow,
-    SweepSpec,
     angle_scan,
     check_methods,
     design,
@@ -136,8 +135,16 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    spec = SweepSpec(args.axis, args.start, args.stop, args.step, tuple(args.methods.split(",")))
-    rows = run_sweep(scenario, spec)
+    if args.axis == "theta_r":
+        _check_option("--start", args.start, "[0, 90)")
+        _check_option("--stop", args.stop, "[0, 90)")
+    values = grid_values(args.start, args.stop, args.step)
+    if args.axis == "theta_r" and not values[-1] < 90.0:  # overshoot by up to step/2
+        raise ScenarioFileError(
+            f"--step {args.step:g} puts the last theta_r point at {values[-1]:g}, "
+            "not below 90 degrees"
+        )
+    rows = run_sweep(scenario, args.axis, values, args.methods.split(","))
     write_sweep_csv(args.out, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
@@ -148,14 +155,8 @@ def _cmd_angle_scan(args: argparse.Namespace) -> int:
     _check_option("--target", args.target, "(-90, 90)")
     _check_option("--start", args.start, "[-90, 90]")
     _check_option("--stop", args.stop, "[-90, 90]")
-    rows = angle_scan(
-        scenario,
-        args.start,
-        args.stop,
-        args.step,
-        math.radians(args.target),
-        args.methods.split(","),
-    )
+    values = grid_values(args.start, args.stop, args.step)
+    rows = angle_scan(scenario, values, math.radians(args.target), args.methods.split(","))
     write_sweep_csv(args.out, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0

@@ -27,6 +27,13 @@ _LEVEL_SPACING_TOL = 1e-9
 # Largest representable elevation below pi/2; antenna_points clamps here.
 THETA_LIMIT = math.nextafter(math.pi / 2.0, 0.0)
 
+# Placement distances lie in [2**-511, 2**511) m.  Below the upper bound a
+# distance squares to less than 2**1022, so the sums of the few squares
+# that cell_paths forms (a panel is far smaller than 2**511 m) stay below
+# DBL_MAX, about 2**1024.  Above the lower bound the sum of an antenna's
+# squared coordinates is a normal float, so its range never underflows to 0.
+DISTANCE_LIMIT = 2.0**511
+
 
 @dataclass(frozen=True)
 class RisPanel:
@@ -108,10 +115,12 @@ class Placement:
     phi_r: float
 
     def __post_init__(self) -> None:
-        if not (self.d1 > 0.0 and math.isfinite(self.d1)):
-            raise ValueError(f"d1 must be positive and finite, got {self.d1}")
-        if not (self.d2 > 0.0 and math.isfinite(self.d2)):
-            raise ValueError(f"d2 must be positive and finite, got {self.d2}")
+        for name in ("d1", "d2"):
+            d = getattr(self, name)
+            if not (d > 0.0 and math.isfinite(d)):
+                raise ValueError(f"{name} must be positive and finite, got {d}")
+            if not 1.0 / DISTANCE_LIMIT <= d < DISTANCE_LIMIT:
+                raise ValueError(f"{name} must lie in [2**-511, 2**511) m, got {d:g}")
         for name in ("theta_t", "theta_r"):
             theta = getattr(self, name)
             if not (0.0 <= theta < math.pi / 2):

@@ -74,12 +74,12 @@ from conftest import (
 from risbeam import (
     Placement,
     RisPanel,
-    SweepSpec,
     angle_scan,
     dtpq,
     eipq,
     exhaustive_search,
     fixed_threshold,
+    grid_values,
     link_state,
     path_loss_samples,
     pl_slope_fit,
@@ -122,20 +122,19 @@ def report(num: int, name: str, checks: list[tuple[bool, str]]) -> None:
 @pytest.fixture(scope="module")
 def one_bit_distance_sweep():
     scenario = ris_2p6ghz()
-    spec = SweepSpec(axis="rx_distance", start=5.0, stop=10.0, step=0.1,
-                     methods=("continuous", "dtpq", "eipq:5", "fixed:235"))
+    values = grid_values(5.0, 10.0, 0.1)
+    methods = ("continuous", "dtpq", "eipq:5", "fixed:235")
     t0 = time.perf_counter()
-    rows = run_sweep(scenario, spec)
+    rows = run_sweep(scenario, "rx_distance", values, methods)
     return rows, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def two_bit_distance_sweep():
     scenario = ris_4p9ghz()
-    spec = SweepSpec(axis="rx_distance", start=50.0, stop=55.0, step=0.1,
-                     methods=("continuous", "dtpq", "fixed:270"))
+    values = grid_values(50.0, 55.0, 0.1)
     t0 = time.perf_counter()
-    rows = run_sweep(scenario, spec)
+    rows = run_sweep(scenario, "rx_distance", values, ("continuous", "dtpq", "fixed:270"))
     return rows, time.perf_counter() - t0
 
 
@@ -194,7 +193,7 @@ def test_02_distance_sweep_gap_one_bit(one_bit_distance_sweep):
 def test_03_angle_scan_gap():
     scenario = ris_2p6ghz(d2_m=10.0)
     t0 = time.perf_counter()
-    rows = angle_scan(scenario, -90.0, 90.0, 1.0, math.radians(45.0),
+    rows = angle_scan(scenario, grid_values(-90.0, 90.0, 1.0), math.radians(45.0),
                       ("continuous", "dtpq", "fixed:235"))
     elapsed = time.perf_counter() - t0
     ref = {k: float(v[0]) for k, v in reference_bounds(scenario, [10.0], 235.0).items()}

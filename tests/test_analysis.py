@@ -11,7 +11,6 @@ import pytest
 
 import risbeam.analysis as analysis
 from risbeam import (
-    SweepSpec,
     angle_scan,
     eipq,
     field_at_rx_points,
@@ -47,6 +46,11 @@ class TestGridValues:
             grid_values(0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             grid_values(1.0, 0.0, 0.1)
+        # a non-finite bound is named before the step is looked at
+        with pytest.raises(ValueError, match="--start must be finite, got nan"):
+            grid_values(math.nan, 1.0, 0.1)
+        with pytest.raises(ValueError, match="--phi-stop must be finite, got inf"):
+            grid_values(0.0, math.inf, 2.0, "--phi-step")
 
     def test_guard_refuses_huge_grids(self):
         # refused before the grid is built; a grid at the guard is accepted
@@ -65,26 +69,27 @@ class TestGridValues:
 
 
 class TestSweepSpec:
+    """run_sweep refuses a bad axis or method list before it builds a link."""
+
     def test_rejects_unknown_axis(self):
         with pytest.raises(ValueError, match="axis"):
-            SweepSpec(axis="power", start=0, stop=1, step=0.1, methods=("dtpq",))
+            run_sweep(ris_2p6ghz(), "power", grid_values(0, 1, 0.1), ("dtpq",))
 
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError, match="method"):
-            SweepSpec(axis="rx_distance", start=5, stop=10, step=1, methods=("best",))
+            run_sweep(ris_2p6ghz(), "rx_distance", grid_values(5, 10, 1), ("best",))
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="duplicate"):
-            SweepSpec(axis="rx_distance", start=5, stop=10, step=1,
-                      methods=("dtpq", "dtpq"))
+            run_sweep(ris_2p6ghz(), "rx_distance", grid_values(5, 10, 1), ("dtpq", "dtpq"))
 
     def test_threshold_axis_requires_fixed_only(self):
         with pytest.raises(ValueError, match="fixed"):
-            SweepSpec(axis="threshold", start=0, stop=360, step=5, methods=("dtpq",))
+            run_sweep(ris_2p6ghz(), "threshold", grid_values(0, 360, 5), ("dtpq",))
 
     def test_rejects_empty_methods(self):
         with pytest.raises(ValueError, match="non-empty"):
-            SweepSpec(axis="rx_distance", start=5, stop=10, step=1, methods=())
+            run_sweep(ris_2p6ghz(), "rx_distance", grid_values(5, 10, 1), ())
 
 
 class TestDesign:
@@ -143,9 +148,7 @@ class TestDesign:
 class TestRunSweep:
     def test_single_point_sweep(self):
         sc = ris_2p6ghz()
-        spec = SweepSpec(axis="rx_distance", start=8.0, stop=8.0, step=0.1,
-                         methods=("continuous", "dtpq"))
-        rows = run_sweep(sc, spec)
+        rows = run_sweep(sc, "rx_distance", grid_values(8.0, 8.0, 0.1), ("continuous", "dtpq"))
         assert len(rows) == 1
         assert rows[0].axis_value == 8.0
         state = link_state(sc.with_placement(d2=8.0))
@@ -154,9 +157,8 @@ class TestRunSweep:
 
     def test_method_dominance_per_row(self):
         sc = ris_2p6ghz()
-        spec = SweepSpec(axis="rx_distance", start=5.0, stop=7.0, step=0.5,
-                         methods=("continuous", "dtpq", "eipq:5", "fixed:235"))
-        for row in run_sweep(sc, spec):
+        methods = ("continuous", "dtpq", "eipq:5", "fixed:235")
+        for row in run_sweep(sc, "rx_distance", grid_values(5.0, 7.0, 0.5), methods):
             p = row.power_dbm
             assert p["continuous"] >= p["dtpq"] - 1e-9
             assert p["dtpq"] >= p["eipq"] - 1e-9
@@ -164,18 +166,14 @@ class TestRunSweep:
 
     def test_tx_distance_axis(self):
         sc = ris_2p6ghz()
-        spec = SweepSpec(axis="tx_distance", start=8.0, stop=12.0, step=2.0,
-                         methods=("continuous",))
-        rows = run_sweep(sc, spec)
+        rows = run_sweep(sc, "tx_distance", grid_values(8.0, 12.0, 2.0), ("continuous",))
         assert [r.axis_value for r in rows] == [8.0, 10.0, 12.0]
         # farther Tx, weaker field
         assert rows[0].power_dbm["continuous"] > rows[-1].power_dbm["continuous"]
 
     def test_threshold_axis_periodicity(self):
         sc = ris_2p6ghz()
-        spec = SweepSpec(axis="threshold", start=0.0, stop=350.0, step=10.0,
-                         methods=("fixed",))
-        rows = run_sweep(sc, spec)
+        rows = run_sweep(sc, "threshold", grid_values(0.0, 350.0, 10.0), ("fixed",))
         assert len(rows) == 36
         period = 180.0   # 2*pi / 2**1 in degrees
         by_value = {row.axis_value: row.power_dbm["fixed"] for row in rows}
@@ -193,9 +191,8 @@ class TestRunSweep:
         sc = ris_4p9ghz()
         tokens = {"continuous": "continuous", "dtpq": "dtpq", "eipq": "eipq:3",
                   "fixed": "fixed:100"}
-        spec = SweepSpec(axis=axis, start=grid[0], stop=grid[-1], step=grid[1] - grid[0],
-                         methods=tuple(tokens.values()))
-        rows = run_sweep(sc, spec)
+        values = grid_values(grid[0], grid[-1], grid[1] - grid[0])
+        rows = run_sweep(sc, axis, values, tuple(tokens.values()))
         assert [row.axis_value for row in rows] == list(grid)
         for row, value in zip(rows, grid):
             state = link_state(sc.with_placement(**{field: to_field(value)}))
@@ -222,27 +219,28 @@ class TestRunSweep:
 class TestAngleScan:
     def test_continuous_peaks_at_design_target(self):
         sc = ris_2p6ghz()
-        rows = angle_scan(sc, 30.0, 60.0, 1.0, math.radians(45.0), ("continuous",))
+        rows = angle_scan(sc, grid_values(30.0, 60.0, 1.0), math.radians(45.0), ("continuous",))
         best = max(rows, key=lambda r: r.power_dbm["continuous"])
         assert best.axis_value == pytest.approx(45.0)
 
     def test_design_once_thresholds_constant(self):
         sc = ris_2p6ghz()
-        rows = angle_scan(sc, 40.0, 50.0, 2.0, math.radians(45.0), ("dtpq", "fixed:235"))
+        rows = angle_scan(sc, grid_values(40.0, 50.0, 2.0), math.radians(45.0),
+                          ("dtpq", "fixed:235"))
         thresholds = {r.threshold_deg["dtpq"] for r in rows}
         assert len(thresholds) == 1
         assert all(r.threshold_deg["fixed"] == pytest.approx(235.0) for r in rows)
 
     def test_design_point_matches_static_evaluation(self):
         sc = ris_2p6ghz()
-        rows = angle_scan(sc, 45.0, 45.0, 1.0, math.radians(45.0), ("continuous",))
+        rows = angle_scan(sc, grid_values(45.0, 45.0, 1.0), math.radians(45.0), ("continuous",))
         state = link_state(sc)
         static = power_dbm_from_xi(sc.panel, sc.radio, state.xi(state.phase))
         assert rows[0].power_dbm["continuous"] == pytest.approx(static, abs=1e-9)
 
     def test_negative_angles_and_endpoints(self):
         sc = ris_2p6ghz()
-        rows = angle_scan(sc, -90.0, 90.0, 45.0, math.radians(45.0), ("dtpq",))
+        rows = angle_scan(sc, grid_values(-90.0, 90.0, 45.0), math.radians(45.0), ("dtpq",))
         assert [r.axis_value for r in rows] == [-90.0, -45.0, 0.0, 45.0, 90.0]
         powers = [r.power_dbm["dtpq"] for r in rows]
         assert all(math.isfinite(p) for p in powers)
@@ -251,20 +249,20 @@ class TestAngleScan:
 
     def test_negative_design_target(self):
         sc = ris_2p6ghz()
-        rows = angle_scan(sc, -60.0, -30.0, 1.0, math.radians(-45.0), ("continuous",))
+        rows = angle_scan(sc, grid_values(-60.0, -30.0, 1.0), math.radians(-45.0), ("continuous",))
         best = max(rows, key=lambda r: r.power_dbm["continuous"])
         assert best.axis_value == pytest.approx(-45.0)
 
     def test_rejects_out_of_range_target(self):
         with pytest.raises(ValueError, match="target"):
-            angle_scan(ris_2p6ghz(), 0.0, 10.0, 1.0, math.pi / 2, ("dtpq",))
+            angle_scan(ris_2p6ghz(), grid_values(0.0, 10.0, 1.0), math.pi / 2, ("dtpq",))
 
     def test_signed_scan_matches_pointwise_field(self):
         # a negative elevation, the design target included, lands at
         # |theta| on the opposite azimuth; 90 deg is clamped below pi/2
         sc = ris_4p9ghz()
         methods = ("continuous", "dtpq", "fixed")
-        rows = angle_scan(sc, -90.0, 90.0, 7.5, math.radians(-30.0), methods)
+        rows = angle_scan(sc, grid_values(-90.0, 90.0, 7.5), math.radians(-30.0), methods)
         pl = sc.placement
 
         def direction(theta):
@@ -403,10 +401,9 @@ class TestOscillationDamping:
         # same surface geometry, 1-bit versus 2-bit level sets
         sc2 = ris_4p9ghz()
         sc1 = sc2.with_panel(bits=1, levels=(0.0, math.pi))
-        spec = SweepSpec(axis="rx_distance", start=50.0, stop=55.0, step=0.5,
-                         methods=("continuous", "dtpq"))
-        rows1 = run_sweep(sc1, spec)
-        rows2 = run_sweep(sc2, spec)
+        values = grid_values(50.0, 55.0, 0.5)
+        rows1 = run_sweep(sc1, "rx_distance", values, ("continuous", "dtpq"))
+        rows2 = run_sweep(sc2, "rx_distance", values, ("continuous", "dtpq"))
         gap1 = np.array([r.power_dbm["continuous"] - r.power_dbm["dtpq"] for r in rows1])
         gap2 = np.array([r.power_dbm["continuous"] - r.power_dbm["dtpq"] for r in rows2])
         assert gap2.std() < gap1.std()

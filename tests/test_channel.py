@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import aperture_radius, random_scenario
+from conftest import aperture_radius, random_scenario, residual_spread
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +21,7 @@ from risbeam import (
     link_state,
     power_dbm_from_xi,
     ris_2p6ghz,
+    ris_4p9ghz,
 )
 from risbeam import channel
 from risbeam.analysis import design
@@ -214,6 +215,96 @@ class TestFarFieldPathLoss:
             assert link_state(sc_swapped).xi_upper_bound == pytest.approx(
                 link_state(sc).xi_upper_bound, rel=1e-12
             )
+
+
+def plane_wave_phase(sc):
+    """k * (d1 + d2 - (u_t + u_r) . c) over the M x N cell centers c, and
+    k * |in-plane part of u_t + u_r|, the affine phase's slope per meter.
+
+    u_t and u_r are the unit vectors towards Tx and Rx; the cell centers
+    are written out from the README's formula, row m along y, column n
+    along x.
+    """
+    panel, pl = sc.panel, sc.placement
+    x = (panel.cols + 1 - 2.0 * np.arange(1, panel.cols + 1)) * panel.d_x / 2.0
+    y = (panel.rows + 1 - 2.0 * np.arange(1, panel.rows + 1)) * panel.d_y / 2.0
+    ux = math.sin(pl.theta_t) * math.cos(pl.phi_t) + math.sin(pl.theta_r) * math.cos(pl.phi_r)
+    uy = math.sin(pl.theta_t) * math.sin(pl.phi_t) + math.sin(pl.theta_r) * math.sin(pl.phi_r)
+    k = TWO_PI / sc.radio.wavelength
+    return k * (pl.d1 + pl.d2 - (ux * x[None, :] + uy * y[:, None])), k * math.hypot(ux, uy)
+
+
+def fresnel_terms(sc):
+    """(F, R, slack) of the affine phase law on ``sc``, in radians.
+
+    F = k * rho^2 / 2 * (1/d1 + 1/d2), R = k * sum of rho^3 / (2 (d - rho)^2)
+    over the two legs, rho the aperture radius.  ``slack`` bounds the
+    rounding: every length the model or plane_wave_phase forms is off by
+    a few ulps of d + rho, so their phases differ from the exact ones by
+    well under 32 * eps * k * (d1 + d2 + 2 rho), and each reduction mod
+    2*pi by an ulp of 2*pi; the slack doubles both.
+    """
+    pl = sc.placement
+    rho = aperture_radius(sc.panel)
+    k = TWO_PI / sc.radio.wavelength
+    eps = np.finfo(float).eps
+    fresnel = k * rho**2 / 2.0 * (1.0 / pl.d1 + 1.0 / pl.d2)
+    remainder = sum(k * rho**3 / (2.0 * (d - rho) ** 2) for d in (pl.d1, pl.d2))
+    return fresnel, remainder, 64.0 * eps * k * (pl.d1 + pl.d2 + 2.0 * rho) + 8.0 * eps * TWO_PI
+
+
+class TestFarFieldPhase:
+    """The continuous phases are the plane-wave affine phase plus a bounded curvature.
+
+    An antenna at range d along the unit vector u is r = |d*u - c| from a
+    cell center c, |c| <= rho.  Along h(t) = |d*u - t*c|, t in [0, 1],
+    h(0) = d, h'(0) = -u.c and h''(t) = |c_perp|^2 / h(t) >= 0, with
+    c_perp the part of c normal to d*u - t*c.  Taylor's theorem with the
+    Lagrange remainder gives r = d - u.c + h''(tau)/2 for some tau in
+    (0, 1), and h(tau) >= d - rho, so each leg's curvature lies in
+    [0, rho^2 / (2 (d - rho))].  Since rho^2 / (2 (d - rho)) =
+    rho^2 / (2d) + rho^3 / (2d (d - rho)) <= rho^2 / (2d) + rho^3 / (2 (d - rho)^2),
+    the phase k (r_t + r_r) exceeds the affine phase k (d1 + d2 - (u_t + u_r).c)
+    by a value in [0, F + R] (fresnel_terms), inside [-R, F + R].
+    """
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 12))
+    def test_phase_is_affine_within_the_fresnel_bound(self, seed, rows, cols):
+        # d >= 10 rho, and d >= k rho^2 keeps F + R below pi, so the
+        # wrapped difference is the difference itself
+        rng = np.random.default_rng(seed)
+        sc = random_scenario(rng, rows, cols, 1)
+        rho = aperture_radius(sc.panel)
+        d_min = max(10.0 * rho, TWO_PI / sc.radio.wavelength * rho**2)
+        sc = sc.with_placement(d1=d_min * 10.0 ** rng.uniform(0.0, 2.0),
+                               d2=d_min * 10.0 ** rng.uniform(0.0, 2.0))
+        fresnel, remainder, slack = fresnel_terms(sc)
+        assert fresnel + remainder + slack < math.pi
+        affine, _ = plane_wave_phase(sc)
+        diff = (link_state(sc).phase - affine + math.pi) % TWO_PI - math.pi
+        assert diff.min() >= -slack
+        assert diff.max() <= fresnel + remainder + slack
+
+    @pytest.mark.parametrize("preset", [ris_2p6ghz, ris_4p9ghz])
+    @pytest.mark.parametrize("d", [100.0, 1e3, 1e4])
+    def test_specular_arc_keeps_cos_half_arc(self, preset, d):
+        # a specular placement (theta_r = theta_t, phi_r = phi_t + pi) has
+        # u_t + u_r normal to the panel, so the affine phase is k (d1 + d2)
+        # on every cell, up to the slope ``tilt`` that rounding leaves in
+        # the plane, times rho.  Every phase then lies in an arc of width s;
+        # once s < Omega, dtpq keeps cos(s/2) of the bound (TestArcBound's
+        # argument).
+        sc = preset().with_placement(d1=d, d2=d)
+        pl = sc.placement
+        assert (pl.theta_r, pl.phi_r) == (pl.theta_t, (pl.phi_t + math.pi) % TWO_PI)
+        fresnel, remainder, slack = fresnel_terms(sc)
+        _, tilt = plane_wave_phase(sc)
+        s = fresnel + remainder + 2.0 * (slack + tilt * aperture_radius(sc.panel))
+        assert s < sc.panel.omega
+        state = link_state(sc)
+        assert residual_spread(state.phase, np.zeros_like(state.phase)) <= s
+        assert dtpq(state).xi >= math.cos(s / 2.0) * state.xi_upper_bound * (1.0 - 1e-12)
 
 
 class TestFieldAtRxPoints:

@@ -105,6 +105,14 @@ class TestValidateCommand:
         path.write_text(json.dumps(doc))
         assert run(["validate", "--scenario", str(path)]) == 2
         assert "placement.altitude_m" in capsys.readouterr().err
+        # a distance whose square overflows is refused at the boundary, by name
+        doc = document_with(ris_2p6ghz_document(), "placement", d2_m=1e200)
+        path.write_text(json.dumps(doc))
+        assert run(["quantize", "--scenario", str(path), "--method", "dtpq",
+                    "--out", str(tmp_path / "shifts.csv")]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid 'placement' section: d2 must lie in [2**-511, 2**511) m, "
+            "got 1e+200\n")
 
     @pytest.mark.parametrize("key, value", [
         ("gain_tx_dbi", math.nan),
@@ -146,14 +154,20 @@ class TestQuantizeCommand:
 
     def test_values_match_library(self, ris1_path, tmp_path, capsys):
         out = tmp_path / "shifts.csv"
-        run(["quantize", "--scenario", ris1_path, "--method", "dtpq", "--out", str(out)])
-        captured = capsys.readouterr().out
-        scenario = load_scenario(ris1_path)
-        result = dtpq(link_state(scenario))
-        printed_power = float(captured.split("received_power_dbm=")[1].split()[0])
-        assert printed_power == pytest.approx(result.received_power_dbm, abs=5e-5)
-        printed_thr = float(captured.split("threshold_deg=")[1].split()[0])
-        assert printed_thr == pytest.approx(math.degrees(result.threshold), abs=5e-5)
+        # at 1e90 m xi is about 3.6e-178, so xi**2 underflows; the power stays finite
+        far_path = tmp_path / "far.json"
+        far_path.write_text(json.dumps(document_with(ris_2p6ghz_document(), "placement",
+                                                     d1_m=1e90, d2_m=1e90)))
+        for path in (ris1_path, str(far_path)):
+            run(["quantize", "--scenario", path, "--method", "dtpq", "--out", str(out)])
+            captured = capsys.readouterr().out
+            scenario = load_scenario(path)
+            result = dtpq(link_state(scenario))
+            printed_power = float(captured.split("received_power_dbm=")[1].split()[0])
+            assert math.isfinite(printed_power)
+            assert printed_power == pytest.approx(result.received_power_dbm, abs=5e-5)
+            printed_thr = float(captured.split("threshold_deg=")[1].split()[0])
+            assert printed_thr == pytest.approx(math.degrees(result.threshold), abs=5e-5)
 
     def test_shifts_round_trip(self, ris1_path, tmp_path):
         scenario = load_scenario(ris1_path)
@@ -183,6 +197,8 @@ class TestQuantizeCommand:
         assert run(["quantize", "--scenario", ris1_path, "--method", "eipq:1e-320"]) == 2
         err = capsys.readouterr().err
         assert "inf candidates" in err and "guard" in err
+        # the step as the user gave it, not its subnormal radians turned back
+        assert err.startswith("error: method token 'eipq:1e-320': ")
 
     def test_exhaustive_on_small_panel(self, tmp_path, capsys):
         doc = document_with(ris_2p6ghz_document(), "panel", rows=2, cols=2)
@@ -345,8 +361,11 @@ class TestOtherCommands:
         ("d2", "0", "500", "--start"),
         ("cos_theta_r", "20", "inf", "--stop"),
         ("cos_theta_r", "-inf", "70", "--start"),
+        ("d2", "1e-300", "1e300", "d2 must lie in [2**-511, 2**511) m, got 1e-300"),
+        ("d2", "50", "1e300", "d2 must lie in [2**-511, 2**511) m, got 5.10392e+175"),
     ], ids=["d2-stop-zero", "d2-stop-negative", "d2-stop-inf", "d2-start-nan",
-            "d2-start-zero", "angle-stop-inf", "angle-start-minus-inf"])
+            "d2-start-zero", "angle-stop-inf", "angle-start-minus-inf", "d2-samples-underflow",
+            "d2-samples-overflow"])
     def test_pl_fit_refuses_bad_bounds(self, small_path, capsys, variable, start, stop, option):
         # the --option=value form keeps argparse from reading "-inf" as a flag
         assert run(["pl-fit", "--scenario", small_path, "--variable", variable,
@@ -403,11 +422,21 @@ class TestOtherCommands:
          "--theta-step must be finite, got inf"),
         (["gradient-map", "--target-theta=45", "--target-phi=0", "--phi-step=inf"],
          "--phi-step must be finite, got inf"),
+        (["sweep", "--axis=rx_distance", "--start=nan", "--stop=10", "--step=1",
+          "--methods=dtpq"], "--start must be finite, got nan"),
+        (["gradient-map", "--target-theta=45", "--target-phi=0", "--phi-stop=inf"],
+         "--phi-stop must be finite, got inf"),
+        (["sweep", "--axis=theta_r", "--start=80", "--stop=95", "--step=5",
+          "--methods=dtpq"], "--stop must lie in [0, 90) degrees, got 95"),
+        (["sweep", "--axis=theta_r", "--start=0", "--stop=89.5", "--step=1",
+          "--methods=dtpq"], "--step 1 puts the last theta_r point at 90, not below 90 degrees"),
     ], ids=["scan-target-90", "scan-target-nan", "scan-stop-180", "scan-start-below-90",
             "map-theta-95", "map-phi-inf", "map-theta-start-negative", "map-theta-stop-120",
             "map-theta-step-overshoot", "fit-stop-90", "fit-start-negative",
             "map-phi-step-negative", "scan-step-zero", "sweep-stop-before-start",
-            "sweep-step-inf", "scan-step-inf", "map-theta-step-inf", "map-phi-step-inf"])
+            "sweep-step-inf", "scan-step-inf", "map-theta-step-inf", "map-phi-step-inf",
+            "sweep-start-nan", "map-phi-stop-inf", "sweep-theta-r-stop-95",
+            "sweep-theta-r-step-overshoot"])
     def test_angle_options_named_in_degrees(self, small_path, capsys, args, message):
         assert run([args[0], "--scenario", small_path, *args[1:]]) == 2
         captured = capsys.readouterr()
@@ -444,11 +473,11 @@ class TestOtherCommands:
         (["quantize", "--method=fixed:nan"],
          "parameter in method token 'fixed:nan' must be finite"),
         (["quantize", "--method=eipq:-5"],
-         "epsilon must lie in (0, 3.141593) rad = (0, 180) deg for 1-bit quantization, "
-         "got -0.0872665 rad (-5 deg)"),
+         "method token 'eipq:-5': epsilon must lie in (0, 3.141593) rad = (0, 180) deg "
+         "for 1-bit quantization, got -0.0872665 rad (-5 deg)"),
         (["quantize", "--method=eipq:180"],
-         "epsilon must lie in (0, 3.141593) rad = (0, 180) deg for 1-bit quantization, "
-         "got 3.14159 rad (180 deg)"),
+         "method token 'eipq:180': epsilon must lie in (0, 3.141593) rad = (0, 180) deg "
+         "for 1-bit quantization, got 3.14159 rad (180 deg)"),
     ], ids=["quantize-dtpq-parameter", "quantize-continuous", "sweep-continuous-parameter",
             "sweep-exhaustive", "scan-duplicate", "scan-duplicate-eipq", "scan-exhaustive",
             "map-exhaustive", "fit-exhaustive", "quantize-eipq-nan", "quantize-eipq-inf",
