@@ -19,7 +19,6 @@ from .analysis import (
 )
 from .channel import (
     LinkState,
-    far_field_pl_db,
     field_at_rx_points,
     link_state,
     power_dbm_from_xi,
@@ -29,7 +28,6 @@ from .quantization import (
     QuantizationResult,
     dtpq,
     eipq,
-    exhaustive_search,
     fixed_threshold,
     quantize_matrix,
 )
@@ -37,7 +35,6 @@ from .radiation import (
     RadioConfig,
     alpha_from_gain_dbi,
     cosine_pattern,
-    gain_from_alpha,
 )
 from .presets import ris_2p6ghz, ris_4p9ghz
 from .scenario import Scenario
@@ -56,11 +53,8 @@ __all__ = [
     "cosine_pattern",
     "dtpq",
     "eipq",
-    "exhaustive_search",
-    "far_field_pl_db",
     "field_at_rx_points",
     "fixed_threshold",
-    "gain_from_alpha",
     "gradient_map",
     "grid_values",
     "link_state",

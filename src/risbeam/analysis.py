@@ -21,13 +21,12 @@ from .channel import (
     power_dbm_from_xi,
 )
 from .geometry import TWO_PI, antenna_points
-from .quantization import QuantizationResult, dtpq, eipq, exhaustive_search, fixed_threshold
+from .quantization import QuantizationResult, dtpq, eipq, fixed_threshold
 from .scenario import Scenario
 
 SWEEP_AXES = ("rx_distance", "tx_distance", "theta_r", "threshold")
 # A method token is a name, then ":<degrees>" on the two methods with a
-# parameter: the eipq grid step and the fixed threshold.  Sweeps, scans,
-# maps and fits take METHODS; the exhaustive oracle is open to design().
+# parameter: the eipq grid step and the fixed threshold.
 METHODS = ("continuous", "dtpq", "eipq", "fixed")
 
 DEFAULT_EPSILON_DEG = 5.0
@@ -142,15 +141,15 @@ def check_methods(tokens: Sequence[str], allowed: Sequence[str] = METHODS) -> di
 def design(state: LinkState, method: str) -> QuantizationResult:
     """Shifts designed by one method token on the given link: the table of methods.
 
-    The tokens are continuous, dtpq, exhaustive, eipq[:step_deg] (bare:
+    The tokens are continuous, dtpq, eipq[:step_deg] (bare:
     DEFAULT_EPSILON_DEG) and fixed[:threshold_deg] (bare: the panel's last
     level).  The continuous design carries the link's phases
-    ``state.phase`` as its shifts, no level indices and, like the
-    exhaustive oracle, no threshold.  The searches are looked up as module
-    globals at call time.  A refusal from eipq or fixed_threshold names
-    the token in front.
+    ``state.phase`` as its shifts, no level indices and no threshold.  A
+    fixed threshold is reduced into [0, 2*pi), so -1e-20 deg quantizes at
+    0.  The searches are looked up as module globals at call time.  A
+    refusal from eipq or fixed_threshold names the token in front.
     """
-    name, degrees = _split_method(method, METHODS + ("exhaustive",))
+    name, degrees = _split_method(method, METHODS)
     scenario = state.scenario
     if name == "continuous":
         xi = state.xi_upper_bound
@@ -158,13 +157,12 @@ def design(state: LinkState, method: str) -> QuantizationResult:
         return QuantizationResult(None, state.phase, None, xi, power, 0)
     if name == "dtpq":
         return dtpq(state)
-    if name == "exhaustive":
-        return exhaustive_search(state)
     try:
         if name == "eipq":
             return eipq(state, math.radians(DEFAULT_EPSILON_DEG if degrees is None else degrees))
-        gamma = scenario.panel.levels[-1] if degrees is None else math.radians(degrees)
-        return fixed_threshold(state, gamma % TWO_PI)
+        gamma = (scenario.panel.levels[-1] if degrees is None else math.radians(degrees)) % TWO_PI
+        # a hair below a multiple of 2*pi reduces to 2*pi itself after rounding
+        return fixed_threshold(state, 0.0 if gamma == TWO_PI else gamma)
     except ValueError as exc:
         raise ValueError(f"method token {method!r}: {exc}") from None
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TWO_PI, Placement, RisPanel, antenna_points, cell_center_axes, cell_paths
+from .geometry import TWO_PI, RisPanel, antenna_points, cell_center_axes, cell_paths
 from .radiation import RadioConfig, cosine_pattern
 from .scenario import Scenario
 
@@ -202,32 +202,6 @@ def power_dbm_from_xi(panel: RisPanel, radio: RadioConfig, xi):
     if np.ndim(xi) == 0:
         return float(power)
     return power
-
-
-def far_field_pl_db(panel: RisPanel, placement: Placement, radio: RadioConfig) -> float:
-    """Closed-form far-field path loss (dB) under continuous phase alignment.
-
-    PL = 16*pi^2 * (d1*d2)^2 /
-         (G_t * G_r * (M*N*d_x*d_y)^2 * cos(theta_t) * cos(theta_r) * A^2)
-    """
-    cos_t = math.cos(placement.theta_t)
-    cos_r = math.cos(placement.theta_r)
-    if cos_t <= 0.0 or cos_r <= 0.0:
-        raise ValueError("far-field path loss requires theta_t, theta_r < pi/2")
-    pl = (
-        16.0
-        * math.pi**2
-        * (placement.d1 * placement.d2) ** 2
-        / (
-            radio.gain_tx_linear
-            * radio.gain_rx_linear
-            * (panel.num_cells * panel.d_x * panel.d_y) ** 2
-            * cos_t
-            * cos_r
-            * panel.reflection**2
-        )
-    )
-    return 10.0 * math.log10(pl)
 
 
 def _workers() -> int:

@@ -120,11 +120,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_quantize(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.scenario)
-    check_methods([args.method], ("dtpq", "eipq", "fixed", "exhaustive"))
+    check_methods([args.method], ("dtpq", "eipq", "fixed"))
     result = design(link_state(scenario), args.method)
 
-    threshold = "n/a" if result.threshold is None else _fmt(math.degrees(result.threshold))
-    print(f"threshold_deg={threshold}")
+    print(f"threshold_deg={_fmt(math.degrees(result.threshold))}")
     print(f"xi={result.xi:.6e}")
     print(f"received_power_dbm={_fmt(result.received_power_dbm)}")
     print(f"candidates_evaluated={result.candidates_evaluated}")
@@ -229,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method",
         required=True,
-        help="dtpq | eipq[:step_deg] | fixed[:threshold_deg] | exhaustive",
+        help="dtpq | eipq[:step_deg] | fixed[:threshold_deg]",
     )
     p.add_argument("--out", default="shifts.csv", help="shifts CSV path")
     p.set_defaults(func=_cmd_quantize)

@@ -13,7 +13,6 @@ differ only in their candidate threshold sets:
 * eipq       -- a uniform grid of step epsilon within one interval
                 [0, Omega); sub-optimal, constant candidate count.
 * fixed      -- a single constant threshold (the traditional baseline).
-* exhaustive -- every level assignment; guarded brute-force oracle.
 
 dtpq and eipq score their candidates on one threshold profile: the
 phases mod Omega are sorted once, and xi at any threshold is then one
@@ -38,12 +37,6 @@ from .geometry import TWO_PI, RisPanel
 # as ties and resolved to the smallest threshold.
 TIE_REL_TOL = 1e-12
 
-# Upper bound on bits * cells for the exhaustive oracle (~10^6 assignments).
-EXHAUSTIVE_GUARD_BITS = 20
-
-# Level assignments the exhaustive oracle scores per vectorized block.
-_EXHAUSTIVE_CHUNK = 1 << 14
-
 # Upper bound on the eipq grid size K (~10^6 thresholds).
 EIPQ_GUARD_CANDIDATES = 1 << 20
 
@@ -54,9 +47,9 @@ class QuantizationResult:
 
     ``shifts`` holds the per-cell shifts in radians and ``level_indices``
     the same shifts as indices into the panel's levels.  ``threshold`` is
-    None for the exhaustive oracle, where no single threshold applies, and
-    for the continuous design, whose ``shifts`` are the continuous phase
-    array and whose ``level_indices`` are None (see analysis.design).
+    None only for the continuous design, whose ``shifts`` are the
+    continuous phase array and whose ``level_indices`` are None (see
+    analysis.design).
     """
 
     threshold: float | None
@@ -121,21 +114,14 @@ def _profile_xi(state: LinkState, gammas: np.ndarray) -> np.ndarray:
     return np.abs(prefix[-1] - (1.0 - np.exp(-1j * TWO_PI / 2**bits)) * below)
 
 
-def _result(
-    state: LinkState, threshold: float | None, indices: np.ndarray, candidates: int
-) -> QuantizationResult:
-    """The design with these level indices; its shifts and xi are exact, in row-major order."""
+def _at_threshold(state: LinkState, gamma: float, candidates: int) -> QuantizationResult:
+    """Quantize at gamma; the design's shifts and xi are exact, in row-major order."""
     panel = state.scenario.panel
+    indices = quantize_matrix(state.phase, gamma, panel)
     shifts = np.take(panel.levels, indices)
     xi = state.xi(shifts)
     power = power_dbm_from_xi(panel, state.scenario.radio, xi)
-    return QuantizationResult(threshold, shifts, indices, xi, power, candidates)
-
-
-def _at_threshold(state: LinkState, gamma: float, candidates: int) -> QuantizationResult:
-    """Quantize at gamma."""
-    panel = state.scenario.panel
-    return _result(state, gamma, quantize_matrix(state.phase, gamma, panel), candidates)
+    return QuantizationResult(gamma, shifts, indices, xi, power, candidates)
 
 
 def _search(state: LinkState, gammas: np.ndarray) -> QuantizationResult:
@@ -184,47 +170,3 @@ def eipq(state: LinkState, epsilon: float) -> QuantizationResult:
 def fixed_threshold(state: LinkState, gamma: float) -> QuantizationResult:
     """Quantization at a single constant threshold (traditional baseline)."""
     return _at_threshold(state, float(gamma), 1)
-
-
-def exhaustive_search(state: LinkState) -> QuantizationResult:
-    """Brute-force oracle over all 2**(bits*M*N) level assignments.
-
-    Refuses panels with bits * M * N > EXHAUSTIVE_GUARD_BITS.  Ties in xi
-    resolve to the lexicographically smallest row-major index assignment.
-    """
-    panel = state.scenario.panel
-    total_bits = panel.bits * panel.num_cells
-    if total_bits > EXHAUSTIVE_GUARD_BITS:
-        raise ValueError(
-            f"exhaustive search refused: bits * cells = {total_bits} exceeds the "
-            f"guard of {EXHAUSTIVE_GUARD_BITS}"
-        )
-
-    cells = panel.num_cells
-    num_levels = panel.num_levels
-    levels = np.asarray(panel.levels)
-    phases = state.phase.ravel()
-    amplitude = state.amplitude.ravel()
-    # term[c, l]: contribution of cell c when assigned level l.
-    term = amplitude[:, None] * np.exp(1j * (levels[None, :] - phases[:, None]))
-
-    # Row-major cell 0 is the most significant digit, so ascending config
-    # index enumerates assignments in lexicographic level-index order.
-    weights = num_levels ** np.arange(cells - 1, -1, -1, dtype=np.int64)
-    total = num_levels**cells
-    best_xi = -1.0
-    best_index = 0
-    cell_range = np.arange(cells)
-    for lo in range(0, total, _EXHAUSTIVE_CHUNK):
-        idx = np.arange(lo, min(lo + _EXHAUSTIVE_CHUNK, total), dtype=np.int64)
-        digits = (idx[:, None] // weights[None, :]) % num_levels
-        sums = np.abs(np.sum(term[cell_range[None, :], digits], axis=1))
-        # earliest near-tied maximizer, so exact ties (equal up to float
-        # noise) resolve to the lowest level indices
-        local = int(np.argmax(sums >= np.max(sums) * (1.0 - TIE_REL_TOL)))
-        if sums[local] > best_xi * (1.0 + TIE_REL_TOL):
-            best_xi = float(sums[local])
-            best_index = int(idx[local])
-
-    digits = (best_index // weights) % num_levels
-    return _result(state, None, digits.reshape(panel.rows, panel.cols).astype(np.intp), total)

@@ -21,13 +21,6 @@ MIN_GAIN_DBI = 10.0 * math.log10(MIN_GAIN_LINEAR)
 _ALPHA_TOL = 1e-9
 
 
-def gain_from_alpha(alpha: float) -> float:
-    """Linear directive gain 2 * (alpha + 1) of a cosine-power pattern."""
-    if alpha < 0.0:
-        raise ValueError(f"pattern exponent must be >= 0, got {alpha}")
-    return 2.0 * (alpha + 1.0)
-
-
 def alpha_from_gain_dbi(gain_dbi: float) -> float:
     """Pattern exponent whose directive gain matches the given dBi figure.
 

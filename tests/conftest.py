@@ -1,6 +1,7 @@
 """Shared helpers: seeded random scenarios for property tests, a
-brute-force threshold scan, geometric and optimality oracles, and an
-independent reference of the README model for the acceptance checks."""
+brute-force threshold scan, the exhaustive optimum, the far-field closed
+form, geometric and optimality oracles, and an independent reference of
+the README model for the acceptance checks."""
 
 import copy
 import math
@@ -72,6 +73,36 @@ def brute_force_search(state, gammas):
     gamma = float(np.min(gammas[xis >= np.max(xis) * (1.0 - TIE_REL_TOL)]))
     indices = quantize_matrix(state.phase, gamma, panel)
     return gamma, indices, state.xi(np.take(panel.levels, indices))
+
+
+def exhaustive_xi(state) -> float:
+    """Largest xi over every level assignment: the optimum dtpq must reach.
+
+    Folds the level phasors in cell by cell, so after c cells ``sums``
+    holds the partial field of all 2**(q*c) assignments of those cells.
+    """
+    levels = np.asarray(state.scenario.panel.levels)
+    sums = np.zeros(1, dtype=complex)
+    for a, phase in zip(state.amplitude.ravel(), state.phase.ravel()):
+        sums = (sums[:, None] + a * np.exp(1j * (levels - phase))).ravel()
+    return float(np.max(np.abs(sums)))
+
+
+def far_field_pl_db(panel, placement, radio) -> float:
+    """Closed-form far-field path loss (dB) under continuous phase alignment.
+
+    PL = 16*pi^2 * (d1*d2)^2 /
+         (G_t * G_r * (M*N*d_x*d_y)^2 * cos(theta_t) * cos(theta_r) * A^2),
+    summed in dB factor by factor so that no product overflows.
+    """
+    return (
+        10.0 * math.log10(16.0 * math.pi**2)
+        + 20.0 * (math.log10(placement.d1) + math.log10(placement.d2))
+        - radio.gain_tx_dbi
+        - radio.gain_rx_dbi
+        - 20.0 * math.log10(panel.num_cells * panel.d_x * panel.d_y * panel.reflection)
+        - 10.0 * (math.log10(math.cos(placement.theta_t)) + math.log10(math.cos(placement.theta_r)))
+    )
 
 
 def residual_spread(phases: np.ndarray, shifts: np.ndarray) -> float:

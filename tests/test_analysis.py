@@ -114,19 +114,27 @@ class TestDesign:
             np.testing.assert_array_equal(result.level_indices, expected.level_indices)
         assert design(state, "fixed").threshold == sc.panel.levels[-1]
 
-    @pytest.mark.parametrize("token", ["dtpq", "eipq:3", "fixed:100", "fixed", "exhaustive"])
+    @pytest.mark.parametrize("token", ["dtpq", "eipq:3", "fixed:100", "fixed"])
     def test_shifts_are_the_levels_at_the_level_indices(self, token):
         # a discrete design's radian shifts are its panel levels looked up
-        # at its level indices, bit for bit; exhaustive runs on 12 bits
+        # at its level indices, bit for bit
         sc = ris_4p9ghz()
-        if token == "exhaustive":
-            sc = sc.with_panel(rows=2, cols=3)
         result = design(link_state(sc), token)
         assert result.level_indices.dtype == np.intp
         assert result.level_indices.shape == (sc.panel.rows, sc.panel.cols)
         expected = np.take(sc.panel.levels, result.level_indices)
         assert result.shifts.shape == expected.shape
         assert result.shifts.tobytes() == expected.tobytes()
+
+    def test_threshold_a_hair_below_zero_is_zero(self):
+        # radians(-1e-20) mod 2*pi rounds up to 2*pi itself; it quantizes at 0
+        state = link_state(ris_4p9ghz())
+        below, zero = design(state, "fixed:-1e-20"), design(state, "fixed:0")
+        assert below.threshold == zero.threshold == 0.0
+        assert below.xi == zero.xi
+        assert below.received_power_dbm == zero.received_power_dbm
+        assert below.shifts.tobytes() == zero.shifts.tobytes()
+        assert below.level_indices.tobytes() == zero.level_indices.tobytes()
 
     def test_continuous_shifts_are_the_link_phases(self):
         state = link_state(ris_4p9ghz())

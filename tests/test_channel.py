@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import aperture_radius, random_scenario, residual_spread
+from conftest import aperture_radius, far_field_pl_db, random_scenario, residual_spread
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +16,6 @@ from risbeam import (
     RisPanel,
     Scenario,
     dtpq,
-    far_field_pl_db,
     field_at_rx_points,
     link_state,
     power_dbm_from_xi,
@@ -147,6 +146,16 @@ class TestFarFieldPathLoss:
         sc = ris_2p6ghz()
         base = far_field_pl_db(sc.panel, sc.placement, sc.radio)
         doubled = far_field_pl_db(sc.panel, replace(sc.placement, d1=20.0), sc.radio)
+        assert doubled - base == pytest.approx(6.0206, abs=1e-4)
+
+    def test_distance_law_at_extreme_distances(self):
+        # (d1*d2)**2 = 1e320 overflows a float; the closed form summed in dB
+        # stays finite
+        sc = ris_2p6ghz()
+        far = replace(sc.placement, d1=1e80, d2=1e80)
+        base = far_field_pl_db(sc.panel, far, sc.radio)
+        doubled = far_field_pl_db(sc.panel, replace(far, d1=2e80), sc.radio)
+        assert math.isfinite(base)
         assert doubled - base == pytest.approx(6.0206, abs=1e-4)
 
     def test_cell_count_law(self):

@@ -184,10 +184,6 @@ class TestQuantizeCommand:
         assert len(records) == scenario.panel.num_cells
         assert np.array_equal(reloaded, result.level_indices)
 
-    def test_exhaustive_guard_exit_code(self, ris1_path, capsys):
-        assert run(["quantize", "--scenario", ris1_path, "--method", "exhaustive"]) == 2
-        assert "guard" in capsys.readouterr().err
-
     def test_eipq_guard_exit_code(self, ris1_path, capsys):
         # about 1.8e11 grid thresholds: refused before the grid is built
         assert run(["quantize", "--scenario", ris1_path, "--method", "eipq:1e-9"]) == 2
@@ -200,14 +196,17 @@ class TestQuantizeCommand:
         # the step as the user gave it, not its subnormal radians turned back
         assert err.startswith("error: method token 'eipq:1e-320': ")
 
-    def test_exhaustive_on_small_panel(self, tmp_path, capsys):
-        doc = document_with(ris_2p6ghz_document(), "panel", rows=2, cols=2)
-        path = tmp_path / "tiny.json"
-        path.write_text(json.dumps(doc))
-        out = tmp_path / "shifts.csv"
-        assert run(["quantize", "--scenario", str(path), "--method", "exhaustive",
-                    "--out", str(out)]) == 0
-        assert "threshold_deg=n/a" in capsys.readouterr().out
+    def test_threshold_a_hair_below_zero_is_zero(self, ris1_path, tmp_path, capsys):
+        # radians(-1e-20) mod 2*pi rounds up to 2*pi itself; it quantizes at 0
+        outputs = []
+        for token in ("fixed:-1e-20", "fixed:0"):
+            out = tmp_path / f"{token}.csv"
+            assert run(["quantize", "--scenario", ris1_path, "--method", token,
+                        "--out", str(out)]) == 0
+            printed = capsys.readouterr().out.replace(str(out), "shifts.csv")
+            outputs.append((printed, out.read_bytes()))
+        assert "threshold_deg=0.0000\n" in outputs[0][0]
+        assert outputs[0] == outputs[1]
 
     def test_bad_method_token(self, ris1_path, capsys):
         assert run(["quantize", "--scenario", ris1_path, "--method", "best"]) == 2
@@ -244,6 +243,13 @@ class TestSweepCommand:
                     "--methods", "fixed", "--out", str(out)]) == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + 72
+        # a start a hair below 0 quantizes its first row at 0
+        assert run(["sweep", "--scenario", small_path, "--axis", "threshold",
+                    "--start=-1e-20", "--stop", "355", "--step", "5",
+                    "--methods", "fixed", "--out", str(out)]) == 0
+        shifted = out.read_text().splitlines()
+        assert shifted[1].split(",")[1:] == lines[1].split(",")[1:]
+        assert shifted[1].split(",")[2] == "0.0000"
 
     def test_grid_guard_exit_code(self, small_path, capsys):
         # 5e12 grid points: refused before the grid is allocated
@@ -446,7 +452,9 @@ class TestOtherCommands:
     @pytest.mark.parametrize("args, message", [
         (["quantize", "--method=dtpq:7"], "method 'dtpq' takes no parameter, got 'dtpq:7'"),
         (["quantize", "--method=continuous"],
-         "unknown method 'continuous'; expected one of dtpq, eipq, fixed, exhaustive"),
+         "unknown method 'continuous'; expected one of dtpq, eipq, fixed"),
+        (["quantize", "--method=exhaustive"],
+         "unknown method 'exhaustive'; expected one of dtpq, eipq, fixed"),
         (["sweep", "--axis=rx_distance", "--start=5", "--stop=6", "--step=1",
           "--methods=continuous:1"],
          "method 'continuous' takes no parameter, got 'continuous:1'"),
@@ -478,7 +486,8 @@ class TestOtherCommands:
         (["quantize", "--method=eipq:180"],
          "method token 'eipq:180': epsilon must lie in (0, 3.141593) rad = (0, 180) deg "
          "for 1-bit quantization, got 3.14159 rad (180 deg)"),
-    ], ids=["quantize-dtpq-parameter", "quantize-continuous", "sweep-continuous-parameter",
+    ], ids=["quantize-dtpq-parameter", "quantize-continuous", "quantize-exhaustive",
+            "sweep-continuous-parameter",
             "sweep-exhaustive", "scan-duplicate", "scan-duplicate-eipq", "scan-exhaustive",
             "map-exhaustive", "fit-exhaustive", "quantize-eipq-nan", "quantize-eipq-inf",
             "quantize-fixed-inf", "quantize-fixed-minus-inf", "quantize-fixed-nan",

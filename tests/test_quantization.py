@@ -1,13 +1,19 @@
 """Quantizer binning, threshold searches, the threshold profile against a
-brute-force scan, the exhaustive oracle, and the circular-spread bound on
-optimal residuals."""
+brute-force scan, dtpq against the exhaustive optimum and a size-free
+optimality certificate, and the circular-spread bound on optimal residuals."""
 
 import math
 import time
 
 import numpy as np
 import pytest
-from conftest import brute_force_search, random_scenario, residual_spread, uniform_levels
+from conftest import (
+    brute_force_search,
+    exhaustive_xi,
+    random_scenario,
+    residual_spread,
+    uniform_levels,
+)
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -17,15 +23,14 @@ from risbeam import (
     RisPanel,
     dtpq,
     eipq,
-    exhaustive_search,
     fixed_threshold,
     link_state,
     quantize_matrix,
     ris_2p6ghz,
+    ris_4p9ghz,
 )
 from risbeam.quantization import (
     EIPQ_GUARD_CANDIDATES,
-    EXHAUSTIVE_GUARD_BITS,
     TIE_REL_TOL,
     _bin_indices,
     _profile_xi,
@@ -191,9 +196,7 @@ class TestDtpq:
         for _ in range(50):
             sc = random_scenario(rng, 2, 2, 1)
             state = link_state(sc)
-            assert dtpq(state).xi == pytest.approx(
-                exhaustive_search(state).xi, rel=1e-12
-            )
+            assert dtpq(state).xi == pytest.approx(exhaustive_xi(state), rel=1e-12)
 
 
 class TestEipq:
@@ -274,34 +277,19 @@ class TestFixedThreshold:
 
 
 class TestExhaustiveSearch:
-    def test_single_cell_tie_breaks_to_first_level(self):
-        rng = np.random.default_rng(43)
-        sc = random_scenario(rng, 1, 1, 1)
-        result = exhaustive_search(link_state(sc))
-        assert result.threshold is None
-        assert result.candidates_evaluated == 2
-        assert result.level_indices[0, 0] == 0
-
     def test_two_bit_four_cells_matches_dtpq(self):
         rng = np.random.default_rng(47)
         for _ in range(10):
             sc = random_scenario(rng, 2, 2, 2)   # 65536 assignments
             state = link_state(sc)
-            assert exhaustive_search(state).xi == pytest.approx(
-                dtpq(state).xi, rel=1e-12
-            )
-
-    def test_guard_refuses_large_panels(self):
-        sc = ris_2p6ghz()   # 512 cells, far beyond the guard
-        with pytest.raises(ValueError, match=str(EXHAUSTIVE_GUARD_BITS)):
-            exhaustive_search(link_state(sc))
+            assert exhaustive_xi(state) == pytest.approx(dtpq(state).xi, rel=1e-12)
 
     def test_optimality_chain(self):
         rng = np.random.default_rng(53)
         for _ in range(10):
             sc = random_scenario(rng, 3, 2, 1)
             state = link_state(sc)
-            exh = exhaustive_search(state).xi
+            exh = exhaustive_xi(state)
             dt = dtpq(state).xi
             ei = eipq(state, math.radians(10)).xi
             fx = fixed_threshold(state, 0.0).xi
@@ -581,3 +569,102 @@ class TestDofInvariance:
         assert result.candidates_evaluated == rows * cols
         tolerance = 3 * rows * cols * eps * link.xi_upper_bound
         assert abs(result.xi - rows * expected.xi) <= tolerance
+
+
+def worst_single_move_gain(state: LinkState, result) -> float:
+    """Largest rise of xi from moving one live cell of a design to an adjacent level.
+
+    Dead cells (amplitude 0) are skipped: they add nothing wherever they
+    go, and np.angle(-0+0j) is pi, so no direction can be read from them.
+    """
+    levels = np.asarray(state.scenario.panel.levels)
+    live = state.amplitude.ravel() > 0.0
+    a = state.amplitude.ravel()[live]
+    phase = state.phase.ravel()[live]
+    index = result.level_indices.ravel()[live]
+    term = a * np.exp(1j * (levels[index] - phase))
+    total = np.sum(term)
+    gain = 0.0
+    for step in (1, -1):
+        moved = a * np.exp(1j * (levels[(index + step) % levels.size] - phase))
+        rise = np.abs(total + (moved - term)) - abs(total)
+        gain = max(gain, float(np.max(rise, initial=0.0)))
+    return gain
+
+
+class TestOptimalityCertificate:
+    """No single live cell of a dtpq design gains from moving to an adjacent level.
+
+    Brute force checks dtpq only up to about 20 bits; this holds at any
+    size.  The optimum over all level assignments is a threshold
+    partition (the nearest level after one common rotation: J. A.
+    Sanchez, E. Bjornson and E. G. Larsson, IEEE GLOBECOM 2021), and
+    dtpq's candidates induce every threshold partition, so in exact
+    arithmetic no single move raises dtpq's xi.  In floating point, with
+    u = eps/2, A = sum(a) = xi_upper and N = M*N cells, to first order in
+    u and T = TIE_REL_TOL:
+
+    0. Every phasor sum below has terms computed to within 16u * a_i
+       (an angle difference, exp, a product), so by the recursive
+       summation bound |fl(sum z) - sum z| <= (N - 1) u sum|z_i| (Higham,
+       Accuracy and Stability of Numerical Algorithms, eq. 4.4; any
+       order) it is within (N + 16) u A.
+    1. Profile.  P(gamma) = |C_N - w C_k| over prefix sums C with
+       |w| = 2 sin(Omega/2) <= 2.  With the rounding of w, the product,
+       the difference and the modulus, |P - xi(gamma)| <= 3 (N + 23) u A.
+    2. Selection.  dtpq keeps gamma_s with P(gamma_s) >= (1 - T) max P,
+       and one candidate induces the optimum xi*, so
+       xi(gamma_s) >= (1 - T) xi* - 6 (N + 23) u A.  A single move
+       reaches some assignment, whose xi is at most xi*; its exact gain
+       is at most T xi* + 6 (N + 23) u A.
+    3. Levels.  The profile takes level p at rho_0 + p * Omega.  Levels
+       within delta = 32u of that (checked below) move each term by at
+       most a_i * delta: 2 delta A = 64 u A more.
+    4. This test.  Its sum S (item 0) enters |S + d_i| - |S| twice, d_i
+       is within 34u * a_i, and four roundings of at most 3A each
+       follow: 2 (N + 39) u A.
+
+    Together the measured gain is at most T xi* + 8 (N + 35) u A.  The
+    loss floor xi* >= sinc(Omega/2) A >= (2/pi) A (TestLossFloor) turns
+    A into (pi/2) xi, so the gain is at most (T + c (N + 35) eps) xi
+    with c = 2 pi; the 35 is the per-term rounding, in cells.
+    """
+
+    @staticmethod
+    def slack(state: LinkState) -> float:
+        """The relative rise the argument allows, after checking its level premise."""
+        panel = state.scenario.panel
+        eps = np.finfo(float).eps
+        levels = np.asarray(panel.levels)
+        drift = levels - levels[0] - panel.omega * np.arange(levels.size)
+        assert np.max(np.abs(np.angle(np.exp(1j * drift)))) <= 16 * eps   # delta = 32u
+        return TIE_REL_TOL + 2 * math.pi * (state.amplitude.size + 35) * eps
+
+    def assert_certified(self, state: LinkState, result) -> None:
+        assert worst_single_move_gain(state, result) <= self.slack(state) * result.xi
+
+    @pytest.mark.parametrize("rows, cols", [(128, 256), (256, 512)])
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    def test_large_random_panels(self, rows, cols, bits):
+        # 32768 and 131072 cells, far beyond any brute force
+        state = link_state(random_scenario(np.random.default_rng(rows + bits), rows, cols, bits))
+        self.assert_certified(state, dtpq(state))
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(adversarial_links())
+    def test_adversarial_small_links(self, link):
+        state, _, _ = link
+        self.assert_certified(state, dtpq(state))
+
+    @pytest.mark.parametrize("distance", [10.0, 100.0])
+    @pytest.mark.parametrize("preset", [ris_2p6ghz, ris_4p9ghz])
+    def test_bundled_links(self, preset, distance):
+        state = link_state(preset().with_placement(d1=distance, d2=distance))
+        self.assert_certified(state, dtpq(state))
+
+    def test_fixed_threshold_fails_it(self):
+        # the certificate has teeth: the fixed baseline on the bundled
+        # 2.6 GHz link gains about 2e-3 of xi from one move
+        state = link_state(ris_2p6ghz())
+        result = fixed_threshold(state, ris_2p6ghz().panel.levels[-1])
+        assert worst_single_move_gain(state, result) > 1e6 * self.slack(state) * result.xi

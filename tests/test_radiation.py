@@ -14,7 +14,6 @@ from risbeam import (
     Scenario,
     alpha_from_gain_dbi,
     cosine_pattern,
-    gain_from_alpha,
     ris_2p6ghz,
 )
 from risbeam.geometry import antenna_points, cell_center_axes
@@ -103,23 +102,23 @@ class TestCosinePattern:
 
 
 class TestGainConversion:
+    """The directive gain of a cosine-power pattern is G = 2 * (alpha + 1)."""
+
     def test_alpha_one_gives_gain_four(self):
-        assert gain_from_alpha(1.0) == 4.0
-        assert 10 * math.log10(gain_from_alpha(1.0)) == pytest.approx(6.0206, abs=1e-4)
+        assert alpha_from_gain_dbi(10 * math.log10(4.0)) == pytest.approx(1.0, rel=1e-12)
+        assert 10 * math.log10(2 * (1.0 + 1)) == pytest.approx(6.0206, abs=1e-4)
 
     def test_alpha_zero_floor(self):
-        assert gain_from_alpha(0.0) == 2.0
-        with pytest.raises(ValueError, match="exponent"):
-            gain_from_alpha(-0.1)
+        assert alpha_from_gain_dbi(10 * math.log10(2.0)) == pytest.approx(0.0, abs=1e-12)
 
     def test_inverse_at_825_dbi(self):
         alpha = alpha_from_gain_dbi(8.25)
         assert alpha == pytest.approx(ALPHA_825_DBI, rel=1e-12)
-        assert 10 * math.log10(gain_from_alpha(alpha)) == pytest.approx(8.25, rel=1e-12)
+        assert 10 * math.log10(2 * (alpha + 1)) == pytest.approx(8.25, rel=1e-12)
 
     def test_round_trip(self):
         for alpha in (0.0, 0.5, 1.0, 2.3417, 9.0):
-            dbi = 10 * math.log10(gain_from_alpha(alpha))
+            dbi = 10 * math.log10(2 * (alpha + 1))
             assert alpha_from_gain_dbi(dbi) == pytest.approx(alpha, rel=1e-12, abs=1e-12)
 
     def test_below_floor_raises(self):
@@ -131,7 +130,7 @@ class TestGainConversion:
         for alpha in (0.0, 1.0, ALPHA_825_DBI):
             integral, _ = quad(lambda th: math.cos(th) ** alpha * math.sin(th), 0.0, math.pi / 2)
             gain = 4.0 * math.pi / (2.0 * math.pi * integral)
-            assert gain == pytest.approx(gain_from_alpha(alpha), rel=1e-3)
+            assert gain == pytest.approx(2 * (alpha + 1), rel=1e-3)
 
 
 class TestRadioConfig:
