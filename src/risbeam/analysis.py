@@ -340,6 +340,10 @@ def pl_slope_fit(
     if np.ptp(x) == 0.0:
         raise ValueError("singular design matrix: variable is constant over the grid")
     y = path_loss_samples(scenario, variable, grid, method)
+    for value, loss in zip(grid, y):
+        if not math.isfinite(loss):  # inf where no cell is lit (xi = 0)
+            raise ValueError(f"path loss at {variable} sample {value:g} is {loss:g} dB; "
+                             "a slope fit needs every sample finite")
 
     slope, intercept = np.polyfit(x, y, 1)
     residuals = y - (slope * x + intercept)

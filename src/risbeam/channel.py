@@ -109,41 +109,32 @@ def _tx_leg(scenario: Scenario):
     return axes, r_t, tx_gain
 
 
-def _phasor_chunks(scenario: Scenario, tx_leg, rx_points: np.ndarray, workspace: np.ndarray):
+def _phasors(scenario: Scenario, tx_leg, points: np.ndarray, buffers: np.ndarray):
     """The forward model: per-cell phasor amplitude and path phase at Rx points.
 
     ``tx_leg`` is ``_tx_leg(scenario)``, which the model only reads, so
-    one Tx leg serves any number of concurrent calls.  ``rx_points`` is a
+    one Tx leg serves any number of concurrent calls.  ``points`` is a
     (P, 3) array of Rx positions; the Rx antenna's boresight is aimed at
-    the surface center from each point.  ``workspace`` is a (k >= 4, size,
-    M*N) array; the model evaluates ``size`` points at a time in views of
-    it and yields, per chunk, the row slice of the points and two (chunk,
-    M*N) arrays over the row-major cells: sqrt(F_combine) / (r_t * r_r)
-    and mod(2*pi/lambda * (r_t + r_r), 2*pi).  F_combine is the product of
-    the Tx pattern, the cell's reception and emission patterns, and the Rx
-    pattern.  The next chunk overwrites the yielded arrays;
-    ``workspace[0]``, ``workspace[1]`` and any buffers past the fourth are
-    free for the consumer in between.
+    the surface center from each point.  The model computes in
+    ``buffers``, a (4, P, M*N) array, and returns two of them over the
+    row-major cells: sqrt(F_combine) / (r_t * r_r) and mod(2*pi/lambda *
+    (r_t + r_r), 2*pi).  F_combine is the product of the Tx pattern, the
+    cell's reception and emission patterns, and the Rx pattern.
+    ``buffers[0]`` and ``buffers[1]`` are free for the caller afterwards.
     """
     radio = scenario.radio
     axes, r_t, tx_gain = tx_leg
-    wavenumber = TWO_PI / radio.wavelength
-    size = workspace.shape[1]
-    for lo in range(0, max(rx_points.shape[0], 1), size):  # P = 0: one empty chunk
-        points = rx_points[lo : lo + size]
-        ranges = np.sqrt(np.sum(points**2, axis=1, keepdims=True))
-        buffers = workspace[:4, : points.shape[0]]
-        r_r, cos_r_cell, cos_rx, amplitude = buffers
-        cell_paths(axes, points, ranges, out=buffers[:3])
-        cosine_pattern(cos_r_cell, radio.cell_alpha, out=amplitude)
-        np.multiply(tx_gain, amplitude, out=amplitude)
-        amplitude *= cosine_pattern(cos_rx, radio.alpha_rx, out=cos_r_cell)
-        np.sqrt(amplitude, out=amplitude)
-        amplitude /= np.multiply(r_t, r_r, out=cos_r_cell)
-        np.add(r_t, r_r, out=r_r)
-        np.multiply(wavenumber, r_r, out=r_r)
-        phase = _mod_two_pi(r_r, out=cos_rx, q=cos_r_cell)
-        yield slice(lo, lo + points.shape[0]), amplitude, phase
+    ranges = np.sqrt(np.sum(points**2, axis=1, keepdims=True))
+    r_r, cos_r_cell, cos_rx, amplitude = buffers
+    cell_paths(axes, points, ranges, out=buffers[:3])
+    cosine_pattern(cos_r_cell, radio.cell_alpha, out=amplitude)
+    np.multiply(tx_gain, amplitude, out=amplitude)
+    amplitude *= cosine_pattern(cos_rx, radio.alpha_rx, out=cos_r_cell)
+    np.sqrt(amplitude, out=amplitude)
+    amplitude /= np.multiply(r_t, r_r, out=cos_r_cell)
+    np.add(r_t, r_r, out=r_r)
+    np.multiply(TWO_PI / radio.wavelength, r_r, out=r_r)
+    return amplitude, _mod_two_pi(r_r, out=cos_rx, q=cos_r_cell)
 
 
 @dataclass(frozen=True)
@@ -178,8 +169,8 @@ def link_state(scenario: Scenario) -> LinkState:
     model at the placement's own Rx position."""
     placement, panel = scenario.placement, scenario.panel
     rx = antenna_points(placement.d2, placement.theta_r, placement.phi_r)
-    workspace = np.empty((4, 1, panel.num_cells))
-    _, amplitude, phase = next(_phasor_chunks(scenario, _tx_leg(scenario), rx, workspace))
+    buffers = np.empty((4, 1, panel.num_cells))
+    amplitude, phase = _phasors(scenario, _tx_leg(scenario), rx, buffers)
     shape = (panel.rows, panel.cols)
     return LinkState(scenario, amplitude.reshape(shape), phase.reshape(shape))
 
@@ -220,10 +211,12 @@ def _field_block(scenario, tx_leg, shift, points, size, out, errors) -> None:
     floating-point error handling ``errors`` (an ``np.geterr()`` dict)."""
     workspace = np.empty((5, size, shift.size))
     with np.errstate(**errors):
-        for rows, amplitude, phase in _phasor_chunks(scenario, tx_leg, points, workspace):
-            count = amplitude.shape[0]
+        for lo in range(0, points.shape[0], size):
+            chunk = points[lo : lo + size]
+            count = chunk.shape[0]
+            amplitude, phase = _phasors(scenario, tx_leg, chunk, workspace[:4, :count])
             scratch = (workspace[0, :count], workspace[1, :count], workspace[4, :count])
-            _phasor_sum(amplitude, phase, shift, out=out[rows], scratch=scratch)
+            _phasor_sum(amplitude, phase, shift, out=out[lo : lo + count], scratch=scratch)
 
 
 def field_at_rx_points(

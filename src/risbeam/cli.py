@@ -8,7 +8,6 @@ offending key named), 1 internal numeric error.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from typing import Sequence
@@ -30,10 +29,10 @@ from .analysis import (
 from .channel import link_state
 from .geometry import TWO_PI
 from .quantization import QuantizationResult
-from .scenario import ScenarioFileError, load_scenario
+from .scenario import Scenario, ScenarioFileError, load_scenario
 
 # ---------------------------------------------------------------------------
-# CSV schemas
+# CSV schemas: rows are joined by hand, since no formatted field needs quoting
 
 
 def _fmt(value: float) -> str:
@@ -43,11 +42,9 @@ def _fmt(value: float) -> str:
 def write_shifts_csv(path: str, result: QuantizationResult) -> None:
     """One row per cell of a discrete design, row-major: n, m, level_index, level_deg."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["n", "m", "level_index", "level_deg"])
+        fh.write("n,m,level_index,level_deg\n")
         for (m, n), index in np.ndenumerate(result.level_indices):
-            shift = math.degrees(result.shifts[m, n])
-            writer.writerow([n + 1, m + 1, int(index), _fmt(shift)])
+            fh.write(f"{n + 1},{m + 1},{index},{_fmt(math.degrees(result.shifts[m, n]))}\n")
 
 
 def write_sweep_csv(path: str, rows: Sequence[SweepRow]) -> None:
@@ -64,24 +61,20 @@ def write_sweep_csv(path: str, rows: Sequence[SweepRow]) -> None:
         if method in thresholded:
             header.append(f"{method}_threshold_deg")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        fh.write(",".join(header) + "\n")
         for row in rows:
             record = [_fmt(row.axis_value)]
             for method in methods:
                 record.append(_fmt(row.power_dbm[method]))
                 if method in thresholded:
                     record.append(_fmt(row.threshold_deg[method]))
-            writer.writerow(record)
+            fh.write(",".join(record) + "\n")
 
 
 def write_map_csv(
     path: str, theta_grid_deg: np.ndarray, phi_grid_deg: np.ndarray, power: np.ndarray
 ) -> None:
-    """Long-format map: theta_r_deg, phi_r_deg, power_dbm.
-
-    One write per theta row; no formatted field needs csv quoting.
-    """
+    """Long-format map: theta_r_deg, phi_r_deg, power_dbm, one write per theta row."""
     phis = [_fmt(phi) for phi in phi_grid_deg]
     with open(path, "w", newline="") as fh:
         fh.write("theta_r_deg,phi_r_deg,power_dbm\n")
@@ -94,22 +87,44 @@ def write_map_csv(
 # Option checks: angles stay in degrees, so the diagnostic names the option
 
 
+def _inside(value: float, degrees: str) -> bool:
+    """Whether an angle lies in the interval spelled ``degrees``, such as "[0, 90)"."""
+    return {"(-90, 90)": -90.0 < value < 90.0, "[-90, 90]": -90.0 <= value <= 90.0,
+            "[0, 90)": 0.0 <= value < 90.0, "[0, 90]": 0.0 <= value <= 90.0}[degrees]
+
+
 def _check_option(option: str, value: float, degrees: str | None = None) -> None:
     """Refuse a non-finite value, or an angle outside the ``degrees`` interval."""
     if not math.isfinite(value):
         raise ScenarioFileError(f"{option} must be finite, got {value}")
-    inside = {"(-90, 90)": -90.0 < value < 90.0, "[-90, 90]": -90.0 <= value <= 90.0,
-              "[0, 90)": 0.0 <= value < 90.0, "[0, 90]": 0.0 <= value <= 90.0}
-    if degrees is not None and not inside[degrees]:
+    if degrees is not None and not _inside(value, degrees):
         raise ScenarioFileError(f"{option} must lie in {degrees} degrees, got {value:g}")
+
+
+def _grid(
+    start: float, stop: float, step: float, degrees: str | None = None, prefix: str = "--"
+) -> np.ndarray:
+    """The colon range of the ``<prefix>start``, ``stop`` and ``step`` options.
+
+    An angle grid is held to its ``degrees`` interval: start, stop and the
+    last point, which may pass stop by up to step/2, must lie inside.
+    """
+    _check_option(f"{prefix}start", start, degrees)
+    _check_option(f"{prefix}stop", stop, degrees)
+    values = grid_values(start, stop, step, f"{prefix}step")
+    if degrees is not None and not _inside(values[-1], degrees):
+        raise ScenarioFileError(
+            f"{prefix}step {step:g} puts the last point at {values[-1]:g}, "
+            f"outside {degrees} degrees"
+        )
+    return values
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
+def _cmd_validate(scenario: Scenario, args: argparse.Namespace) -> int:
     panel = scenario.panel
     print(
         f"ok: {panel.rows}x{panel.cols} cells, {panel.bits}-bit, "
@@ -118,8 +133,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_quantize(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
+def _cmd_quantize(scenario: Scenario, args: argparse.Namespace) -> int:
     check_methods([args.method], ("dtpq", "eipq", "fixed"))
     result = design(link_state(scenario), args.method)
 
@@ -132,48 +146,28 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
-    if args.axis == "theta_r":
-        _check_option("--start", args.start, "[0, 90)")
-        _check_option("--stop", args.stop, "[0, 90)")
-    values = grid_values(args.start, args.stop, args.step)
-    if args.axis == "theta_r" and not values[-1] < 90.0:  # overshoot by up to step/2
-        raise ScenarioFileError(
-            f"--step {args.step:g} puts the last theta_r point at {values[-1]:g}, "
-            "not below 90 degrees"
-        )
+def _cmd_sweep(scenario: Scenario, args: argparse.Namespace) -> int:
+    values = _grid(args.start, args.stop, args.step, "[0, 90)" if args.axis == "theta_r" else None)
     rows = run_sweep(scenario, args.axis, values, args.methods.split(","))
     write_sweep_csv(args.out, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
 
-def _cmd_angle_scan(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
+def _cmd_angle_scan(scenario: Scenario, args: argparse.Namespace) -> int:
     _check_option("--target", args.target, "(-90, 90)")
-    _check_option("--start", args.start, "[-90, 90]")
-    _check_option("--stop", args.stop, "[-90, 90]")
-    values = grid_values(args.start, args.stop, args.step)
+    values = _grid(args.start, args.stop, args.step, "[-90, 90]")
     rows = angle_scan(scenario, values, math.radians(args.target), args.methods.split(","))
     write_sweep_csv(args.out, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
 
 
-def _cmd_gradient_map(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
+def _cmd_gradient_map(scenario: Scenario, args: argparse.Namespace) -> int:
     _check_option("--target-theta", args.target_theta, "[0, 90)")
     _check_option("--target-phi", args.target_phi)
-    _check_option("--theta-start", args.theta_start, "[0, 90]")
-    _check_option("--theta-stop", args.theta_stop, "[0, 90]")
-    theta_grid = grid_values(args.theta_start, args.theta_stop, args.theta_step, "--theta-step")
-    if theta_grid[-1] > 90.0:  # the colon range may overshoot --theta-stop by step/2
-        raise ScenarioFileError(
-            f"--theta-step {args.theta_step:g} puts the last theta point at "
-            f"{theta_grid[-1]:g}, past 90 degrees"
-        )
-    phi_grid = grid_values(args.phi_start, args.phi_stop, args.phi_step, "--phi-step")
+    theta_grid = _grid(args.theta_start, args.theta_stop, args.theta_step, "[0, 90]", "--theta-")
+    phi_grid = _grid(args.phi_start, args.phi_stop, args.phi_step, prefix="--phi-")
     power = gradient_map(
         scenario,
         (math.radians(args.target_theta), math.radians(args.target_phi) % TWO_PI),
@@ -186,8 +180,7 @@ def _cmd_gradient_map(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_pl_fit(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario)
+def _cmd_pl_fit(scenario: Scenario, args: argparse.Namespace) -> int:
     if args.num < 3:
         raise ScenarioFileError(f"--num must be >= 3, got {args.num}")
     if args.num > GRID_GUARD_POINTS:
@@ -291,7 +284,7 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        return args.func(load_scenario(args.scenario), args)
     except (ScenarioFileError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

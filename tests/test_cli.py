@@ -95,9 +95,27 @@ class TestValidateCommand:
         assert run(["validate", "--scenario", ris1_path]) == 0
         assert "ok" in capsys.readouterr().out
 
-    def test_missing_file(self, tmp_path, capsys):
-        assert run(["validate", "--scenario", str(tmp_path / "nope.json")]) == 2
-        assert "not found" in capsys.readouterr().err
+    @pytest.mark.parametrize("args", [
+        ["validate"],
+        ["quantize", "--method=dtpq", "--out=out.csv"],
+        ["sweep", "--axis=rx_distance", "--start=5", "--stop=6", "--step=1", "--methods=dtpq",
+         "--out=out.csv"],
+        ["angle-scan", "--target=45", "--start=0", "--stop=10", "--step=1", "--methods=dtpq",
+         "--out=out.csv"],
+        ["gradient-map", "--target-theta=45", "--target-phi=180", "--out=out.csv"],
+        ["pl-fit", "--variable=d2", "--start=50", "--stop=500"],
+        ["angle-scan", "--target=95", "--start=0", "--stop=10", "--step=1", "--methods=dtpq",
+         "--out=out.csv"],
+    ], ids=["validate", "quantize", "sweep", "angle-scan", "gradient-map", "pl-fit",
+            "angle-scan-bad-target"])
+    def test_missing_file(self, tmp_path, monkeypatch, capsys, args):
+        # every command loads its scenario before it checks any option or writes
+        monkeypatch.chdir(tmp_path)
+        assert run([args[0], "--scenario", str(tmp_path / "nope.json"), *args[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: scenario file not found: {tmp_path / 'nope.json'}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_key_exit_code(self, tmp_path, capsys):
         doc = document_with(ris_2p6ghz_document(), "placement", altitude_m=3.0)
@@ -381,6 +399,19 @@ class TestOtherCommands:
         error, = captured.err.splitlines()
         assert error.startswith("error: ") and option in error
 
+    def test_pl_fit_refuses_a_sample_with_no_lit_cell(self, tmp_path, capsys):
+        # cells 90 m wide leave every cell in pattern cutoff at d2 = 5 and 15.8 m:
+        # xi = 0 there, and the path loss is inf
+        path = tmp_path / "dark.json"
+        path.write_text(json.dumps(document_with(ris_2p6ghz_document(), "panel",
+                                                 cell_dx_m=89.999)))
+        assert run(["pl-fit", "--scenario", str(path), "--variable", "d2",
+                    "--start", "5", "--stop", "50", "--num", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: path loss at log10_d2 sample 5 is inf dB; "
+                                "a slope fit needs every sample finite\n")
+
     def test_pl_fit_refuses_more_samples_than_the_guard(self, small_path, capsys, monkeypatch):
         def unreachable(*args, **kwargs):
             raise AssertionError("pl_slope_fit ran past the --num guard")
@@ -409,7 +440,7 @@ class TestOtherCommands:
         (["gradient-map", "--target-theta=45", "--target-phi=0", "--theta-stop=120"],
          "--theta-stop must lie in [0, 90] degrees, got 120"),
         (["gradient-map", "--target-theta=45", "--target-phi=0", "--theta-step=7"],
-         "--theta-step 7 puts the last theta point at 91, past 90 degrees"),
+         "--theta-step 7 puts the last point at 91, outside [0, 90] degrees"),
         (["pl-fit", "--variable=cos_theta_r", "--start=20", "--stop=90"],
          "--stop must lie in [0, 90) degrees, got 90"),
         (["pl-fit", "--variable=cos_theta_t", "--start=-10", "--stop=60"],
@@ -435,14 +466,16 @@ class TestOtherCommands:
         (["sweep", "--axis=theta_r", "--start=80", "--stop=95", "--step=5",
           "--methods=dtpq"], "--stop must lie in [0, 90) degrees, got 95"),
         (["sweep", "--axis=theta_r", "--start=0", "--stop=89.5", "--step=1",
-          "--methods=dtpq"], "--step 1 puts the last theta_r point at 90, not below 90 degrees"),
+          "--methods=dtpq"], "--step 1 puts the last point at 90, outside [0, 90) degrees"),
+        (["angle-scan", "--target=45", "--start=-90", "--stop=90", "--step=7",
+          "--methods=dtpq"], "--step 7 puts the last point at 92, outside [-90, 90] degrees"),
     ], ids=["scan-target-90", "scan-target-nan", "scan-stop-180", "scan-start-below-90",
             "map-theta-95", "map-phi-inf", "map-theta-start-negative", "map-theta-stop-120",
             "map-theta-step-overshoot", "fit-stop-90", "fit-start-negative",
             "map-phi-step-negative", "scan-step-zero", "sweep-stop-before-start",
             "sweep-step-inf", "scan-step-inf", "map-theta-step-inf", "map-phi-step-inf",
             "sweep-start-nan", "map-phi-stop-inf", "sweep-theta-r-stop-95",
-            "sweep-theta-r-step-overshoot"])
+            "sweep-theta-r-step-overshoot", "scan-step-overshoot"])
     def test_angle_options_named_in_degrees(self, small_path, capsys, args, message):
         assert run([args[0], "--scenario", small_path, *args[1:]]) == 2
         captured = capsys.readouterr()

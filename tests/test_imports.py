@@ -1,4 +1,5 @@
-"""Every name a ``risbeam`` module imports is used there (stdlib ``ast`` only)."""
+"""Every name a ``risbeam`` module imports is used there, and every private
+module-level name is read somewhere in the package (stdlib ``ast`` only)."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,48 @@ def test_detects_an_unused_import():
     source = "from __future__ import annotations\nimport os.path\nfrom math import pi, tau\n"
     assert unused_imports(source + "print(tau)\n") == ["line 2: os", "line 3: pi"]
     assert unused_imports(source + "__all__ = ['pi']\nos.sep\n") == ["line 3: tau"]
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Module-level ``_name`` definitions that no module in ``sources`` reads.
+
+    ``sources`` maps module file names to their text.  A definition is a
+    top-level def, class or assignment to a name with one leading
+    underscore; dunder names are skipped.  A name counts as read when it
+    appears as a load or as an attribute (``channel._workers``) in any of
+    the modules, its own included.
+    """
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            else:
+                names = [n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+                         and isinstance(n.ctx, ast.Store)]
+            unread += [f"{module} line {node.lineno}: {name}" for name in names
+                       if name.startswith("_") and not name.startswith("__") and name not in read]
+    return unread
+
+
+def test_no_unread_private_names():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []
+
+
+def test_detects_an_unread_private_name():
+    sources = {
+        "a.py": "def _used():\n    pass\n\n\ndef _dead():\n    _used()\n\n\n"
+                "_LIMIT, __version__ = 1, '0'\n_UNREAD: int = 2\nclass _Box: ...\n",
+        "b.py": "import a\n\nprint(a._LIMIT)\n",
+    }
+    assert unread_private_names(sources) == [
+        "a.py line 5: _dead", "a.py line 10: _UNREAD", "a.py line 11: _Box"]
