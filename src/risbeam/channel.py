@@ -29,10 +29,6 @@ from .scenario import Scenario
 # The five workspace buffers of a chunk then take 1.25 MB and stay in L2.
 _CHUNK_POINT_CELLS = 1 << 15
 
-# Most threads one field_at_rx_points call runs on: the count whose speed-up
-# and page faults were measured (2 cores).  Each thread has its own workspace.
-_MAX_WORKERS = 2
-
 # Two-constant (Cody-Waite) split of TWO_PI: C1 keeps its top 26 significant
 # bits and C2 = TWO_PI - C1 the remaining 27 or fewer, so for an integer
 # q <= 2^26 both q*C1 and q*C2 are exact.  Below _MOD_X_LIMIT the quotient
@@ -195,14 +191,14 @@ def power_dbm_from_xi(panel: RisPanel, radio: RadioConfig, xi):
     return power
 
 
-def _workers() -> int:
-    """Threads for a large field call: the usable CPUs (the affinity mask,
-    else the machine's count), at most _MAX_WORKERS."""
+def _two_cpus() -> bool:
+    """Whether at least two CPUs are usable: the affinity mask, else the
+    machine's count."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return min(_MAX_WORKERS, cpus)
+    return cpus >= 2
 
 
 def _field_block(scenario, tx_leg, shift, points, size, out, errors) -> None:
@@ -226,17 +222,15 @@ def field_at_rx_points(
 
     ``rx_points`` is a (P, 3) array of Cartesian Rx positions, evaluated
     through the forward model in chunks of about 2^15 point-cells, with the
-    Tx leg computed once per call.  When each of the usable CPUs, at most
-    two, would get at least two full chunks, the points are split into one
-    contiguous block per CPU; the caller's thread evaluates the first block
-    and a thread pool the rest, in parallel since numpy's kernels release
-    the GIL, all under the caller's ``np.geterr()``.  Each block evaluates
-    every chunk, the last and partial one included, in views of its own
-    workspace of five chunk-sized buffers.  A point's value depends on
-    neither its chunk nor its block, so the bytes are the same on any
-    number of threads; an exception in a block is re-raised here.  Used by
-    angle scans and spatial power maps, where the design is frozen while Rx
-    moves.
+    Tx leg computed once per call.  When two CPUs are usable and each half
+    of the points holds at least two full chunks, a second thread evaluates
+    the second half while the caller's thread evaluates the first, in
+    parallel since numpy's kernels release the GIL, both under the caller's
+    ``np.geterr()`` and each in its own workspace of five chunk-sized
+    buffers.  A point's value depends on neither its chunk nor its half, so
+    the bytes are the same on one thread or two; an exception in the second
+    half is re-raised here.  Used by angle scans and spatial power maps,
+    where the design is frozen while Rx moves.
     """
     points = np.asarray(rx_points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3:
@@ -252,21 +246,15 @@ def field_at_rx_points(
     tx_leg = _tx_leg(scenario)
     xi = np.empty(count)
     errors = np.geterr()
-    workers = min(_workers(), count // (2 * size))
-    if workers < 2:
+    if count < 4 * size or not _two_cpus():
         _field_block(scenario, tx_leg, shift, points, size, xi, errors)
         return xi
     from concurrent.futures import ThreadPoolExecutor
 
-    bounds = [count * k // workers for k in range(workers + 1)]
-    blocks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    with ThreadPoolExecutor(workers - 1) as pool:
-        futures = [
-            pool.submit(_field_block, scenario, tx_leg, shift, points[rows], size, xi[rows],
-                        errors)
-            for rows in blocks[1:]
-        ]
-        _field_block(scenario, tx_leg, shift, points[blocks[0]], size, xi[blocks[0]], errors)
-        for future in futures:
-            future.result()
+    half = count // 2
+    with ThreadPoolExecutor(1) as pool:
+        second = pool.submit(_field_block, scenario, tx_leg, shift, points[half:], size,
+                             xi[half:], errors)
+        _field_block(scenario, tx_leg, shift, points[:half], size, xi[:half], errors)
+        second.result()
     return xi

@@ -2,7 +2,7 @@
 
 Both place Tx and Rx at 45 degrees elevation on opposite azimuths, 10 m
 Tx distance, 0 dBm transmit power, and 8.25 dBi antennas; cells are half
-a wavelength on a side.
+a wavelength on a side.  ``Scenario.with_placement(d2=...)`` moves the Rx.
 """
 
 from __future__ import annotations
@@ -41,21 +41,21 @@ def _document(freq_ghz: float, rows: int, cols: int, bits: int,
     }
 
 
-def ris_2p6ghz_document(d2_m: float = 10.0) -> dict:
-    """Scenario document: 32x16 cells, 1-bit levels {55, 235} deg, 2.6 GHz."""
-    return _document(2.6, rows=32, cols=16, bits=1, levels_deg=[55.0, 235.0], d2_m=d2_m)
+def ris_2p6ghz_document() -> dict:
+    """Scenario document: 32x16 cells, 1-bit levels {55, 235} deg, 2.6 GHz, Rx at 10 m."""
+    return _document(2.6, rows=32, cols=16, bits=1, levels_deg=[55.0, 235.0], d2_m=10.0)
 
 
-def ris_4p9ghz_document(d2_m: float = 50.0) -> dict:
-    """Scenario document: 50x25 cells, 2-bit levels {0, 90, 180, 270} deg, 4.9 GHz."""
+def ris_4p9ghz_document() -> dict:
+    """Scenario document: 50x25 cells, 2-bit levels {0, 90, 180, 270} deg, 4.9 GHz, Rx at 50 m."""
     return _document(
-        4.9, rows=50, cols=25, bits=2, levels_deg=[0.0, 90.0, 180.0, 270.0], d2_m=d2_m
+        4.9, rows=50, cols=25, bits=2, levels_deg=[0.0, 90.0, 180.0, 270.0], d2_m=50.0
     )
 
 
-def ris_2p6ghz(d2_m: float = 10.0) -> Scenario:
-    return parse_scenario(ris_2p6ghz_document(d2_m))
+def ris_2p6ghz() -> Scenario:
+    return parse_scenario(ris_2p6ghz_document())
 
 
-def ris_4p9ghz(d2_m: float = 50.0) -> Scenario:
-    return parse_scenario(ris_4p9ghz_document(d2_m))
+def ris_4p9ghz() -> Scenario:
+    return parse_scenario(ris_4p9ghz_document())

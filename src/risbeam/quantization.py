@@ -60,17 +60,17 @@ class QuantizationResult:
     candidates_evaluated: int
 
 
-def _split(phases, bits: int):
-    """(k, u) = divmod(phases, Omega): interval index and offset within it.
+def _split(phases, omega: float):
+    """(k, u) = divmod(phases, omega): interval index and offset within it.
 
     The one split that both the binning and the threshold profile use, so
     the partition the profile scores at gamma is the one quantize_matrix
     applies at gamma.  divmod is exact here: u = fmod(phase, Omega).
     """
-    return np.divmod(phases, TWO_PI / 2**bits)
+    return np.divmod(phases, omega)
 
 
-def _bin_indices(phases: np.ndarray, gamma, bits: int) -> np.ndarray:
+def _bin_indices(phases: np.ndarray, gamma, panel: RisPanel) -> np.ndarray:
     """Cyclic half-open bin index of each phase for threshold gamma.
 
     With (k, u) the split of a phase and (k_g, u_g) that of gamma, the bin
@@ -78,9 +78,9 @@ def _bin_indices(phases: np.ndarray, gamma, bits: int) -> np.ndarray:
     bin 0.  This equals floor(mod(phase - gamma, 2*pi) / Omega) mod 2**q
     wherever that expression does not round across a bin edge.
     """
-    k, u = _split(phases, bits)
-    k_g, u_g = _split(gamma, bits)
-    return (k - k_g - (u < u_g)).astype(np.intp) % 2**bits
+    k, u = _split(phases, panel.omega)
+    k_g, u_g = _split(gamma, panel.omega)
+    return (k - k_g - (u < u_g)).astype(np.intp) % panel.num_levels
 
 
 def quantize_matrix(phases: np.ndarray, gamma: float, panel: RisPanel) -> np.ndarray:
@@ -92,7 +92,7 @@ def quantize_matrix(phases: np.ndarray, gamma: float, panel: RisPanel) -> np.nda
     """
     if not 0.0 <= gamma < TWO_PI:
         raise ValueError(f"threshold must lie in [0, 2*pi), got {gamma}")
-    return _bin_indices(np.asarray(phases, dtype=float), gamma, panel.bits)
+    return _bin_indices(np.asarray(phases, dtype=float), gamma, panel)
 
 
 def _profile_xi(state: LinkState, gammas: np.ndarray) -> np.ndarray:
@@ -103,15 +103,15 @@ def _profile_xi(state: LinkState, gammas: np.ndarray) -> np.ndarray:
     u < u_g.  With z = a * exp(-j*u) in ascending u and C its prefix sums,
     xi(gamma) = |C_total - (1 - exp(-j*Omega)) * C[#{u < u_g}]|.
     """
-    bits = state.scenario.panel.bits
-    _, u = _split(state.phase.ravel(), bits)
+    panel = state.scenario.panel
+    _, u = _split(state.phase.ravel(), panel.omega)
     order = np.argsort(u)
     u_sorted = u[order]
     z = state.amplitude.ravel()[order] * np.exp(-1j * u_sorted)
     prefix = np.concatenate(([0.0], np.cumsum(z)))
-    _, u_g = _split(gammas, bits)
+    _, u_g = _split(gammas, panel.omega)
     below = prefix[np.searchsorted(u_sorted, u_g, side="left")]
-    return np.abs(prefix[-1] - (1.0 - np.exp(-1j * TWO_PI / 2**bits)) * below)
+    return np.abs(prefix[-1] - (1.0 - np.exp(-1j * TWO_PI / panel.num_levels)) * below)
 
 
 def _at_threshold(state: LinkState, gamma: float, candidates: int) -> QuantizationResult:
@@ -150,14 +150,14 @@ def eipq(state: LinkState, epsilon: float) -> QuantizationResult:
     k = 1..K, are sampled from one threshold profile in
     O((M*N + K) log M*N).  K may not exceed EIPQ_GUARD_CANDIDATES.
     """
-    bits = state.scenario.panel.bits
-    interval = TWO_PI / 2**bits
+    panel = state.scenario.panel
+    bits, interval = panel.bits, panel.omega
     if not 0.0 < epsilon < interval:
         raise ValueError(
             f"epsilon must lie in (0, {interval:.6f}) rad = (0, {math.degrees(interval):g}) deg "
             f"for {bits}-bit quantization, got {epsilon:.6g} rad ({math.degrees(epsilon):.6g} deg)"
         )
-    quotient = TWO_PI / (2**bits * epsilon)  # inf for a subnormal epsilon: compare, then floor
+    quotient = TWO_PI / (panel.num_levels * epsilon)  # inf if epsilon is subnormal
     if quotient >= EIPQ_GUARD_CANDIDATES + 1:
         count = math.floor(quotient) if math.isfinite(quotient) else quotient
         raise ValueError(

@@ -24,10 +24,15 @@ _ALPHA_TOL = 1e-9
 def alpha_from_gain_dbi(gain_dbi: float) -> float:
     """Pattern exponent whose directive gain matches the given dBi figure.
 
-    Raises ValueError below the isotropic-hemisphere floor of
-    10*log10(2) ~ 3.0103 dBi, where the exponent would be negative.
+    Raises ValueError below the 10*log10(2) ~ 3.0103 dBi floor, where the
+    exponent would be negative, and where 10**(dBi/10) is not a finite float.
     """
-    alpha = 10.0 ** (gain_dbi / 10.0) / 2.0 - 1.0
+    try:
+        alpha = 10.0 ** (gain_dbi / 10.0) / 2.0 - 1.0
+    except OverflowError:
+        alpha = math.nan
+    if not math.isfinite(alpha):
+        raise ValueError(f"gain {gain_dbi} dBi has no finite linear value")
     if alpha < -_ALPHA_TOL:
         raise ValueError(
             f"gain {gain_dbi} dBi is below the {MIN_GAIN_DBI:.4f} dBi floor of the "
@@ -41,7 +46,7 @@ class RadioConfig:
     """Radio-link parameters shared by every cell.
 
     Antenna gains are stated in dBi and must be realizable by a
-    cosine-power pattern (linear gain >= 2).  ``cell_alpha`` is the
+    cosine-power pattern (a finite linear gain >= 2).  ``cell_alpha`` is the
     exponent of the unit-cell pattern, 1 by default.
     """
 
@@ -56,9 +61,11 @@ class RadioConfig:
             raise ValueError(f"wavelength must be positive, got {self.wavelength}")
         if self.cell_alpha < 0.0:
             raise ValueError(f"cell_alpha must be >= 0, got {self.cell_alpha}")
-        # Raises if either gain sits below the pattern-family floor.
-        alpha_from_gain_dbi(self.gain_tx_dbi)
-        alpha_from_gain_dbi(self.gain_rx_dbi)
+        for key in ("gain_tx_dbi", "gain_rx_dbi"):
+            try:
+                alpha_from_gain_dbi(getattr(self, key))
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from exc
 
     @property
     def alpha_tx(self) -> float:

@@ -139,7 +139,7 @@ def two_bit_distance_sweep():
 
 
 def test_01_golden_received_powers_at_ten_meters():
-    scenario = ris_2p6ghz(d2_m=10.0)
+    scenario = ris_2p6ghz()
     t0 = time.perf_counter()
     state = link_state(scenario)
     best = dtpq(state)
@@ -191,7 +191,7 @@ def test_02_distance_sweep_gap_one_bit(one_bit_distance_sweep):
 
 
 def test_03_angle_scan_gap():
-    scenario = ris_2p6ghz(d2_m=10.0)
+    scenario = ris_2p6ghz()
     t0 = time.perf_counter()
     rows = angle_scan(scenario, grid_values(-90.0, 90.0, 1.0), math.radians(45.0),
                       ("continuous", "dtpq", "fixed:235"))
@@ -269,7 +269,7 @@ def test_06_path_loss_distance_slopes():
 
 def test_07_specular_crest():
     grid = np.arange(30.0, 60.0 + 1e-9, 1.0)
-    sc1 = ris_2p6ghz(d2_m=100.0)
+    sc1 = ris_2p6ghz().with_placement(d2=100.0)
     sc2 = sc1.with_panel(
         bits=2, levels=tuple(math.radians(v) for v in (55.0, 145.0, 235.0, 325.0))
     )

@@ -344,13 +344,13 @@ class TestFieldAtRxPoints:
 
     def test_batch_independent(self, monkeypatch):
         # a point's value must not depend on which other points share its
-        # call, its chunk, its block, the number of blocks, its position in
-        # the batch, or what the previous chunk left in the reused
+        # call, its chunk, its half, whether the call is split, its position
+        # in the batch, or what the previous chunk left in the reused
         # workspace.  The bundled panel takes 64 points per chunk, so 300
         # points end in a partial chunk; the 34000-cell panel takes one
-        # point per chunk.  One point per chunk splits every call here over
-        # all the workers the helper reports, eight of them writing disjoint
-        # slices of one output while the interpreter switches threads every
+        # point per chunk.  One point per chunk splits every call here in
+        # two when two CPUs are reported, both threads writing disjoint
+        # halves of one output while the interpreter switches threads every
         # microsecond.
         import sys
 
@@ -368,8 +368,8 @@ class TestFieldAtRxPoints:
                 points = self.random_points(rng, sc.panel, count)
                 one_by_one = np.concatenate([field_at_rx_points(sc, shift, p[None, :])
                                              for p in points])
-                for workers in (1, 2, 3, 8):
-                    monkeypatch.setattr(channel, "_workers", lambda workers=workers: workers)
+                for two in (False, True):
+                    monkeypatch.setattr(channel, "_two_cpus", lambda two=two: two)
                     together = field_at_rx_points(sc, shift, points)
                     reversed_order = field_at_rx_points(sc, shift, points[::-1].copy())[::-1]
                     monkeypatch.setattr(channel, "_CHUNK_POINT_CELLS", 1)
@@ -383,8 +383,8 @@ class TestFieldAtRxPoints:
             sys.setswitchinterval(interval)
 
     def test_blocks_split_over_the_workers(self, monkeypatch):
-        # one contiguous block per worker, and only as many blocks as give
-        # each at least two full chunks (64 points each on the bundled panel)
+        # two halves on two CPUs, and only when each half holds at least two
+        # full chunks (64 points each on the bundled panel)
         sc = ris_2p6ghz()
         shift = link_state(sc).phase
         points = self.random_points(np.random.default_rng(5), sc.panel, 1000)
@@ -396,28 +396,29 @@ class TestFieldAtRxPoints:
             real_block(scenario, tx_leg, shift, points, *rest)
 
         monkeypatch.setattr(channel, "_field_block", record)
-        for workers, count, expected in ((1, 1000, [1000]), (3, 1000, [333, 333, 334]),
-                                         (8, 300, [150, 150]), (8, 255, [255])):
-            monkeypatch.setattr(channel, "_workers", lambda workers=workers: workers)
+        for two, count, expected in ((False, 1000, [1000]), (True, 1000, [500, 500]),
+                                     (True, 999, [499, 500]), (True, 300, [150, 150]),
+                                     (True, 255, [255])):
+            monkeypatch.setattr(channel, "_two_cpus", lambda two=two: two)
             blocks.clear()
             field_at_rx_points(sc, shift, points[:count])
             assert sorted(blocks) == [(n, 64) for n in expected]
 
-    @pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2), (16, 2)])
-    def test_at_most_two_workers(self, monkeypatch, cpus, workers):
-        # two is the measured count, and each worker adds a workspace
+    @pytest.mark.parametrize("cpus, threads", [(1, 1), (2, 2), (16, 2)])
+    def test_at_most_two_workers(self, monkeypatch, cpus, threads):
+        # two is the measured count, and each thread adds a workspace
         import os
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                             raising=False)
-        assert channel._workers() == workers
+        assert channel._two_cpus() == (threads == 2)
 
     @pytest.mark.parametrize("count, cells", [(1, 512), (64, 512), (181, 512), (3, 34000)])
     def test_few_chunks_start_no_thread(self, monkeypatch, count, cells):
-        # a call with fewer than two full chunks per block stays on the
-        # caller's thread however many workers there are: one point, one
-        # 64-point chunk, the CLI's 181-point angle scan (3 chunks), and
-        # three one-point chunks on a 34000-cell panel
+        # a call with fewer than two full chunks per half stays on the
+        # caller's thread even on two CPUs: one point, one 64-point chunk,
+        # the CLI's 181-point angle scan (3 chunks), and three one-point
+        # chunks on a 34000-cell panel
         import concurrent.futures
         import threading
 
@@ -426,7 +427,7 @@ class TestFieldAtRxPoints:
 
         monkeypatch.setattr(threading, "Thread", refuse)
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
-        monkeypatch.setattr(channel, "_workers", lambda: 64)
+        monkeypatch.setattr(channel, "_two_cpus", lambda: True)
         sc = ris_2p6ghz() if cells == 512 else ris_2p6ghz().with_panel(rows=200, cols=170)
         points = self.random_points(np.random.default_rng(6), sc.panel, count)
         shift = np.zeros((sc.panel.rows, sc.panel.cols))
@@ -435,8 +436,8 @@ class TestFieldAtRxPoints:
     @staticmethod
     def fail_in_second_half(monkeypatch):
         # _phasor_sum raises for any chunk whose first point lies in the
-        # second half of the call's points, that is in the second of two
-        # blocks; sums outside field_at_rx_points (out=None) pass
+        # second half of the call's points, that is in the second thread's
+        # half; sums outside field_at_rx_points (out=None) pass
         real_sum = channel._phasor_sum
 
         def failing_sum(amplitude, phase, shift, out=None, scratch=None):
@@ -452,7 +453,7 @@ class TestFieldAtRxPoints:
     def test_block_failure_reaches_the_caller(self, monkeypatch, workers):
         sc = ris_2p6ghz()
         points = self.random_points(np.random.default_rng(7), sc.panel, 1000)
-        monkeypatch.setattr(channel, "_workers", lambda: workers)
+        monkeypatch.setattr(channel, "_two_cpus", lambda: workers == 2)
         self.fail_in_second_half(monkeypatch)
         with pytest.raises(FloatingPointError, match="^overflow in the second block$"):
             field_at_rx_points(sc, link_state(sc).phase, points)
@@ -461,7 +462,7 @@ class TestFieldAtRxPoints:
     def test_block_failure_exits_one(self, monkeypatch, tmp_path, capsys, workers):
         from risbeam.cli import run
 
-        monkeypatch.setattr(channel, "_workers", lambda: workers)
+        monkeypatch.setattr(channel, "_two_cpus", lambda: workers == 2)
         self.fail_in_second_half(monkeypatch)
         out = tmp_path / "map.csv"
         scenario = Path(__file__).resolve().parent.parent / "scenarios" / "ris1_2p6ghz.json"
@@ -472,10 +473,10 @@ class TestFieldAtRxPoints:
         assert capsys.readouterr().err == "internal error: overflow in the second block\n"
 
     def test_blocks_run_under_the_callers_error_state(self, monkeypatch):
-        # np.errstate set around the call holds in every block's thread
+        # np.errstate set around the call holds in both threads
         sc = ris_2p6ghz()
         points = self.random_points(np.random.default_rng(8), sc.panel, 1000)
-        monkeypatch.setattr(channel, "_workers", lambda: 2)
+        monkeypatch.setattr(channel, "_two_cpus", lambda: True)
         seen = []
         real_sum = channel._phasor_sum
 

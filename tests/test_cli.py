@@ -144,6 +144,16 @@ class TestValidateCommand:
         assert run(["validate", "--scenario", str(path)]) == 2
         assert f"radio.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["gain_tx_dbi", "gain_rx_dbi"])
+    def test_overflowing_gain_exit_code(self, tmp_path, capsys, key):
+        # 10**(1e30/10) overflows a float; the gain is refused by name, not as an internal error
+        doc = document_with(ris_2p6ghz_document(), "radio", **{key: 1e30})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run(["validate", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid 'radio' section: {key}: gain 1e+30 dBi has no finite linear value\n")
+
     def test_module_entry_point_runs_warning_free(self):
         # python -m risbeam.cli must not import risbeam.cli before running it
         src = str(ROOT / "src")
@@ -558,9 +568,21 @@ def test_readme_command_runs(argv, tmp_path, monkeypatch, capsys):
     assert run(argv) == 0, capsys.readouterr().err
 
 
+def readme_library_block():
+    """The README's fenced ``python`` block under "## Library"."""
+    text = (ROOT / "README.md").read_text()
+    return text.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+
+
 def test_readme_library_block_runs(capsys):
     # the README's library example must keep up with the library's signatures
-    text = (ROOT / "README.md").read_text()
-    block = text.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
-    exec(compile(block, "README.md", "exec"), {})
+    exec(compile(readme_library_block(), "README.md", "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_readme_library_block_runs_warning_free():
+    # the same block as a user runs it: its own process, warnings as errors
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", readme_library_block()],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

@@ -50,7 +50,7 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
     ``sources`` maps module file names to their text.  A definition is a
     top-level def, class or assignment to a name with one leading
     underscore; dunder names are skipped.  A name counts as read when it
-    appears as a load or as an attribute (``channel._workers``) in any of
+    appears as a load or as an attribute (``channel._two_cpus``) in any of
     the modules, its own included.
     """
     trees = {name: ast.parse(source) for name, source in sources.items()}

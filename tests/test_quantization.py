@@ -439,10 +439,12 @@ class TestThresholdProfile:
         rng = np.random.default_rng(67)
         for bits in (1, 2, 3):
             omega = TWO_PI / 2**bits
+            panel = RisPanel(rows=1, cols=1, d_x=0.1, d_y=0.1, bits=bits,
+                             levels=uniform_levels(bits, 0.0))
             phases = rng.uniform(0.0, TWO_PI, 200_000)
             gammas = rng.uniform(0.0, TWO_PI, 200_000)
             textbook = np.floor(np.mod(phases - gammas, TWO_PI) / omega).astype(np.intp) % 2**bits
-            assert np.array_equal(_bin_indices(phases, gammas, bits), textbook)
+            assert np.array_equal(_bin_indices(phases, gammas, panel), textbook)
 
     def test_profile_is_omega_periodic_and_exact(self):
         rng = np.random.default_rng(71)
