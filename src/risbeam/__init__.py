@@ -5,66 +5,54 @@ Computes a link's per-cell amplitudes and ideal continuous phase shifts
 (``dtpq(state)``) and equal-interval (``eipq(state, epsilon)``) searches,
 and provides the sweeps and slope fits that characterize received power
 and path-loss scaling.
+
+Each export is imported from its module on first access, so importing
+the package, or only its configuration classes, loads no numpy.
 """
 
-from .analysis import (
-    SlopeFit,
-    SweepRow,
-    angle_scan,
-    gradient_map,
-    grid_values,
-    path_loss_samples,
-    pl_slope_fit,
-    run_sweep,
-)
-from .channel import (
-    LinkState,
-    field_at_rx_points,
-    link_state,
-    power_dbm_from_xi,
-)
-from .geometry import Placement, RisPanel
-from .quantization import (
-    QuantizationResult,
-    dtpq,
-    eipq,
-    fixed_threshold,
-    quantize_matrix,
-)
-from .radiation import (
-    RadioConfig,
-    alpha_from_gain_dbi,
-    cosine_pattern,
-)
-from .presets import ris_2p6ghz, ris_4p9ghz
-from .scenario import Scenario
+import importlib
 
-__all__ = [
-    "LinkState",
-    "Placement",
-    "QuantizationResult",
-    "RadioConfig",
-    "RisPanel",
-    "Scenario",
-    "SlopeFit",
-    "SweepRow",
-    "alpha_from_gain_dbi",
-    "angle_scan",
-    "cosine_pattern",
-    "dtpq",
-    "eipq",
-    "field_at_rx_points",
-    "fixed_threshold",
-    "gradient_map",
-    "grid_values",
-    "link_state",
-    "path_loss_samples",
-    "pl_slope_fit",
-    "power_dbm_from_xi",
-    "quantize_matrix",
-    "ris_2p6ghz",
-    "ris_4p9ghz",
-    "run_sweep",
-]
+# Each export and the module that defines it.
+_EXPORTS = {
+    "LinkState": "channel",
+    "Placement": "scenario",
+    "QuantizationResult": "quantization",
+    "RadioConfig": "scenario",
+    "RisPanel": "scenario",
+    "Scenario": "scenario",
+    "SlopeFit": "analysis",
+    "SweepRow": "analysis",
+    "alpha_from_gain_dbi": "scenario",
+    "angle_scan": "analysis",
+    "cosine_pattern": "radiation",
+    "dtpq": "quantization",
+    "eipq": "quantization",
+    "field_at_rx_points": "channel",
+    "fixed_threshold": "quantization",
+    "gradient_map": "analysis",
+    "grid_values": "analysis",
+    "link_state": "channel",
+    "path_loss_samples": "analysis",
+    "pl_slope_fit": "analysis",
+    "power_dbm_from_xi": "channel",
+    "quantize_matrix": "quantization",
+    "ris_2p6ghz": "presets",
+    "ris_4p9ghz": "presets",
+    "run_sweep": "analysis",
+}
+
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

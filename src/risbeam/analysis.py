@@ -9,7 +9,7 @@ layer (they feed the CSV boundary directly); distances are meters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -20,19 +20,15 @@ from .channel import (
     link_state,
     power_dbm_from_xi,
 )
-from .geometry import TWO_PI, antenna_points
+from .geometry import antenna_points
 from .quantization import QuantizationResult, dtpq, eipq, fixed_threshold
-from .scenario import Scenario
+from .scenario import GRID_GUARD_POINTS, MIN_GAIN_DBI, SWEEP_AXES, TWO_PI, Scenario
 
-SWEEP_AXES = ("rx_distance", "tx_distance", "theta_r", "threshold")
 # A method token is a name, then ":<degrees>" on the two methods with a
 # parameter: the eipq grid step and the fixed threshold.
 METHODS = ("continuous", "dtpq", "eipq", "fixed")
 
 DEFAULT_EPSILON_DEG = 5.0
-
-# Upper bound on the points of one grid or map (32x the 181 x 181 map).
-GRID_GUARD_POINTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -147,10 +143,16 @@ def design(state: LinkState, method: str) -> QuantizationResult:
     ``state.phase`` as its shifts, no level indices and no threshold.  A
     fixed threshold is reduced into [0, 2*pi), so -1e-20 deg quantizes at
     0.  The searches are looked up as module globals at call time.  A
-    refusal from eipq or fixed_threshold names the token in front.
+    refusal from eipq or fixed_threshold names the token in front.  A link
+    whose continuous bound xi is 0 is refused for every method, naming the
+    scenario keys that darken it (see ``_dark_keys``): no design on it has
+    a finite received power.
     """
     name, degrees = _split_method(method, METHODS)
     scenario = state.scenario
+    if not state.xi_upper_bound > 0.0:
+        raise ValueError(f"no cell reaches the Rx (the link's continuous bound xi is 0): "
+                         f"{_dark_keys(scenario)}")
     if name == "continuous":
         xi = state.xi_upper_bound
         power = power_dbm_from_xi(scenario.panel, scenario.radio, xi)
@@ -167,15 +169,38 @@ def design(state: LinkState, method: str) -> QuantizationResult:
         raise ValueError(f"method token {method!r}: {exc}") from None
 
 
-def _row(state: LinkState, value: float, methods: dict[str, str]) -> SweepRow:
-    """The methods designed on one link: their powers and thresholds at a grid value."""
+def _dark_keys(scenario: Scenario) -> str:
+    """Which scenario keys leave every cell of the link at zero amplitude.
+
+    With the flattest patterns (the 3.0103 dBi gain floor and cell_alpha 0)
+    a cell is lit exactly when it lies in front of both antennas.  If that
+    lights a cell, the pattern exponents underflowed; otherwise the geometry
+    put every cell behind the Tx or the Rx antenna.
+    """
+    flat = replace(scenario.radio, gain_tx_dbi=MIN_GAIN_DBI, gain_rx_dbi=MIN_GAIN_DBI,
+                   cell_alpha=0.0)
+    if link_state(replace(scenario, radio=flat)).xi_upper_bound > 0.0:
+        return ("'radio.gain_tx_dbi', 'radio.gain_rx_dbi' and 'radio.cell_alpha' make "
+                "every cell's pattern underflow to 0")
+    return ("'panel.cell_dx_m', 'panel.cell_dy_m' and 'placement' put every cell "
+            "behind the Tx or the Rx antenna")
+
+
+def _row(state: LinkState, axis: str, value: float, methods: dict[str, str]) -> SweepRow:
+    """The methods designed on one link: their powers and thresholds at a grid value.
+
+    A refusal from ``design`` names the axis and the value in front.
+    """
     powers: dict[str, float] = {}
     thresholds: dict[str, float] = {}
-    for name, token in methods.items():
-        result = design(state, token)
-        powers[name] = result.received_power_dbm
-        if result.threshold is not None:
-            thresholds[name] = math.degrees(result.threshold)
+    try:
+        for name, token in methods.items():
+            result = design(state, token)
+            powers[name] = result.received_power_dbm
+            if result.threshold is not None:
+                thresholds[name] = math.degrees(result.threshold)
+    except ValueError as exc:
+        raise ValueError(f"{axis} {value:g}: {exc}") from None
     return SweepRow(axis_value=float(value), power_dbm=powers, threshold_deg=thresholds)
 
 
@@ -192,7 +217,7 @@ def run_sweep(
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     table = check_methods(methods)
     if axis != "threshold":
-        return [_row(link_state(_placed(scenario, axis, v)), v, table) for v in values]
+        return [_row(link_state(_placed(scenario, axis, v)), axis, v, table) for v in values]
     if list(table) != ["fixed"]:
         raise ValueError("a threshold sweep exercises exactly the fixed method")
     if ":" in table["fixed"]:
@@ -200,7 +225,7 @@ def run_sweep(
             f"a threshold sweep takes its threshold from the grid, got {table['fixed']!r}"
         )
     state = link_state(scenario)
-    return [_row(state, v, {"fixed": f"fixed:{float(v)!r}"}) for v in values]
+    return [_row(state, axis, v, {"fixed": f"fixed:{float(v)!r}"}) for v in values]
 
 
 def _frozen_powers(
@@ -310,7 +335,8 @@ def path_loss_samples(
     (name,) = table
     return np.array([
         scenario.radio.tx_power_dbm
-        - _row(link_state(_placed(scenario, variable, v)), v, table).power_dbm[name]
+        - _row(link_state(_placed(scenario, variable, v)), f"{variable} sample", v,
+               table).power_dbm[name]
         for v in sample_grid
     ])
 

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TWO_PI, RisPanel, antenna_points, cell_center_axes, cell_paths
-from .radiation import RadioConfig, cosine_pattern
-from .scenario import Scenario
+from .geometry import antenna_points, cell_center_axes, cell_paths
+from .radiation import cosine_pattern
+from .scenario import TWO_PI, RadioConfig, RisPanel, Scenario
 
 # Point-cells per field_at_rx_points chunk: 64 Rx points on a 512-cell panel.
 # The five workspace buffers of a chunk then take 1.25 MB and stay in L2.

@@ -2,7 +2,9 @@
 
 Scenario files use degrees and GHz; all numeric CSV output is fixed to 4
 decimal places.  Exit codes: 0 success, 2 configuration error (with the
-offending key named), 1 internal numeric error.
+offending key named), 1 internal numeric error.  numpy and the numeric
+modules are imported by the commands that compute, so ``validate`` loads
+none of them.
 """
 
 from __future__ import annotations
@@ -12,24 +14,14 @@ import math
 import sys
 from typing import Sequence
 
-import numpy as np
-
-from .analysis import (
+from .scenario import (
     GRID_GUARD_POINTS,
     SWEEP_AXES,
-    SweepRow,
-    angle_scan,
-    check_methods,
-    design,
-    gradient_map,
-    grid_values,
-    pl_slope_fit,
-    run_sweep,
+    TWO_PI,
+    Scenario,
+    ScenarioFileError,
+    load_scenario,
 )
-from .channel import link_state
-from .geometry import TWO_PI
-from .quantization import QuantizationResult
-from .scenario import Scenario, ScenarioFileError, load_scenario
 
 # ---------------------------------------------------------------------------
 # CSV schemas: rows are joined by hand, since no formatted field needs quoting
@@ -39,16 +31,20 @@ def _fmt(value: float) -> str:
     return f"{value:.4f}"
 
 
-def write_shifts_csv(path: str, result: QuantizationResult) -> None:
-    """One row per cell of a discrete design, row-major: n, m, level_index, level_deg."""
+def write_shifts_csv(path: str, result) -> None:
+    """One row per cell of a discrete design (a QuantizationResult), row-major:
+    n, m, level_index, level_deg."""
+    import numpy as np
+
     with open(path, "w", newline="") as fh:
         fh.write("n,m,level_index,level_deg\n")
         for (m, n), index in np.ndenumerate(result.level_indices):
             fh.write(f"{n + 1},{m + 1},{index},{_fmt(math.degrees(result.shifts[m, n]))}\n")
 
 
-def write_sweep_csv(path: str, rows: Sequence[SweepRow]) -> None:
-    """Header axis_value,<method>_dbm[,<method>_threshold_deg]... in method order.
+def write_sweep_csv(path: str, rows: Sequence) -> None:
+    """Header axis_value,<method>_dbm[,<method>_threshold_deg]... in method order,
+    then one line per SweepRow.
 
     The methods are the first row's, whose power keys keep method order; a
     threshold column follows each method whose rows report a threshold.
@@ -72,9 +68,11 @@ def write_sweep_csv(path: str, rows: Sequence[SweepRow]) -> None:
 
 
 def write_map_csv(
-    path: str, theta_grid_deg: np.ndarray, phi_grid_deg: np.ndarray, power: np.ndarray
+    path: str, theta_grid_deg: Sequence[float], phi_grid_deg: Sequence[float], power
 ) -> None:
     """Long-format map: theta_r_deg, phi_r_deg, power_dbm, one write per theta row."""
+    import numpy as np
+
     phis = [_fmt(phi) for phi in phi_grid_deg]
     with open(path, "w", newline="") as fh:
         fh.write("theta_r_deg,phi_r_deg,power_dbm\n")
@@ -103,12 +101,14 @@ def _check_option(option: str, value: float, degrees: str | None = None) -> None
 
 def _grid(
     start: float, stop: float, step: float, degrees: str | None = None, prefix: str = "--"
-) -> np.ndarray:
+) -> Sequence[float]:
     """The colon range of the ``<prefix>start``, ``stop`` and ``step`` options.
 
     An angle grid is held to its ``degrees`` interval: start, stop and the
     last point, which may pass stop by up to step/2, must lie inside.
     """
+    from .analysis import grid_values
+
     _check_option(f"{prefix}start", start, degrees)
     _check_option(f"{prefix}stop", stop, degrees)
     values = grid_values(start, stop, step, f"{prefix}step")
@@ -134,6 +134,9 @@ def _cmd_validate(scenario: Scenario, args: argparse.Namespace) -> int:
 
 
 def _cmd_quantize(scenario: Scenario, args: argparse.Namespace) -> int:
+    from .analysis import check_methods, design
+    from .channel import link_state
+
     check_methods([args.method], ("dtpq", "eipq", "fixed"))
     result = design(link_state(scenario), args.method)
 
@@ -147,6 +150,8 @@ def _cmd_quantize(scenario: Scenario, args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(scenario: Scenario, args: argparse.Namespace) -> int:
+    from .analysis import run_sweep
+
     values = _grid(args.start, args.stop, args.step, "[0, 90)" if args.axis == "theta_r" else None)
     rows = run_sweep(scenario, args.axis, values, args.methods.split(","))
     write_sweep_csv(args.out, rows)
@@ -155,6 +160,8 @@ def _cmd_sweep(scenario: Scenario, args: argparse.Namespace) -> int:
 
 
 def _cmd_angle_scan(scenario: Scenario, args: argparse.Namespace) -> int:
+    from .analysis import angle_scan
+
     _check_option("--target", args.target, "(-90, 90)")
     values = _grid(args.start, args.stop, args.step, "[-90, 90]")
     rows = angle_scan(scenario, values, math.radians(args.target), args.methods.split(","))
@@ -164,6 +171,8 @@ def _cmd_angle_scan(scenario: Scenario, args: argparse.Namespace) -> int:
 
 
 def _cmd_gradient_map(scenario: Scenario, args: argparse.Namespace) -> int:
+    from .analysis import gradient_map
+
     _check_option("--target-theta", args.target_theta, "[0, 90)")
     _check_option("--target-phi", args.target_phi)
     theta_grid = _grid(args.theta_start, args.theta_stop, args.theta_step, "[0, 90]", "--theta-")
@@ -181,6 +190,10 @@ def _cmd_gradient_map(scenario: Scenario, args: argparse.Namespace) -> int:
 
 
 def _cmd_pl_fit(scenario: Scenario, args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from .analysis import pl_slope_fit
+
     if args.num < 3:
         raise ScenarioFileError(f"--num must be >= 3, got {args.num}")
     if args.num > GRID_GUARD_POINTS:

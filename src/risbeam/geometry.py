@@ -14,121 +14,10 @@ CSV boundaries.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.typing import ArrayLike
 
-TWO_PI = 2.0 * math.pi
-
-_LEVEL_SPACING_TOL = 1e-9
-
-# Largest representable elevation below pi/2; antenna_points clamps here.
-THETA_LIMIT = math.nextafter(math.pi / 2.0, 0.0)
-
-# Placement distances lie in [2**-511, 2**511) m.  Below the upper bound a
-# distance squares to less than 2**1022, so the sums of the few squares
-# that cell_paths forms (a panel is far smaller than 2**511 m) stay below
-# DBL_MAX, about 2**1024.  Above the lower bound the sum of an antenna's
-# squared coordinates is a normal float, so its range never underflows to 0.
-DISTANCE_LIMIT = 2.0**511
-
-
-@dataclass(frozen=True)
-class RisPanel:
-    """Geometry and quantization capability of the reflecting surface.
-
-    Args:
-        rows: M, number of cells along the y axis.
-        cols: N, number of cells along the x axis.
-        d_x: cell extent along x (m).
-        d_y: cell extent along y (m).
-        bits: phase resolution q; the surface offers 2**q phase levels.
-        levels: the 2**q programmable phase levels (rad), consecutive
-            levels exactly 2*pi/2**q apart (mod 2*pi).
-        reflection: reflection magnitude of a cell, in (0, 1].
-    """
-
-    rows: int
-    cols: int
-    d_x: float
-    d_y: float
-    bits: int
-    levels: tuple[float, ...]
-    reflection: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"cell counts must be positive, got {self.rows}x{self.cols}")
-        if not (self.d_x > 0.0 and self.d_y > 0.0):
-            raise ValueError(f"cell size must be positive, got d_x={self.d_x}, d_y={self.d_y}")
-        if self.bits < 1:
-            raise ValueError(f"bits must be a positive integer, got {self.bits}")
-        if not (0.0 < self.reflection <= 1.0):
-            raise ValueError(f"reflection magnitude must be in (0, 1], got {self.reflection}")
-        levels = tuple(float(v) % TWO_PI for v in self.levels)
-        if len(levels) != self.num_levels:
-            raise ValueError(
-                f"expected {self.num_levels} phase levels for {self.bits}-bit resolution, "
-                f"got {len(levels)}"
-            )
-        omega = self.omega
-        for lo, hi in zip(levels, levels[1:]):
-            gap = (hi - lo) % TWO_PI
-            if abs(gap - omega) > _LEVEL_SPACING_TOL:
-                raise ValueError(
-                    f"levels must be uniformly spaced by {omega:.6f} rad, "
-                    f"found gap {gap:.6f} rad"
-                )
-        object.__setattr__(self, "levels", levels)
-
-    @property
-    def num_levels(self) -> int:
-        return 2 ** self.bits
-
-    @property
-    def omega(self) -> float:
-        """Quantization interval 2*pi / 2**bits (rad)."""
-        return TWO_PI / self.num_levels
-
-    @property
-    def num_cells(self) -> int:
-        return self.rows * self.cols
-
-
-@dataclass(frozen=True)
-class Placement:
-    """Tx/Rx placement relative to the surface center.
-
-    d1/d2 are the Tx-center and Rx-center distances; (theta_t, phi_t) the
-    elevation/azimuth of the Tx direction seen from the center, and
-    (theta_r, phi_r) the same for the Rx.  Elevations are measured from
-    the surface normal (+z) and must stay below pi/2.
-    """
-
-    d1: float
-    d2: float
-    theta_t: float
-    phi_t: float
-    theta_r: float
-    phi_r: float
-
-    def __post_init__(self) -> None:
-        for name in ("d1", "d2"):
-            d = getattr(self, name)
-            if not (d > 0.0 and math.isfinite(d)):
-                raise ValueError(f"{name} must be positive and finite, got {d}")
-            if not 1.0 / DISTANCE_LIMIT <= d < DISTANCE_LIMIT:
-                raise ValueError(f"{name} must lie in [2**-511, 2**511) m, got {d:g}")
-        for name in ("theta_t", "theta_r"):
-            theta = getattr(self, name)
-            if not (0.0 <= theta < math.pi / 2):
-                raise ValueError(f"{name} must lie in [0, pi/2), got {theta}")
-        for name in ("phi_t", "phi_r"):
-            phi = getattr(self, name)
-            if not (0.0 <= phi < TWO_PI):
-                raise ValueError(f"{name} must lie in [0, 2*pi), got {phi}")
+from .scenario import THETA_LIMIT, RisPanel
 
 
 def cell_center_axes(panel: RisPanel) -> tuple[np.ndarray, np.ndarray]:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LinkState, power_dbm_from_xi
-from .geometry import TWO_PI, RisPanel
+from .scenario import TWO_PI, RisPanel
 
 # Candidates whose xi is within this relative slack of the best are treated
 # as ties and resolved to the smallest threshold.

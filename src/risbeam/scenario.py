@@ -3,7 +3,10 @@ and its JSON scenario-file form.
 
 Scenario files use degrees and GHz; the wavelength is derived from the
 frequency.  Unknown keys and non-finite numbers are rejected with the
-offending key named.
+offending key named.  This configuration layer, with the sweep axes and
+the grid guard that the command line checks its options against, uses
+only the standard library, so reading and validating a scenario loads no
+numpy.
 """
 
 from __future__ import annotations
@@ -12,10 +15,192 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-from .geometry import TWO_PI, Placement, RisPanel
-from .radiation import RadioConfig
-
 SPEED_OF_LIGHT = 299792458.0
+
+SWEEP_AXES = ("rx_distance", "tx_distance", "theta_r", "threshold")
+
+# Upper bound on the points of one grid or map (32x the 181 x 181 map).
+GRID_GUARD_POINTS = 1 << 20
+
+TWO_PI = 2.0 * math.pi
+
+_LEVEL_SPACING_TOL = 1e-9
+
+# Largest representable elevation below pi/2; geometry.antenna_points clamps here.
+THETA_LIMIT = math.nextafter(math.pi / 2.0, 0.0)
+
+# Placement distances lie in [2**-511, 2**511) m.  Below the upper bound a
+# distance squares to less than 2**1022, so the sums of the few squares that
+# geometry.cell_paths forms (a panel is far smaller than 2**511 m) stay below
+# DBL_MAX, about 2**1024.  Above the lower bound the sum of an antenna's
+# squared coordinates is a normal float, so its range never underflows to 0.
+DISTANCE_LIMIT = 2.0**511
+
+
+@dataclass(frozen=True)
+class RisPanel:
+    """Geometry and quantization capability of the reflecting surface.
+
+    Args:
+        rows: M, number of cells along the y axis.
+        cols: N, number of cells along the x axis.
+        d_x: cell extent along x (m).
+        d_y: cell extent along y (m).
+        bits: phase resolution q; the surface offers 2**q phase levels.
+        levels: the 2**q programmable phase levels (rad), consecutive
+            levels exactly 2*pi/2**q apart (mod 2*pi).
+        reflection: reflection magnitude of a cell, in (0, 1].
+    """
+
+    rows: int
+    cols: int
+    d_x: float
+    d_y: float
+    bits: int
+    levels: tuple[float, ...]
+    reflection: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.rows < 1 or self.cols < 1:
+            raise ValueError(f"cell counts must be positive, got {self.rows}x{self.cols}")
+        if not (self.d_x > 0.0 and self.d_y > 0.0):
+            raise ValueError(f"cell size must be positive, got d_x={self.d_x}, d_y={self.d_y}")
+        if self.bits < 1:
+            raise ValueError(f"bits must be a positive integer, got {self.bits}")
+        if not (0.0 < self.reflection <= 1.0):
+            raise ValueError(f"reflection magnitude must be in (0, 1], got {self.reflection}")
+        levels = tuple(float(v) % TWO_PI for v in self.levels)
+        if len(levels) != self.num_levels:
+            raise ValueError(
+                f"expected {self.num_levels} phase levels for {self.bits}-bit resolution, "
+                f"got {len(levels)}"
+            )
+        omega = self.omega
+        for lo, hi in zip(levels, levels[1:]):
+            gap = (hi - lo) % TWO_PI
+            if abs(gap - omega) > _LEVEL_SPACING_TOL:
+                raise ValueError(
+                    f"levels must be uniformly spaced by {omega:.6f} rad, "
+                    f"found gap {gap:.6f} rad"
+                )
+        object.__setattr__(self, "levels", levels)
+
+    @property
+    def num_levels(self) -> int:
+        return 2 ** self.bits
+
+    @property
+    def omega(self) -> float:
+        """Quantization interval 2*pi / 2**bits (rad)."""
+        return TWO_PI / self.num_levels
+
+    @property
+    def num_cells(self) -> int:
+        return self.rows * self.cols
+
+
+@dataclass(frozen=True)
+class Placement:
+    """Tx/Rx placement relative to the surface center.
+
+    d1/d2 are the Tx-center and Rx-center distances; (theta_t, phi_t) the
+    elevation/azimuth of the Tx direction seen from the center, and
+    (theta_r, phi_r) the same for the Rx.  Elevations are measured from
+    the surface normal (+z) and must stay below pi/2.
+    """
+
+    d1: float
+    d2: float
+    theta_t: float
+    phi_t: float
+    theta_r: float
+    phi_r: float
+
+    def __post_init__(self) -> None:
+        for name in ("d1", "d2"):
+            d = getattr(self, name)
+            if not (d > 0.0 and math.isfinite(d)):
+                raise ValueError(f"{name} must be positive and finite, got {d}")
+            if not 1.0 / DISTANCE_LIMIT <= d < DISTANCE_LIMIT:
+                raise ValueError(f"{name} must lie in [2**-511, 2**511) m, got {d:g}")
+        for name in ("theta_t", "theta_r"):
+            theta = getattr(self, name)
+            if not (0.0 <= theta < math.pi / 2):
+                raise ValueError(f"{name} must lie in [0, pi/2), got {theta}")
+        for name in ("phi_t", "phi_r"):
+            phi = getattr(self, name)
+            if not (0.0 <= phi < TWO_PI):
+                raise ValueError(f"{name} must lie in [0, 2*pi), got {phi}")
+
+
+# Linear gain of the alpha = 0 pattern; no cosine-power pattern has less.
+MIN_GAIN_LINEAR = 2.0
+MIN_GAIN_DBI = 10.0 * math.log10(MIN_GAIN_LINEAR)
+
+_ALPHA_TOL = 1e-9
+
+
+def alpha_from_gain_dbi(gain_dbi: float) -> float:
+    """Pattern exponent whose directive gain matches the given dBi figure.
+
+    Raises ValueError below the 10*log10(2) ~ 3.0103 dBi floor, where the
+    exponent would be negative, and where 10**(dBi/10) is not a finite float.
+    """
+    try:
+        alpha = 10.0 ** (gain_dbi / 10.0) / 2.0 - 1.0
+    except OverflowError:
+        alpha = math.nan
+    if not math.isfinite(alpha):
+        raise ValueError(f"gain {gain_dbi} dBi has no finite linear value")
+    if alpha < -_ALPHA_TOL:
+        raise ValueError(
+            f"gain {gain_dbi} dBi is below the {MIN_GAIN_DBI:.4f} dBi floor of the "
+            "cosine-power pattern family"
+        )
+    return max(alpha, 0.0)
+
+
+@dataclass(frozen=True)
+class RadioConfig:
+    """Radio-link parameters shared by every cell.
+
+    Antenna gains are stated in dBi and must be realizable by a
+    cosine-power pattern (a finite linear gain >= 2).  ``cell_alpha`` is the
+    exponent of the unit-cell pattern, 1 by default.
+    """
+
+    wavelength: float
+    tx_power_dbm: float
+    gain_tx_dbi: float
+    gain_rx_dbi: float
+    cell_alpha: float = 1.0
+
+    def __post_init__(self) -> None:
+        if not (self.wavelength > 0.0 and math.isfinite(self.wavelength)):
+            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
+        if self.cell_alpha < 0.0:
+            raise ValueError(f"cell_alpha must be >= 0, got {self.cell_alpha}")
+        for key in ("gain_tx_dbi", "gain_rx_dbi"):
+            try:
+                alpha_from_gain_dbi(getattr(self, key))
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from exc
+
+    @property
+    def alpha_tx(self) -> float:
+        return alpha_from_gain_dbi(self.gain_tx_dbi)
+
+    @property
+    def alpha_rx(self) -> float:
+        return alpha_from_gain_dbi(self.gain_rx_dbi)
+
+    @property
+    def gain_tx_linear(self) -> float:
+        return 10.0 ** (self.gain_tx_dbi / 10.0)
+
+    @property
+    def gain_rx_linear(self) -> float:
+        return 10.0 ** (self.gain_rx_dbi / 10.0)
 
 
 @dataclass(frozen=True)

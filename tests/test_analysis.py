@@ -223,6 +223,26 @@ class TestRunSweep:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_validate_and_config_imports_leave_out_numpy(self):
+        # the configuration layer is pure Python: validating a scenario and
+        # importing the config classes and presets load no numpy
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (SRC, os.environ.get("PYTHONPATH")) if p))
+        code = (
+            "import sys\n"
+            "from risbeam.cli import run\n"
+            "assert run(['validate', '--scenario', sys.argv[1]]) == 0\n"
+            "from risbeam import Scenario, RisPanel, Placement, RadioConfig, ris_2p6ghz\n"
+            "ris_2p6ghz()\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(Path(SRC).parent / "scenarios" / "ris1_2p6ghz.json")],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
 
 class TestAngleScan:
     def test_continuous_peaks_at_design_target(self):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from conftest import document_with
 
-import risbeam.cli as cli
+import risbeam.analysis as analysis
 from risbeam.cli import (
     load_scenario,
     run,
@@ -28,6 +28,24 @@ from risbeam.scenario import parse_scenario
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
+
+# The refusal of a link whose continuous bound xi is 0, and its two causes.
+NO_LIT_CELL = "no cell reaches the Rx (the link's continuous bound xi is 0)"
+BEHIND_AN_ANTENNA = ("'panel.cell_dx_m', 'panel.cell_dy_m' and 'placement' put every cell "
+                     "behind the Tx or the Rx antenna")
+UNDERFLOWING_PATTERNS = ("'radio.gain_tx_dbi', 'radio.gain_rx_dbi' and 'radio.cell_alpha' "
+                         "make every cell's pattern underflow to 0")
+
+
+def refused(argv, doc, tmp_path, capsys) -> str:
+    """The stderr of a run on ``doc`` that must exit 2 and write nothing."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.csv"
+    assert run([argv[0], "--scenario", str(path), *argv[1:], "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    return captured.err
 
 
 @pytest.fixture()
@@ -236,6 +254,21 @@ class TestQuantizeCommand:
         assert "threshold_deg=0.0000\n" in outputs[0][0]
         assert outputs[0] == outputs[1]
 
+    def test_refuses_a_link_with_no_lit_cell(self, tmp_path, capsys):
+        # cells 90 m wide put every cell behind the Tx or the Rx antenna at
+        # d2 = 10 m; dtpq used to print received_power_dbm=-inf with exit 0
+        doc = document_with(ris_2p6ghz_document(), "panel", cell_dx_m=89.999)
+        err = refused(["quantize", "--method", "dtpq"], doc, tmp_path, capsys)
+        assert err == f"error: {NO_LIT_CELL}: {BEHIND_AN_ANTENNA}\n"
+
+    def test_refuses_patterns_that_underflow(self, tmp_path, capsys):
+        # 3000 dBi gives alpha ~ 1e299: every pattern underflows to 0, and the
+        # power used to be nan after a RuntimeWarning (an error under pytest)
+        doc = document_with(ris_2p6ghz_document(), "radio", gain_tx_dbi=3000.0,
+                            gain_rx_dbi=3000.0)
+        err = refused(["quantize", "--method", "dtpq"], doc, tmp_path, capsys)
+        assert err == f"error: {NO_LIT_CELL}: {UNDERFLOWING_PATTERNS}\n"
+
     def test_bad_method_token(self, ris1_path, capsys):
         assert run(["quantize", "--scenario", ris1_path, "--method", "best"]) == 2
         assert "unknown method" in capsys.readouterr().err
@@ -287,6 +320,14 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "--step 1e-12 gives 5000000000001 grid points" in err and "guard" in err
 
+    def test_refuses_a_row_with_no_lit_cell(self, tmp_path, capsys):
+        # with cells 90 m wide, rows 5 and 20 m have no lit cell and used to
+        # hold -inf; the first of them names the axis value
+        doc = document_with(ris_2p6ghz_document(), "panel", cell_dx_m=89.999)
+        err = refused(["sweep", "--axis", "rx_distance", "--start", "5", "--stop", "50",
+                       "--step", "15", "--methods", "continuous,dtpq"], doc, tmp_path, capsys)
+        assert err == f"error: rx_distance 5: {NO_LIT_CELL}: {BEHIND_AN_ANTENNA}\n"
+
     def test_threshold_axis_rejects_other_methods(self, small_path, capsys):
         # the grid supplies the threshold, so a parameter on fixed is refused too
         for methods, named in (("dtpq", "fixed"), ("fixed:12", "'fixed:12'")):
@@ -327,7 +368,8 @@ class TestOtherCommands:
     def test_map_page_faults_stay_within_the_workspace(self, tmp_path):
         # the field workspace is allocated once per worker, so a 61 x 61 map
         # (59 chunks on the 512-cell panel, split over at most two workers)
-        # faults in a few workspaces' worth of pages more than `validate`;
+        # faults in a few workspaces' worth of pages more than a one-point
+        # map, which imports the same modules (`validate` imports no numpy);
         # allocating chunk temporaries per chunk cost about 11700 pages more
         import resource
 
@@ -345,10 +387,14 @@ class TestOtherCommands:
             return resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
 
         scenario = "scenarios/ris1_2p6ghz.json"
-        startup = minor_faults("validate", "--scenario", scenario)
-        mapped = minor_faults("gradient-map", "--scenario", scenario, "--target-theta", "45",
-                              "--target-phi", "180", "--theta-step", "1.5", "--phi-step", "6",
-                              "--method", "dtpq", "--out", str(tmp_path / "map.csv"))
+        target = ("--target-theta", "45", "--target-phi", "180", "--method", "dtpq")
+        startup = minor_faults("gradient-map", "--scenario", scenario, *target,
+                               "--theta-start", "45", "--theta-stop", "45",
+                               "--phi-start", "180", "--phi-stop", "180",
+                               "--out", str(tmp_path / "point.csv"))
+        mapped = minor_faults("gradient-map", "--scenario", scenario, *target,
+                              "--theta-step", "1.5", "--phi-step", "6",
+                              "--out", str(tmp_path / "map.csv"))
         workspace_pages = 5 * _CHUNK_POINT_CELLS * 8 // resource.getpagesize()
         assert mapped - startup < 4 * workspace_pages
 
@@ -411,7 +457,7 @@ class TestOtherCommands:
 
     def test_pl_fit_refuses_a_sample_with_no_lit_cell(self, tmp_path, capsys):
         # cells 90 m wide leave every cell in pattern cutoff at d2 = 5 and 15.8 m:
-        # xi = 0 there, and the path loss is inf
+        # xi = 0 there, so the first sample's design is refused
         path = tmp_path / "dark.json"
         path.write_text(json.dumps(document_with(ris_2p6ghz_document(), "panel",
                                                  cell_dx_m=89.999)))
@@ -419,14 +465,13 @@ class TestOtherCommands:
                     "--start", "5", "--stop", "50", "--num", "3"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: path loss at log10_d2 sample 5 is inf dB; "
-                                "a slope fit needs every sample finite\n")
+        assert captured.err == (f"error: log10_d2 sample 5: {NO_LIT_CELL}: {BEHIND_AN_ANTENNA}\n")
 
     def test_pl_fit_refuses_more_samples_than_the_guard(self, small_path, capsys, monkeypatch):
         def unreachable(*args, **kwargs):
             raise AssertionError("pl_slope_fit ran past the --num guard")
 
-        monkeypatch.setattr(cli, "pl_slope_fit", unreachable)
+        monkeypatch.setattr(analysis, "pl_slope_fit", unreachable)
         assert run(["pl-fit", "--scenario", small_path, "--variable", "d2",
                     "--start", "50", "--stop", "500", "--num", "100000000"]) == 2
         err = capsys.readouterr().err

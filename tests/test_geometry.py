@@ -1,5 +1,6 @@
 """Cell placement, path lengths, local angles, and wave-path differences."""
 
+import importlib.util
 import math
 
 import numpy as np
@@ -8,8 +9,8 @@ from conftest import aperture_radius, combined_pattern, path_lengths, wave_path_
 
 import risbeam
 from risbeam import Placement, RadioConfig, RisPanel, Scenario
-from risbeam.geometry import THETA_LIMIT, antenna_points, cell_center_axes
-from risbeam.radiation import MIN_GAIN_DBI
+from risbeam.geometry import antenna_points, cell_center_axes
+from risbeam.scenario import MIN_GAIN_DBI, THETA_LIMIT
 
 LAMBDA = 1.0
 
@@ -253,5 +254,16 @@ class TestWavePathDifference:
 
 
 def test_every_export_resolves():
-    # a name deleted from a module must not linger in risbeam.__all__
+    # a name deleted from a module must not linger in risbeam.__all__; the
+    # package resolves its exports lazily, and a star import, dir() and an
+    # unknown name behave as they would for eagerly imported names
+    spec = importlib.util.spec_from_file_location("unresolved", risbeam.__file__)
+    unresolved = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(unresolved)  # a copy of the package with no export resolved
+    assert set(unresolved.__all__) <= set(dir(unresolved))
     assert [name for name in risbeam.__all__ if not hasattr(risbeam, name)] == []
+    namespace: dict = {}
+    exec("from risbeam import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(risbeam.__all__)
+    with pytest.raises(AttributeError, match="'no_such_export'"):
+        risbeam.no_such_export

@@ -13,8 +13,8 @@ def unused_imports(source: str) -> list[str]:
     """Names bound by the module's imports that nothing in it reads.
 
     A name counts as read when it appears as a load, or when the module
-    lists it in ``__all__`` (a re-export).  ``from __future__`` imports
-    bind nothing and are skipped.
+    lists it in a literal ``__all__`` (a re-export).  ``from __future__``
+    imports bind nothing and are skipped.
     """
     tree = ast.parse(source)
     imported: dict[str, int] = {}
@@ -26,9 +26,8 @@ def unused_imports(source: str) -> list[str]:
                 imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
+        if isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple)) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             used.update(ast.literal_eval(node.value))
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
@@ -42,6 +41,77 @@ def test_detects_an_unused_import():
     source = "from __future__ import annotations\nimport os.path\nfrom math import pi, tau\n"
     assert unused_imports(source + "print(tau)\n") == ["line 2: os", "line 3: pi"]
     assert unused_imports(source + "__all__ = ['pi']\nos.sep\n") == ["line 3: tau"]
+    # a computed __all__ names no import
+    assert unused_imports(source + "__all__ = list({'pi': 1})\nos.sep\n") == [
+        "line 3: pi", "line 3: tau"]
+
+
+def import_time_modules(source: str) -> set[str]:
+    """Modules a module imports when it is itself imported.
+
+    Imports inside a function body run only when it is called and are
+    skipped; those at module level, in a class body or under an ``if``
+    count.  A module is named by its top-level name (``numpy`` for
+    ``numpy.typing``), and a ``risbeam`` module by its own name
+    (``channel`` for ``from .channel import ...`` or ``risbeam.channel``).
+    """
+    modules: set[str] = set()
+
+    def visit(node: ast.AST) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            if node.level and node.module is None:  # from . import channel
+                names = [alias.name for alias in node.names]
+            else:
+                names = [node.module if not node.level else f"risbeam.{node.module}"]
+        else:
+            names = []
+        for name in names:
+            top, _, rest = name.partition(".")
+            modules.add(rest.partition(".")[0] if top == "risbeam" and rest else top)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return modules
+
+
+def numpy_loaders(sources: dict[str, str]) -> set[str]:
+    """The ``risbeam`` modules (by name, without ``.py``) whose import loads
+    numpy, directly or through another ``risbeam`` module."""
+    imports = {Path(name).stem: import_time_modules(text) for name, text in sources.items()}
+    loaders = {"numpy"}
+    while True:
+        grown = {name for name, modules in imports.items() if modules & loaders} | loaders
+        if grown == loaders:
+            return loaders - {"numpy"}
+        loaders = grown
+
+
+def test_configuration_layer_loads_no_numpy():
+    # parsing and validating a scenario must not pay numpy's import, so
+    # scenario, presets and the package import no numeric module, and the CLI
+    # imports numpy and the numeric modules only inside the commands that compute
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert numpy_loaders(sources) == {"analysis", "channel", "geometry", "quantization",
+                                      "radiation"}
+
+
+def test_detects_a_numpy_import_at_import_time():
+    sources = {
+        "scenario.py": "import json\n\n\ndef load():\n    import numpy\n",
+        "geometry.py": "from numpy.typing import ArrayLike\n",
+        "channel.py": "from .geometry import cell_paths\n",
+        "cli.py": "from . import scenario\n\nif True:\n    from risbeam.channel import x\n",
+    }
+    assert import_time_modules(sources["scenario.py"]) == {"json"}
+    assert import_time_modules(sources["cli.py"]) == {"scenario", "channel"}
+    assert numpy_loaders(sources) == {"geometry", "channel", "cli"}
+    sources["scenario.py"] = "import numpy as np\n"
+    assert numpy_loaders(sources) == {"geometry", "channel", "cli", "scenario"}
 
 
 def unread_private_names(sources: dict[str, str]) -> list[str]:
