@@ -24,7 +24,7 @@ _EXPORTS = {
     "SweepRow": "analysis",
     "alpha_from_gain_dbi": "scenario",
     "angle_scan": "analysis",
-    "cosine_pattern": "radiation",
+    "cosine_pattern": "channel",
     "dtpq": "quantization",
     "eipq": "quantization",
     "field_at_rx_points": "channel",
@@ -36,8 +36,8 @@ _EXPORTS = {
     "pl_slope_fit": "analysis",
     "power_dbm_from_xi": "channel",
     "quantize_matrix": "quantization",
-    "ris_2p6ghz": "presets",
-    "ris_4p9ghz": "presets",
+    "ris_2p6ghz": "scenario",
+    "ris_4p9ghz": "scenario",
     "run_sweep": "analysis",
 }
 

@@ -14,10 +14,14 @@ CSV boundaries.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .scenario import THETA_LIMIT, RisPanel
+from .scenario import RisPanel
+
+THETA_LIMIT = math.nextafter(math.pi / 2.0, 0.0)
 
 
 def cell_center_axes(panel: RisPanel) -> tuple[np.ndarray, np.ndarray]:

@@ -3,10 +3,10 @@ and its JSON scenario-file form.
 
 Scenario files use degrees and GHz; the wavelength is derived from the
 frequency.  Unknown keys and non-finite numbers are rejected with the
-offending key named.  This configuration layer, with the sweep axes and
-the grid guard that the command line checks its options against, uses
-only the standard library, so reading and validating a scenario loads no
-numpy.
+offending key named.  This configuration layer, with the sweep axes, the
+grid guard that the command line checks its options against and the two
+bundled demo scenarios, uses only the standard library, so reading and
+validating a scenario loads no numpy.
 """
 
 from __future__ import annotations
@@ -25,9 +25,6 @@ GRID_GUARD_POINTS = 1 << 20
 TWO_PI = 2.0 * math.pi
 
 _LEVEL_SPACING_TOL = 1e-9
-
-# Largest representable elevation below pi/2; geometry.antenna_points clamps here.
-THETA_LIMIT = math.nextafter(math.pi / 2.0, 0.0)
 
 # Placement distances lie in [2**-511, 2**511) m.  Below the upper bound a
 # distance squares to less than 2**1022, so the sums of the few squares that
@@ -325,3 +322,55 @@ def load_scenario(path: str) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ScenarioFileError(f"scenario file {path} is not valid JSON: {exc}") from exc
     return parse_scenario(doc)
+
+
+def _document(freq_ghz: float, rows: int, cols: int, bits: int,
+              levels_deg: list[float], d2_m: float) -> dict:
+    """Demo link: Tx/Rx at 45 deg on opposite azimuths, d1 10 m, 0 dBm, 8.25 dBi antennas."""
+    half_wave = SPEED_OF_LIGHT / (freq_ghz * 1e9) / 2.0
+    return {
+        "panel": {
+            "rows": rows,
+            "cols": cols,
+            "cell_dx_m": half_wave,
+            "cell_dy_m": half_wave,
+            "bits": bits,
+            "levels_deg": levels_deg,
+            "reflection": 1.0,
+        },
+        "placement": {
+            "d1_m": 10.0,
+            "d2_m": d2_m,
+            "theta_t_deg": 45.0,
+            "phi_t_deg": 0.0,
+            "theta_r_deg": 45.0,
+            "phi_r_deg": 180.0,
+        },
+        "radio": {
+            "freq_ghz": freq_ghz,
+            "tx_power_dbm": 0.0,
+            "gain_tx_dbi": 8.25,
+            "gain_rx_dbi": 8.25,
+            "cell_alpha": 1.0,
+        },
+    }
+
+
+def ris_2p6ghz_document() -> dict:
+    """Scenario document: 32x16 cells, 1-bit levels {55, 235} deg, 2.6 GHz, Rx at 10 m."""
+    return _document(2.6, rows=32, cols=16, bits=1, levels_deg=[55.0, 235.0], d2_m=10.0)
+
+
+def ris_4p9ghz_document() -> dict:
+    """Scenario document: 50x25 cells, 2-bit levels {0, 90, 180, 270} deg, 4.9 GHz, Rx at 50 m."""
+    return _document(
+        4.9, rows=50, cols=25, bits=2, levels_deg=[0.0, 90.0, 180.0, 270.0], d2_m=50.0
+    )
+
+
+def ris_2p6ghz() -> Scenario:
+    return parse_scenario(ris_2p6ghz_document())
+
+
+def ris_4p9ghz() -> Scenario:
+    return parse_scenario(ris_4p9ghz_document())

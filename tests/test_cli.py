@@ -21,10 +21,9 @@ from risbeam.cli import (
     write_map_csv,
     write_shifts_csv,
 )
-from risbeam.presets import ris_2p6ghz_document, ris_4p9ghz_document
 from risbeam.channel import link_state
 from risbeam.quantization import dtpq
-from risbeam.scenario import parse_scenario
+from risbeam.scenario import parse_scenario, ris_2p6ghz_document, ris_4p9ghz_document
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
@@ -71,7 +70,7 @@ class TestScenarioParsing:
             assert scenario.panel.num_cells in (512, 1250)
 
     def test_bundled_files_equal_the_presets(self):
-        # scenarios/ and risbeam.presets are two copies of the same two links
+        # scenarios/ and the presets in risbeam.scenario are two copies of the same two links
         for name, document in (("ris1_2p6ghz.json", ris_2p6ghz_document()),
                                ("ris2_4p9ghz.json", ris_4p9ghz_document())):
             assert json.loads((SCENARIO_DIR / name).read_text()) == document

@@ -9,8 +9,8 @@ from conftest import aperture_radius, combined_pattern, path_lengths, wave_path_
 
 import risbeam
 from risbeam import Placement, RadioConfig, RisPanel, Scenario
-from risbeam.geometry import antenna_points, cell_center_axes
-from risbeam.scenario import MIN_GAIN_DBI, THETA_LIMIT
+from risbeam.geometry import THETA_LIMIT, antenna_points, cell_center_axes
+from risbeam.scenario import MIN_GAIN_DBI
 
 LAMBDA = 1.0
 

@@ -93,11 +93,10 @@ def numpy_loaders(sources: dict[str, str]) -> set[str]:
 
 def test_configuration_layer_loads_no_numpy():
     # parsing and validating a scenario must not pay numpy's import, so
-    # scenario, presets and the package import no numeric module, and the CLI
+    # scenario and the package import no numeric module, and the CLI
     # imports numpy and the numeric modules only inside the commands that compute
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert numpy_loaders(sources) == {"analysis", "channel", "geometry", "quantization",
-                                      "radiation"}
+    assert numpy_loaders(sources) == {"analysis", "channel", "geometry", "quantization"}
 
 
 def test_detects_a_numpy_import_at_import_time():
