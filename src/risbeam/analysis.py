@@ -20,7 +20,7 @@ from .channel import (
     link_state,
     power_dbm_from_xi,
 )
-from .geometry import antenna_points
+from .geometry import THETA_LIMIT, antenna_points
 from .quantization import QuantizationResult, dtpq, eipq, fixed_threshold
 from .scenario import GRID_GUARD_POINTS, MIN_GAIN_DBI, SWEEP_AXES, TWO_PI, Scenario
 
@@ -229,19 +229,29 @@ def run_sweep(
 
 
 def _frozen_powers(
-    target: Scenario, points: np.ndarray, methods: dict[str, str]
+    target: Scenario, theta: np.ndarray, phi: np.ndarray, methods: dict[str, str]
 ) -> tuple[dict[str, np.ndarray], dict[str, float]]:
     """Design each method once on the target's link, then hold it while Rx moves.
 
-    Returns each method's power (dBm) at the (P, 3) Rx ``points`` and the
-    thresholds (deg) of the methods that have one.
+    The Rx moves over elevations ``theta`` and azimuths ``phi`` (rad) at
+    the target's distance.  Returns each method's power (dBm) there and the
+    thresholds (deg) of the methods that have one.  A point where a design
+    gives xi = 0, where every power would be -inf, is refused, naming the
+    first such point and the scenario keys that darken it (``_dark_keys``).
     """
     state = link_state(target)
+    points = antenna_points(target.placement.d2, theta, phi)
     powers: dict[str, np.ndarray] = {}
     thresholds: dict[str, float] = {}
     for name, token in methods.items():
         result = design(state, token)
         xi = field_at_rx_points(target, result.shifts, points)
+        dark = np.flatnonzero(~(xi > 0.0))
+        if dark.size:
+            t, p = float(theta[dark[0]]), float(phi[dark[0]])
+            there = target.with_placement(theta_r=min(t, THETA_LIMIT), phi_r=p)
+            raise ValueError(f"no cell reaches the Rx at theta_r {math.degrees(t):g}, phi_r "
+                             f"{math.degrees(p):g} deg (xi is 0 there): {_dark_keys(there)}")
         powers[name] = power_dbm_from_xi(target.panel, target.radio, xi)
         if result.threshold is not None:
             thresholds[name] = math.degrees(result.threshold)
@@ -277,8 +287,8 @@ def angle_scan(
     theta, phi = _signed_direction(design_target, phi_r)
     target = scenario.with_placement(theta_r=float(theta), phi_r=float(phi))
     values = np.asarray(values_deg, dtype=float)
-    points = antenna_points(scenario.placement.d2, *_signed_direction(np.radians(values), phi_r))
-    powers, thresholds = _frozen_powers(target, points, table)
+    powers, thresholds = _frozen_powers(target, *_signed_direction(np.radians(values), phi_r),
+                                        table)
     return [
         SweepRow(float(value), {m: float(powers[m][i]) for m in table}, dict(thresholds))
         for i, value in enumerate(values)
@@ -313,8 +323,7 @@ def gradient_map(
 
     target = scenario.with_placement(theta_r=design_target[0], phi_r=design_target[1])
     tt, pp = np.meshgrid(np.radians(theta_grid), np.radians(phi_grid) % TWO_PI, indexing="ij")
-    points = antenna_points(scenario.placement.d2, tt.ravel(), pp.ravel())
-    (power,) = _frozen_powers(target, points, table)[0].values()
+    (power,) = _frozen_powers(target, tt.ravel(), pp.ravel(), table)[0].values()
     return power.reshape(theta_grid.size, phi_grid.size)
 
 

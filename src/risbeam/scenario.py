@@ -22,6 +22,9 @@ SWEEP_AXES = ("rx_distance", "tx_distance", "theta_r", "threshold")
 # Upper bound on the points of one grid or map (32x the 181 x 181 map).
 GRID_GUARD_POINTS = 1 << 20
 
+# Upper bound on the cells of one panel (2048x the 512-cell 2.6 GHz panel).
+PANEL_GUARD_CELLS = 1 << 20
+
 TWO_PI = 2.0 * math.pi
 
 _LEVEL_SPACING_TOL = 1e-9
@@ -60,6 +63,9 @@ class RisPanel:
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
             raise ValueError(f"cell counts must be positive, got {self.rows}x{self.cols}")
+        if self.num_cells > PANEL_GUARD_CELLS:
+            raise ValueError(f"panel.rows x panel.cols = {self.rows}x{self.cols} cells exceeds "
+                             f"the guard of {PANEL_GUARD_CELLS}")
         if not (self.d_x > 0.0 and self.d_y > 0.0):
             raise ValueError(f"cell size must be positive, got d_x={self.d_x}, d_y={self.d_y}")
         if self.bits < 1:
@@ -67,9 +73,10 @@ class RisPanel:
         if not (0.0 < self.reflection <= 1.0):
             raise ValueError(f"reflection magnitude must be in (0, 1], got {self.reflection}")
         levels = tuple(float(v) % TWO_PI for v in self.levels)
-        if len(levels) != self.num_levels:
+        # 2**bits exceeds len(levels) from its bit length on, so it is never formed there
+        if self.bits >= len(levels).bit_length() or len(levels) != self.num_levels:
             raise ValueError(
-                f"expected {self.num_levels} phase levels for {self.bits}-bit resolution, "
+                f"expected 2**{self.bits} phase levels for {self.bits}-bit resolution, "
                 f"got {len(levels)}"
             )
         omega = self.omega
@@ -246,9 +253,21 @@ def _number(section: dict, section_name: str, key: str, default=None) -> float:
     value = section[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioFileError(f"key '{section_name}.{key}' must be a number")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf if value > 0 else -math.inf
     if not math.isfinite(value):
         raise ScenarioFileError(f"key '{section_name}.{key}' must be finite, got {value}")
-    return float(value)
+    return value
+
+
+def _integer(section: dict, section_name: str, key: str) -> int:
+    """A count: a number with no fractional part."""
+    value = _number(section, section_name, key)
+    if not value.is_integer():
+        raise ScenarioFileError(f"key '{section_name}.{key}' must be an integer, got {value:g}")
+    return int(value)
 
 
 def parse_scenario(doc: dict) -> Scenario:
@@ -272,11 +291,11 @@ def parse_scenario(doc: dict) -> Scenario:
 
     try:
         panel = RisPanel(
-            rows=int(_number(panel_doc, "panel", "rows")),
-            cols=int(_number(panel_doc, "panel", "cols")),
+            rows=_integer(panel_doc, "panel", "rows"),
+            cols=_integer(panel_doc, "panel", "cols"),
             d_x=_number(panel_doc, "panel", "cell_dx_m"),
             d_y=_number(panel_doc, "panel", "cell_dy_m"),
-            bits=int(_number(panel_doc, "panel", "bits")),
+            bits=_integer(panel_doc, "panel", "bits"),
             levels=tuple(math.radians(v) for v in levels),
             reflection=_number(panel_doc, "panel", "reflection", default=1.0),
         )

@@ -34,6 +34,8 @@ BEHIND_AN_ANTENNA = ("'panel.cell_dx_m', 'panel.cell_dy_m' and 'placement' put e
                      "behind the Tx or the Rx antenna")
 UNDERFLOWING_PATTERNS = ("'radio.gain_tx_dbi', 'radio.gain_rx_dbi' and 'radio.cell_alpha' "
                          "make every cell's pattern underflow to 0")
+# The first grazing point of a frozen design when cell_alpha 100 underflows there.
+DARK_AT_GRAZING = "no cell reaches the Rx at theta_r 90, phi_r 0 deg (xi is 0 there)"
 
 
 def refused(argv, doc, tmp_path, capsys) -> str:
@@ -171,6 +173,24 @@ class TestValidateCommand:
         assert capsys.readouterr().err == (
             f"error: invalid 'radio' section: {key}: gain 1e+30 dBi has no finite linear value\n")
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("rows", 2.5, "key 'panel.rows' must be an integer, got 2.5"),
+        ("cols", 16.5, "key 'panel.cols' must be an integer, got 16.5"),
+        ("bits", 1.5, "key 'panel.bits' must be an integer, got 1.5"),
+        ("bits", 10**7, "expected 2**10000000 phase levels for 10000000-bit resolution, got 2"),
+        ("bits", 10**400, "key 'panel.bits' must be finite, got inf"),
+        ("cell_dx_m", -10**400, "key 'panel.cell_dx_m' must be finite, got -inf"),
+    ], ids=["rows-2.5", "cols-16.5", "bits-1.5", "bits-1e7", "bits-1e400", "cell-dx-minus-1e400"])
+    def test_refuses_a_panel_number_by_name(self, tmp_path, capsys, key, value, message):
+        # rows 2.5 used to validate as 2x16 and bits 1.5 to design 1 bit; a bits
+        # of 10**7 failed formatting 2**bits, so a bits that cannot match the
+        # levels is refused before 2**bits is formed
+        doc = document_with(ris_2p6ghz_document(), "panel", **{key: value})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert run(["validate", "--scenario", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: invalid 'panel' section: {message}\n"
+
     def test_module_entry_point_runs_warning_free(self):
         # python -m risbeam.cli must not import risbeam.cli before running it
         src = str(ROOT / "src")
@@ -268,6 +288,20 @@ class TestQuantizeCommand:
         err = refused(["quantize", "--method", "dtpq"], doc, tmp_path, capsys)
         assert err == f"error: {NO_LIT_CELL}: {UNDERFLOWING_PATTERNS}\n"
 
+    def test_refuses_a_panel_above_the_guard(self, tmp_path, capsys):
+        # 2**20 cells validate and one row more does not; a 10**6 x 10**6 panel
+        # used to validate, and quantize then failed allocating 29.1 TiB
+        path = tmp_path / "big.json"
+        for rows, code in ((1024, 0), (1025, 2)):
+            path.write_text(json.dumps(document_with(ris_2p6ghz_document(), "panel",
+                                                     rows=rows, cols=1024)))
+            assert run(["validate", "--scenario", str(path)]) == code
+        assert "panel.rows x panel.cols = 1025x1024" in capsys.readouterr().err
+        doc = document_with(ris_2p6ghz_document(), "panel", rows=10**6, cols=10**6)
+        err = refused(["quantize", "--method", "dtpq"], doc, tmp_path, capsys)
+        assert err == ("error: invalid 'panel' section: panel.rows x panel.cols = "
+                       "1000000x1000000 cells exceeds the guard of 1048576\n")
+
     def test_bad_method_token(self, ris1_path, capsys):
         assert run(["quantize", "--scenario", ris1_path, "--method", "best"]) == 2
         assert "unknown method" in capsys.readouterr().err
@@ -355,6 +389,21 @@ class TestOtherCommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "theta_r_deg,phi_r_deg,power_dbm"
         assert len(lines) == 1 + 3 * 3
+
+    def test_angle_scan_refuses_a_point_with_no_lit_cell(self, tmp_path, capsys):
+        # the design link at 45 deg is lit, but cos(theta)**100 underflows at
+        # +-90 deg, whose rows used to hold -inf
+        doc = document_with(ris_2p6ghz_document(), "radio", cell_alpha=100.0)
+        err = refused(["angle-scan", "--target", "45", "--start", "-90", "--stop", "90",
+                       "--step", "1", "--methods", "continuous,dtpq"], doc, tmp_path, capsys)
+        assert err == f"error: {DARK_AT_GRAZING}: {UNDERFLOWING_PATTERNS}\n"
+
+    def test_gradient_map_refuses_a_point_with_no_lit_cell(self, tmp_path, capsys):
+        # the default map used to write 181 -inf rows at theta 90 deg
+        doc = document_with(ris_2p6ghz_document(), "radio", cell_alpha=100.0)
+        err = refused(["gradient-map", "--target-theta", "45", "--target-phi", "180"],
+                      doc, tmp_path, capsys)
+        assert err == f"error: {DARK_AT_GRAZING}: {UNDERFLOWING_PATTERNS}\n"
 
     def test_map_guard_exit_code(self, small_path, capsys):
         assert run(["gradient-map", "--scenario", small_path,

@@ -1,5 +1,6 @@
-"""Every name a ``risbeam`` module imports is used there, and every private
-module-level name is read somewhere in the package (stdlib ``ast`` only)."""
+"""Every name a ``risbeam`` module imports is used there, every private
+module-level name is read somewhere in the package, and the modules import
+one another only in one pinned order (stdlib ``ast`` only)."""
 
 import ast
 from pathlib import Path
@@ -46,19 +47,19 @@ def test_detects_an_unused_import():
         "line 3: pi", "line 3: tau"]
 
 
-def import_time_modules(source: str) -> set[str]:
-    """Modules a module imports when it is itself imported.
+def imported_modules(source: str, in_functions: bool = False) -> set[str]:
+    """Modules a module imports when it is itself imported, or anywhere.
 
-    Imports inside a function body run only when it is called and are
-    skipped; those at module level, in a class body or under an ``if``
-    count.  A module is named by its top-level name (``numpy`` for
-    ``numpy.typing``), and a ``risbeam`` module by its own name
-    (``channel`` for ``from .channel import ...`` or ``risbeam.channel``).
+    Imports inside a function body run only when it is called and count
+    only ``in_functions``; those at module level, in a class body or under
+    an ``if`` always count.  A module is named by its top-level name
+    (``numpy`` for ``numpy.typing``), and a ``risbeam`` module by its own
+    name (``channel`` for ``from .channel import ...`` or ``risbeam.channel``).
     """
     modules: set[str] = set()
 
     def visit(node: ast.AST) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not in_functions:
             return
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
@@ -82,7 +83,7 @@ def import_time_modules(source: str) -> set[str]:
 def numpy_loaders(sources: dict[str, str]) -> set[str]:
     """The ``risbeam`` modules (by name, without ``.py``) whose import loads
     numpy, directly or through another ``risbeam`` module."""
-    imports = {Path(name).stem: import_time_modules(text) for name, text in sources.items()}
+    imports = {Path(name).stem: imported_modules(text) for name, text in sources.items()}
     loaders = {"numpy"}
     while True:
         grown = {name for name, modules in imports.items() if modules & loaders} | loaders
@@ -106,11 +107,61 @@ def test_detects_a_numpy_import_at_import_time():
         "channel.py": "from .geometry import cell_paths\n",
         "cli.py": "from . import scenario\n\nif True:\n    from risbeam.channel import x\n",
     }
-    assert import_time_modules(sources["scenario.py"]) == {"json"}
-    assert import_time_modules(sources["cli.py"]) == {"scenario", "channel"}
+    assert imported_modules(sources["scenario.py"]) == {"json"}
+    assert imported_modules(sources["scenario.py"], in_functions=True) == {"json", "numpy"}
+    assert imported_modules(sources["cli.py"]) == {"scenario", "channel"}
     assert numpy_loaders(sources) == {"geometry", "channel", "cli"}
     sources["scenario.py"] = "import numpy as np\n"
     assert numpy_loaders(sources) == {"geometry", "channel", "cli", "scenario"}
+
+
+# The package's modules after __init__, each importing only those before it.
+ORDER = ("scenario", "geometry", "channel", "quantization", "analysis", "cli")
+
+
+def order_violations(sources: dict[str, str]) -> list[str]:
+    """Imports of package modules that break ORDER.
+
+    ``sources`` maps module file names to their text.  A module may import,
+    at module level or inside a function, only the modules before it in
+    ORDER (a module outside ORDER, none); ``__init__`` imports none when it
+    is itself imported, and resolves its exports on first access.
+    """
+    package = set(ORDER) | {Path(name).stem for name in sources}
+    problems = []
+    for name, text in sorted(sources.items()):
+        module = Path(name).stem
+        if module == "__init__":
+            earlier, imports = set(), imported_modules(text)
+        else:
+            earlier = set(ORDER[:ORDER.index(module)] if module in ORDER else ())
+            imports = imported_modules(text, in_functions=True)
+        problems += [f"{module} imports {other}" for other in sorted(imports & package - earlier)]
+    return problems
+
+
+def test_package_is_the_pinned_modules():
+    assert sorted(path.stem for path in SRC.glob("*.py")) == sorted(("__init__",) + ORDER)
+
+
+def test_each_module_imports_only_earlier_ones():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert order_violations(sources) == []
+
+
+def test_detects_an_import_out_of_order():
+    sources = {
+        "__init__.py": "import importlib\n\n\ndef load():\n    from . import cli\n",
+        "scenario.py": "import json\n",
+        "channel.py": "from .scenario import TWO_PI\n\n\ndef f():\n"
+                      "    from .analysis import design\n",
+        "radiation.py": "from .scenario import TWO_PI\n",
+        "cli.py": "from . import radiation\n\n\ndef run():\n    import risbeam.channel\n",
+    }
+    assert order_violations(sources) == [
+        "channel imports analysis", "cli imports radiation", "radiation imports scenario"]
+    sources["__init__.py"] = "from .scenario import Scenario\n"
+    assert order_violations(sources)[0] == "__init__ imports scenario"
 
 
 def unread_private_names(sources: dict[str, str]) -> list[str]:
