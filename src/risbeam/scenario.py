@@ -73,7 +73,7 @@ class RisPanel:
         if not (0.0 < self.reflection <= 1.0):
             raise ValueError(f"reflection magnitude must be in (0, 1], got {self.reflection}")
         levels = tuple(float(v) % TWO_PI for v in self.levels)
-        # 2**bits exceeds len(levels) from its bit length on, so it is never formed there
+        # 2**bits > len(levels) once bits reaches its bit length: refused unformed
         if self.bits >= len(levels).bit_length() or len(levels) != self.num_levels:
             raise ValueError(
                 f"expected 2**{self.bits} phase levels for {self.bits}-bit resolution, "
