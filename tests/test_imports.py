@@ -136,7 +136,7 @@ def order_violations(sources: dict[str, str]) -> list[str]:
         else:
             earlier = set(ORDER[:ORDER.index(module)] if module in ORDER else ())
             imports = imported_modules(text, in_functions=True)
-        problems += [f"{module} imports {other}" for other in sorted(imports & package - earlier)]
+        problems += [f"{module} imports {other}" for other in sorted((imports & package) - earlier)]
     return problems
 
 
