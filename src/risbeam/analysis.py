@@ -22,7 +22,7 @@ from .channel import (
 )
 from .geometry import THETA_LIMIT, antenna_points
 from .quantization import QuantizationResult, dtpq, eipq, fixed_threshold
-from .scenario import GRID_GUARD_POINTS, MIN_GAIN_DBI, SWEEP_AXES, TWO_PI, Scenario
+from .scenario import GRID_GUARD_POINTS, MIN_GAIN_DBI, SWEEP_AXES, TWO_PI, Scenario, wrap_angle
 
 # A method token is a name, then ":<degrees>" on the two methods with a
 # parameter: the eipq grid step and the fixed threshold.
@@ -162,9 +162,8 @@ def design(state: LinkState, method: str) -> QuantizationResult:
     try:
         if name == "eipq":
             return eipq(state, math.radians(DEFAULT_EPSILON_DEG if degrees is None else degrees))
-        gamma = (scenario.panel.levels[-1] if degrees is None else math.radians(degrees)) % TWO_PI
-        # a hair below a multiple of 2*pi reduces to 2*pi itself after rounding
-        return fixed_threshold(state, 0.0 if gamma == TWO_PI else gamma)
+        gamma = scenario.panel.levels[-1] if degrees is None else math.radians(degrees)
+        return fixed_threshold(state, wrap_angle(gamma))
     except ValueError as exc:
         raise ValueError(f"method token {method!r}: {exc}") from None
 

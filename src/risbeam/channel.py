@@ -28,35 +28,6 @@ from .scenario import TWO_PI, RadioConfig, RisPanel, Scenario
 # The five workspace buffers of a chunk then take 1.25 MB and stay in L2.
 _CHUNK_POINT_CELLS = 1 << 15
 
-# Two-constant (Cody-Waite) split of TWO_PI: C1 keeps its top 26 significant
-# bits and C2 = TWO_PI - C1 the remaining 27 or fewer, so for an integer
-# q <= 2^26 both q*C1 and q*C2 are exact.  Below _MOD_X_LIMIT the quotient
-# floor(x / TWO_PI) is at most 2^26.
-_MOD_C1 = math.ldexp(math.floor(math.ldexp(TWO_PI, 23)), -23)
-_MOD_C2 = TWO_PI - _MOD_C1
-_MOD_X_LIMIT = 2.0**26 * TWO_PI
-
-
-def _mod_two_pi(x: np.ndarray, out: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """np.mod(x, TWO_PI) bit for bit, for finite x >= 0, written into ``out``.
-
-    With q = floor(x / TWO_PI), r = (x - q*C1) - q*C2.  While q is the true
-    quotient and x < 2^26 * TWO_PI, every step is exact, so r is the exact
-    remainder that np.mod returns; a quotient off by one puts r outside
-    [0, TWO_PI).  The rare elements that fail either test go through
-    np.mod.  ``q`` is scratch of x's shape.
-    """
-    np.divide(x, TWO_PI, out=q)
-    np.floor(q, out=q)
-    np.multiply(q, _MOD_C1, out=out)
-    np.subtract(x, out, out=out)
-    q *= _MOD_C2
-    out -= q
-    if out.size and (x.max() >= _MOD_X_LIMIT or out.min() < 0.0 or out.max() >= TWO_PI):
-        inexact = (x >= _MOD_X_LIMIT) | (out < 0.0) | (out >= TWO_PI)
-        out[inexact] = np.mod(x[inexact], TWO_PI)
-    return out
-
 
 def _phasor_sum(
     amplitude: np.ndarray,
@@ -140,9 +111,10 @@ def _phasors(scenario: Scenario, tx_leg, points: np.ndarray, buffers: np.ndarray
     (P, 3) array of Rx positions; the Rx antenna's boresight is aimed at
     the surface center from each point.  The model computes in
     ``buffers``, a (4, P, M*N) array, and returns two of them over the
-    row-major cells: sqrt(F_combine) / (r_t * r_r) and mod(2*pi/lambda *
-    (r_t + r_r), 2*pi).  F_combine is the product of the Tx pattern, the
-    cell's reception and emission patterns, and the Rx pattern.
+    row-major cells: sqrt(F_combine) / (r_t * r_r) and the path phase
+    2*pi * frac((r_t + r_r) / lambda), in [0, 2*pi) since 2*pi * f rounds
+    below 2*pi for every f < 1.  F_combine is the product of the Tx pattern,
+    the cell's reception and emission patterns, and the Rx pattern.
     ``buffers[0]`` and ``buffers[1]`` are free for the caller afterwards.
     """
     radio = scenario.radio
@@ -156,8 +128,11 @@ def _phasors(scenario: Scenario, tx_leg, points: np.ndarray, buffers: np.ndarray
     np.sqrt(amplitude, out=amplitude)
     amplitude /= np.multiply(r_t, r_r, out=cos_r_cell)
     np.add(r_t, r_r, out=r_r)
-    np.multiply(TWO_PI / radio.wavelength, r_r, out=r_r)
-    return amplitude, _mod_two_pi(r_r, out=cos_rx, q=cos_r_cell)
+    r_r /= radio.wavelength
+    np.floor(r_r, out=cos_rx)
+    np.subtract(r_r, cos_rx, out=cos_rx)
+    cos_rx *= TWO_PI
+    return amplitude, cos_rx
 
 
 @dataclass(frozen=True)

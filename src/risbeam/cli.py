@@ -17,10 +17,10 @@ from typing import Sequence
 from .scenario import (
     GRID_GUARD_POINTS,
     SWEEP_AXES,
-    TWO_PI,
     Scenario,
     ScenarioFileError,
     load_scenario,
+    wrap_angle,
 )
 
 # ---------------------------------------------------------------------------
@@ -179,7 +179,7 @@ def _cmd_gradient_map(scenario: Scenario, args: argparse.Namespace) -> int:
     phi_grid = _grid(args.phi_start, args.phi_stop, args.phi_step, prefix="--phi-")
     power = gradient_map(
         scenario,
-        (math.radians(args.target_theta), math.radians(args.target_phi) % TWO_PI),
+        (math.radians(args.target_theta), wrap_angle(math.radians(args.target_phi))),
         theta_grid,
         phi_grid,
         args.method,
@@ -298,7 +298,7 @@ def run(argv: Sequence[str]) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(load_scenario(args.scenario), args)
-    except (ScenarioFileError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # numeric failure or bug surfaced at runtime

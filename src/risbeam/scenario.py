@@ -27,6 +27,14 @@ PANEL_GUARD_CELLS = 1 << 20
 
 TWO_PI = 2.0 * math.pi
 
+
+def wrap_angle(angle: float) -> float:
+    """``angle`` mod 2*pi, in [0, 2*pi): a hair below a multiple of 2*pi,
+    whose remainder rounds up to 2*pi itself, wraps to 0."""
+    wrapped = angle % TWO_PI
+    return 0.0 if wrapped == TWO_PI else wrapped
+
+
 _LEVEL_SPACING_TOL = 1e-9
 
 # Placement distances lie in [2**-511, 2**511) m.  Below the upper bound a
@@ -72,7 +80,7 @@ class RisPanel:
             raise ValueError(f"bits must be a positive integer, got {self.bits}")
         if not (0.0 < self.reflection <= 1.0):
             raise ValueError(f"reflection magnitude must be in (0, 1], got {self.reflection}")
-        levels = tuple(float(v) % TWO_PI for v in self.levels)
+        levels = tuple(wrap_angle(float(v)) for v in self.levels)
         # 2**bits > len(levels) once bits reaches its bit length: refused unformed
         if self.bits >= len(levels).bit_length() or len(levels) != self.num_levels:
             raise ValueError(
@@ -307,9 +315,9 @@ def parse_scenario(doc: dict) -> Scenario:
             d1=_number(placement_doc, "placement", "d1_m"),
             d2=_number(placement_doc, "placement", "d2_m"),
             theta_t=math.radians(_number(placement_doc, "placement", "theta_t_deg")),
-            phi_t=math.radians(_number(placement_doc, "placement", "phi_t_deg")) % TWO_PI,
+            phi_t=wrap_angle(math.radians(_number(placement_doc, "placement", "phi_t_deg"))),
             theta_r=math.radians(_number(placement_doc, "placement", "theta_r_deg")),
-            phi_r=math.radians(_number(placement_doc, "placement", "phi_r_deg")) % TWO_PI,
+            phi_r=wrap_angle(math.radians(_number(placement_doc, "placement", "phi_r_deg"))),
         )
     except ValueError as exc:
         raise ScenarioFileError(f"invalid 'placement' section: {exc}") from exc

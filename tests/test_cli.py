@@ -1,6 +1,7 @@
 """Command-line interface: scenario files in, CSV tables out, exit codes."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -47,6 +48,16 @@ def refused(argv, doc, tmp_path, capsys) -> str:
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     return captured.err
+
+
+def outputs(argv, doc, tmp_path, capsys) -> tuple[str, bytes]:
+    """The stdout and the CSV of a run on ``doc`` that must exit 0, with the
+    CSV path printed as out.csv."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.csv"
+    assert run([argv[0], "--scenario", str(path), *argv[1:], "--out", str(out)]) == 0
+    return capsys.readouterr().out.replace(str(out), "out.csv"), out.read_bytes()
 
 
 @pytest.fixture()
@@ -261,17 +272,28 @@ class TestQuantizeCommand:
         # the step as the user gave it, not its subnormal radians turned back
         assert err.startswith("error: method token 'eipq:1e-320': ")
 
-    def test_threshold_a_hair_below_zero_is_zero(self, ris1_path, tmp_path, capsys):
+    def test_threshold_a_hair_below_zero_is_zero(self, tmp_path, capsys):
         # radians(-1e-20) mod 2*pi rounds up to 2*pi itself; it quantizes at 0
-        outputs = []
-        for token in ("fixed:-1e-20", "fixed:0"):
-            out = tmp_path / f"{token}.csv"
-            assert run(["quantize", "--scenario", ris1_path, "--method", token,
-                        "--out", str(out)]) == 0
-            printed = capsys.readouterr().out.replace(str(out), "shifts.csv")
-            outputs.append((printed, out.read_bytes()))
-        assert "threshold_deg=0.0000\n" in outputs[0][0]
-        assert outputs[0] == outputs[1]
+        runs = [outputs(["quantize", "--method", token], ris_2p6ghz_document(), tmp_path,
+                        capsys) for token in ("fixed:-1e-20", "fixed:0")]
+        assert "threshold_deg=0.0000\n" in runs[0][0]
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("key", ["phi_t_deg", "phi_r_deg"])
+    def test_azimuth_a_hair_below_zero_is_zero(self, tmp_path, capsys, key):
+        # radians(-1e-20) mod 2*pi rounds up to 2*pi, which the placement used
+        # to refuse: "phi_t must lie in [0, 2*pi), got 6.283185307179586"
+        runs = [outputs(["quantize", "--method", "dtpq"],
+                        document_with(ris_2p6ghz_document(), "placement", **{key: phi}),
+                        tmp_path, capsys) for phi in (-1e-20, 0.0)]
+        assert runs[0] == runs[1]
+
+    def test_level_a_hair_below_zero_is_zero(self, tmp_path, capsys):
+        # level 0 used to be written as 360.0000 deg
+        runs = [outputs(["quantize", "--method", "dtpq"],
+                        document_with(ris_2p6ghz_document(), "panel", levels_deg=[level, 180]),
+                        tmp_path, capsys) for level in (-1e-20, 0.0)]
+        assert runs[0] == runs[1] and b"360.0000" not in runs[0][1]
 
     def test_refuses_a_link_with_no_lit_cell(self, tmp_path, capsys):
         # cells 90 m wide put every cell behind the Tx or the Rx antenna at
@@ -389,6 +411,14 @@ class TestOtherCommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "theta_r_deg,phi_r_deg,power_dbm"
         assert len(lines) == 1 + 3 * 3
+
+    def test_gradient_map_target_phi_a_hair_below_zero_is_zero(self, tmp_path, capsys):
+        # --target-phi=-1e-20 used to exit 2 with "phi_r must lie in [0, 2*pi),
+        # got 6.283185307179586", naming neither the option nor degrees
+        runs = [outputs(["gradient-map", "--target-theta", "45", f"--target-phi={phi}",
+                         "--theta-step", "15", "--phi-step", "60"],
+                        ris_2p6ghz_document(), tmp_path, capsys) for phi in ("-1e-20", "0")]
+        assert runs[0] == runs[1]
 
     def test_angle_scan_refuses_a_point_with_no_lit_cell(self, tmp_path, capsys):
         # the design link at 45 deg is lit, but cos(theta)**100 underflows at
@@ -659,6 +689,58 @@ def test_readme_command_runs(argv, tmp_path, monkeypatch, capsys):
     shutil.copytree(SCENARIO_DIR, tmp_path / "scenarios")
     monkeypatch.chdir(tmp_path)
     assert run(argv) == 0, capsys.readouterr().err
+
+
+# SHA-256 of the stdout and of the CSV written (None without --out) of every
+# README command and of a 2-bit quantize on the 4.9 GHz panel, recorded at
+# c2d6409, while the path phase was still reduced bit for bit as np.mod does.
+OUTPUT_DIGESTS = {
+    "validate --scenario scenarios/ris1_2p6ghz.json": (
+        "98d161bd23f8830dd6485185c257eea3f9f4ce1cc73a4a028c61449cfbf5ae7c", None),
+    "quantize --scenario scenarios/ris1_2p6ghz.json --method dtpq --out shifts.csv": (
+        "57d91891249c733faf68e279297a23185d1ae60151ac77f6cb4a6f97131b68b8",
+        "80592f6ae27ba156fc36146bcc44955521c046cb9a7f34cb4e59bb2e0890f710"),
+    "sweep --scenario scenarios/ris1_2p6ghz.json --axis rx_distance --start 5 --stop 10 "
+    "--step 0.1 --methods continuous,dtpq,eipq:5,fixed:235 --out sweep.csv": (
+        "c8708259252c6c7d3735168a86c7fabf42953e8f0bc8b7afc911e2571a0f19ac",
+        "815164c7929f8c32037a19ea20accb802c8a2d7a5dad867f45e0bd6205d44291"),
+    "sweep --scenario scenarios/ris1_2p6ghz.json --axis threshold --start 0 --stop 359 "
+    "--step 1 --methods fixed --out thresholds.csv": (
+        "9fd6eaf9dfb34a01c5c5eb3a9ec500f914e126109ff6e3e90be0e8b839589e34",
+        "05f75882bf72bfe22885b714b9085e960838a857335cd7b6dc95dba964283259"),
+    "angle-scan --scenario scenarios/ris1_2p6ghz.json --target 45 --start -90 --stop 90 "
+    "--step 1 --methods continuous,dtpq,fixed:235 --out scan.csv": (
+        "6a9b7a4057c8d57a81facabe910958a0e9daec8b22dc43ed6b558139b0e5241c",
+        "639c472c90c39aaed16d928c9633d919e0db422411133d266e2125289d588cb3"),
+    "gradient-map --scenario scenarios/ris1_2p6ghz.json --target-theta 45 --target-phi 180 "
+    "--method dtpq --out map.csv": (
+        "606140fba103de7f25a5552bafc3ba0cb5f3577196cacf2d2881ba91cdf44e91",
+        "cc121247cd9a15a5a5db985f1babdb166482bd66208e05e855902da4dc020905"),
+    "pl-fit --scenario scenarios/ris1_2p6ghz.json --variable d2 --start 50 --stop 500 "
+    "--num 13 --method dtpq": (
+        "302663f21ea0d0f302fb4eb3455483972b65e269be374a76a7adff303de6a87f", None),
+    "quantize --scenario scenarios/ris2_4p9ghz.json --method dtpq --out shifts2.csv": (
+        "edb402b6a5844109e1f2c2f0546324143a06153935612afd54f0d97880ad8c67",
+        "d54ba84ffe995f9f1d346ffe3840fcf13385eacf0527d2c68d2fa8722488569c"),
+}
+
+
+def test_output_digests_cover_the_readme_commands():
+    assert {shlex.join(argv) for argv in readme_commands()} <= set(OUTPUT_DIGESTS)
+
+
+@pytest.mark.parametrize("command", OUTPUT_DIGESTS, ids=lambda command: command.split(" --out")[0])
+def test_outputs_are_byte_identical(command, tmp_path, monkeypatch, capsys):
+    # every byte a command prints or writes is pinned; a numerical change in
+    # the model, the searches or the writers that moves one fails here
+    shutil.copytree(SCENARIO_DIR, tmp_path / "scenarios")
+    monkeypatch.chdir(tmp_path)
+    argv = shlex.split(command)
+    assert run(argv) == 0, capsys.readouterr().err
+    out = argv[argv.index("--out") + 1] if "--out" in argv else None
+    digests = (hashlib.sha256(capsys.readouterr().out.encode()).hexdigest(),
+               out and hashlib.sha256(Path(out).read_bytes()).hexdigest())
+    assert digests == OUTPUT_DIGESTS[command]
 
 
 def readme_library_block():

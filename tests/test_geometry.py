@@ -36,7 +36,7 @@ class TestRisPanel:
         with pytest.raises(ValueError, match="uniformly spaced"):
             RisPanel(rows=2, cols=2, d_x=0.1, d_y=0.1, bits=1, levels=(0.0, 2.0))
 
-    def test_level_spacing_wraps_mod_two_pi(self):
+    def test_level_spacing_wraps_around_two_pi(self):
         # descending-looking pair is still one interval apart mod 2*pi
         panel = RisPanel(rows=1, cols=1, d_x=0.1, d_y=0.1, bits=1,
                          levels=(math.radians(235), math.radians(55)))
