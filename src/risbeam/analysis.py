@@ -22,7 +22,7 @@ from .channel import (
 )
 from .geometry import THETA_LIMIT, antenna_points
 from .quantization import QuantizationResult, dtpq, eipq, fixed_threshold
-from .scenario import GRID_GUARD_POINTS, MIN_GAIN_DBI, SWEEP_AXES, TWO_PI, Scenario, wrap_angle
+from .scenario import GRID_GUARD_POINTS, MIN_GAIN_DBI, SWEEP_AXES, Scenario, wrap_angle
 
 # A method token is a name, then ":<degrees>" on the two methods with a
 # parameter: the eipq grid step and the fixed threshold.
@@ -263,7 +263,7 @@ def _signed_direction(theta: float | np.ndarray, phi: float) -> tuple[np.ndarray
     A negative elevation lands at |theta| on the opposite azimuth.
     """
     theta = np.asarray(theta, dtype=float)
-    return np.abs(theta), np.where(theta < 0.0, (phi + math.pi) % TWO_PI, phi)
+    return np.abs(theta), np.where(theta < 0.0, wrap_angle(phi + math.pi), phi)
 
 
 def angle_scan(
@@ -321,7 +321,7 @@ def gradient_map(
     table = check_methods([method])
 
     target = scenario.with_placement(theta_r=design_target[0], phi_r=design_target[1])
-    tt, pp = np.meshgrid(np.radians(theta_grid), np.radians(phi_grid) % TWO_PI, indexing="ij")
+    tt, pp = np.meshgrid(np.radians(theta_grid), wrap_angle(np.radians(phi_grid)), indexing="ij")
     (power,) = _frozen_powers(target, tt.ravel(), pp.ravel(), table)[0].values()
     return power.reshape(theta_grid.size, phi_grid.size)
 

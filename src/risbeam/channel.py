@@ -176,21 +176,15 @@ def link_state(scenario: Scenario) -> LinkState:
 def power_dbm_from_xi(panel: RisPanel, radio: RadioConfig, xi):
     """Received power (dBm) for a field magnitude; -inf when xi is 0.
 
-    Summed in dB, so that no xi**2 underflows: xi = 1e-178 keeps a finite power.
+    Every factor of the link budget is summed in dB, so that no product
+    underflows: cells of 1e-300 m and xi = 1e-178 keep a finite power.
     """
-    scale = (
-        radio.gain_tx_linear
-        * radio.gain_rx_linear
-        * (panel.d_x * panel.d_y) ** 2
-        * panel.reflection**2
-        / (16.0 * math.pi**2)
-    )
-    xi_arr = np.asarray(xi, dtype=float)
+    budget = (radio.tx_power_dbm + radio.gain_tx_dbi + radio.gain_rx_dbi
+              + 20.0 * sum(map(math.log10, (panel.d_x, panel.d_y, panel.reflection)))
+              - 20.0 * math.log10(4.0 * math.pi))
     with np.errstate(divide="ignore"):
-        power = radio.tx_power_dbm + 10.0 * np.log10(scale) + 20.0 * np.log10(xi_arr)
-    if np.ndim(xi) == 0:
-        return float(power)
-    return power
+        power = budget + 20.0 * np.log10(np.asarray(xi, dtype=float))
+    return float(power) if np.ndim(xi) == 0 else power
 
 
 def _two_cpus() -> bool:

@@ -28,7 +28,9 @@ from .scenario import (
 
 
 def _fmt(value: float) -> str:
-    return f"{value:.4f}"
+    """``value`` to 4 decimal places, with no negative zero: -1e-5 is 0.0000."""
+    text = f"{value:.4f}"
+    return "0.0000" if text == "-0.0000" else text
 
 
 def write_shifts_csv(path: str, result) -> None:
@@ -209,8 +211,8 @@ def _cmd_pl_fit(scenario: Scenario, args: argparse.Namespace) -> int:
         grid = np.linspace(args.start, args.stop, args.num)
     fit = pl_slope_fit(scenario, f"log10_{args.variable}", grid, args.method)
     print(f"variable={fit.variable}")
-    print(f"slope={fit.slope:.4f}")
-    print(f"intercept_db={fit.intercept:.4f}")
+    print(f"slope={_fmt(fit.slope)}")
+    print(f"intercept_db={_fmt(fit.intercept)}")
     print(f"r_squared={fit.r_squared:.6f}")
     return 0
 

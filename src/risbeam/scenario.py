@@ -28,20 +28,24 @@ PANEL_GUARD_CELLS = 1 << 20
 TWO_PI = 2.0 * math.pi
 
 
-def wrap_angle(angle: float) -> float:
-    """``angle`` mod 2*pi, in [0, 2*pi): a hair below a multiple of 2*pi,
-    whose remainder rounds up to 2*pi itself, wraps to 0."""
+def wrap_angle(angle):
+    """``angle`` (a float or an array) mod 2*pi, in [0, 2*pi): a hair below
+    a multiple of 2*pi, whose remainder rounds up to 2*pi itself, wraps to 0."""
     wrapped = angle % TWO_PI
-    return 0.0 if wrapped == TWO_PI else wrapped
+    return wrapped - TWO_PI * (wrapped == TWO_PI)
 
 
 _LEVEL_SPACING_TOL = 1e-9
 
-# Placement distances lie in [2**-511, 2**511) m.  Below the upper bound a
-# distance squares to less than 2**1022, so the sums of the few squares that
-# geometry.cell_paths forms (a panel is far smaller than 2**511 m) stay below
-# DBL_MAX, about 2**1024.  Above the lower bound the sum of an antenna's
-# squared coordinates is a normal float, so its range never underflows to 0.
+# Placement distances lie in [2**-511, 2**511) m, and a panel's outer cell
+# centers lie less than 2**510 m from its center along each axis, so a cell
+# center c has |c| < 2**511 / sqrt(2).  From an antenna at distance d a cell
+# is then nearer than d + |c| < 1.71 * 2**511, and the sums of the few squares
+# that geometry.cell_paths forms stay below 1.71**2 * 2**1022 < 0.74 * 2**1024,
+# under DBL_MAX; with a wavelength of at least 2**-511 m, a Tx-cell-Rx path
+# in wavelengths stays below 3.42 * 2**1022 too.  Above the lower bound the sum
+# of an antenna's squared coordinates is a normal float, so its range never
+# underflows to 0.
 DISTANCE_LIMIT = 2.0**511
 
 
@@ -76,6 +80,12 @@ class RisPanel:
                              f"the guard of {PANEL_GUARD_CELLS}")
         if not (self.d_x > 0.0 and self.d_y > 0.0):
             raise ValueError(f"cell size must be positive, got d_x={self.d_x}, d_y={self.d_y}")
+        for key, size, count in (("cell_dx_m", self.d_x, self.cols),
+                                 ("cell_dy_m", self.d_y, self.rows)):
+            half = (count - 1) / 2 * size
+            if not half < DISTANCE_LIMIT / 2:
+                raise ValueError(f"panel.{key} = {size:g} m puts the outer cells {half:g} m "
+                                 "from the panel center, beyond 2**510 m")
         if self.bits < 1:
             raise ValueError(f"bits must be a positive integer, got {self.bits}")
         if not (0.0 < self.reflection <= 1.0):
@@ -188,8 +198,9 @@ class RadioConfig:
     cell_alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.wavelength > 0.0 and math.isfinite(self.wavelength)):
-            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
+        if not 1.0 / DISTANCE_LIMIT <= self.wavelength < math.inf:
+            raise ValueError("wavelength (c / radio.freq_ghz) must lie in [2**-511, inf) m, "
+                             f"got {self.wavelength:g}")
         if self.cell_alpha < 0.0:
             raise ValueError(f"cell_alpha must be >= 0, got {self.cell_alpha}")
         for key in ("gain_tx_dbi", "gain_rx_dbi"):
@@ -205,14 +216,6 @@ class RadioConfig:
     @property
     def alpha_rx(self) -> float:
         return alpha_from_gain_dbi(self.gain_rx_dbi)
-
-    @property
-    def gain_tx_linear(self) -> float:
-        return 10.0 ** (self.gain_tx_dbi / 10.0)
-
-    @property
-    def gain_rx_linear(self) -> float:
-        return 10.0 ** (self.gain_rx_dbi / 10.0)
 
 
 @dataclass(frozen=True)
@@ -291,10 +294,7 @@ def parse_scenario(doc: dict) -> Scenario:
     radio_doc = _require_section(doc, "radio", _RADIO_KEYS)
 
     levels = panel_doc.get("levels_deg")
-    if not isinstance(levels, list) or not all(
-        isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-        for v in levels
-    ):
+    if not isinstance(levels, list):
         raise ScenarioFileError("key 'panel.levels_deg' must be a list of finite numbers")
 
     try:
@@ -304,7 +304,8 @@ def parse_scenario(doc: dict) -> Scenario:
             d_x=_number(panel_doc, "panel", "cell_dx_m"),
             d_y=_number(panel_doc, "panel", "cell_dy_m"),
             bits=_integer(panel_doc, "panel", "bits"),
-            levels=tuple(math.radians(v) for v in levels),
+            levels=tuple(math.radians(_number({"levels_deg": v}, "panel", "levels_deg"))
+                         for v in levels),
             reflection=_number(panel_doc, "panel", "reflection", default=1.0),
         )
     except ValueError as exc:

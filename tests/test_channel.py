@@ -170,6 +170,27 @@ class TestReceivedPower:
         p10 = power_dbm_from_xi(sc.panel, boosted, xi)
         assert p10 - p0 == pytest.approx(10.0, rel=1e-12)
 
+    def test_link_budget_matches_the_linear_product(self):
+        # P_r = P_t * G_t * G_r * (d_x * d_y)^2 * A^2 * xi^2 / (16 * pi^2), in
+        # linear units, where no factor of the bundled links underflows
+        for sc in (ris_2p6ghz(), ris_4p9ghz()):
+            panel, radio = sc.panel, sc.radio
+            linear = (10.0 ** (radio.gain_tx_dbi / 10.0) * 10.0 ** (radio.gain_rx_dbi / 10.0)
+                      * (panel.d_x * panel.d_y) ** 2 * panel.reflection**2 * 3.0**2
+                      / (16.0 * math.pi**2))
+            power = power_dbm_from_xi(panel, radio, 3.0)
+            assert power == pytest.approx(radio.tx_power_dbm + 10.0 * math.log10(linear),
+                                          abs=1e-12)
+
+    @pytest.mark.parametrize("field", ["d_x", "d_y", "reflection"])
+    def test_a_tiny_factor_keeps_a_finite_power(self, field):
+        # a factor of 1e-300 underflowed the linear product to 0: -inf dBm
+        sc = ris_2p6ghz()
+        panel = replace(sc.panel, **{field: 1e-300})
+        shift = 20.0 * math.log10(1e-300 / getattr(sc.panel, field))
+        assert power_dbm_from_xi(panel, sc.radio, 3.0) == pytest.approx(
+            power_dbm_from_xi(sc.panel, sc.radio, 3.0) + shift, abs=1e-9)
+
     def test_zero_field_gives_minus_inf(self):
         sc = ris_2p6ghz()
         assert power_dbm_from_xi(sc.panel, sc.radio, 0.0) == -math.inf

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -191,11 +192,14 @@ class TestValidateCommand:
         ("bits", 10**7, "expected 2**10000000 phase levels for 10000000-bit resolution, got 2"),
         ("bits", 10**400, "key 'panel.bits' must be finite, got inf"),
         ("cell_dx_m", -10**400, "key 'panel.cell_dx_m' must be finite, got -inf"),
-    ], ids=["rows-2.5", "cols-16.5", "bits-1.5", "bits-1e7", "bits-1e400", "cell-dx-minus-1e400"])
+        ("levels_deg", [55, 10**400], "key 'panel.levels_deg' must be finite, got inf"),
+    ], ids=["rows-2.5", "cols-16.5", "bits-1.5", "bits-1e7", "bits-1e400", "cell-dx-minus-1e400",
+            "levels-1e400"])
     def test_refuses_a_panel_number_by_name(self, tmp_path, capsys, key, value, message):
         # rows 2.5 used to validate as 2x16 and bits 1.5 to design 1 bit; a bits
         # of 10**7 failed formatting 2**bits, so a bits that cannot match the
-        # levels is refused before 2**bits is formed
+        # levels is refused before 2**bits is formed; a level of 10**400 used to
+        # exit 1 with "internal error: int too large to convert to float"
         doc = document_with(ris_2p6ghz_document(), "panel", **{key: value})
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -324,6 +328,45 @@ class TestQuantizeCommand:
         assert err == ("error: invalid 'panel' section: panel.rows x panel.cols = "
                        "1000000x1000000 cells exceeds the guard of 1048576\n")
 
+    @pytest.mark.parametrize("key", ["cell_dx_m", "cell_dy_m"])
+    def test_refuses_a_panel_too_wide_for_its_paths(self, tmp_path, capsys, key):
+        # cells of 1e154 m overflowed the squared path lengths: two RuntimeWarnings
+        # (an exit 1 here, where warnings are errors), else an exit 2 blaming the
+        # placement for putting every cell behind an antenna
+        doc = document_with(ris_2p6ghz_document(), "panel", rows=4, cols=4, **{key: 1e154})
+        err = refused(["quantize", "--method", "dtpq"], doc, tmp_path, capsys)
+        assert err == (f"error: invalid 'panel' section: panel.{key} = 1e+154 m puts the outer "
+                       "cells 1.5e+154 m from the panel center, beyond 2**510 m\n")
+
+    @pytest.mark.parametrize("key", ["cell_dx_m", "cell_dy_m"])
+    def test_widest_panel_at_the_farthest_distance_runs(self, tmp_path, capsys, key):
+        # the largest half-extent, the largest distance and the shortest
+        # wavelength (2**-511 m) that are accepted keep every square and every
+        # path in wavelengths in range; one cell size wider is refused
+        top = math.nextafter(2.0**511, 0.0)
+        doc = document_with(ris_2p6ghz_document(), "panel", rows=2, cols=2,
+                            cell_dx_m=top, cell_dy_m=top)
+        doc = document_with(doc, "placement", d1_m=top, d2_m=top)
+        doc = document_with(doc, "radio", freq_ghz=299792458.0 * 2.0**511 / 1e9)
+        assert parse_scenario(doc).radio.wavelength == 2.0**-511
+        stdout, shifts = outputs(["quantize", "--method", "dtpq"], doc, tmp_path, capsys)
+        assert math.isfinite(float(stdout.split("received_power_dbm=")[1].split()[0]))
+        assert len(shifts.splitlines()) == 1 + 4
+        (tmp_path / "out.csv").unlink()
+        err = refused(["quantize", "--method", "dtpq"],
+                      document_with(doc, "panel", **{key: 2.0**511}), tmp_path, capsys)
+        assert f"panel.{key} = " in err and "beyond 2**510 m" in err
+
+    def test_refuses_a_wavelength_too_short_for_its_paths(self, tmp_path, capsys):
+        # 1e290 GHz over 1e30 m overflowed the path in wavelengths: two
+        # RuntimeWarnings, then exit 2 with "zero-size array to reduction
+        # operation minimum which has no identity", naming no key
+        doc = document_with(ris_2p6ghz_document(), "radio", freq_ghz=1e290)
+        doc = document_with(doc, "placement", d1_m=1e30, d2_m=1e30)
+        err = refused(["quantize", "--method", "dtpq"], doc, tmp_path, capsys)
+        assert err == ("error: invalid 'radio' section: wavelength (c / radio.freq_ghz) must "
+                       "lie in [2**-511, inf) m, got 2.99792e-291\n")
+
     def test_bad_method_token(self, ris1_path, capsys):
         assert run(["quantize", "--scenario", ris1_path, "--method", "best"]) == 2
         assert "unknown method" in capsys.readouterr().err
@@ -366,6 +409,13 @@ class TestSweepCommand:
         shifted = out.read_text().splitlines()
         assert shifted[1].split(",")[1:] == lines[1].split(",")[1:]
         assert shifted[1].split(",")[2] == "0.0000"
+
+    def test_threshold_start_a_hair_below_zero_writes_the_same_csv(self, tmp_path, capsys):
+        # the first row used to be labelled -0.0000 while its threshold read 0.0000
+        runs = [outputs(["sweep", "--axis", "threshold", f"--start={start}", "--stop", "2",
+                         "--step", "1", "--methods", "fixed"], ris_2p6ghz_document(),
+                        tmp_path, capsys) for start in ("-1e-20", "0")]
+        assert runs[0] == runs[1] and runs[0][1].splitlines()[1].startswith(b"0.0000,")
 
     def test_grid_guard_exit_code(self, small_path, capsys):
         # 5e12 grid points: refused before the grid is allocated
@@ -435,6 +485,23 @@ class TestOtherCommands:
                       doc, tmp_path, capsys)
         assert err == f"error: {DARK_AT_GRAZING}: {UNDERFLOWING_PATTERNS}\n"
 
+    def test_gradient_map_refuses_a_dark_point_from_a_phi_start_below_zero(
+        self, tmp_path, capsys
+    ):
+        # -1e-20 deg wrapped to phi_r 2*pi, and the refusal failed building the
+        # dark point: "phi_r must lie in [0, 2*pi), got 6.283185307179586"
+        doc = document_with(ris_2p6ghz_document(), "radio", cell_alpha=100.0)
+        err = refused(["gradient-map", "--target-theta", "45", "--target-phi", "180",
+                       "--phi-start=-1e-20"], doc, tmp_path, capsys)
+        assert err == f"error: {DARK_AT_GRAZING}: {UNDERFLOWING_PATTERNS}\n"
+
+    def test_gradient_map_phi_start_a_hair_below_zero_is_zero(self, tmp_path, capsys):
+        # the first azimuth was written as -0.0000, and evaluated at 2*pi
+        runs = [outputs(["gradient-map", "--target-theta", "45", "--target-phi", "180",
+                         f"--phi-start={start}", "--phi-stop", "10", "--phi-step", "5"],
+                        ris_2p6ghz_document(), tmp_path, capsys) for start in ("-1e-20", "0")]
+        assert runs[0] == runs[1]
+
     def test_map_guard_exit_code(self, small_path, capsys):
         assert run(["gradient-map", "--scenario", small_path,
                     "--target-theta", "45", "--target-phi", "180",
@@ -485,12 +552,18 @@ class TestOtherCommands:
         out = tmp_path / "map.csv"
         write_map_csv(str(out), theta, phi, power)
         reference = tmp_path / "reference.csv"
+
+        def fmt(value):
+            # rounded to 4 places first, then + 0.0 turns a -0.0 into 0.0: no
+            # value is written as -0.0000, neither -0.0 nor -1e-5
+            return f"{round(float(value), 4) + 0.0:.4f}"
+
         with open(reference, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["theta_r_deg", "phi_r_deg", "power_dbm"])
             for i, t in enumerate(theta):
                 for j, p in enumerate(phi):
-                    writer.writerow([f"{t:.4f}", f"{p:.4f}", f"{power[i, j]:.4f}"])
+                    writer.writerow([fmt(t), fmt(p), fmt(power[i, j])])
         assert out.read_bytes() == reference.read_bytes()
 
     def test_pl_fit(self, small_path, capsys):
@@ -670,6 +743,53 @@ class TestOtherCommands:
         assert [p.name for p in tmp_path.iterdir()] == ["small.json"]
 
 
+# Each numeric scenario key, and the first level, set in turn to each of
+# these values on a 4x4 copy of the 2.6 GHz scenario, under each of these
+# commands, must exit 0 with every printed and written number finite, or exit 2.
+BOUNDARY_KEYS = [("panel", key) for key in ("rows", "cols", "cell_dx_m", "cell_dy_m", "bits",
+                                            "reflection", "levels_deg")] + [
+    ("placement", key) for key in ("d1_m", "d2_m", "theta_t_deg", "phi_t_deg", "theta_r_deg",
+                                   "phi_r_deg")] + [
+    ("radio", key) for key in ("freq_ghz", "tx_power_dbm", "gain_tx_dbi", "gain_rx_dbi",
+                               "cell_alpha")]
+BOUNDARY_VALUES = [0, -1, 5e-324, 1e-300, 1e154, 1e300, 10**400, -10**400]
+BOUNDARY_COMMANDS = [
+    ["validate"],
+    ["quantize", "--method", "dtpq", "--out"],
+    ["angle-scan", "--target", "30", "--start", "-90", "--stop", "90", "--step", "30",
+     "--methods", "continuous,dtpq", "--out"],
+    ["pl-fit", "--variable", "d2", "--start", "1", "--stop", "100", "--num", "3"],
+]
+_NUMBER = re.compile(r"-?(?:inf|nan|\d+(?:\.\d+)?(?:e[-+]?\d+)?)", re.IGNORECASE)
+
+
+@pytest.mark.parametrize("value", BOUNDARY_VALUES,
+                         ids=["0", "-1", "5e-324", "1e-300", "1e154", "1e300", "1e400", "-1e400"])
+@pytest.mark.parametrize("section, key", BOUNDARY_KEYS, ids=lambda x: x)
+def test_scenario_boundary_ends_finite_or_exits_2(tmp_path, capsys, section, key, value):
+    doc = document_with(ris_2p6ghz_document(), "panel", rows=4, cols=4)
+    if key == "levels_deg":
+        doc["panel"]["levels_deg"][0] = value
+    else:
+        doc[section][key] = value
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.csv"
+    for command in BOUNDARY_COMMANDS:
+        argv = [command[0], "--scenario", str(path), *command[1:]]
+        argv += [str(out)] if argv[-1] == "--out" else []
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code in (0, 2), (command[0], captured.err)
+        if code == 0:
+            text = captured.out.replace(str(out), "out.csv")
+            if command[-1] == "--out":
+                text += out.read_text().split("\n", 1)[1]  # the rows, below the header
+            numbers = _NUMBER.findall(text)
+            assert all(math.isfinite(float(number)) for number in numbers), (command[0], text)
+        out.unlink(missing_ok=True)
+
+
 def readme_commands():
     """The ``risbeam ...`` lines of the README's command-line block, as argv lists."""
     text = (ROOT / "README.md").read_text()
@@ -693,7 +813,9 @@ def test_readme_command_runs(argv, tmp_path, monkeypatch, capsys):
 
 # SHA-256 of the stdout and of the CSV written (None without --out) of every
 # README command and of a 2-bit quantize on the 4.9 GHz panel, recorded at
-# c2d6409, while the path phase was still reduced bit for bit as np.mod does.
+# c2d6409, while the path phase was still reduced bit for bit as np.mod does,
+# and of three more 2-bit runs on that panel, recorded at a5afd01, while the
+# gains of the link budget still went to linear and back.
 OUTPUT_DIGESTS = {
     "validate --scenario scenarios/ris1_2p6ghz.json": (
         "98d161bd23f8830dd6485185c257eea3f9f4ce1cc73a4a028c61449cfbf5ae7c", None),
@@ -722,6 +844,17 @@ OUTPUT_DIGESTS = {
     "quantize --scenario scenarios/ris2_4p9ghz.json --method dtpq --out shifts2.csv": (
         "edb402b6a5844109e1f2c2f0546324143a06153935612afd54f0d97880ad8c67",
         "d54ba84ffe995f9f1d346ffe3840fcf13385eacf0527d2c68d2fa8722488569c"),
+    "quantize --scenario scenarios/ris2_4p9ghz.json --method eipq:3 --out shifts3.csv": (
+        "8f7473306c7a1749d7e16549a15a0b98e5507651fa61d787bbfb32892bfb53cc",
+        "4c36faa2d099a7df29d331a26de687313edc1cde4bd786334f13e5838ae830b6"),
+    "gradient-map --scenario scenarios/ris2_4p9ghz.json --target-theta 30 --target-phi 200 "
+    "--theta-step 2 --phi-step 4 --method eipq:3 --out map2.csv": (
+        "bcd8b95f3b599254671feab573c84a2dce321aab116d51d1a89b2903a99e07fa",
+        "e63af40abdbbf3b859e2bc268cf1129d29d0c215bef47eecaaa8f923330db70b"),
+    "sweep --scenario scenarios/ris2_4p9ghz.json --axis theta_r --start 0 --stop 80 "
+    "--step 2 --methods continuous,dtpq,fixed:10 --out sweep2.csv": (
+        "faca7af3aad676f69d709f05519a986fdbaeee3681465bc14d2458f6005ebc4f",
+        "272c276c39e0e46edc28115453cbc880194748e525acc30151f152e997d039ae"),
 }
 
 

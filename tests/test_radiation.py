@@ -146,7 +146,6 @@ class TestRadioConfig:
         radio = RadioConfig(wavelength=0.1, tx_power_dbm=0.0, gain_tx_dbi=8.25, gain_rx_dbi=6.0206)
         assert radio.alpha_tx == pytest.approx(ALPHA_825_DBI, rel=1e-9)
         assert radio.alpha_rx == pytest.approx(1.0, abs=1e-5)
-        assert radio.gain_tx_linear == pytest.approx(10 ** 0.825, rel=1e-12)
 
 
 class TestCombinedPattern:
