@@ -37,7 +37,7 @@ def wrap_angle(angle):
 
 _LEVEL_SPACING_TOL = 1e-9
 
-# Placement distances lie in [2**-511, 2**511) m, and a panel's outer cell
+# Placement distances lie in [2**-449, 2**511) m, and a panel's outer cell
 # centers lie less than 2**510 m from its center along each axis, so a cell
 # center c has |c| < 2**511 / sqrt(2).  From an antenna at distance d a cell
 # is then nearer than d + |c| < 1.71 * 2**511, and the sums of the few squares
@@ -47,6 +47,27 @@ _LEVEL_SPACING_TOL = 1e-9
 # of an antenna's squared coordinates is a normal float, so its range never
 # underflows to 0.
 DISTANCE_LIMIT = 2.0**511
+
+# The lower distance bound keeps xi finite.  A cell's amplitude is at most
+# 1/(r_t * r_r), as no pattern exceeds 1, and a path is at least as long as
+# its antenna's height d * cos(theta) >= d * cos(THETA_LIMIT) > d * 2**-52,
+# THETA_LIMIT being the largest elevation below pi/2 (its cosine is
+# 1.27 * 2**-52).  So an amplitude stays below 2**104 / (d1 * d2), and the
+# sum over at most 2**20 cells below 2**124 / (d1 * d2).  The threshold
+# profile forms C_total - (1 - exp(-j*Omega)) * C from prefix sums C of that
+# sum, with |1 - exp(-j*Omega)| <= 2, so no value there exceeds
+# 3 * 2**124 / (d1 * d2), which is 0.75 * 2**1024 at d1 = d2 = 2**-449 (the
+# amplitude's rounding, below a relative 2**-18, fits in the margin).
+MIN_DISTANCE = 2.0**-449
+
+# Upper bound on a pattern exponent: cell_alpha, or the alpha of a gain of at
+# most 63.2163 dBi.  channel._phasors forms an amplitude as exp of a sum of
+# logs weighted by half the exponents, and no log of a positive float exceeds
+# 745 in magnitude, so below this bound the terms sum to less than
+# 745 * (5 * 2**19 + 3) in magnitude; their roundings (at most 13 ulps of
+# that sum, with numpy's log and exp within 4 ulps) then move the amplitude
+# by a relative 2**-18 at most.
+EXPONENT_LIMIT = 2.0**20
 
 
 @dataclass(frozen=True)
@@ -143,8 +164,8 @@ class Placement:
             d = getattr(self, name)
             if not (d > 0.0 and math.isfinite(d)):
                 raise ValueError(f"{name} must be positive and finite, got {d}")
-            if not 1.0 / DISTANCE_LIMIT <= d < DISTANCE_LIMIT:
-                raise ValueError(f"{name} must lie in [2**-511, 2**511) m, got {d:g}")
+            if not MIN_DISTANCE <= d < DISTANCE_LIMIT:
+                raise ValueError(f"{name} must lie in [2**-449, 2**511) m, got {d:g}")
         for name in ("theta_t", "theta_r"):
             theta = getattr(self, name)
             if not (0.0 <= theta < math.pi / 2):
@@ -158,6 +179,7 @@ class Placement:
 # Linear gain of the alpha = 0 pattern; no cosine-power pattern has less.
 MIN_GAIN_LINEAR = 2.0
 MIN_GAIN_DBI = 10.0 * math.log10(MIN_GAIN_LINEAR)
+MAX_GAIN_DBI = 10.0 * math.log10(2.0 * (EXPONENT_LIMIT + 1.0))
 
 _ALPHA_TOL = 1e-9
 
@@ -166,7 +188,8 @@ def alpha_from_gain_dbi(gain_dbi: float) -> float:
     """Pattern exponent whose directive gain matches the given dBi figure.
 
     Raises ValueError below the 10*log10(2) ~ 3.0103 dBi floor, where the
-    exponent would be negative, and where 10**(dBi/10) is not a finite float.
+    exponent would be negative, above the ~63.2163 dBi ceiling, where it
+    would exceed EXPONENT_LIMIT, and where 10**(dBi/10) is not a finite float.
     """
     try:
         alpha = 10.0 ** (gain_dbi / 10.0) / 2.0 - 1.0
@@ -179,6 +202,9 @@ def alpha_from_gain_dbi(gain_dbi: float) -> float:
             f"gain {gain_dbi} dBi is below the {MIN_GAIN_DBI:.4f} dBi floor of the "
             "cosine-power pattern family"
         )
+    if alpha > EXPONENT_LIMIT:
+        raise ValueError(f"gain {gain_dbi} dBi is above the {MAX_GAIN_DBI:.4f} dBi ceiling, "
+                         "where the pattern exponent exceeds 2**20")
     return max(alpha, 0.0)
 
 
@@ -201,8 +227,8 @@ class RadioConfig:
         if not 1.0 / DISTANCE_LIMIT <= self.wavelength < math.inf:
             raise ValueError("wavelength (c / radio.freq_ghz) must lie in [2**-511, inf) m, "
                              f"got {self.wavelength:g}")
-        if self.cell_alpha < 0.0:
-            raise ValueError(f"cell_alpha must be >= 0, got {self.cell_alpha}")
+        if not 0.0 <= self.cell_alpha <= EXPONENT_LIMIT:
+            raise ValueError(f"cell_alpha must lie in [0, 2**20], got {self.cell_alpha}")
         for key in ("gain_tx_dbi", "gain_rx_dbi"):
             try:
                 alpha_from_gain_dbi(getattr(self, key))

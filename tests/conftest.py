@@ -133,7 +133,7 @@ def path_lengths(panel, placement):
     d = np.array([placement.d1, placement.d2])
     theta = np.array([placement.theta_t, placement.theta_r])
     phi = np.array([placement.phi_t, placement.phi_r])
-    r_t, r_r = cell_paths(cell_center_axes(panel), antenna_points(d, theta, phi), d[:, None])[0]
+    r_t, r_r = cell_paths(cell_center_axes(panel), antenna_points(d, theta, phi))[0]
     return r_t.reshape(panel.rows, panel.cols), r_r.reshape(panel.rows, panel.cols)
 
 

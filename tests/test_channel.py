@@ -27,6 +27,7 @@ from risbeam import channel
 from risbeam.analysis import design
 from risbeam.channel import _phasor_sum, _tx_leg
 from risbeam.geometry import antenna_points, cell_paths
+from risbeam.scenario import MIN_GAIN_DBI
 
 TWO_PI = 2.0 * math.pi
 
@@ -80,7 +81,7 @@ class TestContinuousPhaseMatrix:
         placement = sc.placement
         axes, r_t, _ = _tx_leg(sc)
         rx = antenna_points(placement.d2, placement.theta_r, placement.phi_r)
-        r_r = cell_paths(axes, rx, np.array([[placement.d2]]))[0, 0]
+        r_r = cell_paths(axes, rx)[0, 0]
         if multiple is not None:
             cell, k, step = multiple
             wavelength = float(np.add(r_t, r_r)[cell % r_t.size]) / k
@@ -110,6 +111,124 @@ class TestContinuousPhaseMatrix:
         # consistent with a 6.07-wavelength path difference to the same
         # tolerance as the path-difference check itself (0.01 wavelengths)
         assert abs(offset - TWO_PI * 0.07) <= TWO_PI * 0.01
+
+
+def reference_amplitudes(sc: Scenario):
+    """Per-cell sqrt(F_tx * F_cell,t * F_cell,r * F_rx) / (r_t * r_r), cell by
+    cell with the math module, and per cell an error bound (see
+    TestAmplitude) or None for a cell in pattern cutoff, whose amplitude is 0.
+
+    The antenna positions are ``antenna_points``'s, the cell centers
+    (N + 1 - 2n) * d_x / 2 and (M + 1 - 2m) * d_y / 2 as the model forms them.
+    """
+    panel, pl, radio = sc.panel, sc.placement, sc.radio
+    tx = antenna_points(pl.d1, pl.theta_t, pl.phi_t)[0].tolist()
+    rx = antenna_points(pl.d2, pl.theta_r, pl.phi_r)[0].tolist()
+    a_tx, a_rx, a_cell = radio.alpha_tx, radio.alpha_rx, radio.cell_alpha
+    u = 2.0**-53
+
+    def pattern(cos, alpha):
+        return 0.0 if not cos > 0.0 else 1.0 if alpha == 0.0 else min(cos, 1.0) ** alpha
+
+    def leg(p, c):
+        """Path length, boresight numerator p . (p - c) and its condition."""
+        r = math.dist(p, c)
+        products = (p[0] * (p[0] - c[0]), p[1] * (p[1] - c[1]), p[2] * p[2])
+        num = math.fsum(products)
+        return r, num, sum(map(abs, products)) / abs(num) if num else math.inf
+
+    amplitudes, bounds = [], []
+    for m in range(1, panel.rows + 1):
+        for n in range(1, panel.cols + 1):
+            c = ((panel.cols + 1 - 2.0 * n) * panel.d_x / 2.0,
+                 (panel.rows + 1 - 2.0 * m) * panel.d_y / 2.0, 0.0)
+            r_t, num_t, kappa_t = leg(tx, c)
+            r_r, num_r, kappa_r = leg(rx, c)
+            gain = (pattern(num_t / (r_t * math.hypot(*tx)), a_tx) * pattern(tx[2] / r_t, a_cell)
+                    * pattern(rx[2] / r_r, a_cell) * pattern(num_r / (r_r * math.hypot(*rx)), a_rx))
+            amplitudes.append(math.sqrt(gain) / (r_t * r_r))
+            if gain == 0.0:
+                bounds.append(None)
+                continue
+            # magnitudes of the terms of the model's log sum
+            terms = (0.5 * abs(math.log(pattern(num_t / (r_t * pl.d1), a_tx)
+                                        * pattern(tx[2] / r_t, a_cell))), abs(math.log(r_t)),
+                     a_cell / 2 * abs(math.log(rx[2])), a_rx / 2 * abs(math.log(math.hypot(*rx))),
+                     a_rx / 2 * abs(math.log(num_r)),
+                     (a_cell / 2 + a_rx / 2 + 1) * abs(math.log(r_r)))
+            bounds.append(math.expm1(u * (16 * sum(terms) + 6 * (a_tx * kappa_t + a_rx * kappa_r)
+                                          + 8 * (a_tx + a_rx + a_cell) + 16)))
+    return amplitudes, bounds
+
+
+class TestAmplitude:
+    @settings(max_examples=250, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.integers(1, 9),
+           st.sampled_from(["random", "cutoff", "boresight"]),
+           st.sampled_from([0.0, 1.0, None]), st.booleans(), st.booleans())
+    def test_matches_a_per_cell_reference(self, seed, rows, cols, where, cell_alpha,
+                                          flat_tx, flat_rx):
+        """``link_state``'s amplitudes against ``reference_amplitudes``.
+
+        The model forms s = ln a as a sum of terms t_i (``channel._phasors``),
+        and exp has condition |ln a| there: a relative error e of s moves a
+        by a factor exp(|ln a| * e), that is by exp of the absolute error of
+        s.  With u = 2^-53 and numpy's log and exp taken within 4 ulps, each
+        term carries at most 7u|t_i| from its log (4u), its weight (alpha/2
+        is exact, k = alpha_cell/2 + alpha_rx/2 + 1 takes 2 roundings) and
+        the product (u), and the six additions forming s at most 6u * sum|t_i|
+        more: 13u * sum|t_i|, taken as 16u.  The logs' arguments carry their
+        own rounding: r and |p| 4u each, the boresight numerator p . (p - c)
+        4u * kappa (kappa = sum of |products| / |sum|, from the rounded
+        offset, product and two additions), each weighted by alpha/2; the
+        reference's cosines carry at most as much (math.dist, math.hypot and
+        math.fsum round less), and so do the Tx leg's, raised to alpha and
+        halved by the square root.  The 6 * alpha * kappa and
+        8 * (alpha_tx + alpha_rx + alpha_cell) terms bound these, and 16u the
+        exp and the reference's pow, sqrt, product and division:
+
+            |a / a_ref - 1| <= expm1(u * (16 * sum|t_i| + 6 * (alpha_tx * kappa_t
+                                + alpha_rx * kappa_r) + 8 * (alpha_tx + alpha_rx
+                                + alpha_cell) + 16)).
+
+        A cell in any pattern's cutoff must be exactly 0 in both.  The draws
+        cover cell_alpha 0 and gains at the 3.0103 dBi floor (alpha 0, the
+        flat-pattern branch), an Rx near a wide panel at grazing (cells
+        behind the Rx antenna), and odd panels, whose center cell lies on
+        both antennas' boresights, where the computed cosines round to either
+        side of 1.
+        """
+        rng = np.random.default_rng(seed)
+        rows, cols = (2 * rows - 1, 2 * cols - 1) if where == "boresight" else (rows, cols)
+        sc = random_scenario(rng, rows, cols, 1)
+        radio = replace(sc.radio, cell_alpha=rng.uniform(0.0, 6.0) if cell_alpha is None
+                        else cell_alpha)
+        if flat_tx:
+            radio = replace(radio, gain_tx_dbi=MIN_GAIN_DBI)
+        if flat_rx:
+            radio = replace(radio, gain_rx_dbi=MIN_GAIN_DBI)
+        sc = replace(sc, radio=radio)
+        if where == "cutoff":
+            sc = sc.with_placement(d2=aperture_radius(sc.panel) * rng.uniform(0.1, 0.6),
+                                   theta_r=math.radians(rng.uniform(60.0, 89.0)))
+        amplitudes = link_state(sc).amplitude.ravel().tolist()
+        expected, bounds = reference_amplitudes(sc)
+        for a, ref, bound in zip(amplitudes, expected, bounds):
+            if bound is None:
+                assert a == 0.0 and not math.copysign(1.0, a) < 0.0
+            else:
+                assert abs(a - ref) <= bound * ref
+
+    def test_draws_reach_the_cutoff_and_cosines_above_one(self):
+        # the property's cutoff and boresight draws do what it says they do
+        rng = np.random.default_rng(0)
+        sc = random_scenario(rng, 9, 9, 1)
+        near = sc.with_placement(d2=aperture_radius(sc.panel) * 0.3, theta_r=math.radians(80.0))
+        assert None in reference_amplitudes(near)[1]
+        points = antenna_points(rng.uniform(0.5, 50.0, 200), rng.uniform(0.0, 1.4, 200),
+                                rng.uniform(0.0, TWO_PI, 200))
+        r, num = cell_paths((np.zeros(1), np.zeros(1)), points)[:, :, 0]
+        assert np.any(num / (r * np.sqrt(np.sum(points**2, axis=1))) > 1.0)
 
 
 class TestFieldSuperposition:
@@ -409,7 +528,7 @@ class TestFieldAtRxPoints:
         # a point's value must not depend on which other points share its
         # call, its chunk, its half, whether the call is split, its position
         # in the batch, or what the previous chunk left in the reused
-        # workspace.  The bundled panel takes 64 points per chunk, so 300
+        # workspace.  The bundled panel takes 128 points per chunk, so 300
         # points end in a partial chunk; the 34000-cell panel takes one
         # point per chunk.  One point per chunk splits every call here in
         # two when two CPUs are reported, both threads writing disjoint
@@ -447,10 +566,16 @@ class TestFieldAtRxPoints:
 
     def test_blocks_split_over_the_workers(self, monkeypatch):
         # two halves on two CPUs, and only when each half holds at least two
-        # full chunks (64 points each on the bundled panel)
+        # full chunks of _CHUNK_POINT_CELLS // 512 points on the bundled panel.
+        # The cases: one block on one CPU; two even halves; the odd split;
+        # halves of two full chunks and a partial one; and one point short
+        # of the four-chunk threshold
         sc = ris_2p6ghz()
+        size = channel._CHUNK_POINT_CELLS // sc.panel.num_cells
+        many = 2 * (7 * size + size // 3)
+        partial = 4 * size + 2 * (size // 3)
         shift = link_state(sc).phase
-        points = self.random_points(np.random.default_rng(5), sc.panel, 1000)
+        points = self.random_points(np.random.default_rng(5), sc.panel, many)
         blocks = []
         real_block = channel._field_block
 
@@ -459,13 +584,15 @@ class TestFieldAtRxPoints:
             real_block(scenario, tx_leg, shift, points, *rest)
 
         monkeypatch.setattr(channel, "_field_block", record)
-        for two, count, expected in ((False, 1000, [1000]), (True, 1000, [500, 500]),
-                                     (True, 999, [499, 500]), (True, 300, [150, 150]),
-                                     (True, 255, [255])):
+        for two, count, expected in ((False, many, [many]),
+                                     (True, many, [many // 2, many // 2]),
+                                     (True, many - 1, [many // 2 - 1, many // 2]),
+                                     (True, partial, [partial // 2, partial // 2]),
+                                     (True, 4 * size - 1, [4 * size - 1])):
             monkeypatch.setattr(channel, "_two_cpus", lambda two=two: two)
             blocks.clear()
             field_at_rx_points(sc, shift, points[:count])
-            assert sorted(blocks) == [(n, 64) for n in expected]
+            assert sorted(blocks) == [(n, size) for n in expected]
 
     @pytest.mark.parametrize("cpus, threads", [(1, 1), (2, 2), (16, 2)])
     def test_at_most_two_workers(self, monkeypatch, cpus, threads):
@@ -479,8 +606,8 @@ class TestFieldAtRxPoints:
     @pytest.mark.parametrize("count, cells", [(1, 512), (64, 512), (181, 512), (3, 34000)])
     def test_few_chunks_start_no_thread(self, monkeypatch, count, cells):
         # a call with fewer than two full chunks per half stays on the
-        # caller's thread even on two CPUs: one point, one 64-point chunk,
-        # the CLI's 181-point angle scan (3 chunks), and three one-point
+        # caller's thread even on two CPUs: one point, one partial chunk,
+        # the CLI's 181-point angle scan (2 chunks), and three one-point
         # chunks on a 34000-cell panel
         import concurrent.futures
         import threading

@@ -160,7 +160,7 @@ class TestValidateCommand:
         assert run(["quantize", "--scenario", str(path), "--method", "dtpq",
                     "--out", str(tmp_path / "shifts.csv")]) == 2
         assert capsys.readouterr().err == (
-            "error: invalid 'placement' section: d2 must lie in [2**-511, 2**511) m, "
+            "error: invalid 'placement' section: d2 must lie in [2**-449, 2**511) m, "
             "got 1e+200\n")
 
     @pytest.mark.parametrize("key, value", [
@@ -307,12 +307,34 @@ class TestQuantizeCommand:
         assert err == f"error: {NO_LIT_CELL}: {BEHIND_AN_ANTENNA}\n"
 
     def test_refuses_patterns_that_underflow(self, tmp_path, capsys):
-        # 3000 dBi gives alpha ~ 1e299: every pattern underflows to 0, and the
-        # power used to be nan after a RuntimeWarning (an error under pytest)
+        # the largest accepted exponents (63.2 dBi gains and cell_alpha 2**20)
+        # underflow every pattern to 0; 3000 dBi (alpha ~ 1e299) did so too and
+        # made the power nan after a RuntimeWarning, and is now refused by name
+        doc = document_with(ris_2p6ghz_document(), "radio", gain_tx_dbi=63.2,
+                            gain_rx_dbi=63.2, cell_alpha=2.0**20)
+        err = refused(["quantize", "--method", "dtpq"], doc, tmp_path, capsys)
+        assert err == f"error: {NO_LIT_CELL}: {UNDERFLOWING_PATTERNS}\n"
         doc = document_with(ris_2p6ghz_document(), "radio", gain_tx_dbi=3000.0,
                             gain_rx_dbi=3000.0)
         err = refused(["quantize", "--method", "dtpq"], doc, tmp_path, capsys)
-        assert err == f"error: {NO_LIT_CELL}: {UNDERFLOWING_PATTERNS}\n"
+        assert err == ("error: invalid 'radio' section: gain_tx_dbi: gain 3000.0 dBi is above "
+                       "the 63.2163 dBi ceiling, where the pattern exponent exceeds 2**20\n")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("cell_alpha", 2.0**20 * (1 + 2**-52),
+         "cell_alpha must lie in [0, 2**20], got 1048576.0000000002"),
+        ("gain_rx_dbi", 63.2164, "gain_rx_dbi: gain 63.2164 dBi is above the 63.2163 dBi ceiling"),
+    ], ids=["cell-alpha", "gain-rx"])
+    def test_refuses_a_pattern_exponent_above_the_limit(self, tmp_path, capsys, key, value,
+                                                         message):
+        # above 2**20 the amplitude's log sum loses its accuracy bound; unguarded,
+        # cell_alpha 1e300 with both antennas on the normal over a 3x3 panel
+        # gives its center cell ten times the 1/(r_t * r_r) that cos**alpha <= 1
+        # allows
+        err = refused(["quantize", "--method", "dtpq"],
+                      document_with(ris_2p6ghz_document(), "radio", **{key: value}),
+                      tmp_path, capsys)
+        assert err.startswith(f"error: invalid 'radio' section: {message}")
 
     def test_refuses_a_panel_above_the_guard(self, tmp_path, capsys):
         # 2**20 cells validate and one row more does not; a 10**6 x 10**6 panel
@@ -356,6 +378,29 @@ class TestQuantizeCommand:
         err = refused(["quantize", "--method", "dtpq"],
                       document_with(doc, "panel", **{key: 2.0**511}), tmp_path, capsys)
         assert f"panel.{key} = " in err and "beyond 2**510 m" in err
+
+    def test_refuses_distances_whose_amplitudes_overflow_xi(self, tmp_path, capsys):
+        # 4x4 cells of 1e-300 m with both antennas on the normal at 2**-511 m:
+        # each amplitude 1/(r_t * r_r) was about 2**1022, and xi overflowed to
+        # inf, printed with exit 0 after two RuntimeWarnings
+        doc = document_with(ris_2p6ghz_document(), "panel", rows=4, cols=4,
+                            cell_dx_m=1e-300, cell_dy_m=1e-300)
+        doc = document_with(doc, "placement", d1_m=2.0**-511, d2_m=2.0**-511,
+                            theta_t_deg=0.0, theta_r_deg=0.0)
+        err = refused(["quantize", "--method", "dtpq"], doc, tmp_path, capsys)
+        assert err == ("error: invalid 'placement' section: d1 must lie in [2**-449, 2**511) m, "
+                       "got 1.49167e-154\n")
+
+    @pytest.mark.parametrize("theta_deg", [0.0, 89.999999])
+    def test_nearest_distance_runs(self, tmp_path, capsys, theta_deg):
+        # at the smallest accepted distances, on the normal and at grazing, the
+        # amplitudes stay far below overflow and the power is finite
+        doc = document_with(ris_2p6ghz_document(), "panel", rows=4, cols=4,
+                            cell_dx_m=1e-300, cell_dy_m=1e-300)
+        doc = document_with(doc, "placement", d1_m=2.0**-449, d2_m=2.0**-449,
+                            theta_t_deg=theta_deg, theta_r_deg=theta_deg)
+        stdout, _ = outputs(["quantize", "--method", "dtpq"], doc, tmp_path, capsys)
+        assert math.isfinite(float(stdout.split("received_power_dbm=")[1].split()[0]))
 
     def test_refuses_a_wavelength_too_short_for_its_paths(self, tmp_path, capsys):
         # 1e290 GHz over 1e30 m overflowed the path in wavelengths: two
@@ -592,8 +637,8 @@ class TestOtherCommands:
         ("d2", "0", "500", "--start"),
         ("cos_theta_r", "20", "inf", "--stop"),
         ("cos_theta_r", "-inf", "70", "--start"),
-        ("d2", "1e-300", "1e300", "d2 must lie in [2**-511, 2**511) m, got 1e-300"),
-        ("d2", "50", "1e300", "d2 must lie in [2**-511, 2**511) m, got 5.10392e+175"),
+        ("d2", "1e-300", "1e300", "d2 must lie in [2**-449, 2**511) m, got 1e-300"),
+        ("d2", "50", "1e300", "d2 must lie in [2**-449, 2**511) m, got 5.10392e+175"),
     ], ids=["d2-stop-zero", "d2-stop-negative", "d2-stop-inf", "d2-start-nan",
             "d2-start-zero", "angle-stop-inf", "angle-start-minus-inf", "d2-samples-underflow",
             "d2-samples-overflow"])

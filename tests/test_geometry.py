@@ -9,7 +9,7 @@ from conftest import aperture_radius, combined_pattern, path_lengths, wave_path_
 
 import risbeam
 from risbeam import Placement, RadioConfig, RisPanel, Scenario
-from risbeam.geometry import THETA_LIMIT, antenna_points, cell_center_axes
+from risbeam.geometry import THETA_LIMIT, _outer_sum, antenna_points, cell_center_axes
 from risbeam.scenario import MIN_GAIN_DBI
 
 LAMBDA = 1.0
@@ -180,6 +180,35 @@ def link(panel, placement, gain_dbi=8.25):
     radio = RadioConfig(wavelength=LAMBDA, tx_power_dbm=0.0, gain_tx_dbi=gain_dbi,
                         gain_rx_dbi=gain_dbi, cell_alpha=1.0)
     return Scenario(panel=panel, placement=placement, radio=radio)
+
+
+class TestOuterSum:
+    @pytest.mark.parametrize("shape", [(1, 32, 16), (3, 5, 7), (128, 32, 16), (2, 1, 300),
+                                       (2, 200, 170), (2, 300, 256)])
+    def test_bytes_equal_the_broadcast_add(self, shape):
+        # the batched product rounds each sum once, as np.add does, over
+        # magnitudes from 1e-300 to 1e300 of either sign; one point and
+        # panels above 2**16 cells take np.add itself
+        rng = np.random.default_rng(sum(shape))
+        count, rows, cols = shape
+        a = rng.standard_normal((count, cols)) * 10.0 ** rng.uniform(-300, 300, (count, cols))
+        b = rng.standard_normal((count, rows)) * 10.0 ** rng.uniform(-300, 300, (count, rows))
+        out = np.empty(shape)
+        _outer_sum(a, b, out)
+        assert out.tobytes() == (a[:, None, :] + b[:, :, None]).tobytes()
+
+    def test_special_values(self):
+        # subnormals and infinities add as np.add does; only a sum of two -0
+        # comes out +0 (numpy gives -0), which no path length or logarithm
+        # of a boresight numerator can tell apart
+        a = np.array([[-0.0, 0.0, 5e-324, -5e-324, np.inf, 1.0]] * 2)
+        b = np.array([[-0.0, 0.0, -5e-324, -1e308]] * 2)
+        out = np.empty((2, 4, 6))
+        _outer_sum(a, b, out)
+        expected = a[:, None, :] + b[:, :, None]
+        assert np.array_equal(out, expected)
+        differs = np.signbit(out) != np.signbit(expected)
+        assert differs.sum() == 2 and differs[:, 0, 0].all()
 
 
 class TestLocalAngles:
