@@ -24,7 +24,6 @@ _EXPORTS = {
     "SweepRow": "analysis",
     "alpha_from_gain_dbi": "scenario",
     "angle_scan": "analysis",
-    "cosine_pattern": "channel",
     "dtpq": "quantization",
     "eipq": "quantization",
     "field_at_rx_points": "channel",

@@ -173,14 +173,16 @@ def _dark_keys(scenario: Scenario) -> str:
 
     With the flattest patterns (the 3.0103 dBi gain floor and cell_alpha 0)
     a cell is lit exactly when it lies in front of both antennas.  If that
-    lights a cell, the pattern exponents underflowed; otherwise the geometry
-    put every cell behind the Tx or the Rx antenna.
+    lights a cell, the amplitude exp(sum of logs) underflowed, and the path
+    lengths weigh in that sum beside the pattern exponents; otherwise the
+    geometry put every cell behind the Tx or the Rx antenna.
     """
     flat = replace(scenario.radio, gain_tx_dbi=MIN_GAIN_DBI, gain_rx_dbi=MIN_GAIN_DBI,
                    cell_alpha=0.0)
     if link_state(replace(scenario, radio=flat)).xi_upper_bound > 0.0:
-        return ("'radio.gain_tx_dbi', 'radio.gain_rx_dbi' and 'radio.cell_alpha' make "
-                "every cell's pattern underflow to 0")
+        return ("'radio.gain_tx_dbi', 'radio.gain_rx_dbi', 'radio.cell_alpha', "
+                "'panel.cell_dx_m', 'panel.cell_dy_m' and 'placement' make every cell's "
+                "amplitude underflow to 0")
     return ("'panel.cell_dx_m', 'panel.cell_dy_m' and 'placement' put every cell "
             "behind the Tx or the Rx antenna")
 

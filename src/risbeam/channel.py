@@ -63,47 +63,56 @@ def _phasor_sum(
     return np.hypot(np.sum(t2, axis=-1), imag, out=out)
 
 
-def cosine_pattern(cos_theta, alpha: float) -> np.ndarray:
-    """Normalized cosine-power pattern value(s), given cos(theta).
+def _leg(axes, points: np.ndarray, alpha: float, cell_alpha: float, out: np.ndarray):
+    """One antenna leg of the forward model, from the antennas at ``points``
+    (a (P, 3) array) to every cell: the path lengths r and the log one-way
+    amplitude ln(sqrt(F * F_cell) / r) over the row-major cells, formed in
+    ``out``, a (3, P, M*N) array.  F is the pattern of exponent ``alpha`` of
+    an antenna aimed at the surface center, F_cell the cell's of exponent
+    ``cell_alpha``.  With c the cell center, r = |p - c|, cos = p_z / r at
+    the cell and p . (p - c) / (r * |p|) at the antenna, the log is
 
-    F(theta, phi) = cos(theta)**alpha for theta in [0, pi/2) and 0 for
-    theta in [pi/2, pi], whatever the azimuth; its directive gain is
-    G = 2 * (alpha + 1) (``scenario.alpha_from_gain_dbi`` inverts it).
-    Cosines above 1 (rounding) count as 1.  Returns 1 at cos(theta) = 1,
-    and exactly +0 in the cutoff region cos(theta) <= 0 and for NaN.
-    ``cos_theta`` itself is never modified.
+        cell_alpha/2 * ln p_z - alpha/2 * ln|p|     (per point)
+        + alpha/2 * ln(p . (p - c))                 (per point and cell)
+        - (cell_alpha/2 + alpha/2 + 1) * ln r.
+
+    ln 0 = -inf, so a cell in either pattern's cutoff gets -inf; a point
+    with p_z <= 0 gets -inf at every cell.  Cosines that round above 1 are
+    not clamped: they move the amplitude by a few ulps times the exponent.
     """
-    if alpha < 0.0:
-        raise ValueError(f"pattern exponent must be >= 0, got {alpha}")
-    cos_theta = np.asarray(cos_theta, dtype=float)
-    out = np.empty_like(cos_theta)
-    if alpha == 0.0:
-        # pow(x, 0) is 1 wherever x > 0, and the cutoff must stay 0
-        return np.greater(cos_theta, 0.0, out=out)
-    # fmax maps NaN to 0, unlike clip; + 0.0 turns its -0 into +0
-    np.fmax(cos_theta, 0.0, out=out)
-    np.fmin(out, 1.0, out=out)
-    out += 0.0
-    if alpha != 1.0:  # pow(x, 1) = x
-        np.power(out, alpha, out=out)
-    return out
+    half_cell, half = cell_alpha / 2.0, alpha / 2.0
+    z = points[:, 2:]
+    ranges = np.sqrt(np.sum(points**2, axis=1, keepdims=True))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # p_z > 0 keeps |p| > 0, so only a point behind the surface takes -inf
+        point_term = np.where(z > 0.0, half_cell * np.log(z) - half * np.log(ranges), -np.inf)
+    r, boresight, log_amplitude = out
+    cell_paths(axes, points, out=out[:2])
+    with np.errstate(divide="ignore"):
+        if half:
+            # fmax maps NaN to 0, so the cutoff and NaN both take ln 0
+            np.fmax(boresight, 0.0, out=boresight)
+            np.log(boresight, out=boresight)
+            boresight *= half
+        else:  # the flat pattern: ln 1 in front of the antenna, ln 0 behind
+            np.log(np.greater(boresight, 0.0, out=boresight), out=boresight)
+        np.log(r, out=log_amplitude)
+    log_amplitude *= -(half_cell + half + 1.0)
+    log_amplitude += boresight
+    log_amplitude += point_term
+    return r, log_amplitude
 
 
 def _tx_leg(scenario: Scenario):
     """The Rx-independent half of the forward model: the cell-center axes,
-    the Tx-to-cell path lengths r_t over the row-major cells, and each
-    cell's Tx log term 1/2 * ln(F_tx * F_cell,t) - ln r_t, where F_tx is
-    the Tx pattern and F_cell,t the cell's reception pattern; the term is
-    -inf for a cell in either pattern's cutoff."""
+    and ``_leg``'s path lengths r_t and log amplitudes at the Tx over the
+    row-major cells."""
     panel, placement, radio = scenario.panel, scenario.placement, scenario.radio
     axes = cell_center_axes(panel)
     tx = antenna_points(placement.d1, placement.theta_t, placement.phi_t)
-    r_t, boresight = cell_paths(axes, tx)[:, 0]
-    tx_gain = cosine_pattern(boresight / (r_t * placement.d1), radio.alpha_tx) * cosine_pattern(
-        tx[0, 2] / r_t, radio.cell_alpha
-    )
-    with np.errstate(divide="ignore"):
-        return axes, r_t, 0.5 * np.log(tx_gain) - np.log(r_t)
+    r_t, tx_term = _leg(axes, tx, radio.alpha_tx, radio.cell_alpha,
+                        np.empty((3, 1, panel.num_cells)))
+    return axes, r_t[0], tx_term[0]
 
 
 def _phasors(scenario: Scenario, tx_leg, points: np.ndarray, buffers: np.ndarray):
@@ -111,56 +120,29 @@ def _phasors(scenario: Scenario, tx_leg, points: np.ndarray, buffers: np.ndarray
 
     ``tx_leg`` is ``_tx_leg(scenario)``, which the model only reads, so
     one Tx leg serves any number of concurrent calls.  ``points`` is a
-    (P, 3) array of Rx positions p; the Rx antenna's boresight is aimed at
-    the surface center from each point.  The model computes in
-    ``buffers``, a (4, P, M*N) array, and returns two of them over the
-    row-major cells: the amplitude sqrt(F_combine) / (r_t * r_r) and the
-    path phase 2*pi * frac((r_t + r_r) / lambda), in [0, 2*pi) since
-    2*pi * f rounds below 2*pi for every f < 1.  F_combine is the product
-    of the Tx pattern, the cell's reception and emission patterns, and the
-    Rx pattern.  ``buffers[0]`` and ``buffers[1]`` are free for the caller
+    (P, 3) array of Rx positions.  The model computes in ``buffers``, a
+    (4, P, M*N) array, and returns two of them over the row-major cells:
+    the amplitude sqrt(F_combine) / (r_t * r_r) and the path phase
+    2*pi * frac((r_t + r_r) / lambda), in [0, 2*pi) since 2*pi * f rounds
+    below 2*pi for every f < 1.  F_combine is the product of the Tx
+    pattern, the cell's reception and emission patterns, and the Rx
+    pattern.  ``buffers[0]`` and ``buffers[1]`` are free for the caller
     afterwards.
 
-    The amplitude is one exp of a sum of logs.  With c the cell center,
-    r = r_r = |p - c|, cos = p_z / r at the cell and
-    p . (p - c) / (r * |p|) at the Rx antenna, the Rx half
-    sqrt(F_cell,r * F_rx) / r has the log
-
-        a_cell/2 * ln p_z - a_rx/2 * ln|p|          (per point)
-        + a_rx/2 * ln(p . (p - c))                  (per point and cell)
-        - (a_cell/2 + a_rx/2 + 1) * ln r,
-
-    to which the Tx leg adds its per-cell term.  ln 0 = -inf, so a cell in
-    any pattern's cutoff gets exactly exp(-inf) = 0; a point with p_z <= 0
-    is dark at every cell.  Cosines that round above 1 are not clamped:
-    they move the amplitude by a few ulps times the exponent.  The sum's
-    own rounding moves the amplitude by a relative 2**-18 at most, as every
-    exponent is at most ``scenario.EXPONENT_LIMIT``.
+    The amplitude is one exp of the sum of the two legs' logs (``_leg``),
+    the Tx leg's with alpha_tx and the Rx leg's with alpha_rx.  Both legs
+    are one function and the sum commutes, so swapping the Tx and the Rx
+    with their gains gives the same bits.  exp(-inf) = 0 keeps a cell in
+    any pattern's cutoff at exactly 0.  The sum's own rounding moves the
+    amplitude by a relative 2**-18 at most, as every exponent is at most
+    ``scenario.EXPONENT_LIMIT``.
     """
     radio = scenario.radio
     axes, r_t, tx_term = tx_leg
-    half_cell, half_rx = radio.cell_alpha / 2.0, radio.alpha_rx / 2.0
-    z = points[:, 2:]
-    ranges = np.sqrt(np.sum(points**2, axis=1, keepdims=True))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # p_z > 0 keeps |p| > 0, so only a point behind the surface takes -inf
-        point_term = np.where(z > 0.0, half_cell * np.log(z) - half_rx * np.log(ranges), -np.inf)
-    r_r, boresight, phase, amplitude = buffers
-    cell_paths(axes, points, out=buffers[:2])
-    with np.errstate(divide="ignore"):
-        if half_rx:
-            # fmax maps NaN to 0, so the cutoff and NaN both take ln 0
-            np.fmax(boresight, 0.0, out=boresight)
-            np.log(boresight, out=boresight)
-            boresight *= half_rx
-        else:  # the flat pattern: ln 1 in front of the Rx antenna, ln 0 behind
-            np.log(np.greater(boresight, 0.0, out=boresight), out=boresight)
-        np.log(r_r, out=amplitude)
-    amplitude *= -(half_cell + half_rx + 1.0)
-    amplitude += boresight
-    amplitude += point_term
+    r_r, amplitude = _leg(axes, points, radio.alpha_rx, radio.cell_alpha, buffers[:3])
     amplitude += tx_term
     np.exp(amplitude, out=amplitude)
+    phase = buffers[3]
     np.add(r_t, r_r, out=r_r)
     r_r /= radio.wavelength
     np.floor(r_r, out=phase)

@@ -62,11 +62,13 @@ MIN_DISTANCE = 2.0**-449
 
 # Upper bound on a pattern exponent: cell_alpha, or the alpha of a gain of at
 # most 63.2163 dBi.  channel._phasors forms an amplitude as exp of a sum of
-# logs weighted by half the exponents, and no log of a positive float exceeds
-# 745 in magnitude, so below this bound the terms sum to less than
-# 745 * (5 * 2**19 + 3) in magnitude; their roundings (at most 13 ulps of
-# that sum, with numpy's log and exp within 4 ulps) then move the amplitude
-# by a relative 2**-18 at most.
+# eight logs, four per leg (channel._leg), weighted by half the exponents.  No
+# log of a positive float exceeds 745 in magnitude, and none of a path length,
+# range or antenna height 355 (they lie in [2**-501, 2**512) m by the distance
+# bounds above), so below this bound the terms sum to less than
+# 2 * (2**19 * (745 + 4 * 355) + 355) in magnitude; their roundings (at most
+# 14 ulps of that sum, with numpy's log and exp within 4 ulps) then move the
+# amplitude by a relative 2**-18 at most.
 EXPONENT_LIMIT = 2.0**20
 
 

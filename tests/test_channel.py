@@ -151,11 +151,10 @@ def reference_amplitudes(sc: Scenario):
                 bounds.append(None)
                 continue
             # magnitudes of the terms of the model's log sum
-            terms = (0.5 * abs(math.log(pattern(num_t / (r_t * pl.d1), a_tx)
-                                        * pattern(tx[2] / r_t, a_cell))), abs(math.log(r_t)),
-                     a_cell / 2 * abs(math.log(rx[2])), a_rx / 2 * abs(math.log(math.hypot(*rx))),
-                     a_rx / 2 * abs(math.log(num_r)),
-                     (a_cell / 2 + a_rx / 2 + 1) * abs(math.log(r_r)))
+            terms = [t for p, num, r, a in ((tx, num_t, r_t, a_tx), (rx, num_r, r_r, a_rx))
+                     for t in (a_cell / 2 * abs(math.log(p[2])),
+                               a / 2 * abs(math.log(math.hypot(*p))), a / 2 * abs(math.log(num)),
+                               (a_cell / 2 + a / 2 + 1) * abs(math.log(r)))]
             bounds.append(math.expm1(u * (16 * sum(terms) + 6 * (a_tx * kappa_t + a_rx * kappa_r)
                                           + 8 * (a_tx + a_rx + a_cell) + 16)))
     return amplitudes, bounds
@@ -170,20 +169,20 @@ class TestAmplitude:
                                           flat_tx, flat_rx):
         """``link_state``'s amplitudes against ``reference_amplitudes``.
 
-        The model forms s = ln a as a sum of terms t_i (``channel._phasors``),
-        and exp has condition |ln a| there: a relative error e of s moves a
-        by a factor exp(|ln a| * e), that is by exp of the absolute error of
-        s.  With u = 2^-53 and numpy's log and exp taken within 4 ulps, each
-        term carries at most 7u|t_i| from its log (4u), its weight (alpha/2
-        is exact, k = alpha_cell/2 + alpha_rx/2 + 1 takes 2 roundings) and
-        the product (u), and the six additions forming s at most 6u * sum|t_i|
-        more: 13u * sum|t_i|, taken as 16u.  The logs' arguments carry their
-        own rounding: r and |p| 4u each, the boresight numerator p . (p - c)
-        4u * kappa (kappa = sum of |products| / |sum|, from the rounded
-        offset, product and two additions), each weighted by alpha/2; the
-        reference's cosines carry at most as much (math.dist, math.hypot and
-        math.fsum round less), and so do the Tx leg's, raised to alpha and
-        halved by the square root.  The 6 * alpha * kappa and
+        The model forms s = ln a as a sum of eight terms t_i, four per leg
+        (``channel._leg``), and exp has condition |ln a| there: a relative
+        error e of s moves a by a factor exp(|ln a| * e), that is by exp of
+        the absolute error of s.  With u = 2^-53 and numpy's log and exp
+        taken within 4 ulps, each term carries at most 7u|t_i| from its log
+        (4u), its weight (alpha/2 is exact, k = alpha_cell/2 + alpha/2 + 1
+        takes 2 roundings) and the product (u), and the seven additions
+        forming s at most 7u * sum|t_i| more: 14u * sum|t_i|, taken as 16u.
+        The logs' arguments carry their own rounding: r and |p| 4u each, the
+        boresight numerator p . (p - c) 4u * kappa (kappa = sum of
+        |products| / |sum|, from the rounded offset, product and two
+        additions), each weighted by alpha/2; the reference's cosines carry
+        at most as much (math.dist, math.hypot and math.fsum round less),
+        raised to alpha and halved by the square root.  The 6 * alpha * kappa and
         8 * (alpha_tx + alpha_rx + alpha_cell) terms bound these, and 16u the
         exp and the reference's pow, sqrt, product and division:
 
@@ -394,18 +393,22 @@ class TestFarFieldPathLoss:
         assert gaps[2] <= gaps[1] / 10.0 + 1e-9
 
     def test_reciprocity(self):
-        # holds under symmetric antenna gains
+        # both legs are one function and their logs and lengths are summed,
+        # so swapping the Tx and the Rx with their gains gives the same bits
         rng = np.random.default_rng(77)
-        for _ in range(10):
-            sc = random_scenario(rng, 4, 4, 1)
-            sc = replace(sc, radio=replace(sc.radio, gain_rx_dbi=sc.radio.gain_tx_dbi))
-            p = sc.placement
-            swapped = Placement(d1=p.d2, d2=p.d1, theta_t=p.theta_r, phi_t=p.phi_r,
-                                theta_r=p.theta_t, phi_r=p.phi_t)
-            sc_swapped = replace(sc, placement=swapped)
-            assert link_state(sc_swapped).xi_upper_bound == pytest.approx(
-                link_state(sc).xi_upper_bound, rel=1e-12
+        for _ in range(200):
+            rows, cols, bits = rng.integers(1, 9), rng.integers(1, 9), rng.integers(1, 4)
+            sc = random_scenario(rng, int(rows), int(cols), int(bits))
+            p, radio = sc.placement, sc.radio
+            swapped = replace(
+                sc,
+                placement=Placement(d1=p.d2, d2=p.d1, theta_t=p.theta_r, phi_t=p.phi_r,
+                                    theta_r=p.theta_t, phi_r=p.phi_t),
+                radio=replace(radio, gain_tx_dbi=radio.gain_rx_dbi, gain_rx_dbi=radio.gain_tx_dbi),
             )
+            state, state_swapped = link_state(sc), link_state(swapped)
+            assert np.array_equal(state_swapped.amplitude, state.amplitude)
+            assert np.array_equal(state_swapped.phase, state.phase)
 
 
 def plane_wave_phase(sc):

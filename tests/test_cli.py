@@ -34,8 +34,9 @@ SCENARIO_DIR = ROOT / "scenarios"
 NO_LIT_CELL = "no cell reaches the Rx (the link's continuous bound xi is 0)"
 BEHIND_AN_ANTENNA = ("'panel.cell_dx_m', 'panel.cell_dy_m' and 'placement' put every cell "
                      "behind the Tx or the Rx antenna")
-UNDERFLOWING_PATTERNS = ("'radio.gain_tx_dbi', 'radio.gain_rx_dbi' and 'radio.cell_alpha' "
-                         "make every cell's pattern underflow to 0")
+UNDERFLOWING_PATTERNS = ("'radio.gain_tx_dbi', 'radio.gain_rx_dbi', 'radio.cell_alpha', "
+                         "'panel.cell_dx_m', 'panel.cell_dy_m' and 'placement' make every "
+                         "cell's amplitude underflow to 0")
 # The first grazing point of a frozen design when cell_alpha 100 underflows there.
 DARK_AT_GRAZING = "no cell reaches the Rx at theta_r 90, phi_r 0 deg (xi is 0 there)"
 
@@ -662,6 +663,22 @@ class TestOtherCommands:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (f"error: log10_d2 sample 5: {NO_LIT_CELL}: {BEHIND_AN_ANTENNA}\n")
+
+    def test_pl_fit_names_the_sizes_when_the_amplitude_underflows(self, tmp_path, capsys):
+        # cells and distances of 2**511 m against d2 = 1 m: the patterns are
+        # those of the bundled scenario, but exp of the log sum, in which the
+        # path lengths weigh beside the exponents, underflows at every cell
+        big = math.nextafter(2.0**511, 0.0)
+        doc = document_with(ris_2p6ghz_document(), "panel", rows=2, cols=2, cell_dx_m=big,
+                            cell_dy_m=big)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(document_with(doc, "placement", d1_m=big, d2_m=big)))
+        assert run(["pl-fit", "--scenario", str(path), "--variable", "d2",
+                    "--start", "1", "--stop", "100", "--num", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: log10_d2 sample 1: {NO_LIT_CELL}: "
+                                f"{UNDERFLOWING_PATTERNS}\n")
 
     def test_pl_fit_refuses_more_samples_than_the_guard(self, small_path, capsys, monkeypatch):
         def unreachable(*args, **kwargs):

@@ -1,6 +1,7 @@
 """Cosine-power patterns and gain conversions."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from risbeam import (
     RisPanel,
     Scenario,
     alpha_from_gain_dbi,
-    cosine_pattern,
     ris_2p6ghz,
 )
 from risbeam.geometry import antenna_points, cell_center_axes
@@ -21,82 +21,103 @@ from risbeam.geometry import antenna_points, cell_center_axes
 ALPHA_825_DBI = 2.3417195878430728
 
 
+def gain_dbi(alpha: float) -> float:
+    """The gain whose cosine-power pattern has exponent ``alpha``."""
+    return 10 * math.log10(2 * (alpha + 1))
+
+
+def link(rows=1, cols=1, d_x=0.1, d1=1.0, d2=1.0, theta_t=0.0, theta_r=0.0, alpha_tx=0.0,
+         alpha_rx=0.0, cell_alpha=0.0) -> Scenario:
+    """A link with Tx and Rx on the x axis's plane (phi_t 0, phi_r pi)."""
+    panel = RisPanel(rows=rows, cols=cols, d_x=d_x, d_y=d_x, bits=1, levels=(0.0, math.pi))
+    placement = Placement(d1=d1, d2=d2, theta_t=theta_t, phi_t=0.0, theta_r=theta_r,
+                          phi_r=math.pi)
+    radio = RadioConfig(wavelength=0.1, tx_power_dbm=0.0, gain_tx_dbi=gain_dbi(alpha_tx),
+                        gain_rx_dbi=gain_dbi(alpha_rx), cell_alpha=cell_alpha)
+    return Scenario(panel=panel, placement=placement, radio=radio)
+
+
+def grazing_rx(alpha_rx: float, swap: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """F_combine and the cells behind the Rx antenna on an 8x8 panel, with the
+    Rx 0.6 m from the center just above the surface plane and every other
+    pattern flat; ``swap`` puts that antenna at the Tx instead."""
+    sc = link(8, 8, 0.2, d1=5.0, d2=0.6, theta_t=0.1, theta_r=math.pi / 2 - 1e-9,
+              alpha_rx=alpha_rx)
+    pl, radio = sc.placement, sc.radio
+    if swap:
+        sc = replace(sc, placement=Placement(d1=pl.d2, d2=pl.d1, theta_t=pl.theta_r,
+                                             phi_t=pl.phi_r, theta_r=pl.theta_t,
+                                             phi_r=pl.phi_t),
+                     radio=replace(radio, gain_tx_dbi=radio.gain_rx_dbi,
+                                   gain_rx_dbi=radio.gain_tx_dbi))
+    x, y = np.meshgrid(*cell_center_axes(sc.panel))
+    px, py, pz = antenna_points(pl.d2, pl.theta_r, pl.phi_r)[0]
+    # the boresight is -p, and p - c is 90 or more degrees off it
+    behind = px * (px - x) + py * (py - y) + pz * pz <= 0.0
+    assert np.any(behind) and not np.all(behind)
+    return combined_pattern(sc), behind
+
+
 class TestCosinePattern:
-    # the pattern is evaluated from cos(theta)
+    """F(theta) = cos(theta)**alpha below the pi/2 cutoff, read off the link
+    amplitudes: each of the four patterns is probed with the other three flat."""
 
     def test_boresight_is_one(self):
-        assert cosine_pattern(1.0, 2.34) == 1.0
-        # cosines a rounding step above 1 are clipped
-        assert cosine_pattern(1.0 + 4e-16, 2.34) == 1.0
+        # one cell on both antennas' boresights: every log is ln 1 at 1 m
+        for alpha in (0.0, 1.0, ALPHA_825_DBI):
+            sc = link(alpha_tx=alpha, alpha_rx=alpha, cell_alpha=alpha)
+            assert combined_pattern(sc)[0, 0] == 1.0
+            far = link(d1=7.3, d2=41.0, alpha_tx=alpha, alpha_rx=alpha, cell_alpha=alpha)
+            assert combined_pattern(far)[0, 0] == pytest.approx(1.0, rel=1e-12)
 
     def test_sixty_degrees_alpha_one(self):
-        assert cosine_pattern(math.cos(math.pi / 3), 1.0) == pytest.approx(0.5, rel=1e-12)
+        # cells at x = +-sqrt(3) lie 60 deg off the boresights of a Tx and an
+        # Rx 1 m up the normal, and a Tx at 60 deg elevation lies 60 deg off
+        # the normal of one centered cell
+        wide = {"cols": 2, "d_x": 2.0 * math.sqrt(3.0)}
+        for sc in (link(**wide, alpha_tx=1.0), link(**wide, alpha_rx=1.0),
+                   link(theta_t=math.pi / 3, cell_alpha=1.0)):
+            assert combined_pattern(sc) == pytest.approx(0.5, rel=1e-12)
 
     def test_cutoff_region(self):
-        assert cosine_pattern(math.cos(1.6), 1.0) == 0.0
-        assert cosine_pattern(0.0, 5.0) == 0.0
+        # cells behind an antenna get exactly +0, lit cells a positive value
+        for alpha in (1.0, ALPHA_825_DBI, 5.0):
+            for swap in (False, True):
+                combined, behind = grazing_rx(alpha, swap)
+                assert np.all(combined[behind] == 0.0)
+                assert not np.any(np.signbit(combined))
+                assert np.all(combined[~behind] > 0.0)
 
     def test_alpha_zero_is_flat_until_cutoff(self):
-        assert cosine_pattern(math.cos(1.2), 0.0) == 1.0
-        assert cosine_pattern(0.0, 0.0) == 0.0
-
-    def test_monotone_nonincreasing(self):
-        theta = np.linspace(0.0, math.pi / 2 - 1e-9, 500)
-        for alpha in (0.0, 1.0, ALPHA_825_DBI):
-            values = cosine_pattern(np.cos(theta), alpha)
-            assert np.all(np.diff(values) <= 0.0)
-            assert values[0] == 1.0
-            assert np.all((values >= 0.0) & (values <= 1.0))
-
-    def test_matches_boolean_index_form(self):
-        # bit for bit the gather/scatter form: zeros, then arr[visible] ** alpha
-        rng = np.random.default_rng(12)
-        cosines = np.concatenate([rng.uniform(-1.5, 1.5, 4097), [0.0, -0.0, 1.0, -1.0]])
-        for alpha in (0.0, 0.5, 1.0, 2.0, ALPHA_825_DBI, 3.5, 10.0):
-            clipped = np.clip(cosines, -1.0, 1.0)
-            expected = np.zeros_like(clipped)
-            visible = clipped > 0.0
-            expected[visible] = clipped[visible] ** alpha
-            assert cosine_pattern(cosines, alpha).tobytes() == expected.tobytes()
-
-    def test_non_finite_and_tiny_cosines(self):
-        # NaN maps to 0 as in the boolean-index form, +inf counts as 1,
-        # -inf and -1e-300 are cut off, and no value carries a sign bit
-        cosines = np.array([np.nan, np.inf, -np.inf, 1e-300, -1e-300, -0.0, 0.0])
-        for alpha in (0.0, 0.5, 1.0, 2.0, ALPHA_825_DBI, 3.0):
-            clipped = np.clip(cosines, -1.0, 1.0)
-            expected = np.zeros_like(clipped)
-            visible = clipped > 0.0
-            expected[visible] = clipped[visible] ** alpha
-            values = cosine_pattern(cosines, alpha)
-            assert values.tobytes() == expected.tobytes()
-            assert values[0] == 0.0 and values[1] == 1.0 and values[2] == 0.0
-            assert values[3] == (1.0 if alpha == 0.0 else 1e-300**alpha)
-            assert not np.any(np.signbit(values))
-
-    def test_out_leaves_the_cosines_unchanged(self):
-        rng = np.random.default_rng(13)
-        cosines = np.concatenate([rng.uniform(-1.5, 1.5, 999), [np.nan, -0.0, 1.0]])
-        for alpha in (0.0, 1.0, ALPHA_825_DBI):
-            given = cosines.copy()
-            cosine_pattern(given, alpha)
-            assert given.tobytes() == cosines.tobytes()
+        for swap in (False, True):
+            combined, behind = grazing_rx(0.0, swap)
+            assert combined[~behind] == pytest.approx(1.0, rel=1e-12)
 
     def test_alpha_zero_cutoff_is_exact(self):
-        cosines = np.array([1.5, 1.0, 0.3, 1e-300, 0.0, -0.0, -1e-300, -0.7, -1.5])
-        values = cosine_pattern(cosines, 0.0)
-        assert values.tolist() == [1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-        assert not np.any(np.signbit(values))
+        for swap in (False, True):
+            combined, behind = grazing_rx(0.0, swap)
+            assert np.all(combined[behind] == 0.0)
+            assert not np.any(np.signbit(combined))
 
-    def test_scalar_input(self):
-        value = cosine_pattern(0.5, 2.0)
-        assert np.ndim(value) == 0
-        assert value == 0.25
-        assert cosine_pattern(-0.5, 2.0) == 0.0
+    def test_monotone_nonincreasing(self):
+        # a 1x400 row seen from 1 m up the normal: the cells' angles to the
+        # antenna boresights and to their normals grow with x, up to 88.9 deg
+        for alphas in ((1.0, 0.0), (ALPHA_825_DBI, 0.0), (0.0, 1.0), (ALPHA_825_DBI, 1.0)):
+            alpha_tx, cell_alpha = alphas
+            sc = link(cols=400, d_x=0.25, alpha_tx=alpha_tx, cell_alpha=cell_alpha)
+            values = combined_pattern(sc)[0, :200]  # x from 49.875 m down to 0.125 m
+            assert np.all(np.diff(values) >= 0.0)
+            assert np.all((values > 0.0) & (values <= 1.0))
 
-    def test_rejects_negative_alpha(self):
-        with pytest.raises(ValueError, match="exponent"):
-            cosine_pattern(0.9, -0.5)
+    def test_tiny_cosines_keep_their_power(self):
+        # the Tx at the largest elevation below pi/2 sees the one cell at
+        # cos(theta) = 2.8e-16, whose powers stay normal floats
+        for cell_alpha in (1.0, ALPHA_825_DBI):
+            sc = link(theta_t=math.nextafter(math.pi / 2, 0.0), cell_alpha=cell_alpha)
+            tx = antenna_points(1.0, sc.placement.theta_t, 0.0)[0].tolist()
+            cosine = tx[2] / math.hypot(*tx)
+            assert 0.0 < cosine < 1e-15
+            assert combined_pattern(sc)[0, 0] == pytest.approx(cosine**cell_alpha, rel=1e-12)
 
 
 class TestGainConversion:
