@@ -187,21 +187,27 @@ def _dark_keys(scenario: Scenario) -> str:
             "behind the Tx or the Rx antenna")
 
 
-def _row(state: LinkState, axis: str, value: float, methods: dict[str, str]) -> SweepRow:
-    """The methods designed on one link: their powers and thresholds at a grid value.
+def _rows(label: str, values: Sequence[float], row) -> list:
+    """``row(value)`` at each grid value, in order.  A refusal there, of the
+    placement at the value or of a design, names ``label`` and the value in front."""
+    rows = []
+    for value in values:
+        try:
+            rows.append(row(value))
+        except ValueError as exc:
+            raise ValueError(f"{label} {value:g}: {exc}") from None
+    return rows
 
-    A refusal from ``design`` names the axis and the value in front.
-    """
+
+def _row(state: LinkState, value: float, methods: dict[str, str]) -> SweepRow:
+    """The methods designed on one link: their powers and thresholds at a grid value."""
     powers: dict[str, float] = {}
     thresholds: dict[str, float] = {}
-    try:
-        for name, token in methods.items():
-            result = design(state, token)
-            powers[name] = result.received_power_dbm
-            if result.threshold is not None:
-                thresholds[name] = math.degrees(result.threshold)
-    except ValueError as exc:
-        raise ValueError(f"{axis} {value:g}: {exc}") from None
+    for name, token in methods.items():
+        result = design(state, token)
+        powers[name] = result.received_power_dbm
+        if result.threshold is not None:
+            thresholds[name] = math.degrees(result.threshold)
     return SweepRow(axis_value=float(value), power_dbm=powers, threshold_deg=thresholds)
 
 
@@ -218,7 +224,8 @@ def run_sweep(
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     table = check_methods(methods)
     if axis != "threshold":
-        return [_row(link_state(_placed(scenario, axis, v)), axis, v, table) for v in values]
+        return _rows(axis, values,
+                     lambda v: _row(link_state(_placed(scenario, axis, v)), v, table))
     if list(table) != ["fixed"]:
         raise ValueError("a threshold sweep exercises exactly the fixed method")
     if ":" in table["fixed"]:
@@ -226,7 +233,7 @@ def run_sweep(
             f"a threshold sweep takes its threshold from the grid, got {table['fixed']!r}"
         )
     state = link_state(scenario)
-    return [_row(state, axis, v, {"fixed": f"fixed:{float(v)!r}"}) for v in values]
+    return _rows(axis, values, lambda v: _row(state, v, {"fixed": f"fixed:{float(v)!r}"}))
 
 
 def _frozen_powers(
@@ -341,14 +348,10 @@ def path_loss_samples(
     """
     if variable not in FIT_VARIABLES:
         raise ValueError(f"variable must be one of {FIT_VARIABLES}, got {variable!r}")
-    table = check_methods([method])
-    (name,) = table
-    return np.array([
-        scenario.radio.tx_power_dbm
-        - _row(link_state(_placed(scenario, variable, v)), f"{variable} sample", v,
-               table).power_dbm[name]
-        for v in sample_grid
-    ])
+    (token,) = check_methods([method]).values()
+    powers = _rows(f"{variable} sample", sample_grid, lambda v: design(
+        link_state(_placed(scenario, variable, v)), token).received_power_dbm)
+    return scenario.radio.tx_power_dbm - np.array(powers)
 
 
 def pl_slope_fit(

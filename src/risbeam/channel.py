@@ -133,9 +133,19 @@ def _phasors(scenario: Scenario, tx_leg, points: np.ndarray, buffers: np.ndarray
     the Tx leg's with alpha_tx and the Rx leg's with alpha_rx.  Both legs
     are one function and the sum commutes, so swapping the Tx and the Rx
     with their gains gives the same bits.  exp(-inf) = 0 keeps a cell in
-    any pattern's cutoff at exactly 0.  The sum's own rounding moves the
-    amplitude by a relative 2**-18 at most, as every exponent is at most
-    ``scenario.EXPONENT_LIMIT``.
+    any pattern's cutoff at exactly 0.
+
+    On the domain of ``scenario.RANGES`` every range |p| lies in [1e-3, 1e7] m,
+    and every height p_z and path length r in [2.8e-19, 1.6e7] m (1 mm times
+    the cosine of the largest elevation below pi/2, up to d plus the
+    half-diagonal of 2**20 cells of 10 m); the half exponents are at most 50
+    and 2499.5.  A leg's log is at most -ln r <= 45 (no pattern exceeds 1),
+    so at a normal amplitude each is at least -754; its ln(p . (p - c)) term,
+    at most 2499.5 * ln(|p| r) < 1.6e5, is then at least -754 minus the other
+    three, which stay below 50 * 45 + 2499.5 * 16.2 + 2550.5 * 45 < 1.6e5 in
+    magnitude.  The eight terms thus sum below 2**20 in magnitude, and their
+    roundings (at most 14 ulps of that sum, with numpy's log and exp within
+    4 ulps) move the amplitude by a relative 14 * 2**-53 * 2**20 < 2**-29.
     """
     radio = scenario.radio
     axes, r_t, tx_term = tx_leg
@@ -193,7 +203,7 @@ def power_dbm_from_xi(panel: RisPanel, radio: RadioConfig, xi):
     """Received power (dBm) for a field magnitude; -inf when xi is 0.
 
     Every factor of the link budget is summed in dB, so that no product
-    underflows: cells of 1e-300 m and xi = 1e-178 keep a finite power.
+    underflows: a reflection of 1e-300 and xi = 1e-178 keep a finite power.
     """
     budget = (radio.tx_power_dbm + radio.gain_tx_dbi + radio.gain_rx_dbi
               + 20.0 * sum(map(math.log10, (panel.d_x, panel.d_y, panel.reflection)))
@@ -233,16 +243,17 @@ def field_at_rx_points(
     """Field magnitudes at many Rx positions with the shifts (rad) held fixed.
 
     ``rx_points`` is a (P, 3) array of Cartesian Rx positions, evaluated
-    through the forward model in chunks of about 2^16 point-cells, with the
-    Tx leg computed once per call.  When two CPUs are usable and each half
-    of the points holds at least two full chunks, a second thread evaluates
-    the second half while the caller's thread evaluates the first, in
-    parallel since numpy's kernels release the GIL, both under the caller's
-    ``np.geterr()`` and each in its own workspace of five chunk-sized
-    buffers.  A point's value depends on neither its chunk nor its half, so
-    the bytes are the same on one thread or two; an exception in the second
-    half is re-raised here.  Used by angle scans and spatial power maps,
-    where the design is frozen while Rx moves.
+    through the forward model in chunks of at most max(2^16, MN) point-cells
+    (one point over the whole panel above 2^16 cells; see ROADMAP's "Cell
+    tiles"), with the Tx leg computed once per call.  When two CPUs are
+    usable and each half of the points holds at least two full chunks, a
+    second thread evaluates the second half while the caller's thread
+    evaluates the first, in parallel since numpy's kernels release the GIL,
+    both under the caller's ``np.geterr()`` and each in its own workspace of
+    five chunk-sized buffers.  A point's value depends on neither its chunk
+    nor its half, so the bytes are the same on one thread or two; an
+    exception in the second half is re-raised here.  Used by angle scans and
+    spatial power maps, where the design is frozen while Rx moves.
     """
     points = np.asarray(rx_points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3:

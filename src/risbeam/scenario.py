@@ -2,11 +2,12 @@
 and its JSON scenario-file form.
 
 Scenario files use degrees and GHz; the wavelength is derived from the
-frequency.  Unknown keys and non-finite numbers are rejected with the
-offending key named.  This configuration layer, with the sweep axes, the
-grid guard that the command line checks its options against and the two
-bundled demo scenarios, uses only the standard library, so reading and
-validating a scenario loads no numpy.
+frequency.  Unknown keys, non-finite numbers and values outside the
+physical ranges of RANGES are rejected with the offending key named.  This
+configuration layer, with the sweep axes, the grid guard that the command
+line checks its options against and the two bundled demo scenarios, uses
+only the standard library, so reading and validating a scenario loads no
+numpy.
 """
 
 from __future__ import annotations
@@ -37,39 +38,54 @@ def wrap_angle(angle):
 
 _LEVEL_SPACING_TOL = 1e-9
 
-# Placement distances lie in [2**-449, 2**511) m, and a panel's outer cell
-# centers lie less than 2**510 m from its center along each axis, so a cell
-# center c has |c| < 2**511 / sqrt(2).  From an antenna at distance d a cell
-# is then nearer than d + |c| < 1.71 * 2**511, and the sums of the few squares
-# that geometry.cell_paths forms stay below 1.71**2 * 2**1022 < 0.74 * 2**1024,
-# under DBL_MAX; with a wavelength of at least 2**-511 m, a Tx-cell-Rx path
-# in wavelengths stays below 3.42 * 2**1022 too.  Above the lower bound the sum
-# of an antenna's squared coordinates is a normal float, so its range never
-# underflows to 0.
-DISTANCE_LIMIT = 2.0**511
+# The alpha = 0 pattern's gain, 2, in dBi; no cosine-power pattern has less.
+MIN_GAIN_DBI = 10.0 * math.log10(2.0)
 
-# The lower distance bound keeps xi finite.  A cell's amplitude is at most
-# 1/(r_t * r_r), as no pattern exceeds 1, and a path is at least as long as
-# its antenna's height d * cos(theta) >= d * cos(THETA_LIMIT) > d * 2**-52,
-# THETA_LIMIT being the largest elevation below pi/2 (its cosine is
-# 1.27 * 2**-52).  So an amplitude stays below 2**104 / (d1 * d2), and the
-# sum over at most 2**20 cells below 2**124 / (d1 * d2).  The threshold
-# profile forms C_total - (1 - exp(-j*Omega)) * C from prefix sums C of that
-# sum, with |1 - exp(-j*Omega)| <= 2, so no value there exceeds
-# 3 * 2**124 / (d1 * d2), which is 0.75 * 2**1024 at d1 = d2 = 2**-449 (the
-# amplitude's rounding, below a relative 2**-18, fits in the margin).
-MIN_DISTANCE = 2.0**-449
+# The physical range of each scenario-file key that measures the link, in the
+# file's units, and why it ends there, held by the dataclasses through
+# check_range; counts, angles, levels and the reflection keep their own checks.
+# On this domain no square, path in wavelengths or sum of amplitudes comes near
+# the float range (channel._phasors derives the log sum's bound).
+_CELL = (1e-6, 10.0, "m", "from lambda/30 at 10 THz to about 3 lambda at 100 MHz")
+_DISTANCE = (1e-3, 1e7, "m", "from an antenna 1 mm off the surface to a satellite link")
+_GAIN = (MIN_GAIN_DBI, 40.0, "dBi",
+         "from the floor of the cosine-power family (alpha 0) to a large dish")
+RANGES = {
+    "panel.cell_dx_m": _CELL,
+    "panel.cell_dy_m": _CELL,
+    "placement.d1_m": _DISTANCE,
+    "placement.d2_m": _DISTANCE,
+    "radio.freq_ghz": (0.1, 1e4, "GHz", "from VHF to the top of the terahertz band"),
+    "radio.tx_power_dbm": (-100.0, 100.0, "dBm",
+                           "from 0.1 pW, below any noise floor, to 10 MW, above any transmitter"),
+    "radio.gain_tx_dbi": _GAIN,
+    "radio.gain_rx_dbi": _GAIN,
+    "radio.cell_alpha": (0.0, 100.0, "", "from an isotropic cell to a 23 dBi one, 13.5 deg wide"),
+}
 
-# Upper bound on a pattern exponent: cell_alpha, or the alpha of a gain of at
-# most 63.2163 dBi.  channel._phasors forms an amplitude as exp of a sum of
-# eight logs, four per leg (channel._leg), weighted by half the exponents.  No
-# log of a positive float exceeds 745 in magnitude, and none of a path length,
-# range or antenna height 355 (they lie in [2**-501, 2**512) m by the distance
-# bounds above), so below this bound the terms sum to less than
-# 2 * (2**19 * (745 + 4 * 355) + 355) in magnitude; their roundings (at most
-# 14 ulps of that sum, with numpy's log and exp within 4 ulps) then move the
-# amplitude by a relative 2**-18 at most.
-EXPONENT_LIMIT = 2.0**20
+
+def wavelength_m(freq_ghz: float) -> float:
+    """c / (freq_ghz * 1e9): the wavelength (m) of GHz, or the GHz of a wavelength; inf at 0."""
+    return SPEED_OF_LIGHT / (freq_ghz * 1e9) if freq_ghz else math.inf
+
+
+def check_range(key: str, value: float) -> None:
+    """Refuse a ``value`` of scenario-file ``key`` outside its row of RANGES
+    (NaN included), naming the key, the range in the file's units and the value.
+
+    radio.freq_ghz is checked as its wavelength, against those of the range's
+    ends, so that either end is accepted bit for bit; its value is shown to
+    15 digits, past the round trip's rounding (inf or 0 if that overflowed).
+    """
+    lo, hi, unit, _ = RANGES[key]
+    if key == "radio.freq_ghz":
+        inside = wavelength_m(hi) <= value <= wavelength_m(lo)
+        value = float(f"{wavelength_m(value):.15g}")
+    else:
+        inside = lo <= value <= hi
+    if not inside:
+        span = f"[{lo:g}, {hi:g}] {unit}".rstrip()
+        raise ValueError(f"{key} must lie in {span}, got {float(value)!r}")
 
 
 @dataclass(frozen=True)
@@ -101,14 +117,8 @@ class RisPanel:
         if self.num_cells > PANEL_GUARD_CELLS:
             raise ValueError(f"panel.rows x panel.cols = {self.rows}x{self.cols} cells exceeds "
                              f"the guard of {PANEL_GUARD_CELLS}")
-        if not (self.d_x > 0.0 and self.d_y > 0.0):
-            raise ValueError(f"cell size must be positive, got d_x={self.d_x}, d_y={self.d_y}")
-        for key, size, count in (("cell_dx_m", self.d_x, self.cols),
-                                 ("cell_dy_m", self.d_y, self.rows)):
-            half = (count - 1) / 2 * size
-            if not half < DISTANCE_LIMIT / 2:
-                raise ValueError(f"panel.{key} = {size:g} m puts the outer cells {half:g} m "
-                                 "from the panel center, beyond 2**510 m")
+        check_range("panel.cell_dx_m", self.d_x)
+        check_range("panel.cell_dy_m", self.d_y)
         if self.bits < 1:
             raise ValueError(f"bits must be a positive integer, got {self.bits}")
         if not (0.0 < self.reflection <= 1.0):
@@ -162,12 +172,8 @@ class Placement:
     phi_r: float
 
     def __post_init__(self) -> None:
-        for name in ("d1", "d2"):
-            d = getattr(self, name)
-            if not (d > 0.0 and math.isfinite(d)):
-                raise ValueError(f"{name} must be positive and finite, got {d}")
-            if not MIN_DISTANCE <= d < DISTANCE_LIMIT:
-                raise ValueError(f"{name} must lie in [2**-449, 2**511) m, got {d:g}")
+        check_range("placement.d1_m", self.d1)
+        check_range("placement.d2_m", self.d2)
         for name in ("theta_t", "theta_r"):
             theta = getattr(self, name)
             if not (0.0 <= theta < math.pi / 2):
@@ -178,35 +184,22 @@ class Placement:
                 raise ValueError(f"{name} must lie in [0, 2*pi), got {phi}")
 
 
-# Linear gain of the alpha = 0 pattern; no cosine-power pattern has less.
-MIN_GAIN_LINEAR = 2.0
-MIN_GAIN_DBI = 10.0 * math.log10(MIN_GAIN_LINEAR)
-MAX_GAIN_DBI = 10.0 * math.log10(2.0 * (EXPONENT_LIMIT + 1.0))
-
 _ALPHA_TOL = 1e-9
 
 
 def alpha_from_gain_dbi(gain_dbi: float) -> float:
-    """Pattern exponent whose directive gain matches the given dBi figure.
+    """Pattern exponent whose directive gain G = 2 * (alpha + 1) matches the
+    given dBi figure.
 
     Raises ValueError below the 10*log10(2) ~ 3.0103 dBi floor, where the
-    exponent would be negative, above the ~63.2163 dBi ceiling, where it
-    would exceed EXPONENT_LIMIT, and where 10**(dBi/10) is not a finite float.
+    exponent would be negative.
     """
-    try:
-        alpha = 10.0 ** (gain_dbi / 10.0) / 2.0 - 1.0
-    except OverflowError:
-        alpha = math.nan
-    if not math.isfinite(alpha):
-        raise ValueError(f"gain {gain_dbi} dBi has no finite linear value")
+    alpha = 10.0 ** (gain_dbi / 10.0) / 2.0 - 1.0
     if alpha < -_ALPHA_TOL:
         raise ValueError(
             f"gain {gain_dbi} dBi is below the {MIN_GAIN_DBI:.4f} dBi floor of the "
             "cosine-power pattern family"
         )
-    if alpha > EXPONENT_LIMIT:
-        raise ValueError(f"gain {gain_dbi} dBi is above the {MAX_GAIN_DBI:.4f} dBi ceiling, "
-                         "where the pattern exponent exceeds 2**20")
     return max(alpha, 0.0)
 
 
@@ -214,9 +207,9 @@ def alpha_from_gain_dbi(gain_dbi: float) -> float:
 class RadioConfig:
     """Radio-link parameters shared by every cell.
 
-    Antenna gains are stated in dBi and must be realizable by a
-    cosine-power pattern (a finite linear gain >= 2).  ``cell_alpha`` is the
-    exponent of the unit-cell pattern, 1 by default.
+    Antenna gains are stated in dBi.  ``cell_alpha`` is the exponent of the
+    unit-cell pattern, 1 by default.  Each field is held to the RANGES row
+    of its scenario-file key, the wavelength (m) to radio.freq_ghz's.
     """
 
     wavelength: float
@@ -226,16 +219,11 @@ class RadioConfig:
     cell_alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 1.0 / DISTANCE_LIMIT <= self.wavelength < math.inf:
-            raise ValueError("wavelength (c / radio.freq_ghz) must lie in [2**-511, inf) m, "
-                             f"got {self.wavelength:g}")
-        if not 0.0 <= self.cell_alpha <= EXPONENT_LIMIT:
-            raise ValueError(f"cell_alpha must lie in [0, 2**20], got {self.cell_alpha}")
-        for key in ("gain_tx_dbi", "gain_rx_dbi"):
-            try:
-                alpha_from_gain_dbi(getattr(self, key))
-            except ValueError as exc:
-                raise ValueError(f"{key}: {exc}") from exc
+        check_range("radio.freq_ghz", self.wavelength)
+        check_range("radio.tx_power_dbm", self.tx_power_dbm)
+        check_range("radio.gain_tx_dbi", self.gain_tx_dbi)
+        check_range("radio.gain_rx_dbi", self.gain_rx_dbi)
+        check_range("radio.cell_alpha", self.cell_alpha)
 
     @property
     def alpha_tx(self) -> float:
@@ -351,12 +339,9 @@ def parse_scenario(doc: dict) -> Scenario:
     except ValueError as exc:
         raise ScenarioFileError(f"invalid 'placement' section: {exc}") from exc
 
-    freq_ghz = _number(radio_doc, "radio", "freq_ghz")
-    if freq_ghz <= 0.0:
-        raise ScenarioFileError("key 'radio.freq_ghz' must be positive")
     try:
         radio = RadioConfig(
-            wavelength=SPEED_OF_LIGHT / (freq_ghz * 1e9),
+            wavelength=wavelength_m(_number(radio_doc, "radio", "freq_ghz")),
             tx_power_dbm=_number(radio_doc, "radio", "tx_power_dbm"),
             gain_tx_dbi=_number(radio_doc, "radio", "gain_tx_dbi"),
             gain_rx_dbi=_number(radio_doc, "radio", "gain_rx_dbi"),
@@ -383,7 +368,7 @@ def load_scenario(path: str) -> Scenario:
 def _document(freq_ghz: float, rows: int, cols: int, bits: int,
               levels_deg: list[float], d2_m: float) -> dict:
     """Demo link: Tx/Rx at 45 deg on opposite azimuths, d1 10 m, 0 dBm, 8.25 dBi antennas."""
-    half_wave = SPEED_OF_LIGHT / (freq_ghz * 1e9) / 2.0
+    half_wave = wavelength_m(freq_ghz) / 2.0
     return {
         "panel": {
             "rows": rows,

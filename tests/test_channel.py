@@ -1,5 +1,6 @@
 """Phase design, field superposition, received power, and path loss."""
 
+import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -27,7 +28,7 @@ from risbeam import channel
 from risbeam.analysis import design
 from risbeam.channel import _phasor_sum, _tx_leg
 from risbeam.geometry import antenna_points, cell_paths
-from risbeam.scenario import MIN_GAIN_DBI
+from risbeam.scenario import MIN_GAIN_DBI, RANGES, wavelength_m
 
 TWO_PI = 2.0 * math.pi
 
@@ -75,7 +76,9 @@ class TestContinuousPhaseMatrix:
         2*pi * (2u + u^2) * (L/lambda + 1).  The reference pi, 40 digits,
         is off by less than the u^2 terms.  ``multiple`` sets lambda to one
         cell's computed s over an integer k, or one ulp to either side, so
-        that x lands on k or next to it, where the floor changes.
+        that x lands on k or next to it, where the floor changes; k is the
+        draw moved into the counts of whole cycles that the frequency range
+        allows on s.
         """
         sc = random_scenario(np.random.default_rng(seed), rows, cols, 1)
         placement = sc.placement
@@ -84,7 +87,11 @@ class TestContinuousPhaseMatrix:
         r_r = cell_paths(axes, rx)[0, 0]
         if multiple is not None:
             cell, k, step = multiple
-            wavelength = float(np.add(r_t, r_r)[cell % r_t.size]) / k
+            path = float(np.add(r_t, r_r)[cell % r_t.size])
+            low, high = RANGES["radio.freq_ghz"][:2]
+            fewest = math.ceil(path / wavelength_m(low) * (1 + 1e-9))
+            most = math.floor(path / wavelength_m(high) * (1 - 1e-9))
+            wavelength = path / (fewest + k % (most - fewest + 1))
             if step:
                 wavelength = math.nextafter(wavelength, math.copysign(math.inf, step))
             sc = replace(sc, radio=replace(sc.radio, wavelength=wavelength))
@@ -115,8 +122,9 @@ class TestContinuousPhaseMatrix:
 
 def reference_amplitudes(sc: Scenario):
     """Per-cell sqrt(F_tx * F_cell,t * F_cell,r * F_rx) / (r_t * r_r), cell by
-    cell with the math module, and per cell an error bound (see
-    TestAmplitude) or None for a cell in pattern cutoff, whose amplitude is 0.
+    cell with the math module; per cell an error bound (see TestAmplitude)
+    or None for a cell in pattern cutoff, whose amplitude is 0; and per cell
+    the sum of the magnitudes of the model's log terms (None in cutoff).
 
     The antenna positions are ``antenna_points``'s, the cell centers
     (N + 1 - 2n) * d_x / 2 and (M + 1 - 2m) * d_y / 2 as the model forms them.
@@ -137,7 +145,7 @@ def reference_amplitudes(sc: Scenario):
         num = math.fsum(products)
         return r, num, sum(map(abs, products)) / abs(num) if num else math.inf
 
-    amplitudes, bounds = [], []
+    amplitudes, bounds, sums = [], [], []
     for m in range(1, panel.rows + 1):
         for n in range(1, panel.cols + 1):
             c = ((panel.cols + 1 - 2.0 * n) * panel.d_x / 2.0,
@@ -149,6 +157,7 @@ def reference_amplitudes(sc: Scenario):
             amplitudes.append(math.sqrt(gain) / (r_t * r_r))
             if gain == 0.0:
                 bounds.append(None)
+                sums.append(None)
                 continue
             # magnitudes of the terms of the model's log sum
             terms = [t for p, num, r, a in ((tx, num_t, r_t, a_tx), (rx, num_r, r_r, a_rx))
@@ -157,7 +166,8 @@ def reference_amplitudes(sc: Scenario):
                                (a_cell / 2 + a / 2 + 1) * abs(math.log(r)))]
             bounds.append(math.expm1(u * (16 * sum(terms) + 6 * (a_tx * kappa_t + a_rx * kappa_r)
                                           + 8 * (a_tx + a_rx + a_cell) + 16)))
-    return amplitudes, bounds
+            sums.append(sum(terms))
+    return amplitudes, bounds, sums
 
 
 class TestAmplitude:
@@ -190,6 +200,10 @@ class TestAmplitude:
                                 + alpha_rx * kappa_r) + 8 * (alpha_tx + alpha_rx
                                 + alpha_cell) + 16)).
 
+        On the domain of ``scenario.RANGES`` sum|t_i| < 2^20 at every normal
+        amplitude (``channel._phasors`` derives it), so the sum's own share
+        of the bound is at most 16u * 2^20 = 2^-29.
+
         A cell in any pattern's cutoff must be exactly 0 in both.  The draws
         cover cell_alpha 0 and gains at the 3.0103 dBi floor (alpha 0, the
         flat-pattern branch), an Rx near a wide panel at grazing (cells
@@ -211,12 +225,33 @@ class TestAmplitude:
             sc = sc.with_placement(d2=aperture_radius(sc.panel) * rng.uniform(0.1, 0.6),
                                    theta_r=math.radians(rng.uniform(60.0, 89.0)))
         amplitudes = link_state(sc).amplitude.ravel().tolist()
-        expected, bounds = reference_amplitudes(sc)
+        expected, bounds, _ = reference_amplitudes(sc)
         for a, ref, bound in zip(amplitudes, expected, bounds):
             if bound is None:
                 assert a == 0.0 and not math.copysign(1.0, a) < 0.0
             else:
                 assert abs(a - ref) <= bound * ref
+
+    @pytest.mark.parametrize("d", [1e-3, 1e7])
+    @pytest.mark.parametrize("size", [1e-6, 10.0])
+    def test_holds_at_the_ends_of_the_ranges(self, d, size):
+        # at the ends of the ranges that weigh in the log sum (distances, cell
+        # sizes, gains, cell_alpha) and of the elevations, every normal
+        # amplitude keeps the reference's bound and sum|t_i| < 2^20
+        panel = RisPanel(rows=3, cols=2, d_x=size, d_y=size, bits=1, levels=(0.0, math.pi))
+        normal = np.finfo(float).tiny
+        for gain, cell_alpha, theta in itertools.product(
+                (MIN_GAIN_DBI, 40.0), (0.0, 100.0), (0.0, math.nextafter(math.pi / 2, 0.0))):
+            placement = Placement(d1=d, d2=d, theta_t=theta, phi_t=0.0, theta_r=theta,
+                                  phi_r=math.pi)
+            radio = RadioConfig(wavelength=0.1, tx_power_dbm=0.0, gain_tx_dbi=gain,
+                                gain_rx_dbi=gain, cell_alpha=cell_alpha)
+            sc = Scenario(panel=panel, placement=placement, radio=radio)
+            amplitudes = link_state(sc).amplitude.ravel().tolist()
+            for a, ref, bound, total in zip(amplitudes, *reference_amplitudes(sc)):
+                if bound is not None and ref >= normal:
+                    assert abs(a - ref) <= bound * ref
+                    assert total < 2**20
 
     def test_draws_reach_the_cutoff_and_cosines_above_one(self):
         # the property's cutoff and boresight draws do what it says they do
@@ -300,12 +335,16 @@ class TestReceivedPower:
             assert power == pytest.approx(radio.tx_power_dbm + 10.0 * math.log10(linear),
                                           abs=1e-12)
 
-    @pytest.mark.parametrize("field", ["d_x", "d_y", "reflection"])
-    def test_a_tiny_factor_keeps_a_finite_power(self, field):
-        # a factor of 1e-300 underflowed the linear product to 0: -inf dBm
+    @pytest.mark.parametrize("field, tiny", [("d_x", 1e-6), ("d_y", 1e-6),
+                                             ("reflection", 1e-300)],
+                             ids=["d_x", "d_y", "reflection"])
+    def test_a_tiny_factor_keeps_a_finite_power(self, field, tiny):
+        # a reflection of 1e-300 underflowed the linear product to 0: -inf dBm;
+        # the power moves by 20 dB per decade of it, and of a cell size down
+        # to its 1 um floor
         sc = ris_2p6ghz()
-        panel = replace(sc.panel, **{field: 1e-300})
-        shift = 20.0 * math.log10(1e-300 / getattr(sc.panel, field))
+        panel = replace(sc.panel, **{field: tiny})
+        shift = 20.0 * math.log10(tiny / getattr(sc.panel, field))
         assert power_dbm_from_xi(panel, sc.radio, 3.0) == pytest.approx(
             power_dbm_from_xi(sc.panel, sc.radio, 3.0) + shift, abs=1e-9)
 
@@ -330,14 +369,16 @@ class TestFarFieldPathLoss:
         assert doubled - base == pytest.approx(6.0206, abs=1e-4)
 
     def test_distance_law_at_extreme_distances(self):
-        # (d1*d2)**2 = 1e320 overflows a float; the closed form summed in dB
-        # stays finite
+        # the closed form gains 6.02 dB per doubled distance up to the 1e7 m
+        # end of the distance range, and the cell-sum model matches it there
         sc = ris_2p6ghz()
-        far = replace(sc.placement, d1=1e80, d2=1e80)
+        far = replace(sc.placement, d1=5e6, d2=1e7)
         base = far_field_pl_db(sc.panel, far, sc.radio)
-        doubled = far_field_pl_db(sc.panel, replace(far, d1=2e80), sc.radio)
-        assert math.isfinite(base)
+        doubled = far_field_pl_db(sc.panel, replace(far, d1=1e7), sc.radio)
         assert doubled - base == pytest.approx(6.0206, abs=1e-4)
+        state = link_state(replace(sc, placement=replace(far, d1=1e7)))
+        model = sc.radio.tx_power_dbm - design(state, "continuous").received_power_dbm
+        assert model == pytest.approx(doubled, abs=1e-6)
 
     def test_cell_count_law(self):
         sc = ris_2p6ghz()

@@ -10,11 +10,14 @@ import shlex
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import document_with
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import risbeam.analysis as analysis
 from risbeam.cli import (
@@ -25,7 +28,7 @@ from risbeam.cli import (
 )
 from risbeam.channel import link_state
 from risbeam.quantization import dtpq
-from risbeam.scenario import parse_scenario, ris_2p6ghz_document, ris_4p9ghz_document
+from risbeam.scenario import RANGES, parse_scenario, ris_2p6ghz_document, ris_4p9ghz_document
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
@@ -39,6 +42,25 @@ UNDERFLOWING_PATTERNS = ("'radio.gain_tx_dbi', 'radio.gain_rx_dbi', 'radio.cell_
                          "cell's amplitude underflow to 0")
 # The first grazing point of a frozen design when cell_alpha 100 underflows there.
 DARK_AT_GRAZING = "no cell reaches the Rx at theta_r 90, phi_r 0 deg (xi is 0 there)"
+
+
+def behind_the_antennas() -> dict:
+    """The 2.6 GHz scenario with cells 10 m wide and the Tx 1 m away at 45 deg:
+    the cells at x > 1.41 m lie behind the Tx antenna, and the others, at
+    x <= -5 m, behind the Rx antenna at 45 deg when d2 <= 3.53 m."""
+    doc = document_with(ris_2p6ghz_document(), "panel", cell_dx_m=10.0)
+    return document_with(doc, "placement", d1_m=1.0, d2_m=1.0)
+
+
+def underflowing_amplitudes() -> dict:
+    """2x2 cells of 10 m with 40 dBi antennas 1 m off on the normal: every
+    cell lies 82 deg off both boresights, where cos**4999 underflows, though
+    the flattest patterns light every cell."""
+    doc = document_with(ris_2p6ghz_document(), "panel", rows=2, cols=2, cell_dx_m=10.0,
+                        cell_dy_m=10.0)
+    doc = document_with(doc, "placement", d1_m=1.0, d2_m=1.0, theta_t_deg=0.0,
+                        theta_r_deg=0.0)
+    return document_with(doc, "radio", gain_tx_dbi=40.0, gain_rx_dbi=40.0)
 
 
 def refused(argv, doc, tmp_path, capsys) -> str:
@@ -155,13 +177,14 @@ class TestValidateCommand:
         path.write_text(json.dumps(doc))
         assert run(["validate", "--scenario", str(path)]) == 2
         assert "placement.altitude_m" in capsys.readouterr().err
-        # a distance whose square overflows is refused at the boundary, by name
+        # a distance beyond its range, 1e200 m, whose square used to overflow,
+        # is refused at the boundary, by name
         doc = document_with(ris_2p6ghz_document(), "placement", d2_m=1e200)
         path.write_text(json.dumps(doc))
         assert run(["quantize", "--scenario", str(path), "--method", "dtpq",
                     "--out", str(tmp_path / "shifts.csv")]) == 2
         assert capsys.readouterr().err == (
-            "error: invalid 'placement' section: d2 must lie in [2**-449, 2**511) m, "
+            "error: invalid 'placement' section: placement.d2_m must lie in [0.001, 1e+07] m, "
             "got 1e+200\n")
 
     @pytest.mark.parametrize("key, value", [
@@ -178,13 +201,15 @@ class TestValidateCommand:
 
     @pytest.mark.parametrize("key", ["gain_tx_dbi", "gain_rx_dbi"])
     def test_overflowing_gain_exit_code(self, tmp_path, capsys, key):
-        # 10**(1e30/10) overflows a float; the gain is refused by name, not as an internal error
+        # 10**(1e30/10) overflows a float; the gain is refused by name, by its
+        # range, before it is converted, not as an internal error
         doc = document_with(ris_2p6ghz_document(), "radio", **{key: 1e30})
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert run(["validate", "--scenario", str(path)]) == 2
         assert capsys.readouterr().err == (
-            f"error: invalid 'radio' section: {key}: gain 1e+30 dBi has no finite linear value\n")
+            f"error: invalid 'radio' section: radio.{key} must lie in [3.0103, 40] dBi, "
+            "got 1e+30\n")
 
     @pytest.mark.parametrize("key, value, message", [
         ("rows", 2.5, "key 'panel.rows' must be an integer, got 2.5"),
@@ -235,10 +260,10 @@ class TestQuantizeCommand:
 
     def test_values_match_library(self, ris1_path, tmp_path, capsys):
         out = tmp_path / "shifts.csv"
-        # at 1e90 m xi is about 3.6e-178, so xi**2 underflows; the power stays finite
+        # at the 1e7 m end of the distance range the power stays finite
         far_path = tmp_path / "far.json"
         far_path.write_text(json.dumps(document_with(ris_2p6ghz_document(), "placement",
-                                                     d1_m=1e90, d2_m=1e90)))
+                                                     d1_m=1e7, d2_m=1e7)))
         for path in (ris1_path, str(far_path)):
             run(["quantize", "--scenario", path, "--method", "dtpq", "--out", str(out)])
             captured = capsys.readouterr().out
@@ -301,41 +326,46 @@ class TestQuantizeCommand:
         assert runs[0] == runs[1] and b"360.0000" not in runs[0][1]
 
     def test_refuses_a_link_with_no_lit_cell(self, tmp_path, capsys):
-        # cells 90 m wide put every cell behind the Tx or the Rx antenna at
-        # d2 = 10 m; dtpq used to print received_power_dbm=-inf with exit 0
-        doc = document_with(ris_2p6ghz_document(), "panel", cell_dx_m=89.999)
-        err = refused(["quantize", "--method", "dtpq"], doc, tmp_path, capsys)
+        # cells 10 m wide put every cell behind the Tx or the Rx antenna 1 m
+        # away; dtpq used to print received_power_dbm=-inf with exit 0
+        err = refused(["quantize", "--method", "dtpq"], behind_the_antennas(), tmp_path, capsys)
         assert err == f"error: {NO_LIT_CELL}: {BEHIND_AN_ANTENNA}\n"
 
     def test_refuses_patterns_that_underflow(self, tmp_path, capsys):
-        # the largest accepted exponents (63.2 dBi gains and cell_alpha 2**20)
-        # underflow every pattern to 0; 3000 dBi (alpha ~ 1e299) did so too and
-        # made the power nan after a RuntimeWarning, and is now refused by name
-        doc = document_with(ris_2p6ghz_document(), "radio", gain_tx_dbi=63.2,
-                            gain_rx_dbi=63.2, cell_alpha=2.0**20)
-        err = refused(["quantize", "--method", "dtpq"], doc, tmp_path, capsys)
+        # the largest accepted gains underflow every cell's amplitude to 0 on
+        # cells seen 82 deg off boresight; on the bundled link they and the
+        # largest cell_alpha print a finite power.  3000 dBi (alpha ~ 1e299)
+        # made the power nan after a RuntimeWarning, and is refused by name
+        err = refused(["quantize", "--method", "dtpq"], underflowing_amplitudes(), tmp_path,
+                      capsys)
         assert err == f"error: {NO_LIT_CELL}: {UNDERFLOWING_PATTERNS}\n"
+        doc = document_with(ris_2p6ghz_document(), "radio", gain_tx_dbi=40.0,
+                            gain_rx_dbi=40.0, cell_alpha=100.0)
+        stdout, _ = outputs(["quantize", "--method", "dtpq"], doc, tmp_path, capsys)
+        assert math.isfinite(float(stdout.split("received_power_dbm=")[1].split()[0]))
+        (tmp_path / "out.csv").unlink()
         doc = document_with(ris_2p6ghz_document(), "radio", gain_tx_dbi=3000.0,
                             gain_rx_dbi=3000.0)
         err = refused(["quantize", "--method", "dtpq"], doc, tmp_path, capsys)
-        assert err == ("error: invalid 'radio' section: gain_tx_dbi: gain 3000.0 dBi is above "
-                       "the 63.2163 dBi ceiling, where the pattern exponent exceeds 2**20\n")
+        assert err == ("error: invalid 'radio' section: radio.gain_tx_dbi must lie in "
+                       "[3.0103, 40] dBi, got 3000.0\n")
 
     @pytest.mark.parametrize("key, value, message", [
-        ("cell_alpha", 2.0**20 * (1 + 2**-52),
-         "cell_alpha must lie in [0, 2**20], got 1048576.0000000002"),
-        ("gain_rx_dbi", 63.2164, "gain_rx_dbi: gain 63.2164 dBi is above the 63.2163 dBi ceiling"),
+        ("cell_alpha", math.nextafter(100.0, math.inf),
+         "radio.cell_alpha must lie in [0, 100], got 100.00000000000001"),
+        ("gain_rx_dbi", math.nextafter(40.0, math.inf),
+         "radio.gain_rx_dbi must lie in [3.0103, 40] dBi, got 40.00000000000001"),
     ], ids=["cell-alpha", "gain-rx"])
     def test_refuses_a_pattern_exponent_above_the_limit(self, tmp_path, capsys, key, value,
                                                          message):
-        # above 2**20 the amplitude's log sum loses its accuracy bound; unguarded,
-        # cell_alpha 1e300 with both antennas on the normal over a 3x3 panel
-        # gives its center cell ten times the 1/(r_t * r_r) that cos**alpha <= 1
-        # allows
+        # one step above its range, a pattern exponent or a gain is refused by
+        # name; unguarded, cell_alpha 1e300 with both antennas on the normal
+        # over a 3x3 panel gave its center cell ten times the 1/(r_t * r_r)
+        # that cos**alpha <= 1 allows
         err = refused(["quantize", "--method", "dtpq"],
                       document_with(ris_2p6ghz_document(), "radio", **{key: value}),
                       tmp_path, capsys)
-        assert err.startswith(f"error: invalid 'radio' section: {message}")
+        assert err == f"error: invalid 'radio' section: {message}\n"
 
     def test_refuses_a_panel_above_the_guard(self, tmp_path, capsys):
         # 2**20 cells validate and one row more does not; a 10**6 x 10**6 panel
@@ -355,50 +385,51 @@ class TestQuantizeCommand:
     def test_refuses_a_panel_too_wide_for_its_paths(self, tmp_path, capsys, key):
         # cells of 1e154 m overflowed the squared path lengths: two RuntimeWarnings
         # (an exit 1 here, where warnings are errors), else an exit 2 blaming the
-        # placement for putting every cell behind an antenna
+        # placement for putting every cell behind an antenna; the cell-size
+        # range refuses them by name
         doc = document_with(ris_2p6ghz_document(), "panel", rows=4, cols=4, **{key: 1e154})
         err = refused(["quantize", "--method", "dtpq"], doc, tmp_path, capsys)
-        assert err == (f"error: invalid 'panel' section: panel.{key} = 1e+154 m puts the outer "
-                       "cells 1.5e+154 m from the panel center, beyond 2**510 m\n")
+        assert err == (f"error: invalid 'panel' section: panel.{key} must lie in [1e-06, 10] m, "
+                       "got 1e+154\n")
 
     @pytest.mark.parametrize("key", ["cell_dx_m", "cell_dy_m"])
     def test_widest_panel_at_the_farthest_distance_runs(self, tmp_path, capsys, key):
-        # the largest half-extent, the largest distance and the shortest
-        # wavelength (2**-511 m) that are accepted keep every square and every
-        # path in wavelengths in range; one cell size wider is refused
-        top = math.nextafter(2.0**511, 0.0)
+        # the widest cells, the farthest distances and the highest frequency,
+        # each at the end of its range, run to a finite power; one step wider
+        # is refused
         doc = document_with(ris_2p6ghz_document(), "panel", rows=2, cols=2,
-                            cell_dx_m=top, cell_dy_m=top)
-        doc = document_with(doc, "placement", d1_m=top, d2_m=top)
-        doc = document_with(doc, "radio", freq_ghz=299792458.0 * 2.0**511 / 1e9)
-        assert parse_scenario(doc).radio.wavelength == 2.0**-511
+                            cell_dx_m=10.0, cell_dy_m=10.0)
+        doc = document_with(doc, "placement", d1_m=1e7, d2_m=1e7)
+        doc = document_with(doc, "radio", freq_ghz=1e4)
         stdout, shifts = outputs(["quantize", "--method", "dtpq"], doc, tmp_path, capsys)
         assert math.isfinite(float(stdout.split("received_power_dbm=")[1].split()[0]))
         assert len(shifts.splitlines()) == 1 + 4
         (tmp_path / "out.csv").unlink()
         err = refused(["quantize", "--method", "dtpq"],
-                      document_with(doc, "panel", **{key: 2.0**511}), tmp_path, capsys)
-        assert f"panel.{key} = " in err and "beyond 2**510 m" in err
+                      document_with(doc, "panel", **{key: math.nextafter(10.0, math.inf)}),
+                      tmp_path, capsys)
+        assert err.startswith(f"error: invalid 'panel' section: panel.{key} must lie in ")
 
     def test_refuses_distances_whose_amplitudes_overflow_xi(self, tmp_path, capsys):
-        # 4x4 cells of 1e-300 m with both antennas on the normal at 2**-511 m:
-        # each amplitude 1/(r_t * r_r) was about 2**1022, and xi overflowed to
-        # inf, printed with exit 0 after two RuntimeWarnings
+        # 4x4 cells with both antennas on the normal at 2**-511 m: each
+        # amplitude 1/(r_t * r_r) was about 2**1022, and xi overflowed to inf,
+        # printed with exit 0 after two RuntimeWarnings; a distance below 1 mm
+        # is refused by name
         doc = document_with(ris_2p6ghz_document(), "panel", rows=4, cols=4,
-                            cell_dx_m=1e-300, cell_dy_m=1e-300)
+                            cell_dx_m=1e-6, cell_dy_m=1e-6)
         doc = document_with(doc, "placement", d1_m=2.0**-511, d2_m=2.0**-511,
                             theta_t_deg=0.0, theta_r_deg=0.0)
         err = refused(["quantize", "--method", "dtpq"], doc, tmp_path, capsys)
-        assert err == ("error: invalid 'placement' section: d1 must lie in [2**-449, 2**511) m, "
-                       "got 1.49167e-154\n")
+        assert err == ("error: invalid 'placement' section: placement.d1_m must lie in "
+                       "[0.001, 1e+07] m, got 1.4916681462400413e-154\n")
 
     @pytest.mark.parametrize("theta_deg", [0.0, 89.999999])
     def test_nearest_distance_runs(self, tmp_path, capsys, theta_deg):
-        # at the smallest accepted distances, on the normal and at grazing, the
-        # amplitudes stay far below overflow and the power is finite
+        # the smallest cells at the nearest distances, on the normal and at
+        # grazing, print a finite power
         doc = document_with(ris_2p6ghz_document(), "panel", rows=4, cols=4,
-                            cell_dx_m=1e-300, cell_dy_m=1e-300)
-        doc = document_with(doc, "placement", d1_m=2.0**-449, d2_m=2.0**-449,
+                            cell_dx_m=1e-6, cell_dy_m=1e-6)
+        doc = document_with(doc, "placement", d1_m=1e-3, d2_m=1e-3,
                             theta_t_deg=theta_deg, theta_r_deg=theta_deg)
         stdout, _ = outputs(["quantize", "--method", "dtpq"], doc, tmp_path, capsys)
         assert math.isfinite(float(stdout.split("received_power_dbm=")[1].split()[0]))
@@ -406,12 +437,12 @@ class TestQuantizeCommand:
     def test_refuses_a_wavelength_too_short_for_its_paths(self, tmp_path, capsys):
         # 1e290 GHz over 1e30 m overflowed the path in wavelengths: two
         # RuntimeWarnings, then exit 2 with "zero-size array to reduction
-        # operation minimum which has no identity", naming no key
+        # operation minimum which has no identity", naming no key; a frequency
+        # above the terahertz band is refused by name
         doc = document_with(ris_2p6ghz_document(), "radio", freq_ghz=1e290)
-        doc = document_with(doc, "placement", d1_m=1e30, d2_m=1e30)
         err = refused(["quantize", "--method", "dtpq"], doc, tmp_path, capsys)
-        assert err == ("error: invalid 'radio' section: wavelength (c / radio.freq_ghz) must "
-                       "lie in [2**-511, inf) m, got 2.99792e-291\n")
+        assert err == ("error: invalid 'radio' section: radio.freq_ghz must lie in "
+                       "[0.1, 10000] GHz, got 1e+290\n")
 
     def test_bad_method_token(self, ris1_path, capsys):
         assert run(["quantize", "--scenario", ris1_path, "--method", "best"]) == 2
@@ -472,12 +503,33 @@ class TestSweepCommand:
         assert "--step 1e-12 gives 5000000000001 grid points" in err and "guard" in err
 
     def test_refuses_a_row_with_no_lit_cell(self, tmp_path, capsys):
-        # with cells 90 m wide, rows 5 and 20 m have no lit cell and used to
-        # hold -inf; the first of them names the axis value
-        doc = document_with(ris_2p6ghz_document(), "panel", cell_dx_m=89.999)
-        err = refused(["sweep", "--axis", "rx_distance", "--start", "5", "--stop", "50",
-                       "--step", "15", "--methods", "continuous,dtpq"], doc, tmp_path, capsys)
-        assert err == f"error: rx_distance 5: {NO_LIT_CELL}: {BEHIND_AN_ANTENNA}\n"
+        # with cells 10 m wide and the Tx 1 m away, the rows at 1 m and 4 m
+        # differ: the first has no lit cell and used to hold -inf, and names
+        # the axis value
+        err = refused(["sweep", "--axis", "rx_distance", "--start", "1", "--stop", "10",
+                       "--step", "3", "--methods", "continuous,dtpq"], behind_the_antennas(),
+                      tmp_path, capsys)
+        assert err == f"error: rx_distance 1: {NO_LIT_CELL}: {BEHIND_AN_ANTENNA}\n"
+        outputs(["sweep", "--axis", "rx_distance", "--start", "4", "--stop", "10", "--step", "3",
+                 "--methods", "continuous,dtpq"], behind_the_antennas(), tmp_path, capsys)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--axis", "rx_distance", "--start=-1", "--stop", "1", "--step", "1",
+          "--methods", "dtpq"], "rx_distance -1: placement.d2_m must lie in [0.001, 1e+07] m, "
+                                "got -1.0"),
+        (["sweep", "--axis", "tx_distance", "--start", "0", "--stop", "1", "--step", "1",
+          "--methods", "dtpq"], "tx_distance 0: placement.d1_m must lie in [0.001, 1e+07] m, "
+                                "got 0.0"),
+        (["pl-fit", "--variable", "d1", "--start", "1e-300", "--stop", "1", "--num", "3"],
+         "log10_d1 sample 1e-300: placement.d1_m must lie in [0.001, 1e+07] m, got 1e-300"),
+    ], ids=["sweep-rx-distance", "sweep-tx-distance", "pl-fit-d1"])
+    def test_placement_refusals_name_the_axis_value(self, small_path, capsys, argv, message):
+        # a distance refused at a grid value used to name neither the axis nor
+        # the value: "error: d2 must be positive and finite, got -1.0"
+        assert run([argv[0], "--scenario", small_path, *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_threshold_axis_rejects_other_methods(self, small_path, capsys):
         # the grid supplies the threshold, so a parameter on fixed is refused too
@@ -638,8 +690,10 @@ class TestOtherCommands:
         ("d2", "0", "500", "--start"),
         ("cos_theta_r", "20", "inf", "--stop"),
         ("cos_theta_r", "-inf", "70", "--start"),
-        ("d2", "1e-300", "1e300", "d2 must lie in [2**-449, 2**511) m, got 1e-300"),
-        ("d2", "50", "1e300", "d2 must lie in [2**-449, 2**511) m, got 5.10392e+175"),
+        ("d2", "1e-300", "1e300",
+         "log10_d2 sample 1e-300: placement.d2_m must lie in [0.001, 1e+07] m, got 1e-300"),
+        ("d2", "50", "1e300", "log10_d2 sample 3.60902e+26: placement.d2_m must lie in "
+                              "[0.001, 1e+07] m, got 3.609019018232942e+26"),
     ], ids=["d2-stop-zero", "d2-stop-negative", "d2-stop-inf", "d2-start-nan",
             "d2-start-zero", "angle-stop-inf", "angle-start-minus-inf", "d2-samples-underflow",
             "d2-samples-overflow"])
@@ -653,26 +707,22 @@ class TestOtherCommands:
         assert error.startswith("error: ") and option in error
 
     def test_pl_fit_refuses_a_sample_with_no_lit_cell(self, tmp_path, capsys):
-        # cells 90 m wide leave every cell in pattern cutoff at d2 = 5 and 15.8 m:
-        # xi = 0 there, so the first sample's design is refused
+        # cells 10 m wide leave every cell in pattern cutoff at d2 = 1 m: xi = 0
+        # there, so the first sample's design is refused
         path = tmp_path / "dark.json"
-        path.write_text(json.dumps(document_with(ris_2p6ghz_document(), "panel",
-                                                 cell_dx_m=89.999)))
+        path.write_text(json.dumps(behind_the_antennas()))
         assert run(["pl-fit", "--scenario", str(path), "--variable", "d2",
-                    "--start", "5", "--stop", "50", "--num", "3"]) == 2
+                    "--start", "1", "--stop", "10", "--num", "3"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (f"error: log10_d2 sample 5: {NO_LIT_CELL}: {BEHIND_AN_ANTENNA}\n")
+        assert captured.err == (f"error: log10_d2 sample 1: {NO_LIT_CELL}: {BEHIND_AN_ANTENNA}\n")
 
     def test_pl_fit_names_the_sizes_when_the_amplitude_underflows(self, tmp_path, capsys):
-        # cells and distances of 2**511 m against d2 = 1 m: the patterns are
-        # those of the bundled scenario, but exp of the log sum, in which the
-        # path lengths weigh beside the exponents, underflows at every cell
-        big = math.nextafter(2.0**511, 0.0)
-        doc = document_with(ris_2p6ghz_document(), "panel", rows=2, cols=2, cell_dx_m=big,
-                            cell_dy_m=big)
+        # 40 dBi antennas 1 m off 10 m cells: exp of the log sum, in which the
+        # cell sizes and the placement weigh beside the exponents, underflows
+        # at every cell at d2 = 1 m
         path = tmp_path / "huge.json"
-        path.write_text(json.dumps(document_with(doc, "placement", d1_m=big, d2_m=big)))
+        path.write_text(json.dumps(underflowing_amplitudes()))
         assert run(["pl-fit", "--scenario", str(path), "--variable", "d2",
                     "--start", "1", "--stop", "100", "--num", "3"]) == 2
         captured = capsys.readouterr()
@@ -852,6 +902,74 @@ def test_scenario_boundary_ends_finite_or_exits_2(tmp_path, capsys, section, key
         out.unlink(missing_ok=True)
 
 
+@st.composite
+def in_range_documents(draw):
+    """A scenario document on a panel of at most 4x4 cells with every key of
+    RANGES inside its range: at an end, or between them (log-uniformly
+    where the range is positive), the other keys anywhere in theirs."""
+    doc = document_with(ris_2p6ghz_document(), "panel", rows=draw(st.integers(1, 4)),
+                        cols=draw(st.integers(1, 4)),
+                        reflection=draw(st.sampled_from([1e-300, 1.0]) | st.floats(1e-6, 1.0)))
+    if draw(st.booleans()):
+        doc["panel"].update(bits=2, levels_deg=[0.0, 90.0, 180.0, 270.0])
+    for key in ("theta_t_deg", "theta_r_deg"):
+        doc["placement"][key] = draw(st.sampled_from([0.0, 89.999999]) | st.floats(0.0, 89.999999))
+    for key in ("phi_t_deg", "phi_r_deg"):
+        doc["placement"][key] = draw(st.floats(0.0, 360.0, exclude_max=True))
+    for key, (lo, hi, _, _) in RANGES.items():
+        section, name = key.split(".")
+        between = draw(st.floats(0.0, 1.0))
+        inside = lo * (hi / lo) ** between if lo > 0.0 else lo + (hi - lo) * between
+        doc[section][name] = draw(st.sampled_from([lo, hi, min(max(inside, lo), hi)]))
+    return doc
+
+
+def quantize_outcome(doc, tmp_path, capsys) -> tuple[int, str]:
+    """The exit code of ``quantize --method dtpq`` on ``doc``, with warnings as
+    errors, and its stderr; an exit 0 must print and write only finite numbers."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.csv"
+    out.unlink(missing_ok=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(["quantize", "--scenario", str(path), "--method", "dtpq", "--out", str(out)])
+    captured = capsys.readouterr()
+    if code == 0:
+        text = captured.out.replace(str(out), "out.csv") + out.read_text().split("\n", 1)[1]
+        assert all(math.isfinite(float(number)) for number in _NUMBER.findall(text)), text
+    return code, captured.err
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(in_range_documents())
+def test_every_in_range_scenario_quantizes(tmp_path, capsys, doc):
+    # inside every range, ends included, a run ends with finite output, or
+    # exits 2 on a link whose cells all lie behind an antenna or underflow
+    code, err = quantize_outcome(doc, tmp_path, capsys)
+    assert code == 0 or (code == 2 and err.startswith(f"error: {NO_LIT_CELL}: ")), err
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["low", "high"])
+@pytest.mark.parametrize("key", RANGES)
+@settings(max_examples=8, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(in_range_documents())
+def test_one_key_just_outside_its_range_exits_2(tmp_path, capsys, key, above, doc):
+    # at its end a key is accepted; a millionth of the end's magnitude beyond
+    # it (or below 0) is refused, naming the key and the range
+    lo, hi, _, _ = RANGES[key]
+    end = hi if above else lo
+    section, name = key.split(".")
+    doc[section][name] = end
+    code, err = quantize_outcome(doc, tmp_path, capsys)
+    assert code == 0 or (code == 2 and err.startswith(f"error: {NO_LIT_CELL}: ")), err
+    doc[section][name] = end + (1 if above else -1) * (abs(end) or 1.0) * 2**-20
+    code, err = quantize_outcome(doc, tmp_path, capsys)
+    assert code == 2 and f"{key} must lie in [{lo:g}, {hi:g}]" in err, err
+
+
 def readme_commands():
     """The ``risbeam ...`` lines of the README's command-line block, as argv lists."""
     text = (ROOT / "README.md").read_text()
@@ -918,6 +1036,19 @@ OUTPUT_DIGESTS = {
         "faca7af3aad676f69d709f05519a986fdbaeee3681465bc14d2458f6005ebc4f",
         "272c276c39e0e46edc28115453cbc880194748e525acc30151f152e997d039ae"),
 }
+
+
+def readme_ranges():
+    """The rows of the README's table of input ranges."""
+    text = (ROOT / "README.md").read_text()
+    table = text.split("| key | range | unit | why it ends there |\n|---|---|---|---|\n", 1)[1]
+    return table.split("\n\n", 1)[0].splitlines()
+
+
+def test_readme_ranges_are_the_table():
+    # the README shows scenario.RANGES row for row: key, range, unit and reason
+    assert readme_ranges() == [f"| `{key}` | [{lo:g}, {hi:g}] | {unit or '-'} | {why} |"
+                               for key, (lo, hi, unit, why) in RANGES.items()]
 
 
 def test_output_digests_cover_the_readme_commands():

@@ -154,11 +154,13 @@ class TestGainConversion:
 
 class TestRadioConfig:
     def test_rejects_below_floor_gain(self):
-        with pytest.raises(ValueError, match="floor"):
+        with pytest.raises(ValueError, match=r"radio.gain_tx_dbi must lie in \[3.0103, 40\] dBi"):
             RadioConfig(wavelength=0.1, tx_power_dbm=0.0, gain_tx_dbi=2.0, gain_rx_dbi=8.0)
 
     def test_rejects_nonpositive_wavelength(self):
-        with pytest.raises(ValueError, match="wavelength"):
+        # the wavelength is held to the frequency range of the scenario files
+        with pytest.raises(ValueError, match=r"radio.freq_ghz must lie in \[0.1, 10000\] GHz, "
+                                             "got inf"):
             RadioConfig(wavelength=0.0, tx_power_dbm=0.0, gain_tx_dbi=8.0, gain_rx_dbi=8.0)
 
     def test_alpha_properties(self):
