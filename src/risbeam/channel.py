@@ -27,7 +27,11 @@ from .scenario import TWO_PI, RadioConfig, RisPanel, Scenario
 # Point-cells per field_at_rx_points chunk: 128 Rx points on a 512-cell panel,
 # in five workspace buffers of 2.5 MB per thread.  On the default 181x181 map
 # on two threads (2-core x86_64, 2 MB L2 per core), 2**16 took a median 0.92x
-# the CPU and 0.88x the wall time of 2**15 over 12 alternating runs.
+# the CPU and 0.88x the wall time of 2**15 over 12 alternating runs.  So a
+# chunk of two or more points spans at most 2**15 cells, and each of its
+# geometry._outer_sum products takes at most 2**16 multiply-adds, below the
+# 2**18 from which OpenBLAS splits one product over threads of its own, which
+# would run beside field_at_rx_points' two and spin.
 _CHUNK_POINT_CELLS = 1 << 16
 
 

@@ -23,13 +23,6 @@ from .scenario import RisPanel
 
 THETA_LIMIT = math.nextafter(math.pi / 2.0, 0.0)
 
-# Largest panel whose outer sums go through matmul (see _outer_sum).  Each
-# product then takes at most 2**17 multiply-adds, below the 2**18 from which
-# OpenBLAS splits one product over threads of its own, which would run beside
-# field_at_rx_points' two and spin.
-_MATMUL_CELLS = 1 << 16
-
-
 def cell_center_axes(panel: RisPanel) -> tuple[np.ndarray, np.ndarray]:
     """X coordinates of the N cell columns and Y coordinates of the M cell rows."""
     n = np.arange(1, panel.cols + 1, dtype=float)
@@ -92,16 +85,17 @@ def _outer_sum(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     it, except that a sum of two -0 may come out +0.
 
     numpy's broadcast add steps through rows of only N cells.  For several
-    points on a panel of at most _MATMUL_CELLS cells the sums are formed
-    instead as the batched product [b, 1] @ [1; a]: each entry is b * 1 +
-    1 * a, whose products are exact, so it rounds once, like the add.
+    points the sums are formed instead as the batched product [b, 1] @ [1; a]
+    (at most 2**15 cells, which channel._CHUNK_POINT_CELLS keeps below
+    OpenBLAS's own threading): each entry is b * 1 + 1 * a, whose products
+    are exact, so it rounds once, like the add.
     matmul ran the (128, 32, 16) sums of a 512-cell chunk about 3x faster;
     for one point on that panel (``link_state``) the add took half the
     time, and leaves OpenBLAS's buffers unallocated (0.26 MB less peak RSS
     in ``quantize``).
     """
     count, rows, cols = out.shape
-    if count == 1 or rows * cols > _MATMUL_CELLS:
+    if count == 1:
         return np.add(a[:, None, :], b[:, :, None], out=out)
     left = np.ones((count, rows, 2))
     left[:, :, 0] = b

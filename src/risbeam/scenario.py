@@ -2,8 +2,10 @@
 and its JSON scenario-file form.
 
 Scenario files use degrees and GHz; the wavelength is derived from the
-frequency.  Unknown keys, non-finite numbers and values outside the
-physical ranges of RANGES are rejected with the offending key named.  This
+frequency.  One table, _SECTIONS, names each file key once, with the field
+it sets and the reader of its value.  Unknown keys, non-finite numbers and
+values outside the physical ranges of RANGES are rejected with the
+offending key named.  This
 configuration layer, with the sweep axes, the grid guard that the command
 line checks its options against and the two bundled demo scenarios, uses
 only the standard library, so reading and validating a scenario loads no
@@ -71,21 +73,16 @@ def wavelength_m(freq_ghz: float) -> float:
 
 def check_range(key: str, value: float) -> None:
     """Refuse a ``value`` of scenario-file ``key`` outside its row of RANGES
-    (NaN included), naming the key, the range in the file's units and the value.
+    (NaN included), naming the key, the range in the file's units and the value."""
+    lo, hi = RANGES[key][:2]
+    if not lo <= value <= hi:
+        raise _refusal(key, value)
 
-    radio.freq_ghz is checked as its wavelength, against those of the range's
-    ends, so that either end is accepted bit for bit; its value is shown to
-    15 digits, past the round trip's rounding (inf or 0 if that overflowed).
-    """
+
+def _refusal(key: str, value: float) -> ValueError:
     lo, hi, unit, _ = RANGES[key]
-    if key == "radio.freq_ghz":
-        inside = wavelength_m(hi) <= value <= wavelength_m(lo)
-        value = float(f"{wavelength_m(value):.15g}")
-    else:
-        inside = lo <= value <= hi
-    if not inside:
-        span = f"[{lo:g}, {hi:g}] {unit}".rstrip()
-        raise ValueError(f"{key} must lie in {span}, got {float(value)!r}")
+    span = f"[{lo:g}, {hi:g}] {unit}".rstrip()
+    return ValueError(f"{key} must lie in {span}, got {float(value)!r}")
 
 
 @dataclass(frozen=True)
@@ -112,17 +109,18 @@ class RisPanel:
     reflection: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"cell counts must be positive, got {self.rows}x{self.cols}")
+        for key, count in (("panel.rows", self.rows), ("panel.cols", self.cols)):
+            if count < 1:
+                raise ValueError(f"{key} must lie in [1, inf), got {count}")
         if self.num_cells > PANEL_GUARD_CELLS:
             raise ValueError(f"panel.rows x panel.cols = {self.rows}x{self.cols} cells exceeds "
                              f"the guard of {PANEL_GUARD_CELLS}")
         check_range("panel.cell_dx_m", self.d_x)
         check_range("panel.cell_dy_m", self.d_y)
         if self.bits < 1:
-            raise ValueError(f"bits must be a positive integer, got {self.bits}")
+            raise ValueError(f"panel.bits must lie in [1, inf), got {self.bits}")
         if not (0.0 < self.reflection <= 1.0):
-            raise ValueError(f"reflection magnitude must be in (0, 1], got {self.reflection}")
+            raise ValueError(f"panel.reflection must lie in (0, 1], got {self.reflection!r}")
         levels = tuple(wrap_angle(float(v)) for v in self.levels)
         # 2**bits > len(levels) once bits reaches its bit length: refused unformed
         if self.bits >= len(levels).bit_length() or len(levels) != self.num_levels:
@@ -174,14 +172,13 @@ class Placement:
     def __post_init__(self) -> None:
         check_range("placement.d1_m", self.d1)
         check_range("placement.d2_m", self.d2)
-        for name in ("theta_t", "theta_r"):
-            theta = getattr(self, name)
-            if not (0.0 <= theta < math.pi / 2):
-                raise ValueError(f"{name} must lie in [0, pi/2), got {theta}")
-        for name in ("phi_t", "phi_r"):
-            phi = getattr(self, name)
-            if not (0.0 <= phi < TWO_PI):
-                raise ValueError(f"{name} must lie in [0, 2*pi), got {phi}")
+        for name, limit, span in (("theta_t", math.pi / 2, "[0, 90)"),
+                                  ("theta_r", math.pi / 2, "[0, 90)"),
+                                  ("phi_t", TWO_PI, "[0, 360)"), ("phi_r", TWO_PI, "[0, 360)")):
+            angle = getattr(self, name)
+            if not (0.0 <= angle < limit):
+                raise ValueError(f"placement.{name}_deg must lie in {span} deg, "
+                                 f"got {math.degrees(angle):g}")
 
 
 _ALPHA_TOL = 1e-9
@@ -219,7 +216,11 @@ class RadioConfig:
     cell_alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        check_range("radio.freq_ghz", self.wavelength)
+        # as wavelengths, so that either end is accepted bit for bit; the
+        # frequency is shown to 15 digits, past the round trip's rounding
+        lo, hi = RANGES["radio.freq_ghz"][:2]
+        if not wavelength_m(hi) <= self.wavelength <= wavelength_m(lo):
+            raise _refusal("radio.freq_ghz", float(f"{wavelength_m(self.wavelength):.15g}"))
         check_range("radio.tx_power_dbm", self.tx_power_dbm)
         check_range("radio.gain_tx_dbi", self.gain_tx_dbi)
         check_range("radio.gain_rx_dbi", self.gain_rx_dbi)
@@ -255,102 +256,97 @@ class ScenarioFileError(ValueError):
     """Configuration problem in a scenario file or on the command line."""
 
 
-_PANEL_KEYS = {"rows", "cols", "cell_dx_m", "cell_dy_m", "bits", "levels_deg", "reflection"}
-_PLACEMENT_KEYS = {"d1_m", "d2_m", "theta_t_deg", "phi_t_deg", "theta_r_deg", "phi_r_deg"}
-_RADIO_KEYS = {"freq_ghz", "tx_power_dbm", "gain_tx_dbi", "gain_rx_dbi", "cell_alpha"}
-
-
-def _require_section(doc: dict, name: str, allowed: set[str]) -> dict:
-    if name not in doc:
-        raise ScenarioFileError(f"missing section '{name}'")
-    section = doc[name]
-    if not isinstance(section, dict):
-        raise ScenarioFileError(f"section '{name}' must be an object")
-    unknown = set(section) - allowed
-    if unknown:
-        raise ScenarioFileError(f"unknown key '{name}.{sorted(unknown)[0]}'")
-    return section
-
-
-def _number(section: dict, section_name: str, key: str, default=None) -> float:
-    if key not in section:
-        if default is not None:
-            return default
-        raise ScenarioFileError(f"missing key '{section_name}.{key}'")
-    value = section[key]
+def _number(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioFileError(f"key '{section_name}.{key}' must be a number")
+        raise ScenarioFileError(f"key '{key}' must be a number")
     try:
         value = float(value)
     except OverflowError:  # an integer beyond the float range
         value = math.inf if value > 0 else -math.inf
     if not math.isfinite(value):
-        raise ScenarioFileError(f"key '{section_name}.{key}' must be finite, got {value}")
+        raise ScenarioFileError(f"key '{key}' must be finite, got {value}")
     return value
 
 
-def _integer(section: dict, section_name: str, key: str) -> int:
+def _integer(key: str, value) -> int:
     """A count: a number with no fractional part."""
-    value = _number(section, section_name, key)
+    value = _number(key, value)
     if not value.is_integer():
-        raise ScenarioFileError(f"key '{section_name}.{key}' must be an integer, got {value:g}")
+        raise ScenarioFileError(f"key '{key}' must be an integer, got {value:g}")
     return int(value)
 
 
+def _levels(key: str, value) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise ScenarioFileError(f"key '{key}' must be a list of finite numbers")
+    return tuple(_radians(key, level) for level in value)
+
+
+def _radians(key: str, value) -> float:
+    return math.radians(_number(key, value))
+
+
+def _azimuth(key: str, value) -> float:
+    return wrap_angle(_radians(key, value))
+
+
+def _wavelength(key: str, value) -> float:
+    """GHz to wavelength (m); the GHz is held to its range first, so that a
+    refusal shows the file's number, not an over- or underflowed round trip."""
+    freq_ghz = _number(key, value)
+    check_range(key, freq_ghz)
+    return wavelength_m(freq_ghz)
+
+
+# Each section of a scenario file, the dataclass it builds, and each of its
+# keys with the field that the key sets and the reader of the key's value.
+# A key whose field has a default may be left out.
+_SECTIONS = {
+    "panel": (RisPanel, {
+        "rows": ("rows", _integer), "cols": ("cols", _integer),
+        "cell_dx_m": ("d_x", _number), "cell_dy_m": ("d_y", _number),
+        "bits": ("bits", _integer), "levels_deg": ("levels", _levels),
+        "reflection": ("reflection", _number)}),
+    "placement": (Placement, {
+        "d1_m": ("d1", _number), "d2_m": ("d2", _number),
+        "theta_t_deg": ("theta_t", _radians), "phi_t_deg": ("phi_t", _azimuth),
+        "theta_r_deg": ("theta_r", _radians), "phi_r_deg": ("phi_r", _azimuth)}),
+    "radio": (RadioConfig, {
+        "freq_ghz": ("wavelength", _wavelength), "tx_power_dbm": ("tx_power_dbm", _number),
+        "gain_tx_dbi": ("gain_tx_dbi", _number), "gain_rx_dbi": ("gain_rx_dbi", _number),
+        "cell_alpha": ("cell_alpha", _number)}),
+}
+
+
 def parse_scenario(doc: dict) -> Scenario:
-    """Build a Scenario from a parsed JSON document, rejecting unknown keys."""
+    """Build a Scenario from a parsed JSON document through _SECTIONS,
+    refusing unknown keys and naming the key at fault."""
     if not isinstance(doc, dict):
         raise ScenarioFileError("scenario document must be an object")
-    unknown = set(doc) - {"panel", "placement", "radio"}
+    unknown = set(doc) - set(_SECTIONS)
     if unknown:
         raise ScenarioFileError(f"unknown key '{sorted(unknown)[0]}'")
-
-    panel_doc = _require_section(doc, "panel", _PANEL_KEYS)
-    placement_doc = _require_section(doc, "placement", _PLACEMENT_KEYS)
-    radio_doc = _require_section(doc, "radio", _RADIO_KEYS)
-
-    levels = panel_doc.get("levels_deg")
-    if not isinstance(levels, list):
-        raise ScenarioFileError("key 'panel.levels_deg' must be a list of finite numbers")
-
-    try:
-        panel = RisPanel(
-            rows=_integer(panel_doc, "panel", "rows"),
-            cols=_integer(panel_doc, "panel", "cols"),
-            d_x=_number(panel_doc, "panel", "cell_dx_m"),
-            d_y=_number(panel_doc, "panel", "cell_dy_m"),
-            bits=_integer(panel_doc, "panel", "bits"),
-            levels=tuple(math.radians(_number({"levels_deg": v}, "panel", "levels_deg"))
-                         for v in levels),
-            reflection=_number(panel_doc, "panel", "reflection", default=1.0),
-        )
-    except ValueError as exc:
-        raise ScenarioFileError(f"invalid 'panel' section: {exc}") from exc
-
-    try:
-        placement = Placement(
-            d1=_number(placement_doc, "placement", "d1_m"),
-            d2=_number(placement_doc, "placement", "d2_m"),
-            theta_t=math.radians(_number(placement_doc, "placement", "theta_t_deg")),
-            phi_t=wrap_angle(math.radians(_number(placement_doc, "placement", "phi_t_deg"))),
-            theta_r=math.radians(_number(placement_doc, "placement", "theta_r_deg")),
-            phi_r=wrap_angle(math.radians(_number(placement_doc, "placement", "phi_r_deg"))),
-        )
-    except ValueError as exc:
-        raise ScenarioFileError(f"invalid 'placement' section: {exc}") from exc
-
-    try:
-        radio = RadioConfig(
-            wavelength=wavelength_m(_number(radio_doc, "radio", "freq_ghz")),
-            tx_power_dbm=_number(radio_doc, "radio", "tx_power_dbm"),
-            gain_tx_dbi=_number(radio_doc, "radio", "gain_tx_dbi"),
-            gain_rx_dbi=_number(radio_doc, "radio", "gain_rx_dbi"),
-            cell_alpha=_number(radio_doc, "radio", "cell_alpha", default=1.0),
-        )
-    except ValueError as exc:
-        raise ScenarioFileError(f"invalid 'radio' section: {exc}") from exc
-
-    return Scenario(panel=panel, placement=placement, radio=radio)
+    built = {}
+    for name, (cls, keys) in _SECTIONS.items():
+        if name not in doc:
+            raise ScenarioFileError(f"missing section '{name}'")
+        section = doc[name]
+        if not isinstance(section, dict):
+            raise ScenarioFileError(f"section '{name}' must be an object")
+        unknown = set(section) - set(keys)
+        if unknown:
+            raise ScenarioFileError(f"unknown key '{name}.{sorted(unknown)[0]}'")
+        values = {}
+        try:
+            for key, (field, read) in keys.items():
+                if key in section:
+                    values[field] = read(f"{name}.{key}", section[key])
+                elif not hasattr(cls, field):  # a dataclass default is a class attribute
+                    raise ScenarioFileError(f"missing key '{name}.{key}'")
+            built[name] = cls(**values)
+        except ValueError as exc:
+            raise ScenarioFileError(f"invalid '{name}' section: {exc}") from exc
+    return Scenario(**built)
 
 
 def load_scenario(path: str) -> Scenario:

@@ -1,6 +1,7 @@
 """Command-line interface: scenario files in, CSV tables out, exit codes."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -28,7 +29,15 @@ from risbeam.cli import (
 )
 from risbeam.channel import link_state
 from risbeam.quantization import dtpq
-from risbeam.scenario import RANGES, parse_scenario, ris_2p6ghz_document, ris_4p9ghz_document
+from risbeam.scenario import (
+    _SECTIONS,
+    RANGES,
+    ScenarioFileError,
+    parse_scenario,
+    ris_2p6ghz_document,
+    ris_4p9ghz_document,
+    wavelength_m,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "scenarios"
@@ -143,6 +152,67 @@ class TestScenarioParsing:
         with pytest.raises(ValueError, match="panel"):
             parse_scenario(doc)
 
+    @pytest.mark.parametrize("section, key", [(section, key) for section, keys in
+                                              ris_2p6ghz_document().items() for key in keys],
+                             ids=lambda x: x)
+    def test_each_key_left_out(self, section, key):
+        # a key whose field has a dataclass default takes it; any other is
+        # refused by name
+        doc = ris_2p6ghz_document()
+        del doc[section][key]
+        if key in ("reflection", "cell_alpha"):
+            config = getattr(parse_scenario(doc), section)
+            default = {f.name: f.default for f in dataclasses.fields(config)}[key]
+            assert getattr(config, key) == default == 1.0
+        else:
+            with pytest.raises(ScenarioFileError) as excinfo:
+                parse_scenario(doc)
+            assert str(excinfo.value) == (f"invalid '{section}' section: "
+                                          f"missing key '{section}.{key}'")
+
+    @pytest.mark.parametrize("section", ["panel", "placement", "radio"])
+    def test_extra_key_refused(self, section):
+        with pytest.raises(ScenarioFileError, match=f"^unknown key '{section}.extra'$"):
+            parse_scenario(document_with(ris_2p6ghz_document(), section, extra=1.0))
+
+    def test_one_key_sets_each_field(self):
+        # the table reads the bundled documents' keys, and sets every field of
+        # RisPanel, Placement and RadioConfig from exactly one of them
+        for name, (cls, keys) in _SECTIONS.items():
+            assert list(keys) == list(ris_2p6ghz_document()[name])
+            assert sorted(field for field, _ in keys.values()) == sorted(
+                f.name for f in dataclasses.fields(cls))
+
+    def test_readme_example_is_the_table(self):
+        text = (ROOT / "README.md").read_text()
+        example = text.split("Scenario files are JSON", 1)[1].split("```json\n", 1)[1]
+        doc = json.loads(example.split("```", 1)[0])
+        assert {name: list(section) for name, section in doc.items()} == {
+            name: list(keys) for name, (_, keys) in _SECTIONS.items()}
+        assert parse_scenario(doc).panel.num_cells == 512
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("placement", "theta_t_deg", 100, "placement.theta_t_deg must lie in [0, 90) deg, got 100"),
+        ("placement", "theta_r_deg", 90, "placement.theta_r_deg must lie in [0, 90) deg, got 90"),
+        ("radio", "freq_ghz", 1e300, "radio.freq_ghz must lie in [0.1, 10000] GHz, got 1e+300"),
+        ("radio", "freq_ghz", 1e-300, "radio.freq_ghz must lie in [0.1, 10000] GHz, got 1e-300"),
+        ("radio", "freq_ghz", math.nextafter(1e4, math.inf),
+         "radio.freq_ghz must lie in [0.1, 10000] GHz, got 10000.000000000002"),
+    ], ids=["theta-t-100", "theta-r-90", "freq-1e300", "freq-1e-300", "freq-above-1e4"])
+    def test_refusal_names_the_file_key(self, section, key, value, message):
+        # in the file's units: theta_t 100 used to read "theta_t must lie in
+        # [0, pi/2), got 1.7453292519943295", and freq_ghz 1e300 and 1e-300,
+        # whose wavelengths' round trips over- and underflow, "got inf" and
+        # "got 0.0"
+        with pytest.raises(ScenarioFileError) as excinfo:
+            parse_scenario(document_with(ris_2p6ghz_document(), section, **{key: value}))
+        assert str(excinfo.value) == f"invalid '{section}' section: {message}"
+
+    @pytest.mark.parametrize("freq_ghz", [0.1, 1e4])
+    def test_frequency_range_ends_accepted(self, freq_ghz):
+        doc = document_with(ris_2p6ghz_document(), "radio", freq_ghz=freq_ghz)
+        assert parse_scenario(doc).radio.wavelength == wavelength_m(freq_ghz)
+
 
 class TestValidateCommand:
     def test_ok(self, ris1_path, capsys):
@@ -219,8 +289,12 @@ class TestValidateCommand:
         ("bits", 10**400, "key 'panel.bits' must be finite, got inf"),
         ("cell_dx_m", -10**400, "key 'panel.cell_dx_m' must be finite, got -inf"),
         ("levels_deg", [55, 10**400], "key 'panel.levels_deg' must be finite, got inf"),
+        ("rows", 0, "panel.rows must lie in [1, inf), got 0"),
+        ("cols", 0, "panel.cols must lie in [1, inf), got 0"),
+        ("bits", 0, "panel.bits must lie in [1, inf), got 0"),
+        ("reflection", 2, "panel.reflection must lie in (0, 1], got 2.0"),
     ], ids=["rows-2.5", "cols-16.5", "bits-1.5", "bits-1e7", "bits-1e400", "cell-dx-minus-1e400",
-            "levels-1e400"])
+            "levels-1e400", "rows-0", "cols-0", "bits-0", "reflection-2"])
     def test_refuses_a_panel_number_by_name(self, tmp_path, capsys, key, value, message):
         # rows 2.5 used to validate as 2x16 and bits 1.5 to design 1 bit; a bits
         # of 10**7 failed formatting 2**bits, so a bits that cannot match the

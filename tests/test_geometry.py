@@ -66,6 +66,19 @@ class TestPlacement:
             Placement(d1=1.0, d2=1.0, theta_t=0.0, phi_t=0.0,
                       theta_r=math.pi / 2, phi_r=0.0)
 
+    @pytest.mark.parametrize("name, angle, message", [
+        ("theta_t", math.radians(100.0), "placement.theta_t_deg must lie in [0, 90) deg, got 100"),
+        ("theta_r", -1e-3, "placement.theta_r_deg must lie in [0, 90) deg, got -0.0572958"),
+        ("phi_t", 7.0, "placement.phi_t_deg must lie in [0, 360) deg, got 401.07"),
+        ("phi_r", 2.0 * math.pi, "placement.phi_r_deg must lie in [0, 360) deg, got 360"),
+    ], ids=["theta_t", "theta_r", "phi_t", "phi_r"])
+    def test_refusals_name_the_file_key(self, name, angle, message):
+        # the angle as a scenario file gives it, in degrees
+        angles = {"theta_t": 0.0, "phi_t": 0.0, "theta_r": 0.0, "phi_r": 0.0, name: angle}
+        with pytest.raises(ValueError) as excinfo:
+            Placement(d1=1.0, d2=1.0, **angles)
+        assert str(excinfo.value) == message
+
     def test_rejects_nonpositive_distance(self):
         with pytest.raises(ValueError, match="d1"):
             Placement(d1=0.0, d2=1.0, theta_t=0.0, phi_t=0.0, theta_r=0.0, phi_r=0.0)
@@ -187,8 +200,8 @@ class TestOuterSum:
                                        (2, 200, 170), (2, 300, 256)])
     def test_bytes_equal_the_broadcast_add(self, shape):
         # the batched product rounds each sum once, as np.add does, over
-        # magnitudes from 1e-300 to 1e300 of either sign; one point and
-        # panels above 2**16 cells take np.add itself
+        # magnitudes from 1e-300 to 1e300 of either sign, at any shape; one
+        # point takes np.add itself
         rng = np.random.default_rng(sum(shape))
         count, rows, cols = shape
         a = rng.standard_normal((count, cols)) * 10.0 ** rng.uniform(-300, 300, (count, cols))
@@ -196,6 +209,29 @@ class TestOuterSum:
         out = np.empty(shape)
         _outer_sum(a, b, out)
         assert out.tobytes() == (a[:, None, :] + b[:, :, None]).tobytes()
+
+    def test_several_points_only_up_to_2_15_cells(self, monkeypatch):
+        # a map puts several points in a chunk only on panels of at most
+        # 2**15 cells, which keeps each batched product below the 2**18
+        # multiply-adds from which OpenBLAS splits it over threads of its own
+        import risbeam.geometry as geometry
+        from risbeam.channel import field_at_rx_points
+
+        shapes = []
+
+        def recording(a, b, out):
+            shapes.append(out.shape)
+            return _outer_sum(a, b, out)
+
+        monkeypatch.setattr(geometry, "_outer_sum", recording)
+        rx = antenna_points(np.full(5, 10.0), np.radians([0.0, 10.0, 20.0, 30.0, 40.0]), 0.0)
+        for rows in (128, 129):
+            panel = RisPanel(rows=rows, cols=256, d_x=0.5, d_y=0.5, bits=1,
+                             levels=(0.0, math.pi))
+            field_at_rx_points(link(panel, near_field_placement()), np.zeros((rows, 256)), rx)
+        several = {rows * cols for count, rows, cols in shapes if count > 1}
+        assert several == {1 << 15}
+        assert (1, 129, 256) in shapes
 
     def test_special_values(self):
         # subnormals and infinities add as np.add does; only a sum of two -0
