@@ -1,11 +1,11 @@
 """Full link description: surface, Tx/Rx placement, and radio parameters,
 and its JSON scenario-file form.
 
-Scenario files use degrees and GHz; the wavelength is derived from the
-frequency.  One table, _SECTIONS, names each file key once, with the field
-it sets and the reader of its value.  Unknown keys, non-finite numbers and
-values outside the physical ranges of RANGES are rejected with the
-offending key named.  This
+Scenario files use degrees and GHz.  The radio holds radio.freq_ghz as the
+file writes it, and its wavelength is derived from that.  One table,
+_SECTIONS, names each file key once, with the field it sets and the reader
+of its value.  Unknown keys, non-finite numbers and values outside the
+physical ranges of RANGES are rejected with the offending key named.  This
 configuration layer, with the sweep axes, the grid guard that the command
 line checks its options against and the two bundled demo scenarios, uses
 only the standard library, so reading and validating a scenario loads no
@@ -67,22 +67,17 @@ RANGES = {
 
 
 def wavelength_m(freq_ghz: float) -> float:
-    """c / (freq_ghz * 1e9): the wavelength (m) of GHz, or the GHz of a wavelength; inf at 0."""
-    return SPEED_OF_LIGHT / (freq_ghz * 1e9) if freq_ghz else math.inf
+    """c / (freq_ghz * 1e9): the wavelength (m) of a frequency in GHz."""
+    return SPEED_OF_LIGHT / (freq_ghz * 1e9)
 
 
 def check_range(key: str, value: float) -> None:
     """Refuse a ``value`` of scenario-file ``key`` outside its row of RANGES
     (NaN included), naming the key, the range in the file's units and the value."""
-    lo, hi = RANGES[key][:2]
-    if not lo <= value <= hi:
-        raise _refusal(key, value)
-
-
-def _refusal(key: str, value: float) -> ValueError:
     lo, hi, unit, _ = RANGES[key]
-    span = f"[{lo:g}, {hi:g}] {unit}".rstrip()
-    return ValueError(f"{key} must lie in {span}, got {float(value)!r}")
+    if not lo <= value <= hi:
+        span = f"[{lo:g}, {hi:g}] {unit}".rstrip()
+        raise ValueError(f"{key} must lie in {span}, got {float(value)!r}")
 
 
 @dataclass(frozen=True)
@@ -181,23 +176,19 @@ class Placement:
                                  f"got {math.degrees(angle):g}")
 
 
-_ALPHA_TOL = 1e-9
-
-
 def alpha_from_gain_dbi(gain_dbi: float) -> float:
     """Pattern exponent whose directive gain G = 2 * (alpha + 1) matches the
     given dBi figure.
 
-    Raises ValueError below the 10*log10(2) ~ 3.0103 dBi floor, where the
-    exponent would be negative.
+    Raises ValueError below MIN_GAIN_DBI = 10*log10(2) ~ 3.0103 dBi, the
+    gains' RANGES floor, where the exponent would be negative, and on NaN.
     """
-    alpha = 10.0 ** (gain_dbi / 10.0) / 2.0 - 1.0
-    if alpha < -_ALPHA_TOL:
+    if not gain_dbi >= MIN_GAIN_DBI:
         raise ValueError(
             f"gain {gain_dbi} dBi is below the {MIN_GAIN_DBI:.4f} dBi floor of the "
             "cosine-power pattern family"
         )
-    return max(alpha, 0.0)
+    return max(10.0 ** (gain_dbi / 10.0) / 2.0 - 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -205,26 +196,28 @@ class RadioConfig:
     """Radio-link parameters shared by every cell.
 
     Antenna gains are stated in dBi.  ``cell_alpha`` is the exponent of the
-    unit-cell pattern, 1 by default.  Each field is held to the RANGES row
-    of its scenario-file key, the wavelength (m) to radio.freq_ghz's.
+    unit-cell pattern, 1 by default.  Each field holds its scenario-file
+    key's value as written, held to that key's RANGES row; the wavelength is
+    derived from ``freq_ghz``.
     """
 
-    wavelength: float
+    freq_ghz: float
     tx_power_dbm: float
     gain_tx_dbi: float
     gain_rx_dbi: float
     cell_alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        # as wavelengths, so that either end is accepted bit for bit; the
-        # frequency is shown to 15 digits, past the round trip's rounding
-        lo, hi = RANGES["radio.freq_ghz"][:2]
-        if not wavelength_m(hi) <= self.wavelength <= wavelength_m(lo):
-            raise _refusal("radio.freq_ghz", float(f"{wavelength_m(self.wavelength):.15g}"))
+        check_range("radio.freq_ghz", self.freq_ghz)
         check_range("radio.tx_power_dbm", self.tx_power_dbm)
         check_range("radio.gain_tx_dbi", self.gain_tx_dbi)
         check_range("radio.gain_rx_dbi", self.gain_rx_dbi)
         check_range("radio.cell_alpha", self.cell_alpha)
+
+    @property
+    def wavelength(self) -> float:
+        """Carrier wavelength (m)."""
+        return wavelength_m(self.freq_ghz)
 
     @property
     def alpha_tx(self) -> float:
@@ -290,14 +283,6 @@ def _azimuth(key: str, value) -> float:
     return wrap_angle(_radians(key, value))
 
 
-def _wavelength(key: str, value) -> float:
-    """GHz to wavelength (m); the GHz is held to its range first, so that a
-    refusal shows the file's number, not an over- or underflowed round trip."""
-    freq_ghz = _number(key, value)
-    check_range(key, freq_ghz)
-    return wavelength_m(freq_ghz)
-
-
 # Each section of a scenario file, the dataclass it builds, and each of its
 # keys with the field that the key sets and the reader of the key's value.
 # A key whose field has a default may be left out.
@@ -312,7 +297,7 @@ _SECTIONS = {
         "theta_t_deg": ("theta_t", _radians), "phi_t_deg": ("phi_t", _azimuth),
         "theta_r_deg": ("theta_r", _radians), "phi_r_deg": ("phi_r", _azimuth)}),
     "radio": (RadioConfig, {
-        "freq_ghz": ("wavelength", _wavelength), "tx_power_dbm": ("tx_power_dbm", _number),
+        "freq_ghz": ("freq_ghz", _number), "tx_power_dbm": ("tx_power_dbm", _number),
         "gain_tx_dbi": ("gain_tx_dbi", _number), "gain_rx_dbi": ("gain_rx_dbi", _number),
         "cell_alpha": ("cell_alpha", _number)}),
 }

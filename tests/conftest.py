@@ -18,6 +18,7 @@ from risbeam import (
 )
 from risbeam.geometry import antenna_points, cell_center_axes, cell_paths
 from risbeam.quantization import TIE_REL_TOL
+from risbeam.scenario import SPEED_OF_LIGHT
 
 TWO_PI = 2.0 * math.pi
 
@@ -25,6 +26,12 @@ TWO_PI = 2.0 * math.pi
 def uniform_levels(bits: int, first_level: float) -> tuple[float, ...]:
     omega = TWO_PI / 2**bits
     return tuple((first_level + k * omega) % TWO_PI for k in range(2**bits))
+
+
+def dof_law(omega: float, residues: int) -> float:
+    """xi / xi_continuous, at any threshold, of a link whose phases mod Omega
+    take ``residues`` values Omega/residues apart on equal total amplitudes."""
+    return math.sin(omega / 2.0) / (residues * math.sin(omega / (2.0 * residues)))
 
 
 def random_scenario(rng: np.random.Generator, rows: int, cols: int, bits: int) -> Scenario:
@@ -48,7 +55,7 @@ def random_scenario(rng: np.random.Generator, rows: int, cols: int, bits: int) -
         phi_r=rng.uniform(0.0, TWO_PI),
     )
     radio = RadioConfig(
-        wavelength=wavelength,
+        freq_ghz=SPEED_OF_LIGHT / (wavelength * 1e9),
         tx_power_dbm=rng.uniform(-10.0, 30.0),
         gain_tx_dbi=rng.uniform(3.1, 20.0),
         gain_rx_dbi=rng.uniform(3.1, 20.0),

@@ -8,7 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import aperture_radius, far_field_pl_db, random_scenario, residual_spread
+from conftest import (
+    aperture_radius,
+    dof_law,
+    far_field_pl_db,
+    random_scenario,
+    residual_spread,
+    uniform_levels,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +26,7 @@ from risbeam import (
     Scenario,
     dtpq,
     field_at_rx_points,
+    fixed_threshold,
     link_state,
     power_dbm_from_xi,
     ris_2p6ghz,
@@ -28,7 +36,8 @@ from risbeam import channel
 from risbeam.analysis import design
 from risbeam.channel import _phasor_sum, _tx_leg
 from risbeam.geometry import antenna_points, cell_paths
-from risbeam.scenario import MIN_GAIN_DBI, RANGES, wavelength_m
+from risbeam.quantization import TIE_REL_TOL
+from risbeam.scenario import MIN_GAIN_DBI, RANGES, SPEED_OF_LIGHT, wavelength_m
 
 TWO_PI = 2.0 * math.pi
 
@@ -37,8 +46,8 @@ def on_normal_link(d1, d2, wavelength, cols=1):
     """1 x cols panel with Tx and Rx on the surface normal."""
     panel = RisPanel(rows=1, cols=cols, d_x=0.1, d_y=0.1, bits=1, levels=(0.0, math.pi))
     placement = Placement(d1=d1, d2=d2, theta_t=0.0, phi_t=0.0, theta_r=0.0, phi_r=0.0)
-    radio = RadioConfig(wavelength=wavelength, tx_power_dbm=0.0, gain_tx_dbi=8.0,
-                        gain_rx_dbi=8.0)
+    radio = RadioConfig(freq_ghz=SPEED_OF_LIGHT / (wavelength * 1e9), tx_power_dbm=0.0,
+                        gain_tx_dbi=8.0, gain_rx_dbi=8.0)
     return Scenario(panel=panel, placement=placement, radio=radio)
 
 
@@ -74,11 +83,11 @@ class TestContinuousPhaseMatrix:
         which is within 2*pi * (2u + u^2) of 2*pi*f for f < 1.  So the
         cyclic distance to 2*pi * frac(L/lambda) is at most
         2*pi * (2u + u^2) * (L/lambda + 1).  The reference pi, 40 digits,
-        is off by less than the u^2 terms.  ``multiple`` sets lambda to one
-        cell's computed s over an integer k, or one ulp to either side, so
-        that x lands on k or next to it, where the floor changes; k is the
-        draw moved into the counts of whole cycles that the frequency range
-        allows on s.
+        is off by less than the u^2 terms.  ``multiple`` sets the frequency
+        from one cell's computed s over an integer k, or one ulp to either
+        side, so that lambda lands within a few ulps of it and x on k or a
+        few ulps from it, where the floor changes; k is the draw moved into
+        the counts of whole cycles that the frequency range allows on s.
         """
         sc = random_scenario(np.random.default_rng(seed), rows, cols, 1)
         placement = sc.placement
@@ -94,7 +103,8 @@ class TestContinuousPhaseMatrix:
             wavelength = path / (fewest + k % (most - fewest + 1))
             if step:
                 wavelength = math.nextafter(wavelength, math.copysign(math.inf, step))
-            sc = replace(sc, radio=replace(sc.radio, wavelength=wavelength))
+            sc = replace(sc, radio=replace(sc.radio,
+                                           freq_ghz=SPEED_OF_LIGHT / (wavelength * 1e9)))
         phases = link_state(sc).phase.ravel()
         assert np.all(phases >= 0.0) and np.all(phases < TWO_PI)
         pi = Fraction("3.141592653589793238462643383279502884197")
@@ -110,8 +120,8 @@ class TestContinuousPhaseMatrix:
         panel = RisPanel(rows=32, cols=16, d_x=0.5, d_y=0.5, bits=1, levels=(0.0, math.pi))
         placement = Placement(d1=10.0, d2=10.0, theta_t=math.pi / 4, phi_t=0.0,
                               theta_r=math.pi / 4, phi_r=math.pi)
-        radio = RadioConfig(wavelength=1.0, tx_power_dbm=0.0, gain_tx_dbi=8.0,
-                            gain_rx_dbi=8.0)
+        radio = RadioConfig(freq_ghz=SPEED_OF_LIGHT / (1.0 * 1e9), tx_power_dbm=0.0,
+                            gain_tx_dbi=8.0, gain_rx_dbi=8.0)
         phases = link_state(Scenario(panel=panel, placement=placement, radio=radio)).phase
         offset = (phases[0, 0] - phases[15, 7]) % TWO_PI
         assert offset == pytest.approx(0.4182519381750467, abs=1e-9)
@@ -244,8 +254,8 @@ class TestAmplitude:
                 (MIN_GAIN_DBI, 40.0), (0.0, 100.0), (0.0, math.nextafter(math.pi / 2, 0.0))):
             placement = Placement(d1=d, d2=d, theta_t=theta, phi_t=0.0, theta_r=theta,
                                   phi_r=math.pi)
-            radio = RadioConfig(wavelength=0.1, tx_power_dbm=0.0, gain_tx_dbi=gain,
-                                gain_rx_dbi=gain, cell_alpha=cell_alpha)
+            radio = RadioConfig(freq_ghz=SPEED_OF_LIGHT / (0.1 * 1e9), tx_power_dbm=0.0,
+                                gain_tx_dbi=gain, gain_rx_dbi=gain, cell_alpha=cell_alpha)
             sc = Scenario(panel=panel, placement=placement, radio=radio)
             amplitudes = link_state(sc).amplitude.ravel().tolist()
             for a, ref, bound, total in zip(amplitudes, *reference_amplitudes(sc)):
@@ -540,6 +550,45 @@ class TestFarFieldPhase:
         state = link_state(sc)
         assert residual_spread(state.phase, np.zeros_like(state.phase)) <= s
         assert dtpq(state).xi >= math.cos(s / 2.0) * state.xi_upper_bound * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("bits, residues", [(1, 3), (1, 5), (2, 4)])
+    def test_steered_row_keeps_the_dof_law(self, bits, residues):
+        """A far-field 1 x 60 row steered so that its phase steps Omega/L per
+        column keeps TestDofLaw's sin(Omega/2) / (L * sin(Omega/(2L))).
+
+        The Tx is on the normal and the Rx at phi_r 0 with sin(theta_r) =
+        Omega / (L * k * d_x), so the affine phase steps Omega/L per column
+        and its residues mod Omega are L classes of 60/L cells.  The model's
+        phases differ from that ideal by a deviation within [-slack - drift,
+        F + R + slack + drift], a band of width w: F, R and slack from
+        fresnel_terms, and ``drift`` for the step, within 6u of Omega/L over
+        at most 30 columns, and a level's and a residual's roundings.  While
+        w < Omega/(2L) no class meets another, so a threshold at a class's
+        first phase (a dtpq candidate) or midway between two classes bins
+        every cell as the ideal link does.  With a-bar the mean amplitude,
+        any design's xi then moves by at most sum|a - a-bar| + sum(a) * w/2
+        from the ideal link's, whose every threshold gives the law, and
+        whose best design over all level assignments is a threshold one
+        (TestOptimalityCertificate); dtpq keeps the best within the tie
+        slack, and the sums round within 2n * eps.
+        """
+        sc = ris_2p6ghz().with_panel(rows=1, cols=60, bits=bits, levels=uniform_levels(bits, 0.0))
+        k, omega = TWO_PI / sc.radio.wavelength, sc.panel.omega
+        sine = omega / (residues * k * sc.panel.d_x)
+        sc = sc.with_placement(d1=1e6, d2=1e6, theta_t=0.0, phi_t=0.0,
+                               theta_r=math.asin(sine), phi_r=0.0)
+        eps = np.finfo(float).eps
+        fresnel, remainder, slack = fresnel_terms(sc)
+        drift = (sc.panel.cols * omega + 8.0 * TWO_PI) * eps
+        width = fresnel + remainder + 2.0 * (slack + drift)
+        assert width < omega / (2 * residues)
+        state = link_state(sc)
+        a = state.amplitude
+        spread = float(np.sum(np.abs(a - np.mean(a))) / np.sum(a))
+        tolerance = spread + width / 2.0 + TIE_REL_TOL + 2 * a.size * eps
+        midway = float((state.phase[0, 0] + omega / (2 * residues)) % TWO_PI)
+        for result in (dtpq(state), fixed_threshold(state, midway)):
+            assert abs(result.xi / state.xi_upper_bound - dof_law(omega, residues)) <= tolerance
 
 
 class TestFieldAtRxPoints:

@@ -33,7 +33,9 @@ from risbeam.scenario import (
     _SECTIONS,
     RANGES,
     ScenarioFileError,
+    _number,
     parse_scenario,
+    ris_2p6ghz,
     ris_2p6ghz_document,
     ris_4p9ghz_document,
     wavelength_m,
@@ -182,6 +184,13 @@ class TestScenarioParsing:
             assert list(keys) == list(ris_2p6ghz_document()[name])
             assert sorted(field for field, _ in keys.values()) == sorted(
                 f.name for f in dataclasses.fields(cls))
+
+    def test_ranged_keys_are_read_as_written(self):
+        # a ranged field holds the file's number as written, so that its
+        # dataclass checks it, and shows a refused one, in the file's units
+        for key in RANGES:
+            section, name = key.split(".")
+            assert _SECTIONS[section][1][name][1] is _number, key
 
     def test_readme_example_is_the_table(self):
         text = (ROOT / "README.md").read_text()
@@ -1042,6 +1051,25 @@ def test_one_key_just_outside_its_range_exits_2(tmp_path, capsys, key, above, do
     doc[section][name] = end + (1 if above else -1) * (abs(end) or 1.0) * 2**-20
     code, err = quantize_outcome(doc, tmp_path, capsys)
     assert code == 2 and f"{key} must lie in [{lo:g}, {hi:g}]" in err, err
+
+
+@pytest.mark.parametrize("above", [False, True], ids=["low", "high"])
+@pytest.mark.parametrize("key", RANGES)
+def test_one_field_just_outside_its_range_is_refused(key, above):
+    # the library twin of the test above: the dataclass holds an end bit for
+    # bit, and refuses a millionth of the end's magnitude beyond it, naming
+    # the key and showing the value as passed
+    lo, hi, unit, _ = RANGES[key]
+    end = hi if above else lo
+    section, name = key.split(".")
+    field = _SECTIONS[section][1][name][0]
+    config = getattr(ris_2p6ghz(), section)
+    assert getattr(dataclasses.replace(config, **{field: end}), field).hex() == end.hex()
+    outside = end + (1 if above else -1) * (abs(end) or 1.0) * 2**-20
+    with pytest.raises(ValueError) as excinfo:
+        dataclasses.replace(config, **{field: outside})
+    span = f"[{lo:g}, {hi:g}] {unit}".rstrip()
+    assert str(excinfo.value) == f"{key} must lie in {span}, got {outside!r}"
 
 
 def readme_commands():

@@ -10,7 +10,7 @@ from conftest import aperture_radius, combined_pattern, path_lengths, wave_path_
 import risbeam
 from risbeam import Placement, RadioConfig, RisPanel, Scenario
 from risbeam.geometry import THETA_LIMIT, _outer_sum, antenna_points, cell_center_axes
-from risbeam.scenario import MIN_GAIN_DBI
+from risbeam.scenario import MIN_GAIN_DBI, SPEED_OF_LIGHT
 
 LAMBDA = 1.0
 
@@ -190,8 +190,8 @@ class TestPathLengths:
 
 
 def link(panel, placement, gain_dbi=8.25):
-    radio = RadioConfig(wavelength=LAMBDA, tx_power_dbm=0.0, gain_tx_dbi=gain_dbi,
-                        gain_rx_dbi=gain_dbi, cell_alpha=1.0)
+    radio = RadioConfig(freq_ghz=SPEED_OF_LIGHT / (LAMBDA * 1e9), tx_power_dbm=0.0,
+                        gain_tx_dbi=gain_dbi, gain_rx_dbi=gain_dbi, cell_alpha=1.0)
     return Scenario(panel=panel, placement=placement, radio=radio)
 
 

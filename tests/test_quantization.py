@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from conftest import (
     brute_force_search,
+    dof_law,
     exhaustive_xi,
     random_scenario,
     residual_spread,
@@ -571,6 +572,56 @@ class TestDofInvariance:
         assert result.candidates_evaluated == rows * cols
         tolerance = 3 * rows * cols * eps * link.xi_upper_bound
         assert abs(result.xi - rows * expected.xi) <= tolerance
+
+
+class TestDofLaw:
+    """A link whose phases mod Omega take L values Omega/L apart, each on the
+    same total amplitude, keeps xi / xi_continuous = sin(Omega/2) /
+    (L * sin(Omega/(2L))) at every threshold.
+
+    Law.  At any threshold a cell's residual, level minus phase, is one
+    common angle less the phase's offset in its bin of width Omega, so the
+    residuals are L points Omega/L apart with equal weights, and their
+    phasors sum to sin(Omega/2) / sin(Omega/(2L)) times a class's weight.
+    L = 1 keeps the continuous xi, L -> inf tends to the sinc floor, and
+    dtpq gains nothing over a fixed threshold.
+
+    Tolerance.  The n = 8L cells have unit amplitude, so xi_continuous = n
+    exactly; u = 2**-53.  Each phase (base + j*Omega/L + m*Omega, mod 2*pi),
+    level and residual is formed by at most eight roundings of numbers
+    below 8, each within 2**-51 = 4u, and takes TWO_PI's own error of at
+    most 4u at most twice, so each residual lies within 40u of its exact
+    value and moves xi by at most 40u * n.  _phasor_sum forms each cosine
+    and sine within 8u, sums n of each within (n - 1) * u * n, and hypot
+    rounds once; with the law's own few roundings,
+    |xi - law * n| <= (2n + 64) * u * n.  A threshold within rounding of a
+    residue could split its cells between two bins; ``base`` is drawn at
+    random, so no eipq grid point or random threshold comes near one, and
+    a split threshold scores far below the tie slack, so dtpq never keeps
+    one.
+    """
+
+    @pytest.mark.parametrize("residues", [1, 2, 3, 4, 5, 7, 16, 64])
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    def test_every_threshold_keeps_the_law(self, bits, residues):
+        rng = np.random.default_rng(100 * bits + residues)
+        omega = TWO_PI / 2**bits
+        epsilon = math.radians(5.0)
+        n = 8 * residues
+        tolerance = (2 * n + 64) * 2.0**-53 * n
+        for _ in range(10):
+            base = rng.uniform(0.0, omega / residues)
+            phase = np.repeat(base + np.arange(residues) * (omega / residues), 8)
+            phase = (phase + rng.integers(0, 2**bits, n) * omega) % TWO_PI
+            rng.shuffle(phase)
+            state = hand_built_link(8, residues, bits, np.ones(n), phase,
+                                    rng.uniform(0.0, omega))
+            assert state.xi_upper_bound == n
+            thresholds = np.concatenate((eipq_grid(bits, epsilon), rng.uniform(0.0, TWO_PI, 8)))
+            results = [dtpq(state), eipq(state, epsilon)]
+            results += [fixed_threshold(state, float(gamma)) for gamma in thresholds]
+            for result in results:
+                assert abs(result.xi - dof_law(omega, residues) * n) <= tolerance
 
 
 def worst_single_move_gain(state: LinkState, result) -> float:

@@ -17,6 +17,7 @@ from risbeam import (
     ris_2p6ghz,
 )
 from risbeam.geometry import antenna_points, cell_center_axes
+from risbeam.scenario import MIN_GAIN_DBI, SPEED_OF_LIGHT
 
 ALPHA_825_DBI = 2.3417195878430728
 
@@ -32,8 +33,9 @@ def link(rows=1, cols=1, d_x=0.1, d1=1.0, d2=1.0, theta_t=0.0, theta_r=0.0, alph
     panel = RisPanel(rows=rows, cols=cols, d_x=d_x, d_y=d_x, bits=1, levels=(0.0, math.pi))
     placement = Placement(d1=d1, d2=d2, theta_t=theta_t, phi_t=0.0, theta_r=theta_r,
                           phi_r=math.pi)
-    radio = RadioConfig(wavelength=0.1, tx_power_dbm=0.0, gain_tx_dbi=gain_dbi(alpha_tx),
-                        gain_rx_dbi=gain_dbi(alpha_rx), cell_alpha=cell_alpha)
+    radio = RadioConfig(freq_ghz=SPEED_OF_LIGHT / (0.1 * 1e9), tx_power_dbm=0.0,
+                        gain_tx_dbi=gain_dbi(alpha_tx), gain_rx_dbi=gain_dbi(alpha_rx),
+                        cell_alpha=cell_alpha)
     return Scenario(panel=panel, placement=placement, radio=radio)
 
 
@@ -130,6 +132,14 @@ class TestGainConversion:
     def test_alpha_zero_floor(self):
         assert alpha_from_gain_dbi(10 * math.log10(2.0)) == pytest.approx(0.0, abs=1e-12)
 
+    def test_floor_is_the_range_end(self):
+        # the RANGES floor of the gains gives alpha 0; one ulp below it, and
+        # NaN, are refused
+        assert alpha_from_gain_dbi(MIN_GAIN_DBI) == 0.0
+        for gain in (math.nextafter(MIN_GAIN_DBI, 0.0), math.nan):
+            with pytest.raises(ValueError, match="floor"):
+                alpha_from_gain_dbi(gain)
+
     def test_inverse_at_825_dbi(self):
         alpha = alpha_from_gain_dbi(8.25)
         assert alpha == pytest.approx(ALPHA_825_DBI, rel=1e-12)
@@ -155,16 +165,21 @@ class TestGainConversion:
 class TestRadioConfig:
     def test_rejects_below_floor_gain(self):
         with pytest.raises(ValueError, match=r"radio.gain_tx_dbi must lie in \[3.0103, 40\] dBi"):
-            RadioConfig(wavelength=0.1, tx_power_dbm=0.0, gain_tx_dbi=2.0, gain_rx_dbi=8.0)
+            RadioConfig(freq_ghz=SPEED_OF_LIGHT / (0.1 * 1e9), tx_power_dbm=0.0, gain_tx_dbi=2.0,
+                        gain_rx_dbi=8.0)
 
-    def test_rejects_nonpositive_wavelength(self):
-        # the wavelength is held to the frequency range of the scenario files
-        with pytest.raises(ValueError, match=r"radio.freq_ghz must lie in \[0.1, 10000\] GHz, "
-                                             "got inf"):
-            RadioConfig(wavelength=0.0, tx_power_dbm=0.0, gain_tx_dbi=8.0, gain_rx_dbi=8.0)
+    @pytest.mark.parametrize("freq_ghz, shown", [
+        (0.0, "0.0"), (math.nextafter(1e4, math.inf), "10000.000000000002")],
+        ids=["zero", "one-ulp-above"])
+    def test_refuses_a_frequency_as_passed(self, freq_ghz, shown):
+        # the frequency is held to its range, and shown, as passed
+        with pytest.raises(ValueError) as excinfo:
+            RadioConfig(freq_ghz=freq_ghz, tx_power_dbm=0.0, gain_tx_dbi=8.0, gain_rx_dbi=8.0)
+        assert str(excinfo.value) == f"radio.freq_ghz must lie in [0.1, 10000] GHz, got {shown}"
 
     def test_alpha_properties(self):
-        radio = RadioConfig(wavelength=0.1, tx_power_dbm=0.0, gain_tx_dbi=8.25, gain_rx_dbi=6.0206)
+        radio = RadioConfig(freq_ghz=SPEED_OF_LIGHT / (0.1 * 1e9), tx_power_dbm=0.0,
+                            gain_tx_dbi=8.25, gain_rx_dbi=6.0206)
         assert radio.alpha_tx == pytest.approx(ALPHA_825_DBI, rel=1e-9)
         assert radio.alpha_rx == pytest.approx(1.0, abs=1e-5)
 
@@ -175,8 +190,8 @@ class TestCombinedPattern:
     def test_all_boresight_gives_one(self):
         panel = RisPanel(rows=1, cols=1, d_x=0.1, d_y=0.1, bits=1, levels=(0.0, math.pi))
         placement = Placement(d1=5.0, d2=5.0, theta_t=0.0, phi_t=0.0, theta_r=0.0, phi_r=0.0)
-        radio = RadioConfig(wavelength=0.1, tx_power_dbm=0.0, gain_tx_dbi=8.25,
-                            gain_rx_dbi=8.25, cell_alpha=0.0)
+        radio = RadioConfig(freq_ghz=SPEED_OF_LIGHT / (0.1 * 1e9), tx_power_dbm=0.0,
+                            gain_tx_dbi=8.25, gain_rx_dbi=8.25, cell_alpha=0.0)
         combined = combined_pattern(Scenario(panel=panel, placement=placement, radio=radio))
         assert combined[0, 0] == pytest.approx(1.0, rel=1e-12)
 
@@ -186,8 +201,8 @@ class TestCombinedPattern:
         panel = RisPanel(rows=8, cols=8, d_x=0.2, d_y=0.2, bits=1, levels=(0.0, math.pi))
         placement = Placement(d1=5.0, d2=0.6, theta_t=0.1, phi_t=0.0,
                               theta_r=math.pi / 2 - 1e-9, phi_r=0.0)
-        radio = RadioConfig(wavelength=0.1, tx_power_dbm=0.0, gain_tx_dbi=6.0206,
-                            gain_rx_dbi=6.0206, cell_alpha=1.0)
+        radio = RadioConfig(freq_ghz=SPEED_OF_LIGHT / (0.1 * 1e9), tx_power_dbm=0.0,
+                            gain_tx_dbi=6.0206, gain_rx_dbi=6.0206, cell_alpha=1.0)
         combined = combined_pattern(Scenario(panel=panel, placement=placement, radio=radio))
         x, y = np.meshgrid(*cell_center_axes(panel))
         rx, ry, rz = antenna_points(placement.d2, placement.theta_r, placement.phi_r)[0]
