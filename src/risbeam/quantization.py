@@ -14,13 +14,14 @@ differ only in their candidate threshold sets:
                 [0, Omega); sub-optimal, constant candidate count.
 * fixed      -- a single constant threshold (the traditional baseline).
 
-dtpq and eipq score their candidates on one threshold profile: the
-phases mod Omega are sorted once, and xi at any threshold is then one
-binary search and one prefix-sum lookup, so a search of K candidates
-costs O((M*N + K) log M*N).  The winner's
-shifts and xi are recomputed exactly in row-major order.  Ties within
-1e-12 relative xi resolve to the smallest threshold so that results are
-reproducible across platforms.
+All three are one search, ``_search``, over their candidate array.  Two
+or more candidates are scored on one threshold profile: the phases mod
+Omega are sorted once, and xi at any threshold is then one binary search
+and one prefix-sum lookup, so a search of K candidates costs
+O((M*N + K) log M*N).  One candidate builds no profile, so fixed costs
+O(M*N).  The winner's shifts and xi are recomputed exactly in row-major
+order.  Ties within 1e-12 relative xi resolve to the smallest threshold
+so that results are reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -60,39 +61,25 @@ class QuantizationResult:
     candidates_evaluated: int
 
 
-def _split(phases, omega: float):
-    """(k, u) = divmod(phases, omega): interval index and offset within it.
+def quantize_matrix(phases: np.ndarray, gamma: float | np.ndarray, panel: RisPanel) -> np.ndarray:
+    """Level indices of a phase array quantized at threshold gamma.
 
-    The one split that both the binning and the threshold profile use, so
-    the partition the profile scores at gamma is the one quantize_matrix
-    applies at gamma.  divmod is exact here: u = fmod(phase, Omega).
+    ``gamma`` is one threshold or an array broadcast against the phases.
+    A phase lands in level p's cyclic bin [gamma + (p-1)*Omega, gamma + p*Omega).
+    With (k, u) = divmod(phase, Omega), exact here, and (k_g, u_g) that of
+    gamma, the bin is k - k_g, one lower when u < u_g: a phase equal to gamma
+    lands in bin 0, and any finite phase where its reduction mod 2*pi does.
+    This equals floor(mod(phase - gamma, 2*pi) / Omega) mod 2**q wherever
+    that expression does not round across a bin edge.  _profile_xi scores
+    the partition of this same split.
     """
-    return np.divmod(phases, omega)
-
-
-def _bin_indices(phases: np.ndarray, gamma, panel: RisPanel) -> np.ndarray:
-    """Cyclic half-open bin index of each phase for threshold gamma.
-
-    With (k, u) the split of a phase and (k_g, u_g) that of gamma, the bin
-    is k - k_g, one lower when u < u_g; a phase equal to gamma lands in
-    bin 0.  This equals floor(mod(phase - gamma, 2*pi) / Omega) mod 2**q
-    wherever that expression does not round across a bin edge.
-    """
-    k, u = _split(phases, panel.omega)
-    k_g, u_g = _split(gamma, panel.omega)
+    gamma = np.asarray(gamma, dtype=float)
+    outside = gamma[~((0.0 <= gamma) & (gamma < TWO_PI))]
+    if outside.size:
+        raise ValueError(f"threshold must lie in [0, 2*pi), got {outside[0]}")
+    k, u = np.divmod(np.asarray(phases, dtype=float), panel.omega)
+    k_g, u_g = np.divmod(gamma, panel.omega)
     return (k - k_g - (u < u_g)).astype(np.intp) % panel.num_levels
-
-
-def quantize_matrix(phases: np.ndarray, gamma: float, panel: RisPanel) -> np.ndarray:
-    """Level indices of a continuous phase array quantized at threshold gamma.
-
-    Every phase maps to exactly one level: the one whose cyclic bin
-    [gamma + (p-1)*Omega, gamma + p*Omega) contains it.  Binning is cyclic,
-    so any finite phase lands where its reduction mod 2*pi does.
-    """
-    if not 0.0 <= gamma < TWO_PI:
-        raise ValueError(f"threshold must lie in [0, 2*pi), got {gamma}")
-    return _bin_indices(np.asarray(phases, dtype=float), gamma, panel)
 
 
 def _profile_xi(state: LinkState, gammas: np.ndarray) -> np.ndarray:
@@ -104,34 +91,33 @@ def _profile_xi(state: LinkState, gammas: np.ndarray) -> np.ndarray:
     xi(gamma) = |C_total - (1 - exp(-j*Omega)) * C[#{u < u_g}]|.
     """
     panel = state.scenario.panel
-    _, u = _split(state.phase.ravel(), panel.omega)
+    _, u = np.divmod(state.phase.ravel(), panel.omega)
     order = np.argsort(u)
     u_sorted = u[order]
     z = state.amplitude.ravel()[order] * np.exp(-1j * u_sorted)
     prefix = np.concatenate(([0.0], np.cumsum(z)))
-    _, u_g = _split(gammas, panel.omega)
+    _, u_g = np.divmod(gammas, panel.omega)
     below = prefix[np.searchsorted(u_sorted, u_g, side="left")]
     return np.abs(prefix[-1] - (1.0 - np.exp(-1j * TWO_PI / panel.num_levels)) * below)
 
 
-def _at_threshold(state: LinkState, gamma: float, candidates: int) -> QuantizationResult:
-    """Quantize at gamma; the design's shifts and xi are exact, in row-major order."""
+def _search(state: LinkState, gammas: np.ndarray) -> QuantizationResult:
+    """Quantize at the best candidate threshold in ``gammas``.
+
+    Two or more candidates are scored on the threshold profile, and
+    near-ties within TIE_REL_TOL go to the smallest; one candidate is
+    taken as it is.  The design's shifts and xi are exact, in row-major order.
+    """
+    gamma = float(gammas[0])
+    if gammas.size > 1:
+        xis = _profile_xi(state, gammas)
+        gamma = float(np.min(gammas[xis >= float(np.max(xis)) * (1.0 - TIE_REL_TOL)]))
     panel = state.scenario.panel
     indices = quantize_matrix(state.phase, gamma, panel)
     shifts = np.take(panel.levels, indices)
     xi = state.xi(shifts)
     power = power_dbm_from_xi(panel, state.scenario.radio, xi)
-    return QuantizationResult(gamma, shifts, indices, xi, power, candidates)
-
-
-def _search(state: LinkState, gammas: np.ndarray) -> QuantizationResult:
-    """Keep the best candidate threshold, scored on the threshold profile.
-
-    Near-ties within TIE_REL_TOL go to the smallest candidate.
-    """
-    xis = _profile_xi(state, gammas)
-    tied = xis >= float(np.max(xis)) * (1.0 - TIE_REL_TOL)
-    return _at_threshold(state, float(np.min(gammas[tied])), gammas.size)
+    return QuantizationResult(gamma, shifts, indices, xi, power, gammas.size)
 
 
 def dtpq(state: LinkState) -> QuantizationResult:
@@ -169,4 +155,4 @@ def eipq(state: LinkState, epsilon: float) -> QuantizationResult:
 
 def fixed_threshold(state: LinkState, gamma: float) -> QuantizationResult:
     """Quantization at a single constant threshold (traditional baseline)."""
-    return _at_threshold(state, float(gamma), 1)
+    return _search(state, np.array([float(gamma)]))

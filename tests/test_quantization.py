@@ -33,7 +33,6 @@ from risbeam import (
 from risbeam.quantization import (
     EIPQ_GUARD_CANDIDATES,
     TIE_REL_TOL,
-    _bin_indices,
     _profile_xi,
 )
 
@@ -425,6 +424,64 @@ class TestThresholdProfile:
         assert result.candidates_evaluated == grid.size
         self.assert_matches_scan(result, brute_force_search(state, grid))
 
+    @PROPERTY_SETTINGS
+    @given(adversarial_links(), st.data())
+    def test_fixed_is_the_one_candidate_scan(self, link, data):
+        state, _, _ = link
+        gamma = data.draw(st.one_of(st.floats(0.0, TWO_PI, exclude_max=True),
+                                    st.sampled_from(state.phase.ravel().tolist())))
+        result = fixed_threshold(state, gamma)
+        assert result.candidates_evaluated == 1
+        self.assert_matches_scan(result, brute_force_search(state, [gamma]))
+
+    def test_one_candidate_builds_no_profile(self, monkeypatch):
+        class ProfileBuilt(Exception):
+            pass
+
+        def refuse(*args):
+            raise ProfileBuilt
+
+        state = link_state(ris_2p6ghz())
+        one_cell = hand_built_link(1, 1, 1, [2.0], [1.0])
+        single = [lambda: fixed_threshold(state, math.radians(235)),
+                  lambda: eipq(state, 0.75 * state.scenario.panel.omega),   # K = 1
+                  lambda: dtpq(one_cell)]
+        expected = [search() for search in single]
+        monkeypatch.setattr("risbeam.quantization._profile_xi", refuse)
+        for search, unpatched in zip(single, expected):
+            result = search()
+            assert result.candidates_evaluated == 1
+            self.assert_matches_scan(
+                result, (unpatched.threshold, unpatched.level_indices, unpatched.xi))
+        for search in (lambda: dtpq(state), lambda: eipq(state, math.radians(5))):
+            with pytest.raises(ProfileBuilt):
+                search()
+
+    @pytest.mark.parametrize("degrees", [5.0, 1.0, 0.37])
+    @pytest.mark.parametrize("bits", [1, 2, 3])
+    def test_eipq_at_its_own_grid_points(self, bits, degrees):
+        # phases at k*epsilon, formed as eipq forms its grid, one ulp to
+        # either side, and some of these again a random multiple of Omega on;
+        # each is kept or dropped at random, so that some points keep one side
+        # only: the profile's u < u_g must split them as quantize_matrix does
+        rng = np.random.default_rng(bits * 1000 + round(degrees * 100))
+        epsilon = math.radians(degrees)
+        grid = eipq_grid(bits, epsilon)
+        omega = TWO_PI / 2**bits
+        for draw in range(8):
+            points = epsilon * rng.choice(grid.size, size=8, replace=False).astype(float)
+            near = np.concatenate((np.nextafter(points, -np.inf), points,
+                                   np.nextafter(points, np.inf)))
+            near = near[rng.random(near.size) < 0.5]
+            shifted = near[rng.random(near.size) < 0.5]
+            shifted += rng.integers(1, 2**bits + 1, shifted.size) * omega
+            phase = np.concatenate((near, shifted))
+            amplitude = np.ones(phase.size) if draw % 2 else rng.uniform(0.01, 10.0, phase.size)
+            state = hand_built_link(1, phase.size, bits, amplitude, phase, rng.uniform(0.0, omega))
+            result = eipq(state, epsilon)
+            assert result.candidates_evaluated == grid.size
+            self.assert_matches_scan(result, brute_force_search(state, grid))
+
     def test_single_cell_panels(self):
         for bits in (1, 2, 3):
             sc = ris_2p6ghz().with_panel(rows=1, cols=1, bits=bits, levels=uniform_levels(bits, 0.0))
@@ -445,7 +502,23 @@ class TestThresholdProfile:
             phases = rng.uniform(0.0, TWO_PI, 200_000)
             gammas = rng.uniform(0.0, TWO_PI, 200_000)
             textbook = np.floor(np.mod(phases - gammas, TWO_PI) / omega).astype(np.intp) % 2**bits
-            assert np.array_equal(_bin_indices(phases, gammas, panel), textbook)
+            assert np.array_equal(quantize_matrix(phases, gammas, panel), textbook)
+
+    def test_threshold_array_matches_scalar_calls(self):
+        rng = np.random.default_rng(73)
+        for bits in (1, 2, 3):
+            panel = RisPanel(rows=1, cols=1, d_x=0.1, d_y=0.1, bits=bits,
+                             levels=uniform_levels(bits, 0.0))
+            phases = rng.uniform(0.0, TWO_PI, 40)
+            gammas = np.concatenate((rng.uniform(0.0, TWO_PI, 300), phases, [0.0]))
+            scalar = [quantize_matrix(phases, float(gamma), panel) for gamma in gammas]
+            assert np.array_equal(quantize_matrix(phases, gammas[:, None], panel), scalar)
+            for bad in (TWO_PI, math.nan):
+                refused = gammas.copy()
+                refused[137] = bad
+                with pytest.raises(ValueError,
+                                   match=rf"threshold must lie in \[0, 2\*pi\), got {bad}$"):
+                    quantize_matrix(phases, refused[:, None], panel)
 
     def test_profile_is_omega_periodic_and_exact(self):
         rng = np.random.default_rng(71)
