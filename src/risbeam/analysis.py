@@ -2,8 +2,10 @@
 
 Every analysis takes its grid as values.  Colon ranges ("5:0.1:10", 51
 points) are built by ``grid_values``, which the command line calls with
-its option names.  Angle-axis values and thresholds are degrees at this
-layer (they feed the CSV boundary directly); distances are meters.
+its option names.  Sweep axes and fit variables carry the command line's
+names (``scenario.SWEEP_AXES``, ``FIT_VARIABLES``).  Every angle at this
+layer, of a grid, a design target or a threshold, is in degrees, as in the
+CSVs; distances are meters.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from .channel import (
 )
 from .geometry import THETA_LIMIT, antenna_points
 from .quantization import QuantizationResult, dtpq, eipq, fixed_threshold
-from .scenario import GRID_GUARD_POINTS, MIN_GAIN_DBI, SWEEP_AXES, Scenario, wrap_angle
+from .scenario import (FIT_VARIABLES, GRID_GUARD_POINTS, MIN_GAIN_DBI, SWEEP_AXES, Scenario,
+                       in_degrees, wrap_angle)
 
 # A method token is a name, then ":<degrees>" on the two methods with a
 # parameter: the eipq grid step and the fixed threshold.
@@ -50,25 +53,10 @@ class SlopeFit:
     r_squared: float
 
 
-FIT_VARIABLES = ("log10_d1", "log10_d2", "log10_cos_theta_r", "log10_cos_theta_t")
-
-# The Placement field each redesign axis and fit variable moves, and how a
-# grid value becomes that field: meters pass through, degrees become radians.
-_PLACEMENT_FIELDS = {
-    "rx_distance": ("d2", float),
-    "tx_distance": ("d1", float),
-    "theta_r": ("theta_r", math.radians),
-    "log10_d1": ("d1", float),
-    "log10_d2": ("d2", float),
-    "log10_cos_theta_r": ("theta_r", math.radians),
-    "log10_cos_theta_t": ("theta_t", math.radians),
-}
-
-
-def _placed(scenario: Scenario, axis: str, value: float) -> Scenario:
-    """The scenario with the placement field that ``axis`` moves set to ``value``."""
-    field, convert = _PLACEMENT_FIELDS[axis]
-    return scenario.with_placement(**{field: convert(value)})
+def _placed(scenario: Scenario, field: str, value: float) -> Scenario:
+    """The scenario with placement ``field`` at ``value`` (deg on an elevation, else m)."""
+    return scenario.with_placement(
+        **{field: math.radians(value) if in_degrees(field) else float(value)})
 
 
 def grid_values(start: float, stop: float, step: float, option: str = "--step") -> np.ndarray:
@@ -221,11 +209,11 @@ def run_sweep(
     and quantizes at each value.  Rows key methods by name.
     """
     if axis not in SWEEP_AXES:
-        raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+        raise ValueError(f"axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
     table = check_methods(methods)
     if axis != "threshold":
-        return _rows(axis, values,
-                     lambda v: _row(link_state(_placed(scenario, axis, v)), v, table))
+        return _rows(axis, values, lambda v: _row(
+            link_state(_placed(scenario, SWEEP_AXES[axis], v)), v, table))
     if list(table) != ["fixed"]:
         raise ValueError("a threshold sweep exercises exactly the fixed method")
     if ":" in table["fixed"]:
@@ -278,23 +266,26 @@ def _signed_direction(theta: float | np.ndarray, phi: float) -> tuple[np.ndarray
 def angle_scan(
     scenario: Scenario,
     values_deg: Sequence[float],
-    design_target: float,
+    target_deg: float,
     methods: Sequence[str],
 ) -> list[SweepRow]:
     """Design shifts once at the target departure elevation, then move Rx.
 
-    ``design_target`` is radians in (-pi/2, pi/2); ``values_deg`` are the
-    signed scan elevations in degrees.  Powers peak at the target for the
-    beamforming methods.
+    ``target_deg`` is the signed design elevation in (-90, 90) deg and
+    ``values_deg`` the signed scan elevations in [-90, 90] deg.  Powers
+    peak at the target for the beamforming methods.
     """
-    if not -math.pi / 2 < design_target < math.pi / 2:
-        raise ValueError(f"design target must lie in (-pi/2, pi/2), got {design_target}")
+    if not -90.0 < target_deg < 90.0:
+        raise ValueError(f"design target must lie in (-90, 90) deg, got {target_deg:g}")
+    values = np.asarray(values_deg, dtype=float)
+    outside = ~((values >= -90.0) & (values <= 90.0))
+    if outside.any():
+        raise ValueError(f"scan value {values[outside.argmax()]:g} must lie in [-90, 90] deg")
     table = check_methods(methods)
 
     phi_r = scenario.placement.phi_r
-    theta, phi = _signed_direction(design_target, phi_r)
+    theta, phi = _signed_direction(math.radians(target_deg), phi_r)
     target = scenario.with_placement(theta_r=float(theta), phi_r=float(phi))
-    values = np.asarray(values_deg, dtype=float)
     powers, thresholds = _frozen_powers(target, *_signed_direction(np.radians(values), phi_r),
                                         table)
     return [
@@ -305,14 +296,14 @@ def angle_scan(
 
 def gradient_map(
     scenario: Scenario,
-    design_target: tuple[float, float],
+    target_deg: tuple[float, float],
     theta_grid_deg: Sequence[float],
     phi_grid_deg: Sequence[float],
     method: str,
 ) -> np.ndarray:
     """Received power (dBm) over a (theta_r, phi_r) grid with frozen shifts.
 
-    ``design_target`` is (theta_r, phi_r) in radians.  Returns a
+    ``target_deg`` is the design's (theta_r, phi_r) in degrees.  Returns a
     len(theta_grid) x len(phi_grid) matrix ordered like the grids.
     """
     theta_grid = np.asarray(theta_grid_deg, dtype=float)
@@ -325,11 +316,14 @@ def gradient_map(
             f"{theta_grid.size * phi_grid.size} points, exceeding the guard of "
             f"{GRID_GUARD_POINTS}"
         )
-    if np.any(theta_grid < 0.0) or np.any(theta_grid > 90.0):
+    if not np.all((theta_grid >= 0.0) & (theta_grid <= 90.0)):
         raise ValueError("theta grid must lie within [0, 90] degrees")
+    if not np.all(np.isfinite(phi_grid)):
+        raise ValueError("phi grid must be finite")
     table = check_methods([method])
 
-    target = scenario.with_placement(theta_r=design_target[0], phi_r=design_target[1])
+    target = scenario.with_placement(theta_r=math.radians(target_deg[0]),
+                                     phi_r=wrap_angle(math.radians(target_deg[1])))
     tt, pp = np.meshgrid(np.radians(theta_grid), wrap_angle(np.radians(phi_grid)), indexing="ij")
     (power,) = _frozen_powers(target, tt.ravel(), pp.ravel(), table)[0].values()
     return power.reshape(theta_grid.size, phi_grid.size)
@@ -343,14 +337,14 @@ def path_loss_samples(
 ) -> np.ndarray:
     """Path loss (dB) per sample, with shifts redesigned at every sample.
 
-    ``sample_grid`` holds meters for the distance variables and degrees
-    for the angle variables.
+    ``variable`` is a key of FIT_VARIABLES, and ``sample_grid`` holds
+    meters for the distances and degrees for the elevations.
     """
     if variable not in FIT_VARIABLES:
-        raise ValueError(f"variable must be one of {FIT_VARIABLES}, got {variable!r}")
+        raise ValueError(f"variable must be one of {tuple(FIT_VARIABLES)}, got {variable!r}")
     (token,) = check_methods([method]).values()
-    powers = _rows(f"{variable} sample", sample_grid, lambda v: design(
-        link_state(_placed(scenario, variable, v)), token).received_power_dbm)
+    powers = _rows(f"log10_{variable} sample", sample_grid, lambda v: design(
+        link_state(_placed(scenario, FIT_VARIABLES[variable], v)), token).received_power_dbm)
     return scenario.radio.tx_power_dbm - np.array(powers)
 
 
@@ -360,18 +354,16 @@ def pl_slope_fit(
     sample_grid: Sequence[float],
     method: str,
 ) -> SlopeFit:
-    """Ordinary least squares of PL (dB) against 10*log10(variable).
+    """Ordinary least squares of PL (dB) against 10*log10(variable), named "log10_<variable>".
 
-    The slope is the path-loss exponent: +2 for the far-field distance
-    law, -1 for the continuous-space cosine law.
+    ``variable`` and ``sample_grid`` are as in ``path_loss_samples``.  The
+    slope is the path-loss exponent: +2 for the far-field distance law, -1
+    for the continuous-space cosine law.
     """
     grid = np.asarray(sample_grid, dtype=float)
     if grid.size < 3:
         raise ValueError(f"slope fit needs at least 3 samples, got {grid.size}")
-    if variable in ("log10_d1", "log10_d2"):
-        var = grid
-    else:
-        var = np.cos(np.radians(grid))
+    var = np.cos(np.radians(grid)) if in_degrees(FIT_VARIABLES.get(variable)) else grid
     if np.any(var <= 0.0):
         raise ValueError(f"variable {variable} must be positive over the grid")
 
@@ -381,7 +373,7 @@ def pl_slope_fit(
     y = path_loss_samples(scenario, variable, grid, method)
     for value, loss in zip(grid, y):
         if not math.isfinite(loss):  # inf where no cell is lit (xi = 0)
-            raise ValueError(f"path loss at {variable} sample {value:g} is {loss:g} dB; "
+            raise ValueError(f"path loss at log10_{variable} sample {value:g} is {loss:g} dB; "
                              "a slope fit needs every sample finite")
 
     slope, intercept = np.polyfit(x, y, 1)
@@ -389,7 +381,7 @@ def pl_slope_fit(
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(residuals**2)) / ss_tot
     return SlopeFit(
-        variable=variable,
+        variable=f"log10_{variable}",
         slope=float(slope),
         intercept=float(intercept),
         r_squared=r_squared,

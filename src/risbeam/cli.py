@@ -15,12 +15,13 @@ import sys
 from typing import Sequence
 
 from .scenario import (
+    FIT_VARIABLES,
     GRID_GUARD_POINTS,
     SWEEP_AXES,
     Scenario,
     ScenarioFileError,
+    in_degrees,
     load_scenario,
-    wrap_angle,
 )
 
 # ---------------------------------------------------------------------------
@@ -154,7 +155,8 @@ def _cmd_quantize(scenario: Scenario, args: argparse.Namespace) -> int:
 def _cmd_sweep(scenario: Scenario, args: argparse.Namespace) -> int:
     from .analysis import run_sweep
 
-    values = _grid(args.start, args.stop, args.step, "[0, 90)" if args.axis == "theta_r" else None)
+    degrees = "[0, 90)" if in_degrees(SWEEP_AXES[args.axis]) else None
+    values = _grid(args.start, args.stop, args.step, degrees)
     rows = run_sweep(scenario, args.axis, values, args.methods.split(","))
     write_sweep_csv(args.out, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
@@ -166,7 +168,7 @@ def _cmd_angle_scan(scenario: Scenario, args: argparse.Namespace) -> int:
 
     _check_option("--target", args.target, "(-90, 90)")
     values = _grid(args.start, args.stop, args.step, "[-90, 90]")
-    rows = angle_scan(scenario, values, math.radians(args.target), args.methods.split(","))
+    rows = angle_scan(scenario, values, args.target, args.methods.split(","))
     write_sweep_csv(args.out, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
@@ -179,13 +181,8 @@ def _cmd_gradient_map(scenario: Scenario, args: argparse.Namespace) -> int:
     _check_option("--target-phi", args.target_phi)
     theta_grid = _grid(args.theta_start, args.theta_stop, args.theta_step, "[0, 90]", "--theta-")
     phi_grid = _grid(args.phi_start, args.phi_stop, args.phi_step, prefix="--phi-")
-    power = gradient_map(
-        scenario,
-        (math.radians(args.target_theta), wrap_angle(math.radians(args.target_phi))),
-        theta_grid,
-        phi_grid,
-        args.method,
-    )
+    power = gradient_map(scenario, (args.target_theta, args.target_phi), theta_grid, phi_grid,
+                         args.method)
     write_map_csv(args.out, theta_grid, phi_grid, power)
     print(f"wrote {args.out} ({power.size} points)")
     return 0
@@ -200,7 +197,7 @@ def _cmd_pl_fit(scenario: Scenario, args: argparse.Namespace) -> int:
         raise ScenarioFileError(f"--num must be >= 3, got {args.num}")
     if args.num > GRID_GUARD_POINTS:
         raise ScenarioFileError(f"--num {args.num} exceeds the guard of {GRID_GUARD_POINTS}")
-    distance = args.variable in ("d1", "d2")  # log-spaced; angles are linear
+    distance = not in_degrees(FIT_VARIABLES[args.variable])  # log-spaced; angles are linear
     for option, value in (("--start", args.start), ("--stop", args.stop)):
         _check_option(option, value, None if distance else "[0, 90)")
         if distance and not value > 0.0:
@@ -209,7 +206,7 @@ def _cmd_pl_fit(scenario: Scenario, args: argparse.Namespace) -> int:
         grid = np.logspace(math.log10(args.start), math.log10(args.stop), args.num)
     else:
         grid = np.linspace(args.start, args.stop, args.num)
-    fit = pl_slope_fit(scenario, f"log10_{args.variable}", grid, args.method)
+    fit = pl_slope_fit(scenario, args.variable, grid, args.method)
     print(f"variable={fit.variable}")
     print(f"slope={_fmt(fit.slope)}")
     print(f"intercept_db={_fmt(fit.intercept)}")
@@ -281,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pl-fit", help="fit the path-loss exponent over a variable")
     add_scenario(p)
-    p.add_argument("--variable", required=True, choices=("d1", "d2", "cos_theta_r", "cos_theta_t"))
+    p.add_argument("--variable", required=True, choices=FIT_VARIABLES)
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
     p.add_argument("--num", type=int, default=13)

@@ -6,10 +6,10 @@ file writes it, and its wavelength is derived from that.  One table,
 _SECTIONS, names each file key once, with the field it sets and the reader
 of its value.  Unknown keys, non-finite numbers and values outside the
 physical ranges of RANGES are rejected with the offending key named.  This
-configuration layer, with the sweep axes, the grid guard that the command
-line checks its options against and the two bundled demo scenarios, uses
-only the standard library, so reading and validating a scenario loads no
-numpy.
+configuration layer, with the table of sweep axes and fit variables, the
+grid guard that the command line checks its options against and the two
+bundled demo scenarios, uses only the standard library, so reading and
+validating a scenario loads no numpy.
 """
 
 from __future__ import annotations
@@ -20,7 +20,10 @@ from dataclasses import dataclass, replace
 
 SPEED_OF_LIGHT = 299792458.0
 
-SWEEP_AXES = ("rx_distance", "tx_distance", "theta_r", "threshold")
+# Each sweep axis and pl-fit variable as the command line names it, and the
+# Placement field it moves: a theta_* field is an elevation in degrees, the others meters.
+SWEEP_AXES = dict(rx_distance="d2", tx_distance="d1", theta_r="theta_r", threshold=None)
+FIT_VARIABLES = dict(d1="d1", d2="d2", cos_theta_r="theta_r", cos_theta_t="theta_t")
 
 # Upper bound on the points of one grid or map (32x the 181 x 181 map).
 GRID_GUARD_POINTS = 1 << 20
@@ -36,6 +39,11 @@ def wrap_angle(angle):
     a multiple of 2*pi, whose remainder rounds up to 2*pi itself, wraps to 0."""
     wrapped = angle % TWO_PI
     return wrapped - TWO_PI * (wrapped == TWO_PI)
+
+
+def in_degrees(field: str | None) -> bool:
+    """Whether a placement field of SWEEP_AXES or FIT_VARIABLES is an elevation (deg)."""
+    return field is not None and field.startswith("theta_")
 
 
 _LEVEL_SPACING_TOL = 1e-9

@@ -193,7 +193,7 @@ def test_02_distance_sweep_gap_one_bit(one_bit_distance_sweep):
 def test_03_angle_scan_gap():
     scenario = ris_2p6ghz()
     t0 = time.perf_counter()
-    rows = angle_scan(scenario, grid_values(-90.0, 90.0, 1.0), math.radians(45.0),
+    rows = angle_scan(scenario, grid_values(-90.0, 90.0, 1.0), 45.0,
                       ("continuous", "dtpq", "fixed:235"))
     elapsed = time.perf_counter() - t0
     ref = {k: float(v[0]) for k, v in reference_bounds(scenario, [10.0], 235.0).items()}
@@ -254,8 +254,8 @@ def test_05_wave_path_difference():
 def test_06_path_loss_distance_slopes():
     scenario = ris_2p6ghz()
     grid = np.logspace(math.log10(50.0), math.log10(500.0), 13)
-    fit_cont = pl_slope_fit(scenario, "log10_d2", grid, "continuous")
-    fit_dtpq = pl_slope_fit(scenario, "log10_d2", grid, "dtpq")
+    fit_cont = pl_slope_fit(scenario, "d2", grid, "continuous")
+    fit_dtpq = pl_slope_fit(scenario, "d2", grid, "dtpq")
     checks = [
         (abs(fit_cont.slope - 2.0) <= 0.02,
          f"continuous slope {fit_cont.slope:.4f} vs 2.00 +/- 0.02"),
@@ -273,9 +273,9 @@ def test_07_specular_crest():
     sc2 = sc1.with_panel(
         bits=2, levels=tuple(math.radians(v) for v in (55.0, 145.0, 235.0, 325.0))
     )
-    pl_cont = path_loss_samples(sc1, "log10_cos_theta_r", grid, "continuous")
-    dev1 = path_loss_samples(sc1, "log10_cos_theta_r", grid, "dtpq") - pl_cont
-    dev2 = path_loss_samples(sc2, "log10_cos_theta_r", grid, "dtpq") - pl_cont
+    pl_cont = path_loss_samples(sc1, "cos_theta_r", grid, "continuous")
+    dev1 = path_loss_samples(sc1, "cos_theta_r", grid, "dtpq") - pl_cont
+    dev2 = path_loss_samples(sc2, "cos_theta_r", grid, "dtpq") - pl_cont
     extrema = [i for i in range(1, grid.size - 1)
                if (dev1[i] - dev1[i - 1]) * (dev1[i + 1] - dev1[i]) < 0]
     i45 = int(np.argmin(np.abs(grid - 45.0)))

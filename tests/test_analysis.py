@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -247,28 +248,27 @@ class TestRunSweep:
 class TestAngleScan:
     def test_continuous_peaks_at_design_target(self):
         sc = ris_2p6ghz()
-        rows = angle_scan(sc, grid_values(30.0, 60.0, 1.0), math.radians(45.0), ("continuous",))
+        rows = angle_scan(sc, grid_values(30.0, 60.0, 1.0), 45.0, ("continuous",))
         best = max(rows, key=lambda r: r.power_dbm["continuous"])
         assert best.axis_value == pytest.approx(45.0)
 
     def test_design_once_thresholds_constant(self):
         sc = ris_2p6ghz()
-        rows = angle_scan(sc, grid_values(40.0, 50.0, 2.0), math.radians(45.0),
-                          ("dtpq", "fixed:235"))
+        rows = angle_scan(sc, grid_values(40.0, 50.0, 2.0), 45.0, ("dtpq", "fixed:235"))
         thresholds = {r.threshold_deg["dtpq"] for r in rows}
         assert len(thresholds) == 1
         assert all(r.threshold_deg["fixed"] == pytest.approx(235.0) for r in rows)
 
     def test_design_point_matches_static_evaluation(self):
         sc = ris_2p6ghz()
-        rows = angle_scan(sc, grid_values(45.0, 45.0, 1.0), math.radians(45.0), ("continuous",))
+        rows = angle_scan(sc, grid_values(45.0, 45.0, 1.0), 45.0, ("continuous",))
         state = link_state(sc)
         static = power_dbm_from_xi(sc.panel, sc.radio, state.xi(state.phase))
         assert rows[0].power_dbm["continuous"] == pytest.approx(static, abs=1e-9)
 
     def test_negative_angles_and_endpoints(self):
         sc = ris_2p6ghz()
-        rows = angle_scan(sc, grid_values(-90.0, 90.0, 45.0), math.radians(45.0), ("dtpq",))
+        rows = angle_scan(sc, grid_values(-90.0, 90.0, 45.0), 45.0, ("dtpq",))
         assert [r.axis_value for r in rows] == [-90.0, -45.0, 0.0, 45.0, 90.0]
         powers = [r.power_dbm["dtpq"] for r in rows]
         assert all(math.isfinite(p) for p in powers)
@@ -277,20 +277,36 @@ class TestAngleScan:
 
     def test_negative_design_target(self):
         sc = ris_2p6ghz()
-        rows = angle_scan(sc, grid_values(-60.0, -30.0, 1.0), math.radians(-45.0), ("continuous",))
+        rows = angle_scan(sc, grid_values(-60.0, -30.0, 1.0), -45.0, ("continuous",))
         best = max(rows, key=lambda r: r.power_dbm["continuous"])
         assert best.axis_value == pytest.approx(-45.0)
 
     def test_rejects_out_of_range_target(self):
-        with pytest.raises(ValueError, match="target"):
-            angle_scan(ris_2p6ghz(), grid_values(0.0, 10.0, 1.0), math.pi / 2, ("dtpq",))
+        # the target was radians, refused as "... (-pi/2, pi/2), got 1.5707963267948966"
+        with pytest.raises(ValueError, match=r"^design target must lie in \(-90, 90\) deg, "
+                                             r"got 90$"):
+            angle_scan(ris_2p6ghz(), grid_values(0.0, 10.0, 1.0), 90.0, ("dtpq",))
+
+    @pytest.mark.parametrize("value", [120.0, -90.5, math.nan, math.inf])
+    def test_refuses_a_scan_value_off_the_half_circle(self, monkeypatch, value):
+        # such a value used to be scanned at the clamped 90 deg elevation, a
+        # row labelled 120 carrying the grazing power, and NaN was refused as
+        # "placement.theta_r_deg must lie in [0, 90) deg, got nan"; now it is
+        # refused by name before the design
+        def no_design(*args, **kwargs):
+            raise AssertionError("the scan was designed")
+
+        monkeypatch.setattr(analysis, "link_state", no_design)
+        with pytest.raises(ValueError, match=rf"^scan value {value:g} must lie in "
+                                             r"\[-90, 90\] deg$"):
+            angle_scan(ris_2p6ghz(), [0.0, value, 10.0], 45.0, ("dtpq",))
 
     def test_signed_scan_matches_pointwise_field(self):
         # a negative elevation, the design target included, lands at
         # |theta| on the opposite azimuth; 90 deg is clamped below pi/2
         sc = ris_4p9ghz()
         methods = ("continuous", "dtpq", "fixed")
-        rows = angle_scan(sc, grid_values(-90.0, 90.0, 7.5), math.radians(-30.0), methods)
+        rows = angle_scan(sc, grid_values(-90.0, 90.0, 7.5), -30.0, methods)
         pl = sc.placement
 
         def direction(theta):
@@ -317,7 +333,7 @@ class TestAngleScan:
 class TestGradientMap:
     def test_single_point_map_equals_power_at_target(self):
         sc = ris_2p6ghz()
-        power = gradient_map(sc, (math.radians(45.0), math.pi), [45.0], [180.0], "dtpq")
+        power = gradient_map(sc, (45.0, 180.0), [45.0], [180.0], "dtpq")
         assert power.shape == (1, 1)
         from risbeam import dtpq
         direct = dtpq(link_state(sc)).received_power_dbm
@@ -327,7 +343,7 @@ class TestGradientMap:
         sc = ris_2p6ghz()
         theta = np.arange(0.0, 90.5, 0.5)
         phi = np.arange(0.0, 360.5, 2.0)
-        power = gradient_map(sc, (math.radians(45.0), math.pi), theta, phi, "dtpq")
+        power = gradient_map(sc, (45.0, 180.0), theta, phi, "dtpq")
         assert power.shape == (181, 181)
         i, j = np.unravel_index(np.argmax(power), power.shape)
         assert abs(theta[i] - 45.0) <= 0.5
@@ -337,7 +353,7 @@ class TestGradientMap:
         sc = ris_2p6ghz()
         theta = np.arange(40.0, 50.5, 0.5)
         phi = np.arange(170.0, 190.5, 0.5)
-        target = (math.radians(45.0), math.pi)
+        target = (45.0, 180.0)
         p_dtpq = gradient_map(sc, target, theta, phi, "dtpq")
         p_fixed = gradient_map(sc, target, theta, phi, "fixed:235")
         assert p_fixed.max() < p_dtpq.max()
@@ -347,8 +363,8 @@ class TestGradientMap:
         # plane leaves the continuous-design power unchanged
         sc = ris_2p6ghz()
         theta = np.arange(30.0, 61.0, 5.0)
-        power_a = gradient_map(sc, (math.radians(45.0), math.pi), theta, [120.0], "continuous")
-        power_b = gradient_map(sc, (math.radians(45.0), math.pi), theta, [240.0], "continuous")
+        power_a = gradient_map(sc, (45.0, 180.0), theta, [120.0], "continuous")
+        power_b = gradient_map(sc, (45.0, 180.0), theta, [240.0], "continuous")
         np.testing.assert_allclose(power_a, power_b, rtol=1e-9)
 
     def test_guard_refuses_huge_maps(self, monkeypatch):
@@ -362,48 +378,63 @@ class TestGradientMap:
         phi = np.zeros(1024)
         with pytest.raises(ValueError, match="--theta-step/--phi-step give a 1025 x 1024 map "
                                              "of 1049600 points"):
-            gradient_map(ris_2p6ghz(), (math.radians(45.0), math.pi), theta, phi, "dtpq")
+            gradient_map(ris_2p6ghz(), (45.0, 180.0), theta, phi, "dtpq")
+
+    @pytest.mark.parametrize("theta, phi, message", [
+        (math.nan, 180.0, "theta grid must lie within [0, 90] degrees"),
+        (math.inf, 180.0, "theta grid must lie within [0, 90] degrees"),
+        (45.0, math.nan, "phi grid must be finite"),
+        (45.0, math.inf, "phi grid must be finite"),
+        (45.0, -math.inf, "phi grid must be finite"),
+    ], ids=["theta-nan", "theta-inf", "phi-nan", "phi-inf", "phi-minus-inf"])
+    def test_refuses_non_finite_grid_values(self, theta, phi, message):
+        # a NaN elevation used to be refused as "placement.theta_r_deg must lie
+        # in [0, 90) deg, got nan", and an infinite azimuth warned "invalid
+        # value encountered in remainder" in wrap_angle
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            gradient_map(ris_2p6ghz(), (45.0, 180.0), [30.0, theta], [0.0, phi], "dtpq")
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError, match="non-empty"):
-            gradient_map(ris_2p6ghz(), (0.5, math.pi), [], [180.0], "dtpq")
+            gradient_map(ris_2p6ghz(), (45.0, 180.0), [], [180.0], "dtpq")
 
 
 class TestSlopeFit:
     def test_continuous_far_field_distance_law(self):
         sc = ris_2p6ghz()
         grid = np.logspace(math.log10(50.0), math.log10(500.0), 13)
-        fit = pl_slope_fit(sc, "log10_d2", grid, "continuous")
+        fit = pl_slope_fit(sc, "d2", grid, "continuous")
+        assert fit.variable == "log10_d2"
         assert fit.slope == pytest.approx(2.0, abs=0.02)
         assert fit.r_squared > 0.999
 
     def test_tx_distance_law(self):
         sc = ris_2p6ghz()
         grid = np.logspace(math.log10(50.0), math.log10(500.0), 9)
-        fit = pl_slope_fit(sc, "log10_d1", grid, "continuous")
+        fit = pl_slope_fit(sc, "d1", grid, "continuous")
         assert fit.slope == pytest.approx(2.0, abs=0.02)
 
     def test_requires_three_samples(self):
         with pytest.raises(ValueError, match="3 samples"):
-            pl_slope_fit(ris_2p6ghz(), "log10_d2", [50.0, 100.0], "continuous")
+            pl_slope_fit(ris_2p6ghz(), "d2", [50.0, 100.0], "continuous")
 
     def test_rejects_constant_grid(self):
         with pytest.raises(ValueError, match="singular"):
-            pl_slope_fit(ris_2p6ghz(), "log10_d2", [50.0, 50.0, 50.0], "continuous")
+            pl_slope_fit(ris_2p6ghz(), "d2", [50.0, 50.0, 50.0], "continuous")
 
     def test_rejects_nonpositive_variable(self):
         with pytest.raises(ValueError, match="positive"):
-            pl_slope_fit(ris_2p6ghz(), "log10_cos_theta_r", [30.0, 60.0, 91.0], "continuous")
+            pl_slope_fit(ris_2p6ghz(), "cos_theta_r", [30.0, 60.0, 91.0], "continuous")
 
     def test_rejects_unknown_variable(self):
         with pytest.raises(ValueError, match="variable"):
-            pl_slope_fit(ris_2p6ghz(), "log10_d3", [1.0, 2.0, 3.0], "continuous")
+            pl_slope_fit(ris_2p6ghz(), "d3", [1.0, 2.0, 3.0], "continuous")
 
     @pytest.mark.parametrize("variable, field, grid, to_field", [
-        ("log10_d1", "d1", (20.0, 40.0, 80.0), float),
-        ("log10_d2", "d2", (20.0, 40.0, 80.0), float),
-        ("log10_cos_theta_r", "theta_r", (10.0, 35.0, 60.0), math.radians),
-        ("log10_cos_theta_t", "theta_t", (10.0, 35.0, 60.0), math.radians),
+        ("d1", "d1", (20.0, 40.0, 80.0), float),
+        ("d2", "d2", (20.0, 40.0, 80.0), float),
+        ("cos_theta_r", "theta_r", (10.0, 35.0, 60.0), math.radians),
+        ("cos_theta_t", "theta_t", (10.0, 35.0, 60.0), math.radians),
     ])
     def test_samples_redesign_at_the_moved_placement(self, variable, field, grid, to_field):
         sc = ris_2p6ghz()
@@ -419,7 +450,7 @@ class TestSlopeFit:
     def test_samples_match_fit_inputs(self):
         sc = ris_2p6ghz()
         grid = [50.0, 100.0, 200.0]
-        samples = path_loss_samples(sc, "log10_d2", grid, "continuous")
+        samples = path_loss_samples(sc, "d2", grid, "continuous")
         assert samples.shape == (3,)
         assert np.all(np.diff(samples) > 0.0)
 

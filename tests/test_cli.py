@@ -765,6 +765,34 @@ class TestOtherCommands:
         # far-field cosine law has slope -1; at short range it stays near that
         assert slope == pytest.approx(-1.0, abs=0.3)
 
+    @pytest.mark.parametrize("variable, start, stop, spacing", [
+        ("d1", 50.0, 500.0, "log"),
+        ("d2", 50.0, 500.0, "log"),
+        ("cos_theta_r", 20.0, 70.0, "linear"),
+        ("cos_theta_t", 20.0, 70.0, "linear"),
+    ], ids=["d1", "d2", "cos_theta_r", "cos_theta_t"])
+    def test_pl_fit_spaces_samples_by_the_moved_field(self, small_path, capsys, monkeypatch,
+                                                      variable, start, stop, spacing):
+        # the library takes the command line's variable name, and the grid is
+        # log-spaced in meters on a distance and linear in degrees on an elevation
+        calls = []
+
+        def capture(scenario, name, grid, method):
+            calls.append((name, grid))
+            return analysis.SlopeFit(f"log10_{name}", 0.0, 0.0, 1.0)
+
+        monkeypatch.setattr(analysis, "pl_slope_fit", capture)
+        assert run(["pl-fit", "--scenario", small_path, "--variable", variable,
+                    "--start", str(start), "--stop", str(stop), "--num", "7"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == f"variable=log10_{variable}"
+        ((name, grid),) = calls
+        assert name == variable
+        if spacing == "log":
+            expected = np.logspace(math.log10(start), math.log10(stop), 7)
+        else:
+            expected = np.linspace(start, stop, 7)
+        assert grid.tolist() == expected.tolist()
+
     @pytest.mark.parametrize("variable, start, stop, option", [
         ("d2", "50", "0", "--stop"),
         ("d2", "50", "-5", "--stop"),
