@@ -369,7 +369,7 @@ def pl_slope_fit(
 
     x = 10.0 * np.log10(var)
     if np.ptp(x) == 0.0:
-        raise ValueError("singular design matrix: variable is constant over the grid")
+        raise ValueError(f"singular design matrix: log10_{variable} is constant over the grid")
     y = path_loss_samples(scenario, variable, grid, method)
     for value, loss in zip(grid, y):
         if not math.isfinite(loss):  # inf where no cell is lit (xi = 0)

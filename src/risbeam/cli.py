@@ -90,8 +90,9 @@ def write_map_csv(
 
 def _inside(value: float, degrees: str) -> bool:
     """Whether an angle lies in the interval spelled ``degrees``, such as "[0, 90)"."""
-    return {"(-90, 90)": -90.0 < value < 90.0, "[-90, 90]": -90.0 <= value <= 90.0,
-            "[0, 90)": 0.0 <= value < 90.0, "[0, 90]": 0.0 <= value <= 90.0}[degrees]
+    lo, hi = (float(end) for end in degrees[1:-1].split(","))
+    above = lo <= value if degrees[0] == "[" else lo < value
+    return above and (value <= hi if degrees[-1] == "]" else value < hi)
 
 
 def _check_option(option: str, value: float, degrees: str | None = None) -> None:
@@ -102,24 +103,31 @@ def _check_option(option: str, value: float, degrees: str | None = None) -> None
         raise ScenarioFileError(f"{option} must lie in {degrees} degrees, got {value:g}")
 
 
-def _grid(
-    start: float, stop: float, step: float, degrees: str | None = None, prefix: str = "--"
-) -> Sequence[float]:
+def _value(args: argparse.Namespace, flag: str):
+    """The parsed value of the option spelled ``flag``."""
+    return getattr(args, flag[2:].replace("-", "_"))
+
+
+def _grid(args: argparse.Namespace, degrees: str | None = None, prefix: str = "--"
+          ) -> Sequence[float]:
     """The colon range of the ``<prefix>start``, ``stop`` and ``step`` options.
 
-    An angle grid is held to its ``degrees`` interval: start, stop and the
-    last point, which may pass stop by up to step/2, must lie inside.
+    An angle grid holds start, stop and the last point, which may pass stop
+    by up to step/2, to ``degrees``, the interval that another option sets,
+    or else to its start's interval in the table, which run() has checked.
     """
     from .analysis import grid_values
 
-    _check_option(f"{prefix}start", start, degrees)
-    _check_option(f"{prefix}stop", stop, degrees)
+    start, stop, step = (_value(args, prefix + end) for end in ("start", "stop", "step"))
+    if degrees is None:
+        degrees, = _COMMANDS[args.command][2][prefix + "start"][3:] or (None,)
+    else:
+        _check_option(f"{prefix}start", start, degrees)
+        _check_option(f"{prefix}stop", stop, degrees)
     values = grid_values(start, stop, step, f"{prefix}step")
     if degrees is not None and not _inside(values[-1], degrees):
-        raise ScenarioFileError(
-            f"{prefix}step {step:g} puts the last point at {values[-1]:g}, "
-            f"outside {degrees} degrees"
-        )
+        raise ScenarioFileError(f"{prefix}step {step:g} puts the last point at "
+                                f"{values[-1]:g}, outside {degrees} degrees")
     return values
 
 
@@ -129,10 +137,8 @@ def _grid(
 
 def _cmd_validate(scenario: Scenario, args: argparse.Namespace) -> int:
     panel = scenario.panel
-    print(
-        f"ok: {panel.rows}x{panel.cols} cells, {panel.bits}-bit, "
-        f"wavelength {scenario.radio.wavelength:.6f} m"
-    )
+    print(f"ok: {panel.rows}x{panel.cols} cells, {panel.bits}-bit, "
+          f"wavelength {scenario.radio.wavelength:.6f} m")
     return 0
 
 
@@ -155,8 +161,7 @@ def _cmd_quantize(scenario: Scenario, args: argparse.Namespace) -> int:
 def _cmd_sweep(scenario: Scenario, args: argparse.Namespace) -> int:
     from .analysis import run_sweep
 
-    degrees = "[0, 90)" if in_degrees(SWEEP_AXES[args.axis]) else None
-    values = _grid(args.start, args.stop, args.step, degrees)
+    values = _grid(args, "[0, 90)" if in_degrees(SWEEP_AXES[args.axis]) else None)
     rows = run_sweep(scenario, args.axis, values, args.methods.split(","))
     write_sweep_csv(args.out, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
@@ -166,9 +171,7 @@ def _cmd_sweep(scenario: Scenario, args: argparse.Namespace) -> int:
 def _cmd_angle_scan(scenario: Scenario, args: argparse.Namespace) -> int:
     from .analysis import angle_scan
 
-    _check_option("--target", args.target, "(-90, 90)")
-    values = _grid(args.start, args.stop, args.step, "[-90, 90]")
-    rows = angle_scan(scenario, values, args.target, args.methods.split(","))
+    rows = angle_scan(scenario, _grid(args), args.target, args.methods.split(","))
     write_sweep_csv(args.out, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
@@ -177,10 +180,8 @@ def _cmd_angle_scan(scenario: Scenario, args: argparse.Namespace) -> int:
 def _cmd_gradient_map(scenario: Scenario, args: argparse.Namespace) -> int:
     from .analysis import gradient_map
 
-    _check_option("--target-theta", args.target_theta, "[0, 90)")
-    _check_option("--target-phi", args.target_phi)
-    theta_grid = _grid(args.theta_start, args.theta_stop, args.theta_step, "[0, 90]", "--theta-")
-    phi_grid = _grid(args.phi_start, args.phi_stop, args.phi_step, prefix="--phi-")
+    theta_grid = _grid(args, prefix="--theta-")
+    phi_grid = _grid(args, prefix="--phi-")
     power = gradient_map(scenario, (args.target_theta, args.target_phi), theta_grid, phi_grid,
                          args.method)
     write_map_csv(args.out, theta_grid, phi_grid, power)
@@ -202,8 +203,9 @@ def _cmd_pl_fit(scenario: Scenario, args: argparse.Namespace) -> int:
         _check_option(option, value, None if distance else "[0, 90)")
         if distance and not value > 0.0:
             raise ScenarioFileError(f"log spacing requires a positive {option}, got {value:g}")
-    if distance:
-        grid = np.logspace(math.log10(args.start), math.log10(args.stop), args.num)
+    if distance:  # a sample past the float range is inf, which the range check refuses
+        with np.errstate(over="ignore"):
+            grid = np.logspace(math.log10(args.start), math.log10(args.stop), args.num)
     else:
         grid = np.linspace(args.start, args.stop, args.num)
     fit = pl_slope_fit(scenario, args.variable, grid, args.method)
@@ -214,77 +216,68 @@ def _cmd_pl_fit(scenario: Scenario, args: argparse.Namespace) -> int:
     return 0
 
 
+# ---------------------------------------------------------------------------
+# The options: each subcommand's handler, help and {flag: (type, default,
+# help[, degrees])}.  A default of ... makes the option required, a dict type
+# (SWEEP_AXES, FIT_VARIABLES) gives its choices, and a degrees entry makes
+# run() refuse a non-finite value, or one outside the interval it spells.
+
+_COMMANDS = {
+    "validate": (_cmd_validate, "parse and validate a scenario file", {}),
+    "quantize": (_cmd_quantize, "design discrete shifts for one scenario", {
+        "--method": (str, ..., "dtpq | eipq[:step_deg] | fixed[:threshold_deg]"),
+        "--out": (str, "shifts.csv", "shifts CSV path"),
+    }),
+    "sweep": (_cmd_sweep, "sweep one axis and tabulate received power", {
+        "--axis": (SWEEP_AXES, ..., None),
+        "--start": (float, ..., None),
+        "--stop": (float, ..., None),
+        "--step": (float, ..., None),
+        "--methods": (str, ..., "comma list: "
+                      "continuous,dtpq,eipq[:step_deg],fixed[:threshold_deg]"),
+        "--out": (str, "sweep.csv", None),
+    }),
+    "angle-scan": (_cmd_angle_scan, "design at a target elevation, then move Rx", {
+        "--target": (float, ..., "design elevation (deg)", "(-90, 90)"),
+        "--start": (float, ..., "scan start (deg)", "[-90, 90]"),
+        "--stop": (float, ..., "scan stop (deg)", "[-90, 90]"),
+        "--step": (float, ..., "scan step (deg)"),
+        "--methods": (str, ..., None),
+        "--out": (str, "angle_scan.csv", None),
+    }),
+    "gradient-map": (_cmd_gradient_map, "power map over (theta_r, phi_r)", {
+        "--target-theta": (float, ..., "deg", "[0, 90)"),
+        "--target-phi": (float, ..., "deg", None),
+        "--theta-start": (float, 0.0, None, "[0, 90]"),
+        "--theta-stop": (float, 90.0, None, "[0, 90]"),
+        "--theta-step": (float, 0.5, None),
+        "--phi-start": (float, 0.0, None),
+        "--phi-stop": (float, 360.0, None),
+        "--phi-step": (float, 2.0, None),
+        "--method": (str, "dtpq", None),
+        "--out": (str, "gradient_map.csv", None),
+    }),
+    "pl-fit": (_cmd_pl_fit, "fit the path-loss exponent over a variable", {
+        "--variable": (FIT_VARIABLES, ..., None),
+        "--start": (float, ..., None),
+        "--stop": (float, ..., None),
+        "--num": (int, 13, None),
+        "--method": (str, "dtpq", None),
+    }),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="risbeam",
-        description="Reflecting-surface link simulator with discrete phase quantization.",
-    )
+    parser = argparse.ArgumentParser(prog="risbeam", description=(
+        "Reflecting-surface link simulator with discrete phase quantization."))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_scenario(p: argparse.ArgumentParser) -> None:
+    for command, (_, text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
         p.add_argument("--scenario", required=True, help="scenario JSON file")
-
-    p = sub.add_parser("validate", help="parse and validate a scenario file")
-    add_scenario(p)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("quantize", help="design discrete shifts for one scenario")
-    add_scenario(p)
-    p.add_argument(
-        "--method",
-        required=True,
-        help="dtpq | eipq[:step_deg] | fixed[:threshold_deg]",
-    )
-    p.add_argument("--out", default="shifts.csv", help="shifts CSV path")
-    p.set_defaults(func=_cmd_quantize)
-
-    p = sub.add_parser("sweep", help="sweep one axis and tabulate received power")
-    add_scenario(p)
-    p.add_argument("--axis", required=True, choices=SWEEP_AXES)
-    p.add_argument("--start", type=float, required=True)
-    p.add_argument("--stop", type=float, required=True)
-    p.add_argument("--step", type=float, required=True)
-    p.add_argument(
-        "--methods",
-        required=True,
-        help="comma list: continuous,dtpq,eipq[:step_deg],fixed[:threshold_deg]",
-    )
-    p.add_argument("--out", default="sweep.csv")
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("angle-scan", help="design at a target elevation, then move Rx")
-    add_scenario(p)
-    p.add_argument("--target", type=float, required=True, help="design elevation (deg)")
-    p.add_argument("--start", type=float, required=True, help="scan start (deg)")
-    p.add_argument("--stop", type=float, required=True, help="scan stop (deg)")
-    p.add_argument("--step", type=float, required=True, help="scan step (deg)")
-    p.add_argument("--methods", required=True)
-    p.add_argument("--out", default="angle_scan.csv")
-    p.set_defaults(func=_cmd_angle_scan)
-
-    p = sub.add_parser("gradient-map", help="power map over (theta_r, phi_r)")
-    add_scenario(p)
-    p.add_argument("--target-theta", type=float, required=True, help="deg")
-    p.add_argument("--target-phi", type=float, required=True, help="deg")
-    p.add_argument("--theta-start", type=float, default=0.0)
-    p.add_argument("--theta-stop", type=float, default=90.0)
-    p.add_argument("--theta-step", type=float, default=0.5)
-    p.add_argument("--phi-start", type=float, default=0.0)
-    p.add_argument("--phi-stop", type=float, default=360.0)
-    p.add_argument("--phi-step", type=float, default=2.0)
-    p.add_argument("--method", default="dtpq")
-    p.add_argument("--out", default="gradient_map.csv")
-    p.set_defaults(func=_cmd_gradient_map)
-
-    p = sub.add_parser("pl-fit", help="fit the path-loss exponent over a variable")
-    add_scenario(p)
-    p.add_argument("--variable", required=True, choices=FIT_VARIABLES)
-    p.add_argument("--start", type=float, required=True)
-    p.add_argument("--stop", type=float, required=True)
-    p.add_argument("--num", type=int, default=13)
-    p.add_argument("--method", default="dtpq")
-    p.set_defaults(func=_cmd_pl_fit)
-
+        for flag, (kind, default, text, *_) in options.items():
+            choices = kind if isinstance(kind, dict) else None
+            p.add_argument(flag, type=None if choices else kind, choices=choices,
+                           required=default is ..., default=default, help=text)
     return parser
 
 
@@ -295,8 +288,13 @@ def run(argv: Sequence[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    handler, _, options = _COMMANDS[args.command]
     try:
-        return args.func(load_scenario(args.scenario), args)
+        scenario = load_scenario(args.scenario)
+        for flag, (_, _, _, *degrees) in options.items():
+            if degrees:
+                _check_option(flag, _value(args, flag), *degrees)
+        return handler(scenario, args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import risbeam.analysis as analysis
 from risbeam.cli import (
+    _COMMANDS,
     load_scenario,
     run,
     write_map_csv,
@@ -31,7 +32,9 @@ from risbeam.channel import link_state
 from risbeam.quantization import dtpq
 from risbeam.scenario import (
     _SECTIONS,
+    FIT_VARIABLES,
     RANGES,
+    SWEEP_AXES,
     ScenarioFileError,
     _number,
     parse_scenario,
@@ -852,6 +855,22 @@ class TestOtherCommands:
         assert "--num 100000000" in err and "guard of 1048576" in err
 
     @pytest.mark.parametrize("args, message", [
+        (["--variable=d2", "--start=50", "--stop=1.7976931348623157e308"],
+         "log10_d2 sample 9.48075e+154: placement.d2_m must lie in [0.001, 1e+07] m, "
+         "got 9.480751908109518e+154"),
+        (["--variable=d1", "--start=1.7976931348623157e308", "--stop=50"],
+         "log10_d1 sample inf: placement.d1_m must lie in [0.001, 1e+07] m, got inf"),
+    ], ids=["stop-largest-float", "start-largest-float"])
+    def test_pl_fit_refuses_samples_past_the_float_range(self, small_path, capsys, args,
+                                                           message):
+        # a log-spaced sample past the largest float is inf, refused by the
+        # placement range without an overflow warning (the suite makes it an error)
+        assert run(["pl-fit", "--scenario", small_path, *args, "--num=3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("args, message", [
         (["angle-scan", "--target=90", "--start=0", "--stop=10", "--step=1",
           "--methods=dtpq"], "--target must lie in (-90, 90) degrees, got 90"),
         (["angle-scan", "--target=nan", "--start=0", "--stop=10", "--step=1",
@@ -862,6 +881,8 @@ class TestOtherCommands:
           "--methods=dtpq"], "--start must lie in [-90, 90] degrees, got -90.5"),
         (["gradient-map", "--target-theta=95", "--target-phi=0"],
          "--target-theta must lie in [0, 90) degrees, got 95"),
+        (["gradient-map", "--target-theta=90", "--target-phi=0"],
+         "--target-theta must lie in [0, 90) degrees, got 90"),
         (["gradient-map", "--target-theta=45", "--target-phi=inf"],
          "--target-phi must be finite, got inf"),
         (["gradient-map", "--target-theta=45", "--target-phi=0", "--theta-start=-5"],
@@ -899,8 +920,8 @@ class TestOtherCommands:
         (["angle-scan", "--target=45", "--start=-90", "--stop=90", "--step=7",
           "--methods=dtpq"], "--step 7 puts the last point at 92, outside [-90, 90] degrees"),
     ], ids=["scan-target-90", "scan-target-nan", "scan-stop-180", "scan-start-below-90",
-            "map-theta-95", "map-phi-inf", "map-theta-start-negative", "map-theta-stop-120",
-            "map-theta-step-overshoot", "fit-stop-90", "fit-start-negative",
+            "map-theta-95", "map-theta-90", "map-phi-inf", "map-theta-start-negative",
+            "map-theta-stop-120", "map-theta-step-overshoot", "fit-stop-90", "fit-start-negative",
             "map-phi-step-negative", "scan-step-zero", "sweep-stop-before-start",
             "sweep-step-inf", "scan-step-inf", "map-theta-step-inf", "map-phi-step-inf",
             "sweep-start-nan", "map-phi-stop-inf", "sweep-theta-r-stop-95",
@@ -1100,6 +1121,119 @@ def test_one_field_just_outside_its_range_is_refused(key, above):
     assert str(excinfo.value) == f"{key} must lie in {span}, got {outside!r}"
 
 
+# Every option of the command-line table with its entry: (command, flag,
+# (type, default, help[, degrees])).
+TABLE_OPTIONS = [(command, flag, spec) for command, (_, _, options) in _COMMANDS.items()
+                 for flag, spec in options.items()]
+LARGEST = sys.float_info.max
+
+
+def ends(degrees: str) -> tuple[float, float]:
+    """The two ends of an interval spelled like "[0, 90)"."""
+    lo, hi = (float(end) for end in degrees[1:-1].split(","))
+    return lo, hi
+
+
+def option_values(kind, degrees: str | None = None) -> tuple[list, list]:
+    """Values of an option of type ``kind`` that should pass its own checks,
+    and values that may not: the ends of its ``degrees`` interval and the
+    floats just outside them, nan, +-inf, 0, the largest floats, -1e-20 and
+    text that is not a number.  A float with no interval takes 10, 45 and
+    80, so every grid they span has at most 10 points; a text option is a
+    method token, and fixed is one that every command accepts."""
+    special = [0.0, -1e-20, LARGEST, -LARGEST, math.inf, -math.inf, math.nan, "abc"]
+    if kind is str:
+        return ["fixed"], []
+    if isinstance(kind, dict):
+        return list(kind), ["abc"]
+    if kind is int:
+        return [3, 5], [2, 0, -1, "abc"]
+    if degrees is None:
+        return [10.0, 45.0, 80.0], special
+    lo, hi = ends(degrees)
+    inside = [(lo + hi) / 2, math.nextafter(lo, hi), math.nextafter(hi, lo)]
+    inside += [lo] * (degrees[0] == "[") + [hi] * (degrees[-1] == "]")
+    return inside, [lo, hi, math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf), *special]
+
+
+@st.composite
+def option_vectors(draw, command: str) -> list[str]:
+    """The options of ``command`` from its table, each as --flag=value: up to
+    two of the numbers and choices drawn from all their values, the others
+    from the values that pass their own checks.  A text option with a
+    default keeps it, so --out names the file the test reads."""
+    options = _COMMANDS[command][2]
+    drawn = [flag for flag, (kind, *_) in options.items() if kind is not str]
+    faulty = draw(st.sets(st.sampled_from(drawn), max_size=2)) if drawn else set()
+    argv = [command]
+    for flag, (kind, default, _, *degrees) in options.items():
+        inside, outside = option_values(kind, *degrees)
+        if kind is str and default is not ...:
+            inside = [default]
+        value = draw(st.sampled_from(inside + outside if flag in faulty else inside))
+        argv.append(f"{flag}={value!r}" if isinstance(value, float) else f"{flag}={value}")
+    return argv
+
+
+# What a refusal may name: an option, a scenario key, a sweep axis or a fit variable.
+REFUSAL_NAMES = ([flag for _, flag, _ in TABLE_OPTIONS]
+                 + [f"{section}.{key}" for section, (_, keys) in _SECTIONS.items()
+                    for key in keys]
+                 + [f"error: {axis} " for axis in SWEEP_AXES]
+                 + [f"log10_{variable}" for variable in FIT_VARIABLES])
+
+
+@pytest.mark.parametrize("command", _COMMANDS)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_option_vector_ends_finite_or_exits_2(command, small_path, tmp_path, monkeypatch,
+                                                    capsys, data):
+    # drawn from the option table, so a new option is drawn with no test
+    # edit: a run prints and writes only finite numbers, or exits 2 naming
+    # what it refuses; with warnings as errors it never exits 1
+    argv = data.draw(option_vectors(command))
+    monkeypatch.chdir(tmp_path)
+    out = Path(_COMMANDS[command][2]["--out"][1]) if "--out" in _COMMANDS[command][2] else None
+    if out:
+        out.unlink(missing_ok=True)
+    code = run([command, "--scenario", small_path, *argv[1:]])
+    captured = capsys.readouterr()
+    if code == 2:
+        assert any(name in captured.err for name in REFUSAL_NAMES), (argv, captured.err)
+        return
+    assert code == 0, (argv, captured.err)
+    text = captured.out + (out.read_text().split("\n", 1)[1] if out else "")
+    assert all(math.isfinite(float(number)) for number in _NUMBER.findall(text)), (argv, text)
+
+
+@pytest.mark.parametrize("command, flag, degrees", [
+    (command, flag, spec[3]) for command, flag, spec in TABLE_OPTIONS if len(spec) > 3],
+    ids=lambda x: x if isinstance(x, str) else "finite")
+def test_option_interval_ends(small_path, monkeypatch, capsys, command, flag, degrees):
+    # run() holds each option with a degrees entry to it: nan is refused, a
+    # closed end is accepted and an open end refused, naming the option
+    _, text, options = _COMMANDS[command]
+    monkeypatch.setitem(_COMMANDS, command, (lambda scenario, args: 0, text, options))
+
+    def refusal(value: float) -> str:
+        argv = [command, "--scenario", small_path]
+        for other, (kind, default, _, *interval) in options.items():
+            if other != flag and default is ...:
+                argv.append(f"{other}={option_values(kind, *interval)[0][0]}")
+        code = run([*argv, f"{flag}={value!r}"])
+        err = capsys.readouterr().err
+        assert code == (2 if err else 0), err
+        return err
+
+    assert refusal(math.nan) == f"error: {flag} must be finite, got nan\n"
+    if degrees is None:
+        return
+    for end, closed in zip(ends(degrees), (degrees[0] == "[", degrees[-1] == "]")):
+        message = f"error: {flag} must lie in {degrees} degrees, got {end:g}\n"
+        assert refusal(end) == ("" if closed else message)
+
+
 def readme_commands():
     """The ``risbeam ...`` lines of the README's command-line block, as argv lists."""
     text = (ROOT / "README.md").read_text()
@@ -1179,6 +1313,29 @@ def test_readme_ranges_are_the_table():
     # the README shows scenario.RANGES row for row: key, range, unit and reason
     assert readme_ranges() == [f"| `{key}` | [{lo:g}, {hi:g}] | {unit or '-'} | {why} |"
                                for key, (lo, hi, unit, why) in RANGES.items()]
+
+
+def readme_options():
+    """The rows of the README's table of command-line options."""
+    text = (ROOT / "README.md").read_text()
+    table = text.split("| command | option | default | values |\n|---|---|---|---|\n", 1)[1]
+    return table.split("\n\n", 1)[0].splitlines()
+
+
+def test_readme_options_are_the_table():
+    # the README shows cli._COMMANDS option for option: command, flag,
+    # default (or required), and the choices, interval or kind of value
+    rows = []
+    for command, flag, (kind, default, _, *degrees) in TABLE_OPTIONS:
+        if isinstance(kind, dict):
+            values = "one of " + ", ".join(f"`{name}`" for name in kind)
+        elif degrees and degrees[0]:
+            values = f"{degrees[0]} deg"
+        else:
+            values = {str: "text", int: "integer", float: "finite"}[kind]
+        given = "required" if default is ... else f"`{default}`"
+        rows.append(f"| `{command}` | `{flag}` | {given} | {values} |")
+    assert readme_options() == rows
 
 
 def test_output_digests_cover_the_readme_commands():
