@@ -24,8 +24,8 @@ from .channel import (
 )
 from .geometry import THETA_LIMIT, antenna_points
 from .quantization import QuantizationResult, dtpq, eipq, fixed_threshold
-from .scenario import (FIT_VARIABLES, GRID_GUARD_POINTS, MIN_GAIN_DBI, SWEEP_AXES, Scenario,
-                       in_degrees, wrap_angle)
+from .scenario import (FIT_VARIABLES, GRID_GUARD_POINTS, MIN_GAIN_DBI, SWEEP_AXES, ConfigError,
+                       Scenario, exact_g, in_degrees, wrap_angle)
 
 # A method token is a name, then ":<degrees>" on the two methods with a
 # parameter: the eipq grid step and the fixed threshold.
@@ -69,19 +69,20 @@ def grid_values(start: float, stop: float, step: float, option: str = "--step") 
     prefix = option.removesuffix("step")
     for bound, value in (("start", start), ("stop", stop)):
         if not math.isfinite(value):
-            raise ValueError(f"{prefix}{bound} must be finite, got {value:g}")
+            raise ConfigError(f"{prefix}{bound} must be finite, got {value:g}")
     if not step > 0.0:
-        raise ValueError(f"{option} must be positive, got {step:g}")
+        raise ConfigError(f"{option} must be positive, got {exact_g(step)}")
     if not math.isfinite(step):
-        raise ValueError(f"{option} must be finite, got {step:g}")
+        raise ConfigError(f"{option} must be finite, got {step:g}")
     if stop < start:
-        raise ValueError(f"{prefix}stop {stop:g} must not precede {prefix}start {start:g}")
+        raise ConfigError(f"{prefix}stop {exact_g(stop)} must not precede "
+                          f"{prefix}start {exact_g(start)}")
     steps = (stop - start) / step + 0.5
     if not steps < GRID_GUARD_POINTS:  # also refuses a span of inf steps
         count = math.floor(steps) + 1 if math.isfinite(steps) else steps
-        raise ValueError(
-            f"{option} {step:g} gives {count} grid points from {start:g} to {stop:g}, "
-            f"exceeding the guard of {GRID_GUARD_POINTS}"
+        raise ConfigError(
+            f"{option} {exact_g(step)} gives {count} grid points from {exact_g(start)} to "
+            f"{exact_g(stop)}, exceeding the guard of {GRID_GUARD_POINTS}"
         )
     return start + step * np.arange(math.floor(steps) + 1)
 
@@ -90,17 +91,17 @@ def _split_method(token: str, allowed: Sequence[str]) -> tuple[str, float | None
     """The name of a method token and its parameter in degrees (None when bare)."""
     name, colon, param = token.strip().partition(":")
     if name not in allowed:
-        raise ValueError(f"unknown method {name!r}; expected one of {', '.join(allowed)}")
+        raise ConfigError(f"unknown method {name!r}; expected one of {', '.join(allowed)}")
     if not colon:
         return name, None
     if name not in ("eipq", "fixed"):
-        raise ValueError(f"method {name!r} takes no parameter, got {token!r}")
+        raise ConfigError(f"method {name!r} takes no parameter, got {token!r}")
     try:
         value = float(param)
     except ValueError:
-        raise ValueError(f"bad parameter in method token {token!r}") from None
+        raise ConfigError(f"bad parameter in method token {token!r}") from None
     if not math.isfinite(value):
-        raise ValueError(f"parameter in method token {token!r} must be finite")
+        raise ConfigError(f"parameter in method token {token!r} must be finite")
     return name, value
 
 
@@ -112,12 +113,12 @@ def check_methods(tokens: Sequence[str], allowed: Sequence[str] = METHODS) -> di
     name.
     """
     if not tokens:
-        raise ValueError("methods must be non-empty")
+        raise ConfigError("methods must be non-empty")
     table: dict[str, str] = {}
     for token in tokens:
         name = _split_method(token, allowed)[0]
         if name in table:
-            raise ValueError(f"duplicate method {name!r} in {','.join(tokens)}")
+            raise ConfigError(f"duplicate method {name!r} in {','.join(tokens)}")
         table[name] = token
     return table
 
@@ -139,8 +140,8 @@ def design(state: LinkState, method: str) -> QuantizationResult:
     name, degrees = _split_method(method, METHODS)
     scenario = state.scenario
     if not state.xi_upper_bound > 0.0:
-        raise ValueError(f"no cell reaches the Rx (the link's continuous bound xi is 0): "
-                         f"{_dark_keys(scenario)}")
+        raise ConfigError(f"no cell reaches the Rx (the link's continuous bound xi is 0): "
+                          f"{_dark_keys(scenario)}")
     if name == "continuous":
         xi = state.xi_upper_bound
         power = power_dbm_from_xi(scenario.panel, scenario.radio, xi)
@@ -152,8 +153,8 @@ def design(state: LinkState, method: str) -> QuantizationResult:
             return eipq(state, math.radians(DEFAULT_EPSILON_DEG if degrees is None else degrees))
         gamma = scenario.panel.levels[-1] if degrees is None else math.radians(degrees)
         return fixed_threshold(state, wrap_angle(gamma))
-    except ValueError as exc:
-        raise ValueError(f"method token {method!r}: {exc}") from None
+    except ConfigError as exc:
+        raise ConfigError(f"method token {method!r}: {exc}") from None
 
 
 def _dark_keys(scenario: Scenario) -> str:
@@ -182,8 +183,8 @@ def _rows(label: str, values: Sequence[float], row) -> list:
     for value in values:
         try:
             rows.append(row(value))
-        except ValueError as exc:
-            raise ValueError(f"{label} {value:g}: {exc}") from None
+        except ConfigError as exc:
+            raise ConfigError(f"{label} {value:g}: {exc}") from None
     return rows
 
 
@@ -209,15 +210,15 @@ def run_sweep(
     and quantizes at each value.  Rows key methods by name.
     """
     if axis not in SWEEP_AXES:
-        raise ValueError(f"axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
+        raise ConfigError(f"axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
     table = check_methods(methods)
     if axis != "threshold":
         return _rows(axis, values, lambda v: _row(
             link_state(_placed(scenario, SWEEP_AXES[axis], v)), v, table))
     if list(table) != ["fixed"]:
-        raise ValueError("a threshold sweep exercises exactly the fixed method")
+        raise ConfigError("a threshold sweep exercises exactly the fixed method")
     if ":" in table["fixed"]:
-        raise ValueError(
+        raise ConfigError(
             f"a threshold sweep takes its threshold from the grid, got {table['fixed']!r}"
         )
     state = link_state(scenario)
@@ -246,8 +247,8 @@ def _frozen_powers(
         if dark.size:
             t, p = float(theta[dark[0]]), float(phi[dark[0]])
             there = target.with_placement(theta_r=min(t, THETA_LIMIT), phi_r=p)
-            raise ValueError(f"no cell reaches the Rx at theta_r {math.degrees(t):g}, phi_r "
-                             f"{math.degrees(p):g} deg (xi is 0 there): {_dark_keys(there)}")
+            raise ConfigError(f"no cell reaches the Rx at theta_r {math.degrees(t):g}, phi_r "
+                              f"{math.degrees(p):g} deg (xi is 0 there): {_dark_keys(there)}")
         powers[name] = power_dbm_from_xi(target.panel, target.radio, xi)
         if result.threshold is not None:
             thresholds[name] = math.degrees(result.threshold)
@@ -276,11 +277,11 @@ def angle_scan(
     peak at the target for the beamforming methods.
     """
     if not -90.0 < target_deg < 90.0:
-        raise ValueError(f"design target must lie in (-90, 90) deg, got {target_deg:g}")
+        raise ConfigError(f"design target must lie in (-90, 90) deg, got {target_deg:g}")
     values = np.asarray(values_deg, dtype=float)
     outside = ~((values >= -90.0) & (values <= 90.0))
     if outside.any():
-        raise ValueError(f"scan value {values[outside.argmax()]:g} must lie in [-90, 90] deg")
+        raise ConfigError(f"scan value {values[outside.argmax()]:g} must lie in [-90, 90] deg")
     table = check_methods(methods)
 
     phi_r = scenario.placement.phi_r
@@ -309,17 +310,17 @@ def gradient_map(
     theta_grid = np.asarray(theta_grid_deg, dtype=float)
     phi_grid = np.asarray(phi_grid_deg, dtype=float)
     if theta_grid.size == 0 or phi_grid.size == 0:
-        raise ValueError("grids must be non-empty")
+        raise ConfigError("grids must be non-empty")
     if theta_grid.size * phi_grid.size > GRID_GUARD_POINTS:
-        raise ValueError(
+        raise ConfigError(
             f"--theta-step/--phi-step give a {theta_grid.size} x {phi_grid.size} map of "
             f"{theta_grid.size * phi_grid.size} points, exceeding the guard of "
             f"{GRID_GUARD_POINTS}"
         )
     if not np.all((theta_grid >= 0.0) & (theta_grid <= 90.0)):
-        raise ValueError("theta grid must lie within [0, 90] degrees")
+        raise ConfigError("theta grid must lie within [0, 90] degrees")
     if not np.all(np.isfinite(phi_grid)):
-        raise ValueError("phi grid must be finite")
+        raise ConfigError("phi grid must be finite")
     table = check_methods([method])
 
     target = scenario.with_placement(theta_r=math.radians(target_deg[0]),
@@ -341,7 +342,7 @@ def path_loss_samples(
     meters for the distances and degrees for the elevations.
     """
     if variable not in FIT_VARIABLES:
-        raise ValueError(f"variable must be one of {tuple(FIT_VARIABLES)}, got {variable!r}")
+        raise ConfigError(f"variable must be one of {tuple(FIT_VARIABLES)}, got {variable!r}")
     (token,) = check_methods([method]).values()
     powers = _rows(f"log10_{variable} sample", sample_grid, lambda v: design(
         link_state(_placed(scenario, FIT_VARIABLES[variable], v)), token).received_power_dbm)
@@ -362,19 +363,19 @@ def pl_slope_fit(
     """
     grid = np.asarray(sample_grid, dtype=float)
     if grid.size < 3:
-        raise ValueError(f"slope fit needs at least 3 samples, got {grid.size}")
+        raise ConfigError(f"slope fit needs at least 3 samples, got {grid.size}")
     var = np.cos(np.radians(grid)) if in_degrees(FIT_VARIABLES.get(variable)) else grid
     if np.any(var <= 0.0):
-        raise ValueError(f"variable {variable} must be positive over the grid")
+        raise ConfigError(f"variable {variable} must be positive over the grid")
 
     x = 10.0 * np.log10(var)
     if np.ptp(x) == 0.0:
-        raise ValueError(f"singular design matrix: log10_{variable} is constant over the grid")
+        raise ConfigError(f"singular design matrix: log10_{variable} is constant over the grid")
     y = path_loss_samples(scenario, variable, grid, method)
     for value, loss in zip(grid, y):
         if not math.isfinite(loss):  # inf where no cell is lit (xi = 0)
-            raise ValueError(f"path loss at log10_{variable} sample {value:g} is {loss:g} dB; "
-                             "a slope fit needs every sample finite")
+            raise ConfigError(f"path loss at log10_{variable} sample {value:g} is {loss:g} dB; "
+                              "a slope fit needs every sample finite")
 
     slope, intercept = np.polyfit(x, y, 1)
     residuals = y - (slope * x + intercept)

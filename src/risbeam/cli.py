@@ -1,8 +1,9 @@
 """Command-line front end: JSON scenarios in, CSV tables out.
 
 Scenario files use degrees and GHz; all numeric CSV output is fixed to 4
-decimal places.  Exit codes: 0 success, 2 configuration error (with the
-offending key named), 1 internal numeric error.  numpy and the numeric
+decimal places.  Exit codes: 0 success; 2 a refused value, raised as
+``scenario.ConfigError`` naming the key, option, method token or path at
+fault; 1 any other exception, an internal error.  numpy and the numeric
 modules are imported by the commands that compute, so ``validate`` loads
 none of them.
 """
@@ -18,8 +19,9 @@ from .scenario import (
     FIT_VARIABLES,
     GRID_GUARD_POINTS,
     SWEEP_AXES,
+    ConfigError,
     Scenario,
-    ScenarioFileError,
+    exact_g,
     in_degrees,
     load_scenario,
 )
@@ -34,12 +36,20 @@ def _fmt(value: float) -> str:
     return "0.0000" if text == "-0.0000" else text
 
 
+def _create(path: str):
+    """``path`` opened for writing; a path that cannot be opened is refused, naming --out."""
+    try:
+        return open(path, "w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"--out {path} cannot be written: {exc.strerror}") from None
+
+
 def write_shifts_csv(path: str, result) -> None:
     """One row per cell of a discrete design (a QuantizationResult), row-major:
     n, m, level_index, level_deg."""
     import numpy as np
 
-    with open(path, "w", newline="") as fh:
+    with _create(path) as fh:
         fh.write("n,m,level_index,level_deg\n")
         for (m, n), index in np.ndenumerate(result.level_indices):
             fh.write(f"{n + 1},{m + 1},{index},{_fmt(math.degrees(result.shifts[m, n]))}\n")
@@ -59,7 +69,7 @@ def write_sweep_csv(path: str, rows: Sequence) -> None:
         header.append(f"{method}_dbm")
         if method in thresholded:
             header.append(f"{method}_threshold_deg")
-    with open(path, "w", newline="") as fh:
+    with _create(path) as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
             record = [_fmt(row.axis_value)]
@@ -77,7 +87,7 @@ def write_map_csv(
     import numpy as np
 
     phis = [_fmt(phi) for phi in phi_grid_deg]
-    with open(path, "w", newline="") as fh:
+    with _create(path) as fh:
         fh.write("theta_r_deg,phi_r_deg,power_dbm\n")
         for theta, row in zip(theta_grid_deg, np.asarray(power).tolist()):
             prefix = _fmt(theta) + ","
@@ -98,9 +108,9 @@ def _inside(value: float, degrees: str) -> bool:
 def _check_option(option: str, value: float, degrees: str | None = None) -> None:
     """Refuse a non-finite value, or an angle outside the ``degrees`` interval."""
     if not math.isfinite(value):
-        raise ScenarioFileError(f"{option} must be finite, got {value}")
+        raise ConfigError(f"{option} must be finite, got {value}")
     if degrees is not None and not _inside(value, degrees):
-        raise ScenarioFileError(f"{option} must lie in {degrees} degrees, got {value:g}")
+        raise ConfigError(f"{option} must lie in {degrees} degrees, got {exact_g(value)}")
 
 
 def _value(args: argparse.Namespace, flag: str):
@@ -126,8 +136,8 @@ def _grid(args: argparse.Namespace, degrees: str | None = None, prefix: str = "-
         _check_option(f"{prefix}stop", stop, degrees)
     values = grid_values(start, stop, step, f"{prefix}step")
     if degrees is not None and not _inside(values[-1], degrees):
-        raise ScenarioFileError(f"{prefix}step {step:g} puts the last point at "
-                                f"{values[-1]:g}, outside {degrees} degrees")
+        raise ConfigError(f"{prefix}step {exact_g(step)} puts the last point at "
+                          f"{exact_g(values[-1])}, outside {degrees} degrees")
     return values
 
 
@@ -148,12 +158,11 @@ def _cmd_quantize(scenario: Scenario, args: argparse.Namespace) -> int:
 
     check_methods([args.method], ("dtpq", "eipq", "fixed"))
     result = design(link_state(scenario), args.method)
-
+    write_shifts_csv(args.out, result)
     print(f"threshold_deg={_fmt(math.degrees(result.threshold))}")
     print(f"xi={result.xi:.6e}")
     print(f"received_power_dbm={_fmt(result.received_power_dbm)}")
     print(f"candidates_evaluated={result.candidates_evaluated}")
-    write_shifts_csv(args.out, result)
     print(f"wrote {args.out}")
     return 0
 
@@ -195,14 +204,14 @@ def _cmd_pl_fit(scenario: Scenario, args: argparse.Namespace) -> int:
     from .analysis import pl_slope_fit
 
     if args.num < 3:
-        raise ScenarioFileError(f"--num must be >= 3, got {args.num}")
+        raise ConfigError(f"--num must be >= 3, got {args.num}")
     if args.num > GRID_GUARD_POINTS:
-        raise ScenarioFileError(f"--num {args.num} exceeds the guard of {GRID_GUARD_POINTS}")
+        raise ConfigError(f"--num {args.num} exceeds the guard of {GRID_GUARD_POINTS}")
     distance = not in_degrees(FIT_VARIABLES[args.variable])  # log-spaced; angles are linear
     for option, value in (("--start", args.start), ("--stop", args.stop)):
         _check_option(option, value, None if distance else "[0, 90)")
         if distance and not value > 0.0:
-            raise ScenarioFileError(f"log spacing requires a positive {option}, got {value:g}")
+            raise ConfigError(f"log spacing requires a positive {option}, got {value:g}")
     if distance:  # a sample past the float range is inf, which the range check refuses
         with np.errstate(over="ignore"):
             grid = np.logspace(math.log10(args.start), math.log10(args.stop), args.num)
@@ -295,7 +304,7 @@ def run(argv: Sequence[str]) -> int:
             if degrees:
                 _check_option(flag, _value(args, flag), *degrees)
         return handler(scenario, args)
-    except ValueError as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # numeric failure or bug surfaced at runtime

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LinkState, power_dbm_from_xi
-from .scenario import TWO_PI, RisPanel
+from .scenario import TWO_PI, ConfigError, RisPanel
 
 # Candidates whose xi is within this relative slack of the best are treated
 # as ties and resolved to the smallest threshold.
@@ -76,7 +76,7 @@ def quantize_matrix(phases: np.ndarray, gamma: float | np.ndarray, panel: RisPan
     gamma = np.asarray(gamma, dtype=float)
     outside = gamma[~((0.0 <= gamma) & (gamma < TWO_PI))]
     if outside.size:
-        raise ValueError(f"threshold must lie in [0, 2*pi), got {outside[0]}")
+        raise ConfigError(f"threshold must lie in [0, 2*pi), got {outside[0]}")
     k, u = np.divmod(np.asarray(phases, dtype=float), panel.omega)
     k_g, u_g = np.divmod(gamma, panel.omega)
     return (k - k_g - (u < u_g)).astype(np.intp) % panel.num_levels
@@ -139,14 +139,14 @@ def eipq(state: LinkState, epsilon: float) -> QuantizationResult:
     panel = state.scenario.panel
     bits, interval = panel.bits, panel.omega
     if not 0.0 < epsilon < interval:
-        raise ValueError(
+        raise ConfigError(
             f"epsilon must lie in (0, {interval:.6f}) rad = (0, {math.degrees(interval):g}) deg "
             f"for {bits}-bit quantization, got {epsilon:.6g} rad ({math.degrees(epsilon):.6g} deg)"
         )
     quotient = TWO_PI / (panel.num_levels * epsilon)  # inf if epsilon is subnormal
     if quotient >= EIPQ_GUARD_CANDIDATES + 1:
         count = math.floor(quotient) if math.isfinite(quotient) else quotient
-        raise ValueError(
+        raise ConfigError(
             f"eipq refused: epsilon = {epsilon:.6g} rad ({math.degrees(epsilon):.6g} deg) "
             f"gives {count} candidates, exceeding the guard of {EIPQ_GUARD_CANDIDATES}"
         )

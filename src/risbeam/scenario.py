@@ -5,11 +5,11 @@ Scenario files use degrees and GHz.  The radio holds radio.freq_ghz as the
 file writes it, and its wavelength is derived from that.  One table,
 _SECTIONS, names each file key once, with the field it sets and the reader
 of its value.  Unknown keys, non-finite numbers and values outside the
-physical ranges of RANGES are rejected with the offending key named.  This
-configuration layer, with the table of sweep axes and fit variables, the
-grid guard that the command line checks its options against and the two
-bundled demo scenarios, uses only the standard library, so reading and
-validating a scenario loads no numpy.
+physical ranges of RANGES raise ConfigError, the package's one refusal
+type, naming the offending key.  This configuration layer, with the table
+of sweep axes and fit variables, the grid guard that the command line
+checks its options against and the two bundled demo scenarios, uses only
+the standard library, so reading and validating a scenario loads no numpy.
 """
 
 from __future__ import annotations
@@ -74,6 +74,18 @@ RANGES = {
 }
 
 
+class ConfigError(ValueError):
+    """A refused value from a scenario file, a command-line option, a method
+    token or a library caller, naming the key, option or token at fault."""
+
+
+def exact_g(value: float) -> str:
+    """``value`` as ``:g`` writes it when that reads back as the same float,
+    else its repr: 90.00000000000001 is not shown as 90."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(float(value))
+
+
 def wavelength_m(freq_ghz: float) -> float:
     """c / (freq_ghz * 1e9): the wavelength (m) of a frequency in GHz."""
     return SPEED_OF_LIGHT / (freq_ghz * 1e9)
@@ -85,7 +97,7 @@ def check_range(key: str, value: float) -> None:
     lo, hi, unit, _ = RANGES[key]
     if not lo <= value <= hi:
         span = f"[{lo:g}, {hi:g}] {unit}".rstrip()
-        raise ValueError(f"{key} must lie in {span}, got {float(value)!r}")
+        raise ConfigError(f"{key} must lie in {span}, got {float(value)!r}")
 
 
 @dataclass(frozen=True)
@@ -114,31 +126,27 @@ class RisPanel:
     def __post_init__(self) -> None:
         for key, count in (("panel.rows", self.rows), ("panel.cols", self.cols)):
             if count < 1:
-                raise ValueError(f"{key} must lie in [1, inf), got {count}")
+                raise ConfigError(f"{key} must lie in [1, inf), got {count}")
         if self.num_cells > PANEL_GUARD_CELLS:
-            raise ValueError(f"panel.rows x panel.cols = {self.rows}x{self.cols} cells exceeds "
-                             f"the guard of {PANEL_GUARD_CELLS}")
+            raise ConfigError(f"panel.rows x panel.cols = {self.rows}x{self.cols} cells exceeds "
+                              f"the guard of {PANEL_GUARD_CELLS}")
         check_range("panel.cell_dx_m", self.d_x)
         check_range("panel.cell_dy_m", self.d_y)
         if self.bits < 1:
-            raise ValueError(f"panel.bits must lie in [1, inf), got {self.bits}")
+            raise ConfigError(f"panel.bits must lie in [1, inf), got {self.bits}")
         if not (0.0 < self.reflection <= 1.0):
-            raise ValueError(f"panel.reflection must lie in (0, 1], got {self.reflection!r}")
+            raise ConfigError(f"panel.reflection must lie in (0, 1], got {self.reflection!r}")
         levels = tuple(wrap_angle(float(v)) for v in self.levels)
         # 2**bits > len(levels) once bits reaches its bit length: refused unformed
         if self.bits >= len(levels).bit_length() or len(levels) != self.num_levels:
-            raise ValueError(
-                f"expected 2**{self.bits} phase levels for {self.bits}-bit resolution, "
-                f"got {len(levels)}"
-            )
+            raise ConfigError(f"panel.levels_deg: expected 2**{self.bits} phase levels for "
+                              f"{self.bits}-bit resolution, got {len(levels)}")
         omega = self.omega
         for lo, hi in zip(levels, levels[1:]):
             gap = (hi - lo) % TWO_PI
             if abs(gap - omega) > _LEVEL_SPACING_TOL:
-                raise ValueError(
-                    f"levels must be uniformly spaced by {omega:.6f} rad, "
-                    f"found gap {gap:.6f} rad"
-                )
+                raise ConfigError(f"panel.levels_deg must be uniformly spaced by {omega:.6f} "
+                                  f"rad, found gap {gap:.6f} rad")
         object.__setattr__(self, "levels", levels)
 
     @property
@@ -180,19 +188,19 @@ class Placement:
                                   ("phi_t", TWO_PI, "[0, 360)"), ("phi_r", TWO_PI, "[0, 360)")):
             angle = getattr(self, name)
             if not (0.0 <= angle < limit):
-                raise ValueError(f"placement.{name}_deg must lie in {span} deg, "
-                                 f"got {math.degrees(angle):g}")
+                raise ConfigError(f"placement.{name}_deg must lie in {span} deg, "
+                                  f"got {math.degrees(angle):g}")
 
 
 def alpha_from_gain_dbi(gain_dbi: float) -> float:
     """Pattern exponent whose directive gain G = 2 * (alpha + 1) matches the
     given dBi figure.
 
-    Raises ValueError below MIN_GAIN_DBI = 10*log10(2) ~ 3.0103 dBi, the
+    Raises ConfigError below MIN_GAIN_DBI = 10*log10(2) ~ 3.0103 dBi, the
     gains' RANGES floor, where the exponent would be negative, and on NaN.
     """
     if not gain_dbi >= MIN_GAIN_DBI:
-        raise ValueError(
+        raise ConfigError(
             f"gain {gain_dbi} dBi is below the {MIN_GAIN_DBI:.4f} dBi floor of the "
             "cosine-power pattern family"
         )
@@ -253,19 +261,15 @@ class Scenario:
         return replace(self, panel=replace(self.panel, **changes))
 
 
-class ScenarioFileError(ValueError):
-    """Configuration problem in a scenario file or on the command line."""
-
-
 def _number(key: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioFileError(f"key '{key}' must be a number")
+        raise ConfigError(f"key '{key}' must be a number")
     try:
         value = float(value)
     except OverflowError:  # an integer beyond the float range
         value = math.inf if value > 0 else -math.inf
     if not math.isfinite(value):
-        raise ScenarioFileError(f"key '{key}' must be finite, got {value}")
+        raise ConfigError(f"key '{key}' must be finite, got {value}")
     return value
 
 
@@ -273,13 +277,13 @@ def _integer(key: str, value) -> int:
     """A count: a number with no fractional part."""
     value = _number(key, value)
     if not value.is_integer():
-        raise ScenarioFileError(f"key '{key}' must be an integer, got {value:g}")
+        raise ConfigError(f"key '{key}' must be an integer, got {value:g}")
     return int(value)
 
 
 def _levels(key: str, value) -> tuple[float, ...]:
     if not isinstance(value, list):
-        raise ScenarioFileError(f"key '{key}' must be a list of finite numbers")
+        raise ConfigError(f"key '{key}' must be a list of finite numbers")
     return tuple(_radians(key, level) for level in value)
 
 
@@ -315,30 +319,27 @@ def parse_scenario(doc: dict) -> Scenario:
     """Build a Scenario from a parsed JSON document through _SECTIONS,
     refusing unknown keys and naming the key at fault."""
     if not isinstance(doc, dict):
-        raise ScenarioFileError("scenario document must be an object")
+        raise ConfigError("scenario document must be an object")
     unknown = set(doc) - set(_SECTIONS)
     if unknown:
-        raise ScenarioFileError(f"unknown key '{sorted(unknown)[0]}'")
+        raise ConfigError(f"unknown key '{sorted(unknown)[0]}'")
     built = {}
     for name, (cls, keys) in _SECTIONS.items():
         if name not in doc:
-            raise ScenarioFileError(f"missing section '{name}'")
+            raise ConfigError(f"missing section '{name}'")
         section = doc[name]
         if not isinstance(section, dict):
-            raise ScenarioFileError(f"section '{name}' must be an object")
+            raise ConfigError(f"section '{name}' must be an object")
         unknown = set(section) - set(keys)
         if unknown:
-            raise ScenarioFileError(f"unknown key '{name}.{sorted(unknown)[0]}'")
+            raise ConfigError(f"unknown key '{name}.{sorted(unknown)[0]}'")
         values = {}
-        try:
-            for key, (field, read) in keys.items():
-                if key in section:
-                    values[field] = read(f"{name}.{key}", section[key])
-                elif not hasattr(cls, field):  # a dataclass default is a class attribute
-                    raise ScenarioFileError(f"missing key '{name}.{key}'")
-            built[name] = cls(**values)
-        except ValueError as exc:
-            raise ScenarioFileError(f"invalid '{name}' section: {exc}") from exc
+        for key, (field, read) in keys.items():
+            if key in section:
+                values[field] = read(f"{name}.{key}", section[key])
+            elif not hasattr(cls, field):  # a dataclass default is a class attribute
+                raise ConfigError(f"missing key '{name}.{key}'")
+        built[name] = cls(**values)
     return Scenario(**built)
 
 
@@ -348,9 +349,11 @@ def load_scenario(path: str) -> Scenario:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError as exc:
-        raise ScenarioFileError(f"scenario file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioFileError(f"scenario file {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"scenario file not found: {path}") from exc
+    except OSError as exc:  # a directory, or a file this process may not read
+        raise ConfigError(f"scenario file {path} cannot be read: {exc.strerror}") from exc
+    except (RecursionError, ValueError) as exc:  # not UTF-8, not JSON or nested too deep
+        raise ConfigError(f"scenario file {path} is not valid JSON: {exc}") from exc
     return parse_scenario(doc)
 
 

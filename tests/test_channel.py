@@ -717,9 +717,9 @@ class TestFieldAtRxPoints:
         assert field_at_rx_points(sc, shift, points).shape == (count,)
 
     @staticmethod
-    def fail_in_second_half(monkeypatch):
-        # _phasor_sum raises for any chunk whose first point lies in the
-        # second half of the call's points, that is in the second thread's
+    def fail_in_second_half(monkeypatch, error=FloatingPointError):
+        # _phasor_sum raises ``error`` for any chunk whose first point lies in
+        # the second half of the call's points, that is in the second thread's
         # half; sums outside field_at_rx_points (out=None) pass
         real_sum = channel._phasor_sum
 
@@ -727,7 +727,7 @@ class TestFieldAtRxPoints:
             if out is not None and (out.__array_interface__["data"][0]
                                     - out.base.__array_interface__["data"][0]
                                     >= out.base.size // 2 * out.itemsize):
-                raise FloatingPointError("overflow in the second block")
+                raise error("overflow in the second block")
             return real_sum(amplitude, phase, shift, out=out, scratch=scratch)
 
         monkeypatch.setattr(channel, "_phasor_sum", failing_sum)
@@ -741,12 +741,15 @@ class TestFieldAtRxPoints:
         with pytest.raises(FloatingPointError, match="^overflow in the second block$"):
             field_at_rx_points(sc, link_state(sc).phase, points)
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_block_failure_exits_one(self, monkeypatch, tmp_path, capsys, workers):
+    @pytest.mark.parametrize("workers, error", [
+        (1, FloatingPointError), (2, FloatingPointError), (1, ValueError), (2, ValueError),
+    ], ids=["1", "2", "1-ValueError", "2-ValueError"])
+    def test_block_failure_exits_one(self, monkeypatch, tmp_path, capsys, workers, error):
+        # a numpy ValueError is a fault of the program, not a refusal: exit 1
         from risbeam.cli import run
 
         monkeypatch.setattr(channel, "_two_cpus", lambda: workers == 2)
-        self.fail_in_second_half(monkeypatch)
+        self.fail_in_second_half(monkeypatch, error)
         out = tmp_path / "map.csv"
         scenario = Path(__file__).resolve().parent.parent / "scenarios" / "ris1_2p6ghz.json"
         code = run(["gradient-map", "--scenario", str(scenario),

@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import risbeam.analysis as analysis
+import risbeam.quantization as quantization
 from risbeam.cli import (
     _COMMANDS,
     load_scenario,
@@ -35,7 +36,7 @@ from risbeam.scenario import (
     FIT_VARIABLES,
     RANGES,
     SWEEP_AXES,
-    ScenarioFileError,
+    ConfigError,
     _number,
     parse_scenario,
     ris_2p6ghz,
@@ -170,14 +171,13 @@ class TestScenarioParsing:
             default = {f.name: f.default for f in dataclasses.fields(config)}[key]
             assert getattr(config, key) == default == 1.0
         else:
-            with pytest.raises(ScenarioFileError) as excinfo:
+            with pytest.raises(ConfigError) as excinfo:
                 parse_scenario(doc)
-            assert str(excinfo.value) == (f"invalid '{section}' section: "
-                                          f"missing key '{section}.{key}'")
+            assert str(excinfo.value) == f"missing key '{section}.{key}'"
 
     @pytest.mark.parametrize("section", ["panel", "placement", "radio"])
     def test_extra_key_refused(self, section):
-        with pytest.raises(ScenarioFileError, match=f"^unknown key '{section}.extra'$"):
+        with pytest.raises(ConfigError, match=f"^unknown key '{section}.extra'$"):
             parse_scenario(document_with(ris_2p6ghz_document(), section, extra=1.0))
 
     def test_one_key_sets_each_field(self):
@@ -216,9 +216,9 @@ class TestScenarioParsing:
         # [0, pi/2), got 1.7453292519943295", and freq_ghz 1e300 and 1e-300,
         # whose wavelengths' round trips over- and underflow, "got inf" and
         # "got 0.0"
-        with pytest.raises(ScenarioFileError) as excinfo:
+        with pytest.raises(ConfigError) as excinfo:
             parse_scenario(document_with(ris_2p6ghz_document(), section, **{key: value}))
-        assert str(excinfo.value) == f"invalid '{section}' section: {message}"
+        assert str(excinfo.value) == message
 
     @pytest.mark.parametrize("freq_ghz", [0.1, 1e4])
     def test_frequency_range_ends_accepted(self, freq_ghz):
@@ -253,6 +253,41 @@ class TestValidateCommand:
         assert captured.err == f"error: scenario file not found: {tmp_path / 'nope.json'}\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("kind, reason", [
+        ("directory", "cannot be read: Is a directory"),
+        ("nested", "is not valid JSON: maximum recursion depth exceeded"),
+        ("not-utf-8", "is not valid JSON: 'utf-8' codec can't decode byte 0xff in position 0"),
+    ])
+    def test_unreadable_file_names_its_path(self, tmp_path, capsys, kind, reason):
+        # a directory and a document nested past the recursion limit used to
+        # exit 1 with "internal error: ...", and a file that is not UTF-8 to
+        # exit 2 with the decoder's message alone, naming no file
+        path = tmp_path / "scenario.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"[" * 100000 if kind == "nested" else b"\xff{}")
+        assert run(["validate", "--scenario", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: scenario file {path} {reason}")
+
+    @pytest.mark.parametrize("args", [
+        ["quantize", "--method=dtpq"],
+        ["sweep", "--axis=rx_distance", "--start=5", "--stop=6", "--step=1", "--methods=dtpq"],
+        ["gradient-map", "--target-theta=45", "--target-phi=0", "--theta-step=15",
+         "--phi-step=90"],
+    ], ids=["quantize", "sweep", "gradient-map"])
+    def test_unwritable_out_exits_2(self, small_path, tmp_path, capsys, args):
+        # quantize printed its four result lines and then, like sweep and
+        # gradient-map, exited 1 with "internal error: [Errno 2] No such file
+        # or directory"; the CSV is now written before any line is printed
+        out = tmp_path / "missing" / "out.csv"
+        assert run([args[0], "--scenario", small_path, *args[1:], "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --out {out} cannot be written: No such file or directory\n"
+
     def test_bad_key_exit_code(self, tmp_path, capsys):
         doc = document_with(ris_2p6ghz_document(), "placement", altitude_m=3.0)
         path = tmp_path / "bad.json"
@@ -266,8 +301,7 @@ class TestValidateCommand:
         assert run(["quantize", "--scenario", str(path), "--method", "dtpq",
                     "--out", str(tmp_path / "shifts.csv")]) == 2
         assert capsys.readouterr().err == (
-            "error: invalid 'placement' section: placement.d2_m must lie in [0.001, 1e+07] m, "
-            "got 1e+200\n")
+            "error: placement.d2_m must lie in [0.001, 1e+07] m, got 1e+200\n")
 
     @pytest.mark.parametrize("key, value", [
         ("gain_tx_dbi", math.nan),
@@ -290,14 +324,14 @@ class TestValidateCommand:
         path.write_text(json.dumps(doc))
         assert run(["validate", "--scenario", str(path)]) == 2
         assert capsys.readouterr().err == (
-            f"error: invalid 'radio' section: radio.{key} must lie in [3.0103, 40] dBi, "
-            "got 1e+30\n")
+            f"error: radio.{key} must lie in [3.0103, 40] dBi, got 1e+30\n")
 
     @pytest.mark.parametrize("key, value, message", [
         ("rows", 2.5, "key 'panel.rows' must be an integer, got 2.5"),
         ("cols", 16.5, "key 'panel.cols' must be an integer, got 16.5"),
         ("bits", 1.5, "key 'panel.bits' must be an integer, got 1.5"),
-        ("bits", 10**7, "expected 2**10000000 phase levels for 10000000-bit resolution, got 2"),
+        ("bits", 10**7,
+         "panel.levels_deg: expected 2**10000000 phase levels for 10000000-bit resolution, got 2"),
         ("bits", 10**400, "key 'panel.bits' must be finite, got inf"),
         ("cell_dx_m", -10**400, "key 'panel.cell_dx_m' must be finite, got -inf"),
         ("levels_deg", [55, 10**400], "key 'panel.levels_deg' must be finite, got inf"),
@@ -316,7 +350,7 @@ class TestValidateCommand:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         assert run(["validate", "--scenario", str(path)]) == 2
-        assert capsys.readouterr().err == f"error: invalid 'panel' section: {message}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_module_entry_point_runs_warning_free(self):
         # python -m risbeam.cli must not import risbeam.cli before running it
@@ -433,8 +467,7 @@ class TestQuantizeCommand:
         doc = document_with(ris_2p6ghz_document(), "radio", gain_tx_dbi=3000.0,
                             gain_rx_dbi=3000.0)
         err = refused(["quantize", "--method", "dtpq"], doc, tmp_path, capsys)
-        assert err == ("error: invalid 'radio' section: radio.gain_tx_dbi must lie in "
-                       "[3.0103, 40] dBi, got 3000.0\n")
+        assert err == "error: radio.gain_tx_dbi must lie in [3.0103, 40] dBi, got 3000.0\n"
 
     @pytest.mark.parametrize("key, value, message", [
         ("cell_alpha", math.nextafter(100.0, math.inf),
@@ -451,7 +484,7 @@ class TestQuantizeCommand:
         err = refused(["quantize", "--method", "dtpq"],
                       document_with(ris_2p6ghz_document(), "radio", **{key: value}),
                       tmp_path, capsys)
-        assert err == f"error: invalid 'radio' section: {message}\n"
+        assert err == f"error: {message}\n"
 
     def test_refuses_a_panel_above_the_guard(self, tmp_path, capsys):
         # 2**20 cells validate and one row more does not; a 10**6 x 10**6 panel
@@ -464,8 +497,8 @@ class TestQuantizeCommand:
         assert "panel.rows x panel.cols = 1025x1024" in capsys.readouterr().err
         doc = document_with(ris_2p6ghz_document(), "panel", rows=10**6, cols=10**6)
         err = refused(["quantize", "--method", "dtpq"], doc, tmp_path, capsys)
-        assert err == ("error: invalid 'panel' section: panel.rows x panel.cols = "
-                       "1000000x1000000 cells exceeds the guard of 1048576\n")
+        assert err == ("error: panel.rows x panel.cols = 1000000x1000000 cells exceeds the guard "
+                       "of 1048576\n")
 
     @pytest.mark.parametrize("key", ["cell_dx_m", "cell_dy_m"])
     def test_refuses_a_panel_too_wide_for_its_paths(self, tmp_path, capsys, key):
@@ -475,8 +508,7 @@ class TestQuantizeCommand:
         # range refuses them by name
         doc = document_with(ris_2p6ghz_document(), "panel", rows=4, cols=4, **{key: 1e154})
         err = refused(["quantize", "--method", "dtpq"], doc, tmp_path, capsys)
-        assert err == (f"error: invalid 'panel' section: panel.{key} must lie in [1e-06, 10] m, "
-                       "got 1e+154\n")
+        assert err == f"error: panel.{key} must lie in [1e-06, 10] m, got 1e+154\n"
 
     @pytest.mark.parametrize("key", ["cell_dx_m", "cell_dy_m"])
     def test_widest_panel_at_the_farthest_distance_runs(self, tmp_path, capsys, key):
@@ -494,7 +526,7 @@ class TestQuantizeCommand:
         err = refused(["quantize", "--method", "dtpq"],
                       document_with(doc, "panel", **{key: math.nextafter(10.0, math.inf)}),
                       tmp_path, capsys)
-        assert err.startswith(f"error: invalid 'panel' section: panel.{key} must lie in ")
+        assert err.startswith(f"error: panel.{key} must lie in ")
 
     def test_refuses_distances_whose_amplitudes_overflow_xi(self, tmp_path, capsys):
         # 4x4 cells with both antennas on the normal at 2**-511 m: each
@@ -506,8 +538,8 @@ class TestQuantizeCommand:
         doc = document_with(doc, "placement", d1_m=2.0**-511, d2_m=2.0**-511,
                             theta_t_deg=0.0, theta_r_deg=0.0)
         err = refused(["quantize", "--method", "dtpq"], doc, tmp_path, capsys)
-        assert err == ("error: invalid 'placement' section: placement.d1_m must lie in "
-                       "[0.001, 1e+07] m, got 1.4916681462400413e-154\n")
+        assert err == ("error: placement.d1_m must lie in [0.001, 1e+07] m, "
+                       "got 1.4916681462400413e-154\n")
 
     @pytest.mark.parametrize("theta_deg", [0.0, 89.999999])
     def test_nearest_distance_runs(self, tmp_path, capsys, theta_deg):
@@ -527,8 +559,7 @@ class TestQuantizeCommand:
         # above the terahertz band is refused by name
         doc = document_with(ris_2p6ghz_document(), "radio", freq_ghz=1e290)
         err = refused(["quantize", "--method", "dtpq"], doc, tmp_path, capsys)
-        assert err == ("error: invalid 'radio' section: radio.freq_ghz must lie in "
-                       "[0.1, 10000] GHz, got 1e+290\n")
+        assert err == "error: radio.freq_ghz must lie in [0.1, 10000] GHz, got 1e+290\n"
 
     def test_bad_method_token(self, ris1_path, capsys):
         assert run(["quantize", "--scenario", ris1_path, "--method", "best"]) == 2
@@ -547,6 +578,23 @@ class TestSweepCommand:
                             "eipq_dbm,eipq_threshold_deg,fixed_dbm,fixed_threshold_deg")
         assert len(lines) == 1 + 51
         assert lines[1].startswith("5.0000,")
+
+    @pytest.mark.parametrize("methods", ["dtpq,eipq:5", "eipq:5,dtpq"])
+    def test_kernel_value_error_exits_one(self, small_path, tmp_path, monkeypatch, capsys,
+                                          methods):
+        # a bare ValueError from a kernel is a fault of the program: exit 1,
+        # with no grid value or method token in front to blame the input (it
+        # used to exit 2 with "rx_distance 5: " and, on eipq, "method token ")
+        def broken(state, gammas):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr(quantization, "_profile_xi", broken)
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--scenario", small_path, "--axis=rx_distance", "--start=5",
+                    "--stop=6", "--step=1", f"--methods={methods}", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == "internal error: operands could not be broadcast together\n"
 
     def test_byte_identical_reruns(self, small_path, tmp_path):
         out1 = tmp_path / "a.csv"
@@ -919,13 +967,24 @@ class TestOtherCommands:
           "--methods=dtpq"], "--step 1 puts the last point at 90, outside [0, 90) degrees"),
         (["angle-scan", "--target=45", "--start=-90", "--stop=90", "--step=7",
           "--methods=dtpq"], "--step 7 puts the last point at 92, outside [-90, 90] degrees"),
+        # one ulp outside an end, or below the start, used to read as the end
+        # or the start itself ("got 90", "--theta-stop 90 must not precede ...")
+        (["gradient-map", "--target-theta=45", "--target-phi=0",
+          "--theta-stop=90.00000000000001"],
+         "--theta-stop must lie in [0, 90] degrees, got 90.00000000000001"),
+        (["gradient-map", "--target-theta=45", "--target-phi=0", "--theta-start=90",
+          "--theta-stop=89.99999999999999"],
+         "--theta-stop 89.99999999999999 must not precede --theta-start 90"),
+        (["angle-scan", "--target=45", "--start=0", "--stop=90.00000000000001", "--step=1",
+          "--methods=dtpq"], "--stop must lie in [-90, 90] degrees, got 90.00000000000001"),
     ], ids=["scan-target-90", "scan-target-nan", "scan-stop-180", "scan-start-below-90",
             "map-theta-95", "map-theta-90", "map-phi-inf", "map-theta-start-negative",
             "map-theta-stop-120", "map-theta-step-overshoot", "fit-stop-90", "fit-start-negative",
             "map-phi-step-negative", "scan-step-zero", "sweep-stop-before-start",
             "sweep-step-inf", "scan-step-inf", "map-theta-step-inf", "map-phi-step-inf",
             "sweep-start-nan", "map-phi-stop-inf", "sweep-theta-r-stop-95",
-            "sweep-theta-r-step-overshoot", "scan-step-overshoot"])
+            "sweep-theta-r-step-overshoot", "scan-step-overshoot", "map-theta-stop-ulp-above",
+            "map-theta-stop-ulp-below-start", "scan-stop-ulp-above"])
     def test_angle_options_named_in_degrees(self, small_path, capsys, args, message):
         assert run([args[0], "--scenario", small_path, *args[1:]]) == 2
         captured = capsys.readouterr()

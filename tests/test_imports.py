@@ -207,3 +207,51 @@ def test_detects_an_unread_private_name():
     }
     assert unread_private_names(sources) == [
         "a.py line 5: _dead", "a.py line 10: _UNREAD", "a.py line 11: _Box"]
+
+
+def raises_of_other_types(sources: dict[str, str]) -> list[str]:
+    """Each ``raise`` in ``sources`` whose exception is not ``ConfigError``.
+
+    ``sources`` maps module file names to their text.  A raise is listed
+    as "<module>.<enclosing function>: <exception>", the exception as
+    written (its call's callee), and a bare re-raise as "raise".
+    """
+    found = []
+
+    def visit(node: ast.AST, module: str, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            kind = ast.unparse(exc) if exc else "raise"
+            if kind != "ConfigError":
+                found.append(f"{module}.{function}: {kind}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for name, text in sorted(sources.items()):
+        visit(ast.parse(text), Path(name).stem, "<module>")
+    return found
+
+
+def test_every_refusal_is_a_config_error():
+    # run() maps ConfigError alone to exit 2, so a refusal raised as a bare
+    # ValueError would exit 1 as an internal error; only the array-shape
+    # checks, which no file or option reaches, and __getattr__ raise others
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert raises_of_other_types(sources) == [
+        "__init__.__getattr__: AttributeError",
+        "channel.xi: ValueError",
+        "channel.field_at_rx_points: ValueError",
+        "channel.field_at_rx_points: ValueError",
+    ]
+
+
+def test_detects_a_refusal_of_another_type():
+    sources = {
+        "a.py": "def check(x):\n    if x:\n        raise ConfigError('x')\n"
+                "    raise ValueError(f'{x}') from None\n",
+        "b.py": "try:\n    pass\nexcept OSError:\n    raise\nraise errors.Refusal\n",
+    }
+    assert raises_of_other_types(sources) == [
+        "a.check: ValueError", "b.<module>: raise", "b.<module>: errors.Refusal"]
