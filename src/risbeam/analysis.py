@@ -22,7 +22,7 @@ from .channel import (
     link_state,
     power_dbm_from_xi,
 )
-from .geometry import THETA_LIMIT, antenna_points
+from .geometry import antenna_points
 from .quantization import QuantizationResult, dtpq, eipq, fixed_threshold
 from .scenario import (FIT_VARIABLES, GRID_GUARD_POINTS, MIN_GAIN_DBI, SWEEP_AXES, ConfigError,
                        Scenario, exact_g, in_degrees, wrap_angle)
@@ -32,6 +32,8 @@ from .scenario import (FIT_VARIABLES, GRID_GUARD_POINTS, MIN_GAIN_DBI, SWEEP_AXE
 METHODS = ("continuous", "dtpq", "eipq", "fixed")
 
 DEFAULT_EPSILON_DEG = 5.0
+
+_BELOW_90 = math.nextafter(90.0, 0.0)  # a grazing Rx's elevation, as antenna_points clamps it
 
 
 @dataclass(frozen=True)
@@ -51,12 +53,6 @@ class SlopeFit:
     slope: float
     intercept: float
     r_squared: float
-
-
-def _placed(scenario: Scenario, field: str, value: float) -> Scenario:
-    """The scenario with placement ``field`` at ``value`` (deg on an elevation, else m)."""
-    return scenario.with_placement(
-        **{field: math.radians(value) if in_degrees(field) else float(value)})
 
 
 def grid_values(start: float, stop: float, step: float, option: str = "--step") -> np.ndarray:
@@ -184,7 +180,7 @@ def _rows(label: str, values: Sequence[float], row) -> list:
         try:
             rows.append(row(value))
         except ConfigError as exc:
-            raise ConfigError(f"{label} {value:g}: {exc}") from None
+            raise ConfigError(f"{label} {exact_g(value)}: {exc}") from None
     return rows
 
 
@@ -213,8 +209,9 @@ def run_sweep(
         raise ConfigError(f"axis must be one of {tuple(SWEEP_AXES)}, got {axis!r}")
     table = check_methods(methods)
     if axis != "threshold":
+        field = SWEEP_AXES[axis]  # in the grid's unit: deg on an elevation, else m
         return _rows(axis, values, lambda v: _row(
-            link_state(_placed(scenario, SWEEP_AXES[axis], v)), v, table))
+            link_state(scenario.with_placement(**{field: float(v)})), v, table))
     if list(table) != ["fixed"]:
         raise ConfigError("a threshold sweep exercises exactly the fixed method")
     if ":" in table["fixed"]:
@@ -230,7 +227,7 @@ def _frozen_powers(
 ) -> tuple[dict[str, np.ndarray], dict[str, float]]:
     """Design each method once on the target's link, then hold it while Rx moves.
 
-    The Rx moves over elevations ``theta`` and azimuths ``phi`` (rad) at
+    The Rx moves over elevations ``theta`` and azimuths ``phi`` (deg) at
     the target's distance.  Returns each method's power (dBm) there and the
     thresholds (deg) of the methods that have one.  A point where a design
     gives xi = 0, where every power would be -inf, is refused, naming the
@@ -246,9 +243,9 @@ def _frozen_powers(
         dark = np.flatnonzero(~(xi > 0.0))
         if dark.size:
             t, p = float(theta[dark[0]]), float(phi[dark[0]])
-            there = target.with_placement(theta_r=min(t, THETA_LIMIT), phi_r=p)
-            raise ConfigError(f"no cell reaches the Rx at theta_r {math.degrees(t):g}, phi_r "
-                              f"{math.degrees(p):g} deg (xi is 0 there): {_dark_keys(there)}")
+            there = target.with_placement(theta_r_deg=min(t, _BELOW_90), phi_r_deg=p)
+            raise ConfigError(f"no cell reaches the Rx at theta_r {exact_g(t)}, phi_r "
+                              f"{exact_g(p)} deg (xi is 0 there): {_dark_keys(there)}")
         powers[name] = power_dbm_from_xi(target.panel, target.radio, xi)
         if result.threshold is not None:
             thresholds[name] = math.degrees(result.threshold)
@@ -256,12 +253,12 @@ def _frozen_powers(
 
 
 def _signed_direction(theta: float | np.ndarray, phi: float) -> tuple[np.ndarray, np.ndarray]:
-    """(elevation, azimuth) of signed elevations ``theta`` (rad) along azimuth ``phi``.
+    """(elevation, azimuth) of signed elevations ``theta`` along azimuth ``phi`` (deg).
 
     A negative elevation lands at |theta| on the opposite azimuth.
     """
     theta = np.asarray(theta, dtype=float)
-    return np.abs(theta), np.where(theta < 0.0, wrap_angle(phi + math.pi), phi)
+    return np.abs(theta), np.where(theta < 0.0, (phi + 180.0) % 360.0, phi)
 
 
 def angle_scan(
@@ -284,11 +281,10 @@ def angle_scan(
         raise ConfigError(f"scan value {values[outside.argmax()]:g} must lie in [-90, 90] deg")
     table = check_methods(methods)
 
-    phi_r = scenario.placement.phi_r
-    theta, phi = _signed_direction(math.radians(target_deg), phi_r)
-    target = scenario.with_placement(theta_r=float(theta), phi_r=float(phi))
-    powers, thresholds = _frozen_powers(target, *_signed_direction(np.radians(values), phi_r),
-                                        table)
+    phi_r = scenario.placement.phi_r_deg
+    theta, phi = _signed_direction(target_deg, phi_r)
+    target = scenario.with_placement(theta_r_deg=float(theta), phi_r_deg=float(phi))
+    powers, thresholds = _frozen_powers(target, *_signed_direction(values, phi_r), table)
     return [
         SweepRow(float(value), {m: float(powers[m][i]) for m in table}, dict(thresholds))
         for i, value in enumerate(values)
@@ -323,9 +319,8 @@ def gradient_map(
         raise ConfigError("phi grid must be finite")
     table = check_methods([method])
 
-    target = scenario.with_placement(theta_r=math.radians(target_deg[0]),
-                                     phi_r=wrap_angle(math.radians(target_deg[1])))
-    tt, pp = np.meshgrid(np.radians(theta_grid), wrap_angle(np.radians(phi_grid)), indexing="ij")
+    target = scenario.with_placement(theta_r_deg=target_deg[0], phi_r_deg=target_deg[1])
+    tt, pp = np.meshgrid(theta_grid, phi_grid, indexing="ij")
     (power,) = _frozen_powers(target, tt.ravel(), pp.ravel(), table)[0].values()
     return power.reshape(theta_grid.size, phi_grid.size)
 
@@ -344,8 +339,9 @@ def path_loss_samples(
     if variable not in FIT_VARIABLES:
         raise ConfigError(f"variable must be one of {tuple(FIT_VARIABLES)}, got {variable!r}")
     (token,) = check_methods([method]).values()
+    field = FIT_VARIABLES[variable]
     powers = _rows(f"log10_{variable} sample", sample_grid, lambda v: design(
-        link_state(_placed(scenario, FIT_VARIABLES[variable], v)), token).received_power_dbm)
+        link_state(scenario.with_placement(**{field: float(v)})), token).received_power_dbm)
     return scenario.radio.tx_power_dbm - np.array(powers)
 
 

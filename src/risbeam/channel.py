@@ -113,7 +113,7 @@ def _tx_leg(scenario: Scenario):
     row-major cells."""
     panel, placement, radio = scenario.panel, scenario.placement, scenario.radio
     axes = cell_center_axes(panel)
-    tx = antenna_points(placement.d1, placement.theta_t, placement.phi_t)
+    tx = antenna_points(placement.d1, placement.theta_t_deg, placement.phi_t_deg)
     r_t, tx_term = _leg(axes, tx, radio.alpha_tx, radio.cell_alpha,
                         np.empty((3, 1, panel.num_cells)))
     return axes, r_t[0], tx_term[0]
@@ -196,7 +196,7 @@ def link_state(scenario: Scenario) -> LinkState:
     """Build the per-cell amplitude/phase state of a scenario: the forward
     model at the placement's own Rx position."""
     placement, panel = scenario.placement, scenario.panel
-    rx = antenna_points(placement.d2, placement.theta_r, placement.phi_r)
+    rx = antenna_points(placement.d2, placement.theta_r_deg, placement.phi_r_deg)
     buffers = np.empty((4, 1, panel.num_cells))
     amplitude, phase = _phasors(scenario, _tx_leg(scenario), rx, buffers)
     shape = (panel.rows, panel.cols)

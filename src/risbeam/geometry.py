@@ -8,8 +8,8 @@ m = 1..M along the y axis, and the center of cell (n, m) is at
 
 Per-cell quantities are stored as M x N arrays addressed [m-1, n-1], or as
 (P, M*N) arrays over the row-major cells when evaluated for P points.
-Angles are radians throughout; degrees appear only at configuration and
-CSV boundaries.
+Angles are radians throughout; a placement's degrees become radians only
+in ``antenna_points``.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.typing import ArrayLike
 
-from .scenario import RisPanel
+from .scenario import RisPanel, wrap_angle
 
 THETA_LIMIT = math.nextafter(math.pi / 2.0, 0.0)
 
@@ -32,14 +31,16 @@ def cell_center_axes(panel: RisPanel) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def antenna_points(d: ArrayLike, theta: ArrayLike, phi: ArrayLike) -> np.ndarray:
-    """(P, 3) antenna positions at ranges d, elevations theta and azimuths phi (rad).
+def antenna_points(d, theta_deg, phi_deg) -> np.ndarray:
+    """(P, 3) antenna positions at ranges d, elevations theta_deg and azimuths phi_deg (deg).
 
-    Elevations are measured from the surface normal (+z) and azimuths from
-    +x.  They are clamped at THETA_LIMIT, just below pi/2, where the
+    The one place where a placement angle becomes radians.  Elevations are
+    measured from the surface normal (+z) and azimuths from +x, taken mod
+    360.  Elevations are clamped at THETA_LIMIT, just below pi/2, where the
     pattern cutoff zeroes the power; a valid Placement is never clamped.
     """
-    theta = np.minimum(theta, THETA_LIMIT)
+    theta = np.minimum(np.radians(theta_deg), THETA_LIMIT)
+    phi = wrap_angle(np.radians(phi_deg))
     rho = d * np.sin(theta)
     return np.column_stack([rho * np.cos(phi), rho * np.sin(phi), d * np.cos(theta)])
 

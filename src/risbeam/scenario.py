@@ -1,15 +1,16 @@
 """Full link description: surface, Tx/Rx placement, and radio parameters,
 and its JSON scenario-file form.
 
-Scenario files use degrees and GHz.  The radio holds radio.freq_ghz as the
-file writes it, and its wavelength is derived from that.  One table,
-_SECTIONS, names each file key once, with the field it sets and the reader
-of its value.  Unknown keys, non-finite numbers and values outside the
-physical ranges of RANGES raise ConfigError, the package's one refusal
-type, naming the offending key.  This configuration layer, with the table
-of sweep axes and fit variables, the grid guard that the command line
-checks its options against and the two bundled demo scenarios, uses only
-the standard library, so reading and validating a scenario loads no numpy.
+Scenario files use degrees and GHz.  The radio holds radio.freq_ghz, and
+the placement its angles in degrees, as the file writes them; the
+wavelength is derived from the frequency.  One table, _SECTIONS, names each
+file key once, with the field it sets and the reader of its value.  Unknown
+keys, non-finite numbers and values outside the physical ranges of RANGES
+raise ConfigError, the package's one refusal type, naming the offending
+key.  This configuration layer, with the table of sweep axes and fit
+variables, the grid guard that the command line checks its options against
+and the two bundled demo scenarios, uses only the standard library, so
+reading and validating a scenario loads no numpy.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from dataclasses import dataclass, replace
 SPEED_OF_LIGHT = 299792458.0
 
 # Each sweep axis and pl-fit variable as the command line names it, and the
-# Placement field it moves: a theta_* field is an elevation in degrees, the others meters.
-SWEEP_AXES = dict(rx_distance="d2", tx_distance="d1", theta_r="theta_r", threshold=None)
-FIT_VARIABLES = dict(d1="d1", d2="d2", cos_theta_r="theta_r", cos_theta_t="theta_t")
+# Placement field it moves: a *_deg field is an elevation in degrees, the others meters.
+SWEEP_AXES = dict(rx_distance="d2", tx_distance="d1", theta_r="theta_r_deg", threshold=None)
+FIT_VARIABLES = dict(d1="d1", d2="d2", cos_theta_r="theta_r_deg", cos_theta_t="theta_t_deg")
 
 # Upper bound on the points of one grid or map (32x the 181 x 181 map).
 GRID_GUARD_POINTS = 1 << 20
@@ -43,7 +44,7 @@ def wrap_angle(angle):
 
 def in_degrees(field: str | None) -> bool:
     """Whether a placement field of SWEEP_AXES or FIT_VARIABLES is an elevation (deg)."""
-    return field is not None and field.startswith("theta_")
+    return field is not None and field.endswith("_deg")
 
 
 _LEVEL_SPACING_TOL = 1e-9
@@ -145,8 +146,9 @@ class RisPanel:
         for lo, hi in zip(levels, levels[1:]):
             gap = (hi - lo) % TWO_PI
             if abs(gap - omega) > _LEVEL_SPACING_TOL:
-                raise ConfigError(f"panel.levels_deg must be uniformly spaced by {omega:.6f} "
-                                  f"rad, found gap {gap:.6f} rad")
+                raise ConfigError(f"panel.levels_deg must be uniformly spaced by "
+                                  f"{math.degrees(omega):g} deg, found gap "
+                                  f"{math.degrees(gap):g} deg")
         object.__setattr__(self, "levels", levels)
 
     @property
@@ -167,29 +169,33 @@ class RisPanel:
 class Placement:
     """Tx/Rx placement relative to the surface center.
 
-    d1/d2 are the Tx-center and Rx-center distances; (theta_t, phi_t) the
-    elevation/azimuth of the Tx direction seen from the center, and
-    (theta_r, phi_r) the same for the Rx.  Elevations are measured from
-    the surface normal (+z) and must stay below pi/2.
+    d1/d2 are the Tx-center and Rx-center distances (m); (theta_t_deg,
+    phi_t_deg) the elevation/azimuth of the Tx direction seen from the
+    center, and (theta_r_deg, phi_r_deg) the same for the Rx, in degrees as
+    the file writes them (geometry.antenna_points converts them).
+    Elevations are measured from the surface normal (+z) and lie in
+    [0, 90); an azimuth may be any finite angle, taken mod 360.
     """
 
     d1: float
     d2: float
-    theta_t: float
-    phi_t: float
-    theta_r: float
-    phi_r: float
+    theta_t_deg: float
+    phi_t_deg: float
+    theta_r_deg: float
+    phi_r_deg: float
 
     def __post_init__(self) -> None:
         check_range("placement.d1_m", self.d1)
         check_range("placement.d2_m", self.d2)
-        for name, limit, span in (("theta_t", math.pi / 2, "[0, 90)"),
-                                  ("theta_r", math.pi / 2, "[0, 90)"),
-                                  ("phi_t", TWO_PI, "[0, 360)"), ("phi_r", TWO_PI, "[0, 360)")):
+        for name in ("theta_t_deg", "theta_r_deg"):
             angle = getattr(self, name)
-            if not (0.0 <= angle < limit):
-                raise ConfigError(f"placement.{name}_deg must lie in {span} deg, "
-                                  f"got {math.degrees(angle):g}")
+            if not (0.0 <= angle < 90.0):
+                raise ConfigError(f"placement.{name} must lie in [0, 90) deg, "
+                                  f"got {exact_g(angle)}")
+        for name in ("phi_t_deg", "phi_r_deg"):
+            angle = getattr(self, name)
+            if not math.isfinite(angle):
+                raise ConfigError(f"placement.{name} must be finite, got {angle}")
 
 
 def alpha_from_gain_dbi(gain_dbi: float) -> float:
@@ -282,17 +288,10 @@ def _integer(key: str, value) -> int:
 
 
 def _levels(key: str, value) -> tuple[float, ...]:
+    """The phase levels in radians, the one scenario-file angle read into radians."""
     if not isinstance(value, list):
         raise ConfigError(f"key '{key}' must be a list of finite numbers")
-    return tuple(_radians(key, level) for level in value)
-
-
-def _radians(key: str, value) -> float:
-    return math.radians(_number(key, value))
-
-
-def _azimuth(key: str, value) -> float:
-    return wrap_angle(_radians(key, value))
+    return tuple(math.radians(_number(key, level)) for level in value)
 
 
 # Each section of a scenario file, the dataclass it builds, and each of its
@@ -306,8 +305,8 @@ _SECTIONS = {
         "reflection": ("reflection", _number)}),
     "placement": (Placement, {
         "d1_m": ("d1", _number), "d2_m": ("d2", _number),
-        "theta_t_deg": ("theta_t", _radians), "phi_t_deg": ("phi_t", _azimuth),
-        "theta_r_deg": ("theta_r", _radians), "phi_r_deg": ("phi_r", _azimuth)}),
+        "theta_t_deg": ("theta_t_deg", _number), "phi_t_deg": ("phi_t_deg", _number),
+        "theta_r_deg": ("theta_r_deg", _number), "phi_r_deg": ("phi_r_deg", _number)}),
     "radio": (RadioConfig, {
         "freq_ghz": ("freq_ghz", _number), "tx_power_dbm": ("tx_power_dbm", _number),
         "gain_tx_dbi": ("gain_tx_dbi", _number), "gain_rx_dbi": ("gain_rx_dbi", _number),

@@ -49,10 +49,10 @@ def random_scenario(rng: np.random.Generator, rows: int, cols: int, bits: int) -
     placement = Placement(
         d1=rng.uniform(0.5, 50.0),
         d2=rng.uniform(0.5, 50.0),
-        theta_t=rng.uniform(0.0, math.radians(80.0)),
-        phi_t=rng.uniform(0.0, TWO_PI),
-        theta_r=rng.uniform(0.0, math.radians(80.0)),
-        phi_r=rng.uniform(0.0, TWO_PI),
+        theta_t_deg=rng.uniform(0.0, 80.0),
+        phi_t_deg=rng.uniform(0.0, 360.0),
+        theta_r_deg=rng.uniform(0.0, 80.0),
+        phi_r_deg=rng.uniform(0.0, 360.0),
     )
     radio = RadioConfig(
         freq_ghz=SPEED_OF_LIGHT / (wavelength * 1e9),
@@ -108,7 +108,8 @@ def far_field_pl_db(panel, placement, radio) -> float:
         - radio.gain_tx_dbi
         - radio.gain_rx_dbi
         - 20.0 * math.log10(panel.num_cells * panel.d_x * panel.d_y * panel.reflection)
-        - 10.0 * (math.log10(math.cos(placement.theta_t)) + math.log10(math.cos(placement.theta_r)))
+        - 10.0 * (math.log10(math.cos(math.radians(placement.theta_t_deg)))
+                  + math.log10(math.cos(math.radians(placement.theta_r_deg))))
     )
 
 
@@ -138,8 +139,8 @@ def combined_pattern(scenario: Scenario) -> np.ndarray:
 def path_lengths(panel, placement):
     """M x N distances from the Tx and from the Rx to every cell center."""
     d = np.array([placement.d1, placement.d2])
-    theta = np.array([placement.theta_t, placement.theta_r])
-    phi = np.array([placement.phi_t, placement.phi_r])
+    theta = np.array([placement.theta_t_deg, placement.theta_r_deg])
+    phi = np.array([placement.phi_t_deg, placement.phi_r_deg])
     r_t, r_r = cell_paths(cell_center_axes(panel), antenna_points(d, theta, phi))[0]
     return r_t.reshape(panel.rows, panel.cols), r_r.reshape(panel.rows, panel.cols)
 
@@ -192,8 +193,9 @@ def reference_powers(scenario: Scenario, d2_values, thresholds=None):
     y = (panel.rows + 1 - 2.0 * np.arange(1, panel.rows + 1)) * panel.d_y / 2.0
     cells = np.stack([*np.meshgrid(x, y), np.zeros((panel.rows, panel.cols))], -1).reshape(-1, 3)
 
-    def leg(d, theta, phi, gain_dbi):
+    def leg(d, theta_deg, phi_deg, gain_dbi):
         """Path length and F_antenna * F_cell of every cell for one antenna."""
+        theta, phi = math.radians(theta_deg), math.radians(phi_deg)
         pos = d * np.array([math.sin(theta) * math.cos(phi),
                             math.sin(theta) * math.sin(phi), math.cos(theta)])
         r = np.linalg.norm(pos - cells, axis=1)
@@ -205,10 +207,10 @@ def reference_powers(scenario: Scenario, d2_values, thresholds=None):
     omega, levels = TWO_PI / 2**panel.bits, np.asarray(panel.levels)
     scale = (10.0 ** ((radio.gain_tx_dbi + radio.gain_rx_dbi) / 10.0)
              * (panel.d_x * panel.d_y * panel.reflection) ** 2 / (16.0 * math.pi**2))
-    r_t, f_t = leg(pl.d1, pl.theta_t, pl.phi_t, radio.gain_tx_dbi)
+    r_t, f_t = leg(pl.d1, pl.theta_t_deg, pl.phi_t_deg, radio.gain_tx_dbi)
     continuous, quantized = [], []
     for d2 in d2_values:
-        r_r, f_r = leg(d2, pl.theta_r, pl.phi_r, radio.gain_rx_dbi)
+        r_r, f_r = leg(d2, pl.theta_r_deg, pl.phi_r_deg, radio.gain_rx_dbi)
         amplitude = np.sqrt(f_t * f_r) / (r_t * r_r)
         phase = np.mod(TWO_PI * (r_t + r_r) / radio.wavelength, TWO_PI)
         gammas = phase if thresholds is None else np.asarray(thresholds, dtype=float)

@@ -242,8 +242,8 @@ def test_05_wave_path_difference():
     lam = 1.0
     panel = RisPanel(rows=32, cols=16, d_x=lam / 2, d_y=lam / 2, bits=1,
                      levels=(0.0, math.pi))
-    placement = Placement(d1=10 * lam, d2=10 * lam, theta_t=math.pi / 4, phi_t=0.0,
-                          theta_r=math.pi / 4, phi_r=math.pi)
+    placement = Placement(d1=10 * lam, d2=10 * lam, theta_t_deg=45.0, phi_t_deg=0.0,
+                          theta_r_deg=45.0, phi_r_deg=180.0)
     ldif = wave_path_difference(panel, placement, (1, 1), (8, 16))
     checks = [
         (abs(ldif - 6.07) <= 0.01, f"corner-to-center path difference {ldif:.4f} vs 6.07 +/- 0.01")

@@ -192,7 +192,7 @@ class TestRunSweep:
     @pytest.mark.parametrize("axis, field, grid, to_field", [
         ("rx_distance", "d2", (5.0, 7.5, 10.0), float),
         ("tx_distance", "d1", (5.0, 7.5, 10.0), float),
-        ("theta_r", "theta_r", (10.0, 35.0, 60.0), math.radians),
+        ("theta_r", "theta_r_deg", (10.0, 35.0, 60.0), float),
     ])
     def test_rows_redesign_at_the_moved_placement(self, axis, field, grid, to_field):
         # each row is the method table applied to the link with the one
@@ -311,18 +311,18 @@ class TestAngleScan:
 
         def direction(theta):
             if theta < 0.0:
-                return -theta, (pl.phi_r + math.pi) % (2.0 * math.pi)
-            return theta, pl.phi_r
+                return -theta, (pl.phi_r_deg + 180.0) % 360.0
+            return theta, pl.phi_r_deg
 
         theta_limit = math.nextafter(math.pi / 2.0, 0.0)
         points = []
         for row in rows:
-            theta, phi = direction(math.radians(row.axis_value))
-            theta = min(theta, theta_limit)
+            theta, phi = direction(row.axis_value)
+            theta, phi = min(math.radians(theta), theta_limit), math.radians(phi)
             rho = pl.d2 * math.sin(theta)
             points.append([rho * math.cos(phi), rho * math.sin(phi), pl.d2 * math.cos(theta)])
-        theta, phi = direction(math.radians(-30.0))
-        target = sc.with_placement(theta_r=theta, phi_r=phi)
+        theta, phi = direction(-30.0)
+        target = sc.with_placement(theta_r_deg=theta, phi_r_deg=phi)
         state = link_state(target)
         for method in methods:
             xi = field_at_rx_points(target, design(state, method).shifts, np.array(points))
@@ -433,8 +433,8 @@ class TestSlopeFit:
     @pytest.mark.parametrize("variable, field, grid, to_field", [
         ("d1", "d1", (20.0, 40.0, 80.0), float),
         ("d2", "d2", (20.0, 40.0, 80.0), float),
-        ("cos_theta_r", "theta_r", (10.0, 35.0, 60.0), math.radians),
-        ("cos_theta_t", "theta_t", (10.0, 35.0, 60.0), math.radians),
+        ("cos_theta_r", "theta_r_deg", (10.0, 35.0, 60.0), float),
+        ("cos_theta_t", "theta_t_deg", (10.0, 35.0, 60.0), float),
     ])
     def test_samples_redesign_at_the_moved_placement(self, variable, field, grid, to_field):
         sc = ris_2p6ghz()

@@ -34,8 +34,8 @@ from risbeam import (
 )
 from risbeam import channel
 from risbeam.analysis import design
-from risbeam.channel import _phasor_sum, _tx_leg
-from risbeam.geometry import antenna_points, cell_paths
+from risbeam.channel import _leg, _phasor_sum, _tx_leg
+from risbeam.geometry import antenna_points, cell_center_axes, cell_paths
 from risbeam.quantization import TIE_REL_TOL
 from risbeam.scenario import MIN_GAIN_DBI, RANGES, SPEED_OF_LIGHT, wavelength_m
 
@@ -45,7 +45,8 @@ TWO_PI = 2.0 * math.pi
 def on_normal_link(d1, d2, wavelength, cols=1):
     """1 x cols panel with Tx and Rx on the surface normal."""
     panel = RisPanel(rows=1, cols=cols, d_x=0.1, d_y=0.1, bits=1, levels=(0.0, math.pi))
-    placement = Placement(d1=d1, d2=d2, theta_t=0.0, phi_t=0.0, theta_r=0.0, phi_r=0.0)
+    placement = Placement(d1=d1, d2=d2, theta_t_deg=0.0, phi_t_deg=0.0, theta_r_deg=0.0,
+                          phi_r_deg=0.0)
     radio = RadioConfig(freq_ghz=SPEED_OF_LIGHT / (wavelength * 1e9), tx_power_dbm=0.0,
                         gain_tx_dbi=8.0, gain_rx_dbi=8.0)
     return Scenario(panel=panel, placement=placement, radio=radio)
@@ -92,7 +93,7 @@ class TestContinuousPhaseMatrix:
         sc = random_scenario(np.random.default_rng(seed), rows, cols, 1)
         placement = sc.placement
         axes, r_t, _ = _tx_leg(sc)
-        rx = antenna_points(placement.d2, placement.theta_r, placement.phi_r)
+        rx = antenna_points(placement.d2, placement.theta_r_deg, placement.phi_r_deg)
         r_r = cell_paths(axes, rx)[0, 0]
         if multiple is not None:
             cell, k, step = multiple
@@ -118,8 +119,8 @@ class TestContinuousPhaseMatrix:
         # brute-forced from the two wave-path sums of the corner and the
         # center-adjacent cell (path difference 6.0666 wavelengths)
         panel = RisPanel(rows=32, cols=16, d_x=0.5, d_y=0.5, bits=1, levels=(0.0, math.pi))
-        placement = Placement(d1=10.0, d2=10.0, theta_t=math.pi / 4, phi_t=0.0,
-                              theta_r=math.pi / 4, phi_r=math.pi)
+        placement = Placement(d1=10.0, d2=10.0, theta_t_deg=45.0, phi_t_deg=0.0,
+                              theta_r_deg=45.0, phi_r_deg=180.0)
         radio = RadioConfig(freq_ghz=SPEED_OF_LIGHT / (1.0 * 1e9), tx_power_dbm=0.0,
                             gain_tx_dbi=8.0, gain_rx_dbi=8.0)
         phases = link_state(Scenario(panel=panel, placement=placement, radio=radio)).phase
@@ -140,8 +141,8 @@ def reference_amplitudes(sc: Scenario):
     (N + 1 - 2n) * d_x / 2 and (M + 1 - 2m) * d_y / 2 as the model forms them.
     """
     panel, pl, radio = sc.panel, sc.placement, sc.radio
-    tx = antenna_points(pl.d1, pl.theta_t, pl.phi_t)[0].tolist()
-    rx = antenna_points(pl.d2, pl.theta_r, pl.phi_r)[0].tolist()
+    tx = antenna_points(pl.d1, pl.theta_t_deg, pl.phi_t_deg)[0].tolist()
+    rx = antenna_points(pl.d2, pl.theta_r_deg, pl.phi_r_deg)[0].tolist()
     a_tx, a_rx, a_cell = radio.alpha_tx, radio.alpha_rx, radio.cell_alpha
     u = 2.0**-53
 
@@ -233,7 +234,7 @@ class TestAmplitude:
         sc = replace(sc, radio=radio)
         if where == "cutoff":
             sc = sc.with_placement(d2=aperture_radius(sc.panel) * rng.uniform(0.1, 0.6),
-                                   theta_r=math.radians(rng.uniform(60.0, 89.0)))
+                                   theta_r_deg=rng.uniform(60.0, 89.0))
         amplitudes = link_state(sc).amplitude.ravel().tolist()
         expected, bounds, _ = reference_amplitudes(sc)
         for a, ref, bound in zip(amplitudes, expected, bounds):
@@ -251,9 +252,9 @@ class TestAmplitude:
         panel = RisPanel(rows=3, cols=2, d_x=size, d_y=size, bits=1, levels=(0.0, math.pi))
         normal = np.finfo(float).tiny
         for gain, cell_alpha, theta in itertools.product(
-                (MIN_GAIN_DBI, 40.0), (0.0, 100.0), (0.0, math.nextafter(math.pi / 2, 0.0))):
-            placement = Placement(d1=d, d2=d, theta_t=theta, phi_t=0.0, theta_r=theta,
-                                  phi_r=math.pi)
+                (MIN_GAIN_DBI, 40.0), (0.0, 100.0), (0.0, math.nextafter(90.0, 0.0))):
+            placement = Placement(d1=d, d2=d, theta_t_deg=theta, phi_t_deg=0.0,
+                                  theta_r_deg=theta, phi_r_deg=180.0)
             radio = RadioConfig(freq_ghz=SPEED_OF_LIGHT / (0.1 * 1e9), tx_power_dbm=0.0,
                                 gain_tx_dbi=gain, gain_rx_dbi=gain, cell_alpha=cell_alpha)
             sc = Scenario(panel=panel, placement=placement, radio=radio)
@@ -267,10 +268,10 @@ class TestAmplitude:
         # the property's cutoff and boresight draws do what it says they do
         rng = np.random.default_rng(0)
         sc = random_scenario(rng, 9, 9, 1)
-        near = sc.with_placement(d2=aperture_radius(sc.panel) * 0.3, theta_r=math.radians(80.0))
+        near = sc.with_placement(d2=aperture_radius(sc.panel) * 0.3, theta_r_deg=80.0)
         assert None in reference_amplitudes(near)[1]
-        points = antenna_points(rng.uniform(0.5, 50.0, 200), rng.uniform(0.0, 1.4, 200),
-                                rng.uniform(0.0, TWO_PI, 200))
+        points = antenna_points(rng.uniform(0.5, 50.0, 200), rng.uniform(0.0, 80.0, 200),
+                                rng.uniform(0.0, 360.0, 200))
         r, num = cell_paths((np.zeros(1), np.zeros(1)), points)[:, :, 0]
         assert np.any(num / (r * np.sqrt(np.sum(points**2, axis=1))) > 1.0)
 
@@ -371,6 +372,120 @@ class TestReceivedPower:
         assert power == design(state, "continuous").received_power_dbm
 
 
+def link_bound(sc: Scenario) -> tuple[float, float]:
+    """P_t + 10*log10(A^2 * eta_t * eta_r) (dBm), the most any design can
+    receive on ``sc``, and the rounding slack (dB) of comparing a design's
+    power with it.
+
+    eta = G * d_x * d_y / (4*pi) * sum of F * F_cell / r^2 over the cells is
+    the share of an antenna's radiated power that the point-cell panel
+    intercepts.  With l = ln(sqrt(F * F_cell) / r), ``channel._leg``'s log
+    amplitude of one leg, a cell's amplitude is exp(l_t + l_r), so by
+    Cauchy-Schwarz any design's xi <= sum exp(l_t + l_r) <= sqrt(sum
+    exp(2 l_t) * sum exp(2 l_r)), and P_r = P_t * G_t * G_r * (d_x d_y)^2 *
+    A^2 * xi^2 / (16 pi^2) is at most the bound, with equality for the
+    continuous design when l_t = l_r cell by cell.  Each eta is one
+    log-sum-exp over the leg's logs.
+
+    The slack: the program reads the same floats l (``_tx_leg`` and
+    ``link_state`` call ``_leg`` as here), and the inequality holds exactly
+    for the exps of those floats.  The program rounds l_t + l_r and its exp
+    (relative (|l_t + l_r| + 4) u per amplitude, u = 2^-53) and the phasor
+    sum over MN cells ((MN + 8) u, the half-angle weights within a few
+    ulps); this oracle rounds 2 l - max and its exp ((|2 l - max| + 4) u)
+    and the sum (MN u).  So xi and each sum of exp(2 l) lie within a
+    relative e = (4 L + MN + 16) u of the exact values, L the largest
+    finite |l|, and the power can pass the bound by 20 log10((1 + e) / (1 -
+    e)) dB.  Each side is a sum of at most 10 dB terms of magnitude at most
+    T, which rounds within 100 T u more.
+    """
+    panel, pl, radio = sc.panel, sc.placement, sc.radio
+    axes = cell_center_axes(panel)
+    logs = [_leg(axes, antenna_points(d, theta, phi), alpha, radio.cell_alpha,
+                 np.empty((3, 1, panel.num_cells)))[1][0]
+            for d, theta, phi, alpha in ((pl.d1, pl.theta_t_deg, pl.phi_t_deg, radio.alpha_tx),
+                                         (pl.d2, pl.theta_r_deg, pl.phi_r_deg, radio.alpha_rx))]
+    sums_db = []
+    for log in logs:
+        twice = 2.0 * log
+        top = float(np.max(twice))
+        log_sum = top + math.log(float(np.sum(np.exp(twice - top))))
+        sums_db.append(10.0 * log_sum / math.log(10.0))
+    terms = [radio.tx_power_dbm, radio.gain_tx_dbi, radio.gain_rx_dbi,
+             10.0 * math.log10(panel.d_x * panel.d_y / (4.0 * math.pi)),
+             20.0 * math.log10(panel.reflection), *sums_db]
+    bound = radio.tx_power_dbm + 20.0 * math.log10(panel.reflection) + sum(
+        gain + terms[3] + lse for gain, lse in zip(terms[1:3], sums_db))
+    u = 2.0**-53
+    finite = np.concatenate(logs)
+    e = (4.0 * float(np.max(np.abs(finite[np.isfinite(finite)]))) + panel.num_cells + 16.0) * u
+    magnitude = max(max(map(abs, terms)), sum(map(abs, sums_db)), 20.0 * math.log10(4.0 * math.pi),
+                    20.0 * max(abs(math.log10(panel.d_x)), abs(math.log10(panel.d_y))))
+    return bound, 20.0 * math.log10((1.0 + e) / (1.0 - e)) + 200.0 * magnitude * u
+
+
+def coincident(sc: Scenario) -> Scenario:
+    """``sc`` with the Rx at the Tx's point and the Tx's gain."""
+    pl = sc.placement
+    return replace(sc.with_placement(d2=pl.d1, theta_r_deg=pl.theta_t_deg,
+                                     phi_r_deg=pl.phi_t_deg),
+                   radio=replace(sc.radio, gain_rx_dbi=sc.radio.gain_tx_dbi))
+
+
+def adversarial_links() -> list[Scenario]:
+    """Links that receive more than they send: the one-cell 10 m panel 1 m
+    from both antennas, 3x3 half-wave cells 1 cm away, and a 128x128 panel
+    of cell_alpha 0 with flat antennas 0.1 m up its normal."""
+    base = ris_2p6ghz().with_placement(theta_t_deg=0.0, phi_t_deg=0.0, theta_r_deg=0.0,
+                                       phi_r_deg=0.0)
+    flat = replace(base.radio, gain_tx_dbi=MIN_GAIN_DBI, gain_rx_dbi=MIN_GAIN_DBI,
+                   cell_alpha=0.0)
+    return [base.with_panel(rows=1, cols=1, d_x=10.0, d_y=10.0).with_placement(d1=1.0, d2=1.0),
+            base.with_panel(rows=3, cols=3).with_placement(d1=0.01, d2=0.01),
+            replace(base.with_panel(rows=128, cols=128).with_placement(d1=0.1, d2=0.1),
+                    radio=flat)]
+
+
+class TestLinkBound:
+    """No design receives more than P_t * A^2 * eta_t * eta_r (``link_bound``).
+
+    eta <= 1 per leg is what P_r <= P_t needs; the adversarial links break
+    it, and still keep this bound.
+    """
+
+    METHODS = ("continuous", "dtpq", "eipq", "fixed")
+
+    def assert_bounded(self, sc):
+        bound, slack = link_bound(sc)
+        state = link_state(sc)
+        for method in self.METHODS:
+            power = design(state, method).received_power_dbm
+            assert power <= bound + slack, (method, power, bound, slack)
+
+    def test_random_links(self):
+        rng = np.random.default_rng(1034)
+        for _ in range(60):
+            rows, cols, bits = (int(v) for v in rng.integers(1, (9, 9, 4)))
+            self.assert_bounded(random_scenario(rng, rows, cols, bits))
+
+    @pytest.mark.parametrize("index", range(3), ids=["one-10m-cell", "3x3-at-1cm", "flat-128x128"])
+    def test_adversarial_links(self, index):
+        sc = adversarial_links()[index]
+        self.assert_bounded(sc)
+        assert design(link_state(sc), "continuous").received_power_dbm > sc.radio.tx_power_dbm
+
+    def test_coincident_placement_meets_the_bound(self):
+        # the Tx and the Rx at one point with equal gains: l_t = l_r cell by
+        # cell, so the continuous design attains the bound
+        rng = np.random.default_rng(1035)
+        links = [random_scenario(rng, int(rng.integers(1, 9)), int(rng.integers(1, 9)), 1)
+                 for _ in range(20)]
+        for sc in map(coincident, links + adversarial_links() + [ris_2p6ghz()]):
+            bound, slack = link_bound(sc)
+            power = design(link_state(sc), "continuous").received_power_dbm
+            assert abs(power - bound) <= slack, (power, bound, slack)
+
+
 class TestFarFieldPathLoss:
     def test_distance_law(self):
         sc = ris_2p6ghz()
@@ -400,8 +515,8 @@ class TestFarFieldPathLoss:
 
     def test_cosine_factors(self):
         sc = ris_2p6ghz()
-        flat = replace(sc.placement, theta_t=0.0, theta_r=0.0)
-        tilted = replace(sc.placement, theta_t=math.pi / 3, theta_r=math.pi / 3)
+        flat = replace(sc.placement, theta_t_deg=0.0, theta_r_deg=0.0)
+        tilted = replace(sc.placement, theta_t_deg=60.0, theta_r_deg=60.0)
         delta = far_field_pl_db(sc.panel, tilted, sc.radio) - far_field_pl_db(
             sc.panel, flat, sc.radio
         )
@@ -453,8 +568,9 @@ class TestFarFieldPathLoss:
             p, radio = sc.placement, sc.radio
             swapped = replace(
                 sc,
-                placement=Placement(d1=p.d2, d2=p.d1, theta_t=p.theta_r, phi_t=p.phi_r,
-                                    theta_r=p.theta_t, phi_r=p.phi_t),
+                placement=Placement(d1=p.d2, d2=p.d1, theta_t_deg=p.theta_r_deg,
+                                    phi_t_deg=p.phi_r_deg, theta_r_deg=p.theta_t_deg,
+                                    phi_r_deg=p.phi_t_deg),
                 radio=replace(radio, gain_tx_dbi=radio.gain_rx_dbi, gain_rx_dbi=radio.gain_tx_dbi),
             )
             state, state_swapped = link_state(sc), link_state(swapped)
@@ -473,8 +589,10 @@ def plane_wave_phase(sc):
     panel, pl = sc.panel, sc.placement
     x = (panel.cols + 1 - 2.0 * np.arange(1, panel.cols + 1)) * panel.d_x / 2.0
     y = (panel.rows + 1 - 2.0 * np.arange(1, panel.rows + 1)) * panel.d_y / 2.0
-    ux = math.sin(pl.theta_t) * math.cos(pl.phi_t) + math.sin(pl.theta_r) * math.cos(pl.phi_r)
-    uy = math.sin(pl.theta_t) * math.sin(pl.phi_t) + math.sin(pl.theta_r) * math.sin(pl.phi_r)
+    tt, pt, tr, pr = map(math.radians,
+                         (pl.theta_t_deg, pl.phi_t_deg, pl.theta_r_deg, pl.phi_r_deg))
+    ux = math.sin(tt) * math.cos(pt) + math.sin(tr) * math.cos(pr)
+    uy = math.sin(tt) * math.sin(pt) + math.sin(tr) * math.sin(pr)
     k = TWO_PI / sc.radio.wavelength
     return k * (pl.d1 + pl.d2 - (ux * x[None, :] + uy * y[:, None])), k * math.hypot(ux, uy)
 
@@ -542,7 +660,7 @@ class TestFarFieldPhase:
         # argument).
         sc = preset().with_placement(d1=d, d2=d)
         pl = sc.placement
-        assert (pl.theta_r, pl.phi_r) == (pl.theta_t, (pl.phi_t + math.pi) % TWO_PI)
+        assert (pl.theta_r_deg, pl.phi_r_deg) == (pl.theta_t_deg, (pl.phi_t_deg + 180.0) % 360.0)
         fresnel, remainder, slack = fresnel_terms(sc)
         _, tilt = plane_wave_phase(sc)
         s = fresnel + remainder + 2.0 * (slack + tilt * aperture_radius(sc.panel))
@@ -575,8 +693,8 @@ class TestFarFieldPhase:
         sc = ris_2p6ghz().with_panel(rows=1, cols=60, bits=bits, levels=uniform_levels(bits, 0.0))
         k, omega = TWO_PI / sc.radio.wavelength, sc.panel.omega
         sine = omega / (residues * k * sc.panel.d_x)
-        sc = sc.with_placement(d1=1e6, d2=1e6, theta_t=0.0, phi_t=0.0,
-                               theta_r=math.asin(sine), phi_r=0.0)
+        sc = sc.with_placement(d1=1e6, d2=1e6, theta_t_deg=0.0, phi_t_deg=0.0,
+                               theta_r_deg=math.degrees(math.asin(sine)), phi_r_deg=0.0)
         eps = np.finfo(float).eps
         fresnel, remainder, slack = fresnel_terms(sc)
         drift = (sc.panel.cols * omega + 8.0 * TWO_PI) * eps
@@ -602,7 +720,7 @@ class TestFieldAtRxPoints:
                                      bits)
                 state = link_state(sc)
                 pl = sc.placement
-                point = antenna_points(pl.d2, pl.theta_r, pl.phi_r)
+                point = antenna_points(pl.d2, pl.theta_r_deg, pl.phi_r_deg)
                 for shift in (rng.uniform(0.0, TWO_PI, size=state.phase.shape),
                               dtpq(state).shifts):
                     assert field_at_rx_points(sc, shift, point)[0] == state.xi(shift)

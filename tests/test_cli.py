@@ -158,6 +158,27 @@ class TestScenarioParsing:
         with pytest.raises(ValueError, match="panel"):
             parse_scenario(doc)
 
+    def test_level_spacing_refusal_in_degrees(self):
+        # the key's unit: it used to read "... uniformly spaced by 3.141593
+        # rad, found gap 2.967060 rad"; the check itself stays in radians
+        doc = document_with(ris_2p6ghz_document(), "panel", levels_deg=[0, 170])
+        with pytest.raises(ConfigError) as excinfo:
+            parse_scenario(doc)
+        assert str(excinfo.value) == ("panel.levels_deg must be uniformly spaced by 180 deg, "
+                                      "found gap 170 deg")
+
+    @pytest.mark.parametrize("theta, phi", [(0.0, -3.0), (89.99999999999999, 370.0),
+                                            (30.000000000000004, -1e-20), (45, 720), (10, 360)])
+    def test_placement_angles_held_as_written(self, theta, phi):
+        # no radians round trip: -3 used to be held as 6.230825429619756 rad;
+        # any finite azimuth is held, and taken mod 360 by antenna_points
+        doc = document_with(ris_2p6ghz_document(), "placement", theta_t_deg=theta,
+                            phi_t_deg=phi, theta_r_deg=theta, phi_r_deg=phi)
+        placement = parse_scenario(doc).placement
+        held = (placement.theta_t_deg, placement.phi_t_deg, placement.theta_r_deg,
+                placement.phi_r_deg)
+        assert [v.hex() for v in held] == [float(v).hex() for v in (theta, phi, theta, phi)]
+
     @pytest.mark.parametrize("section, key", [(section, key) for section, keys in
                                               ris_2p6ghz_document().items() for key in keys],
                              ids=lambda x: x)
@@ -206,16 +227,20 @@ class TestScenarioParsing:
     @pytest.mark.parametrize("section, key, value, message", [
         ("placement", "theta_t_deg", 100, "placement.theta_t_deg must lie in [0, 90) deg, got 100"),
         ("placement", "theta_r_deg", 90, "placement.theta_r_deg must lie in [0, 90) deg, got 90"),
+        ("placement", "theta_t_deg", 90.00000000000001,
+         "placement.theta_t_deg must lie in [0, 90) deg, got 90.00000000000001"),
         ("radio", "freq_ghz", 1e300, "radio.freq_ghz must lie in [0.1, 10000] GHz, got 1e+300"),
         ("radio", "freq_ghz", 1e-300, "radio.freq_ghz must lie in [0.1, 10000] GHz, got 1e-300"),
         ("radio", "freq_ghz", math.nextafter(1e4, math.inf),
          "radio.freq_ghz must lie in [0.1, 10000] GHz, got 10000.000000000002"),
-    ], ids=["theta-t-100", "theta-r-90", "freq-1e300", "freq-1e-300", "freq-above-1e4"])
+    ], ids=["theta-t-100", "theta-r-90", "theta-t-ulp-above-90", "freq-1e300", "freq-1e-300",
+            "freq-above-1e4"])
     def test_refusal_names_the_file_key(self, section, key, value, message):
         # in the file's units: theta_t 100 used to read "theta_t must lie in
-        # [0, pi/2), got 1.7453292519943295", and freq_ghz 1e300 and 1e-300,
-        # whose wavelengths' round trips over- and underflow, "got inf" and
-        # "got 0.0"
+        # [0, pi/2), got 1.7453292519943295", theta_t 90.00000000000001, held
+        # in radians and turned back, "got 90", and freq_ghz 1e300 and
+        # 1e-300, whose wavelengths' round trips over- and underflow, "got
+        # inf" and "got 0.0"
         with pytest.raises(ConfigError) as excinfo:
             parse_scenario(document_with(ris_2p6ghz_document(), section, **{key: value}))
         assert str(excinfo.value) == message
@@ -720,12 +745,14 @@ class TestOtherCommands:
     def test_gradient_map_refuses_a_dark_point_from_a_phi_start_below_zero(
         self, tmp_path, capsys
     ):
-        # -1e-20 deg wrapped to phi_r 2*pi, and the refusal failed building the
-        # dark point: "phi_r must lie in [0, 2*pi), got 6.283185307179586"
+        # -1e-20 deg once wrapped to phi_r 2*pi, and the refusal failed building
+        # the dark point: "phi_r must lie in [0, 2*pi), got 6.283185307179586";
+        # then it read "phi_r 0", the wrapped value; now it names the value typed
         doc = document_with(ris_2p6ghz_document(), "radio", cell_alpha=100.0)
         err = refused(["gradient-map", "--target-theta", "45", "--target-phi", "180",
                        "--phi-start=-1e-20"], doc, tmp_path, capsys)
-        assert err == f"error: {DARK_AT_GRAZING}: {UNDERFLOWING_PATTERNS}\n"
+        dark = DARK_AT_GRAZING.replace("phi_r 0 deg", "phi_r -1e-20 deg")
+        assert err == f"error: {dark}: {UNDERFLOWING_PATTERNS}\n"
 
     def test_gradient_map_phi_start_a_hair_below_zero_is_zero(self, tmp_path, capsys):
         # the first azimuth was written as -0.0000, and evaluated at 2*pi
@@ -854,8 +881,8 @@ class TestOtherCommands:
         ("cos_theta_r", "-inf", "70", "--start"),
         ("d2", "1e-300", "1e300",
          "log10_d2 sample 1e-300: placement.d2_m must lie in [0.001, 1e+07] m, got 1e-300"),
-        ("d2", "50", "1e300", "log10_d2 sample 3.60902e+26: placement.d2_m must lie in "
-                              "[0.001, 1e+07] m, got 3.609019018232942e+26"),
+        ("d2", "50", "1e300", "log10_d2 sample 3.609019018232942e+26: placement.d2_m must "
+                              "lie in [0.001, 1e+07] m, got 3.609019018232942e+26"),
     ], ids=["d2-stop-zero", "d2-stop-negative", "d2-stop-inf", "d2-start-nan",
             "d2-start-zero", "angle-stop-inf", "angle-start-minus-inf", "d2-samples-underflow",
             "d2-samples-overflow"])
@@ -904,8 +931,8 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("args, message", [
         (["--variable=d2", "--start=50", "--stop=1.7976931348623157e308"],
-         "log10_d2 sample 9.48075e+154: placement.d2_m must lie in [0.001, 1e+07] m, "
-         "got 9.480751908109518e+154"),
+         "log10_d2 sample 9.480751908109518e+154: placement.d2_m must lie in "
+         "[0.001, 1e+07] m, got 9.480751908109518e+154"),
         (["--variable=d1", "--start=1.7976931348623157e308", "--stop=50"],
          "log10_d1 sample inf: placement.d1_m must lie in [0.001, 1e+07] m, got inf"),
     ], ids=["stop-largest-float", "start-largest-float"])
@@ -977,6 +1004,12 @@ class TestOtherCommands:
          "--theta-stop 89.99999999999999 must not precede --theta-start 90"),
         (["angle-scan", "--target=45", "--start=0", "--stop=90.00000000000001", "--step=1",
           "--methods=dtpq"], "--stop must lie in [-90, 90] degrees, got 90.00000000000001"),
+        # a grid value one ulp below a range's end used to be shown as the end
+        # in the prefix ("rx_distance 0.001: ...")
+        (["sweep", "--axis=rx_distance", "--start=0.0009999999999999998", "--stop=0.002",
+          "--step=0.001", "--methods=dtpq"],
+         "rx_distance 0.0009999999999999998: placement.d2_m must lie in [0.001, 1e+07] m, "
+         "got 0.0009999999999999998"),
     ], ids=["scan-target-90", "scan-target-nan", "scan-stop-180", "scan-start-below-90",
             "map-theta-95", "map-theta-90", "map-phi-inf", "map-theta-start-negative",
             "map-theta-stop-120", "map-theta-step-overshoot", "fit-stop-90", "fit-start-negative",
@@ -984,7 +1017,7 @@ class TestOtherCommands:
             "sweep-step-inf", "scan-step-inf", "map-theta-step-inf", "map-phi-step-inf",
             "sweep-start-nan", "map-phi-stop-inf", "sweep-theta-r-stop-95",
             "sweep-theta-r-step-overshoot", "scan-step-overshoot", "map-theta-stop-ulp-above",
-            "map-theta-stop-ulp-below-start", "scan-stop-ulp-above"])
+            "map-theta-stop-ulp-below-start", "scan-stop-ulp-above", "sweep-d2-ulp-below-range"])
     def test_angle_options_named_in_degrees(self, small_path, capsys, args, message):
         assert run([args[0], "--scenario", small_path, *args[1:]]) == 2
         captured = capsys.readouterr()
@@ -1130,6 +1163,16 @@ def quantize_outcome(doc, tmp_path, capsys) -> tuple[int, str]:
         text = captured.out.replace(str(out), "out.csv") + out.read_text().split("\n", 1)[1]
         assert all(math.isfinite(float(number)) for number in _NUMBER.findall(text)), text
     return code, captured.err
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(in_range_documents())
+def test_in_range_placement_angles_are_held_as_written(doc):
+    # the placement holds each angle the file writes bit for bit; only
+    # geometry.antenna_points turns it into radians
+    placement = parse_scenario(doc).placement
+    for key in ("theta_t_deg", "phi_t_deg", "theta_r_deg", "phi_r_deg"):
+        assert getattr(placement, key).hex() == float(doc["placement"][key]).hex()
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,

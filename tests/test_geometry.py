@@ -22,8 +22,8 @@ def panel_16x32(d=LAMBDA / 2, bits=1):
 def near_field_placement(scale=10 * LAMBDA):
     return Placement(
         d1=scale, d2=scale,
-        theta_t=math.pi / 4, phi_t=0.0,
-        theta_r=math.pi / 4, phi_r=math.pi,
+        theta_t_deg=45.0, phi_t_deg=0.0,
+        theta_r_deg=45.0, phi_r_deg=180.0,
     )
 
 
@@ -63,25 +63,35 @@ class TestRisPanel:
 class TestPlacement:
     def test_rejects_grazing_elevation(self):
         with pytest.raises(ValueError, match="theta_r"):
-            Placement(d1=1.0, d2=1.0, theta_t=0.0, phi_t=0.0,
-                      theta_r=math.pi / 2, phi_r=0.0)
+            Placement(d1=1.0, d2=1.0, theta_t_deg=0.0, phi_t_deg=0.0,
+                      theta_r_deg=90.0, phi_r_deg=0.0)
 
     @pytest.mark.parametrize("name, angle, message", [
-        ("theta_t", math.radians(100.0), "placement.theta_t_deg must lie in [0, 90) deg, got 100"),
-        ("theta_r", -1e-3, "placement.theta_r_deg must lie in [0, 90) deg, got -0.0572958"),
-        ("phi_t", 7.0, "placement.phi_t_deg must lie in [0, 360) deg, got 401.07"),
-        ("phi_r", 2.0 * math.pi, "placement.phi_r_deg must lie in [0, 360) deg, got 360"),
+        ("theta_t", 100.0, "placement.theta_t_deg must lie in [0, 90) deg, got 100"),
+        ("theta_r", -1e-3, "placement.theta_r_deg must lie in [0, 90) deg, got -0.001"),
+        ("phi_t", math.nan, "placement.phi_t_deg must be finite, got nan"),
+        ("phi_r", -math.inf, "placement.phi_r_deg must be finite, got -inf"),
     ], ids=["theta_t", "theta_r", "phi_t", "phi_r"])
     def test_refusals_name_the_file_key(self, name, angle, message):
-        # the angle as a scenario file gives it, in degrees
-        angles = {"theta_t": 0.0, "phi_t": 0.0, "theta_r": 0.0, "phi_r": 0.0, name: angle}
+        # the angle as a scenario file gives it, in degrees: the fields hold
+        # the file's degrees, so no conversion moves the value printed
+        angles = {"theta_t_deg": 0.0, "phi_t_deg": 0.0, "theta_r_deg": 0.0, "phi_r_deg": 0.0,
+                  f"{name}_deg": angle}
         with pytest.raises(ValueError) as excinfo:
             Placement(d1=1.0, d2=1.0, **angles)
         assert str(excinfo.value) == message
 
+    def test_radians_passed_by_keyword_fail(self):
+        # the fields carry their unit in their name, so a caller still
+        # passing radians as theta_t= fails instead of placing at 0.785 deg
+        with pytest.raises(TypeError):
+            Placement(d1=1.0, d2=1.0, theta_t=math.pi / 4, phi_t=0.0,
+                      theta_r=math.pi / 4, phi_r=math.pi)
+
     def test_rejects_nonpositive_distance(self):
         with pytest.raises(ValueError, match="d1"):
-            Placement(d1=0.0, d2=1.0, theta_t=0.0, phi_t=0.0, theta_r=0.0, phi_r=0.0)
+            Placement(d1=0.0, d2=1.0, theta_t_deg=0.0, phi_t_deg=0.0, theta_r_deg=0.0,
+                      phi_r_deg=0.0)
 
 
 def cell_xy(n, m, panel):
@@ -120,33 +130,41 @@ class TestSphericalToCartesian:
         assert antenna_points(1.0, 0.0, 0.0).tolist() == [[0.0, 0.0, 1.0]]
 
     def test_forty_five_degrees(self):
-        x, y, z = antenna_points(10.0, math.pi / 4, 0.0)[0]
+        x, y, z = antenna_points(10.0, 45.0, 0.0)[0]
         assert x == pytest.approx(7.0711, abs=1e-4)
         assert y == pytest.approx(0.0, abs=1e-12)
         assert z == pytest.approx(7.0711, abs=1e-4)
 
     def test_opposite_azimuth(self):
-        x, _, z = antenna_points(10.0, math.pi / 4, math.pi)[0]
+        x, _, z = antenna_points(10.0, 45.0, 180.0)[0]
         assert x == pytest.approx(-7.0711, abs=1e-4)
         assert z == pytest.approx(7.0711, abs=1e-4)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(7)
         d = rng.uniform(0.1, 100.0, size=50)
-        points = antenna_points(d, rng.uniform(0, math.pi / 2, size=50),
-                                rng.uniform(0, 2 * math.pi, size=50))
+        points = antenna_points(d, rng.uniform(0, 90.0, size=50),
+                                rng.uniform(0, 360.0, size=50))
         assert points.shape == (50, 3)
         np.testing.assert_allclose(np.linalg.norm(points, axis=1), d, rtol=1e-12)
 
     def test_grazing_elevation_clamped_above_the_plane(self):
-        z = antenna_points(1.0, math.pi / 2, 0.0)[0, 2]
+        z = antenna_points(1.0, 90.0, 0.0)[0, 2]
         assert z == math.cos(THETA_LIMIT) > 0.0
+
+    def test_azimuth_taken_mod_360(self):
+        # the degrees become radians, then wrap_angle takes them into [0, 2*pi)
+        phi = np.array([-90.0, 270.0, 630.0, -1e-20, 0.0])
+        points = antenna_points(np.full(5, 10.0), np.full(5, 30.0), phi)
+        np.testing.assert_allclose(points[:3], np.tile(points[1], (3, 1)), rtol=0, atol=1e-14)
+        assert np.array_equal(points[3], points[4])
 
 
 class TestPathLengths:
     def test_single_cell_at_origin(self):
         panel = RisPanel(rows=1, cols=1, d_x=0.1, d_y=0.1, bits=1, levels=(0.0, math.pi))
-        placement = Placement(d1=10.0, d2=5.0, theta_t=0.3, phi_t=1.0, theta_r=0.2, phi_r=2.0)
+        placement = Placement(d1=10.0, d2=5.0, theta_t_deg=17.0, phi_t_deg=57.0,
+                              theta_r_deg=11.5, phi_r_deg=114.5)
         r_t, r_r = path_lengths(panel, placement)
         assert r_t[0, 0] == pytest.approx(10.0, rel=1e-15)
         assert r_r[0, 0] == pytest.approx(5.0, rel=1e-15)
@@ -156,7 +174,8 @@ class TestPathLengths:
         panel = panel_16x32()
         placement = near_field_placement()
         r_t, _ = path_lengths(panel, placement)
-        d1, tt, pt = placement.d1, placement.theta_t, placement.phi_t
+        d1, tt, pt = (placement.d1, math.radians(placement.theta_t_deg),
+                      math.radians(placement.phi_t_deg))
         expected = math.sqrt(
             (d1 * math.sin(tt) * math.cos(pt) - panel.d_x * (panel.cols - 1) / 2) ** 2
             + (d1 * math.sin(tt) * math.sin(pt) - panel.d_y * (panel.rows - 1) / 2) ** 2
@@ -167,7 +186,8 @@ class TestPathLengths:
 
     def test_far_limit_bound(self):
         panel = panel_16x32()
-        placement = Placement(d1=1e6, d2=1e6, theta_t=0.2, phi_t=0.0, theta_r=0.3, phi_r=3.0)
+        placement = Placement(d1=1e6, d2=1e6, theta_t_deg=11.5, phi_t_deg=0.0,
+                              theta_r_deg=17.0, phi_r_deg=172.0)
         r_t, r_r = path_lengths(panel, placement)
         assert np.max(np.abs(r_t - placement.d1)) <= aperture_radius(panel)
         assert np.max(np.abs(r_r - placement.d2)) <= aperture_radius(panel)
@@ -224,7 +244,7 @@ class TestOuterSum:
             return _outer_sum(a, b, out)
 
         monkeypatch.setattr(geometry, "_outer_sum", recording)
-        rx = antenna_points(np.full(5, 10.0), np.radians([0.0, 10.0, 20.0, 30.0, 40.0]), 0.0)
+        rx = antenna_points(np.full(5, 10.0), [0.0, 10.0, 20.0, 30.0, 40.0], 0.0)
         for rows in (128, 129):
             panel = RisPanel(rows=rows, cols=256, d_x=0.5, d_y=0.5, bits=1,
                              levels=(0.0, math.pi))
@@ -254,16 +274,19 @@ class TestLocalAngles:
     def test_normal_incidence(self):
         # every elevation is 0 when Tx and Rx sit on the normal of a lone cell
         panel = RisPanel(rows=1, cols=1, d_x=0.1, d_y=0.1, bits=1, levels=(0.0, math.pi))
-        placement = Placement(d1=10.0, d2=10.0, theta_t=0.0, phi_t=0.0, theta_r=0.0, phi_r=0.0)
+        placement = Placement(d1=10.0, d2=10.0, theta_t_deg=0.0, phi_t_deg=0.0, theta_r_deg=0.0,
+                              phi_r_deg=0.0)
         assert combined_pattern(link(panel, placement))[0, 0] == pytest.approx(1.0, rel=1e-12)
 
     def test_boresight_cell_sees_antenna_on_axis(self):
         # single cell at the surface center: the antenna boresights pass
         # through it, so only the cell factors cos(theta_t), cos(theta_r) remain
         panel = RisPanel(rows=1, cols=1, d_x=0.1, d_y=0.1, bits=1, levels=(0.0, math.pi))
-        placement = Placement(d1=3.0, d2=7.0, theta_t=0.7, phi_t=1.1, theta_r=0.4, phi_r=5.0)
+        placement = Placement(d1=3.0, d2=7.0, theta_t_deg=40.0, phi_t_deg=63.0,
+                              theta_r_deg=23.0, phi_r_deg=286.5)
         combined = combined_pattern(link(panel, placement))
-        assert combined[0, 0] == pytest.approx(math.cos(0.7) * math.cos(0.4), rel=1e-12)
+        expected = math.cos(math.radians(40.0)) * math.cos(math.radians(23.0))
+        assert combined[0, 0] == pytest.approx(expected, rel=1e-12)
 
     def test_angle_ranges(self):
         combined = combined_pattern(link(panel_16x32(), near_field_placement()))
@@ -276,8 +299,8 @@ class TestLocalAngles:
         lam = 299792458.0 / 2.6e9
         panel = RisPanel(rows=32, cols=16, d_x=lam / 2, d_y=lam / 2, bits=1,
                          levels=(math.radians(55), math.radians(235)))
-        placement = Placement(d1=10.0, d2=10.0, theta_t=math.pi / 4, phi_t=math.pi,
-                              theta_r=math.pi / 4, phi_r=math.pi)
+        placement = Placement(d1=10.0, d2=10.0, theta_t_deg=45.0, phi_t_deg=180.0,
+                              theta_r_deg=45.0, phi_r_deg=180.0)
         combined = combined_pattern(link(panel, placement, gain_dbi=MIN_GAIN_DBI))
         spread = math.degrees(np.ptp(np.arccos(np.sqrt(combined))))
         assert spread == pytest.approx(3.706859450934083, abs=1e-9)
@@ -298,8 +321,8 @@ class TestWavePathDifference:
 
     def test_mirror_symmetric_cells(self):
         panel = RisPanel(rows=4, cols=4, d_x=0.3, d_y=0.3, bits=1, levels=(0.0, math.pi))
-        placement = Placement(d1=5.0, d2=5.0, theta_t=0.6, phi_t=0.0,
-                              theta_r=0.6, phi_r=math.pi)
+        placement = Placement(d1=5.0, d2=5.0, theta_t_deg=34.0, phi_t_deg=0.0,
+                              theta_r_deg=34.0, phi_r_deg=180.0)
         for m in range(1, 5):
             for n in range(1, 5):
                 assert wave_path_difference(panel, placement, (n, m), (5 - n, m)) < 1e-12

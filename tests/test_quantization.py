@@ -181,8 +181,8 @@ class TestDtpq:
         lam = 0.1153
         panel = RisPanel(rows=32, cols=16, d_x=lam / 2, d_y=lam / 2, bits=1,
                          levels=(math.radians(55), math.radians(235)))
-        placement = Placement(d1=1e5 * lam, d2=1e5 * lam, theta_t=math.pi / 4,
-                              phi_t=0.0, theta_r=math.pi / 4, phi_r=math.pi)
+        placement = Placement(d1=1e5 * lam, d2=1e5 * lam, theta_t_deg=45.0,
+                              phi_t_deg=0.0, theta_r_deg=45.0, phi_r_deg=180.0)
         sc = ris_2p6ghz()
         sc = type(sc)(panel=panel, placement=placement, radio=sc.radio)
         state = link_state(sc)

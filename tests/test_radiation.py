@@ -27,12 +27,12 @@ def gain_dbi(alpha: float) -> float:
     return 10 * math.log10(2 * (alpha + 1))
 
 
-def link(rows=1, cols=1, d_x=0.1, d1=1.0, d2=1.0, theta_t=0.0, theta_r=0.0, alpha_tx=0.0,
-         alpha_rx=0.0, cell_alpha=0.0) -> Scenario:
-    """A link with Tx and Rx on the x axis's plane (phi_t 0, phi_r pi)."""
+def link(rows=1, cols=1, d_x=0.1, d1=1.0, d2=1.0, theta_t_deg=0.0, theta_r_deg=0.0,
+         alpha_tx=0.0, alpha_rx=0.0, cell_alpha=0.0) -> Scenario:
+    """A link with Tx and Rx on the x axis's plane (phi_t 0, phi_r 180 deg)."""
     panel = RisPanel(rows=rows, cols=cols, d_x=d_x, d_y=d_x, bits=1, levels=(0.0, math.pi))
-    placement = Placement(d1=d1, d2=d2, theta_t=theta_t, phi_t=0.0, theta_r=theta_r,
-                          phi_r=math.pi)
+    placement = Placement(d1=d1, d2=d2, theta_t_deg=theta_t_deg, phi_t_deg=0.0,
+                          theta_r_deg=theta_r_deg, phi_r_deg=180.0)
     radio = RadioConfig(freq_ghz=SPEED_OF_LIGHT / (0.1 * 1e9), tx_power_dbm=0.0,
                         gain_tx_dbi=gain_dbi(alpha_tx), gain_rx_dbi=gain_dbi(alpha_rx),
                         cell_alpha=cell_alpha)
@@ -43,17 +43,17 @@ def grazing_rx(alpha_rx: float, swap: bool = False) -> tuple[np.ndarray, np.ndar
     """F_combine and the cells behind the Rx antenna on an 8x8 panel, with the
     Rx 0.6 m from the center just above the surface plane and every other
     pattern flat; ``swap`` puts that antenna at the Tx instead."""
-    sc = link(8, 8, 0.2, d1=5.0, d2=0.6, theta_t=0.1, theta_r=math.pi / 2 - 1e-9,
+    sc = link(8, 8, 0.2, d1=5.0, d2=0.6, theta_t_deg=5.7, theta_r_deg=89.99999994,
               alpha_rx=alpha_rx)
     pl, radio = sc.placement, sc.radio
     if swap:
-        sc = replace(sc, placement=Placement(d1=pl.d2, d2=pl.d1, theta_t=pl.theta_r,
-                                             phi_t=pl.phi_r, theta_r=pl.theta_t,
-                                             phi_r=pl.phi_t),
+        sc = replace(sc, placement=Placement(d1=pl.d2, d2=pl.d1, theta_t_deg=pl.theta_r_deg,
+                                             phi_t_deg=pl.phi_r_deg, theta_r_deg=pl.theta_t_deg,
+                                             phi_r_deg=pl.phi_t_deg),
                      radio=replace(radio, gain_tx_dbi=radio.gain_rx_dbi,
                                    gain_rx_dbi=radio.gain_tx_dbi))
     x, y = np.meshgrid(*cell_center_axes(sc.panel))
-    px, py, pz = antenna_points(pl.d2, pl.theta_r, pl.phi_r)[0]
+    px, py, pz = antenna_points(pl.d2, pl.theta_r_deg, pl.phi_r_deg)[0]
     # the boresight is -p, and p - c is 90 or more degrees off it
     behind = px * (px - x) + py * (py - y) + pz * pz <= 0.0
     assert np.any(behind) and not np.all(behind)
@@ -78,7 +78,7 @@ class TestCosinePattern:
         # the normal of one centered cell
         wide = {"cols": 2, "d_x": 2.0 * math.sqrt(3.0)}
         for sc in (link(**wide, alpha_tx=1.0), link(**wide, alpha_rx=1.0),
-                   link(theta_t=math.pi / 3, cell_alpha=1.0)):
+                   link(theta_t_deg=60.0, cell_alpha=1.0)):
             assert combined_pattern(sc) == pytest.approx(0.5, rel=1e-12)
 
     def test_cutoff_region(self):
@@ -112,11 +112,12 @@ class TestCosinePattern:
             assert np.all((values > 0.0) & (values <= 1.0))
 
     def test_tiny_cosines_keep_their_power(self):
-        # the Tx at the largest elevation below pi/2 sees the one cell at
-        # cos(theta) = 2.8e-16, whose powers stay normal floats
+        # the Tx at the largest elevation below 90 deg, whose radians are the
+        # largest float below pi/2, sees the one cell at cos(theta) = 2.8e-16,
+        # whose powers stay normal floats
         for cell_alpha in (1.0, ALPHA_825_DBI):
-            sc = link(theta_t=math.nextafter(math.pi / 2, 0.0), cell_alpha=cell_alpha)
-            tx = antenna_points(1.0, sc.placement.theta_t, 0.0)[0].tolist()
+            sc = link(theta_t_deg=math.nextafter(90.0, 0.0), cell_alpha=cell_alpha)
+            tx = antenna_points(1.0, sc.placement.theta_t_deg, 0.0)[0].tolist()
             cosine = tx[2] / math.hypot(*tx)
             assert 0.0 < cosine < 1e-15
             assert combined_pattern(sc)[0, 0] == pytest.approx(cosine**cell_alpha, rel=1e-12)
@@ -189,7 +190,8 @@ class TestCombinedPattern:
 
     def test_all_boresight_gives_one(self):
         panel = RisPanel(rows=1, cols=1, d_x=0.1, d_y=0.1, bits=1, levels=(0.0, math.pi))
-        placement = Placement(d1=5.0, d2=5.0, theta_t=0.0, phi_t=0.0, theta_r=0.0, phi_r=0.0)
+        placement = Placement(d1=5.0, d2=5.0, theta_t_deg=0.0, phi_t_deg=0.0, theta_r_deg=0.0,
+                              phi_r_deg=0.0)
         radio = RadioConfig(freq_ghz=SPEED_OF_LIGHT / (0.1 * 1e9), tx_power_dbm=0.0,
                             gain_tx_dbi=8.25, gain_rx_dbi=8.25, cell_alpha=0.0)
         combined = combined_pattern(Scenario(panel=panel, placement=placement, radio=radio))
@@ -199,13 +201,13 @@ class TestCombinedPattern:
         # Rx close to the surface and near its plane: cells beyond the Rx
         # sit more than 90 degrees off the Rx boresight
         panel = RisPanel(rows=8, cols=8, d_x=0.2, d_y=0.2, bits=1, levels=(0.0, math.pi))
-        placement = Placement(d1=5.0, d2=0.6, theta_t=0.1, phi_t=0.0,
-                              theta_r=math.pi / 2 - 1e-9, phi_r=0.0)
+        placement = Placement(d1=5.0, d2=0.6, theta_t_deg=5.7, phi_t_deg=0.0,
+                              theta_r_deg=89.99999994, phi_r_deg=0.0)
         radio = RadioConfig(freq_ghz=SPEED_OF_LIGHT / (0.1 * 1e9), tx_power_dbm=0.0,
                             gain_tx_dbi=6.0206, gain_rx_dbi=6.0206, cell_alpha=1.0)
         combined = combined_pattern(Scenario(panel=panel, placement=placement, radio=radio))
         x, y = np.meshgrid(*cell_center_axes(panel))
-        rx, ry, rz = antenna_points(placement.d2, placement.theta_r, placement.phi_r)[0]
+        rx, ry, rz = antenna_points(placement.d2, placement.theta_r_deg, placement.phi_r_deg)[0]
         # boresight -rx; the cell direction c - rx is 90+ degrees off it
         cut = rx * (rx - x) + ry * (ry - y) + rz * rz <= 0.0
         assert np.any(cut)
