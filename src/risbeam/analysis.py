@@ -234,7 +234,7 @@ def _frozen_powers(
     first such point and the scenario keys that darken it (``_dark_keys``).
     """
     state = link_state(target)
-    points = antenna_points(target.placement.d2, theta, phi)
+    points = antenna_points(target.placement.d2_m, theta, phi)
     powers: dict[str, np.ndarray] = {}
     thresholds: dict[str, float] = {}
     for name, token in methods.items():
@@ -274,11 +274,12 @@ def angle_scan(
     peak at the target for the beamforming methods.
     """
     if not -90.0 < target_deg < 90.0:
-        raise ConfigError(f"design target must lie in (-90, 90) deg, got {target_deg:g}")
+        raise ConfigError(f"design target must lie in (-90, 90) deg, got {exact_g(target_deg)}")
     values = np.asarray(values_deg, dtype=float)
     outside = ~((values >= -90.0) & (values <= 90.0))
     if outside.any():
-        raise ConfigError(f"scan value {values[outside.argmax()]:g} must lie in [-90, 90] deg")
+        raise ConfigError(f"scan value {exact_g(values[outside.argmax()])} must lie in "
+                          "[-90, 90] deg")
     table = check_methods(methods)
 
     phi_r = scenario.placement.phi_r_deg
@@ -370,8 +371,8 @@ def pl_slope_fit(
     y = path_loss_samples(scenario, variable, grid, method)
     for value, loss in zip(grid, y):
         if not math.isfinite(loss):  # inf where no cell is lit (xi = 0)
-            raise ConfigError(f"path loss at log10_{variable} sample {value:g} is {loss:g} dB; "
-                              "a slope fit needs every sample finite")
+            raise ConfigError(f"path loss at log10_{variable} sample {exact_g(value)} is "
+                              f"{loss:g} dB; a slope fit needs every sample finite")
 
     slope, intercept = np.polyfit(x, y, 1)
     residuals = y - (slope * x + intercept)

@@ -113,7 +113,7 @@ def _tx_leg(scenario: Scenario):
     row-major cells."""
     panel, placement, radio = scenario.panel, scenario.placement, scenario.radio
     axes = cell_center_axes(panel)
-    tx = antenna_points(placement.d1, placement.theta_t_deg, placement.phi_t_deg)
+    tx = antenna_points(placement.d1_m, placement.theta_t_deg, placement.phi_t_deg)
     r_t, tx_term = _leg(axes, tx, radio.alpha_tx, radio.cell_alpha,
                         np.empty((3, 1, panel.num_cells)))
     return axes, r_t[0], tx_term[0]
@@ -196,7 +196,7 @@ def link_state(scenario: Scenario) -> LinkState:
     """Build the per-cell amplitude/phase state of a scenario: the forward
     model at the placement's own Rx position."""
     placement, panel = scenario.placement, scenario.panel
-    rx = antenna_points(placement.d2, placement.theta_r_deg, placement.phi_r_deg)
+    rx = antenna_points(placement.d2_m, placement.theta_r_deg, placement.phi_r_deg)
     buffers = np.empty((4, 1, panel.num_cells))
     amplitude, phase = _phasors(scenario, _tx_leg(scenario), rx, buffers)
     shape = (panel.rows, panel.cols)
@@ -210,7 +210,7 @@ def power_dbm_from_xi(panel: RisPanel, radio: RadioConfig, xi):
     underflows: a reflection of 1e-300 and xi = 1e-178 keep a finite power.
     """
     budget = (radio.tx_power_dbm + radio.gain_tx_dbi + radio.gain_rx_dbi
-              + 20.0 * sum(map(math.log10, (panel.d_x, panel.d_y, panel.reflection)))
+              + 20.0 * sum(map(math.log10, (panel.cell_dx_m, panel.cell_dy_m, panel.reflection)))
               - 20.0 * math.log10(4.0 * math.pi))
     with np.errstate(divide="ignore"):
         power = budget + 20.0 * np.log10(np.asarray(xi, dtype=float))

@@ -211,7 +211,7 @@ def _cmd_pl_fit(scenario: Scenario, args: argparse.Namespace) -> int:
     for option, value in (("--start", args.start), ("--stop", args.stop)):
         _check_option(option, value, None if distance else "[0, 90)")
         if distance and not value > 0.0:
-            raise ConfigError(f"log spacing requires a positive {option}, got {value:g}")
+            raise ConfigError(f"log spacing requires a positive {option}, got {exact_g(value)}")
     if distance:  # a sample past the float range is inf, which the range check refuses
         with np.errstate(over="ignore"):
             grid = np.logspace(math.log10(args.start), math.log10(args.stop), args.num)

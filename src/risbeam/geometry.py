@@ -26,8 +26,8 @@ def cell_center_axes(panel: RisPanel) -> tuple[np.ndarray, np.ndarray]:
     """X coordinates of the N cell columns and Y coordinates of the M cell rows."""
     n = np.arange(1, panel.cols + 1, dtype=float)
     m = np.arange(1, panel.rows + 1, dtype=float)
-    x = (panel.cols + 1 - 2.0 * n) * panel.d_x / 2.0
-    y = (panel.rows + 1 - 2.0 * m) * panel.d_y / 2.0
+    x = (panel.cols + 1 - 2.0 * n) * panel.cell_dx_m / 2.0
+    y = (panel.rows + 1 - 2.0 * m) * panel.cell_dy_m / 2.0
     return x, y
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LinkState, power_dbm_from_xi
-from .scenario import TWO_PI, ConfigError, RisPanel
+from .scenario import TWO_PI, ConfigError, RisPanel, exact_g
 
 # Candidates whose xi is within this relative slack of the best are treated
 # as ties and resolved to the smallest threshold.
@@ -140,8 +140,8 @@ def eipq(state: LinkState, epsilon: float) -> QuantizationResult:
     bits, interval = panel.bits, panel.omega
     if not 0.0 < epsilon < interval:
         raise ConfigError(
-            f"epsilon must lie in (0, {interval:.6f}) rad = (0, {math.degrees(interval):g}) deg "
-            f"for {bits}-bit quantization, got {epsilon:.6g} rad ({math.degrees(epsilon):.6g} deg)"
+            f"epsilon must lie in (0, {exact_g(math.degrees(interval))}) deg for {bits}-bit "
+            f"quantization, got {exact_g(math.degrees(epsilon))} deg"
         )
     quotient = TWO_PI / (panel.num_levels * epsilon)  # inf if epsilon is subnormal
     if quotient >= EIPQ_GUARD_CANDIDATES + 1:

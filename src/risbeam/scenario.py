@@ -1,30 +1,31 @@
 """Full link description: surface, Tx/Rx placement, and radio parameters,
 and its JSON scenario-file form.
 
-Scenario files use degrees and GHz.  The radio holds radio.freq_ghz, and
-the placement its angles in degrees, as the file writes them; the
-wavelength is derived from the frequency.  One table, _SECTIONS, names each
-file key once, with the field it sets and the reader of its value.  Unknown
-keys, non-finite numbers and values outside the physical ranges of RANGES
-raise ConfigError, the package's one refusal type, naming the offending
-key.  This configuration layer, with the table of sweep axes and fit
-variables, the grid guard that the command line checks its options against
-and the two bundled demo scenarios, uses only the standard library, so
-reading and validating a scenario loads no numpy.
+Scenario files use meters, degrees and GHz.  Each dataclass field is the
+file key it is read from and holds the value as written; the wavelength and
+the levels in radians are derived.  One table, _SECTIONS, names the
+dataclass of each section, whose field annotations pick the readers.
+Unknown keys, non-finite numbers and values outside the physical ranges of
+RANGES raise ConfigError, the package's one refusal type, naming the
+offending key.  This configuration layer, with the table of sweep axes and
+fit variables, the grid guard that the command line checks its options
+against and the two bundled demo scenarios, uses only the standard
+library, so reading and validating a scenario loads no numpy.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
+from functools import cached_property
 
 SPEED_OF_LIGHT = 299792458.0
 
 # Each sweep axis and pl-fit variable as the command line names it, and the
 # Placement field it moves: a *_deg field is an elevation in degrees, the others meters.
-SWEEP_AXES = dict(rx_distance="d2", tx_distance="d1", theta_r="theta_r_deg", threshold=None)
-FIT_VARIABLES = dict(d1="d1", d2="d2", cos_theta_r="theta_r_deg", cos_theta_t="theta_t_deg")
+SWEEP_AXES = dict(rx_distance="d2_m", tx_distance="d1_m", theta_r="theta_r_deg", threshold=None)
+FIT_VARIABLES = dict(d1="d1_m", d2="d2_m", cos_theta_r="theta_r_deg", cos_theta_t="theta_t_deg")
 
 # Upper bound on the points of one grid or map (32x the 181 x 181 map).
 GRID_GUARD_POINTS = 1 << 20
@@ -54,7 +55,7 @@ MIN_GAIN_DBI = 10.0 * math.log10(2.0)
 
 # The physical range of each scenario-file key that measures the link, in the
 # file's units, and why it ends there, held by the dataclasses through
-# check_range; counts, angles, levels and the reflection keep their own checks.
+# check_ranges; counts, angles, levels and the reflection keep their own checks.
 # On this domain no square, path in wavelengths or sum of amplitudes comes near
 # the float range (channel._phasors derives the log sum's bound).
 _CELL = (1e-6, 10.0, "m", "from lambda/30 at 10 THz to about 3 lambda at 100 MHz")
@@ -92,13 +93,17 @@ def wavelength_m(freq_ghz: float) -> float:
     return SPEED_OF_LIGHT / (freq_ghz * 1e9)
 
 
-def check_range(key: str, value: float) -> None:
-    """Refuse a ``value`` of scenario-file ``key`` outside its row of RANGES
-    (NaN included), naming the key, the range in the file's units and the value."""
-    lo, hi, unit, _ = RANGES[key]
-    if not lo <= value <= hi:
-        span = f"[{lo:g}, {hi:g}] {unit}".rstrip()
-        raise ConfigError(f"{key} must lie in {span}, got {float(value)!r}")
+def check_ranges(section: str, config) -> None:
+    """Refuse the first field of ``config``, read from file ``section``, that
+    lies outside its row of RANGES (NaN included), naming the key, the range in
+    the file's units and the value."""
+    for field in fields(config):
+        key, value = f"{section}.{field.name}", getattr(config, field.name)
+        if key in RANGES:
+            lo, hi, unit, _ = RANGES[key]
+            if not lo <= value <= hi:
+                span = f"[{lo:g}, {hi:g}] {unit}".rstrip()
+                raise ConfigError(f"{key} must lie in {span}, got {float(value)!r}")
 
 
 @dataclass(frozen=True)
@@ -108,20 +113,21 @@ class RisPanel:
     Args:
         rows: M, number of cells along the y axis.
         cols: N, number of cells along the x axis.
-        d_x: cell extent along x (m).
-        d_y: cell extent along y (m).
+        cell_dx_m: cell extent along x (m).
+        cell_dy_m: cell extent along y (m).
         bits: phase resolution q; the surface offers 2**q phase levels.
-        levels: the 2**q programmable phase levels (rad), consecutive
-            levels exactly 2*pi/2**q apart (mod 2*pi).
+        levels_deg: the 2**q programmable phase levels (deg), consecutive
+            levels exactly 360/2**q apart (mod 360); ``levels`` holds them
+            in radians.
         reflection: reflection magnitude of a cell, in (0, 1].
     """
 
     rows: int
     cols: int
-    d_x: float
-    d_y: float
+    cell_dx_m: float
+    cell_dy_m: float
     bits: int
-    levels: tuple[float, ...]
+    levels_deg: tuple[float, ...]
     reflection: float = 1.0
 
     def __post_init__(self) -> None:
@@ -131,13 +137,12 @@ class RisPanel:
         if self.num_cells > PANEL_GUARD_CELLS:
             raise ConfigError(f"panel.rows x panel.cols = {self.rows}x{self.cols} cells exceeds "
                               f"the guard of {PANEL_GUARD_CELLS}")
-        check_range("panel.cell_dx_m", self.d_x)
-        check_range("panel.cell_dy_m", self.d_y)
+        check_ranges("panel", self)
         if self.bits < 1:
             raise ConfigError(f"panel.bits must lie in [1, inf), got {self.bits}")
         if not (0.0 < self.reflection <= 1.0):
             raise ConfigError(f"panel.reflection must lie in (0, 1], got {self.reflection!r}")
-        levels = tuple(wrap_angle(float(v)) for v in self.levels)
+        levels = self.levels
         # 2**bits > len(levels) once bits reaches its bit length: refused unformed
         if self.bits >= len(levels).bit_length() or len(levels) != self.num_levels:
             raise ConfigError(f"panel.levels_deg: expected 2**{self.bits} phase levels for "
@@ -149,7 +154,11 @@ class RisPanel:
                 raise ConfigError(f"panel.levels_deg must be uniformly spaced by "
                                   f"{math.degrees(omega):g} deg, found gap "
                                   f"{math.degrees(gap):g} deg")
-        object.__setattr__(self, "levels", levels)
+
+    @cached_property
+    def levels(self) -> tuple[float, ...]:
+        """The phase levels in radians, each in [0, 2*pi)."""
+        return tuple(wrap_angle(math.radians(v)) for v in self.levels_deg)
 
     @property
     def num_levels(self) -> int:
@@ -169,7 +178,7 @@ class RisPanel:
 class Placement:
     """Tx/Rx placement relative to the surface center.
 
-    d1/d2 are the Tx-center and Rx-center distances (m); (theta_t_deg,
+    d1_m/d2_m are the Tx-center and Rx-center distances (m); (theta_t_deg,
     phi_t_deg) the elevation/azimuth of the Tx direction seen from the
     center, and (theta_r_deg, phi_r_deg) the same for the Rx, in degrees as
     the file writes them (geometry.antenna_points converts them).
@@ -177,16 +186,15 @@ class Placement:
     [0, 90); an azimuth may be any finite angle, taken mod 360.
     """
 
-    d1: float
-    d2: float
+    d1_m: float
+    d2_m: float
     theta_t_deg: float
     phi_t_deg: float
     theta_r_deg: float
     phi_r_deg: float
 
     def __post_init__(self) -> None:
-        check_range("placement.d1_m", self.d1)
-        check_range("placement.d2_m", self.d2)
+        check_ranges("placement", self)
         for name in ("theta_t_deg", "theta_r_deg"):
             angle = getattr(self, name)
             if not (0.0 <= angle < 90.0):
@@ -230,11 +238,7 @@ class RadioConfig:
     cell_alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        check_range("radio.freq_ghz", self.freq_ghz)
-        check_range("radio.tx_power_dbm", self.tx_power_dbm)
-        check_range("radio.gain_tx_dbi", self.gain_tx_dbi)
-        check_range("radio.gain_rx_dbi", self.gain_rx_dbi)
-        check_range("radio.cell_alpha", self.cell_alpha)
+        check_ranges("radio", self)
 
     @property
     def wavelength(self) -> float:
@@ -283,35 +287,22 @@ def _integer(key: str, value) -> int:
     """A count: a number with no fractional part."""
     value = _number(key, value)
     if not value.is_integer():
-        raise ConfigError(f"key '{key}' must be an integer, got {value:g}")
+        raise ConfigError(f"key '{key}' must be an integer, got {exact_g(value)}")
     return int(value)
 
 
-def _levels(key: str, value) -> tuple[float, ...]:
-    """The phase levels in radians, the one scenario-file angle read into radians."""
+def _numbers(key: str, value) -> tuple[float, ...]:
     if not isinstance(value, list):
         raise ConfigError(f"key '{key}' must be a list of finite numbers")
-    return tuple(math.radians(_number(key, level)) for level in value)
+    return tuple(_number(key, item) for item in value)
 
 
-# Each section of a scenario file, the dataclass it builds, and each of its
-# keys with the field that the key sets and the reader of the key's value.
-# A key whose field has a default may be left out.
-_SECTIONS = {
-    "panel": (RisPanel, {
-        "rows": ("rows", _integer), "cols": ("cols", _integer),
-        "cell_dx_m": ("d_x", _number), "cell_dy_m": ("d_y", _number),
-        "bits": ("bits", _integer), "levels_deg": ("levels", _levels),
-        "reflection": ("reflection", _number)}),
-    "placement": (Placement, {
-        "d1_m": ("d1", _number), "d2_m": ("d2", _number),
-        "theta_t_deg": ("theta_t_deg", _number), "phi_t_deg": ("phi_t_deg", _number),
-        "theta_r_deg": ("theta_r_deg", _number), "phi_r_deg": ("phi_r_deg", _number)}),
-    "radio": (RadioConfig, {
-        "freq_ghz": ("freq_ghz", _number), "tx_power_dbm": ("tx_power_dbm", _number),
-        "gain_tx_dbi": ("gain_tx_dbi", _number), "gain_rx_dbi": ("gain_rx_dbi", _number),
-        "cell_alpha": ("cell_alpha", _number)}),
-}
+# The reader of a scenario-file value by the annotation of the field it sets.
+_READERS = {"int": _integer, "float": _number, "tuple[float, ...]": _numbers}
+
+# The dataclass that each section of a scenario file builds: each field is a
+# key of the section, and a key whose field has a default may be left out.
+_SECTIONS = {"panel": RisPanel, "placement": Placement, "radio": RadioConfig}
 
 
 def parse_scenario(doc: dict) -> Scenario:
@@ -323,21 +314,23 @@ def parse_scenario(doc: dict) -> Scenario:
     if unknown:
         raise ConfigError(f"unknown key '{sorted(unknown)[0]}'")
     built = {}
-    for name, (cls, keys) in _SECTIONS.items():
+    for name, cls in _SECTIONS.items():
         if name not in doc:
             raise ConfigError(f"missing section '{name}'")
         section = doc[name]
         if not isinstance(section, dict):
             raise ConfigError(f"section '{name}' must be an object")
-        unknown = set(section) - set(keys)
+        keys = fields(cls)
+        unknown = set(section) - {field.name for field in keys}
         if unknown:
             raise ConfigError(f"unknown key '{name}.{sorted(unknown)[0]}'")
         values = {}
-        for key, (field, read) in keys.items():
-            if key in section:
-                values[field] = read(f"{name}.{key}", section[key])
-            elif not hasattr(cls, field):  # a dataclass default is a class attribute
-                raise ConfigError(f"missing key '{name}.{key}'")
+        for field in keys:
+            key = f"{name}.{field.name}"
+            if field.name in section:
+                values[field.name] = _READERS[field.type](key, section[field.name])
+            elif field.default is MISSING:
+                raise ConfigError(f"missing key '{key}'")
         built[name] = cls(**values)
     return Scenario(**built)
 

@@ -23,9 +23,9 @@ from risbeam.scenario import SPEED_OF_LIGHT
 TWO_PI = 2.0 * math.pi
 
 
-def uniform_levels(bits: int, first_level: float) -> tuple[float, ...]:
-    omega = TWO_PI / 2**bits
-    return tuple((first_level + k * omega) % TWO_PI for k in range(2**bits))
+def uniform_levels(bits: int, first_level_deg: float) -> tuple[float, ...]:
+    step = 360.0 / 2**bits
+    return tuple((first_level_deg + k * step) % 360.0 for k in range(2**bits))
 
 
 def dof_law(omega: float, residues: int) -> float:
@@ -40,15 +40,15 @@ def random_scenario(rng: np.random.Generator, rows: int, cols: int, bits: int) -
     panel = RisPanel(
         rows=rows,
         cols=cols,
-        d_x=wavelength * rng.uniform(0.3, 0.7),
-        d_y=wavelength * rng.uniform(0.3, 0.7),
+        cell_dx_m=wavelength * rng.uniform(0.3, 0.7),
+        cell_dy_m=wavelength * rng.uniform(0.3, 0.7),
         bits=bits,
-        levels=uniform_levels(bits, rng.uniform(0.0, TWO_PI / 2**bits)),
+        levels_deg=uniform_levels(bits, rng.uniform(0.0, 360.0 / 2**bits)),
         reflection=rng.uniform(0.5, 1.0),
     )
     placement = Placement(
-        d1=rng.uniform(0.5, 50.0),
-        d2=rng.uniform(0.5, 50.0),
+        d1_m=rng.uniform(0.5, 50.0),
+        d2_m=rng.uniform(0.5, 50.0),
         theta_t_deg=rng.uniform(0.0, 80.0),
         phi_t_deg=rng.uniform(0.0, 360.0),
         theta_r_deg=rng.uniform(0.0, 80.0),
@@ -104,10 +104,10 @@ def far_field_pl_db(panel, placement, radio) -> float:
     """
     return (
         10.0 * math.log10(16.0 * math.pi**2)
-        + 20.0 * (math.log10(placement.d1) + math.log10(placement.d2))
+        + 20.0 * (math.log10(placement.d1_m) + math.log10(placement.d2_m))
         - radio.gain_tx_dbi
         - radio.gain_rx_dbi
-        - 20.0 * math.log10(panel.num_cells * panel.d_x * panel.d_y * panel.reflection)
+        - 20.0 * math.log10(panel.num_cells * panel.cell_dx_m * panel.cell_dy_m * panel.reflection)
         - 10.0 * (math.log10(math.cos(math.radians(placement.theta_t_deg)))
                   + math.log10(math.cos(math.radians(placement.theta_r_deg))))
     )
@@ -138,7 +138,7 @@ def combined_pattern(scenario: Scenario) -> np.ndarray:
 
 def path_lengths(panel, placement):
     """M x N distances from the Tx and from the Rx to every cell center."""
-    d = np.array([placement.d1, placement.d2])
+    d = np.array([placement.d1_m, placement.d2_m])
     theta = np.array([placement.theta_t_deg, placement.theta_r_deg])
     phi = np.array([placement.phi_t_deg, placement.phi_r_deg])
     r_t, r_r = cell_paths(cell_center_axes(panel), antenna_points(d, theta, phi))[0]
@@ -147,7 +147,7 @@ def path_lengths(panel, placement):
 
 def aperture_radius(panel: RisPanel) -> float:
     """Circumscribed radius of the panel (half the outline diagonal)."""
-    return 0.5 * math.hypot(panel.cols * panel.d_x, panel.rows * panel.d_y)
+    return 0.5 * math.hypot(panel.cols * panel.cell_dx_m, panel.rows * panel.cell_dy_m)
 
 
 def wave_path_difference(panel, placement, cell_a, cell_b) -> float:
@@ -189,8 +189,8 @@ def reference_powers(scenario: Scenario, d2_values, thresholds=None):
     fixed threshold.
     """
     panel, pl, radio = scenario.panel, scenario.placement, scenario.radio
-    x = (panel.cols + 1 - 2.0 * np.arange(1, panel.cols + 1)) * panel.d_x / 2.0
-    y = (panel.rows + 1 - 2.0 * np.arange(1, panel.rows + 1)) * panel.d_y / 2.0
+    x = (panel.cols + 1 - 2.0 * np.arange(1, panel.cols + 1)) * panel.cell_dx_m / 2.0
+    y = (panel.rows + 1 - 2.0 * np.arange(1, panel.rows + 1)) * panel.cell_dy_m / 2.0
     cells = np.stack([*np.meshgrid(x, y), np.zeros((panel.rows, panel.cols))], -1).reshape(-1, 3)
 
     def leg(d, theta_deg, phi_deg, gain_dbi):
@@ -206,8 +206,8 @@ def reference_powers(scenario: Scenario, d2_values, thresholds=None):
 
     omega, levels = TWO_PI / 2**panel.bits, np.asarray(panel.levels)
     scale = (10.0 ** ((radio.gain_tx_dbi + radio.gain_rx_dbi) / 10.0)
-             * (panel.d_x * panel.d_y * panel.reflection) ** 2 / (16.0 * math.pi**2))
-    r_t, f_t = leg(pl.d1, pl.theta_t_deg, pl.phi_t_deg, radio.gain_tx_dbi)
+             * (panel.cell_dx_m * panel.cell_dy_m * panel.reflection) ** 2 / (16.0 * math.pi**2))
+    r_t, f_t = leg(pl.d1_m, pl.theta_t_deg, pl.phi_t_deg, radio.gain_tx_dbi)
     continuous, quantized = [], []
     for d2 in d2_values:
         r_r, f_r = leg(d2, pl.theta_r_deg, pl.phi_r_deg, radio.gain_rx_dbi)

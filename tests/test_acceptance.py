@@ -240,9 +240,9 @@ def test_04_two_bit_sweep_gap_and_damping(one_bit_distance_sweep, two_bit_distan
 
 def test_05_wave_path_difference():
     lam = 1.0
-    panel = RisPanel(rows=32, cols=16, d_x=lam / 2, d_y=lam / 2, bits=1,
-                     levels=(0.0, math.pi))
-    placement = Placement(d1=10 * lam, d2=10 * lam, theta_t_deg=45.0, phi_t_deg=0.0,
+    panel = RisPanel(rows=32, cols=16, cell_dx_m=lam / 2, cell_dy_m=lam / 2, bits=1,
+                     levels_deg=(0.0, 180.0))
+    placement = Placement(d1_m=10 * lam, d2_m=10 * lam, theta_t_deg=45.0, phi_t_deg=0.0,
                           theta_r_deg=45.0, phi_r_deg=180.0)
     ldif = wave_path_difference(panel, placement, (1, 1), (8, 16))
     checks = [
@@ -269,9 +269,9 @@ def test_06_path_loss_distance_slopes():
 
 def test_07_specular_crest():
     grid = np.arange(30.0, 60.0 + 1e-9, 1.0)
-    sc1 = ris_2p6ghz().with_placement(d2=100.0)
+    sc1 = ris_2p6ghz().with_placement(d2_m=100.0)
     sc2 = sc1.with_panel(
-        bits=2, levels=tuple(math.radians(v) for v in (55.0, 145.0, 235.0, 325.0))
+        bits=2, levels_deg=(55.0, 145.0, 235.0, 325.0)
     )
     pl_cont = path_loss_samples(sc1, "cos_theta_r", grid, "continuous")
     dev1 = path_loss_samples(sc1, "cos_theta_r", grid, "dtpq") - pl_cont
@@ -338,13 +338,12 @@ def test_10_periodicity_and_level_offset():
         b = fixed_threshold(state, gamma + omega).xi
         worst_period = max(worst_period, abs(a - b) / a)
 
-    delta = math.radians(55.0)
     worst_offset = 0.0
     for i in range(20):
         sc = random_scenario(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)),
                              bits=1 + (i % 2))
         base = dtpq(link_state(sc)).xi
-        moved_sc = sc.with_panel(levels=tuple((v + delta) % TWO_PI for v in sc.panel.levels))
+        moved_sc = sc.with_panel(levels_deg=tuple((v + 55.0) % 360.0 for v in sc.panel.levels_deg))
         moved = dtpq(link_state(moved_sc)).xi
         worst_offset = max(worst_offset, abs(base - moved) / base)
 
@@ -358,7 +357,7 @@ def test_10_periodicity_and_level_offset():
 def test_11_grid_cardinality():
     sc = ris_2p6ghz()
     k1 = eipq(link_state(sc), math.radians(5.0)).candidates_evaluated
-    two_bit = sc.with_panel(bits=2, levels=uniform_levels(2, 0.0))
+    two_bit = sc.with_panel(bits=2, levels_deg=uniform_levels(2, 0.0))
     k2 = eipq(link_state(two_bit), math.radians(45.0)).candidates_evaluated
     checks = [
         (k1 == 36, f"1-bit 5deg grid has {k1} candidates (expect 36)"),

@@ -27,6 +27,7 @@ from risbeam import (
     run_sweep,
 )
 from risbeam.analysis import design
+from risbeam.scenario import exact_g
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -160,7 +161,7 @@ class TestRunSweep:
         rows = run_sweep(sc, "rx_distance", grid_values(8.0, 8.0, 0.1), ("continuous", "dtpq"))
         assert len(rows) == 1
         assert rows[0].axis_value == 8.0
-        state = link_state(sc.with_placement(d2=8.0))
+        state = link_state(sc.with_placement(d2_m=8.0))
         direct = power_dbm_from_xi(sc.panel, sc.radio, state.xi(state.phase))
         assert rows[0].power_dbm["continuous"] == pytest.approx(direct, rel=1e-12)
 
@@ -190,8 +191,8 @@ class TestRunSweep:
             assert by_value[gamma + period] == pytest.approx(by_value[gamma], abs=1e-9)
 
     @pytest.mark.parametrize("axis, field, grid, to_field", [
-        ("rx_distance", "d2", (5.0, 7.5, 10.0), float),
-        ("tx_distance", "d1", (5.0, 7.5, 10.0), float),
+        ("rx_distance", "d2_m", (5.0, 7.5, 10.0), float),
+        ("tx_distance", "d1_m", (5.0, 7.5, 10.0), float),
         ("theta_r", "theta_r_deg", (10.0, 35.0, 60.0), float),
     ])
     def test_rows_redesign_at_the_moved_placement(self, axis, field, grid, to_field):
@@ -282,12 +283,14 @@ class TestAngleScan:
         assert best.axis_value == pytest.approx(-45.0)
 
     def test_rejects_out_of_range_target(self):
-        # the target was radians, refused as "... (-pi/2, pi/2), got 1.5707963267948966"
-        with pytest.raises(ValueError, match=r"^design target must lie in \(-90, 90\) deg, "
-                                             r"got 90$"):
-            angle_scan(ris_2p6ghz(), grid_values(0.0, 10.0, 1.0), 90.0, ("dtpq",))
+        # the target was radians, refused as "... (-pi/2, pi/2), got
+        # 1.5707963267948966"; a target one ulp above 90 read "got 90"
+        for target, shown in ((90.0, "90"), (90.00000000000001, "90.00000000000001")):
+            with pytest.raises(ValueError) as excinfo:
+                angle_scan(ris_2p6ghz(), grid_values(0.0, 10.0, 1.0), target, ("dtpq",))
+            assert str(excinfo.value) == f"design target must lie in (-90, 90) deg, got {shown}"
 
-    @pytest.mark.parametrize("value", [120.0, -90.5, math.nan, math.inf])
+    @pytest.mark.parametrize("value", [120.0, -90.5, math.nan, math.inf, 90.00000000000001])
     def test_refuses_a_scan_value_off_the_half_circle(self, monkeypatch, value):
         # such a value used to be scanned at the clamped 90 deg elevation, a
         # row labelled 120 carrying the grazing power, and NaN was refused as
@@ -297,9 +300,9 @@ class TestAngleScan:
             raise AssertionError("the scan was designed")
 
         monkeypatch.setattr(analysis, "link_state", no_design)
-        with pytest.raises(ValueError, match=rf"^scan value {value:g} must lie in "
-                                             r"\[-90, 90\] deg$"):
+        with pytest.raises(ValueError) as excinfo:
             angle_scan(ris_2p6ghz(), [0.0, value, 10.0], 45.0, ("dtpq",))
+        assert str(excinfo.value) == f"scan value {exact_g(value)} must lie in [-90, 90] deg"
 
     def test_signed_scan_matches_pointwise_field(self):
         # a negative elevation, the design target included, lands at
@@ -319,8 +322,8 @@ class TestAngleScan:
         for row in rows:
             theta, phi = direction(row.axis_value)
             theta, phi = min(math.radians(theta), theta_limit), math.radians(phi)
-            rho = pl.d2 * math.sin(theta)
-            points.append([rho * math.cos(phi), rho * math.sin(phi), pl.d2 * math.cos(theta)])
+            rho = pl.d2_m * math.sin(theta)
+            points.append([rho * math.cos(phi), rho * math.sin(phi), pl.d2_m * math.cos(theta)])
         theta, phi = direction(-30.0)
         target = sc.with_placement(theta_r_deg=theta, phi_r_deg=phi)
         state = link_state(target)
@@ -422,6 +425,15 @@ class TestSlopeFit:
         with pytest.raises(ValueError, match="singular"):
             pl_slope_fit(ris_2p6ghz(), "d2", [50.0, 50.0, 50.0], "continuous")
 
+    def test_names_a_non_finite_sample_exactly(self, monkeypatch):
+        # the sample one ulp above 100 m used to read "sample 100"
+        monkeypatch.setattr(analysis, "path_loss_samples",
+                            lambda *args: np.array([80.0, math.inf, 90.0]))
+        with pytest.raises(ValueError) as excinfo:
+            pl_slope_fit(ris_2p6ghz(), "d2", [50.0, 100.00000000000001, 200.0], "continuous")
+        assert str(excinfo.value) == ("path loss at log10_d2 sample 100.00000000000001 is inf "
+                                      "dB; a slope fit needs every sample finite")
+
     def test_rejects_nonpositive_variable(self):
         with pytest.raises(ValueError, match="positive"):
             pl_slope_fit(ris_2p6ghz(), "cos_theta_r", [30.0, 60.0, 91.0], "continuous")
@@ -431,8 +443,8 @@ class TestSlopeFit:
             pl_slope_fit(ris_2p6ghz(), "d3", [1.0, 2.0, 3.0], "continuous")
 
     @pytest.mark.parametrize("variable, field, grid, to_field", [
-        ("d1", "d1", (20.0, 40.0, 80.0), float),
-        ("d2", "d2", (20.0, 40.0, 80.0), float),
+        ("d1", "d1_m", (20.0, 40.0, 80.0), float),
+        ("d2", "d2_m", (20.0, 40.0, 80.0), float),
         ("cos_theta_r", "theta_r_deg", (10.0, 35.0, 60.0), float),
         ("cos_theta_t", "theta_t_deg", (10.0, 35.0, 60.0), float),
     ])
@@ -459,7 +471,7 @@ class TestOscillationDamping:
     def test_two_bit_quantization_tracks_continuous_more_tightly(self):
         # same surface geometry, 1-bit versus 2-bit level sets
         sc2 = ris_4p9ghz()
-        sc1 = sc2.with_panel(bits=1, levels=(0.0, math.pi))
+        sc1 = sc2.with_panel(bits=1, levels_deg=(0.0, 180.0))
         values = grid_values(50.0, 55.0, 0.5)
         rows1 = run_sweep(sc1, "rx_distance", values, ("continuous", "dtpq"))
         rows2 = run_sweep(sc2, "rx_distance", values, ("continuous", "dtpq"))

@@ -44,8 +44,9 @@ TWO_PI = 2.0 * math.pi
 
 def on_normal_link(d1, d2, wavelength, cols=1):
     """1 x cols panel with Tx and Rx on the surface normal."""
-    panel = RisPanel(rows=1, cols=cols, d_x=0.1, d_y=0.1, bits=1, levels=(0.0, math.pi))
-    placement = Placement(d1=d1, d2=d2, theta_t_deg=0.0, phi_t_deg=0.0, theta_r_deg=0.0,
+    panel = RisPanel(rows=1, cols=cols, cell_dx_m=0.1, cell_dy_m=0.1,
+                     bits=1, levels_deg=(0.0, 180.0))
+    placement = Placement(d1_m=d1, d2_m=d2, theta_t_deg=0.0, phi_t_deg=0.0, theta_r_deg=0.0,
                           phi_r_deg=0.0)
     radio = RadioConfig(freq_ghz=SPEED_OF_LIGHT / (wavelength * 1e9), tx_power_dbm=0.0,
                         gain_tx_dbi=8.0, gain_rx_dbi=8.0)
@@ -93,7 +94,7 @@ class TestContinuousPhaseMatrix:
         sc = random_scenario(np.random.default_rng(seed), rows, cols, 1)
         placement = sc.placement
         axes, r_t, _ = _tx_leg(sc)
-        rx = antenna_points(placement.d2, placement.theta_r_deg, placement.phi_r_deg)
+        rx = antenna_points(placement.d2_m, placement.theta_r_deg, placement.phi_r_deg)
         r_r = cell_paths(axes, rx)[0, 0]
         if multiple is not None:
             cell, k, step = multiple
@@ -118,8 +119,9 @@ class TestContinuousPhaseMatrix:
     def test_near_field_example_phase_offset(self):
         # brute-forced from the two wave-path sums of the corner and the
         # center-adjacent cell (path difference 6.0666 wavelengths)
-        panel = RisPanel(rows=32, cols=16, d_x=0.5, d_y=0.5, bits=1, levels=(0.0, math.pi))
-        placement = Placement(d1=10.0, d2=10.0, theta_t_deg=45.0, phi_t_deg=0.0,
+        panel = RisPanel(rows=32, cols=16, cell_dx_m=0.5, cell_dy_m=0.5,
+                         bits=1, levels_deg=(0.0, 180.0))
+        placement = Placement(d1_m=10.0, d2_m=10.0, theta_t_deg=45.0, phi_t_deg=0.0,
                               theta_r_deg=45.0, phi_r_deg=180.0)
         radio = RadioConfig(freq_ghz=SPEED_OF_LIGHT / (1.0 * 1e9), tx_power_dbm=0.0,
                             gain_tx_dbi=8.0, gain_rx_dbi=8.0)
@@ -141,8 +143,8 @@ def reference_amplitudes(sc: Scenario):
     (N + 1 - 2n) * d_x / 2 and (M + 1 - 2m) * d_y / 2 as the model forms them.
     """
     panel, pl, radio = sc.panel, sc.placement, sc.radio
-    tx = antenna_points(pl.d1, pl.theta_t_deg, pl.phi_t_deg)[0].tolist()
-    rx = antenna_points(pl.d2, pl.theta_r_deg, pl.phi_r_deg)[0].tolist()
+    tx = antenna_points(pl.d1_m, pl.theta_t_deg, pl.phi_t_deg)[0].tolist()
+    rx = antenna_points(pl.d2_m, pl.theta_r_deg, pl.phi_r_deg)[0].tolist()
     a_tx, a_rx, a_cell = radio.alpha_tx, radio.alpha_rx, radio.cell_alpha
     u = 2.0**-53
 
@@ -159,8 +161,8 @@ def reference_amplitudes(sc: Scenario):
     amplitudes, bounds, sums = [], [], []
     for m in range(1, panel.rows + 1):
         for n in range(1, panel.cols + 1):
-            c = ((panel.cols + 1 - 2.0 * n) * panel.d_x / 2.0,
-                 (panel.rows + 1 - 2.0 * m) * panel.d_y / 2.0, 0.0)
+            c = ((panel.cols + 1 - 2.0 * n) * panel.cell_dx_m / 2.0,
+                 (panel.rows + 1 - 2.0 * m) * panel.cell_dy_m / 2.0, 0.0)
             r_t, num_t, kappa_t = leg(tx, c)
             r_r, num_r, kappa_r = leg(rx, c)
             gain = (pattern(num_t / (r_t * math.hypot(*tx)), a_tx) * pattern(tx[2] / r_t, a_cell)
@@ -233,7 +235,7 @@ class TestAmplitude:
             radio = replace(radio, gain_rx_dbi=MIN_GAIN_DBI)
         sc = replace(sc, radio=radio)
         if where == "cutoff":
-            sc = sc.with_placement(d2=aperture_radius(sc.panel) * rng.uniform(0.1, 0.6),
+            sc = sc.with_placement(d2_m=aperture_radius(sc.panel) * rng.uniform(0.1, 0.6),
                                    theta_r_deg=rng.uniform(60.0, 89.0))
         amplitudes = link_state(sc).amplitude.ravel().tolist()
         expected, bounds, _ = reference_amplitudes(sc)
@@ -249,11 +251,12 @@ class TestAmplitude:
         # at the ends of the ranges that weigh in the log sum (distances, cell
         # sizes, gains, cell_alpha) and of the elevations, every normal
         # amplitude keeps the reference's bound and sum|t_i| < 2^20
-        panel = RisPanel(rows=3, cols=2, d_x=size, d_y=size, bits=1, levels=(0.0, math.pi))
+        panel = RisPanel(rows=3, cols=2, cell_dx_m=size, cell_dy_m=size,
+                         bits=1, levels_deg=(0.0, 180.0))
         normal = np.finfo(float).tiny
         for gain, cell_alpha, theta in itertools.product(
                 (MIN_GAIN_DBI, 40.0), (0.0, 100.0), (0.0, math.nextafter(90.0, 0.0))):
-            placement = Placement(d1=d, d2=d, theta_t_deg=theta, phi_t_deg=0.0,
+            placement = Placement(d1_m=d, d2_m=d, theta_t_deg=theta, phi_t_deg=0.0,
                                   theta_r_deg=theta, phi_r_deg=180.0)
             radio = RadioConfig(freq_ghz=SPEED_OF_LIGHT / (0.1 * 1e9), tx_power_dbm=0.0,
                                 gain_tx_dbi=gain, gain_rx_dbi=gain, cell_alpha=cell_alpha)
@@ -268,7 +271,7 @@ class TestAmplitude:
         # the property's cutoff and boresight draws do what it says they do
         rng = np.random.default_rng(0)
         sc = random_scenario(rng, 9, 9, 1)
-        near = sc.with_placement(d2=aperture_radius(sc.panel) * 0.3, theta_r_deg=80.0)
+        near = sc.with_placement(d2_m=aperture_radius(sc.panel) * 0.3, theta_r_deg=80.0)
         assert None in reference_amplitudes(near)[1]
         points = antenna_points(rng.uniform(0.5, 50.0, 200), rng.uniform(0.0, 80.0, 200),
                                 rng.uniform(0.0, 360.0, 200))
@@ -340,13 +343,13 @@ class TestReceivedPower:
         for sc in (ris_2p6ghz(), ris_4p9ghz()):
             panel, radio = sc.panel, sc.radio
             linear = (10.0 ** (radio.gain_tx_dbi / 10.0) * 10.0 ** (radio.gain_rx_dbi / 10.0)
-                      * (panel.d_x * panel.d_y) ** 2 * panel.reflection**2 * 3.0**2
+                      * (panel.cell_dx_m * panel.cell_dy_m) ** 2 * panel.reflection**2 * 3.0**2
                       / (16.0 * math.pi**2))
             power = power_dbm_from_xi(panel, radio, 3.0)
             assert power == pytest.approx(radio.tx_power_dbm + 10.0 * math.log10(linear),
                                           abs=1e-12)
 
-    @pytest.mark.parametrize("field, tiny", [("d_x", 1e-6), ("d_y", 1e-6),
+    @pytest.mark.parametrize("field, tiny", [("cell_dx_m", 1e-6), ("cell_dy_m", 1e-6),
                                              ("reflection", 1e-300)],
                              ids=["d_x", "d_y", "reflection"])
     def test_a_tiny_factor_keeps_a_finite_power(self, field, tiny):
@@ -403,8 +406,8 @@ def link_bound(sc: Scenario) -> tuple[float, float]:
     axes = cell_center_axes(panel)
     logs = [_leg(axes, antenna_points(d, theta, phi), alpha, radio.cell_alpha,
                  np.empty((3, 1, panel.num_cells)))[1][0]
-            for d, theta, phi, alpha in ((pl.d1, pl.theta_t_deg, pl.phi_t_deg, radio.alpha_tx),
-                                         (pl.d2, pl.theta_r_deg, pl.phi_r_deg, radio.alpha_rx))]
+            for d, theta, phi, alpha in ((pl.d1_m, pl.theta_t_deg, pl.phi_t_deg, radio.alpha_tx),
+                                         (pl.d2_m, pl.theta_r_deg, pl.phi_r_deg, radio.alpha_rx))]
     sums_db = []
     for log in logs:
         twice = 2.0 * log
@@ -412,7 +415,7 @@ def link_bound(sc: Scenario) -> tuple[float, float]:
         log_sum = top + math.log(float(np.sum(np.exp(twice - top))))
         sums_db.append(10.0 * log_sum / math.log(10.0))
     terms = [radio.tx_power_dbm, radio.gain_tx_dbi, radio.gain_rx_dbi,
-             10.0 * math.log10(panel.d_x * panel.d_y / (4.0 * math.pi)),
+             10.0 * math.log10(panel.cell_dx_m * panel.cell_dy_m / (4.0 * math.pi)),
              20.0 * math.log10(panel.reflection), *sums_db]
     bound = radio.tx_power_dbm + 20.0 * math.log10(panel.reflection) + sum(
         gain + terms[3] + lse for gain, lse in zip(terms[1:3], sums_db))
@@ -420,14 +423,14 @@ def link_bound(sc: Scenario) -> tuple[float, float]:
     finite = np.concatenate(logs)
     e = (4.0 * float(np.max(np.abs(finite[np.isfinite(finite)]))) + panel.num_cells + 16.0) * u
     magnitude = max(max(map(abs, terms)), sum(map(abs, sums_db)), 20.0 * math.log10(4.0 * math.pi),
-                    20.0 * max(abs(math.log10(panel.d_x)), abs(math.log10(panel.d_y))))
+                    20.0 * max(abs(math.log10(panel.cell_dx_m)), abs(math.log10(panel.cell_dy_m))))
     return bound, 20.0 * math.log10((1.0 + e) / (1.0 - e)) + 200.0 * magnitude * u
 
 
 def coincident(sc: Scenario) -> Scenario:
     """``sc`` with the Rx at the Tx's point and the Tx's gain."""
     pl = sc.placement
-    return replace(sc.with_placement(d2=pl.d1, theta_r_deg=pl.theta_t_deg,
+    return replace(sc.with_placement(d2_m=pl.d1_m, theta_r_deg=pl.theta_t_deg,
                                      phi_r_deg=pl.phi_t_deg),
                    radio=replace(sc.radio, gain_rx_dbi=sc.radio.gain_tx_dbi))
 
@@ -440,9 +443,10 @@ def adversarial_links() -> list[Scenario]:
                                        phi_r_deg=0.0)
     flat = replace(base.radio, gain_tx_dbi=MIN_GAIN_DBI, gain_rx_dbi=MIN_GAIN_DBI,
                    cell_alpha=0.0)
-    return [base.with_panel(rows=1, cols=1, d_x=10.0, d_y=10.0).with_placement(d1=1.0, d2=1.0),
-            base.with_panel(rows=3, cols=3).with_placement(d1=0.01, d2=0.01),
-            replace(base.with_panel(rows=128, cols=128).with_placement(d1=0.1, d2=0.1),
+    return [base.with_panel(rows=1, cols=1, cell_dx_m=10.0, cell_dy_m=10.0)
+            .with_placement(d1_m=1.0, d2_m=1.0),
+            base.with_panel(rows=3, cols=3).with_placement(d1_m=0.01, d2_m=0.01),
+            replace(base.with_panel(rows=128, cols=128).with_placement(d1_m=0.1, d2_m=0.1),
                     radio=flat)]
 
 
@@ -490,18 +494,18 @@ class TestFarFieldPathLoss:
     def test_distance_law(self):
         sc = ris_2p6ghz()
         base = far_field_pl_db(sc.panel, sc.placement, sc.radio)
-        doubled = far_field_pl_db(sc.panel, replace(sc.placement, d1=20.0), sc.radio)
+        doubled = far_field_pl_db(sc.panel, replace(sc.placement, d1_m=20.0), sc.radio)
         assert doubled - base == pytest.approx(6.0206, abs=1e-4)
 
     def test_distance_law_at_extreme_distances(self):
         # the closed form gains 6.02 dB per doubled distance up to the 1e7 m
         # end of the distance range, and the cell-sum model matches it there
         sc = ris_2p6ghz()
-        far = replace(sc.placement, d1=5e6, d2=1e7)
+        far = replace(sc.placement, d1_m=5e6, d2_m=1e7)
         base = far_field_pl_db(sc.panel, far, sc.radio)
-        doubled = far_field_pl_db(sc.panel, replace(far, d1=1e7), sc.radio)
+        doubled = far_field_pl_db(sc.panel, replace(far, d1_m=1e7), sc.radio)
         assert doubled - base == pytest.approx(6.0206, abs=1e-4)
-        state = link_state(replace(sc, placement=replace(far, d1=1e7)))
+        state = link_state(replace(sc, placement=replace(far, d1_m=1e7)))
         model = sc.radio.tx_power_dbm - design(state, "continuous").received_power_dbm
         assert model == pytest.approx(doubled, abs=1e-6)
 
@@ -527,7 +531,7 @@ class TestFarFieldPathLoss:
         # closed form within 0.05 dB
         sc = ris_2p6ghz()
         d = 1e4 * aperture_radius(sc.panel)
-        far = replace(sc.placement, d1=d, d2=d)
+        far = replace(sc.placement, d1_m=d, d2_m=d)
         sc_far = replace(sc, placement=far)
         state = link_state(sc_far)
         power = power_dbm_from_xi(sc.panel, sc.radio, state.xi_upper_bound)
@@ -551,7 +555,7 @@ class TestFarFieldPathLoss:
         gaps = []
         for s in (1e2, 1e3, 1e4):
             d = s * aperture_radius(sc.panel)
-            far = replace(sc, placement=replace(sc.placement, d1=d, d2=d))
+            far = replace(sc, placement=replace(sc.placement, d1_m=d, d2_m=d))
             power = power_dbm_from_xi(sc.panel, sc.radio, link_state(far).xi_upper_bound)
             closed = sc.radio.tx_power_dbm - far_field_pl_db(sc.panel, far.placement, sc.radio)
             gaps.append(abs(power - closed))
@@ -568,7 +572,7 @@ class TestFarFieldPathLoss:
             p, radio = sc.placement, sc.radio
             swapped = replace(
                 sc,
-                placement=Placement(d1=p.d2, d2=p.d1, theta_t_deg=p.theta_r_deg,
+                placement=Placement(d1_m=p.d2_m, d2_m=p.d1_m, theta_t_deg=p.theta_r_deg,
                                     phi_t_deg=p.phi_r_deg, theta_r_deg=p.theta_t_deg,
                                     phi_r_deg=p.phi_t_deg),
                 radio=replace(radio, gain_tx_dbi=radio.gain_rx_dbi, gain_rx_dbi=radio.gain_tx_dbi),
@@ -587,14 +591,14 @@ def plane_wave_phase(sc):
     along x.
     """
     panel, pl = sc.panel, sc.placement
-    x = (panel.cols + 1 - 2.0 * np.arange(1, panel.cols + 1)) * panel.d_x / 2.0
-    y = (panel.rows + 1 - 2.0 * np.arange(1, panel.rows + 1)) * panel.d_y / 2.0
+    x = (panel.cols + 1 - 2.0 * np.arange(1, panel.cols + 1)) * panel.cell_dx_m / 2.0
+    y = (panel.rows + 1 - 2.0 * np.arange(1, panel.rows + 1)) * panel.cell_dy_m / 2.0
     tt, pt, tr, pr = map(math.radians,
                          (pl.theta_t_deg, pl.phi_t_deg, pl.theta_r_deg, pl.phi_r_deg))
     ux = math.sin(tt) * math.cos(pt) + math.sin(tr) * math.cos(pr)
     uy = math.sin(tt) * math.sin(pt) + math.sin(tr) * math.sin(pr)
     k = TWO_PI / sc.radio.wavelength
-    return k * (pl.d1 + pl.d2 - (ux * x[None, :] + uy * y[:, None])), k * math.hypot(ux, uy)
+    return k * (pl.d1_m + pl.d2_m - (ux * x[None, :] + uy * y[:, None])), k * math.hypot(ux, uy)
 
 
 def fresnel_terms(sc):
@@ -611,9 +615,9 @@ def fresnel_terms(sc):
     rho = aperture_radius(sc.panel)
     k = TWO_PI / sc.radio.wavelength
     eps = np.finfo(float).eps
-    fresnel = k * rho**2 / 2.0 * (1.0 / pl.d1 + 1.0 / pl.d2)
-    remainder = sum(k * rho**3 / (2.0 * (d - rho) ** 2) for d in (pl.d1, pl.d2))
-    return fresnel, remainder, 64.0 * eps * k * (pl.d1 + pl.d2 + 2.0 * rho) + 8.0 * eps * TWO_PI
+    fresnel = k * rho**2 / 2.0 * (1.0 / pl.d1_m + 1.0 / pl.d2_m)
+    remainder = sum(k * rho**3 / (2.0 * (d - rho) ** 2) for d in (pl.d1_m, pl.d2_m))
+    return fresnel, remainder, 64.0 * eps * k * (pl.d1_m + pl.d2_m + 2.0 * rho) + 8.0 * eps * TWO_PI
 
 
 class TestFarFieldPhase:
@@ -640,8 +644,8 @@ class TestFarFieldPhase:
         sc = random_scenario(rng, rows, cols, 1)
         rho = aperture_radius(sc.panel)
         d_min = max(10.0 * rho, TWO_PI / sc.radio.wavelength * rho**2)
-        sc = sc.with_placement(d1=d_min * 10.0 ** rng.uniform(0.0, 2.0),
-                               d2=d_min * 10.0 ** rng.uniform(0.0, 2.0))
+        sc = sc.with_placement(d1_m=d_min * 10.0 ** rng.uniform(0.0, 2.0),
+                               d2_m=d_min * 10.0 ** rng.uniform(0.0, 2.0))
         fresnel, remainder, slack = fresnel_terms(sc)
         assert fresnel + remainder + slack < math.pi
         affine, _ = plane_wave_phase(sc)
@@ -658,7 +662,7 @@ class TestFarFieldPhase:
         # the plane, times rho.  Every phase then lies in an arc of width s;
         # once s < Omega, dtpq keeps cos(s/2) of the bound (TestArcBound's
         # argument).
-        sc = preset().with_placement(d1=d, d2=d)
+        sc = preset().with_placement(d1_m=d, d2_m=d)
         pl = sc.placement
         assert (pl.theta_r_deg, pl.phi_r_deg) == (pl.theta_t_deg, (pl.phi_t_deg + 180.0) % 360.0)
         fresnel, remainder, slack = fresnel_terms(sc)
@@ -690,10 +694,11 @@ class TestFarFieldPhase:
         (TestOptimalityCertificate); dtpq keeps the best within the tie
         slack, and the sums round within 2n * eps.
         """
-        sc = ris_2p6ghz().with_panel(rows=1, cols=60, bits=bits, levels=uniform_levels(bits, 0.0))
+        sc = ris_2p6ghz().with_panel(rows=1, cols=60,
+                                     bits=bits, levels_deg=uniform_levels(bits, 0.0))
         k, omega = TWO_PI / sc.radio.wavelength, sc.panel.omega
-        sine = omega / (residues * k * sc.panel.d_x)
-        sc = sc.with_placement(d1=1e6, d2=1e6, theta_t_deg=0.0, phi_t_deg=0.0,
+        sine = omega / (residues * k * sc.panel.cell_dx_m)
+        sc = sc.with_placement(d1_m=1e6, d2_m=1e6, theta_t_deg=0.0, phi_t_deg=0.0,
                                theta_r_deg=math.degrees(math.asin(sine)), phi_r_deg=0.0)
         eps = np.finfo(float).eps
         fresnel, remainder, slack = fresnel_terms(sc)
@@ -720,7 +725,7 @@ class TestFieldAtRxPoints:
                                      bits)
                 state = link_state(sc)
                 pl = sc.placement
-                point = antenna_points(pl.d2, pl.theta_r_deg, pl.phi_r_deg)
+                point = antenna_points(pl.d2_m, pl.theta_r_deg, pl.phi_r_deg)
                 for shift in (rng.uniform(0.0, TWO_PI, size=state.phase.shape),
                               dtpq(state).shifts):
                     assert field_at_rx_points(sc, shift, point)[0] == state.xi(shift)

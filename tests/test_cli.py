@@ -32,6 +32,7 @@ from risbeam.cli import (
 from risbeam.channel import link_state
 from risbeam.quantization import dtpq
 from risbeam.scenario import (
+    _READERS,
     _SECTIONS,
     FIT_VARIABLES,
     RANGES,
@@ -202,26 +203,27 @@ class TestScenarioParsing:
             parse_scenario(document_with(ris_2p6ghz_document(), section, extra=1.0))
 
     def test_one_key_sets_each_field(self):
-        # the table reads the bundled documents' keys, and sets every field of
-        # RisPanel, Placement and RadioConfig from exactly one of them
-        for name, (cls, keys) in _SECTIONS.items():
-            assert list(keys) == list(ris_2p6ghz_document()[name])
-            assert sorted(field for field, _ in keys.values()) == sorted(
-                f.name for f in dataclasses.fields(cls))
+        # each field of RisPanel, Placement and RadioConfig is the bundled
+        # documents' key it is read from, in order, by its annotation's reader
+        for name, cls in _SECTIONS.items():
+            fields = dataclasses.fields(cls)
+            assert [f.name for f in fields] == list(ris_2p6ghz_document()[name])
+            assert all(f.type in _READERS for f in fields), name
 
     def test_ranged_keys_are_read_as_written(self):
         # a ranged field holds the file's number as written, so that its
         # dataclass checks it, and shows a refused one, in the file's units
         for key in RANGES:
             section, name = key.split(".")
-            assert _SECTIONS[section][1][name][1] is _number, key
+            (field,) = (f for f in dataclasses.fields(_SECTIONS[section]) if f.name == name)
+            assert _READERS[field.type] is _number, key
 
     def test_readme_example_is_the_table(self):
         text = (ROOT / "README.md").read_text()
         example = text.split("Scenario files are JSON", 1)[1].split("```json\n", 1)[1]
         doc = json.loads(example.split("```", 1)[0])
         assert {name: list(section) for name, section in doc.items()} == {
-            name: list(keys) for name, (_, keys) in _SECTIONS.items()}
+            name: [f.name for f in dataclasses.fields(cls)] for name, cls in _SECTIONS.items()}
         assert parse_scenario(doc).panel.num_cells == 512
 
     @pytest.mark.parametrize("section, key, value, message", [
@@ -353,6 +355,8 @@ class TestValidateCommand:
 
     @pytest.mark.parametrize("key, value, message", [
         ("rows", 2.5, "key 'panel.rows' must be an integer, got 2.5"),
+        ("rows", math.nextafter(32, math.inf),
+         "key 'panel.rows' must be an integer, got 32.00000000000001"),
         ("cols", 16.5, "key 'panel.cols' must be an integer, got 16.5"),
         ("bits", 1.5, "key 'panel.bits' must be an integer, got 1.5"),
         ("bits", 10**7,
@@ -364,13 +368,14 @@ class TestValidateCommand:
         ("cols", 0, "panel.cols must lie in [1, inf), got 0"),
         ("bits", 0, "panel.bits must lie in [1, inf), got 0"),
         ("reflection", 2, "panel.reflection must lie in (0, 1], got 2.0"),
-    ], ids=["rows-2.5", "cols-16.5", "bits-1.5", "bits-1e7", "bits-1e400", "cell-dx-minus-1e400",
+    ], ids=["rows-2.5", "rows-ulp-above-32", "cols-16.5", "bits-1.5", "bits-1e7", "bits-1e400", "cell-dx-minus-1e400",
             "levels-1e400", "rows-0", "cols-0", "bits-0", "reflection-2"])
     def test_refuses_a_panel_number_by_name(self, tmp_path, capsys, key, value, message):
         # rows 2.5 used to validate as 2x16 and bits 1.5 to design 1 bit; a bits
         # of 10**7 failed formatting 2**bits, so a bits that cannot match the
         # levels is refused before 2**bits is formed; a level of 10**400 used to
-        # exit 1 with "internal error: int too large to convert to float"
+        # exit 1 with "internal error: int too large to convert to float";
+        # rows one ulp above 32 used to read "got 32"
         doc = document_with(ris_2p6ghz_document(), "panel", **{key: value})
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -877,6 +882,8 @@ class TestOtherCommands:
         ("d2", "50", "inf", "--stop"),
         ("d2", "nan", "500", "--start"),
         ("d2", "0", "500", "--start"),
+        ("d2", "-1.0000000000000002", "500",
+         "log spacing requires a positive --start, got -1.0000000000000002"),
         ("cos_theta_r", "20", "inf", "--stop"),
         ("cos_theta_r", "-inf", "70", "--start"),
         ("d2", "1e-300", "1e300",
@@ -884,7 +891,7 @@ class TestOtherCommands:
         ("d2", "50", "1e300", "log10_d2 sample 3.609019018232942e+26: placement.d2_m must "
                               "lie in [0.001, 1e+07] m, got 3.609019018232942e+26"),
     ], ids=["d2-stop-zero", "d2-stop-negative", "d2-stop-inf", "d2-start-nan",
-            "d2-start-zero", "angle-stop-inf", "angle-start-minus-inf", "d2-samples-underflow",
+            "d2-start-zero", "d2-start-ulp-below-minus-1", "angle-stop-inf", "angle-start-minus-inf", "d2-samples-underflow",
             "d2-samples-overflow"])
     def test_pl_fit_refuses_bad_bounds(self, small_path, capsys, variable, start, stop, option):
         # the --option=value form keeps argparse from reading "-inf" as a flag
@@ -1056,17 +1063,21 @@ class TestOtherCommands:
         (["quantize", "--method=fixed:nan"],
          "parameter in method token 'fixed:nan' must be finite"),
         (["quantize", "--method=eipq:-5"],
-         "method token 'eipq:-5': epsilon must lie in (0, 3.141593) rad = (0, 180) deg "
-         "for 1-bit quantization, got -0.0872665 rad (-5 deg)"),
+         "method token 'eipq:-5': epsilon must lie in (0, 180) deg for 1-bit quantization, "
+         "got -5 deg"),
         (["quantize", "--method=eipq:180"],
-         "method token 'eipq:180': epsilon must lie in (0, 3.141593) rad = (0, 180) deg "
-         "for 1-bit quantization, got 3.14159 rad (180 deg)"),
+         "method token 'eipq:180': epsilon must lie in (0, 180) deg for 1-bit quantization, "
+         "got 180 deg"),
+        (["quantize", "--method=eipq:180.00000000000003"],
+         "method token 'eipq:180.00000000000003': epsilon must lie in (0, 180) deg for 1-bit "
+         "quantization, got 180.00000000000003 deg"),
     ], ids=["quantize-dtpq-parameter", "quantize-continuous", "quantize-exhaustive",
             "sweep-continuous-parameter",
             "sweep-exhaustive", "scan-duplicate", "scan-duplicate-eipq", "scan-exhaustive",
             "map-exhaustive", "fit-exhaustive", "quantize-eipq-nan", "quantize-eipq-inf",
             "quantize-fixed-inf", "quantize-fixed-minus-inf", "quantize-fixed-nan",
-            "quantize-eipq-negative", "quantize-eipq-one-interval"])
+            "quantize-eipq-negative", "quantize-eipq-one-interval",
+            "quantize-eipq-ulp-above-interval"])
     def test_method_tokens_refused(self, small_path, tmp_path, monkeypatch, capsys, args,
                                    message):
         # one method table checks every command's tokens before anything is
@@ -1168,11 +1179,14 @@ def quantize_outcome(doc, tmp_path, capsys) -> tuple[int, str]:
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(in_range_documents())
 def test_in_range_placement_angles_are_held_as_written(doc):
-    # the placement holds each angle the file writes bit for bit; only
-    # geometry.antenna_points turns it into radians
-    placement = parse_scenario(doc).placement
-    for key in ("theta_t_deg", "phi_t_deg", "theta_r_deg", "phi_r_deg"):
-        assert getattr(placement, key).hex() == float(doc["placement"][key]).hex()
+    # every field holds its key's value as the file writes it, bit for bit,
+    # the levels as a tuple of degrees; only geometry.antenna_points turns a
+    # placement angle into radians, and RisPanel.levels the levels
+    scenario = parse_scenario(doc)
+    for section, keys in doc.items():
+        for key, value in keys.items():
+            expected = tuple(value) if isinstance(value, list) else value
+            assert repr(getattr(getattr(scenario, section), key)) == repr(expected), key
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
@@ -1213,12 +1227,11 @@ def test_one_field_just_outside_its_range_is_refused(key, above):
     lo, hi, unit, _ = RANGES[key]
     end = hi if above else lo
     section, name = key.split(".")
-    field = _SECTIONS[section][1][name][0]
     config = getattr(ris_2p6ghz(), section)
-    assert getattr(dataclasses.replace(config, **{field: end}), field).hex() == end.hex()
+    assert getattr(dataclasses.replace(config, **{name: end}), name).hex() == end.hex()
     outside = end + (1 if above else -1) * (abs(end) or 1.0) * 2**-20
     with pytest.raises(ValueError) as excinfo:
-        dataclasses.replace(config, **{field: outside})
+        dataclasses.replace(config, **{name: outside})
     span = f"[{lo:g}, {hi:g}] {unit}".rstrip()
     assert str(excinfo.value) == f"{key} must lie in {span}, got {outside!r}"
 
@@ -1279,8 +1292,8 @@ def option_vectors(draw, command: str) -> list[str]:
 
 # What a refusal may name: an option, a scenario key, a sweep axis or a fit variable.
 REFUSAL_NAMES = ([flag for _, flag, _ in TABLE_OPTIONS]
-                 + [f"{section}.{key}" for section, (_, keys) in _SECTIONS.items()
-                    for key in keys]
+                 + [f"{section}.{f.name}" for section, cls in _SECTIONS.items()
+                    for f in dataclasses.fields(cls)]
                  + [f"error: {axis} " for axis in SWEEP_AXES]
                  + [f"log10_{variable}" for variable in FIT_VARIABLES])
 

@@ -1,5 +1,6 @@
 """Cell placement, path lengths, local angles, and wave-path differences."""
 
+import dataclasses
 import importlib.util
 import math
 
@@ -8,7 +9,7 @@ import pytest
 from conftest import aperture_radius, combined_pattern, path_lengths, wave_path_difference
 
 import risbeam
-from risbeam import Placement, RadioConfig, RisPanel, Scenario
+from risbeam import Placement, RadioConfig, RisPanel, Scenario, ris_2p6ghz
 from risbeam.geometry import THETA_LIMIT, _outer_sum, antenna_points, cell_center_axes
 from risbeam.scenario import MIN_GAIN_DBI, SPEED_OF_LIGHT
 
@@ -16,12 +17,12 @@ LAMBDA = 1.0
 
 
 def panel_16x32(d=LAMBDA / 2, bits=1):
-    return RisPanel(rows=32, cols=16, d_x=d, d_y=d, bits=bits, levels=(0.0, math.pi))
+    return RisPanel(rows=32, cols=16, cell_dx_m=d, cell_dy_m=d, bits=bits, levels_deg=(0.0, 180.0))
 
 
 def near_field_placement(scale=10 * LAMBDA):
     return Placement(
-        d1=scale, d2=scale,
+        d1_m=scale, d2_m=scale,
         theta_t_deg=45.0, phi_t_deg=0.0,
         theta_r_deg=45.0, phi_r_deg=180.0,
     )
@@ -30,26 +31,38 @@ def near_field_placement(scale=10 * LAMBDA):
 class TestRisPanel:
     def test_level_count_enforced(self):
         with pytest.raises(ValueError, match="phase levels"):
-            RisPanel(rows=2, cols=2, d_x=0.1, d_y=0.1, bits=2, levels=(0.0, math.pi))
+            RisPanel(rows=2, cols=2, cell_dx_m=0.1, cell_dy_m=0.1, bits=2, levels_deg=(0.0, 180.0))
 
     def test_level_spacing_enforced(self):
         with pytest.raises(ValueError, match="uniformly spaced"):
-            RisPanel(rows=2, cols=2, d_x=0.1, d_y=0.1, bits=1, levels=(0.0, 2.0))
+            RisPanel(rows=2, cols=2, cell_dx_m=0.1, cell_dy_m=0.1, bits=1, levels_deg=(0.0, 115.0))
 
     def test_level_spacing_wraps_around_two_pi(self):
         # descending-looking pair is still one interval apart mod 2*pi
-        panel = RisPanel(rows=1, cols=1, d_x=0.1, d_y=0.1, bits=1,
-                         levels=(math.radians(235), math.radians(55)))
+        panel = RisPanel(rows=1, cols=1, cell_dx_m=0.1, cell_dy_m=0.1, bits=1,
+                         levels_deg=(235.0, 55.0))
         assert panel.num_levels == 2
+
+    def test_levels_are_the_degrees_in_radians(self):
+        # levels is derived from levels_deg, so a replaced panel carries no
+        # cached radians of the panel it was copied from
+        panel = ris_2p6ghz().panel
+        assert panel.levels == (math.radians(55.0), math.radians(235.0))
+        moved = dataclasses.replace(panel, levels_deg=(-90.0, 450.0))
+        assert moved.levels == (3 * math.pi / 2, math.pi / 2)
+        assert dataclasses.replace(moved, bits=1).levels == moved.levels
+        assert panel.levels == (math.radians(55.0), math.radians(235.0))
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(rows=0, cols=2, d_x=0.1, d_y=0.1, bits=1, levels=(0.0, math.pi)),
-            dict(rows=2, cols=2, d_x=-0.1, d_y=0.1, bits=1, levels=(0.0, math.pi)),
-            dict(rows=2, cols=2, d_x=0.1, d_y=0.1, bits=0, levels=()),
-            dict(rows=2, cols=2, d_x=0.1, d_y=0.1, bits=1, levels=(0.0, math.pi), reflection=0.0),
-            dict(rows=2, cols=2, d_x=0.1, d_y=0.1, bits=1, levels=(0.0, math.pi), reflection=1.5),
+            dict(rows=0, cols=2, cell_dx_m=0.1, cell_dy_m=0.1, bits=1, levels_deg=(0.0, 180.0)),
+            dict(rows=2, cols=2, cell_dx_m=-0.1, cell_dy_m=0.1, bits=1, levels_deg=(0.0, 180.0)),
+            dict(rows=2, cols=2, cell_dx_m=0.1, cell_dy_m=0.1, bits=0, levels_deg=()),
+            dict(rows=2, cols=2, cell_dx_m=0.1, cell_dy_m=0.1,
+                 bits=1, levels_deg=(0.0, 180.0), reflection=0.0),
+            dict(rows=2, cols=2, cell_dx_m=0.1, cell_dy_m=0.1,
+                 bits=1, levels_deg=(0.0, 180.0), reflection=1.5),
         ],
     )
     def test_invalid_panel(self, kwargs):
@@ -63,7 +76,7 @@ class TestRisPanel:
 class TestPlacement:
     def test_rejects_grazing_elevation(self):
         with pytest.raises(ValueError, match="theta_r"):
-            Placement(d1=1.0, d2=1.0, theta_t_deg=0.0, phi_t_deg=0.0,
+            Placement(d1_m=1.0, d2_m=1.0, theta_t_deg=0.0, phi_t_deg=0.0,
                       theta_r_deg=90.0, phi_r_deg=0.0)
 
     @pytest.mark.parametrize("name, angle, message", [
@@ -78,19 +91,32 @@ class TestPlacement:
         angles = {"theta_t_deg": 0.0, "phi_t_deg": 0.0, "theta_r_deg": 0.0, "phi_r_deg": 0.0,
                   f"{name}_deg": angle}
         with pytest.raises(ValueError) as excinfo:
-            Placement(d1=1.0, d2=1.0, **angles)
+            Placement(d1_m=1.0, d2_m=1.0, **angles)
         assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("section, old, new", [
+        ("panel", "d_x", "cell_dx_m"), ("panel", "d_y", "cell_dy_m"),
+        ("panel", "levels", "levels_deg"), ("placement", "d1", "d1_m"),
+        ("placement", "d2", "d2_m")])
+    def test_a_field_named_without_its_unit_fails(self, section, old, new):
+        # each field is its file key, unit included, so a caller still
+        # passing d2= or radians as levels= fails instead of being misread
+        config = getattr(ris_2p6ghz(), section)
+        values = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+        values[old] = values.pop(new)
+        with pytest.raises(TypeError):
+            type(config)(**values)
 
     def test_radians_passed_by_keyword_fail(self):
         # the fields carry their unit in their name, so a caller still
         # passing radians as theta_t= fails instead of placing at 0.785 deg
         with pytest.raises(TypeError):
-            Placement(d1=1.0, d2=1.0, theta_t=math.pi / 4, phi_t=0.0,
+            Placement(d1_m=1.0, d2_m=1.0, theta_t=math.pi / 4, phi_t=0.0,
                       theta_r=math.pi / 4, phi_r=math.pi)
 
     def test_rejects_nonpositive_distance(self):
         with pytest.raises(ValueError, match="d1"):
-            Placement(d1=0.0, d2=1.0, theta_t_deg=0.0, phi_t_deg=0.0, theta_r_deg=0.0,
+            Placement(d1_m=0.0, d2_m=1.0, theta_t_deg=0.0, phi_t_deg=0.0, theta_r_deg=0.0,
                       phi_r_deg=0.0)
 
 
@@ -109,11 +135,12 @@ class TestCellCenter:
     def test_center_adjacent_cell(self):
         panel = panel_16x32()
         x, y = cell_xy(panel.cols // 2, panel.rows // 2, panel)
-        assert x == pytest.approx(panel.d_x / 2)
-        assert y == pytest.approx(panel.d_y / 2)
+        assert x == pytest.approx(panel.cell_dx_m / 2)
+        assert y == pytest.approx(panel.cell_dy_m / 2)
 
     def test_two_by_two_centers(self):
-        panel = RisPanel(rows=2, cols=2, d_x=1.0, d_y=1.0, bits=1, levels=(0.0, math.pi))
+        panel = RisPanel(rows=2, cols=2, cell_dx_m=1.0, cell_dy_m=1.0,
+                         bits=1, levels_deg=(0.0, 180.0))
         centers = {cell_xy(n, m, panel) for n in (1, 2) for m in (1, 2)}
         assert centers == {(0.5, 0.5), (0.5, -0.5), (-0.5, 0.5), (-0.5, -0.5)}
 
@@ -162,8 +189,9 @@ class TestSphericalToCartesian:
 
 class TestPathLengths:
     def test_single_cell_at_origin(self):
-        panel = RisPanel(rows=1, cols=1, d_x=0.1, d_y=0.1, bits=1, levels=(0.0, math.pi))
-        placement = Placement(d1=10.0, d2=5.0, theta_t_deg=17.0, phi_t_deg=57.0,
+        panel = RisPanel(rows=1, cols=1, cell_dx_m=0.1, cell_dy_m=0.1,
+                         bits=1, levels_deg=(0.0, 180.0))
+        placement = Placement(d1_m=10.0, d2_m=5.0, theta_t_deg=17.0, phi_t_deg=57.0,
                               theta_r_deg=11.5, phi_r_deg=114.5)
         r_t, r_r = path_lengths(panel, placement)
         assert r_t[0, 0] == pytest.approx(10.0, rel=1e-15)
@@ -174,11 +202,11 @@ class TestPathLengths:
         panel = panel_16x32()
         placement = near_field_placement()
         r_t, _ = path_lengths(panel, placement)
-        d1, tt, pt = (placement.d1, math.radians(placement.theta_t_deg),
+        d1, tt, pt = (placement.d1_m, math.radians(placement.theta_t_deg),
                       math.radians(placement.phi_t_deg))
         expected = math.sqrt(
-            (d1 * math.sin(tt) * math.cos(pt) - panel.d_x * (panel.cols - 1) / 2) ** 2
-            + (d1 * math.sin(tt) * math.sin(pt) - panel.d_y * (panel.rows - 1) / 2) ** 2
+            (d1 * math.sin(tt) * math.cos(pt) - panel.cell_dx_m * (panel.cols - 1) / 2) ** 2
+            + (d1 * math.sin(tt) * math.sin(pt) - panel.cell_dy_m * (panel.rows - 1) / 2) ** 2
             + (d1 * math.cos(tt)) ** 2
         )
         assert r_t[0, 0] == pytest.approx(expected, rel=1e-12)
@@ -186,17 +214,17 @@ class TestPathLengths:
 
     def test_far_limit_bound(self):
         panel = panel_16x32()
-        placement = Placement(d1=1e6, d2=1e6, theta_t_deg=11.5, phi_t_deg=0.0,
+        placement = Placement(d1_m=1e6, d2_m=1e6, theta_t_deg=11.5, phi_t_deg=0.0,
                               theta_r_deg=17.0, phi_r_deg=172.0)
         r_t, r_r = path_lengths(panel, placement)
-        assert np.max(np.abs(r_t - placement.d1)) <= aperture_radius(panel)
-        assert np.max(np.abs(r_r - placement.d2)) <= aperture_radius(panel)
+        assert np.max(np.abs(r_t - placement.d1_m)) <= aperture_radius(panel)
+        assert np.max(np.abs(r_r - placement.d2_m)) <= aperture_radius(panel)
 
     def test_total_path_within_aperture_band(self):
         panel = panel_16x32()
         placement = near_field_placement(scale=1e4 * aperture_radius(panel))
         r_t, r_r = path_lengths(panel, placement)
-        deviation = np.abs(r_t + r_r - (placement.d1 + placement.d2))
+        deviation = np.abs(r_t + r_r - (placement.d1_m + placement.d2_m))
         assert np.max(deviation) <= 2 * aperture_radius(panel)
 
     def test_phase_spread_shrinks_with_distance(self):
@@ -246,8 +274,8 @@ class TestOuterSum:
         monkeypatch.setattr(geometry, "_outer_sum", recording)
         rx = antenna_points(np.full(5, 10.0), [0.0, 10.0, 20.0, 30.0, 40.0], 0.0)
         for rows in (128, 129):
-            panel = RisPanel(rows=rows, cols=256, d_x=0.5, d_y=0.5, bits=1,
-                             levels=(0.0, math.pi))
+            panel = RisPanel(rows=rows, cols=256, cell_dx_m=0.5, cell_dy_m=0.5, bits=1,
+                             levels_deg=(0.0, 180.0))
             field_at_rx_points(link(panel, near_field_placement()), np.zeros((rows, 256)), rx)
         several = {rows * cols for count, rows, cols in shapes if count > 1}
         assert several == {1 << 15}
@@ -273,16 +301,18 @@ class TestLocalAngles:
 
     def test_normal_incidence(self):
         # every elevation is 0 when Tx and Rx sit on the normal of a lone cell
-        panel = RisPanel(rows=1, cols=1, d_x=0.1, d_y=0.1, bits=1, levels=(0.0, math.pi))
-        placement = Placement(d1=10.0, d2=10.0, theta_t_deg=0.0, phi_t_deg=0.0, theta_r_deg=0.0,
+        panel = RisPanel(rows=1, cols=1, cell_dx_m=0.1, cell_dy_m=0.1,
+                         bits=1, levels_deg=(0.0, 180.0))
+        placement = Placement(d1_m=10.0, d2_m=10.0, theta_t_deg=0.0, phi_t_deg=0.0, theta_r_deg=0.0,
                               phi_r_deg=0.0)
         assert combined_pattern(link(panel, placement))[0, 0] == pytest.approx(1.0, rel=1e-12)
 
     def test_boresight_cell_sees_antenna_on_axis(self):
         # single cell at the surface center: the antenna boresights pass
         # through it, so only the cell factors cos(theta_t), cos(theta_r) remain
-        panel = RisPanel(rows=1, cols=1, d_x=0.1, d_y=0.1, bits=1, levels=(0.0, math.pi))
-        placement = Placement(d1=3.0, d2=7.0, theta_t_deg=40.0, phi_t_deg=63.0,
+        panel = RisPanel(rows=1, cols=1, cell_dx_m=0.1, cell_dy_m=0.1,
+                         bits=1, levels_deg=(0.0, 180.0))
+        placement = Placement(d1_m=3.0, d2_m=7.0, theta_t_deg=40.0, phi_t_deg=63.0,
                               theta_r_deg=23.0, phi_r_deg=286.5)
         combined = combined_pattern(link(panel, placement))
         expected = math.cos(math.radians(40.0)) * math.cos(math.radians(23.0))
@@ -297,9 +327,9 @@ class TestLocalAngles:
         # With the Tx placed at the Rx and alpha = 0 antennas, F_combine is
         # cos(theta_r_cell)**2 for cell_alpha = 1.
         lam = 299792458.0 / 2.6e9
-        panel = RisPanel(rows=32, cols=16, d_x=lam / 2, d_y=lam / 2, bits=1,
-                         levels=(math.radians(55), math.radians(235)))
-        placement = Placement(d1=10.0, d2=10.0, theta_t_deg=45.0, phi_t_deg=180.0,
+        panel = RisPanel(rows=32, cols=16, cell_dx_m=lam / 2, cell_dy_m=lam / 2, bits=1,
+                         levels_deg=(55.0, 235.0))
+        placement = Placement(d1_m=10.0, d2_m=10.0, theta_t_deg=45.0, phi_t_deg=180.0,
                               theta_r_deg=45.0, phi_r_deg=180.0)
         combined = combined_pattern(link(panel, placement, gain_dbi=MIN_GAIN_DBI))
         spread = math.degrees(np.ptp(np.arccos(np.sqrt(combined))))
@@ -320,8 +350,9 @@ class TestWavePathDifference:
         assert abs(ldif - 6.07) <= 0.01
 
     def test_mirror_symmetric_cells(self):
-        panel = RisPanel(rows=4, cols=4, d_x=0.3, d_y=0.3, bits=1, levels=(0.0, math.pi))
-        placement = Placement(d1=5.0, d2=5.0, theta_t_deg=34.0, phi_t_deg=0.0,
+        panel = RisPanel(rows=4, cols=4, cell_dx_m=0.3, cell_dy_m=0.3,
+                         bits=1, levels_deg=(0.0, 180.0))
+        placement = Placement(d1_m=5.0, d2_m=5.0, theta_t_deg=34.0, phi_t_deg=0.0,
                               theta_r_deg=34.0, phi_r_deg=180.0)
         for m in range(1, 5):
             for n in range(1, 5):

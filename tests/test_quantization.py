@@ -39,8 +39,8 @@ from risbeam.quantization import (
 TWO_PI = 2.0 * math.pi
 
 
-def one_bit_panel(levels=(0.0, math.pi)):
-    return RisPanel(rows=1, cols=2, d_x=0.1, d_y=0.1, bits=1, levels=levels)
+def one_bit_panel(levels_deg=(0.0, 180.0)):
+    return RisPanel(rows=1, cols=2, cell_dx_m=0.1, cell_dy_m=0.1, bits=1, levels_deg=levels_deg)
 
 
 class TestQuantizeMatrix:
@@ -59,14 +59,14 @@ class TestQuantizeMatrix:
         assert shifts[0, 0] == 0.0
 
     def test_two_bit_binning(self):
-        panel = RisPanel(rows=1, cols=1, d_x=0.1, d_y=0.1, bits=2,
-                         levels=tuple(math.radians(v) for v in (0, 90, 180, 270)))
+        panel = RisPanel(rows=1, cols=1, cell_dx_m=0.1, cell_dy_m=0.1, bits=2,
+                         levels_deg=(0.0, 90.0, 180.0, 270.0))
         phases = np.array([[math.radians(135)]])
         shifts = np.take(panel.levels, quantize_matrix(phases, math.radians(45), panel))
         assert shifts[0, 0] == pytest.approx(math.radians(90), rel=1e-12)
 
     def test_phase_equal_to_threshold_maps_to_first_bin(self):
-        panel = one_bit_panel(levels=(math.radians(55), math.radians(235)))
+        panel = one_bit_panel(levels_deg=(55.0, 235.0))
         gamma = 1.234
         phases = np.array([[gamma, gamma]])
         level_indices = quantize_matrix(phases, gamma, panel)
@@ -74,8 +74,8 @@ class TestQuantizeMatrix:
 
     def test_total_function(self):
         rng = np.random.default_rng(3)
-        panel = RisPanel(rows=5, cols=7, d_x=0.1, d_y=0.1, bits=3,
-                         levels=uniform_levels(3, 0.3))
+        panel = RisPanel(rows=5, cols=7, cell_dx_m=0.1, cell_dy_m=0.1, bits=3,
+                         levels_deg=uniform_levels(3, 17.0))
         phases = rng.uniform(0.0, TWO_PI, size=(5, 7))
         for gamma in rng.uniform(0.0, TWO_PI, size=10):
             level_indices = quantize_matrix(phases, gamma, panel)
@@ -100,8 +100,8 @@ class TestQuantizeMatrix:
         offset = np.mod(np.array(values) - gamma, omega)
         phases = np.array(values)[np.minimum(offset, omega - offset) > 1e-9]
         assume(phases.size > 0)
-        panel = RisPanel(rows=1, cols=phases.size, d_x=0.1, d_y=0.1, bits=bits,
-                         levels=uniform_levels(bits, 0.3))
+        panel = RisPanel(rows=1, cols=phases.size, cell_dx_m=0.1, cell_dy_m=0.1, bits=bits,
+                         levels_deg=uniform_levels(bits, 17.0))
         level_indices = quantize_matrix(phases.reshape(1, -1), gamma, panel)
         reduced = quantize_matrix(np.mod(phases, TWO_PI).reshape(1, -1), gamma, panel)
         assert np.array_equal(level_indices, reduced)
@@ -123,7 +123,8 @@ class TestResidualSpread:
         assert residual_spread(phases, shifts) == pytest.approx(omega / 2, rel=1e-12)
 
     def test_single_cell(self):
-        panel = RisPanel(rows=1, cols=1, d_x=0.1, d_y=0.1, bits=1, levels=(0.0, math.pi))
+        panel = RisPanel(rows=1, cols=1, cell_dx_m=0.1, cell_dy_m=0.1,
+                         bits=1, levels_deg=(0.0, 180.0))
         phases = np.array([[2.5]])
         shifts = np.take(panel.levels, quantize_matrix(phases, 0.0, panel))
         assert residual_spread(phases, shifts) == 0.0
@@ -179,9 +180,9 @@ class TestDtpq:
         # with both terminals at 1e5 wavelengths the continuous phases
         # cluster, and every whole-degree threshold matches the optimum
         lam = 0.1153
-        panel = RisPanel(rows=32, cols=16, d_x=lam / 2, d_y=lam / 2, bits=1,
-                         levels=(math.radians(55), math.radians(235)))
-        placement = Placement(d1=1e5 * lam, d2=1e5 * lam, theta_t_deg=45.0,
+        panel = RisPanel(rows=32, cols=16, cell_dx_m=lam / 2, cell_dy_m=lam / 2, bits=1,
+                         levels_deg=(55.0, 235.0))
+        placement = Placement(d1_m=1e5 * lam, d2_m=1e5 * lam, theta_t_deg=45.0,
                               phi_t_deg=0.0, theta_r_deg=45.0, phi_r_deg=180.0)
         sc = ris_2p6ghz()
         sc = type(sc)(panel=panel, placement=placement, radio=sc.radio)
@@ -204,7 +205,7 @@ class TestEipq:
         assert eipq(link_state(ris_2p6ghz()), math.radians(5)).candidates_evaluated == 36
 
     def test_candidate_count_two_bit(self):
-        sc = ris_2p6ghz().with_panel(bits=2, levels=uniform_levels(2, 0.0))
+        sc = ris_2p6ghz().with_panel(bits=2, levels_deg=uniform_levels(2, 0.0))
         assert eipq(link_state(sc), math.radians(45)).candidates_evaluated == 2
 
     def test_degenerate_grid_equals_fixed_zero(self):
@@ -301,12 +302,11 @@ class TestExhaustiveSearch:
 class TestInvariances:
     def test_level_offset_leaves_optimum_unchanged(self):
         rng = np.random.default_rng(59)
-        delta = math.radians(55)
         for _ in range(10):
             sc = random_scenario(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)), 2)
             base = dtpq(link_state(sc))
             shifted = sc.with_panel(
-                levels=tuple((v + delta) % TWO_PI for v in sc.panel.levels)
+                levels_deg=tuple((v + 55.0) % 360.0 for v in sc.panel.levels_deg)
             )
             moved = dtpq(link_state(shifted))
             assert moved.xi == pytest.approx(base.xi, rel=1e-9)
@@ -387,9 +387,10 @@ def adversarial_links(draw):
         st.lists(st.one_of(st.just(1.0), st.floats(0.01, 10.0)),
                  min_size=rows * cols, max_size=rows * cols)
     )
-    first_level = draw(st.one_of(st.just(0.0), st.floats(0.0, omega, exclude_max=True)))
+    first_level_deg = draw(st.one_of(st.just(0.0),
+                                     st.floats(0.0, 360.0 / 2**bits, exclude_max=True)))
     sc = ris_2p6ghz().with_panel(
-        rows=rows, cols=cols, bits=bits, levels=uniform_levels(bits, first_level)
+        rows=rows, cols=cols, bits=bits, levels_deg=uniform_levels(bits, first_level_deg)
     )
     shape = (rows, cols)
     state = LinkState(sc, np.reshape(amplitude, shape), np.reshape(phases, shape))
@@ -484,7 +485,8 @@ class TestThresholdProfile:
 
     def test_single_cell_panels(self):
         for bits in (1, 2, 3):
-            sc = ris_2p6ghz().with_panel(rows=1, cols=1, bits=bits, levels=uniform_levels(bits, 0.0))
+            sc = ris_2p6ghz().with_panel(rows=1, cols=1,
+                                         bits=bits, levels_deg=uniform_levels(bits, 0.0))
             for phase in (0.0, 1.0, sc.panel.omega, TWO_PI - 1e-9):
                 state = LinkState(sc, np.array([[2.0]]), np.array([[phase]]))
                 self.assert_matches_scan(dtpq(state), brute_force_search(state, [phase]))
@@ -497,8 +499,8 @@ class TestThresholdProfile:
         rng = np.random.default_rng(67)
         for bits in (1, 2, 3):
             omega = TWO_PI / 2**bits
-            panel = RisPanel(rows=1, cols=1, d_x=0.1, d_y=0.1, bits=bits,
-                             levels=uniform_levels(bits, 0.0))
+            panel = RisPanel(rows=1, cols=1, cell_dx_m=0.1, cell_dy_m=0.1, bits=bits,
+                             levels_deg=uniform_levels(bits, 0.0))
             phases = rng.uniform(0.0, TWO_PI, 200_000)
             gammas = rng.uniform(0.0, TWO_PI, 200_000)
             textbook = np.floor(np.mod(phases - gammas, TWO_PI) / omega).astype(np.intp) % 2**bits
@@ -507,8 +509,8 @@ class TestThresholdProfile:
     def test_threshold_array_matches_scalar_calls(self):
         rng = np.random.default_rng(73)
         for bits in (1, 2, 3):
-            panel = RisPanel(rows=1, cols=1, d_x=0.1, d_y=0.1, bits=bits,
-                             levels=uniform_levels(bits, 0.0))
+            panel = RisPanel(rows=1, cols=1, cell_dx_m=0.1, cell_dy_m=0.1, bits=bits,
+                             levels_deg=uniform_levels(bits, 0.0))
             phases = rng.uniform(0.0, TWO_PI, 40)
             gammas = np.concatenate((rng.uniform(0.0, TWO_PI, 300), phases, [0.0]))
             scalar = [quantize_matrix(phases, float(gamma), panel) for gamma in gammas]
@@ -557,10 +559,10 @@ class TestLossFloor:
         assert xi <= upper * (1.0 + 1e-12)
 
 
-def hand_built_link(rows, cols, bits, amplitude, phase, first_level=0.0):
+def hand_built_link(rows, cols, bits, amplitude, phase, first_level_deg=0.0):
     """A LinkState of the given per-cell arrays on a rows x cols panel, no geometry."""
     sc = ris_2p6ghz().with_panel(
-        rows=rows, cols=cols, bits=bits, levels=uniform_levels(bits, first_level)
+        rows=rows, cols=cols, bits=bits, levels_deg=uniform_levels(bits, first_level_deg)
     )
     shape = (rows, cols)
     return LinkState(sc, np.reshape(amplitude, shape), np.reshape(phase, shape))
@@ -589,7 +591,7 @@ class TestArcBound:
         phase = (centre + rng.uniform(-s / 2, s / 2, rows * cols)) % TWO_PI
         amplitude = rng.uniform(0.01, 10.0, rows * cols)
         state = hand_built_link(rows, cols, bits, amplitude, phase,
-                                rng.uniform(0.0, TWO_PI / 2**bits))
+                                rng.uniform(0.0, 360.0 / 2**bits))
         bound = math.cos(s / 2) * state.xi_upper_bound
         assert dtpq(state).xi >= bound * (1.0 - 1e-12)
 
@@ -629,10 +631,10 @@ class TestDofInvariance:
             if rng.random() < 0.3:
                 phase[i] = (phase[rng.integers(i)] + rng.integers(2**bits) * omega) % TWO_PI
         amplitude = rng.uniform(0.01, 10.0, cols)
-        first_level = rng.uniform(0.0, omega)
-        row = hand_built_link(1, cols, bits, amplitude, phase, first_level)
+        first_level_deg = rng.uniform(0.0, 360.0 / 2**bits)
+        row = hand_built_link(1, cols, bits, amplitude, phase, first_level_deg)
         link = hand_built_link(rows, cols, bits, np.tile(amplitude, rows), np.tile(phase, rows),
-                               first_level)
+                               first_level_deg)
 
         eps = np.finfo(float).eps
         profile = _profile_xi(row, phase)
@@ -785,7 +787,7 @@ class TestOptimalityCertificate:
     @pytest.mark.parametrize("distance", [10.0, 100.0])
     @pytest.mark.parametrize("preset", [ris_2p6ghz, ris_4p9ghz])
     def test_bundled_links(self, preset, distance):
-        state = link_state(preset().with_placement(d1=distance, d2=distance))
+        state = link_state(preset().with_placement(d1_m=distance, d2_m=distance))
         self.assert_certified(state, dtpq(state))
 
     def test_fixed_threshold_fails_it(self):

@@ -27,11 +27,12 @@ def gain_dbi(alpha: float) -> float:
     return 10 * math.log10(2 * (alpha + 1))
 
 
-def link(rows=1, cols=1, d_x=0.1, d1=1.0, d2=1.0, theta_t_deg=0.0, theta_r_deg=0.0,
+def link(rows=1, cols=1, cell_dx_m=0.1, d1_m=1.0, d2_m=1.0, theta_t_deg=0.0, theta_r_deg=0.0,
          alpha_tx=0.0, alpha_rx=0.0, cell_alpha=0.0) -> Scenario:
     """A link with Tx and Rx on the x axis's plane (phi_t 0, phi_r 180 deg)."""
-    panel = RisPanel(rows=rows, cols=cols, d_x=d_x, d_y=d_x, bits=1, levels=(0.0, math.pi))
-    placement = Placement(d1=d1, d2=d2, theta_t_deg=theta_t_deg, phi_t_deg=0.0,
+    panel = RisPanel(rows=rows, cols=cols, cell_dx_m=cell_dx_m, cell_dy_m=cell_dx_m,
+                     bits=1, levels_deg=(0.0, 180.0))
+    placement = Placement(d1_m=d1_m, d2_m=d2_m, theta_t_deg=theta_t_deg, phi_t_deg=0.0,
                           theta_r_deg=theta_r_deg, phi_r_deg=180.0)
     radio = RadioConfig(freq_ghz=SPEED_OF_LIGHT / (0.1 * 1e9), tx_power_dbm=0.0,
                         gain_tx_dbi=gain_dbi(alpha_tx), gain_rx_dbi=gain_dbi(alpha_rx),
@@ -43,17 +44,17 @@ def grazing_rx(alpha_rx: float, swap: bool = False) -> tuple[np.ndarray, np.ndar
     """F_combine and the cells behind the Rx antenna on an 8x8 panel, with the
     Rx 0.6 m from the center just above the surface plane and every other
     pattern flat; ``swap`` puts that antenna at the Tx instead."""
-    sc = link(8, 8, 0.2, d1=5.0, d2=0.6, theta_t_deg=5.7, theta_r_deg=89.99999994,
+    sc = link(8, 8, 0.2, d1_m=5.0, d2_m=0.6, theta_t_deg=5.7, theta_r_deg=89.99999994,
               alpha_rx=alpha_rx)
     pl, radio = sc.placement, sc.radio
     if swap:
-        sc = replace(sc, placement=Placement(d1=pl.d2, d2=pl.d1, theta_t_deg=pl.theta_r_deg,
+        sc = replace(sc, placement=Placement(d1_m=pl.d2_m, d2_m=pl.d1_m, theta_t_deg=pl.theta_r_deg,
                                              phi_t_deg=pl.phi_r_deg, theta_r_deg=pl.theta_t_deg,
                                              phi_r_deg=pl.phi_t_deg),
                      radio=replace(radio, gain_tx_dbi=radio.gain_rx_dbi,
                                    gain_rx_dbi=radio.gain_tx_dbi))
     x, y = np.meshgrid(*cell_center_axes(sc.panel))
-    px, py, pz = antenna_points(pl.d2, pl.theta_r_deg, pl.phi_r_deg)[0]
+    px, py, pz = antenna_points(pl.d2_m, pl.theta_r_deg, pl.phi_r_deg)[0]
     # the boresight is -p, and p - c is 90 or more degrees off it
     behind = px * (px - x) + py * (py - y) + pz * pz <= 0.0
     assert np.any(behind) and not np.all(behind)
@@ -69,14 +70,14 @@ class TestCosinePattern:
         for alpha in (0.0, 1.0, ALPHA_825_DBI):
             sc = link(alpha_tx=alpha, alpha_rx=alpha, cell_alpha=alpha)
             assert combined_pattern(sc)[0, 0] == 1.0
-            far = link(d1=7.3, d2=41.0, alpha_tx=alpha, alpha_rx=alpha, cell_alpha=alpha)
+            far = link(d1_m=7.3, d2_m=41.0, alpha_tx=alpha, alpha_rx=alpha, cell_alpha=alpha)
             assert combined_pattern(far)[0, 0] == pytest.approx(1.0, rel=1e-12)
 
     def test_sixty_degrees_alpha_one(self):
         # cells at x = +-sqrt(3) lie 60 deg off the boresights of a Tx and an
         # Rx 1 m up the normal, and a Tx at 60 deg elevation lies 60 deg off
         # the normal of one centered cell
-        wide = {"cols": 2, "d_x": 2.0 * math.sqrt(3.0)}
+        wide = {"cols": 2, "cell_dx_m": 2.0 * math.sqrt(3.0)}
         for sc in (link(**wide, alpha_tx=1.0), link(**wide, alpha_rx=1.0),
                    link(theta_t_deg=60.0, cell_alpha=1.0)):
             assert combined_pattern(sc) == pytest.approx(0.5, rel=1e-12)
@@ -106,7 +107,7 @@ class TestCosinePattern:
         # antenna boresights and to their normals grow with x, up to 88.9 deg
         for alphas in ((1.0, 0.0), (ALPHA_825_DBI, 0.0), (0.0, 1.0), (ALPHA_825_DBI, 1.0)):
             alpha_tx, cell_alpha = alphas
-            sc = link(cols=400, d_x=0.25, alpha_tx=alpha_tx, cell_alpha=cell_alpha)
+            sc = link(cols=400, cell_dx_m=0.25, alpha_tx=alpha_tx, cell_alpha=cell_alpha)
             values = combined_pattern(sc)[0, :200]  # x from 49.875 m down to 0.125 m
             assert np.all(np.diff(values) >= 0.0)
             assert np.all((values > 0.0) & (values <= 1.0))
@@ -189,8 +190,9 @@ class TestCombinedPattern:
     # F_combine recovered from the link amplitudes
 
     def test_all_boresight_gives_one(self):
-        panel = RisPanel(rows=1, cols=1, d_x=0.1, d_y=0.1, bits=1, levels=(0.0, math.pi))
-        placement = Placement(d1=5.0, d2=5.0, theta_t_deg=0.0, phi_t_deg=0.0, theta_r_deg=0.0,
+        panel = RisPanel(rows=1, cols=1, cell_dx_m=0.1, cell_dy_m=0.1,
+                         bits=1, levels_deg=(0.0, 180.0))
+        placement = Placement(d1_m=5.0, d2_m=5.0, theta_t_deg=0.0, phi_t_deg=0.0, theta_r_deg=0.0,
                               phi_r_deg=0.0)
         radio = RadioConfig(freq_ghz=SPEED_OF_LIGHT / (0.1 * 1e9), tx_power_dbm=0.0,
                             gain_tx_dbi=8.25, gain_rx_dbi=8.25, cell_alpha=0.0)
@@ -200,14 +202,15 @@ class TestCombinedPattern:
     def test_cutoff_zeroes_entry(self):
         # Rx close to the surface and near its plane: cells beyond the Rx
         # sit more than 90 degrees off the Rx boresight
-        panel = RisPanel(rows=8, cols=8, d_x=0.2, d_y=0.2, bits=1, levels=(0.0, math.pi))
-        placement = Placement(d1=5.0, d2=0.6, theta_t_deg=5.7, phi_t_deg=0.0,
+        panel = RisPanel(rows=8, cols=8, cell_dx_m=0.2, cell_dy_m=0.2,
+                         bits=1, levels_deg=(0.0, 180.0))
+        placement = Placement(d1_m=5.0, d2_m=0.6, theta_t_deg=5.7, phi_t_deg=0.0,
                               theta_r_deg=89.99999994, phi_r_deg=0.0)
         radio = RadioConfig(freq_ghz=SPEED_OF_LIGHT / (0.1 * 1e9), tx_power_dbm=0.0,
                             gain_tx_dbi=6.0206, gain_rx_dbi=6.0206, cell_alpha=1.0)
         combined = combined_pattern(Scenario(panel=panel, placement=placement, radio=radio))
         x, y = np.meshgrid(*cell_center_axes(panel))
-        rx, ry, rz = antenna_points(placement.d2, placement.theta_r_deg, placement.phi_r_deg)[0]
+        rx, ry, rz = antenna_points(placement.d2_m, placement.theta_r_deg, placement.phi_r_deg)[0]
         # boresight -rx; the cell direction c - rx is 90+ degrees off it
         cut = rx * (rx - x) + ry * (ry - y) + rz * rz <= 0.0
         assert np.any(cut)
