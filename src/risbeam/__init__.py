@@ -2,7 +2,7 @@
 
 Computes a link's per-cell amplitudes and ideal continuous phase shifts
 (``link_state``), quantizes them to q-bit levels via dynamic-threshold
-(``dtpq(state)``) and equal-interval (``eipq(state, epsilon)``) searches,
+(``dtpq(state)``) and equal-interval (``eipq(state, epsilon_deg)``) searches,
 and provides the sweeps and slope fits that characterize received power
 and path-loss scaling.
 

@@ -25,7 +25,7 @@ from .channel import (
 from .geometry import antenna_points
 from .quantization import QuantizationResult, dtpq, eipq, fixed_threshold
 from .scenario import (FIT_VARIABLES, GRID_GUARD_POINTS, MIN_GAIN_DBI, SWEEP_AXES, ConfigError,
-                       Scenario, exact_g, in_degrees, wrap_angle)
+                       Scenario, exact_g, in_degrees)
 
 # A method token is a name, then ":<degrees>" on the two methods with a
 # parameter: the eipq grid step and the fixed threshold.
@@ -124,14 +124,13 @@ def design(state: LinkState, method: str) -> QuantizationResult:
 
     The tokens are continuous, dtpq, eipq[:step_deg] (bare:
     DEFAULT_EPSILON_DEG) and fixed[:threshold_deg] (bare: the panel's last
-    level).  The continuous design carries the link's phases
-    ``state.phase`` as its shifts, no level indices and no threshold.  A
-    fixed threshold is reduced into [0, 2*pi), so -1e-20 deg quantizes at
-    0.  The searches are looked up as module globals at call time.  A
-    refusal from eipq or fixed_threshold names the token in front.  A link
-    whose continuous bound xi is 0 is refused for every method, naming the
-    scenario keys that darken it (see ``_dark_keys``): no design on it has
-    a finite received power.
+    level), and the searches take the token's degrees.  The continuous
+    design carries the link's phases ``state.phase`` as its shifts, no
+    level indices and no threshold.  The searches are looked up as module
+    globals at call time.  A refusal from eipq or fixed_threshold names the
+    token in front.  A link whose continuous bound xi is 0 is refused for
+    every method, naming the scenario keys that darken it (see
+    ``_dark_keys``): no design on it has a finite received power.
     """
     name, degrees = _split_method(method, METHODS)
     scenario = state.scenario
@@ -146,9 +145,9 @@ def design(state: LinkState, method: str) -> QuantizationResult:
         return dtpq(state)
     try:
         if name == "eipq":
-            return eipq(state, math.radians(DEFAULT_EPSILON_DEG if degrees is None else degrees))
-        gamma = scenario.panel.levels[-1] if degrees is None else math.radians(degrees)
-        return fixed_threshold(state, wrap_angle(gamma))
+            return eipq(state, DEFAULT_EPSILON_DEG if degrees is None else degrees)
+        last_level = scenario.panel.levels_deg[-1]
+        return fixed_threshold(state, last_level if degrees is None else degrees)
     except ConfigError as exc:
         raise ConfigError(f"method token {method!r}: {exc}") from None
 
@@ -191,8 +190,8 @@ def _row(state: LinkState, value: float, methods: dict[str, str]) -> SweepRow:
     for name, token in methods.items():
         result = design(state, token)
         powers[name] = result.received_power_dbm
-        if result.threshold is not None:
-            thresholds[name] = math.degrees(result.threshold)
+        if result.threshold_deg is not None:
+            thresholds[name] = result.threshold_deg
     return SweepRow(axis_value=float(value), power_dbm=powers, threshold_deg=thresholds)
 
 
@@ -247,8 +246,8 @@ def _frozen_powers(
             raise ConfigError(f"no cell reaches the Rx at theta_r {exact_g(t)}, phi_r "
                               f"{exact_g(p)} deg (xi is 0 there): {_dark_keys(there)}")
         powers[name] = power_dbm_from_xi(target.panel, target.radio, xi)
-        if result.threshold is not None:
-            thresholds[name] = math.degrees(result.threshold)
+        if result.threshold_deg is not None:
+            thresholds[name] = result.threshold_deg
     return powers, thresholds
 
 

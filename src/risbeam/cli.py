@@ -51,8 +51,8 @@ def write_shifts_csv(path: str, result) -> None:
 
     with _create(path) as fh:
         fh.write("n,m,level_index,level_deg\n")
-        for (m, n), index in np.ndenumerate(result.level_indices):
-            fh.write(f"{n + 1},{m + 1},{index},{_fmt(math.degrees(result.shifts[m, n]))}\n")
+        for (m, n), degrees in np.ndenumerate(np.degrees(result.shifts)):
+            fh.write(f"{n + 1},{m + 1},{result.level_indices[m, n]},{_fmt(degrees)}\n")
 
 
 def write_sweep_csv(path: str, rows: Sequence) -> None:
@@ -159,7 +159,7 @@ def _cmd_quantize(scenario: Scenario, args: argparse.Namespace) -> int:
     check_methods([args.method], ("dtpq", "eipq", "fixed"))
     result = design(link_state(scenario), args.method)
     write_shifts_csv(args.out, result)
-    print(f"threshold_deg={_fmt(math.degrees(result.threshold))}")
+    print(f"threshold_deg={_fmt(result.threshold_deg)}")
     print(f"xi={result.xi:.6e}")
     print(f"received_power_dbm={_fmt(result.received_power_dbm)}")
     print(f"candidates_evaluated={result.candidates_evaluated}")

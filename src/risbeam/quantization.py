@@ -4,7 +4,8 @@ A q-bit quantizer with threshold gamma maps a continuous phase to level
 rho_p when the phase falls in the half-open cyclic bin
 [gamma + (p-1)*Omega, gamma + p*Omega), Omega = 2*pi/2**q.  Each search
 takes the LinkState it searches (channel.link_state), plus its own
-parameter, and reads the panel from ``state.scenario``.  The searches
+parameter in degrees, and reads the panel from ``state.scenario``; this is
+the one module where a threshold or a step changes unit.  The searches
 differ only in their candidate threshold sets:
 
 * dtpq       -- the M*N entries of the continuous phase matrix; optimal
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import LinkState, power_dbm_from_xi
-from .scenario import TWO_PI, ConfigError, RisPanel, exact_g
+from .scenario import TWO_PI, ConfigError, RisPanel, exact_g, wrap_angle
 
 # Candidates whose xi is within this relative slack of the best are treated
 # as ties and resolved to the smallest threshold.
@@ -47,13 +48,13 @@ class QuantizationResult:
     """Outcome of a threshold search.
 
     ``shifts`` holds the per-cell shifts in radians and ``level_indices``
-    the same shifts as indices into the panel's levels.  ``threshold`` is
-    None only for the continuous design, whose ``shifts`` are the
-    continuous phase array and whose ``level_indices`` are None (see
-    analysis.design).
+    the same shifts as indices into the panel's levels.  ``threshold_deg``
+    is the threshold quantized at, in degrees; it is None only for the
+    continuous design, whose ``shifts`` are the continuous phase array and
+    whose ``level_indices`` are None (see analysis.design).
     """
 
-    threshold: float | None
+    threshold_deg: float | None
     shifts: np.ndarray
     level_indices: np.ndarray | None
     xi: float
@@ -117,7 +118,7 @@ def _search(state: LinkState, gammas: np.ndarray) -> QuantizationResult:
     shifts = np.take(panel.levels, indices)
     xi = state.xi(shifts)
     power = power_dbm_from_xi(panel, state.scenario.radio, xi)
-    return QuantizationResult(gamma, shifts, indices, xi, power, gammas.size)
+    return QuantizationResult(math.degrees(gamma), shifts, indices, xi, power, gammas.size)
 
 
 def dtpq(state: LinkState) -> QuantizationResult:
@@ -129,30 +130,28 @@ def dtpq(state: LinkState) -> QuantizationResult:
     return _search(state, state.phase.ravel())
 
 
-def eipq(state: LinkState, epsilon: float) -> QuantizationResult:
-    """Equal-interval threshold search with grid step epsilon (rad).
+def eipq(state: LinkState, epsilon_deg: float) -> QuantizationResult:
+    """Equal-interval threshold search with grid step epsilon_deg (deg).
 
-    The K = floor(2*pi / (2**bits * epsilon)) candidates (k-1)*epsilon,
-    k = 1..K, are sampled from one threshold profile in
-    O((M*N + K) log M*N).  K may not exceed EIPQ_GUARD_CANDIDATES.
+    The K = #{k >= 0 : k*epsilon_deg < 360/2**bits} candidates k*epsilon,
+    counted exactly from the float given, are sampled from one threshold
+    profile in O((M*N + K) log M*N).  K may not exceed EIPQ_GUARD_CANDIDATES.
     """
     panel = state.scenario.panel
-    bits, interval = panel.bits, panel.omega
-    if not 0.0 < epsilon < interval:
-        raise ConfigError(
-            f"epsilon must lie in (0, {exact_g(math.degrees(interval))}) deg for {bits}-bit "
-            f"quantization, got {exact_g(math.degrees(epsilon))} deg"
-        )
-    quotient = TWO_PI / (panel.num_levels * epsilon)  # inf if epsilon is subnormal
-    if quotient >= EIPQ_GUARD_CANDIDATES + 1:
-        count = math.floor(quotient) if math.isfinite(quotient) else quotient
-        raise ConfigError(
-            f"eipq refused: epsilon = {epsilon:.6g} rad ({math.degrees(epsilon):.6g} deg) "
-            f"gives {count} candidates, exceeding the guard of {EIPQ_GUARD_CANDIDATES}"
-        )
-    return _search(state, epsilon * np.arange(math.floor(quotient), dtype=float))
+    interval_deg = 360.0 / panel.num_levels
+    if not 0.0 < epsilon_deg < interval_deg:
+        raise ConfigError(f"epsilon must lie in (0, {exact_g(interval_deg)}) deg for "
+                          f"{panel.bits}-bit quantization, got {exact_g(epsilon_deg)} deg")
+    num, den = epsilon_deg.as_integer_ratio()
+    count = -(-360 * den // (panel.num_levels * num))
+    if count > EIPQ_GUARD_CANDIDATES:
+        raise ConfigError(f"eipq refused: epsilon = {exact_g(epsilon_deg)} deg gives more "
+                          f"candidates than the guard of {EIPQ_GUARD_CANDIDATES}")
+    return _search(state, math.radians(epsilon_deg) * np.arange(count, dtype=float))
 
 
-def fixed_threshold(state: LinkState, gamma: float) -> QuantizationResult:
-    """Quantization at a single constant threshold (traditional baseline)."""
-    return _search(state, np.array([float(gamma)]))
+def fixed_threshold(state: LinkState, gamma_deg: float) -> QuantizationResult:
+    """Quantization at one threshold, ``gamma_deg`` mod 360 (the traditional baseline)."""
+    if not math.isfinite(gamma_deg):
+        raise ConfigError(f"threshold must be finite, got {exact_g(gamma_deg)} deg")
+    return _search(state, np.array([wrap_angle(math.radians(gamma_deg))]))

@@ -142,6 +142,8 @@ class RisPanel:
             raise ConfigError(f"panel.bits must lie in [1, inf), got {self.bits}")
         if not (0.0 < self.reflection <= 1.0):
             raise ConfigError(f"panel.reflection must lie in (0, 1], got {self.reflection!r}")
+        if not isinstance(self.levels_deg, tuple):  # a list leaves the panel unhashable
+            raise ConfigError(f"panel.levels_deg must be a tuple, got {self.levels_deg!r}")
         levels = self.levels
         # 2**bits > len(levels) once bits reaches its bit length: refused unformed
         if self.bits >= len(levels).bit_length() or len(levels) != self.num_levels:

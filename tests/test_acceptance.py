@@ -143,7 +143,7 @@ def test_01_golden_received_powers_at_ten_meters():
     t0 = time.perf_counter()
     state = link_state(scenario)
     best = dtpq(state)
-    fixed = fixed_threshold(state, math.radians(235.0))
+    fixed = fixed_threshold(state, 235.0)
     elapsed = time.perf_counter() - t0
     continuous = power_dbm_from_xi(scenario.panel, scenario.radio, state.xi_upper_bound)
     ref = {k: float(v[0]) for k, v in reference_bounds(scenario, [10.0], 235.0).items()}
@@ -332,10 +332,10 @@ def test_10_periodicity_and_level_offset():
         sc = random_scenario(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)),
                              bits=1 + (i % 2))
         state = link_state(sc)
-        omega = sc.panel.omega
-        gamma = rng.uniform(0.0, TWO_PI - omega)
-        a = fixed_threshold(state, gamma).xi
-        b = fixed_threshold(state, gamma + omega).xi
+        omega_deg = 360.0 / sc.panel.num_levels
+        gamma_deg = rng.uniform(0.0, 360.0 - omega_deg)
+        a = fixed_threshold(state, gamma_deg).xi
+        b = fixed_threshold(state, gamma_deg + omega_deg).xi
         worst_period = max(worst_period, abs(a - b) / a)
 
     worst_offset = 0.0
@@ -356,9 +356,9 @@ def test_10_periodicity_and_level_offset():
 
 def test_11_grid_cardinality():
     sc = ris_2p6ghz()
-    k1 = eipq(link_state(sc), math.radians(5.0)).candidates_evaluated
+    k1 = eipq(link_state(sc), 5.0).candidates_evaluated
     two_bit = sc.with_panel(bits=2, levels_deg=uniform_levels(2, 0.0))
-    k2 = eipq(link_state(two_bit), math.radians(45.0)).candidates_evaluated
+    k2 = eipq(link_state(two_bit), 45.0).candidates_evaluated
     checks = [
         (k1 == 36, f"1-bit 5deg grid has {k1} candidates (expect 36)"),
         (k2 == 2, f"2-bit 45deg grid has {k2} candidates (expect 2)"),

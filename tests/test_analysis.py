@@ -101,20 +101,20 @@ class TestDesign:
         sc = ris_4p9ghz()
         state = link_state(sc)
         cases = [
-            ("eipq:3", eipq(state, math.radians(3.0))),
-            ("eipq", eipq(state, math.radians(analysis.DEFAULT_EPSILON_DEG))),
-            ("fixed:100", fixed_threshold(state, math.radians(100.0) % (2.0 * math.pi))),
-            ("fixed", fixed_threshold(state, sc.panel.levels[-1])),
+            ("eipq:3", eipq(state, 3.0)),
+            ("eipq", eipq(state, analysis.DEFAULT_EPSILON_DEG)),
+            ("fixed:100", fixed_threshold(state, 100.0)),
+            ("fixed", fixed_threshold(state, sc.panel.levels_deg[-1])),
         ]
         for token, expected in cases:
             result = design(state, token)
-            assert result.threshold == expected.threshold
+            assert result.threshold_deg == expected.threshold_deg
             assert result.xi == expected.xi
             assert result.received_power_dbm == expected.received_power_dbm
             assert result.candidates_evaluated == expected.candidates_evaluated
             np.testing.assert_array_equal(result.shifts, expected.shifts)
             np.testing.assert_array_equal(result.level_indices, expected.level_indices)
-        assert design(state, "fixed").threshold == sc.panel.levels[-1]
+        assert design(state, "fixed").threshold_deg == math.degrees(sc.panel.levels[-1])
 
     @pytest.mark.parametrize("token", ["dtpq", "eipq:3", "fixed:100", "fixed"])
     def test_shifts_are_the_levels_at_the_level_indices(self, token):
@@ -132,7 +132,7 @@ class TestDesign:
         # radians(-1e-20) mod 2*pi rounds up to 2*pi itself; it quantizes at 0
         state = link_state(ris_4p9ghz())
         below, zero = design(state, "fixed:-1e-20"), design(state, "fixed:0")
-        assert below.threshold == zero.threshold == 0.0
+        assert below.threshold_deg == zero.threshold_deg == 0.0
         assert below.xi == zero.xi
         assert below.received_power_dbm == zero.received_power_dbm
         assert below.shifts.tobytes() == zero.shifts.tobytes()
@@ -209,8 +209,8 @@ class TestRunSweep:
             for method, token in tokens.items():
                 expected = design(state, token)
                 assert row.power_dbm[method] == expected.received_power_dbm
-                if expected.threshold is not None:
-                    assert row.threshold_deg[method] == math.degrees(expected.threshold)
+                if expected.threshold_deg is not None:
+                    assert row.threshold_deg[method] == expected.threshold_deg
 
     def test_cli_import_leaves_out_thread_pools(self):
         # sweeps and fits run serially and the field kernel imports its pool

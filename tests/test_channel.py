@@ -710,7 +710,7 @@ class TestFarFieldPhase:
         spread = float(np.sum(np.abs(a - np.mean(a))) / np.sum(a))
         tolerance = spread + width / 2.0 + TIE_REL_TOL + 2 * a.size * eps
         midway = float((state.phase[0, 0] + omega / (2 * residues)) % TWO_PI)
-        for result in (dtpq(state), fixed_threshold(state, midway)):
+        for result in (dtpq(state), fixed_threshold(state, math.degrees(midway))):
             assert abs(result.xi / state.xi_upper_bound - dof_law(omega, residues)) <= tolerance
 
 

@@ -168,6 +168,16 @@ class TestScenarioParsing:
         assert str(excinfo.value) == ("panel.levels_deg must be uniformly spaced by 180 deg, "
                                       "found gap 170 deg")
 
+    def test_levels_are_held_as_a_tuple(self):
+        # a library caller's list was kept by reference: the panel could not
+        # be hashed, and changing the list left the radian levels stale
+        panel = parse_scenario(ris_2p6ghz_document()).panel
+        assert panel.levels_deg == (55.0, 235.0)
+        assert hash(panel) == hash(dataclasses.replace(panel))
+        with pytest.raises(ConfigError, match=r"^panel.levels_deg must be a tuple, "
+                                              r"got \[55.0, 235.0\]$"):
+            dataclasses.replace(panel, levels_deg=[55.0, 235.0])
+
     @pytest.mark.parametrize("theta, phi", [(0.0, -3.0), (89.99999999999999, 370.0),
                                             (30.000000000000004, -1e-20), (45, 720), (10, 360)])
     def test_placement_angles_held_as_written(self, theta, phi):
@@ -423,7 +433,7 @@ class TestQuantizeCommand:
             assert math.isfinite(printed_power)
             assert printed_power == pytest.approx(result.received_power_dbm, abs=5e-5)
             printed_thr = float(captured.split("threshold_deg=")[1].split()[0])
-            assert printed_thr == pytest.approx(math.degrees(result.threshold), abs=5e-5)
+            assert printed_thr == pytest.approx(result.threshold_deg, abs=5e-5)
 
     def test_shifts_round_trip(self, ris1_path, tmp_path):
         scenario = load_scenario(ris1_path)
@@ -445,12 +455,12 @@ class TestQuantizeCommand:
         assert run(["quantize", "--scenario", ris1_path, "--method", "eipq:1e-9"]) == 2
         err = capsys.readouterr().err
         assert "1e-09 deg" in err and "candidates" in err and "guard" in err
-        # a subnormal step overflows the candidate count to inf: still the guard
+        # a subnormal step is counted exactly too, and refused by the guard
         assert run(["quantize", "--scenario", ris1_path, "--method", "eipq:1e-320"]) == 2
         err = capsys.readouterr().err
-        assert "inf candidates" in err and "guard" in err
-        # the step as the user gave it, not its subnormal radians turned back
-        assert err.startswith("error: method token 'eipq:1e-320': ")
+        assert err.startswith("error: method token 'eipq:1e-320': eipq refused: epsilon = ")
+        assert err.endswith(" deg gives more candidates than the guard of "
+                            f"{quantization.EIPQ_GUARD_CANDIDATES}\n")
 
     def test_threshold_a_hair_below_zero_is_zero(self, tmp_path, capsys):
         # radians(-1e-20) mod 2*pi rounds up to 2*pi itself; it quantizes at 0
@@ -1071,13 +1081,22 @@ class TestOtherCommands:
         (["quantize", "--method=eipq:180.00000000000003"],
          "method token 'eipq:180.00000000000003': epsilon must lie in (0, 180) deg for 1-bit "
          "quantization, got 180.00000000000003 deg"),
+        # the step as it was typed, not its radians turned back (-3.0000000000000004)
+        (["quantize", "--method=eipq:-3"],
+         "method token 'eipq:-3': epsilon must lie in (0, 180) deg for 1-bit quantization, "
+         "got -3 deg"),
+        # the step in degrees and the guard, not a 300-digit candidate count
+        (["quantize", "--method=eipq:1e-300"],
+         "method token 'eipq:1e-300': eipq refused: epsilon = 1e-300 deg gives more "
+         f"candidates than the guard of {quantization.EIPQ_GUARD_CANDIDATES}"),
     ], ids=["quantize-dtpq-parameter", "quantize-continuous", "quantize-exhaustive",
             "sweep-continuous-parameter",
             "sweep-exhaustive", "scan-duplicate", "scan-duplicate-eipq", "scan-exhaustive",
             "map-exhaustive", "fit-exhaustive", "quantize-eipq-nan", "quantize-eipq-inf",
             "quantize-fixed-inf", "quantize-fixed-minus-inf", "quantize-fixed-nan",
             "quantize-eipq-negative", "quantize-eipq-one-interval",
-            "quantize-eipq-ulp-above-interval"])
+            "quantize-eipq-ulp-above-interval", "quantize-eipq-minus-3",
+            "quantize-eipq-guard-1e-300"])
     def test_method_tokens_refused(self, small_path, tmp_path, monkeypatch, capsys, args,
                                    message):
         # one method table checks every command's tokens before anything is
@@ -1374,7 +1393,9 @@ def test_readme_command_runs(argv, tmp_path, monkeypatch, capsys):
 # README command and of a 2-bit quantize on the 4.9 GHz panel, recorded at
 # c2d6409, while the path phase was still reduced bit for bit as np.mod does,
 # and of three more 2-bit runs on that panel, recorded at a5afd01, while the
-# gains of the link budget still went to linear and back.
+# gains of the link budget still went to linear and back.  The stdout of the
+# 2-bit eipq:3 quantize was recorded again when eipq came to count its grid
+# exactly in degrees: 30 candidates, where the radian floor gave 29.
 OUTPUT_DIGESTS = {
     "validate --scenario scenarios/ris1_2p6ghz.json": (
         "98d161bd23f8830dd6485185c257eea3f9f4ce1cc73a4a028c61449cfbf5ae7c", None),
@@ -1404,7 +1425,7 @@ OUTPUT_DIGESTS = {
         "edb402b6a5844109e1f2c2f0546324143a06153935612afd54f0d97880ad8c67",
         "d54ba84ffe995f9f1d346ffe3840fcf13385eacf0527d2c68d2fa8722488569c"),
     "quantize --scenario scenarios/ris2_4p9ghz.json --method eipq:3 --out shifts3.csv": (
-        "8f7473306c7a1749d7e16549a15a0b98e5507651fa61d787bbfb32892bfb53cc",
+        "e64e95fc987fd2a8f374ab5c14156f31ef59fe7c0fbfdf9fc24b145a8f765920",
         "4c36faa2d099a7df29d331a26de687313edc1cde4bd786334f13e5838ae830b6"),
     "gradient-map --scenario scenarios/ris2_4p9ghz.json --target-theta 30 --target-phi 200 "
     "--theta-step 2 --phi-step 4 --method eipq:3 --out map2.csv": (

@@ -1,6 +1,8 @@
 """Every name a ``risbeam`` module imports is used there, every private
-module-level name is read somewhere in the package, and the modules import
-one another only in one pinned order (stdlib ``ast`` only)."""
+module-level name is read somewhere in the package, the modules import
+one another only in one pinned order, every refusal is a ConfigError, and
+the analyses and the command line turn no angle between units (stdlib
+``ast`` only)."""
 
 import ast
 from pathlib import Path
@@ -255,3 +257,23 @@ def test_detects_a_refusal_of_another_type():
     }
     assert raises_of_other_types(sources) == [
         "a.check: ValueError", "b.<module>: raise", "b.<module>: errors.Refusal"]
+
+
+def angle_conversions(source: str) -> list[str]:
+    """Each call of ``math.degrees`` or ``math.radians`` in ``source``, as "line <n>: <callee>"."""
+    calls = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+             and ast.unparse(node.func) in ("math.degrees", "math.radians")]
+    return [f"line {node.lineno}: {ast.unparse(node.func)}"
+            for node in sorted(calls, key=lambda node: node.lineno)]
+
+
+def test_analyses_and_cli_convert_no_threshold():
+    # the searches take and report a method token's degrees, so quantization
+    # is the one module where a threshold or a grid step changes unit
+    for name in ("analysis.py", "cli.py"):
+        assert angle_conversions((SRC / name).read_text()) == [], name
+
+
+def test_detects_an_angle_conversion():
+    source = "import math\n\nx = math.radians(5.0)\ny = math.sin(x) + math.degrees(x)\n"
+    assert angle_conversions(source) == ["line 3: math.radians", "line 4: math.degrees"]

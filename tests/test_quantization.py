@@ -4,6 +4,7 @@ optimality certificate, and the circular-spread bound on optimal residuals."""
 
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from risbeam.quantization import (
     TIE_REL_TOL,
     _profile_xi,
 )
+from risbeam.scenario import ConfigError, wrap_angle
 
 TWO_PI = 2.0 * math.pi
 
@@ -165,7 +167,7 @@ class TestDtpq:
         state = link_state(sc)
         result = dtpq(state)
         assert result.xi == state.xi(result.shifts)
-        assert 0.0 <= result.threshold < TWO_PI
+        assert 0.0 <= result.threshold_deg < 360.0
 
     def test_beats_every_sampled_threshold(self):
         rng = np.random.default_rng(23)
@@ -189,7 +191,7 @@ class TestDtpq:
         state = link_state(sc)
         best = dtpq(state)
         for gamma_deg in range(0, 360):
-            fixed = fixed_threshold(state, math.radians(gamma_deg))
+            fixed = fixed_threshold(state, gamma_deg)
             assert abs(fixed.xi - best.xi) <= 1e-6 * best.xi
 
     def test_matches_exhaustive_on_small_panels(self):
@@ -202,24 +204,26 @@ class TestDtpq:
 
 class TestEipq:
     def test_candidate_count_one_bit(self):
-        assert eipq(link_state(ris_2p6ghz()), math.radians(5)).candidates_evaluated == 36
+        assert eipq(link_state(ris_2p6ghz()), 5.0).candidates_evaluated == 36
 
     def test_candidate_count_two_bit(self):
         sc = ris_2p6ghz().with_panel(bits=2, levels_deg=uniform_levels(2, 0.0))
-        assert eipq(link_state(sc), math.radians(45)).candidates_evaluated == 2
+        assert eipq(link_state(sc), 45.0).candidates_evaluated == 2
 
     def test_degenerate_grid_equals_fixed_zero(self):
+        # the largest step still leaves two points, 0 and a hair below Omega:
+        # one partition a level apart, so the tie goes to 0
         sc = ris_2p6ghz()
         state = link_state(sc)
-        epsilon = math.nextafter(sc.panel.omega, 0.0)
-        result = eipq(state, epsilon)
-        assert result.candidates_evaluated == 1
+        result = eipq(state, math.nextafter(180.0, 0.0))
+        assert result.candidates_evaluated == 2
+        assert result.threshold_deg == 0.0
         assert result.xi == fixed_threshold(state, 0.0).xi
 
     def test_epsilon_out_of_range(self):
         sc = ris_2p6ghz()
         with pytest.raises(ValueError, match="epsilon"):
-            eipq(link_state(sc), sc.panel.omega)
+            eipq(link_state(sc), 180.0)
         with pytest.raises(ValueError, match="epsilon"):
             eipq(link_state(sc), 0.0)
 
@@ -228,29 +232,58 @@ class TestEipq:
         for _ in range(10):
             sc = random_scenario(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)), 1)
             state = link_state(sc)
-            assert eipq(state, math.radians(5)).xi <= dtpq(state).xi * (1 + 1e-12)
+            assert eipq(state, 5.0).xi <= dtpq(state).xi * (1 + 1e-12)
 
     def test_guard_refuses_huge_grids(self):
         sc = ris_2p6ghz()
-        epsilon = sc.panel.omega / (EIPQ_GUARD_CANDIDATES + 1)
-        with pytest.raises(ValueError, match=f"{EIPQ_GUARD_CANDIDATES + 1} candidates"):
-            eipq(link_state(sc), epsilon)
-        # a subnormal step overflows the count to inf before any conversion
-        with pytest.raises(ValueError, match="gives inf candidates, exceeding the guard"):
+        refusal = f"more candidates than the guard of {EIPQ_GUARD_CANDIDATES}$"
+        with pytest.raises(ValueError, match=refusal):
+            eipq(link_state(sc), 180.0 / (EIPQ_GUARD_CANDIDATES + 1))
+        # a subnormal step is counted exactly too
+        with pytest.raises(ValueError, match=refusal):
             eipq(link_state(sc), 1e-320)
+
+    def test_guard_boundary(self):
+        # 180/2**20 deg gives exactly the guard's count; the float below it one more
+        state = hand_built_link(1, 1, 1, [1.0], [0.5])
+        step = 180.0 / EIPQ_GUARD_CANDIDATES
+        assert eipq(state, step).candidates_evaluated == EIPQ_GUARD_CANDIDATES
+        with pytest.raises(ValueError, match="guard"):
+            eipq(state, math.nextafter(step, 0.0))
 
     def test_grid_counts_match_result(self):
         sc = ris_2p6ghz()
-        result = eipq(link_state(sc), math.radians(5))
+        result = eipq(link_state(sc), 5.0)
         assert result.candidates_evaluated == 36
+
+    def test_grid_count_is_exact_in_degrees(self):
+        # K = #{k >= 0 : k * epsilon < 360/2**q} in exact rationals, for the
+        # floats 360/2**q/L, q = 1..3, L = 2..199; 204 of them round below the
+        # true quotient, which puts one more point, L * epsilon, inside
+        above = 0
+        for bits in (1, 2, 3):
+            state = hand_built_link(1, 1, bits, [1.0], [0.5])
+            for parts in range(2, 200):
+                step = 360.0 / 2**bits / parts
+                count = eipq(state, step).candidates_evaluated
+                assert count == eipq_count(bits, step)
+                above += count == parts + 1
+        assert above == 204
+
+    @pytest.mark.parametrize("bits, step, count", [
+        (1, 3.0, 60), (1, 12.0, 15), (2, 6.0, 15), (2, 3.0, 30)])
+    def test_named_grid_counts(self, bits, step, count):
+        # each of these lost its last point to the radian floor
+        state = hand_built_link(1, 1, bits, [1.0], [0.5])
+        assert eipq(state, step).candidates_evaluated == count
 
 
 class TestFixedThreshold:
     def test_single_candidate(self):
         sc = ris_2p6ghz()
-        result = fixed_threshold(link_state(sc), math.radians(235))
+        result = fixed_threshold(link_state(sc), 235.0)
         assert result.candidates_evaluated == 1
-        assert result.threshold == pytest.approx(math.radians(235), rel=1e-12)
+        assert result.threshold_deg == pytest.approx(235.0, rel=1e-12)
 
     def test_interval_periodicity(self):
         rng = np.random.default_rng(37)
@@ -258,10 +291,10 @@ class TestFixedThreshold:
             bits = 1 + (i % 2)
             sc = random_scenario(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)), bits)
             state = link_state(sc)
-            omega = sc.panel.omega
-            gamma = rng.uniform(0.0, TWO_PI - omega)
-            a = fixed_threshold(state, gamma).xi
-            b = fixed_threshold(state, gamma + omega).xi
+            omega_deg = 360.0 / sc.panel.num_levels
+            gamma_deg = rng.uniform(0.0, 360.0 - omega_deg)
+            a = fixed_threshold(state, gamma_deg).xi
+            b = fixed_threshold(state, gamma_deg + omega_deg).xi
             assert b == pytest.approx(a, rel=1e-9)
 
     def test_never_beats_dtpq(self):
@@ -269,12 +302,21 @@ class TestFixedThreshold:
         for _ in range(10):
             sc = random_scenario(rng, int(rng.integers(1, 6)), int(rng.integers(1, 6)), 2)
             state = link_state(sc)
-            gamma = rng.uniform(0.0, TWO_PI)
-            assert fixed_threshold(state, gamma).xi <= dtpq(state).xi * (1 + 1e-12)
+            gamma_deg = rng.uniform(0.0, 360.0)
+            assert fixed_threshold(state, gamma_deg).xi <= dtpq(state).xi * (1 + 1e-12)
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="threshold"):
-            fixed_threshold(link_state(ris_2p6ghz()), -0.1)
+        # an angle outside [0, 360) wraps, as the fixed token's does; only a
+        # non-finite one is refused, in degrees
+        state = link_state(ris_2p6ghz())
+        for outside, inside in ((-0.1, 359.9), (595.0, 235.0), (-1e-20, 0.0)):
+            wrapped, expected = fixed_threshold(state, outside), fixed_threshold(state, inside)
+            assert wrapped.threshold_deg == pytest.approx(expected.threshold_deg, abs=1e-9)
+            assert np.array_equal(wrapped.level_indices, expected.level_indices)
+            assert wrapped.xi == expected.xi
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match=rf"^threshold must be finite, got {bad} deg$"):
+                fixed_threshold(state, bad)
 
 
 class TestExhaustiveSearch:
@@ -292,7 +334,7 @@ class TestExhaustiveSearch:
             state = link_state(sc)
             exh = exhaustive_xi(state)
             dt = dtpq(state).xi
-            ei = eipq(state, math.radians(10)).xi
+            ei = eipq(state, 10.0).xi
             fx = fixed_threshold(state, 0.0).xi
             assert exh == pytest.approx(dt, rel=1e-12)
             assert dt >= ei * (1 - 1e-12)
@@ -335,7 +377,7 @@ class TestInvariances:
     def test_complexity_smoke(self):
         sc = ris_2p6ghz()
         assert dtpq(link_state(sc)).candidates_evaluated == 512
-        assert eipq(link_state(sc), math.radians(5)).candidates_evaluated == 36
+        assert eipq(link_state(sc), 5.0).candidates_evaluated == 36
         assert fixed_threshold(link_state(sc), 0.0).candidates_evaluated == 1
 
     def test_dtpq_scales_to_twenty_thousand_cells(self):
@@ -352,13 +394,22 @@ class TestInvariances:
         assert elapsed < 2.0
 
 
-def eipq_grid(bits: int, epsilon: float) -> np.ndarray:
-    return epsilon * np.arange(int(math.floor(TWO_PI / (2**bits * epsilon))), dtype=float)
+def eipq_count(bits: int, epsilon_deg: float) -> int:
+    """#{k >= 0 : k * epsilon_deg < 360/2**bits}, counted one k at a time in exact rationals."""
+    step, interval, count = Fraction(epsilon_deg), Fraction(360, 2**bits), 0
+    while count * step < interval:
+        count += 1
+    return count
+
+
+def eipq_grid(bits: int, epsilon_deg: float) -> np.ndarray:
+    """eipq's candidate thresholds (rad) at a step of ``epsilon_deg``."""
+    return math.radians(epsilon_deg) * np.arange(eipq_count(bits, epsilon_deg), dtype=float)
 
 
 @st.composite
 def adversarial_links(draw):
-    """A 1- to 3-bit link of up to 16 cells, with an eipq step.
+    """A 1- to 3-bit link of up to 16 cells, with an eipq step (deg) and its grid (rad).
 
     Each phase is drawn at random, or is 0, a duplicate of an earlier
     phase, an exact multiple of Omega away from one, or a point of the
@@ -367,7 +418,8 @@ def adversarial_links(draw):
     bits = draw(st.integers(1, 3))
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     omega = TWO_PI / 2**bits
-    epsilon = draw(st.sampled_from([math.radians(5.0), math.radians(1.0), omega / 3, omega / 7]))
+    interval_deg = 360.0 / 2**bits
+    epsilon = draw(st.sampled_from([5.0, 1.0, interval_deg / 3, interval_deg / 7]))
     grid = eipq_grid(bits, epsilon)
     phases: list[float] = []
     for _ in range(rows * cols):
@@ -406,7 +458,7 @@ class TestThresholdProfile:
     @staticmethod
     def assert_matches_scan(result, expected):
         threshold, level_indices, xi = expected
-        assert result.threshold == threshold
+        assert result.threshold_deg == math.degrees(threshold)
         assert np.array_equal(result.level_indices, level_indices)
         assert result.xi == xi
 
@@ -429,10 +481,13 @@ class TestThresholdProfile:
     @given(adversarial_links(), st.data())
     def test_fixed_is_the_one_candidate_scan(self, link, data):
         state, _, _ = link
-        gamma = data.draw(st.one_of(st.floats(0.0, TWO_PI, exclude_max=True),
-                                    st.sampled_from(state.phase.ravel().tolist())))
-        result = fixed_threshold(state, gamma)
+        # any finite angle, or a phase turned to degrees, reduced as fixed reduces it
+        gamma_deg = data.draw(st.one_of(
+            st.floats(-720.0, 720.0),
+            st.sampled_from([math.degrees(phase) for phase in state.phase.ravel()])))
+        result = fixed_threshold(state, gamma_deg)
         assert result.candidates_evaluated == 1
+        gamma = wrap_angle(math.radians(gamma_deg))
         self.assert_matches_scan(result, brute_force_search(state, [gamma]))
 
     def test_one_candidate_builds_no_profile(self, monkeypatch):
@@ -444,17 +499,18 @@ class TestThresholdProfile:
 
         state = link_state(ris_2p6ghz())
         one_cell = hand_built_link(1, 1, 1, [2.0], [1.0])
-        single = [lambda: fixed_threshold(state, math.radians(235)),
-                  lambda: eipq(state, 0.75 * state.scenario.panel.omega),   # K = 1
-                  lambda: dtpq(one_cell)]
+        # eipq has no one-candidate grid: its largest step still gives 0 and epsilon
+        single = [lambda: fixed_threshold(state, 235.0), lambda: dtpq(one_cell)]
         expected = [search() for search in single]
         monkeypatch.setattr("risbeam.quantization._profile_xi", refuse)
         for search, unpatched in zip(single, expected):
             result = search()
             assert result.candidates_evaluated == 1
-            self.assert_matches_scan(
-                result, (unpatched.threshold, unpatched.level_indices, unpatched.xi))
-        for search in (lambda: dtpq(state), lambda: eipq(state, math.radians(5))):
+            assert result.threshold_deg == unpatched.threshold_deg
+            assert np.array_equal(result.level_indices, unpatched.level_indices)
+            assert result.xi == unpatched.xi
+        for search in (lambda: dtpq(state), lambda: eipq(state, 5.0),
+                       lambda: eipq(state, 135.0)):
             with pytest.raises(ProfileBuilt):
                 search()
 
@@ -467,7 +523,7 @@ class TestThresholdProfile:
         # only: the profile's u < u_g must split them as quantize_matrix does
         rng = np.random.default_rng(bits * 1000 + round(degrees * 100))
         epsilon = math.radians(degrees)
-        grid = eipq_grid(bits, epsilon)
+        grid = eipq_grid(bits, degrees)
         omega = TWO_PI / 2**bits
         for draw in range(8):
             points = epsilon * rng.choice(grid.size, size=8, replace=False).astype(float)
@@ -479,7 +535,7 @@ class TestThresholdProfile:
             phase = np.concatenate((near, shifted))
             amplitude = np.ones(phase.size) if draw % 2 else rng.uniform(0.01, 10.0, phase.size)
             state = hand_built_link(1, phase.size, bits, amplitude, phase, rng.uniform(0.0, omega))
-            result = eipq(state, epsilon)
+            result = eipq(state, degrees)
             assert result.candidates_evaluated == grid.size
             self.assert_matches_scan(result, brute_force_search(state, grid))
 
@@ -490,8 +546,8 @@ class TestThresholdProfile:
             for phase in (0.0, 1.0, sc.panel.omega, TWO_PI - 1e-9):
                 state = LinkState(sc, np.array([[2.0]]), np.array([[phase]]))
                 self.assert_matches_scan(dtpq(state), brute_force_search(state, [phase]))
-                result = eipq(state, math.radians(1.0))
-                grid = eipq_grid(bits, math.radians(1.0))
+                result = eipq(state, 1.0)
+                grid = eipq_grid(bits, 1.0)
                 assert result.candidates_evaluated == grid.size
                 self.assert_matches_scan(result, brute_force_search(state, grid))
 
@@ -642,7 +698,7 @@ class TestDofInvariance:
         assume(not np.any(np.abs(gap - TIE_REL_TOL) <= (10 * rows * cols + 14) * eps))
 
         expected, result = dtpq(row), dtpq(link)
-        assert result.threshold == expected.threshold
+        assert result.threshold_deg == expected.threshold_deg
         assert np.array_equal(result.level_indices, np.tile(expected.level_indices, (rows, 1)))
         assert result.candidates_evaluated == rows * cols
         tolerance = 3 * rows * cols * eps * link.xi_upper_bound
@@ -681,7 +737,6 @@ class TestDofLaw:
     def test_every_threshold_keeps_the_law(self, bits, residues):
         rng = np.random.default_rng(100 * bits + residues)
         omega = TWO_PI / 2**bits
-        epsilon = math.radians(5.0)
         n = 8 * residues
         tolerance = (2 * n + 64) * 2.0**-53 * n
         for _ in range(10):
@@ -692,11 +747,55 @@ class TestDofLaw:
             state = hand_built_link(8, residues, bits, np.ones(n), phase,
                                     rng.uniform(0.0, omega))
             assert state.xi_upper_bound == n
-            thresholds = np.concatenate((eipq_grid(bits, epsilon), rng.uniform(0.0, TWO_PI, 8)))
-            results = [dtpq(state), eipq(state, epsilon)]
+            thresholds = np.concatenate((5.0 * np.arange(eipq_count(bits, 5.0)),
+                                         rng.uniform(0.0, 360.0, 8)))
+            results = [dtpq(state), eipq(state, 5.0)]
             results += [fixed_threshold(state, float(gamma)) for gamma in thresholds]
             for result in results:
                 assert abs(result.xi - dof_law(omega, residues) * n) <= tolerance
+
+
+class TestDofGrid:
+    """A link whose phases mod Omega take L values Omega/L apart, on any
+    amplitudes: eipq at the step 360/2**q/L deg is as good as dtpq.
+
+    Theorem.  The threshold partition depends only on how many of the L
+    residues lie below the threshold's own residue u_g, so there are L
+    partitions, one for each half-open gap (r_(j-1), r_j] of width Omega/L
+    between consecutive residues r_j = base + j*Omega/L.  The grid k*Omega/L,
+    k = 0..L-1, has one point in each gap, so eipq scores every partition
+    and finds dtpq's optimum.  A step that rounds below Omega/L adds a point
+    L*epsilon within rounding of Omega, which gives k = 0's partition again.
+
+    Rounding.  u = 2**-53.  A residue (base + j*Omega/L + m*Omega mod 2*pi,
+    then mod Omega, both exact) takes at most five roundings of numbers
+    below 8, each within 4u, so it lies within 20u of its exact value
+    against the float Omega.  A grid point radians(fl(360/2**q/L)) * k, below
+    4, takes four roundings and TWO_PI's own error against 2*pi, each within
+    u relative, so it lies within 20u of k*Omega/L.  Drawing base at least
+    MARGIN = 1e-12, about 9000u, from either end of its gap keeps every grid
+    point strictly inside its gap.  Each search keeps a partition within
+    TIE_REL_TOL of its best profile value; the two best are one partition,
+    up to a rotation by a level, which moves xi by rounding alone, and
+    random amplitudes leave no second partition that close.
+    """
+
+    MARGIN = 1e-12
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(2, 100), st.integers(1, 4))
+    def test_eipq_at_the_residue_step_matches_dtpq(self, seed, bits, residues, per_residue):
+        rng = np.random.default_rng(seed)
+        omega = TWO_PI / 2**bits
+        n = residues * per_residue
+        base = rng.uniform(self.MARGIN, omega / residues - self.MARGIN)
+        phase = np.repeat(base + np.arange(residues) * (omega / residues), per_residue)
+        phase = (phase + rng.integers(0, 2**bits, n) * omega) % TWO_PI
+        state = hand_built_link(1, n, bits, rng.uniform(0.01, 10.0, n), phase,
+                                rng.uniform(0.0, 360.0 / 2**bits))
+        best, grid = dtpq(state), eipq(state, 360.0 / 2**bits / residues)
+        assert grid.candidates_evaluated in (residues, residues + 1)
+        assert abs(grid.xi - best.xi) <= TIE_REL_TOL * best.xi
 
 
 def worst_single_move_gain(state: LinkState, result) -> float:
@@ -794,5 +893,5 @@ class TestOptimalityCertificate:
         # the certificate has teeth: the fixed baseline on the bundled
         # 2.6 GHz link gains about 2e-3 of xi from one move
         state = link_state(ris_2p6ghz())
-        result = fixed_threshold(state, ris_2p6ghz().panel.levels[-1])
+        result = fixed_threshold(state, ris_2p6ghz().panel.levels_deg[-1])
         assert worst_single_move_gain(state, result) > 1e6 * self.slack(state) * result.xi
