@@ -25,7 +25,7 @@ from .channel import (
 from .geometry import antenna_points
 from .quantization import QuantizationResult, dtpq, eipq, fixed_threshold
 from .scenario import (FIT_VARIABLES, GRID_GUARD_POINTS, MIN_GAIN_DBI, SWEEP_AXES, ConfigError,
-                       Scenario, exact_g, in_degrees)
+                       Scenario, check_range, exact_g, in_degrees)
 
 # A method token is a name, then ":<degrees>" on the two methods with a
 # parameter: the eipq grid step and the fixed threshold.
@@ -272,8 +272,7 @@ def angle_scan(
     ``values_deg`` the signed scan elevations in [-90, 90] deg.  Powers
     peak at the target for the beamforming methods.
     """
-    if not -90.0 < target_deg < 90.0:
-        raise ConfigError(f"design target must lie in (-90, 90) deg, got {exact_g(target_deg)}")
+    check_range("design target", target_deg, "(-90, 90)", "deg")
     values = np.asarray(values_deg, dtype=float)
     outside = ~((values >= -90.0) & (values <= 90.0))
     if outside.any():

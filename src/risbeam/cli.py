@@ -3,9 +3,11 @@
 Scenario files use degrees and GHz; all numeric CSV output is fixed to 4
 decimal places.  Exit codes: 0 success; 2 a refused value, raised as
 ``scenario.ConfigError`` naming the key, option, method token or path at
-fault; 1 any other exception, an internal error.  numpy and the numeric
-modules are imported by the commands that compute, so ``validate`` loads
-none of them.
+fault; 1 any other exception, an internal error.  An interval option is
+refused by ``scenario.check_range``, as a scenario key is, and an elevation
+option reads its interval from its placement field's RANGES row.  numpy and
+the numeric modules are imported by the commands that compute, so
+``validate`` loads none of them.
 """
 
 from __future__ import annotations
@@ -15,16 +17,8 @@ import math
 import sys
 from typing import Sequence
 
-from .scenario import (
-    FIT_VARIABLES,
-    GRID_GUARD_POINTS,
-    SWEEP_AXES,
-    ConfigError,
-    Scenario,
-    exact_g,
-    in_degrees,
-    load_scenario,
-)
+from .scenario import (FIT_VARIABLES, GRID_GUARD_POINTS, RANGES, SWEEP_AXES, ConfigError,
+                       Scenario, check_range, exact_g, in_degrees, inside, load_scenario)
 
 # ---------------------------------------------------------------------------
 # CSV schemas: rows are joined by hand, since no formatted field needs quoting
@@ -98,19 +92,12 @@ def write_map_csv(
 # Option checks: angles stay in degrees, so the diagnostic names the option
 
 
-def _inside(value: float, degrees: str) -> bool:
-    """Whether an angle lies in the interval spelled ``degrees``, such as "[0, 90)"."""
-    lo, hi = (float(end) for end in degrees[1:-1].split(","))
-    above = lo <= value if degrees[0] == "[" else lo < value
-    return above and (value <= hi if degrees[-1] == "]" else value < hi)
-
-
 def _check_option(option: str, value: float, degrees: str | None = None) -> None:
     """Refuse a non-finite value, or an angle outside the ``degrees`` interval."""
     if not math.isfinite(value):
         raise ConfigError(f"{option} must be finite, got {value}")
-    if degrees is not None and not _inside(value, degrees):
-        raise ConfigError(f"{option} must lie in {degrees} degrees, got {exact_g(value)}")
+    if degrees is not None:
+        check_range(option, value, degrees, "deg")
 
 
 def _value(args: argparse.Namespace, flag: str):
@@ -135,9 +122,9 @@ def _grid(args: argparse.Namespace, degrees: str | None = None, prefix: str = "-
         _check_option(f"{prefix}start", start, degrees)
         _check_option(f"{prefix}stop", stop, degrees)
     values = grid_values(start, stop, step, f"{prefix}step")
-    if degrees is not None and not _inside(values[-1], degrees):
+    if degrees is not None and not inside(values[-1], degrees):
         raise ConfigError(f"{prefix}step {exact_g(step)} puts the last point at "
-                          f"{exact_g(values[-1])}, outside {degrees} degrees")
+                          f"{exact_g(values[-1])}, outside {degrees} deg")
     return values
 
 
@@ -170,7 +157,8 @@ def _cmd_quantize(scenario: Scenario, args: argparse.Namespace) -> int:
 def _cmd_sweep(scenario: Scenario, args: argparse.Namespace) -> int:
     from .analysis import run_sweep
 
-    values = _grid(args, "[0, 90)" if in_degrees(SWEEP_AXES[args.axis]) else None)
+    field = SWEEP_AXES[args.axis]  # an elevation's grid keeps to its RANGES interval
+    values = _grid(args, RANGES[f"placement.{field}"][0] if in_degrees(field) else None)
     rows = run_sweep(scenario, args.axis, values, args.methods.split(","))
     write_sweep_csv(args.out, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
@@ -207,9 +195,10 @@ def _cmd_pl_fit(scenario: Scenario, args: argparse.Namespace) -> int:
         raise ConfigError(f"--num must be >= 3, got {args.num}")
     if args.num > GRID_GUARD_POINTS:
         raise ConfigError(f"--num {args.num} exceeds the guard of {GRID_GUARD_POINTS}")
-    distance = not in_degrees(FIT_VARIABLES[args.variable])  # log-spaced; angles are linear
+    field = FIT_VARIABLES[args.variable]
+    distance = not in_degrees(field)  # log-spaced; angles are linear
     for option, value in (("--start", args.start), ("--stop", args.stop)):
-        _check_option(option, value, None if distance else "[0, 90)")
+        _check_option(option, value, None if distance else RANGES[f"placement.{field}"][0])
         if distance and not value > 0.0:
             raise ConfigError(f"log spacing requires a positive {option}, got {exact_g(value)}")
     if distance:  # a sample past the float range is inf, which the range check refuses
@@ -255,7 +244,7 @@ _COMMANDS = {
         "--out": (str, "angle_scan.csv", None),
     }),
     "gradient-map": (_cmd_gradient_map, "power map over (theta_r, phi_r)", {
-        "--target-theta": (float, ..., "deg", "[0, 90)"),
+        "--target-theta": (float, ..., "deg", RANGES["placement.theta_r_deg"][0]),
         "--target-phi": (float, ..., "deg", None),
         "--theta-start": (float, 0.0, None, "[0, 90]"),
         "--theta-stop": (float, 90.0, None, "[0, 90]"),

@@ -5,12 +5,13 @@ Scenario files use meters, degrees and GHz.  Each dataclass field is the
 file key it is read from and holds the value as written; the wavelength and
 the levels in radians are derived.  One table, _SECTIONS, names the
 dataclass of each section, whose field annotations pick the readers.
-Unknown keys, non-finite numbers and values outside the physical ranges of
+Unknown keys, non-finite numbers and values outside their interval in
 RANGES raise ConfigError, the package's one refusal type, naming the
-offending key.  This configuration layer, with the table of sweep axes and
-fit variables, the grid guard that the command line checks its options
-against and the two bundled demo scenarios, uses only the standard
-library, so reading and validating a scenario loads no numpy.
+offending key; check_range, the one range check, also refuses the command
+line's interval options.  This configuration layer, with the table of
+sweep axes and fit variables, the grid guard that the command line checks
+its options against and the two bundled demo scenarios, uses only the
+standard library, so reading and validating a scenario loads no numpy.
 """
 
 from __future__ import annotations
@@ -53,26 +54,34 @@ _LEVEL_SPACING_TOL = 1e-9
 # The alpha = 0 pattern's gain, 2, in dBi; no cosine-power pattern has less.
 MIN_GAIN_DBI = 10.0 * math.log10(2.0)
 
-# The physical range of each scenario-file key that measures the link, in the
-# file's units, and why it ends there, held by the dataclasses through
-# check_ranges; counts, angles, levels and the reflection keep their own checks.
-# On this domain no square, path in wavelengths or sum of amplitudes comes near
-# the float range (channel._phasors derives the log sum's bound).
-_CELL = (1e-6, 10.0, "m", "from lambda/30 at 10 THz to about 3 lambda at 100 MHz")
-_DISTANCE = (1e-3, 1e7, "m", "from an antenna 1 mm off the surface to a satellite link")
-_GAIN = (MIN_GAIN_DBI, 40.0, "dBi",
+# The interval of each bounded scenario-file key, in the file's units, spelled
+# as its refusal prints it, with ends that read back exactly, and why it ends
+# there; check_ranges holds the dataclasses to it.  On this domain no square,
+# path in wavelengths or sum of amplitudes comes near the float range
+# (channel._phasors derives the log sum's bound).
+_COUNT = ("[1, inf)", "", "at least one cell a side and two levels; the panel guard caps the cells")
+_CELL = ("[1e-06, 10]", "m", "from lambda/30 at 10 THz to about 3 lambda at 100 MHz")
+_DISTANCE = ("[0.001, 1e+07]", "m", "from an antenna 1 mm off the surface to a satellite link")
+_ELEVATION = ("[0, 90)", "deg", "from the surface normal to just short of the surface plane")
+_GAIN = (f"[{MIN_GAIN_DBI!r}, 40]", "dBi",
          "from the floor of the cosine-power family (alpha 0) to a large dish")
 RANGES = {
+    "panel.rows": _COUNT,
+    "panel.cols": _COUNT,
     "panel.cell_dx_m": _CELL,
     "panel.cell_dy_m": _CELL,
+    "panel.bits": _COUNT,
+    "panel.reflection": ("(0, 1]", "", "a passive cell reflects some, at most all, of the power"),
     "placement.d1_m": _DISTANCE,
     "placement.d2_m": _DISTANCE,
-    "radio.freq_ghz": (0.1, 1e4, "GHz", "from VHF to the top of the terahertz band"),
-    "radio.tx_power_dbm": (-100.0, 100.0, "dBm",
+    "placement.theta_t_deg": _ELEVATION,
+    "placement.theta_r_deg": _ELEVATION,
+    "radio.freq_ghz": ("[0.1, 10000]", "GHz", "from VHF to the top of the terahertz band"),
+    "radio.tx_power_dbm": ("[-100, 100]", "dBm",
                            "from 0.1 pW, below any noise floor, to 10 MW, above any transmitter"),
     "radio.gain_tx_dbi": _GAIN,
     "radio.gain_rx_dbi": _GAIN,
-    "radio.cell_alpha": (0.0, 100.0, "", "from an isotropic cell to a 23 dBi one, 13.5 deg wide"),
+    "radio.cell_alpha": ("[0, 100]", "", "from an isotropic cell to a 23 dBi one, 13.5 deg wide"),
 }
 
 
@@ -82,10 +91,13 @@ class ConfigError(ValueError):
 
 
 def exact_g(value: float) -> str:
-    """``value`` as ``:g`` writes it when that reads back as the same float,
-    else its repr: 90.00000000000001 is not shown as 90."""
+    """``value`` as ``:g`` writes it when that reads back as the same number,
+    else its repr: 90.00000000000001 is not shown as 90, and a subnormal,
+    which six digits always read back, not as 4.94066e-324 but 5e-324."""
+    if isinstance(value, int):  # a count, shown whole at any size
+        return str(value)
     text = f"{value:g}"
-    return text if float(text) == value else repr(float(value))
+    return text if float(text) == value and not 0 < abs(value) < 2.0**-1022 else repr(float(value))
 
 
 def wavelength_m(freq_ghz: float) -> float:
@@ -93,17 +105,28 @@ def wavelength_m(freq_ghz: float) -> float:
     return SPEED_OF_LIGHT / (freq_ghz * 1e9)
 
 
+def inside(value: float, interval: str) -> bool:
+    """Whether ``value`` lies in the interval spelled ``interval``, such as "(-90, 90)"."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    above = lo <= value if interval[0] == "[" else lo < value
+    return above and (value <= hi if interval[-1] == "]" else value < hi)
+
+
+def check_range(name: str, value: float, interval: str, unit: str = "") -> None:
+    """Refuse a ``value`` outside ``interval`` (NaN included), naming ``name``,
+    the interval in ``unit`` and the value: the one form of a range refusal."""
+    if not inside(value, interval):
+        span = f"{interval} {unit}".rstrip()
+        raise ConfigError(f"{name} must lie in {span}, got {exact_g(value)}")
+
+
 def check_ranges(section: str, config) -> None:
     """Refuse the first field of ``config``, read from file ``section``, that
-    lies outside its row of RANGES (NaN included), naming the key, the range in
-    the file's units and the value."""
+    lies outside its row of RANGES."""
     for field in fields(config):
-        key, value = f"{section}.{field.name}", getattr(config, field.name)
+        key = f"{section}.{field.name}"
         if key in RANGES:
-            lo, hi, unit, _ = RANGES[key]
-            if not lo <= value <= hi:
-                span = f"[{lo:g}, {hi:g}] {unit}".rstrip()
-                raise ConfigError(f"{key} must lie in {span}, got {float(value)!r}")
+            check_range(key, getattr(config, field.name), *RANGES[key][:2])
 
 
 @dataclass(frozen=True)
@@ -131,17 +154,10 @@ class RisPanel:
     reflection: float = 1.0
 
     def __post_init__(self) -> None:
-        for key, count in (("panel.rows", self.rows), ("panel.cols", self.cols)):
-            if count < 1:
-                raise ConfigError(f"{key} must lie in [1, inf), got {count}")
+        check_ranges("panel", self)
         if self.num_cells > PANEL_GUARD_CELLS:
             raise ConfigError(f"panel.rows x panel.cols = {self.rows}x{self.cols} cells exceeds "
                               f"the guard of {PANEL_GUARD_CELLS}")
-        check_ranges("panel", self)
-        if self.bits < 1:
-            raise ConfigError(f"panel.bits must lie in [1, inf), got {self.bits}")
-        if not (0.0 < self.reflection <= 1.0):
-            raise ConfigError(f"panel.reflection must lie in (0, 1], got {self.reflection!r}")
         if not isinstance(self.levels_deg, tuple):  # a list leaves the panel unhashable
             raise ConfigError(f"panel.levels_deg must be a tuple, got {self.levels_deg!r}")
         levels = self.levels
@@ -184,8 +200,8 @@ class Placement:
     phi_t_deg) the elevation/azimuth of the Tx direction seen from the
     center, and (theta_r_deg, phi_r_deg) the same for the Rx, in degrees as
     the file writes them (geometry.antenna_points converts them).
-    Elevations are measured from the surface normal (+z) and lie in
-    [0, 90); an azimuth may be any finite angle, taken mod 360.
+    Elevations are measured from the surface normal (+z) and lie in their
+    RANGES interval, [0, 90); an azimuth may be any finite angle, taken mod 360.
     """
 
     d1_m: float
@@ -197,11 +213,6 @@ class Placement:
 
     def __post_init__(self) -> None:
         check_ranges("placement", self)
-        for name in ("theta_t_deg", "theta_r_deg"):
-            angle = getattr(self, name)
-            if not (0.0 <= angle < 90.0):
-                raise ConfigError(f"placement.{name} must lie in [0, 90) deg, "
-                                  f"got {exact_g(angle)}")
         for name in ("phi_t_deg", "phi_r_deg"):
             angle = getattr(self, name)
             if not math.isfinite(angle):
@@ -215,11 +226,7 @@ def alpha_from_gain_dbi(gain_dbi: float) -> float:
     Raises ConfigError below MIN_GAIN_DBI = 10*log10(2) ~ 3.0103 dBi, the
     gains' RANGES floor, where the exponent would be negative, and on NaN.
     """
-    if not gain_dbi >= MIN_GAIN_DBI:
-        raise ConfigError(
-            f"gain {gain_dbi} dBi is below the {MIN_GAIN_DBI:.4f} dBi floor of the "
-            "cosine-power pattern family"
-        )
+    check_range("gain", gain_dbi, f"[{MIN_GAIN_DBI!r}, inf)", "dBi")
     return max(10.0 ** (gain_dbi / 10.0) / 2.0 - 1.0, 0.0)
 
 

@@ -169,6 +169,12 @@ def wave_path_difference(panel, placement, cell_a, cell_b) -> float:
     return abs(lookup(cell_a) - lookup(cell_b))
 
 
+def ends(interval: str) -> tuple[float, float]:
+    """The two ends of an interval spelled like "[0, 90)"."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    return lo, hi
+
+
 def document_with(doc: dict, section: str, **changes) -> dict:
     """Copy of a scenario document with some keys in one section replaced."""
     out = copy.deepcopy(doc)

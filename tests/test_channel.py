@@ -11,6 +11,7 @@ import pytest
 from conftest import (
     aperture_radius,
     dof_law,
+    ends,
     far_field_pl_db,
     random_scenario,
     residual_spread,
@@ -99,7 +100,7 @@ class TestContinuousPhaseMatrix:
         if multiple is not None:
             cell, k, step = multiple
             path = float(np.add(r_t, r_r)[cell % r_t.size])
-            low, high = RANGES["radio.freq_ghz"][:2]
+            low, high = ends(RANGES["radio.freq_ghz"][0])
             fewest = math.ceil(path / wavelength_m(low) * (1 + 1e-9))
             most = math.floor(path / wavelength_m(high) * (1 - 1e-9))
             wavelength = path / (fewest + k % (most - fewest + 1))

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import document_with
+from conftest import document_with, ends
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -38,7 +38,10 @@ from risbeam.scenario import (
     RANGES,
     SWEEP_AXES,
     ConfigError,
+    RisPanel,
+    _integer,
     _number,
+    exact_g,
     parse_scenario,
     ris_2p6ghz,
     ris_2p6ghz_document,
@@ -222,11 +225,12 @@ class TestScenarioParsing:
 
     def test_ranged_keys_are_read_as_written(self):
         # a ranged field holds the file's number as written, so that its
-        # dataclass checks it, and shows a refused one, in the file's units
+        # dataclass checks it, and shows a refused one, in the file's units;
+        # a count is read as a whole number
         for key in RANGES:
             section, name = key.split(".")
             (field,) = (f for f in dataclasses.fields(_SECTIONS[section]) if f.name == name)
-            assert _READERS[field.type] is _number, key
+            assert _READERS[field.type] is (_integer if field.type == "int" else _number), key
 
     def test_readme_example_is_the_table(self):
         text = (ROOT / "README.md").read_text()
@@ -245,14 +249,16 @@ class TestScenarioParsing:
         ("radio", "freq_ghz", 1e-300, "radio.freq_ghz must lie in [0.1, 10000] GHz, got 1e-300"),
         ("radio", "freq_ghz", math.nextafter(1e4, math.inf),
          "radio.freq_ghz must lie in [0.1, 10000] GHz, got 10000.000000000002"),
+        ("radio", "gain_tx_dbi", 3.0102999,
+         "radio.gain_tx_dbi must lie in [3.010299956639812, 40] dBi, got 3.0102999"),
     ], ids=["theta-t-100", "theta-r-90", "theta-t-ulp-above-90", "freq-1e300", "freq-1e-300",
-            "freq-above-1e4"])
+            "freq-above-1e4", "gain-below-its-floor"])
     def test_refusal_names_the_file_key(self, section, key, value, message):
         # in the file's units: theta_t 100 used to read "theta_t must lie in
         # [0, pi/2), got 1.7453292519943295", theta_t 90.00000000000001, held
         # in radians and turned back, "got 90", and freq_ghz 1e300 and
         # 1e-300, whose wavelengths' round trips over- and underflow, "got
-        # inf" and "got 0.0"
+        # inf" and "got 0.0"; the gain floor used to be shown rounded, as 3.0103
         with pytest.raises(ConfigError) as excinfo:
             parse_scenario(document_with(ris_2p6ghz_document(), section, **{key: value}))
         assert str(excinfo.value) == message
@@ -361,7 +367,7 @@ class TestValidateCommand:
         path.write_text(json.dumps(doc))
         assert run(["validate", "--scenario", str(path)]) == 2
         assert capsys.readouterr().err == (
-            f"error: radio.{key} must lie in [3.0103, 40] dBi, got 1e+30\n")
+            f"error: radio.{key} must lie in [3.010299956639812, 40] dBi, got 1e+30\n")
 
     @pytest.mark.parametrize("key, value, message", [
         ("rows", 2.5, "key 'panel.rows' must be an integer, got 2.5"),
@@ -377,7 +383,7 @@ class TestValidateCommand:
         ("rows", 0, "panel.rows must lie in [1, inf), got 0"),
         ("cols", 0, "panel.cols must lie in [1, inf), got 0"),
         ("bits", 0, "panel.bits must lie in [1, inf), got 0"),
-        ("reflection", 2, "panel.reflection must lie in (0, 1], got 2.0"),
+        ("reflection", 2, "panel.reflection must lie in (0, 1], got 2"),
     ], ids=["rows-2.5", "rows-ulp-above-32", "cols-16.5", "bits-1.5", "bits-1e7", "bits-1e400", "cell-dx-minus-1e400",
             "levels-1e400", "rows-0", "cols-0", "bits-0", "reflection-2"])
     def test_refuses_a_panel_number_by_name(self, tmp_path, capsys, key, value, message):
@@ -455,12 +461,12 @@ class TestQuantizeCommand:
         assert run(["quantize", "--scenario", ris1_path, "--method", "eipq:1e-9"]) == 2
         err = capsys.readouterr().err
         assert "1e-09 deg" in err and "candidates" in err and "guard" in err
-        # a subnormal step is counted exactly too, and refused by the guard
+        # a subnormal step is counted exactly too, refused by the guard and
+        # shown as typed: it used to read "epsilon = 9.99989e-321 deg"
         assert run(["quantize", "--scenario", ris1_path, "--method", "eipq:1e-320"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: method token 'eipq:1e-320': eipq refused: epsilon = ")
-        assert err.endswith(" deg gives more candidates than the guard of "
-                            f"{quantization.EIPQ_GUARD_CANDIDATES}\n")
+        assert capsys.readouterr().err == (
+            "error: method token 'eipq:1e-320': eipq refused: epsilon = 1e-320 deg gives more "
+            f"candidates than the guard of {quantization.EIPQ_GUARD_CANDIDATES}\n")
 
     def test_threshold_a_hair_below_zero_is_zero(self, tmp_path, capsys):
         # radians(-1e-20) mod 2*pi rounds up to 2*pi itself; it quantizes at 0
@@ -507,13 +513,14 @@ class TestQuantizeCommand:
         doc = document_with(ris_2p6ghz_document(), "radio", gain_tx_dbi=3000.0,
                             gain_rx_dbi=3000.0)
         err = refused(["quantize", "--method", "dtpq"], doc, tmp_path, capsys)
-        assert err == "error: radio.gain_tx_dbi must lie in [3.0103, 40] dBi, got 3000.0\n"
+        assert err == ("error: radio.gain_tx_dbi must lie in [3.010299956639812, 40] dBi, "
+                       "got 3000\n")
 
     @pytest.mark.parametrize("key, value, message", [
         ("cell_alpha", math.nextafter(100.0, math.inf),
          "radio.cell_alpha must lie in [0, 100], got 100.00000000000001"),
         ("gain_rx_dbi", math.nextafter(40.0, math.inf),
-         "radio.gain_rx_dbi must lie in [3.0103, 40] dBi, got 40.00000000000001"),
+         "radio.gain_rx_dbi must lie in [3.010299956639812, 40] dBi, got 40.00000000000001"),
     ], ids=["cell-alpha", "gain-rx"])
     def test_refuses_a_pattern_exponent_above_the_limit(self, tmp_path, capsys, key, value,
                                                          message):
@@ -690,10 +697,10 @@ class TestSweepCommand:
     @pytest.mark.parametrize("argv, message", [
         (["sweep", "--axis", "rx_distance", "--start=-1", "--stop", "1", "--step", "1",
           "--methods", "dtpq"], "rx_distance -1: placement.d2_m must lie in [0.001, 1e+07] m, "
-                                "got -1.0"),
+                                "got -1"),
         (["sweep", "--axis", "tx_distance", "--start", "0", "--stop", "1", "--step", "1",
           "--methods", "dtpq"], "tx_distance 0: placement.d1_m must lie in [0.001, 1e+07] m, "
-                                "got 0.0"),
+                                "got 0"),
         (["pl-fit", "--variable", "d1", "--start", "1e-300", "--stop", "1", "--num", "3"],
          "log10_d1 sample 1e-300: placement.d1_m must lie in [0.001, 1e+07] m, got 1e-300"),
     ], ids=["sweep-rx-distance", "sweep-tx-distance", "pl-fit-d1"])
@@ -964,29 +971,29 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("args, message", [
         (["angle-scan", "--target=90", "--start=0", "--stop=10", "--step=1",
-          "--methods=dtpq"], "--target must lie in (-90, 90) degrees, got 90"),
+          "--methods=dtpq"], "--target must lie in (-90, 90) deg, got 90"),
         (["angle-scan", "--target=nan", "--start=0", "--stop=10", "--step=1",
           "--methods=dtpq"], "--target must be finite, got nan"),
         (["angle-scan", "--target=45", "--start=80", "--stop=180", "--step=20",
-          "--methods=dtpq"], "--stop must lie in [-90, 90] degrees, got 180"),
+          "--methods=dtpq"], "--stop must lie in [-90, 90] deg, got 180"),
         (["angle-scan", "--target=45", "--start=-90.5", "--stop=0", "--step=1",
-          "--methods=dtpq"], "--start must lie in [-90, 90] degrees, got -90.5"),
+          "--methods=dtpq"], "--start must lie in [-90, 90] deg, got -90.5"),
         (["gradient-map", "--target-theta=95", "--target-phi=0"],
-         "--target-theta must lie in [0, 90) degrees, got 95"),
+         "--target-theta must lie in [0, 90) deg, got 95"),
         (["gradient-map", "--target-theta=90", "--target-phi=0"],
-         "--target-theta must lie in [0, 90) degrees, got 90"),
+         "--target-theta must lie in [0, 90) deg, got 90"),
         (["gradient-map", "--target-theta=45", "--target-phi=inf"],
          "--target-phi must be finite, got inf"),
         (["gradient-map", "--target-theta=45", "--target-phi=0", "--theta-start=-5"],
-         "--theta-start must lie in [0, 90] degrees, got -5"),
+         "--theta-start must lie in [0, 90] deg, got -5"),
         (["gradient-map", "--target-theta=45", "--target-phi=0", "--theta-stop=120"],
-         "--theta-stop must lie in [0, 90] degrees, got 120"),
+         "--theta-stop must lie in [0, 90] deg, got 120"),
         (["gradient-map", "--target-theta=45", "--target-phi=0", "--theta-step=7"],
-         "--theta-step 7 puts the last point at 91, outside [0, 90] degrees"),
+         "--theta-step 7 puts the last point at 91, outside [0, 90] deg"),
         (["pl-fit", "--variable=cos_theta_r", "--start=20", "--stop=90"],
-         "--stop must lie in [0, 90) degrees, got 90"),
+         "--stop must lie in [0, 90) deg, got 90"),
         (["pl-fit", "--variable=cos_theta_t", "--start=-10", "--stop=60"],
-         "--start must lie in [0, 90) degrees, got -10"),
+         "--start must lie in [0, 90) deg, got -10"),
         (["gradient-map", "--target-theta=45", "--target-phi=0", "--phi-step=-1"],
          "--phi-step must be positive, got -1"),
         (["angle-scan", "--target=45", "--start=0", "--stop=10", "--step=0", "--methods=dtpq"],
@@ -1006,21 +1013,21 @@ class TestOtherCommands:
         (["gradient-map", "--target-theta=45", "--target-phi=0", "--phi-stop=inf"],
          "--phi-stop must be finite, got inf"),
         (["sweep", "--axis=theta_r", "--start=80", "--stop=95", "--step=5",
-          "--methods=dtpq"], "--stop must lie in [0, 90) degrees, got 95"),
+          "--methods=dtpq"], "--stop must lie in [0, 90) deg, got 95"),
         (["sweep", "--axis=theta_r", "--start=0", "--stop=89.5", "--step=1",
-          "--methods=dtpq"], "--step 1 puts the last point at 90, outside [0, 90) degrees"),
+          "--methods=dtpq"], "--step 1 puts the last point at 90, outside [0, 90) deg"),
         (["angle-scan", "--target=45", "--start=-90", "--stop=90", "--step=7",
-          "--methods=dtpq"], "--step 7 puts the last point at 92, outside [-90, 90] degrees"),
+          "--methods=dtpq"], "--step 7 puts the last point at 92, outside [-90, 90] deg"),
         # one ulp outside an end, or below the start, used to read as the end
         # or the start itself ("got 90", "--theta-stop 90 must not precede ...")
         (["gradient-map", "--target-theta=45", "--target-phi=0",
           "--theta-stop=90.00000000000001"],
-         "--theta-stop must lie in [0, 90] degrees, got 90.00000000000001"),
+         "--theta-stop must lie in [0, 90] deg, got 90.00000000000001"),
         (["gradient-map", "--target-theta=45", "--target-phi=0", "--theta-start=90",
           "--theta-stop=89.99999999999999"],
          "--theta-stop 89.99999999999999 must not precede --theta-start 90"),
         (["angle-scan", "--target=45", "--start=0", "--stop=90.00000000000001", "--step=1",
-          "--methods=dtpq"], "--stop must lie in [-90, 90] degrees, got 90.00000000000001"),
+          "--methods=dtpq"], "--stop must lie in [-90, 90] deg, got 90.00000000000001"),
         # a grid value one ulp below a range's end used to be shown as the end
         # in the prefix ("rx_distance 0.001: ...")
         (["sweep", "--axis=rx_distance", "--start=0.0009999999999999998", "--stop=0.002",
@@ -1036,6 +1043,8 @@ class TestOtherCommands:
             "sweep-theta-r-step-overshoot", "scan-step-overshoot", "map-theta-stop-ulp-above",
             "map-theta-stop-ulp-below-start", "scan-stop-ulp-above", "sweep-d2-ulp-below-range"])
     def test_angle_options_named_in_degrees(self, small_path, capsys, args, message):
+        # an interval in degrees reads "deg", as in the scenario keys' refusals;
+        # it used to read "degrees"
         assert run([args[0], "--scenario", small_path, *args[1:]]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -1159,8 +1168,9 @@ def test_scenario_boundary_ends_finite_or_exits_2(tmp_path, capsys, section, key
 @st.composite
 def in_range_documents(draw):
     """A scenario document on a panel of at most 4x4 cells with every key of
-    RANGES inside its range: at an end, or between them (log-uniformly
-    where the range is positive), the other keys anywhere in theirs."""
+    RANGES inside its interval: a closed interval's key at an end, or between
+    them (log-uniformly where the interval is positive), the counts and the
+    keys with an open end drawn apart, the other keys anywhere in theirs."""
     doc = document_with(ris_2p6ghz_document(), "panel", rows=draw(st.integers(1, 4)),
                         cols=draw(st.integers(1, 4)),
                         reflection=draw(st.sampled_from([1e-300, 1.0]) | st.floats(1e-6, 1.0)))
@@ -1170,8 +1180,11 @@ def in_range_documents(draw):
         doc["placement"][key] = draw(st.sampled_from([0.0, 89.999999]) | st.floats(0.0, 89.999999))
     for key in ("phi_t_deg", "phi_r_deg"):
         doc["placement"][key] = draw(st.floats(0.0, 360.0, exclude_max=True))
-    for key, (lo, hi, _, _) in RANGES.items():
+    for key, (interval, _, _) in RANGES.items():
+        if interval[0] + interval[-1] != "[]":  # the counts, reflection and elevations: above
+            continue
         section, name = key.split(".")
+        lo, hi = ends(interval)
         between = draw(st.floats(0.0, 1.0))
         inside = lo * (hi / lo) ** between if lo > 0.0 else lo + (hi - lo) * between
         doc[section][name] = draw(st.sampled_from([lo, hi, min(max(inside, lo), hi)]))
@@ -1218,41 +1231,91 @@ def test_every_in_range_scenario_quantizes(tmp_path, capsys, doc):
     assert code == 0 or (code == 2 and err.startswith(f"error: {NO_LIT_CELL}: ")), err
 
 
-@pytest.mark.parametrize("above", [False, True], ids=["low", "high"])
-@pytest.mark.parametrize("key", RANGES)
+def range_ends() -> list:
+    """Each finite end of every RANGES row, as the parameters (key, above), where
+    ``above`` marks the high end; an infinite end has no value to test."""
+    return [pytest.param(key, above, id=f"{key}-{'high' if above else 'low'}")
+            for key in RANGES for above in (False, True)
+            if math.isfinite(ends(RANGES[key][0])[above])]
+
+
+def end_and_beyond(key: str, above: bool) -> tuple[float, bool, float]:
+    """A RANGES end, whether the row's interval includes it, and the value one
+    step beyond it: the next integer for a count, else a millionth of the
+    end's magnitude (2**-20 beyond 0)."""
+    interval = RANGES[key][0]
+    end, sign = ends(interval)[above], (1 if above else -1)
+    closed = interval[-1 if above else 0] in "[]"
+    section, name = key.split(".")
+    if {f.name: f.type for f in dataclasses.fields(_SECTIONS[section])}[name] == "int":
+        return int(end), closed, int(end) + sign
+    return end, closed, end + sign * (abs(end) or 1.0) * 2**-20
+
+
+def range_refusal(key: str, value: float) -> str:
+    """The refusal of ``value`` by its key's RANGES row."""
+    interval, unit, _ = RANGES[key]
+    span = f"{interval} {unit}".rstrip()
+    return f"{key} must lie in {span}, got {exact_g(value)}"
+
+
+@pytest.mark.parametrize("key, above", range_ends())
 @settings(max_examples=8, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(in_range_documents())
 def test_one_key_just_outside_its_range_exits_2(tmp_path, capsys, key, above, doc):
-    # at its end a key is accepted; a millionth of the end's magnitude beyond
-    # it (or below 0) is refused, naming the key and the range
-    lo, hi, _, _ = RANGES[key]
-    end = hi if above else lo
+    # at a closed end a key is accepted, and at an open end refused with its
+    # row's message; one step beyond the end it is refused, naming the key,
+    # the interval and the value
+    end, closed, outside = end_and_beyond(key, above)
     section, name = key.split(".")
-    doc[section][name] = end
-    code, err = quantize_outcome(doc, tmp_path, capsys)
-    assert code == 0 or (code == 2 and err.startswith(f"error: {NO_LIT_CELL}: ")), err
-    doc[section][name] = end + (1 if above else -1) * (abs(end) or 1.0) * 2**-20
-    code, err = quantize_outcome(doc, tmp_path, capsys)
-    assert code == 2 and f"{key} must lie in [{lo:g}, {hi:g}]" in err, err
+    if key == "panel.bits":  # the level set of the 1-bit end
+        doc["panel"]["levels_deg"] = [55.0, 235.0]
+    for value, accepted in ((end, closed), (outside, False)):
+        doc[section][name] = value
+        code, err = quantize_outcome(doc, tmp_path, capsys)
+        if accepted:
+            assert code == 0 or (code == 2 and err.startswith(f"error: {NO_LIT_CELL}: ")), err
+        else:
+            assert (code, err) == (2, f"error: {range_refusal(key, value)}\n")
 
 
-@pytest.mark.parametrize("above", [False, True], ids=["low", "high"])
-@pytest.mark.parametrize("key", RANGES)
+@pytest.mark.parametrize("key, above", range_ends())
 def test_one_field_just_outside_its_range_is_refused(key, above):
-    # the library twin of the test above: the dataclass holds an end bit for
-    # bit, and refuses a millionth of the end's magnitude beyond it, naming
+    # the library twin of the test above: the dataclass holds a closed end as
+    # passed, and refuses an open end, one step beyond an end and NaN, naming
     # the key and showing the value as passed
-    lo, hi, unit, _ = RANGES[key]
-    end = hi if above else lo
+    end, closed, outside = end_and_beyond(key, above)
     section, name = key.split(".")
     config = getattr(ris_2p6ghz(), section)
-    assert getattr(dataclasses.replace(config, **{name: end}), name).hex() == end.hex()
-    outside = end + (1 if above else -1) * (abs(end) or 1.0) * 2**-20
-    with pytest.raises(ValueError) as excinfo:
-        dataclasses.replace(config, **{name: outside})
-    span = f"[{lo:g}, {hi:g}] {unit}".rstrip()
-    assert str(excinfo.value) == f"{key} must lie in {span}, got {outside!r}"
+    for value, accepted in ((end, closed), (outside, False), (math.nan, False)):
+        if accepted:
+            held = getattr(dataclasses.replace(config, **{name: value}), name)
+            assert (type(held), repr(held)) == (type(value), repr(value))
+            continue
+        with pytest.raises(ConfigError) as excinfo:
+            dataclasses.replace(config, **{name: value})
+        assert str(excinfo.value) == range_refusal(key, value)
+
+
+@pytest.mark.parametrize("value, shown", [
+    (1e-320, "1e-320"), (-5e-324, "-5e-324"), (1e-300, "1e-300"), (49162100.0, "4.91621e+07"),
+    (90.00000000000001, "90.00000000000001"), (-1.0, "-1"), (2**53 + 1, "9007199254740993")])
+def test_exact_g_reads_back(value, shown):
+    # a subnormal used to show the six digits that read it back, 9.99989e-321
+    # for 1e-320, and an int past 2**53 its nearest float; a normal float
+    # keeps its :g form wherever that reads back
+    assert exact_g(value) == shown
+
+
+def test_a_count_past_the_float_range_is_refused_by_name():
+    # an int past the float range is shown whole, not formatted as a float,
+    # which raised OverflowError
+    panel = ris_2p6ghz().panel
+    with pytest.raises(ConfigError) as excinfo:
+        RisPanel(-10**400, panel.cols, panel.cell_dx_m, panel.cell_dy_m, panel.bits,
+                 panel.levels_deg)
+    assert str(excinfo.value) == f"panel.rows must lie in [1, inf), got {-10**400}"
 
 
 # Every option of the command-line table with its entry: (command, flag,
@@ -1260,12 +1323,6 @@ def test_one_field_just_outside_its_range_is_refused(key, above):
 TABLE_OPTIONS = [(command, flag, spec) for command, (_, _, options) in _COMMANDS.items()
                  for flag, spec in options.items()]
 LARGEST = sys.float_info.max
-
-
-def ends(degrees: str) -> tuple[float, float]:
-    """The two ends of an interval spelled like "[0, 90)"."""
-    lo, hi = (float(end) for end in degrees[1:-1].split(","))
-    return lo, hi
 
 
 def option_values(kind, degrees: str | None = None) -> tuple[list, list]:
@@ -1364,7 +1421,7 @@ def test_option_interval_ends(small_path, monkeypatch, capsys, command, flag, de
     if degrees is None:
         return
     for end, closed in zip(ends(degrees), (degrees[0] == "[", degrees[-1] == "]")):
-        message = f"error: {flag} must lie in {degrees} degrees, got {end:g}\n"
+        message = f"error: {flag} must lie in {degrees} deg, got {end:g}\n"
         assert refusal(end) == ("" if closed else message)
 
 
@@ -1446,9 +1503,9 @@ def readme_ranges():
 
 
 def test_readme_ranges_are_the_table():
-    # the README shows scenario.RANGES row for row: key, range, unit and reason
-    assert readme_ranges() == [f"| `{key}` | [{lo:g}, {hi:g}] | {unit or '-'} | {why} |"
-                               for key, (lo, hi, unit, why) in RANGES.items()]
+    # the README shows scenario.RANGES row for row: key, interval, unit and reason
+    assert readme_ranges() == [f"| `{key}` | {interval} | {unit or '-'} | {why} |"
+                               for key, (interval, unit, why) in RANGES.items()]
 
 
 def readme_options():

@@ -17,7 +17,7 @@ from risbeam import (
     ris_2p6ghz,
 )
 from risbeam.geometry import antenna_points, cell_center_axes
-from risbeam.scenario import MIN_GAIN_DBI, SPEED_OF_LIGHT
+from risbeam.scenario import MIN_GAIN_DBI, SPEED_OF_LIGHT, ConfigError
 
 ALPHA_825_DBI = 2.3417195878430728
 
@@ -136,11 +136,15 @@ class TestGainConversion:
 
     def test_floor_is_the_range_end(self):
         # the RANGES floor of the gains gives alpha 0; one ulp below it, and
-        # NaN, are refused
+        # NaN, are refused with the floor in full: it used to read "gain nan
+        # dBi is below the 3.0103 dBi floor of the cosine-power pattern family"
         assert alpha_from_gain_dbi(MIN_GAIN_DBI) == 0.0
-        for gain in (math.nextafter(MIN_GAIN_DBI, 0.0), math.nan):
-            with pytest.raises(ValueError, match="floor"):
+        for gain, shown in ((math.nextafter(MIN_GAIN_DBI, 0.0), "3.0102999566398116"),
+                            (math.nan, "nan")):
+            with pytest.raises(ConfigError) as excinfo:
                 alpha_from_gain_dbi(gain)
+            assert str(excinfo.value) == (f"gain must lie in [3.010299956639812, inf) dBi, "
+                                          f"got {shown}")
 
     def test_inverse_at_825_dbi(self):
         alpha = alpha_from_gain_dbi(8.25)
@@ -153,7 +157,8 @@ class TestGainConversion:
             assert alpha_from_gain_dbi(dbi) == pytest.approx(alpha, rel=1e-12, abs=1e-12)
 
     def test_below_floor_raises(self):
-        with pytest.raises(ValueError, match="floor"):
+        with pytest.raises(ValueError, match=r"^gain must lie in \[3.010299956639812, inf\) dBi, "
+                                             r"got 2.9$"):
             alpha_from_gain_dbi(2.9)
 
     def test_gain_integral_consistency(self):
@@ -166,12 +171,13 @@ class TestGainConversion:
 
 class TestRadioConfig:
     def test_rejects_below_floor_gain(self):
-        with pytest.raises(ValueError, match=r"radio.gain_tx_dbi must lie in \[3.0103, 40\] dBi"):
+        with pytest.raises(ValueError, match=r"^radio.gain_tx_dbi must lie in "
+                                             r"\[3.010299956639812, 40\] dBi, got 2$"):
             RadioConfig(freq_ghz=SPEED_OF_LIGHT / (0.1 * 1e9), tx_power_dbm=0.0, gain_tx_dbi=2.0,
                         gain_rx_dbi=8.0)
 
     @pytest.mark.parametrize("freq_ghz, shown", [
-        (0.0, "0.0"), (math.nextafter(1e4, math.inf), "10000.000000000002")],
+        (0.0, "0"), (math.nextafter(1e4, math.inf), "10000.000000000002")],
         ids=["zero", "one-ulp-above"])
     def test_refuses_a_frequency_as_passed(self, freq_ghz, shown):
         # the frequency is held to its range, and shown, as passed
